@@ -64,10 +64,6 @@ class MAPolynomial:
         if self.order < 1 and (np.any(self.px != 0.0) or self.qz != 0.0):
             raise ValueError("affine coefficients require order >= 1")
 
-    def h(self, z):
-        s = self.s
-        return s * s / (1.0 - s) * np.abs(z) ** (1.0 / s)
-
     def __call__(self, x, z):
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
@@ -80,7 +76,7 @@ class MAPolynomial:
             quad = 0.5 * float(A) * x * x
             cross = float(np.asarray(self.bxz, float)) * x * z
             lin = float(np.asarray(self.px, float)) * x
-        return quad + cross + self.d * self.h(z) + lin + self.qz * z + self.c
+        return quad + cross + self.d * MAGeometry(self.s).h(z) + lin + self.qz * z + self.c
 
     def weighted_zz(self, z):
         """z^{2-1/s} d_zz P = d, constant: the class-membership identity."""
@@ -152,18 +148,12 @@ def sample_annulus(geom: MAGeometry, x0, z0, R, rho, samples, seed=0):
     frac = rng.uniform(0.0, 1.0, samples)
     u_x, u_z = u * frac, u * (1.0 - frac)
     side = rng.integers(0, 2, samples)
-    xs = np.empty((samples, n))
-    zs = np.empty(samples)
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    for i in range(samples):
-        direction = rng.normal(size=n)
-        direction /= np.linalg.norm(direction)
-        xs[i] = x0v + direction * np.sqrt(2.0 * u_x[i])
-        if u_z[i] == 0.0:
-            zs[i] = z0
-            continue
-        lo, hi = geom.section_interval(z0, u_z[i]) if u_z[i] > 0 else (z0, z0)
-        zs[i] = lo if side[i] else hi
+    direction = rng.normal(size=(samples, n))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    xs = np.atleast_1d(np.asarray(x0, dtype=float)) + direction * np.sqrt(2.0 * u_x)[:, None]
+    zs = np.full(samples, float(z0))
+    solve = u_z > 0.0
+    zs[solve] = geom.section_endpoint(z0, u_z[solve], 1.0 - 2.0 * side[solve])
     return xs if n > 1 else xs[:, 0], zs
 
 
@@ -272,7 +262,7 @@ class BarrierCase2:
         self.geom, self.x0, self.z0, self.R, self.rho = geom, x0, float(z0), float(R), float(rho)
         self.alpha, self.n, self.eps = float(alpha), geom.n, float(eps)
 
-        z_hi = geom.section_interval(z0, R)[1]
+        z_hi = geom.section_endpoint(z0, R, 1.0)
         mu_S = float(geom.hp(z_hi))  # h'(z_hi) - h'(0)
         len_S = z_hi
         eps0 = eps

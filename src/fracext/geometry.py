@@ -9,7 +9,10 @@ Everything here is closed form for fixed s in (0, 1):
 Quasi-distances, sections, cubes and cylinders are built from the Bregman
 deltas of phi(x) = |x|^2/2 and h.  Measures of h-intervals always use the
 exact antiderivative h', never pointwise h'' (which is singular or degenerate
-at z = 0 depending on s).
+at z = 0 depending on s).  The one quantity without a closed form is a
+section endpoint off the origin, the root of delta_h(z0, .) = R; it is
+solved for whole arrays of (z0, R) at once by safeguarded Newton steps
+(MAGeometry.section_endpoint).
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ from dataclasses import dataclass, field, asdict
 import json
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # unused; perfbench/fxbench/trace.py looks this name up
+
+# section_endpoint: caps on bracket doublings and Newton steps (sections in
+# use take up to ~35), and the converged step relative to max(|z|, |z0|)
+_BRACKET_DOUBLINGS = 200
+_NEWTON_STEPS = 200
+_ENDPOINT_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -122,39 +131,82 @@ class MAGeometry:
 
     # -- sections ----------------------------------------------------------------
 
-    def section_x_radius(self, R):
-        """Euclidean radius of the x-section: S_R(x0) = B_{sqrt(2R)}(x0)."""
-        return np.sqrt(2.0 * R)
-
     def section_interval(self, z0, R):
-        """Open interval {z : delta_h(z0, z) < R}.
+        """Open interval {z : delta_h(z0, z) < R} as the pair (lower, upper).
 
-        Centered at 0 the endpoints are +-q_s R^s exactly; otherwise each
-        endpoint is found by bracketed root-finding on delta_h(z0,.) - R,
-        relative tolerance 1e-12.
+        z0 and R broadcast against each other; both sides are solved in one
+        section_endpoint call, and scalar inputs give scalar endpoints.
         """
-        if R <= 0:
-            raise ValueError("section radius must be positive")
-        z0 = float(z0)
-        if z0 == 0.0:
-            half = self.setup.q_s * R**self.s
-            return (-half, half)
-        reach = self.setup.q_s * (R + abs(self.delta_h(z0, 0.0))) ** self.s + abs(z0)
-        zhi = self._section_endpoint(z0, R, +reach)
-        zlo = self._section_endpoint(z0, R, -reach)
-        return (zlo, zhi)
+        ends = self.section_endpoint(np.expand_dims(z0, -1), np.expand_dims(R, -1), (-1.0, 1.0))
+        return ends[..., 0][()], ends[..., 1][()]
 
-    def _section_endpoint(self, z0, R, offset):
-        f = lambda z: self.delta_h(z0, z) - R
-        b = z0 + offset
-        for _ in range(200):
-            if f(b) >= 0.0:
+    def section_endpoint(self, z0, R, side):
+        """The z with delta_h(z0, z) = R on the given side (+1 or -1) of z0.
+
+        z0, R and side broadcast.  Centered at 0 the endpoint is side q_s R^s.
+        Elsewhere f = delta_h(z0, .) - R is convex and monotone on each side
+        of z0; from an outer end at the reach q_s (R + |delta_h(z0, 0)|)^s,
+        doubled until f >= 0, all lanes take Newton steps with the exact
+        derivative h' - h'(z0), bisecting their bracket whenever a step is
+        not strictly inside it, until the step is a few ulp.  A lane that
+        does not converge raises RuntimeError.
+        """
+        z0, R, side = np.broadcast_arrays(np.asarray(z0, dtype=float),
+                                          np.asarray(R, dtype=float),
+                                          np.asarray(side, dtype=float))
+        if np.any(R <= 0):
+            raise ValueError("section radius must be positive")
+        if not (np.all(np.isfinite(z0)) and np.all(np.isfinite(R))):
+            raise ValueError("section center and radius must be finite")
+        if not np.all(np.abs(side) == 1.0):
+            raise ValueError("section side must be +1 or -1")
+        out = np.asarray(side * self.setup.q_s * R**self.s)
+        solve = z0 != 0.0
+        if np.any(solve):
+            out[solve] = self._solve_endpoints(z0[solve], R[solve], side[solve])
+        return out[()]
+
+    def _solve_endpoints(self, z0, R, side):
+        c = np.stack([z0, R])  # per lane, compressed as lanes finish
+        f = lambda z, c: self.delta_h(c[0], z) - c[1]
+
+        reach = self.setup.q_s * (R + np.abs(self.delta_h(z0, 0.0))) ** self.s + np.abs(z0)
+        outer = z0 + side * reach
+        fz = f(outer, c)
+        for _ in range(_BRACKET_DOUBLINGS):
+            short = fz < 0.0
+            if not short.any():
                 break
-            b = z0 + 2.0 * (b - z0)
+            outer[short] = z0[short] + 2.0 * (outer[short] - z0[short])
+            fz[short] = f(outer[short], c[:, short])
         else:
             raise RuntimeError("section endpoint bracket did not close")
-        lo, hi = (z0, b) if offset > 0 else (b, z0)
-        return brentq(f, lo, hi, rtol=1e-12)
+
+        # z is always an end of the bracket [inner (f < 0), outer (f >= 0)], so
+        # an iterate not strictly inside it would only repeat an end (a
+        # 2-cycle in the rounding noise of f) and is replaced by the midpoint
+        lanes = np.arange(z0.size)
+        inner, z = z0.copy(), outer
+        result = np.empty_like(z0)
+        for _ in range(_NEWTON_STEPS):
+            new = z - fz / (self.hp(z) - self.hp(c[0]))
+            off = (new != z) & ~((new - inner) * (new - outer) < 0.0)
+            new = np.where(off, 0.5 * (inner + outer), new)
+            # the rounding of f in z is relative to the larger of |z| and |z0|
+            done = np.abs(new - z) <= _ENDPOINT_TOL * np.maximum(np.abs(new), np.abs(c[0]))
+            if done.any():
+                result[lanes[done]] = new[done]
+                keep = ~done
+                if not keep.any():
+                    return result
+                lanes, c, inner, outer, new = (lanes[keep], c[:, keep], inner[keep],
+                                               outer[keep], new[keep])
+            z = new
+            fz = f(z, c)
+            below = fz < 0.0
+            inner = np.where(below, z, inner)
+            outer = np.where(below, outer, z)
+        raise RuntimeError("section endpoint Newton iteration did not converge")
 
     # -- anisotropic scaling ----------------------------------------------------
 
@@ -292,11 +344,9 @@ def scaling_identity_check(geom: MAGeometry, samples=2048, seed=0):
 
 def doubling_check(geom: MAGeometry, sections):
     """Ratios |S_R(z0)| mu_h(S_R(z0)) / R over a list of (z0, R) pairs."""
-    ratios = []
-    for z0, R in sections:
-        zlo, zhi = geom.section_interval(z0, R)
-        ratios.append((zhi - zlo) * geom.mu_h_interval(zlo, zhi) / R)
-    ratios = np.asarray(ratios)
+    z0, R = np.asarray(sections, dtype=float).T
+    zlo, zhi = geom.section_interval(z0, R)
+    ratios = (zhi - zlo) * geom.mu_h_interval(zlo, zhi) / R
     return GeometryReport("doubling", geom.s, {
         "sections": len(ratios),
         "min_ratio": float(ratios.min()),
@@ -372,13 +422,11 @@ def engulfing_check(geom: MAGeometry, samples=10_000, seed=0,
 
     # z component: sections of h
     z0 = rng.uniform(-center_box, center_box, samples)
-    tau_z = np.empty(samples)
-    for i in range(samples):
-        zlo, zhi = geom.section_interval(z0[i], r2[i] * t[i])
-        # inner center z1 sampled inside S_{r1 t}(z0)
-        ilo, ihi = geom.section_interval(z0[i], r1[i] * t[i])
-        z1 = ilo + (ihi - ilo) * rng.uniform(0.02, 0.98)
-        tau_z[i] = min(geom.delta_h(z1, zlo), geom.delta_h(z1, zhi))
+    zlo, zhi = geom.section_interval(z0, r2 * t)
+    # inner center z1 sampled inside S_{r1 t}(z0)
+    ilo, ihi = geom.section_interval(z0, r1 * t)
+    z1 = ilo + (ihi - ilo) * rng.uniform(0.02, 0.98, samples)
+    tau_z = np.minimum(geom.delta_h(z1, zlo), geom.delta_h(z1, zhi))
 
     def envelope(tau):
         u = np.log(r2 - r1)

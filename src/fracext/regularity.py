@@ -132,7 +132,7 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     nx = (mesh.nx - 1) * refine + 1
     my = mesh.my * refine
     xlim = np.sqrt(2.0 * R) * 1.05
-    zcap = geom.setup.q_s * R**geom.s * 1.05
+    zcap = geom.section_interval(0.0, R)[1] * 1.05
     xs = np.linspace(-xlim, xlim, nx)
     zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)])
     reports = []
@@ -192,23 +192,20 @@ def approximation_distance(s, eps0, mesh=None, boundary=None):
 # -- dyadic polynomial decay at the trace -------------------------------------------------------
 
 
-def _case_basis(case, X, Z, s):
+def _case_basis(case, X, Z, geom: MAGeometry):
     ones = np.ones_like(X)
     if case == 1:
         return np.stack([ones], axis=1)
     if case == 2:
         return np.stack([ones, X], axis=1)
-    hz = s * s / (1.0 - s) * np.abs(Z) ** (1.0 / s)
-    return np.stack([ones, X, 0.5 * X**2, hz], axis=1)
+    return np.stack([ones, X, 0.5 * X**2, geom.h(Z)], axis=1)
 
 
-def _region(state: ExtensionState, r, case, node_cap=6000):
+def _region(state: ExtensionState, geom: MAGeometry, r, case, node_cap=6000):
     """Nodes of S_{r^2} x S_{zcap}^+ (zcap = r^2, or r^3 in the degenerate case)."""
-    s = state.s
-    geom_qs = ((1.0 - s) / s**2) ** s
     xw = np.sqrt(2.0) * r
     zcap = r**2 if case in (1, 2) else r**3
-    zlim = geom_qs * zcap**s
+    zlim = geom.section_interval(0.0, zcap)[1]
     xs = state.x_axes[0]
     selx = np.abs(xs) < xw
     selz = state.z_nodes < zlim
@@ -273,17 +270,17 @@ def schauder_decay(state: ExtensionState, case, rho=0.5, depth=9, noise_floor=0.
         raise ValueError("case must be 1, 2 or 3")
     if state.n != 1:
         raise ValueError("decay fitting implemented for 1-D x")
-    s = state.s
+    geom = MAGeometry(state.s)
     scales = []
     truncated = False
     for j in range(depth + 1):
         r = rho**j
-        nodes = _region(state, r, case)
+        nodes = _region(state, geom, r, case)
         if nodes is None:
             truncated = True
             break
         X, Z, V = nodes
-        basis = _case_basis(case, X, Z, s)
+        basis = _case_basis(case, X, Z, geom)
         coeffs, E = sup_fit(basis, V)
         names = ["c"] if case == 1 else (["c", "b"] if case == 2 else ["c", "b", "A", "d"])
         scales.append({"j": j, "r": float(r), "nodes": int(len(V)), "E": float(E),
@@ -352,12 +349,12 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
     if state.n != 1:
         raise ValueError("iteration implemented for 1-D x")
     s = state.s
+    geom = MAGeometry(s)
     gam = alpha + 2.0 * s
-    geom_qs = ((1.0 - s) / s**2) ** s
     fit_mesh = fit_mesh or ExtensionMesh(nx=97, my=40, grading=3.0)
     xw = np.sqrt(2.0) * rho * 1.02
     zcap = rho**2 if case in (1, 2) else rho**3
-    Zfit = geom_qs * zcap**s * 1.02
+    Zfit = geom.section_interval(0.0, zcap)[1] * 1.02
     xs_src = state.x_axes[0]
     dx0 = float(np.min(np.diff(xs_src)))
 
@@ -373,15 +370,13 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
                              target_domain=(-xw, xw, Zfit))
         Zg, Xg = np.meshgrid(V.z_nodes, V.x_axes[0], indexing="ij")
         X, Z = Xg.ravel(), Zg.ravel()
-        hz = s * s / (1.0 - s) * np.abs(Z) ** (1.0 / s)
-        member = (0.5 * X**2 < rho**2) & (hz < zcap)
+        member = (0.5 * X**2 < rho**2) & (geom.h(Z) < zcap)
         X, Z, W = X[member], Z[member], V.values.ravel()[member]
         # subtract the accumulated polynomial in original coordinates
         Xo, Zo = rho**k * X, rho ** (2 * s * k) * Z
-        hz_o = s * s / (1.0 - s) * np.abs(Zo) ** (1.0 / s)
-        Pk = c + b * Xo + 0.5 * A * Xo**2 + d * hz_o
+        Pk = c + b * Xo + 0.5 * A * Xo**2 + d * geom.h(Zo)
         vals = (W - Pk) / rho ** (k * gam)
-        basis = _case_basis(case, X, Z, s)
+        basis = _case_basis(case, X, Z, geom)
         theta, err = sup_fit(basis, vals)
         step_errors.append(float(err))
         cs = theta[0]

@@ -6,8 +6,8 @@ import pytest
 from fracext.barriers import (BarrierCase1, BarrierCase2, MAParaboloid,
                               MAPolynomial, barrier_case2, cell_measures,
                               inf_convolution, polynomial_to_MA, pucci,
-                              search_case2_parameters, slide_paraboloids,
-                              touch_test)
+                              sample_annulus, search_case2_parameters,
+                              slide_paraboloids, touch_test)
 from fracext.benchmarks import eigen_extension_problem, sliding_fixture, vertex_lattice
 from fracext.extension import ExtensionMesh, solve_extension
 from fracext.geometry import MAGeometry
@@ -87,6 +87,30 @@ def test_pucci():
 
 
 # -- barriers -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_sample_annulus_points_in_annulus(s, n):
+    g = MAGeometry(s, n=n)
+    x0 = 0.3 if n == 1 else np.array([0.3, -0.2])
+    z0, R, rho = 1.0, 0.5, 0.1
+    xs, zs = sample_annulus(g, x0, z0, R, rho, 2000, seed=3)
+    d = g.delta_Phi((x0, z0), (xs, zs))
+    assert np.all(d >= rho * (1.0 - 1e-12)) and np.all(d < R * (1.0 + 1e-12))
+    assert np.any(zs < z0) and np.any(zs > z0)
+    # the per-sample loop it replaced draws from the generator in the same
+    # order; its first 200 samples serve as the reference
+    rng = np.random.default_rng(3)
+    u = rng.uniform(rho, R, 2000)
+    frac = rng.uniform(0.0, 1.0, 2000)
+    side = rng.integers(0, 2, 2000)
+    for i in range(200):
+        direction = rng.normal(size=n)
+        x = np.atleast_1d(x0) + direction / np.linalg.norm(direction) * np.sqrt(2 * u[i] * frac[i])
+        z = g.section_endpoint(z0, u[i] * (1.0 - frac[i]), -1.0 if side[i] else 1.0)
+        assert np.allclose(np.atleast_1d(xs[i]), x, rtol=0.0, atol=1e-14)
+        assert zs[i] == z
 
 
 def test_barrier_case1_fixture():

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from fracext.geometry import (FractionalSetup, MAGeometry, SectionDescriptor,
                               a_infinity_check, doubling_check, engulfing_check,
@@ -111,6 +113,71 @@ def test_section_interval():
         assert gs.delta_h(0.9, hi) == pytest.approx(R, rel=1e-9)
     with pytest.raises(ValueError):
         g.section_interval(0.0, -1.0)
+
+
+@pytest.mark.parametrize("z0, R", [(0.3, np.nan), (np.nan, 1.0), (0.3, np.inf), (np.inf, 1.0)])
+def test_section_interval_rejects_non_finite(z0, R):
+    with pytest.raises(ValueError):
+        MAGeometry(0.5).section_interval(z0, R)
+    with pytest.raises(ValueError):
+        MAGeometry(0.5).section_interval(np.array([0.5, z0]), np.array([1.0, R]))
+
+
+def _endpoint_oracle(g, z0, R, side):
+    """Tight scalar brentq on delta_h(z0, .) - R, bracketed as section_endpoint is."""
+    if z0 == 0.0:
+        return side * g.setup.q_s * R**g.s
+    f = lambda z: float(g.delta_h(z0, z)) - R
+    b = z0 + side * (g.setup.q_s * (R + abs(float(g.delta_h(z0, 0.0)))) ** g.s + abs(z0))
+    while f(b) < 0.0:
+        b = z0 + 2.0 * (b - z0)
+    lo, hi = sorted((z0, b))
+    return brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+
+
+_s = st.floats(0.05, 0.95)
+_z0 = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e-6, 1e-6))
+_R = st.floats(1e-6, 1e2)
+_side = st.sampled_from([-1.0, 1.0])
+
+
+def _close(a, b, z0, tol=1e-11):
+    # relative to the section's scale: an endpoint much closer to 0 than z0
+    # is fixed only up to the rounding of delta_h, which is relative to z0
+    return abs(a - b) <= tol * max(abs(b), abs(z0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_s, _z0, _R, _side)
+def test_section_endpoint_matches_tight_brentq(s, z0, R, side):
+    g = MAGeometry(s)
+    got = g.section_endpoint(z0, R, side)
+    ref = _endpoint_oracle(g, z0, R, side)
+    assert _close(got, ref, z0)
+    assert np.sign(got - z0) == side
+
+
+@settings(max_examples=200, deadline=None)
+@given(_s, _z0, _R, _side, st.floats(0.1, 10.0))
+def test_section_endpoint_anisotropic_scaling(s, z0, R, side, rho):
+    # S_{rho^2 R}(rho^{2s} z0) = rho^{2s} S_R(z0)
+    g = MAGeometry(s)
+    k = rho ** (2.0 * s)
+    scaled = g.section_endpoint(k * z0, rho**2 * R, side)
+    assert _close(scaled, k * g.section_endpoint(z0, R, side), k * z0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_s, st.lists(st.tuples(_z0, _R, _side), min_size=1, max_size=12))
+def test_section_endpoint_array_equals_scalar_calls(s, lanes):
+    g = MAGeometry(s)
+    z0, R, side = (np.array(v) for v in zip(*lanes))
+    got = g.section_endpoint(z0, R, side)
+    assert got.shape == z0.shape
+    assert np.array_equal(got, [g.section_endpoint(*lane) for lane in lanes])
+    lo, hi = g.section_interval(z0, R)
+    assert np.array_equal(lo, [g.section_interval(a, b)[0] for a, b in zip(z0, R)])
+    assert np.array_equal(hi, [g.section_interval(a, b)[1] for a, b in zip(z0, R)])
 
 
 def test_scale_point_membership_property():
