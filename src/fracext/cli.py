@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 
-from .config import EXPERIMENT_KINDS, ConfigError, default_config, load_config
+from .config import EXPERIMENT_KINDS, ConfigError, default_raw, read_config, validate
 from .runner import run
 
 
@@ -39,31 +39,39 @@ def build_parser():
     return ap
 
 
+def _with_overrides(raw, args):
+    """raw with the --s, --seed, --threads and --emit-plots flags applied."""
+    if not isinstance(raw, dict):
+        return raw  # validate rejects it
+    raw = dict(raw)
+    setup = raw.get("setup") or {}
+    if args.s_value is not None and isinstance(setup, dict):
+        raw["setup"] = {**setup, "s": args.s_value}
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    if args.threads is not None:
+        raw["threads"] = args.threads
+    if args.emit_plots:
+        raw["emit_plots"] = True
+    return raw
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.command == "run" and not args.config:
+        print("error: `run` requires --config", file=sys.stderr)
+        return 2
     try:
-        if args.config:
-            cfg = load_config(args.config)
-            if args.command != "run" and cfg.experiment != args.command:
-                print(f"error: config is for {cfg.experiment!r}, not {args.command!r}",
-                      file=sys.stderr)
-                return 2
-        elif args.command == "run":
-            print("error: `run` requires --config", file=sys.stderr)
-            return 2
-        else:
-            cfg = default_config(args.command, s=args.s_value)
+        raw = (read_config(args.config) if args.config
+               else default_raw(args.command, s=args.s_value))
+        cfg = validate(_with_overrides(raw, args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.s_value is not None and args.config:
-        cfg.data["setup"]["s"] = args.s_value
-    if args.seed is not None:
-        cfg.data["seed"] = args.seed
-    if args.threads is not None:
-        cfg.data["threads"] = args.threads
-    if args.emit_plots:
-        cfg.data["emit_plots"] = True
+    if args.command != "run" and cfg.experiment != args.command:
+        print(f"error: config is for {cfg.experiment!r}, not {args.command!r}",
+              file=sys.stderr)
+        return 2
     out = args.out or os.environ.get("FRACEXT_OUT") or cfg.output_dir
     manifest = run(cfg, out_dir=out)
     for stage in manifest.stages:

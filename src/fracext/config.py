@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .geometry import FractionalSetup
@@ -26,10 +27,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
     def check(v):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             return "must be a number"
+        if isinstance(v, float) and not math.isfinite(v):
+            return "must be finite"
         if integer and int(v) != v:
             return "must be an integer"
         if lo is not None and (v <= lo if lo_open else v < lo):
@@ -216,7 +223,7 @@ def validate(raw: dict) -> ExperimentConfig:
             setup_in = {}
         top["setup"] = _apply_schema(setup_in, _SETUP_SCHEMA, "setup.", errors)
         lam, Lam = top["setup"].get("lambda"), top["setup"].get("Lambda")
-        if isinstance(lam, (int, float)) and isinstance(Lam, (int, float)) and lam > Lam:
+        if _is_number(lam) and _is_number(Lam) and lam > Lam:
             errors.append("setup.Lambda: must be >= setup.lambda")
         prob_in = raw.get("problem") or {}
         if not isinstance(prob_in, dict):
@@ -230,7 +237,8 @@ def validate(raw: dict) -> ExperimentConfig:
                 quad_in = {}
             prob["quadrature"] = _apply_schema(quad_in, _QUAD_SCHEMA,
                                                "problem.quadrature.", errors)
-            if prob["quadrature"]["t_max"] <= prob["quadrature"]["t_min"]:
+            t_min, t_max = prob["quadrature"]["t_min"], prob["quadrature"]["t_max"]
+            if _is_number(t_min) and _is_number(t_max) and t_max <= t_min:
                 errors.append("problem.quadrature.t_max: must exceed t_min")
         top["problem"] = prob
     if errors:
@@ -238,18 +246,23 @@ def validate(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(top)
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path):
+    """The parsed, not yet validated JSON of a config file."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}, column "
                           f"{exc.colno}: {exc.msg}") from exc
-    return validate(raw)
 
 
-def default_config(kind, s=None) -> ExperimentConfig:
-    """Built-in config for an experiment kind (used by the bare CLI subcommands)."""
+def load_config(path) -> ExperimentConfig:
+    return validate(read_config(path))
+
+
+def default_raw(kind, s=None) -> dict:
+    """Unvalidated built-in config for an experiment kind (the bare CLI
+    subcommands start from it)."""
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     raw = {"experiment": kind, "setup": {}, "problem": {}}
@@ -257,4 +270,9 @@ def default_config(kind, s=None) -> ExperimentConfig:
         raw["setup"]["s"] = s
     if kind == "barrier-check" and (s or 0.5) > 0.5:
         raw["problem"] = {"case": 2}
-    return validate(raw)
+    return raw
+
+
+def default_config(kind, s=None) -> ExperimentConfig:
+    """Built-in config for an experiment kind."""
+    return validate(default_raw(kind, s))

@@ -34,6 +34,34 @@ def test_out_of_range_rejected():
                   "problem": {"quadrature": {"t_min": 1.0, "t_max": 0.5}}})
 
 
+def _load_text(tmp_path, text):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    return load_config(p)
+
+
+def test_nan_s_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="setup.s: must be finite"):
+        _load_text(tmp_path, '{"experiment": "harnack", "setup": {"s": NaN}}')
+
+
+def test_overflowing_nx_rejected(tmp_path):
+    # json reads 1e400 as inf
+    with pytest.raises(ConfigError, match="problem.nx: must be finite"):
+        _load_text(tmp_path, '{"experiment": "solve-extension", "problem": {"nx": 1e400}}')
+
+
+def test_nan_nx_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="problem.nx: must be finite"):
+        _load_text(tmp_path, '{"experiment": "solve-extension", "problem": {"nx": NaN}}')
+
+
+def test_non_numeric_t_max_rejected():
+    with pytest.raises(ConfigError, match="t_max: must be a number"):
+        validate({"experiment": "fractional-apply",
+                  "problem": {"quadrature": {"t_max": "x"}}})
+
+
 def test_config_roundtrip_canonicalization(tmp_path):
     cfg = validate({"experiment": "geometry-check", "setup": {"s": 0.25},
                     "problem": {"samples": 123}, "seed": 5})
@@ -169,3 +197,13 @@ def test_cli_env_output_root(tmp_path, monkeypatch):
     rc = cli_main(["run", "--config", str(p)])
     assert rc == 0
     assert (tmp_path / "envout" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flags, key", [(["--s", "1.5"], "setup.s"),
+                                        (["--seed", "-3"], "seed")])
+def test_cli_overrides_are_validated(tmp_path, capsys, flags, key):
+    p = tmp_path / "g.json"
+    _small_geometry_cfg().emit(p)
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")] + flags) == 2
+    assert f"{key}: must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,9 +1,14 @@
 """Extension solver: transforms, benchmarks against closed forms, maximum
 principle, reflection/rescaling, and the derivative-decay measurements."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
+from fracext import extension
 from fracext.benchmarks import (eigen_extension_problem, harmonic_combo_problem,
                                 x_derivative_scaling, z_decay_exponent)
 from fracext.extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo,
@@ -223,6 +228,7 @@ def test_2d_solver_constant_and_max_principle():
                           1.0 + 0.5 * np.sin(3 * x1) * np.cos(2 * x2) + 0.2 * z,
                           g_top=lambda x1, x2: 1.3 + 0.4 * np.cos(x1 + x2))
     stm = solve_extension(pm, ExtensionMesh(nx=(13, 13), my=10))
+    assert stm.meta["linear_solver"] == "sparse-lu"
     inner = stm.values[:-1, 1:-1, 1:-1]
     boundary = np.concatenate([stm.values[-1].ravel(), stm.values[:, 0, :].ravel(),
                                stm.values[:, -1, :].ravel(), stm.values[:, :, 0].ravel(),
@@ -250,3 +256,59 @@ def test_state_save_roundtrip(tmp_path):
     import json
     sidecar = json.loads(open(base + ".json").read())
     assert sidecar["s"] == 0.5 and "residual_interior" in sidecar
+
+
+def _solve_capturing_system(problem, mesh):
+    """solve_extension plus the assembled (A, rhs) its linear solve received."""
+    seen = {}
+
+    def spy(A, rhs, solve, refine):
+        seen.update(A=A, rhs=rhs)
+        return checked(A, rhs, solve, refine)
+
+    checked = extension._checked_solve
+    with mock.patch.object(extension, "_checked_solve", spy):
+        state = solve_extension(problem, mesh)
+    return state, seen["A"], seen["rhs"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.05, 0.85), st.integers(17, 129), st.integers(8, 64),
+       st.none() | st.floats(1.0, 3.0), st.floats(0.2, 1.0), st.floats(1.0, 5.0),
+       st.floats(0.5, 6.0), st.sampled_from(["neumann", "dirichlet"]))
+def test_fast_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, ratio, freq,
+                                                bottom):
+    Lam = lam * ratio
+    coeff = CoefficientField.scalar_1d(
+        lambda x: lam + (Lam - lam) * (0.5 + 0.5 * np.sin(freq * x)), lam, Lam)
+    prob = ExtensionProblem(s=s, coeff=coeff, domain=(-1.0, 1.0), Z=1.0,
+                            bottom=(bottom, lambda x: np.cos(2.0 * x)),
+                            F=lambda x, z: x * z,
+                            g_lateral=lambda x, z: 1.0 + x * z,
+                            g_top=lambda x: 1.0 + x)
+    mesh = ExtensionMesh(nx=nx, my=my, x_grading=x_grading)
+    state, A, rhs = _solve_capturing_system(prob, mesh)
+    assert state.meta["linear_solver"] == "fast-diagonalization"
+    j0 = 0 if bottom == "neumann" else 1
+    field = state.values[j0:my, 1:-1].ravel()
+    ref = spla.spsolve(A.tocsc(), rhs)
+    # Two backward-stable solutions differ by at most omega |A^{-1}| (|A||x| + |b|)
+    # (omega: the sum of their componentwise backward errors).  -A is an
+    # M-matrix, so |A^{-1}| = (-A)^{-1} and one solve gives the bound.  It
+    # exceeds 1e-10 max|U| only where K_{1/2} is huge (s > ~0.8 and fine y-meshes).
+    g = np.abs(A) @ np.abs(ref) + np.abs(rhs)
+    omega = np.max(np.abs(A @ ref - rhs) / g) + max(state.residual_interior,
+                                                    state.residual_bottom)
+    bound = omega * spla.spsolve(-A.tocsc(), g)
+    assert np.all(np.abs(field - ref) <= 1e-10 * np.max(np.abs(state.values)) + bound)
+    assert state.residual_interior <= 1e-12
+    assert state.residual_bottom <= 1e-12
+
+
+def test_fast_diagonalization_keeps_better_of_plain_and_refined():
+    # near s = 1 (K0 ~ 3e37) a refinement step raises the backward error by
+    # orders of magnitude; the solver must keep the unrefined solution there
+    problem, _ = eigen_extension_problem(0.95, 2, Z=1.0)
+    state = solve_extension(problem, ExtensionMesh(nx=257, my=96))
+    assert state.residual_interior <= 1e-12
+    assert not state.meta["refinement_kept"]
