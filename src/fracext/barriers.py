@@ -476,10 +476,6 @@ class InfConvolution:
         self.argmin_x = arg_i
         self.argmin_z = np.take_along_axis(arg_w, arg_i, axis=0)
 
-    def argmin_nodes(self):
-        """(i*, w*) index arrays of a minimizing node per evaluation point."""
-        return self.argmin_x, self.argmin_z
-
 
 def inf_convolution(xs, zs, U, eps):
     return InfConvolution(xs, zs, U, eps)

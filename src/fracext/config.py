@@ -47,6 +47,15 @@ def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
     return check
 
 
+# Largest node count per mesh axis: the 1-D solvers hold a dense float64 mode
+# matrix of side below the node count, at most 128 MiB up to here.
+MAX_MESH_POINTS = 4096
+
+
+def _mesh(lo):
+    return _num(lo, MAX_MESH_POINTS, integer=True)
+
+
 def _boolean(v):
     return None if isinstance(v, bool) else "must be a boolean"
 
@@ -83,14 +92,14 @@ _PROBLEM_SCHEMAS = {
     },
     "fractional-apply": {
         "k": (2, _num(1, integer=True)),
-        "grid_points": (512, _num(16, integer=True)),
+        "grid_points": (512, _mesh(16)),
         "inverse": (False, _boolean),
         "quadrature": (None, None),  # nested
     },
     "solve-extension": {
         "k": (2, _num(1, integer=True)),
-        "nx": (257, _num(17, integer=True)),
-        "my": (96, _num(8, integer=True)),
+        "nx": (257, _mesh(17)),
+        "my": (96, _mesh(8)),
         "Z": (1.0, _num(0.0, lo_open=True)),
     },
     "barrier-check": {
@@ -103,8 +112,8 @@ _PROBLEM_SCHEMAS = {
     "slide-paraboloids": {
         "fixture": ("convex", _choice("convex", "paraboloid", "harmonic")),
         "opening": (1.0, _num(0.0, lo_open=True)),
-        "nx": (61, _num(9, integer=True)),
-        "nz": (61, _num(9, integer=True)),
+        "nx": (61, _mesh(9)),
+        "nz": (61, _mesh(9)),
         "vertex_stride": (6, _num(1, integer=True)),
         "check_refinement": (True, _boolean),
         "eps_infconv": (0.05, _num(0.0, lo_open=True)),
@@ -113,8 +122,8 @@ _PROBLEM_SCHEMAS = {
         "family_size": (20, _num(1, integer=True)),
         "kappa": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
         "R": (0.5, _num(0.0, lo_open=True)),
-        "nx": (97, _num(17, integer=True)),
-        "my": (48, _num(8, integer=True)),
+        "nx": (97, _mesh(17)),
+        "my": (48, _mesh(8)),
         "check_refinement": (True, _boolean),
     },
     "schauder-decay": {
@@ -123,12 +132,12 @@ _PROBLEM_SCHEMAS = {
         "rho": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
         "depth": (9, _num(2, integer=True)),
         "fit_window": (5, _num(2, integer=True)),
-        "mx": (260, _num(40, integer=True)),
-        "my": (140, _num(24, integer=True)),
+        "mx": (260, _mesh(40)),
+        "my": (140, _mesh(24)),
     },
     "end-to-end": {
         "k": (2, _num(1, integer=True)),
-        "grid_points": (512, _num(16, integer=True)),
+        "grid_points": (512, _mesh(16)),
         "subdomain_fraction": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
     },
 }

@@ -40,12 +40,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gamma, iv
 
 from .geometry import MAGeometry
 from .gridfn import write_grid_binary
-from .semigroup import CoefficientField, x_operator
+from .semigroup import CoefficientField, tridiagonal_modes, x_operator
 
 
 # -- coordinate transform ----------------------------------------------------------
@@ -412,17 +411,13 @@ def _fast_diag_solver(Ay, V, Ax):
     """Solve function for (Ay (x) I + diag(V) (x) Ax) u = r by fast
     diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).
 
-    Ax is tridiagonal with positive off-diagonal products, so the diagonal
-    similarity D taken from its off-diagonals makes S = D^{-1} Ax D symmetric,
-    with off-diagonal sqrt(up lo).  One eigh_tridiagonal gives S = Q diag(lam)
-    Q^T; in the x-modes the system splits into the tridiagonal systems
-    Ay + lam_k diag(V), one per mode, each diagonally dominant (lam_k < 0 <
-    V) and solved by a Thomas sweep without pivoting, all modes at once.
-    Vectors are raveled level-major, as in the assembled A.
+    `tridiagonal_modes` gives Ax = D Q diag(lam) Q^T D^{-1}; in the x-modes
+    the system splits into the tridiagonal systems Ay + lam_k diag(V), one
+    per mode, each diagonally dominant (lam_k < 0 < V) and solved by a
+    Thomas sweep without pivoting, all modes at once.  Vectors are raveled
+    level-major, as in the assembled A.
     """
-    lo, up = Ax.diagonal(-1), Ax.diagonal(1)
-    d = np.concatenate([[1.0], np.cumprod(np.sqrt(lo / up))])
-    lam, Q = eigh_tridiagonal(Ax.diagonal(), np.sqrt(lo * up))
+    lam, Q, d = tridiagonal_modes(Ax)
     sub, sup = Ay.diagonal(-1), Ay.diagonal(1)
     # Thomas factorisation, one column per mode: pivots w and multipliers m
     w = Ay.diagonal()[:, None] + np.outer(V, lam)

@@ -16,6 +16,7 @@ Binary format (little-endian, documented for external consumers):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -113,10 +114,7 @@ class GridFunction:
         cols = [m.ravel() for m in mesh] + [self.values.ravel()]
         names = [f"x{i + 1}" for i in range(self.grid.ndim - 1)] + ["z"] if self.grid.ndim > 1 \
             else ["x1"]
-        if self.grid.ndim == 1:
-            header = "x1,value"
-        else:
-            header = ",".join(names) + ",value"
+        header = ",".join(names) + ",value"
         with open(path, "w") as fh:
             fh.write(header + "\n")
             for row in zip(*cols):
@@ -161,27 +159,40 @@ def write_grid_binary(path, values, los=None, his=None, axes=None):
 
 
 def read_grid_binary(path):
-    """Read the binary grid format; returns (values, los, his, axes)."""
+    """Read the binary grid format; returns (values, los, his, axes).
+
+    Every field's length is checked against the bytes left in the file before
+    it is decoded, so a short file raises ValueError("truncated grid binary").
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a grid binary file (bad magic)")
-        version, = struct.unpack("<I", fh.read(4))
-        if version != _VERSION:
-            raise ValueError(f"unsupported grid binary version {version}")
-        nd, = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{nd}I", fh.read(4 * nd))
-        mode, = struct.unpack("<I", fh.read(4))
-        los = his = axes = None
-        if mode == 0:
-            los = struct.unpack(f"<{nd}d", fh.read(8 * nd))
-            his = struct.unpack(f"<{nd}d", fh.read(8 * nd))
-        elif mode == 1:
-            axes = [np.frombuffer(fh.read(8 * m), dtype="<f8").copy() for m in shape]
-        else:
-            raise ValueError(f"unsupported axes mode {mode}")
-        tag, = struct.unpack("<I", fh.read(4))
-        if tag != 0:
-            raise ValueError(f"unsupported dtype tag {tag}")
-        count = int(np.prod(shape))
-        values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape).copy()
+        buf = fh.read()
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise ValueError("truncated grid binary")
+        pos += n
+        return buf[pos - n:pos]
+
+    if take(4) != _MAGIC:
+        raise ValueError("not a grid binary file (bad magic)")
+    version, = struct.unpack("<I", take(4))
+    if version != _VERSION:
+        raise ValueError(f"unsupported grid binary version {version}")
+    nd, = struct.unpack("<I", take(4))
+    shape = struct.unpack(f"<{nd}I", take(4 * nd))
+    mode, = struct.unpack("<I", take(4))
+    los = his = axes = None
+    if mode == 0:
+        los = struct.unpack(f"<{nd}d", take(8 * nd))
+        his = struct.unpack(f"<{nd}d", take(8 * nd))
+    elif mode == 1:
+        axes = [np.frombuffer(take(8 * m), dtype="<f8").copy() for m in shape]
+    else:
+        raise ValueError(f"unsupported axes mode {mode}")
+    tag, = struct.unpack("<I", take(4))
+    if tag != 0:
+        raise ValueError(f"unsupported dtype tag {tag}")
+    values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
     return values, los, his, axes

@@ -109,8 +109,7 @@ def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R, kappa=0
     if f_fn is not None:
         trace = in_R & (np.abs(z) < 1e-300)
         if np.any(trace):
-            fx = x[trace] if np.ndim(x) == 1 else x[trace]
-            f_term = float(np.max(np.abs(f_fn(fx)))) * R**geom.s
+            f_term = float(np.max(np.abs(f_fn(x[trace])))) * R**geom.s
     F_term = 0.0
     if F_fn is not None:
         F_term = float(np.max(np.abs(F_fn(x[in_R], z[in_R])))) * R

@@ -11,15 +11,23 @@ plus analytic corrections for both tails: the integrand behaves like
 -t L u * t^{-1-s} near 0 and like -u * t^{-1-s} near infinity.  The same
 ladder machinery drives the negative power (Balakrishnan integral) and the
 extension-kernel integral, whose small-t tail is an incomplete-gamma term.
+
+e^{-tL} is realized by an implicit time stepper (backward Euler,
+Crank-Nicolson or Rannacher-started Crank-Nicolson).  In 1-D the tridiagonal
+L is diagonalized once per stepper (`tridiagonal_modes`) and the stepper's
+rational symbol r(dt L) is applied exactly in its modes, so a whole ladder
+costs two dense products.  In 2-D each time step is a sparse-LU solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gamma, gammaincc, kv
 
 from .gridfn import BoxGrid, GridFunction
@@ -213,6 +221,22 @@ def x_operator(coeff: CoefficientField, axes):
     return Ax, Bx, m_matrix
 
 
+def tridiagonal_modes(A):
+    """Eigen-decomposition A = D Q diag(lam) Q^T D^{-1} of a tridiagonal
+    matrix whose off-diagonal pairs have positive products (the 1-D
+    `x_operator` and its negation L).
+
+    The diagonal similarity D = diag(d) taken from the off-diagonals makes
+    S = D^{-1} A D symmetric with off-diagonal sign(up) sqrt(up lo); one
+    eigh_tridiagonal gives S = Q diag(lam) Q^T with Q orthogonal.  Returns
+    (lam, Q, d).
+    """
+    lo, up = A.diagonal(-1), A.diagonal(1)
+    d = np.concatenate([[1.0], np.cumprod(np.sqrt(lo / up))])
+    lam, Q = eigh_tridiagonal(A.diagonal(), np.sign(up) * np.sqrt(lo * up))
+    return lam, Q, d
+
+
 def assemble_operator(coeff: CoefficientField, grid: BoxGrid):
     """Sparse L = -a^{ij} d_ij over interior nodes, homogeneous Dirichlet outside."""
     Ax, _, m_matrix = x_operator(coeff, grid.axes())
@@ -231,6 +255,18 @@ class SemigroupStepper:
       "cn-rannacher" two half-size backward-Euler startup steps, then
                      Crank-Nicolson; damps stiff modes while keeping second
                      order, the default for quadrature work.
+
+    A time t > 0 is covered by m steps of size dt = t/m (m = substeps, or
+    ceil(t / dt_max)), so the stepper applies the rational function r(dt L)
+    with, per eigenvalue lam of L and x = dt lam / 2,
+
+      euler          (1 + 2x)^{-m}
+      cn             ((1 - x) / (1 + x))^m
+      cn-rannacher   (1 + x)^{-2} ((1 - x) / (1 + x))^{m-1}.
+
+    In 1-D this symbol is applied exactly in the eigenbasis of the
+    tridiagonal L, computed on first use and shared by every later call; in
+    2-D the steps are taken one by one with cached sparse-LU factors.
 
     Immutable after construction; solves at distinct times are independent.
     """
@@ -252,6 +288,10 @@ class SemigroupStepper:
                                for lo, hi in zip(grid.los, grid.his))
         self._t_cutoff = decay_cut / lam1
 
+    @cached_property
+    def _modes(self):
+        return tridiagonal_modes(self.L)
+
     def _lu(self, dt):
         key = round(float(dt), 18)
         lu = self._lu_cache.get(key)
@@ -260,6 +300,9 @@ class SemigroupStepper:
             self._lu_cache[key] = lu
         return lu
 
+    def _steps(self, t, substeps):
+        return substeps if substeps is not None else max(1, int(np.ceil(t / self.dt_max)))
+
     def apply_L(self, v):
         return self.L @ v
 
@@ -267,11 +310,13 @@ class SemigroupStepper:
         """e^{-tL} applied to an interior-node vector."""
         if t < 0:
             raise ValueError("time must be nonnegative")
+        if self.grid.ndim == 1:
+            return self.heat_many(v, [t], substeps)[0]
         if t == 0.0:
             return v.copy()
         if t > self._t_cutoff:
             return np.zeros_like(v)
-        m = substeps if substeps is not None else max(1, int(np.ceil(t / self.dt_max)))
+        m = self._steps(t, substeps)
         dt = t / m
         out = v.copy()
         if self.integrator == "euler":
@@ -290,6 +335,28 @@ class SemigroupStepper:
             B = (self._I - (dt / 2.0) * self.L).tocsr()
             for _ in range(steps):
                 out = lu.solve(B @ out)
+        return out
+
+    def heat_many(self, v, ts, substeps=None):
+        """e^{-tL} v for every t in ts, one row per time: shape (len(ts), N)."""
+        ts = np.asarray(ts, dtype=float)
+        if not np.all(ts >= 0.0):
+            raise ValueError("time must be nonnegative")
+        if self.grid.ndim != 1:
+            return np.stack([self.heat_interior(v, t, substeps) for t in ts])
+        lam, Q, d = self._modes
+        live = (ts > 0.0) & (ts <= self._t_cutoff)
+        m = np.array([self._steps(t, substeps) if ok else 1 for t, ok in zip(ts, live)])
+        x = np.where(live, ts / m, 0.0)[:, None] * (lam / 2.0)
+        if self.integrator == "euler":
+            R = (1.0 + 2.0 * x) ** -m[:, None]
+        elif self.integrator == "cn":
+            R = ((1.0 - x) / (1.0 + x)) ** m[:, None]
+        else:
+            R = ((1.0 - x) / (1.0 + x)) ** (m[:, None] - 1) / (1.0 + x) ** 2
+        R[~live] = 0.0
+        out = ((R * ((v / d) @ Q)) @ Q.T) * d
+        out[ts == 0.0] = v
         return out
 
     def heat_apply(self, u: GridFunction, t, substeps=None):
@@ -352,13 +419,12 @@ def log_trapezoid(G, h):
 
 def _heat_ladder(stepper, v, quad):
     ts, h = quad.ladder()
-    if quad.threads > 1:
+    if stepper.grid.ndim == 2 and quad.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=quad.threads) as ex:
             sols = list(ex.map(lambda t: stepper.heat_interior(v, t, quad.substeps), ts))
-    else:
-        sols = [stepper.heat_interior(v, t, quad.substeps) for t in ts]
-    return ts, h, np.stack(sols, axis=0)
+        return ts, h, np.stack(sols, axis=0)
+    return ts, h, stepper.heat_many(v, ts, quad.substeps)
 
 
 # -- fractional operators ----------------------------------------------------------------

@@ -51,6 +51,33 @@ def test_overflowing_nx_rejected(tmp_path):
         _load_text(tmp_path, '{"experiment": "solve-extension", "problem": {"nx": 1e400}}')
 
 
+def test_huge_integer_nx_rejected(tmp_path):
+    # a 400-digit JSON integer is a Python int, which the finite check passes
+    with pytest.raises(ConfigError, match="problem.nx: must be <= 4096"):
+        _load_text(tmp_path, '{"experiment": "solve-extension", "problem": {"nx": 1'
+                   + "0" * 400 + "}}")
+
+
+def test_mesh_sizes_share_one_bound():
+    keys = {"fractional-apply": ["grid_points"], "end-to-end": ["grid_points"],
+            "solve-extension": ["nx", "my"], "harnack": ["nx", "my"],
+            "slide-paraboloids": ["nx", "nz"], "schauder-decay": ["mx", "my"]}
+    for kind, names in keys.items():
+        for name in names:
+            validate({"experiment": kind, "problem": {name: 4096}})
+            with pytest.raises(ConfigError, match=f"problem.{name}: must be <= 4096"):
+                validate({"experiment": kind, "problem": {name: 4097}})
+
+
+@pytest.mark.parametrize("kind", ["fractional-apply", "end-to-end"])
+def test_cli_rejects_oversized_grid_points(tmp_path, capsys, kind):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"experiment": kind, "problem": {"grid_points": 4097}}))
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "problem.grid_points: must be <= 4096" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_nan_nx_rejected(tmp_path):
     with pytest.raises(ConfigError, match="problem.nx: must be finite"):
         _load_text(tmp_path, '{"experiment": "solve-extension", "problem": {"nx": NaN}}')

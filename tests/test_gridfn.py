@@ -1,7 +1,10 @@
 """Grid containers and the documented CSV / binary serialization."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fracext.gridfn import (BoxGrid, GridFunction, read_grid_binary,
                             write_grid_binary)
@@ -56,6 +59,33 @@ def test_binary_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(ValueError):
         read_grid_binary(p)
+
+
+def test_binary_truncated_at_every_offset(tmp_path):
+    p = tmp_path / "u.bin"
+    cut = tmp_path / "cut.bin"
+    for kwargs in ({"los": (0.0, -1.0), "his": (2.0, 1.0)},
+                   {"axes": [np.array([0.0, 0.1, 0.5]), np.linspace(0, 1, 4)]}):
+        write_grid_binary(p, np.arange(12, dtype=float).reshape(3, 4), **kwargs)
+        data = p.read_bytes()
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(ValueError, match="truncated grid binary"):
+                read_grid_binary(cut)
+
+
+@given(st.binary(max_size=200))
+def test_binary_reader_fuzz(tail):
+    # a valid magic and version followed by arbitrary bytes either decodes
+    # or raises ValueError, whatever the header claims
+    with tempfile.TemporaryDirectory() as d:
+        p = f"{d}/f.bin"
+        with open(p, "wb") as fh:
+            fh.write(b"FXGB" + (1).to_bytes(4, "little") + tail)
+        try:
+            read_grid_binary(p)
+        except ValueError:
+            pass
 
 
 def test_csv_roundtrip(tmp_path):

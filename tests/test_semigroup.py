@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 from scipy.special import kv, gamma as Gamma
 
+from fracext import semigroup
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                                assemble_operator, balakrishnan_inverse_scalar,
@@ -102,6 +106,84 @@ def test_heat_cutoff_returns_zero():
     u = GridFunction.from_callable(st.grid, lambda x: np.sin(x))
     out = st.heat_apply(u, 1e4)
     assert np.array_equal(out.values, np.zeros_like(out.values))
+
+
+def _lu_heat(stepper, v, t, substeps=None):
+    """Reference e^{-tL} v: the integrator's steps taken one by one with
+    sparse-LU factors of the assembled L."""
+    if t == 0.0:
+        return v.copy()
+    if t > stepper._t_cutoff:
+        return np.zeros_like(v)
+    m = substeps if substeps is not None else max(1, int(np.ceil(t / stepper.dt_max)))
+    dt = t / m
+    I = sp.identity(len(v), format="csc")
+    L = stepper.L
+    out = v.copy()
+    if stepper.integrator == "euler":
+        lu = spla.splu((I + dt * L).tocsc())
+        for _ in range(m):
+            out = lu.solve(out)
+        return out
+    lu = spla.splu((I + (dt / 2.0) * L).tocsc())
+    steps = m
+    if stepper.integrator == "cn-rannacher":
+        out = lu.solve(lu.solve(out))
+        steps = m - 1
+    B = (I - (dt / 2.0) * L).tocsr()
+    for _ in range(steps):
+        out = lu.solve(B @ out)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["euler", "cn", "cn-rannacher"]), st.integers(16, 256),
+       st.floats(0.2, 1.0), st.floats(1.0, 5.0), st.floats(0.5, 6.0), st.floats(0.5, 4.0),
+       st.just(0.0) | st.floats(1e-6, 10.0), st.none() | st.integers(1, 96),
+       st.integers(0, 2**32 - 1))
+def test_mode_space_heat_matches_lu_stepping(integrator, N, lam, ratio, freq, length, t,
+                                             substeps, seed):
+    Lam = lam * ratio
+    coeff = CoefficientField.scalar_1d(
+        lambda x: lam + (Lam - lam) * np.sin(freq * x) ** 2, lam, Lam)
+    grid = BoxGrid.interval(0.0, length, N + 1)
+    stepper = SemigroupStepper(coeff, grid, integrator=integrator)
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, N - 1)
+    tol = 1e-12 * np.max(np.abs(v))
+    assert np.max(np.abs(stepper.heat_interior(v, t, substeps)
+                         - _lu_heat(stepper, v, t, substeps))) <= tol
+    ts = [t, 0.5 * t, 0.0, 2.0 * t]
+    rows = stepper.heat_many(v, ts, substeps)
+    assert rows.shape == (len(ts), N - 1)
+    for tj, row in zip(ts, rows):
+        assert np.max(np.abs(row - _lu_heat(stepper, v, tj, substeps))) <= tol
+    assert np.array_equal(rows[2], v)
+
+
+def test_mode_space_heat_edges():
+    st_ = _stepper_1d(N=64, integrator="cn")
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, 63)
+    assert np.array_equal(st_.heat_interior(v, 0.0), v)
+    past = [st_._t_cutoff * (1.0 + 1e-12), 1e4]
+    assert np.array_equal(st_.heat_many(v, past), np.zeros((2, 63)))
+    for bad in (-1e-3, np.nan):
+        with pytest.raises(ValueError):
+            st_.heat_many(v, [0.1, bad])
+
+
+def test_1d_stepper_never_factorizes(monkeypatch):
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called by a 1-D stepper")
+
+    monkeypatch.setattr(semigroup.spla, "splu", no_splu)
+    for integrator in ("euler", "cn", "cn-rannacher"):
+        st_ = _stepper_1d(N=64, integrator=integrator)
+        u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
+        f, _ = fractional_inverse(st_, u, 0.5, QuadratureSpec(threads=2))
+        fractional_apply(st_, f, 0.5)
+        extension_via_semigroup(st_, u, 0.5, 0.3)
+        st_.heat_apply(u, 0.1, substeps=7)
+        assert st_._lu_cache == {}
 
 
 def test_fractional_apply_eigen_mapping():
