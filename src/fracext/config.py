@@ -48,12 +48,24 @@ def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
 
 
 # Largest node count per mesh axis: the 1-D solvers hold a dense float64 mode
-# matrix of side below the node count, at most 128 MiB up to here.
+# matrix of side below the node count, at most 128 MiB up to here.  Wave
+# numbers and quadrature node and substep counts share it.
 MAX_MESH_POINTS = 4096
+
+# Largest count of any other kind (samples, family members, ladder scales,
+# strides): per-sample arrays stay in the tens of MiB.
+MAX_COUNT = 1_000_000
+
+# Largest worker-thread count of the 2-D quadrature pool.
+MAX_THREADS = 64
 
 
 def _mesh(lo):
     return _num(lo, MAX_MESH_POINTS, integer=True)
+
+
+def _count(lo):
+    return _num(lo, MAX_COUNT, integer=True)
 
 
 def _boolean(v):
@@ -80,24 +92,24 @@ _SETUP_SCHEMA = {
 _QUAD_SCHEMA = {
     "t_min": (1e-8, _num(0.0, lo_open=True)),
     "t_max": (1e4, _num(0.0, lo_open=True)),
-    "nodes": (96, _num(8, integer=True)),
-    "substeps": (96, _num(1, integer=True)),
+    "nodes": (96, _mesh(8)),
+    "substeps": (96, _mesh(1)),
 }
 
 _PROBLEM_SCHEMAS = {
     "geometry-check": {
-        "samples": (100_000, _num(1, integer=True)),
-        "engulfing_samples": (10_000, _num(1, integer=True)),
+        "samples": (100_000, _count(1)),
+        "engulfing_samples": (10_000, _count(1)),
         "dimension": (1, _choice(1, 2)),
     },
     "fractional-apply": {
-        "k": (2, _num(1, integer=True)),
+        "k": (2, _mesh(1)),
         "grid_points": (512, _mesh(16)),
         "inverse": (False, _boolean),
         "quadrature": (None, None),  # nested
     },
     "solve-extension": {
-        "k": (2, _num(1, integer=True)),
+        "k": (2, _mesh(1)),
         "nx": (257, _mesh(17)),
         "my": (96, _mesh(8)),
         "Z": (1.0, _num(0.0, lo_open=True)),
@@ -107,19 +119,19 @@ _PROBLEM_SCHEMAS = {
         "R": (0.5, _num(0.0, lo_open=True)),
         "rho_fraction": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
         "alpha": (9.0, _num(0.0, lo_open=True)),
-        "samples": (10_000, _num(1, integer=True)),
+        "samples": (10_000, _count(1)),
     },
     "slide-paraboloids": {
         "fixture": ("convex", _choice("convex", "paraboloid", "harmonic")),
         "opening": (1.0, _num(0.0, lo_open=True)),
         "nx": (61, _mesh(9)),
         "nz": (61, _mesh(9)),
-        "vertex_stride": (6, _num(1, integer=True)),
+        "vertex_stride": (6, _count(1)),
         "check_refinement": (True, _boolean),
         "eps_infconv": (0.05, _num(0.0, lo_open=True)),
     },
     "harnack": {
-        "family_size": (20, _num(1, integer=True)),
+        "family_size": (20, _count(1)),
         "kappa": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
         "R": (0.5, _num(0.0, lo_open=True)),
         "nx": (97, _mesh(17)),
@@ -130,13 +142,13 @@ _PROBLEM_SCHEMAS = {
         "case": (2, _choice(1, 2, 3)),
         "benchmark": ("kinked", _choice("kinked", "harmonic", "polynomial")),
         "rho": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
-        "depth": (9, _num(2, integer=True)),
-        "fit_window": (5, _num(2, integer=True)),
+        "depth": (9, _count(2)),
+        "fit_window": (5, _count(2)),
         "mx": (260, _mesh(40)),
         "my": (140, _mesh(24)),
     },
     "end-to-end": {
-        "k": (2, _num(1, integer=True)),
+        "k": (2, _mesh(1)),
         "grid_points": (512, _mesh(16)),
         "subdomain_fraction": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
     },
@@ -149,7 +161,7 @@ _TOP_SCHEMA = {
     "problem": (None, None),
     "output_dir": (".", _string),
     "seed": (0, _num(0, integer=True)),
-    "threads": (1, _num(1, integer=True)),
+    "threads": (1, _num(1, MAX_THREADS, integer=True)),
     "emit_plots": (False, _boolean),
 }
 

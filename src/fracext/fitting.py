@@ -1,41 +1,90 @@
-"""Sup-norm (Chebyshev) linear fitting: primal LP via scipy's HiGHS backend,
-with Lawson's iteratively reweighted least squares as a fallback when no LP
-solve is available or it fails."""
+"""Sup-norm (Chebyshev) linear fitting.
+
+`sup_fit` solves the linear program min t subject to
+|values_i - (basis @ c)_i| <= t for every row i with scipy's HiGHS backend,
+but on an active set of rows instead of all 2m inequality rows at once
+(Stiefel's exchange method).  The set starts from the rows where the
+least-squares residual is most negative and most positive, k = 4(p + 1) of
+each.  After each LP solve on the set, the residuals of its solution are
+computed on all m rows: if no row outside the set exceeds the set's optimum t
+by more than tol = 1e-12 max(1, max|values|), the solution is returned,
+otherwise the k worst violators join the set and the LP is solved again.
+
+The LP on a subset of rows is a relaxation of the full one, so its optimum t
+is at most the full optimum E_opt, and the returned error
+max|values - basis @ c| <= t + tol <= E_opt + tol is a certificate, not an
+estimate.  The set grows on every pass, so the loop ends, at worst with all
+rows.  HiGHS works to absolute tolerances (primal feasibility 1e-7) and drops
+matrix entries below 1e-9, so each LP is posed for the correction to the
+least-squares fit, with unit-maximum basis columns and the least-squares
+residual scaled to _LP_SCALE; its tolerance is then 1e-13 of that residual.
+
+Lawson's iteratively reweighted least squares serves method="lawson" and is
+the fallback when any LP solve fails.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linprog
 
-try:
-    from scipy.optimize import linprog
-    _HAVE_LINPROG = True
-except ImportError:  # pragma: no cover
-    _HAVE_LINPROG = False
+_LP_SCALE = 1e6
 
 
 def sup_fit(basis, values, method="lp", lawson_iters=8):
     """min over coefficients of max_i |values_i - (basis @ coeffs)_i|.
 
-    basis: (m, p) design matrix.  Returns (coeffs, sup_error).
+    basis: (m, p) design matrix.  Returns (coeffs, sup_error), where
+    sup_error is the maximum residual of the returned coefficients.
     """
     basis = np.asarray(basis, dtype=float)
     values = np.asarray(values, dtype=float)
-    m, p = basis.shape
-    if method == "lp" and _HAVE_LINPROG:
-        c = np.zeros(p + 1)
-        c[-1] = 1.0
-        A = np.zeros((2 * m, p + 1))
-        A[:m, :p] = basis
-        A[:m, -1] = -1.0
-        A[m:, :p] = -basis
-        A[m:, -1] = -1.0
-        b = np.concatenate([values, -values])
-        res = linprog(c, A_ub=A, b_ub=b, bounds=[(None, None)] * (p + 1),
-                      method="highs")
-        if res.success:
-            coeffs = res.x[:p]
+    if method == "lp":
+        coeffs = _active_set_lp(basis, values)
+        if coeffs is not None:
             return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
     return _lawson(basis, values, lawson_iters)
+
+
+def _active_set_lp(basis, values):
+    """Minimax coefficients from LPs on a growing set of rows; None if an LP
+    solve fails."""
+    m, p = basis.shape
+    k = 4 * (p + 1)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    lsq, *_ = np.linalg.lstsq(basis, values, rcond=None)
+    r = values - basis @ lsq
+    scale = float(np.max(np.abs(r)))
+    if scale == 0.0:
+        return lsq
+    col = np.max(np.abs(basis), axis=0)
+    col[col == 0.0] = 1.0
+    unit = scale / _LP_SCALE
+    Bs, rs = basis / col, r / unit
+    if m <= 2 * k:
+        rows = np.arange(m)
+    else:
+        order = np.argpartition(r, (k, m - k - 1))
+        rows = np.union1d(order[:k], order[m - k:])
+    c = np.zeros(p + 1)
+    c[-1] = 1.0
+    bounds = [(None, None)] * (p + 1)
+    while True:
+        B = Bs[rows]
+        ones = np.ones((len(rows), 1))
+        A = np.block([[B, -ones], [-B, -ones]])
+        b = np.concatenate([rs[rows], -rs[rows]])
+        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+        if not res.success:
+            return None
+        coeffs = lsq + res.x[:p] * unit / col
+        excess = np.abs(values - basis @ coeffs) - (res.x[p] * unit + tol)
+        excess[rows] = 0.0
+        worst = np.argsort(excess)[-k:]
+        worst = worst[excess[worst] > 0.0]
+        if worst.size == 0:
+            return coeffs
+        rows = np.union1d(rows, worst)
 
 
 def _lawson(basis, values, iters):

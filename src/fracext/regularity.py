@@ -136,8 +136,7 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)])
     reports = []
     for combo in family:
-        vals = np.broadcast_to(combo(xs[None, :], zs[:, None] * np.ones_like(xs)[None, :]),
-                               (len(zs), len(xs)))
+        vals = np.broadcast_to(combo(xs[None, :], zs[:, None]), (len(zs), len(xs)))
         state = ExtensionState(s, [xs], 2.0 * s * zs ** (1.0 / (2 * s)), vals, 0.0, 0.0,
                                meta={"synthetic": True}, reflected=True)
         reports.append(harnack_quotient(geom, state, (0.0, 0.0), R, kappa))

@@ -31,6 +31,27 @@ from .semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                         balakrishnan_scalar, fractional_apply, fractional_inverse)
 
 
+# Pass thresholds of the stages, one entry per check: a stage passes only if
+# every quantity it measures is inside its threshold.
+TOLERANCES = {
+    "scaling_rel_error": 1e-12,         # geometry: exact scaling of h and h'
+    "scalar_rel_error": 1e-6,           # fractional: scalar Balakrishnan oracle
+    "eigen_rel_error": 1e-3,            # fractional, end-to-end: eigenfunction
+    "roundtrip_rel_error": 1e-3,        # fractional: L^s L^{-s} u against u
+    "field_error": 1e-2,                # solve-extension: Bessel-profile oracle
+    "residual_interior": 1e-8,          # solve-extension: interior residual
+    "contact_gap": 1e-10,               # sliding: paraboloid below U
+    "contact_touch": 1e-9,              # sliding: paraboloid touches U at contacts
+    "sliding_drift": 0.25,              # sliding: measure ratio under refinement
+    "infconv_slack": 1e-12,             # inf-convolution below U, monotone in eps
+    "harnack_min_quotient": 1.0 - 1e-9,  # harnack: every quotient at least 1
+    "harnack_drift": 0.20,              # harnack: C_H_hat under refinement
+    "kinked_exponent": 0.15,            # schauder kinked: |fitted - (alpha + 2s)|
+    "harmonic_exponent_slack": 0.25,    # schauder harmonic: fitted >= case - slack
+    "polynomial_error": 1e-9,           # schauder polynomial: exact fit
+}
+
+
 @dataclass
 class RunManifest:
     config: dict
@@ -100,7 +121,8 @@ def _run_geometry(cfg, outdir):
         "engulfing": json.loads(en.to_json()),
     }
     ok = (np.isfinite(qt.data["K_hat"]) and qt.data["K_hat"] >= 1.0
-          and sc.data["max_rel_err_h"] < 1e-12 and sc.data["max_rel_err_hp"] < 1e-12
+          and sc.data["max_rel_err_h"] < TOLERANCES["scaling_rel_error"]
+          and sc.data["max_rel_err_hp"] < TOLERANCES["scaling_rel_error"]
           and db.data["min_ratio"] > 0.0 and np.isfinite(db.data["max_ratio"])
           and all(a > b for a, b in zip(ai.data["weight_ratios"][:-1],
                                         ai.data["weight_ratios"][1:]))
@@ -133,13 +155,14 @@ def _run_fractional(cfg, outdir):
     rel = float(np.max(np.abs(Lsu.values - target)) / np.max(np.abs(target)))
     details = {"scalar_rel_errors": {kk: float(v) for kk, v in scalar_errs.items()},
                "eigen_rel_error": rel, "k": k, "tail_info": info}
-    ok = max(scalar_errs.values()) < 1e-6 and rel < 1e-3
+    ok = (max(scalar_errs.values()) < TOLERANCES["scalar_rel_error"]
+          and rel < TOLERANCES["eigen_rel_error"])
     if prob["inverse"]:
         inv, _ = fractional_inverse(stepper, u, s, quad)
         back, _ = fractional_apply(stepper, inv, s, quad)
         rt = float(np.max(np.abs(back.values - u.values)) / np.max(np.abs(u.values)))
         details["roundtrip_rel_error"] = rt
-        ok = ok and rt < 1e-3
+        ok = ok and rt < TOLERANCES["roundtrip_rel_error"]
     path = os.path.join(outdir, "fractional_report.json")
     _write_json(path, details)
     return ok, details, [path]
@@ -152,8 +175,8 @@ def _run_solve_extension(cfg, outdir):
     problem, oracle = eigen_extension_problem(s, int(prob["k"]), Z=prob["Z"])
     mesh = ExtensionMesh(nx=int(prob["nx"]), my=int(prob["my"]))
     state = solve_extension(problem, mesh)
-    Zq, Xq = np.meshgrid(state.z_nodes, state.x_axes[0], indexing="ij")
-    field_err = float(np.max(np.abs(state.values - oracle(Xq, Zq))))
+    field_err = float(np.max(np.abs(state.values
+                                    - oracle(state.x_axes[0][None, :], state.z_nodes[:, None]))))
     trace_err = float(np.max(np.abs(state.trace() - np.sin(prob["k"] * state.x_axes[0]))))
     details = {"field_error": field_err, "trace_error": trace_err,
                "residual_interior": state.residual_interior,
@@ -169,7 +192,8 @@ def _run_solve_extension(cfg, outdir):
         svg_heatmap(svg, state.x_axes[0], state.z_nodes, state.values,
                     title="extension state", meta_comment=f"config {cfg.config_hash()}")
         outputs.append(svg)
-    ok = field_err < 1e-2 and state.residual_interior < 1e-8
+    ok = (field_err < TOLERANCES["field_error"]
+          and state.residual_interior < TOLERANCES["residual_interior"])
     path = os.path.join(outdir, "extension_report.json")
     _write_json(path, details)
     return ok, details, outputs + [path]
@@ -216,8 +240,8 @@ def _run_sliding(cfg, outdir):
     for (vx, vz), nodes, c in rep.contact_map:
         P = -a * (geom.delta_phi(vx, xs)[:, None] + geom.delta_h(vz, zs)[None, :]) + c
         gap = U - P
-        touch_ok &= bool(np.min(gap) >= -1e-10)
-        touch_ok &= all(abs(gap[i, j]) <= 1e-9 for (i, j) in nodes)
+        touch_ok &= bool(np.min(gap) >= -TOLERANCES["contact_gap"])
+        touch_ok &= all(abs(gap[i, j]) <= TOLERANCES["contact_touch"] for (i, j) in nodes)
     details = {"fixture": prob["fixture"], "opening": a,
                "mu_A": rep.mu_A, "mu_B": rep.mu_B, "ratio": rep.measure_ratio,
                "touching_exact": touch_ok}
@@ -230,13 +254,13 @@ def _run_sliding(cfg, outdir):
         drift = abs(rep2.measure_ratio - rep.measure_ratio) / rep.measure_ratio
         details["ratio_refined"] = rep2.measure_ratio
         details["ratio_drift"] = drift
-        ok = ok and drift <= 0.25
+        ok = ok and drift <= TOLERANCES["sliding_drift"]
     # inf-convolution ride-along on the same fixture
     eps = float(prob["eps_infconv"])
     ic1 = inf_convolution(xs, zs, U, eps)
     ic2 = inf_convolution(xs, zs, U, 2 * eps)
-    below = bool(np.all(ic1.values <= U + 1e-12))
-    monotone = bool(np.all(ic2.values <= ic1.values + 1e-12))
+    below = bool(np.all(ic1.values <= U + TOLERANCES["infconv_slack"]))
+    monotone = bool(np.all(ic2.values <= ic1.values + TOLERANCES["infconv_slack"]))
     details["infconv_below"] = below
     details["infconv_monotone"] = monotone
     ok = ok and below and monotone
@@ -257,14 +281,14 @@ def _run_harnack(cfg, outdir):
     quotients = [r.quotient for r in rep["reports"]]
     details = {"C_H_hat": rep["C_H_hat"], "min_quotient": rep["min_quotient"],
                "quotients": quotients}
-    ok = rep["min_quotient"] >= 1.0 - 1e-9
+    ok = rep["min_quotient"] >= TOLERANCES["harnack_min_quotient"]
     if prob["check_refinement"]:
         rep2 = harnack_family_report(s, family, mesh, kappa=prob["kappa"], R=prob["R"],
                                      refine=2)
         drift = abs(rep2["C_H_hat"] - rep["C_H_hat"]) / rep["C_H_hat"]
         details["C_H_hat_refined"] = rep2["C_H_hat"]
         details["C_H_drift"] = drift
-        ok = ok and drift <= 0.20
+        ok = ok and drift <= TOLERANCES["harnack_drift"]
     path = os.path.join(outdir, "harnack_report.json")
     _write_json(path, details)
     csv = os.path.join(outdir, "harnack_quotients.csv")
@@ -298,7 +322,7 @@ def _run_schauder(cfg, outdir):
         report = schauder_decay(state, case, rho, depth, noise_floor=noise,
                                 fit_window=int(prob["fit_window"]))
         ok = report.fitted_exponent is not None and \
-            abs(report.fitted_exponent - target) <= 0.15
+            abs(report.fitted_exponent - target) <= TOLERANCES["kinked_exponent"]
         reference = target
     elif prob["benchmark"] == "harmonic":
         combo = HarmonicCombo(s, const=0.3, modes=[(0.5, 1.0, 0.4), (0.2, 2.0, 1.1)])
@@ -306,13 +330,13 @@ def _run_schauder(cfg, outdir):
         report = schauder_decay(state, case, rho, depth, noise_floor=1e-13,
                                 fit_window=int(prob["fit_window"]))
         ok = report.fitted_exponent is not None and \
-            report.fitted_exponent >= case - 0.25
+            report.fitted_exponent >= case - TOLERANCES["harmonic_exponent_slack"]
         reference = float(case)
     else:  # polynomial: exact representability
         state = _polynomial_state(s, case, mx=int(prob["mx"]), my=int(prob["my"]))
         report = schauder_decay(state, case, rho, depth, noise_floor=0.0)
         errs = [row["E"] for row in report.scales]
-        ok = max(errs) < 1e-9
+        ok = max(errs) < TOLERANCES["polynomial_error"]
         reference = None
     details = json.loads(report.to_json())
     details["target"] = reference
@@ -341,7 +365,7 @@ def _synthetic_state(s, fn, mx=200, my=96):
     y = Y * (np.arange(my + 1) / my) ** 3.0
     from .extension import transform_to_z
     zg = transform_to_z(y, s)
-    vals = np.asarray(fn(xs[None, :], zg[:, None] * np.ones_like(xs)[None, :]), float)
+    vals = np.asarray(fn(xs[None, :], zg[:, None]), float)
     vals = np.broadcast_to(vals, (my + 1, len(xs))).copy()
     return ExtensionState(s, [xs], y, vals, 0.0, 0.0, meta={"synthetic": True})
 
@@ -389,7 +413,7 @@ def _run_end_to_end(cfg, outdir):
     rep = interior_norm_report(x, u.values, gamma_total, sub, data_norm)
     details = {"eigen_rel_error": rel, "norm_report": json.loads(rep.to_json()),
                "f_holder_const": f_holder}
-    ok = rel < 1e-3 and np.isfinite(rep.ratio)
+    ok = rel < TOLERANCES["eigen_rel_error"] and np.isfinite(rep.ratio)
     path = os.path.join(outdir, "endtoend_report.json")
     _write_json(path, details)
     return ok, details, [path]

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fracext.cli import main as cli_main
-from fracext.config import (ConfigError, default_config, load_config, validate)
+from fracext.config import (EXPERIMENT_KINDS, MAX_COUNT, MAX_MESH_POINTS, MAX_THREADS,
+                            ConfigError, default_config, load_config, validate)
 from fracext.plots import svg_heatmap, svg_loglog
 from fracext.runner import run
 
@@ -67,6 +68,68 @@ def test_mesh_sizes_share_one_bound():
             validate({"experiment": kind, "problem": {name: 4096}})
             with pytest.raises(ConfigError, match=f"problem.{name}: must be <= 4096"):
                 validate({"experiment": kind, "problem": {name: 4097}})
+
+
+def _raw_with(kind, path, value):
+    """A config of `kind` with the dotted key `path` set to `value`."""
+    raw = {"experiment": kind}
+    *parents, leaf = path.split(".")
+    node = raw
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return raw
+
+
+_COUNT_FIELDS = [
+    ("geometry-check", "problem.samples", MAX_COUNT),
+    ("geometry-check", "problem.engulfing_samples", MAX_COUNT),
+    ("barrier-check", "problem.samples", MAX_COUNT),
+    ("slide-paraboloids", "problem.vertex_stride", MAX_COUNT),
+    ("harnack", "problem.family_size", MAX_COUNT),
+    ("schauder-decay", "problem.depth", MAX_COUNT),
+    ("schauder-decay", "problem.fit_window", MAX_COUNT),
+    ("fractional-apply", "problem.k", MAX_MESH_POINTS),
+    ("solve-extension", "problem.k", MAX_MESH_POINTS),
+    ("end-to-end", "problem.k", MAX_MESH_POINTS),
+    ("fractional-apply", "problem.quadrature.nodes", MAX_MESH_POINTS),
+    ("fractional-apply", "problem.quadrature.substeps", MAX_MESH_POINTS),
+    ("fractional-apply", "threads", MAX_THREADS),
+]
+
+
+@pytest.mark.parametrize("kind, path, bound", _COUNT_FIELDS)
+def test_count_fields_are_bounded(kind, path, bound):
+    validate(_raw_with(kind, path, bound))
+    for value in (bound + 1, 10**400):
+        with pytest.raises(ConfigError, match=f"{path}: must be <= {bound}"):
+            validate(_raw_with(kind, path, value))
+
+
+@pytest.mark.parametrize("kind, path, value", [
+    ("geometry-check", "problem.samples", 20_000), ("barrier-check", "problem.samples", 1000),
+    ("geometry-check", "problem.engulfing_samples", 400),
+    ("harnack", "problem.family_size", 20),
+    ("fractional-apply", "problem.quadrature.nodes", 8),
+    ("fractional-apply", "problem.quadrature.substeps", 2),
+    ("schauder-decay", "problem.depth", 9), ("schauder-decay", "problem.fit_window", 5),
+    ("slide-paraboloids", "problem.vertex_stride", 2), ("solve-extension", "problem.k", 4),
+])
+def test_benchmark_counts_stay_valid(kind, path, value):
+    assert validate(_raw_with(kind, path, value))
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_defaults_are_within_the_bounds(kind):
+    assert default_config(kind)
+
+
+def test_cli_rejects_huge_sample_count(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text('{"experiment": "geometry-check", "problem": {"samples": 1' + "0" * 400 + "}}")
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert f"problem.samples: must be <= {MAX_COUNT}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("kind", ["fractional-apply", "end-to-end"])

@@ -1,9 +1,14 @@
 """Regularity lab: seminorms, Harnack quotients, approximation distance,
 decay fitting and the inductive iteration."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
+from fracext import fitting
 from fracext.benchmarks import harmonic_combo_problem, positive_harmonic_family
 from fracext.extension import (ExtensionMesh, ExtensionState, HarmonicCombo,
                                rescale_solution, solve_extension, transform_to_y)
@@ -31,6 +36,65 @@ def test_sup_fit_chebyshev_exact():
     # Lawson fallback agrees
     coeffs2, err2 = sup_fit(B, xs**2, method="lawson", lawson_iters=40)
     assert err2 == pytest.approx(0.5, abs=5e-3)
+
+
+def _full_lp_error(basis, values):
+    """Sup error of one HiGHS solve over all 2m rows, tolerances at 1e-10."""
+    m, p = basis.shape
+    cost = np.zeros(p + 1)
+    cost[-1] = 1.0
+    ones = np.ones((m, 1))
+    res = linprog(cost, A_ub=np.block([[basis, -ones], [-basis, -ones]]),
+                  b_ub=np.concatenate([values, -values]), bounds=[(None, None)] * (p + 1),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return float(np.max(np.abs(values - basis @ res.x[:p])))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sup_fit_monomial_chebyshev_error(n):
+    # x^n - 2^{1-n} T_n(x) is the best approximation by degree < n, and the
+    # grid holds the n + 1 extrema of T_n, so the discrete error is 2^{1-n}
+    xs = np.union1d(np.linspace(-1.0, 1.0, 2001), np.cos(np.pi * np.arange(n + 1) / n))
+    basis = np.stack([xs**j for j in range(n)], axis=1)
+    coeffs, err = sup_fit(basis, xs**n)
+    assert err == pytest.approx(2.0 ** (1 - n), rel=1e-12)
+    cheb = np.polynomial.chebyshev.cheb2poly([0] * n + [1])
+    assert np.allclose(coeffs, -(2.0 ** (1 - n)) * cheb[:n], atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 5), m=st.integers(1, 4000), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+def test_sup_fit_matches_full_lp(p, m, seed, scale):
+    m = max(m, p + 1)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    basis = np.stack([x**j for j in range(p)], axis=1) + 0.1 * rng.standard_normal((m, p))
+    values = scale * (np.sin(3.0 * x) + 0.5 * rng.standard_normal(m))
+    coeffs, err = sup_fit(basis, values)
+    assert err == float(np.max(np.abs(values - basis @ coeffs)))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    assert err <= _full_lp_error(basis, values) + tol
+
+
+def test_sup_fit_rank_deficient_basis():
+    xs = np.linspace(-1, 1, 3001)
+    full = np.stack([np.ones_like(xs), xs, 2.0 * xs], axis=1)
+    coeffs, err = sup_fit(full, xs**2)
+    assert err == pytest.approx(0.5, rel=1e-12)
+    assert err == float(np.max(np.abs(xs**2 - full @ coeffs)))
+    assert np.all(np.isfinite(coeffs))
+
+
+def test_sup_fit_falls_back_to_lawson_when_the_lp_fails(monkeypatch):
+    xs = np.linspace(-1, 1, 401)
+    B = np.stack([np.ones_like(xs), xs], axis=1)
+    monkeypatch.setattr(fitting, "linprog", lambda *a, **k: SimpleNamespace(success=False))
+    coeffs, err = sup_fit(B, xs**2)
+    ref_coeffs, ref_err = sup_fit(B, xs**2, method="lawson")
+    assert np.array_equal(coeffs, ref_coeffs) and err == ref_err
 
 
 def test_holder_seminorm_basics():
@@ -211,3 +275,56 @@ def test_interior_norm_report():
     # zero data: all norms vanish
     rep0 = interior_norm_report(xs, np.zeros_like(xs), 1.5, sub, data_norm=1.0)
     assert rep0.sup_u == 0.0 and rep0.holder_seminorm == 0.0
+
+
+# -- closed-form oracles evaluated on their own axes ----------------------------------------
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_harnack_family_report_equals_full_grid_evaluation(refine):
+    s, R, kappa = 0.6, 0.5, 0.5
+    family = positive_harmonic_family(s, 4, seed=11)
+    mesh = ExtensionMesh(nx=33, my=16)
+    rep = harnack_family_report(s, family, mesh, kappa=kappa, R=R, refine=refine)
+    geom = MAGeometry(s)
+    xlim = np.sqrt(2.0 * R) * 1.05
+    zcap = geom.section_interval(0.0, R)[1] * 1.05
+    xs = np.linspace(-xlim, xlim, (mesh.nx - 1) * refine + 1)
+    zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, mesh.my * refine)])
+    Zq, Xq = np.meshgrid(zs, xs, indexing="ij")
+    for combo, got in zip(family, rep["reports"]):
+        state = ExtensionState(s, [xs], 2.0 * s * zs ** (1.0 / (2 * s)), combo(Xq, Zq),
+                               0.0, 0.0, reflected=True)
+        ref = harnack_quotient(geom, state, (0.0, 0.0), R, kappa)
+        assert (got.quotient, got.sup, got.inf) == (ref.quotient, ref.sup, ref.inf)
+
+
+def test_solve_extension_field_error_equals_full_grid_evaluation(tmp_path):
+    from fracext.benchmarks import eigen_extension_problem
+    from fracext.config import validate
+    from fracext.runner import run
+    s, k, nx, my = 0.4, 2, 65, 24
+    cfg = validate({"experiment": "solve-extension", "setup": {"s": s},
+                    "problem": {"nx": nx, "my": my, "k": k}})
+    details = run(cfg, str(tmp_path)).stages[0]["details"]
+    problem, oracle = eigen_extension_problem(s, k, Z=1.0)
+    state = solve_extension(problem, ExtensionMesh(nx=nx, my=my))
+    Zq, Xq = np.meshgrid(state.z_nodes, state.x_axes[0], indexing="ij")
+    assert details["field_error"] == float(np.max(np.abs(state.values - oracle(Xq, Zq))))
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3])
+def test_synthetic_state_equals_full_grid_evaluation(case):
+    s = 0.55
+    if case == 0:
+        fn = HarmonicCombo(s, const=0.3, modes=[(0.5, 1.0, 0.4), (0.2, 2.0, 1.1)])
+        st = _synthetic_state(s, fn, mx=40, my=24)
+    else:
+        st = _polynomial_state(s, case, mx=40, my=24)
+        geom = MAGeometry(s)
+        fn = [None,
+              lambda x, z: 0.37 + 0.0 * x,
+              lambda x, z: 0.37 + 0.21 * x + 0.0 * geom.h(z),
+              lambda x, z: 0.37 + 0.21 * x + 0.5 * 0.4 * x**2 - 0.15 * geom.h(z)][case]
+    Zq, Xq = np.meshgrid(st.z_nodes, st.x_axes[0], indexing="ij")
+    assert np.array_equal(st.values, fn(Xq, Zq))
