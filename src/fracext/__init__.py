@@ -13,7 +13,7 @@ from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
                         reflect_even, rescale_solution, solve_extension,
                         transform_to_y, transform_to_z)
 from .barriers import (BarrierCase1, BarrierCase2, MAParaboloid, MAPolynomial,
-                       barrier_case2, inf_convolution, polynomial_to_MA, pucci,
+                       inf_convolution, polynomial_to_MA, pucci,
                        search_case2_parameters, slide_paraboloids, touch_test)
 from .regularity import (campanato_iterate, harnack_quotient, holder_seminorm,
                          schauder_decay)

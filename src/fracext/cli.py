@@ -19,7 +19,7 @@ def _add_common(p):
                         "$FRACEXT_OUT, or '.')")
     p.add_argument("--seed", type=int, default=None, help="sampling seed override")
     p.add_argument("--threads", type=int, default=None,
-                   help="parallel heat solves per quadrature ladder")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--emit-plots", action="store_true", default=None,
                    help="emit SVG plots alongside the reports")
     p.add_argument("--s", type=float, default=None, dest="s_value",

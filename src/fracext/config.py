@@ -56,7 +56,7 @@ MAX_MESH_POINTS = 4096
 # strides): per-sample arrays stay in the tens of MiB.
 MAX_COUNT = 1_000_000
 
-# Largest worker-thread count of the 2-D quadrature pool.
+# Largest accepted `threads` value; the key has no effect.
 MAX_THREADS = 64
 
 
@@ -186,6 +186,17 @@ def _apply_schema(data, schema, path, errors):
     return out
 
 
+def _barrier_errors(s, prob):
+    """Case 1 needs s <= 1/2 and alpha > (n+1)/rho, n = 1; case 2 needs s > 1/2."""
+    case, rho = prob["case"], prob["R"] * prob["rho_fraction"]
+    if (case == 1) != (s <= 0.5):
+        return [f"problem.case: case {case} requires setup.s {'<=' if case == 1 else '>'} 0.5"]
+    floor = 2.0 / rho if rho > 0 else math.inf
+    if case == 1 and prob["alpha"] <= floor:
+        return [f"problem.alpha: case 1 requires alpha > 2 / (R rho_fraction) = {floor:.6g}"]
+    return []
+
+
 @dataclass
 class ExperimentConfig:
     data: dict
@@ -200,6 +211,7 @@ class ExperimentConfig:
 
     @property
     def threads(self):
+        """The `threads` key, accepted for compatibility; it has no effect."""
         return int(self.data["threads"])
 
     @property
@@ -261,6 +273,8 @@ def validate(raw: dict) -> ExperimentConfig:
             t_min, t_max = prob["quadrature"]["t_min"], prob["quadrature"]["t_max"]
             if _is_number(t_min) and _is_number(t_max) and t_max <= t_min:
                 errors.append("problem.quadrature.t_max: must exceed t_min")
+        if kind == "barrier-check" and not errors:
+            errors += _barrier_errors(top["setup"]["s"], prob)
         top["problem"] = prob
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(sorted(errors)))

@@ -10,12 +10,14 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .barriers import BarrierCase1, inf_convolution, search_case2_parameters, slide_paraboloids
+from .barriers import (BarrierCase1, BarrierNotFound, inf_convolution,
+                       search_case2_parameters, slide_paraboloids)
 from .benchmarks import (eigen_extension_problem, harmonic_combo_problem,
                          kinked_trace_problem, positive_harmonic_family,
                          sliding_fixture, vertex_lattice)
@@ -92,7 +94,8 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         manifest.add_stage(cfg.experiment, "pass" if ok else "fail", details,
                            [os.path.relpath(o, outdir) for o in outputs])
     except Exception as exc:  # noqa: BLE001 - stage failures land in the manifest
-        manifest.add_stage(cfg.experiment, "error", {"exception": repr(exc)}, [])
+        manifest.add_stage(cfg.experiment, "error",
+                           {"exception": repr(exc), "traceback": traceback.format_exc()}, [])
     manifest.finished = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest.save(os.path.join(outdir, "manifest.json"))
     return manifest
@@ -142,7 +145,7 @@ def _run_fractional(cfg, outdir):
     prob = cfg.problem
     q = prob["quadrature"]
     quad = QuadratureSpec(t_min=q["t_min"], t_max=q["t_max"], nodes=int(q["nodes"]),
-                          substeps=int(q["substeps"]), threads=cfg.threads)
+                          substeps=int(q["substeps"]))
     scalar_errs = {str(lam): abs(balakrishnan_scalar(lam, s, quad) - lam**s) / lam**s
                    for lam in (1.0, 4.0, 9.0)}
     N = int(prob["grid_points"])
@@ -207,24 +210,22 @@ def _run_barrier(cfg, outdir):
     R = float(prob["R"])
     rho = R * float(prob["rho_fraction"])
     z0 = (R / s) ** s  # delta_h(z0, 0) = s z0^{1/s} = R
+    details = {"case": int(prob["case"]), "z0": z0, "R": R, "rho": rho}
     if prob["case"] == 1:
-        if s > 0.5:
-            raise ValueError("barrier case 1 requires s <= 1/2")
         bar = BarrierCase1(geom, 0.0, z0, R, rho, float(prob["alpha"]))
-        rep = bar.verify(samples=int(prob["samples"]), seed=cfg.seed)
-        details = {"case": 1, "z0": z0, "R": R, "rho": rho,
-                   "alpha": float(prob["alpha"]), **rep}
+        details.update(alpha=bar.alpha,
+                       **bar.verify(samples=int(prob["samples"]), seed=cfg.seed))
     else:
-        if s <= 0.5:
-            raise ValueError("barrier case 2 requires s > 1/2")
-        bar = search_case2_parameters(geom, 0.0, z0, R, rho)
-        rep = bar.verify(samples=int(prob["samples"]), seed=cfg.seed)
-        details = {"case": 2, "z0": z0, "R": R, "rho": rho,
-                   "eps": bar.profile.eps, "eps0": bar.profile.eps0,
-                   "alpha": bar.profile.alpha, **rep}
+        try:
+            bar = search_case2_parameters(geom, 0.0, z0, R, rho)
+        except BarrierNotFound as exc:
+            details["search_failures"] = exc.reasons
+        else:
+            details.update(eps=bar.eps, eps0=bar.profile.eps0, alpha=bar.alpha,
+                           **bar.verify(samples=int(prob["samples"]), seed=cfg.seed))
     path = os.path.join(outdir, "barrier_report.json")
     _write_json(path, details)
-    return bool(rep["passes"]), details, [path]
+    return details.get("passes", False), details, [path]
 
 
 def _run_sliding(cfg, outdir):
@@ -392,10 +393,9 @@ def _run_end_to_end(cfg, outdir):
     k = int(prob["k"])
     grid = BoxGrid.interval(0.0, np.pi, N + 1)
     stepper = SemigroupStepper(CoefficientField.identity(1), grid)
-    quad = QuadratureSpec(threads=cfg.threads)
     x = grid.axes()[0]
     f = GridFunction.from_callable(grid, lambda xx: np.sin(k * xx))
-    u, _ = fractional_inverse(stepper, f, s, quad)
+    u, _ = fractional_inverse(stepper, f, s)
     rel = float(np.max(np.abs(u.values - k ** (-2.0 * s) * f.values))
                 / k ** (-2.0 * s))
     gamma_total = alpha + 2.0 * s

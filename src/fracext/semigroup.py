@@ -384,7 +384,6 @@ class QuadratureSpec:
     t_max: float = 1e4
     nodes: int = 96
     substeps: int = 96
-    threads: int = 1
 
     def __post_init__(self):
         if self.t_min <= 0:
@@ -417,16 +416,6 @@ def log_trapezoid(G, h):
     return total - h**2 / 12.0 * (d_b - d_a)
 
 
-def _heat_ladder(stepper, v, quad):
-    ts, h = quad.ladder()
-    if stepper.grid.ndim == 2 and quad.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=quad.threads) as ex:
-            sols = list(ex.map(lambda t: stepper.heat_interior(v, t, quad.substeps), ts))
-        return ts, h, np.stack(sols, axis=0)
-    return ts, h, stepper.heat_many(v, ts, quad.substeps)
-
-
 # -- fractional operators ----------------------------------------------------------------
 
 
@@ -438,7 +427,8 @@ def fractional_apply(stepper: SemigroupStepper, u: GridFunction, s, quad=Quadrat
     L u and L^2 u.
     """
     v = u.interior()
-    ts, h, heats = _heat_ladder(stepper, v, quad)
+    ts, h = quad.ladder()
+    heats = stepper.heat_many(v, ts, quad.substeps)
     G = (heats - v[None, :]) * (ts[:, None] ** (-s))
     main = log_trapezoid(G, h)
     Lu = stepper.apply_L(v)
@@ -458,7 +448,8 @@ def fractional_apply(stepper: SemigroupStepper, u: GridFunction, s, quad=Quadrat
 def fractional_inverse(stepper: SemigroupStepper, f: GridFunction, s, quad=QuadratureSpec()):
     """L^{-s} f = (1/Gamma(s)) integral_0^inf e^{-tL} f t^{s-1} dt."""
     v = f.interior()
-    ts, h, heats = _heat_ladder(stepper, v, quad)
+    ts, h = quad.ladder()
+    heats = stepper.heat_many(v, ts, quad.substeps)
     G = heats * (ts[:, None] ** s)
     main = log_trapezoid(G, h)
     Lf = stepper.apply_L(v)
@@ -491,7 +482,8 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     if any(z <= 0 for z in zs):
         raise ValueError("extension height z must be positive")
     v = u.interior()
-    ts, h, heats = _heat_ladder(stepper, v, quad)
+    ts, h = quad.ladder()
+    heats = stepper.heat_many(v, ts, quad.substeps)
     pref_all = []
     out = []
     for z in zs:

@@ -143,7 +143,7 @@ def test_criterion_06_barrier_verification():
     rep2 = bar2.verify(samples=10_000, seed=22)
     ok = rep1["passes"] and rep2["passes"]
     _report(6, ok, f"case1 min operator {rep1['operator_min']:.3f} > 0; case2 at "
-                   f"(eps={bar2.profile.eps}, alpha={bar2.profile.alpha}) all "
+                   f"(eps={bar2.profile.eps}, alpha={bar2.alpha}) all "
                    f"predicates pass")
 
 

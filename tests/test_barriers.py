@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fracext.barriers import (BarrierCase1, BarrierCase2, MAParaboloid,
-                              MAPolynomial, barrier_case2, cell_measures,
-                              inf_convolution, polynomial_to_MA, pucci,
-                              sample_annulus, search_case2_parameters,
-                              slide_paraboloids, touch_test)
+from fracext.barriers import (EPS_LADDER, SCAN_MARGIN, BarrierCase1, BarrierCase2,
+                              BarrierNotFound, MAParaboloid, MAPolynomial,
+                              cell_measures, inf_convolution,
+                              polynomial_to_MA, pucci, sample_annulus,
+                              search_case2_parameters, slide_paraboloids, touch_test)
 from fracext.benchmarks import eigen_extension_problem, sliding_fixture, vertex_lattice
 from fracext.extension import ExtensionMesh, solve_extension
 from fracext.geometry import MAGeometry
@@ -184,7 +185,89 @@ def test_barrier_case2_eps_too_large():
     g = MAGeometry(s)
     z0 = (0.5 / s) ** s
     with pytest.raises(ValueError, match="reduce eps"):
-        barrier_case2(g, 0.0, z0, 0.5, 0.125, 0.9, 40.0, samples=500)
+        BarrierCase2(g, 0.0, z0, 0.5, 0.125, 0.9)
+
+
+@pytest.mark.parametrize("alpha", [9.0, 800.0, 2000.0])
+def test_barrier_case1_large_alpha_decided_by_sign(alpha):
+    # e^{-alpha E} with E in [rho, R) = [1/4, 1/2) underflows at alpha = 2000
+    g = MAGeometry(0.5)
+    bar = BarrierCase1(g, 0.0, 1.0, 0.5, 0.25, alpha)
+    rep = bar.verify(samples=10_000, seed=3)
+    assert rep["passes"] and rep["bracket_min"] > 0.0
+    assert rep["log_dz_trace"] == pytest.approx(np.log(alpha) - 0.5 * alpha
+                                                + np.log(g.hp(1.0)), rel=1e-12)
+    if alpha < 2000.0:
+        assert np.log(rep["operator_min"]) == pytest.approx(rep["log_operator_min"],
+                                                            rel=1e-12)
+    else:
+        assert rep["operator_min"] == 0.0
+        assert -1000.0 < rep["log_operator_min"] < np.log(np.finfo(float).tiny)
+
+
+def _case2_args(s, R=0.5, rho_fraction=0.5):
+    g = MAGeometry(s)
+    return g, 0.0, (R / s) ** s, R, R * rho_fraction
+
+
+def test_case2_search_builds_one_profile_per_eps(monkeypatch):
+    built = []
+    init = BarrierCase2.__init__
+
+    def counting(self, geom, x0, z0, R, rho, eps, alpha=None):
+        built.append(eps)
+        init(self, geom, x0, z0, R, rho, eps, alpha)
+
+    monkeypatch.setattr(BarrierCase2, "__init__", counting)
+    for s in (0.6, 0.7, 0.9):
+        built.clear()
+        bar = search_case2_parameters(*_case2_args(s))
+        assert built == list(EPS_LADDER[:EPS_LADDER.index(bar.eps) + 1])
+    built.clear()
+    with pytest.raises(BarrierNotFound) as info:
+        search_case2_parameters(*_case2_args(0.947))
+    assert built == list(EPS_LADDER)
+    assert [eps for eps, _ in info.value.reasons] == list(EPS_LADDER)
+    assert "slope" in info.value.reasons[0][1] and "bump set" in info.value.reasons[1][1]
+
+
+@pytest.mark.parametrize("s", [0.85, 0.9, 0.93])
+def test_case2_bracket_holds_inside_the_transition_window(s):
+    # near s = 1 the window where psi falls is narrower than the uniform scan
+    # spacing; a dense check of the worst-case bracket there
+    g, x0, z0, R, rho = _case2_args(s)
+    bar = search_case2_parameters(g, x0, z0, R, rho)
+    z = np.linspace(bar.profile.z_eps, bar.profile.z_tilde, 200_001)
+    P, Q = bar.bracket_terms(np.maximum(0.0, rho - g.delta_h(z0, z)), z)
+    assert np.min(bar.alpha * P - Q) > 0.99 * SCAN_MARGIN * (g.n + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.55, 0.93), st.floats(0.3, 1.0), st.floats(0.3, 0.7),
+       st.integers(1, 2**31))
+def test_case2_search_minimal_alpha_or_reasons(s, R, rho_fraction, seed):
+    g, x0, z0, R, rho = _case2_args(s, R, rho_fraction)
+    try:
+        bar = search_case2_parameters(g, x0, z0, R, rho)
+    except BarrierNotFound as exc:
+        assert [eps for eps, _ in exc.reasons] == list(EPS_LADDER)
+        assert all(reason for _, reason in exc.reasons)
+        return
+    assert bar.verify(samples=4000, seed=seed)["passes"]
+    margin = SCAN_MARGIN * (g.n + 1)
+    assert bar.bracket_scan_min() >= margin - 1e-12
+    lower = BarrierCase2(g, x0, z0, R, rho, bar.eps, bar.alpha / (1.0 + 1e-3))
+    assert lower.bracket_scan_min() < margin
+
+
+def test_case2_predicates_read_no_exponentials():
+    # at s = 0.9 every e^{-alpha ...} value underflows to 0; the verdict stands
+    bar = search_case2_parameters(*_case2_args(0.9))
+    rep = bar.verify(samples=4000, seed=5)
+    assert rep["passes"] and bar.alpha > 1e4
+    assert rep["operator_min"] == 0.0 and rep["inner_bound_low"] == 0.0
+    assert rep["log_inner_bound_low"] < rep["log_inner_bound_high"] < 0.0
+    assert rep["log_operator_min"] < np.log(np.finfo(float).tiny)
 
 
 # -- inf-convolution ------------------------------------------------------------------

@@ -227,6 +227,50 @@ def test_failing_stage_sets_exit_status(tmp_path):
     m = run(cfg, str(tmp_path))
     assert m.exit_status == 1
     assert m.stages[0]["status"] == "error"
+    saved = json.loads((tmp_path / "manifest.json").read_text())["stages"][0]["details"]
+    assert saved["exception"].startswith("ValueError(")
+    assert saved["traceback"].startswith("Traceback (most recent call last)")
+    assert "in _run_barrier" in saved["traceback"]
+    assert "exponential barrier requires s <= 1/2" in saved["traceback"]
+
+
+def _barrier_raw(s, **problem):
+    return {"experiment": "barrier-check", "setup": {"s": s}, "problem": problem}
+
+
+@pytest.mark.parametrize("R", [0.5, 0.6])
+@pytest.mark.parametrize("s", [0.55, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9])
+def test_barrier_case2_stage_passes(tmp_path, s, R):
+    m = run(validate(dict(_barrier_raw(s, case=2, R=R, samples=2000), seed=4)), str(tmp_path))
+    d = m.stages[0]["details"]
+    assert m.stages[0]["status"] == "pass", d
+    assert d["passes"] and d["bracket_min"] > 0.0 and d["bracket_scan_min"] > 0.0
+    assert d["log_dz_trace"] is not None and d["log_inner_bound_low"] is not None
+
+
+def test_barrier_search_failure_is_a_failed_stage(tmp_path):
+    m = run(validate(_barrier_raw(0.95, case=2)), str(tmp_path))
+    stage = m.stages[0]
+    assert m.exit_status == 1 and stage["status"] == "fail"
+    failures = json.loads((tmp_path / "barrier_report.json").read_text())["search_failures"]
+    assert [eps for eps, _ in failures] == [0.2, 0.1, 0.05, 0.02]
+    assert all(isinstance(reason, str) and reason for _, reason in failures)
+    assert stage["details"]["search_failures"] == [tuple(f) for f in failures]
+
+
+@pytest.mark.parametrize("raw, key", [
+    (_barrier_raw(0.75, case=1), "problem.case"),
+    (_barrier_raw(0.3, case=2), "problem.case"),
+    (_barrier_raw(0.3, case=1, R=0.1), "problem.alpha"),
+])
+def test_barrier_configs_the_stage_cannot_run_are_rejected(tmp_path, capsys, raw, key):
+    with pytest.raises(ConfigError, match=key):
+        validate(raw)
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps(raw))
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert f"{key}: case" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_svg_empty_ladder_and_reference_slope(tmp_path):

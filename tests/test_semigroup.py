@@ -179,7 +179,7 @@ def test_1d_stepper_never_factorizes(monkeypatch):
     for integrator in ("euler", "cn", "cn-rannacher"):
         st_ = _stepper_1d(N=64, integrator=integrator)
         u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
-        f, _ = fractional_inverse(st_, u, 0.5, QuadratureSpec(threads=2))
+        f, _ = fractional_inverse(st_, u, 0.5)
         fractional_apply(st_, f, 0.5)
         extension_via_semigroup(st_, u, 0.5, 0.3)
         st_.heat_apply(u, 0.1, substeps=7)
