@@ -7,8 +7,9 @@ but on an active set of rows instead of all 2m inequality rows at once
 least-squares residual is most negative and most positive, k = 4(p + 1) of
 each.  After each LP solve on the set, the residuals of its solution are
 computed on all m rows: if no row outside the set exceeds the set's optimum t
-by more than tol = 1e-12 max(1, max|values|), the solution is returned,
-otherwise the k worst violators join the set and the LP is solved again.
+by more than tol = 1e-12 max(1, max|values|), the solution is polished
+(below) and returned, otherwise the k worst violators join the set and the
+LP is solved again.
 
 The LP on a subset of rows is a relaxation of the full one, so its optimum t
 is at most the full optimum E_opt, and the returned error
@@ -17,7 +18,9 @@ estimate.  The set grows on every pass, so the loop ends, at worst with all
 rows.  HiGHS works to absolute tolerances (primal feasibility 1e-7) and drops
 matrix entries below 1e-9, so each LP is posed for the correction to the
 least-squares fit, with unit-maximum basis columns and the least-squares
-residual scaled to _LP_SCALE; its tolerance is then 1e-13 of that residual.
+residual scaled to _LP_SCALE.  Even so, HiGHS can leave a row of the set a
+few 1e-12 above t, so the final set's tight rows (nonzero duals) are solved
+once more as equations, which holds them at the optimum to rounding.
 
 Lawson's iteratively reweighted least squares serves method="lawson" and is
 the fallback when any LP solve fails.
@@ -83,8 +86,24 @@ def _active_set_lp(basis, values):
         worst = np.argsort(excess)[-k:]
         worst = worst[excess[worst] > 0.0]
         if worst.size == 0:
-            return coeffs
+            return _polish(basis, values, coeffs, lsq, unit / col, Bs[rows], rs[rows],
+                           res.ineqlin.marginals)
         rows = np.union1d(rows, worst)
+
+
+def _polish(basis, values, coeffs, lsq, step, B, r, duals):
+    """Re-solve the final LP's tight rows (nonzero duals) as equations
+    B_i y + sigma_i t = r_i, sigma_i = -1 in the first block and +1 in the
+    second; the result is kept only if it lowers the sup error."""
+    tight = np.flatnonzero(duals)
+    sigma = np.where(tight < len(r), -1.0, 1.0)
+    rows = tight % len(r)
+    sol, *_ = np.linalg.lstsq(np.column_stack([B[rows], sigma]), r[rows], rcond=None)
+    polished = lsq + sol[:-1] * step
+    if (np.max(np.abs(values - basis @ polished))
+            < np.max(np.abs(values - basis @ coeffs))):
+        return polished
+    return coeffs
 
 
 def _lawson(basis, values, iters):

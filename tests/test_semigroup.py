@@ -1,10 +1,15 @@
 """Semigroup core: heat stepping, fractional powers, extension quadrature."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import fractional_matrix_power
 from scipy.special import kv, gamma as Gamma
 
 from fracext import semigroup
@@ -199,9 +204,10 @@ def test_fractional_apply_eigen_mapping():
 
 
 def test_fractional_apply_zero():
-    st = _stepper_1d(N=64)
-    out, _ = fractional_apply(st, GridFunction.zeros(st.grid), 0.5)
-    assert np.max(np.abs(out.values)) == 0.0
+    for st in (_stepper_1d(N=64), _stepper_2d(CoefficientField.identity(2), 9)):
+        for op in (fractional_apply, fractional_inverse):
+            out, _ = op(st, GridFunction.zeros(st.grid), 0.5)
+            assert np.max(np.abs(out.values)) == 0.0
 
 
 def test_fractional_inverse_and_roundtrip():
@@ -252,11 +258,20 @@ def test_neumann_trace_slope_scalar():
         assert slope == pytest.approx(target, rel=5e-3)
 
 
+def _variable_2d_field():
+    """Variable a^{ij} with a mixed term: its L is nonsymmetric."""
+    return CoefficientField.full_2d(lambda x, y: 1.0 + 0.2 * np.sin(x),
+                                    lambda x, y: 0.3 * np.cos(y),
+                                    lambda x, y: 1.0 + 0.2 * np.cos(x),
+                                    lam=0.4, Lam=1.6)
+
+
+def _stepper_2d(coeff, n):
+    return SemigroupStepper(coeff, BoxGrid.rectangle((0.0, 0.0), (1.0, 1.0), (n, n)))
+
+
 def test_coefficient_field_ellipticity_and_2d_assembly():
-    c = CoefficientField.full_2d(lambda x, y: 1.0 + 0.2 * np.sin(x),
-                                 lambda x, y: 0.3 * np.cos(y),
-                                 lambda x, y: 1.0 + 0.2 * np.cos(x),
-                                 lam=0.4, Lam=1.6)
+    c = _variable_2d_field()
     xs = np.linspace(0, 1, 9)
     ok, emin, emax = c.ellipticity_check(xs[:, None], xs[None, :])
     assert ok and emin >= 0.4 and emax <= 1.6
@@ -289,3 +304,78 @@ def test_2d_mixed_upwind_positivity():
     vals[1:-1, 1:-1] = rng.uniform(0, 1, (19, 19))
     out = st.heat_apply(GridFunction(grid, vals), 0.05, substeps=16)
     assert np.min(out.values) >= -1e-12
+
+
+def _random_2d(grid, seed):
+    vals = np.zeros(grid.shape)
+    vals[1:-1, 1:-1] = np.random.default_rng(seed).standard_normal(
+        (grid.shape[0] - 2, grid.shape[1] - 2))
+    return GridFunction(grid, vals)
+
+
+@pytest.mark.parametrize("field", ["identity", "variable"])
+@pytest.mark.parametrize("n", [9, 13])
+def test_2d_fractional_powers_match_dense_matrix_power(field, n):
+    coeff = CoefficientField.identity(2) if field == "identity" else _variable_2d_field()
+    st_ = _stepper_2d(coeff, n)
+    u = _random_2d(st_.grid, n)
+    L = st_.L.toarray()
+    for s in (0.05, 0.5, 0.95):
+        out, info = fractional_apply(st_, u, s)
+        inv, inv_info = fractional_inverse(st_, u, s)
+        for got, power in ((out, s), (inv, -s)):
+            ref = np.real(fractional_matrix_power(L, power)) @ u.interior()
+            assert np.max(np.abs(got.interior() - ref)) <= 1e-9 * np.max(np.abs(ref))
+            assert np.max(np.abs(got.values[~st_.grid.interior_mask()])) == 0.0
+        for i in (info, inv_info):
+            assert i["symmetric"] == (field == "identity")
+            assert i["interval"][0] == st_.lam_floor and i["sup_rel_error"] <= 1e-6
+            assert 1 <= i["poles"] <= 30
+        back, _ = fractional_apply(st_, inv, s)
+        assert np.max(np.abs(back.values - u.values)) <= 1e-10 * np.max(np.abs(u.values))
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 1.5])
+def test_2d_fractional_powers_reject_s_outside_unit_interval(s):
+    st_ = _stepper_2d(CoefficientField.identity(2), 9)
+    u = _random_2d(st_.grid, 0)
+    for op in (fractional_apply, fractional_inverse):
+        with pytest.raises(ValueError):
+            op(st_, u, s)
+
+
+def test_rational_fit_certificate_rejects_too_wide_an_interval():
+    with pytest.raises(ValueError, match="relative error"):
+        semigroup._power_fit(1.0, 1e12, 0.5)
+
+
+def test_2d_fractional_powers_never_step_the_heat_semigroup(monkeypatch):
+    def no_heat(*args, **kwargs):
+        raise AssertionError("heat semigroup stepped by a 2-D fractional power")
+
+    monkeypatch.setattr(SemigroupStepper, "heat_interior", no_heat)
+    monkeypatch.setattr(SemigroupStepper, "heat_many", no_heat)
+    st_ = _stepper_2d(_variable_2d_field(), 9)
+    u = _random_2d(st_.grid, 1)
+    f, _ = fractional_inverse(st_, u, 0.5)
+    fractional_apply(st_, f, 0.5)
+    assert st_._lu_cache == {}
+
+
+def test_2d_fractional_power_does_not_import_scipy_stats():
+    # AAA's default clean-up imports scipy.stats, about a second on first use
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import fracext\n"
+        "from fracext.gridfn import BoxGrid, GridFunction\n"
+        "from fracext.semigroup import CoefficientField, SemigroupStepper, fractional_apply\n"
+        "grid = BoxGrid.rectangle((0.0, 0.0), (np.pi, np.pi), (7, 7))\n"
+        "st = SemigroupStepper(CoefficientField.identity(2), grid)\n"
+        "u = GridFunction.from_callable(grid, lambda x, y: np.sin(x) * np.sin(y))\n"
+        "fractional_apply(st, u, 0.4)\n"
+        "assert 'scipy.stats' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
