@@ -505,21 +505,13 @@ class ContactReport:
     def measure_ratio(self):
         return self.mu_A / self.mu_B if self.mu_B > 0 else np.inf
 
-    def to_csv(self, path, xs, zs):
-        with open(path, "w") as fh:
-            fh.write("vertex_x,vertex_z,contact_x,contact_z,touching_value\n")
-            for (vx, vz), nodes, c in self.contact_map:
-                for (i, j) in nodes:
-                    fh.write(",".join(repr(float(v))
-                                      for v in (vx, vz, xs[i], zs[j], c)) + "\n")
 
-
-def slide_paraboloids(geom: MAGeometry, xs, zs, U, vertices, opening, tie_tol=1e-12):
+def slide_paraboloids(geom: MAGeometry, xs, zs, U, vertices, opening):
     """Slide paraboloids of fixed opening from below until first touch.
 
     vertices: list of (x_v, z_v).  For each vertex the touching level is
     c(v) = min over grid nodes of U + opening * delta_Phi(v, .) and every node
-    within tie_tol of the minimum is a contact node.  Measures of the contact
+    within 1e-12 max(1, |c|) of the minimum is a contact node.  Measures of the contact
     set and of the vertex set use the exact per-node cells of cell_measures
     (vertices are snapped to their nearest node for the purpose of mu(B)).
     """
@@ -534,7 +526,7 @@ def slide_paraboloids(geom: MAGeometry, xs, zs, U, vertices, opening, tie_tol=1e
         shifted = U + opening * (geom.delta_phi(vx, xs)[:, None]
                                  + geom.delta_h(vz, zs)[None, :])
         c = float(np.min(shifted))
-        tol = tie_tol * max(1.0, abs(c))
+        tol = 1e-12 * max(1.0, abs(c))
         nodes = np.argwhere(shifted <= c + tol)
         for (i, j) in nodes:
             contact_mask[i, j] = True
@@ -558,13 +550,13 @@ class TouchReport:
 
 
 def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius,
-               grad_lattice=None, curv_lattice=None, slope_resolution=1e-3):
+               grad_lattice=None, curv_lattice=None):
     """Search test functions P(x) + a z touching U from above at (x0, 0).
 
     For each quadratic P on the (gradient, curvature) lattice the minimal
     admissible slope is a(P) = max over section nodes with z > 0 of
     (U - P)/z, subject to P >= U on the trace part of the section.  The
-    reported min_slope is the exact infimum snapped up to slope_resolution,
+    reported min_slope is the exact infimum snapped up to a multiple of 1e-3,
     a discrete upper bound for d_z U(x0, 0).  An empty feasible set is
     reported, not raised.
     """
@@ -604,5 +596,5 @@ def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius,
                 best = a_min
     if best is None:
         return TouchReport(False, None, None, [])
-    snapped = float(np.ceil(best / slope_resolution) * slope_resolution)
+    snapped = float(np.ceil(best / 1e-3) * 1e-3)
     return TouchReport(True, snapped, float(best), candidates)

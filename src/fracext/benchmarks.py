@@ -7,17 +7,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extension import ExtensionMesh, ExtensionProblem, HarmonicCombo
+from .extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo, harmonic_mode_profile,
+                        solve_extension, transform_to_y, transform_to_z)
 from .geometry import MAGeometry
 from .semigroup import CoefficientField, bessel_extension_profile, ds_constant
 
 
-def eigen_extension_problem(s, k, Z=1.0, top_from_oracle=True):
+def eigen_extension_problem(s, k, Z=1.0):
     """Neumann problem whose exact solution is sin(kx) times the Bessel profile.
 
     Domain (0, pi), a = 1, f = -d_s k^{2s} sin(kx); lateral data vanish
-    exactly.  The top data come from the closed-form profile (the default) or
-    are homogeneous when Z is large enough for the profile to be negligible.
+    exactly and the top data come from the closed-form profile.
     """
     coeff = CoefficientField.identity(1)
 
@@ -27,12 +27,8 @@ def eigen_extension_problem(s, k, Z=1.0, top_from_oracle=True):
     def oracle(x, z):
         return np.sin(k * np.asarray(x, float)) * bessel_extension_profile(k * k, s, z)
 
-    if top_from_oracle:
-        def g_top(x):
-            return oracle(x, Z)
-    else:
-        def g_top(x):
-            return np.zeros_like(np.asarray(x, float))
+    def g_top(x):
+        return oracle(x, Z)
 
     problem = ExtensionProblem(s=s, coeff=coeff, domain=(0.0, np.pi), Z=Z,
                                bottom=("neumann", f), g_lateral=0.0, g_top=g_top)
@@ -55,7 +51,7 @@ def kinked_trace_problem(s, alpha, mx=260, my=140):
 
     problem = ExtensionProblem(s=s, coeff=coeff, domain=(-half, half), Z=Z,
                                bottom=("neumann", f), g_lateral=0.0, g_top=0.0)
-    mesh = ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0, x_center=0.0)
+    mesh = ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0)
     return problem, mesh
 
 
@@ -72,8 +68,9 @@ def harmonic_combo_problem(s, combo: HarmonicCombo, domain=(-np.sqrt(2.0), np.sq
     return problem
 
 
-def positive_harmonic_family(s, size, seed=0, kmax=3):
-    """Nonnegative exact harmonic combinations: 1 + small random cosine modes.
+def positive_harmonic_family(s, size, seed=0):
+    """Nonnegative exact harmonic combinations: 1 + small random cosine modes
+    with wave numbers 1 to 3.
 
     Coefficients are scaled so the mode part stays below 0.9 on the sampling
     box, keeping every member strictly positive.
@@ -82,13 +79,12 @@ def positive_harmonic_family(s, size, seed=0, kmax=3):
     family = []
     for _ in range(size):
         nmodes = int(rng.integers(1, 4))
-        ks = rng.integers(1, kmax + 1, nmodes)
+        ks = rng.integers(1, 4, nmodes)
         phases = rng.uniform(0.0, 2.0 * np.pi, nmodes)
         raw = rng.uniform(0.2, 1.0, nmodes)
         # the mode profiles grow with y; normalize against their value at the box top
         geom = MAGeometry(s)
         ycap = np.sqrt(2.0 / geom.setup.c_s)
-        from .extension import harmonic_mode_profile
         growth = sum(r * harmonic_mode_profile(s, k, ycap) for r, k in zip(raw, ks))
         amps = 0.9 * raw / growth
         family.append(HarmonicCombo(s, const=1.0,
@@ -132,8 +128,6 @@ def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
     the scaling-invariant variables; the interior derivative estimate is
     saturated by this family and the fitted exponent approaches -order/2.
     """
-    from .extension import solve_extension, transform_to_z
-
     geom = MAGeometry(s)
     cs = geom.setup.c_s
     ratios, rs = [], []
@@ -161,20 +155,19 @@ def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
     return float(np.polyfit(np.log(rs), np.log(ratios), 1)[0])
 
 
-def z_decay_exponent(s, nx=129, my=128, kmode=1.0):
-    """Fitted z-exponent of sup_x |d_z H| for a solved zero-flux harmonic mode.
+def z_decay_exponent(s, nx=129, my=128):
+    """Fitted z-exponent of sup_x |d_z H| for the solved zero-flux harmonic
+    mode cos x.
 
     The y-grading is chosen so the face ladder reaches z ~ 1e-3; the fit runs
     over faces with z in (2e-3, 0.08) and approaches 1/s - 1.
     """
-    from .extension import solve_extension, transform_to_y
-
     geom = MAGeometry(s)
     Z = 1.0
     y_lo = transform_to_y(1e-3, s)
     Y = transform_to_y(Z, s)
     grading = max(1.0, np.log(y_lo / Y) / np.log(1.0 / my))
-    combo = HarmonicCombo(s, const=0.0, modes=[(1.0, kmode, 0.0)])
+    combo = HarmonicCombo(s, const=0.0, modes=[(1.0, 1.0, 0.0)])
     prob = harmonic_combo_problem(s, combo, domain=(-1.0, 1.0), Z=Z)
     st = solve_extension(prob, ExtensionMesh(nx=nx, my=my, grading=grading))
     zf, dz = st.z_derivative_faces()

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import FractionalSetup
+from .gridfn import write_json
 
 SCHEMA_VERSION = 1
 
@@ -238,9 +239,7 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 
     def emit(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.data, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.data)
 
 
 def validate(raw: dict) -> ExperimentConfig:

@@ -32,8 +32,7 @@ the degenerate boundary.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -43,7 +42,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gamma, iv
 
 from .geometry import MAGeometry
-from .gridfn import write_grid_binary
+from .gridfn import write_grid_binary, write_json
 from .semigroup import CoefficientField, tridiagonal_modes, x_operator
 
 
@@ -66,6 +65,17 @@ def transform_to_z(y, s):
         raise ValueError("transform defined for y >= 0")
     out = (y / (2.0 * s)) ** (2.0 * s)
     return out if out.ndim else float(out)
+
+
+def _conductances(y, s):
+    """Exact two-point conductances K_{j+1/2} = 2s / (y_{j+1}^{2s} - y_j^{2s})."""
+    return 2.0 * s / (y[1:] ** (2.0 * s) - y[:-1] ** (2.0 * s))
+
+
+def _dz_factor(s):
+    """(2s)^{2s-1}: d_z U = (2s)^{2s-1} y^{1-2s} d_y W.  Its reciprocal takes
+    the Neumann datum f to the weighted flux (meta "trace_flux_factor")."""
+    return (2.0 * s) ** (2.0 * s - 1.0)
 
 
 # -- problem and mesh descriptions ---------------------------------------------------
@@ -126,18 +136,20 @@ class ExtensionProblem:
 class ExtensionMesh:
     """Tensor mesh: nx nodes per x-axis, my cells in y with power grading
     y_j = Y (j/my)^grading.  x_grading != None grades the x-axis symmetrically
-    toward x_center (power law), which resolves trace-data kinks."""
+    toward x = 0 (power law), which resolves trace-data kinks."""
 
     nx: object = 129
     my: int = 64
     grading: float | None = None
     x_grading: float | None = None
-    x_center: float = 0.0
+
+    def y_grading(self, s):
+        """The y-grading exponent; unset, it is max(1, 1/(2-2s))."""
+        return self.grading if self.grading is not None else max(1.0, 1.0 / (2.0 - 2.0 * s))
 
     def y_nodes(self, Y, s):
-        g = self.grading if self.grading is not None else max(1.0, 1.0 / (2.0 - 2.0 * s))
         j = np.arange(self.my + 1)
-        return Y * (j / self.my) ** g
+        return Y * (j / self.my) ** self.y_grading(s)
 
     def x_axes(self, domain, n):
         doms = [domain] if n == 1 else list(domain)
@@ -147,13 +159,12 @@ class ExtensionMesh:
             if self.x_grading is None or n > 1:
                 axes.append(np.linspace(lo, hi, m))
             else:
-                c = self.x_center
-                if not lo < c < hi:
-                    raise ValueError("x_center must lie inside the domain")
+                if not lo < 0.0 < hi:
+                    raise ValueError("x-graded domain must contain x = 0")
                 half = (m - 1) // 2
-                left = c - (c - lo) * (np.arange(half, 0, -1) / half) ** self.x_grading
-                right = c + (hi - c) * (np.arange(1, half + 1) / half) ** self.x_grading
-                axes.append(np.concatenate([left, [c], right]))
+                left = lo * (np.arange(half, 0, -1) / half) ** self.x_grading
+                right = hi * (np.arange(1, half + 1) / half) ** self.x_grading
+                axes.append(np.concatenate([left, [0.0], right]))
         return axes
 
 
@@ -232,24 +243,22 @@ class ExtensionState:
 
         Solver-produced states carry the full finite-volume trace-row flux
         (two-point flux plus the first-cell source and tangential terms) on
-        the interior x-nodes; otherwise the two-point flux alone is returned.
+        the interior x-nodes; otherwise the two-point flux of the first face
+        is returned.
         """
         fv = self.meta.get("flux_trace_fv")
         if fv is not None:
             return np.asarray(fv, dtype=float)
-        s = self.s
-        y = self.y_nodes
-        K0 = 2.0 * s / (y[1] ** (2 * s) - y[0] ** (2 * s))
-        return (2.0 * s) ** (2.0 * s - 1.0) * K0 * (self.values[1] - self.values[0])
+        return self.z_derivative_faces()[1][0]
 
     def z_derivative_faces(self):
         """(z_faces, d_z U at faces) from the exact two-point fluxes."""
         s = self.s
         y = self.y_nodes
-        K = 2.0 * s / (y[1:] ** (2 * s) - y[:-1] ** (2 * s))
+        K = _conductances(y, s)
         shape = (len(K),) + (1,) * (self.values.ndim - 1)
         flux = K.reshape(shape) * (self.values[1:] - self.values[:-1])
-        dz = (2.0 * s) ** (2.0 * s - 1.0) * flux
+        dz = _dz_factor(s) * flux
         y_faces = 0.5 * (y[1:] + y[:-1])
         return transform_to_z(y_faces, s), dz
 
@@ -264,9 +273,7 @@ class ExtensionState:
             "reflected": self.reflected,
             "meta": {k: v for k, v in self.meta.items() if _json_ok(v)},
         }
-        with open(path_prefix + ".json", "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path_prefix + ".json", sidecar)
 
 
 def _json_ok(v):
@@ -296,9 +303,10 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     my = mesh.my
     two_s = 2.0 * s
 
-    K = two_s / (y[1:] ** two_s - y[:-1] ** two_s)
+    K = _conductances(y, s)
     faces = np.concatenate([[0.0], 0.5 * (y[1:] + y[:-1]), [y[-1]]])
     pw = 2.0 - two_s
+    to_flux = two_s ** (1.0 - two_s)
     Vw = (faces[1:] ** pw - faces[:-1] ** pw) / pw
 
     # mesh-resolution heuristic: the first cell should not carry more than
@@ -343,7 +351,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         gj = np.broadcast_to(problem.g_lateral(*Xfull, zlev[j]), Xfull[0].shape).ravel()
         row = Vw[j] * Fj - Vw[j] * (Bx @ gj)
         if j == 0:
-            ft = (two_s) ** (1.0 - two_s) * np.broadcast_to(
+            ft = to_flux * np.broadcast_to(
                 problem.bottom[1](*Xint), Xint[0].shape).ravel()
             row = row + ft
         if j == 1 and kind == "dirichlet":
@@ -387,19 +395,18 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     g0 = np.broadcast_to(problem.g_lateral(*Xfull, zlev[0]), Xfull[0].shape).ravel()
     F0 = np.broadcast_to(problem.F(*Xint, zlev[0]), Xint[0].shape).ravel()
     ft_read = K[0] * (w1 - w0) + Vw[0] * (Ax @ w0 + Bx @ g0 - F0)
-    flux_fv = ((two_s) ** (two_s - 1.0) * ft_read).reshape(Xint[0].shape)
+    flux_fv = (_dz_factor(s) * ft_read).reshape(Xint[0].shape)
 
     meta = {
         "mode": "transformed",
         "bottom": kind,
-        "grading": mesh.grading if mesh.grading is not None
-        else max(1.0, 1.0 / (2.0 - 2.0 * s)),
+        "grading": mesh.y_grading(s),
         "x_grading": mesh.x_grading,
         "m_matrix": m_matrix,
         "coarse_weight_flag": coarse_flag,
         "Y": float(Y),
         "Z": float(problem.Z),
-        "trace_flux_factor": (two_s) ** (1.0 - two_s),
+        "trace_flux_factor": to_flux,
         "flux_trace_fv": flux_fv,
         "linear_solver": solver,
         "refinement_kept": refined,

@@ -17,8 +17,7 @@ solved for whole arrays of (z0, R) at once by safeguarded Newton steps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
-import json
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq  # unused; perfbench/fxbench/trace.py looks this name up
@@ -279,35 +278,21 @@ class SectionDescriptor:
 
 
 # -- empirical property reports -------------------------------------------------
+#
+# Each check returns a plain dict: its "kind", the order "s" and its measurements.
 
 
-@dataclass
-class GeometryReport:
-    kind: str
-    s: float
-    data: dict = field(default_factory=dict)
-
-    def to_json(self, path=None):
-        payload = {"kind": self.kind, "s": self.s, **self.data}
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
-
-def quasi_triangle_check(geom: MAGeometry, samples=100_000, seed=0,
-                         box=2.0, radius_floor=1e-12):
-    """Empirical quasi-triangle constant over sampled triples.
+def quasi_triangle_check(geom: MAGeometry, samples=100_000, seed=0):
+    """Empirical quasi-triangle constant over triples sampled in [-2, 2]^(n+1).
 
     Returns the largest ratio delta(p1,p2) / (min-sym delta(p1,p3) +
-    min-sym delta(p2,p3)); the constant is existential so only finiteness
-    and K >= 1 are asserted downstream.
+    min-sym delta(p2,p3)) over denominators above 1e-12; the constant is
+    existential so only finiteness and K >= 1 are asserted downstream.
     """
     n = geom.n
     rng = np.random.default_rng(seed)
-    xs = rng.uniform(-box, box, size=(3, samples, n))
-    zs = rng.uniform(-box, box, size=(3, samples))
+    xs = rng.uniform(-2.0, 2.0, size=(3, samples, n))
+    zs = rng.uniform(-2.0, 2.0, size=(3, samples))
 
     def d(i, j):
         dphi = 0.5 * np.sum((xs[j] - xs[i]) ** 2, axis=-1)
@@ -315,13 +300,12 @@ def quasi_triangle_check(geom: MAGeometry, samples=100_000, seed=0,
 
     num = d(0, 1)
     den = np.minimum(d(0, 2), d(2, 0)) + np.minimum(d(1, 2), d(2, 1))
-    ok = den > radius_floor
+    ok = den > 1e-12
     ratios = num[ok] / den[ok]
-    return GeometryReport("quasi-triangle", geom.s, {
-        "samples": int(ok.sum()),
-        "K_hat": float(np.max(ratios)),
-        "median_ratio": float(np.median(ratios)),
-    })
+    return {"kind": "quasi-triangle", "s": geom.s,
+            "samples": int(ok.sum()),
+            "K_hat": float(np.max(ratios)),
+            "median_ratio": float(np.median(ratios))}
 
 
 def scaling_identity_check(geom: MAGeometry, samples=2048, seed=0):
@@ -336,10 +320,9 @@ def scaling_identity_check(geom: MAGeometry, samples=2048, seed=0):
     rhs_hp = geom.hp(rho ** (2 * geom.s) * z)
     err_h = np.max(np.abs(lhs_h - rhs_h) / np.maximum(np.abs(lhs_h), 1e-300))
     err_hp = np.max(np.abs(lhs_hp - rhs_hp) / np.maximum(np.abs(lhs_hp), 1e-300))
-    return GeometryReport("exact-scaling", geom.s, {
-        "max_rel_err_h": float(err_h),
-        "max_rel_err_hp": float(err_hp),
-    })
+    return {"kind": "exact-scaling", "s": geom.s,
+            "max_rel_err_h": float(err_h),
+            "max_rel_err_hp": float(err_hp)}
 
 
 def doubling_check(geom: MAGeometry, sections):
@@ -347,12 +330,11 @@ def doubling_check(geom: MAGeometry, sections):
     z0, R = np.asarray(sections, dtype=float).T
     zlo, zhi = geom.section_interval(z0, R)
     ratios = (zhi - zlo) * geom.mu_h_interval(zlo, zhi) / R
-    return GeometryReport("doubling", geom.s, {
-        "sections": len(ratios),
-        "min_ratio": float(ratios.min()),
-        "max_ratio": float(ratios.max()),
-        "ratios": [float(r) for r in ratios],
-    })
+    return {"kind": "doubling", "s": geom.s,
+            "sections": len(ratios),
+            "min_ratio": float(ratios.min()),
+            "max_ratio": float(ratios.max()),
+            "ratios": [float(r) for r in ratios]}
 
 
 def a_infinity_check(geom: MAGeometry, z0=0.3, R=1.0, levels=8):
@@ -374,11 +356,10 @@ def a_infinity_check(geom: MAGeometry, z0=0.3, R=1.0, levels=8):
         a, b = (zlo, zlo + ell) if anchor_lo else (zhi - ell, zhi)
         leb.append(ell / length)
         wgt.append(geom.mu_h_interval(a, b) / mu_S)
-    return GeometryReport("a-infinity", geom.s, {
-        "z0": z0, "R": R,
-        "lebesgue_ratios": [float(v) for v in leb],
-        "weight_ratios": [float(v) for v in wgt],
-    })
+    return {"kind": "a-infinity", "s": geom.s,
+            "z0": z0, "R": R,
+            "lebesgue_ratios": [float(v) for v in leb],
+            "weight_ratios": [float(v) for v in wgt]}
 
 
 def quotient_check(geom: MAGeometry, samples=20_000, seed=0, tol=1e-10):
@@ -392,18 +373,17 @@ def quotient_check(geom: MAGeometry, samples=20_000, seed=0, tol=1e-10):
     z = np.exp(rng.uniform(np.log(1e-4), np.log(1e1), samples))
     keep = np.abs(z - z0) > 1e-12
     q = geom.quotient(z0[keep], z[keep])
-    return GeometryReport("quotient", geom.s, {
-        "samples": int(keep.sum()),
-        "min_Q": float(q.min()),
-        "passes": bool(q.min() >= 1.0 - tol),
-    })
+    return {"kind": "quotient", "s": geom.s,
+            "samples": int(keep.sum()),
+            "min_Q": float(q.min()),
+            "passes": bool(q.min() >= 1.0 - tol)}
 
 
-def engulfing_check(geom: MAGeometry, samples=10_000, seed=0,
-                    t_range=(1e-3, 10.0), center_box=2.0):
+def engulfing_check(geom: MAGeometry, samples=10_000, seed=0):
     """Monte-Carlo engulfing constants for cubes in x and sections in z.
 
-    For sampled (r1 < r2 <= 1, t, inner point) the largest radius tau such
+    For sampled (r1 < r2 <= 1, t in [1e-3, 10] log-uniform, z-center in
+    [-2, 2], inner point) the largest radius tau such
     that the inner cube/section of radius tau still fits inside the outer one
     is computed exactly; the report gives the lower-envelope constants
     (C, p) with C (r2-r1)^p t <= tau over every sample, so violations at the
@@ -413,7 +393,7 @@ def engulfing_check(geom: MAGeometry, samples=10_000, seed=0,
     rng = np.random.default_rng(seed)
     r2 = rng.uniform(0.05, 1.0, samples)
     r1 = r2 * rng.uniform(0.05, 0.95, samples)
-    t = np.exp(rng.uniform(np.log(t_range[0]), np.log(t_range[1]), samples))
+    t = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), samples))
 
     # x component: cubes are products of per-coordinate intervals
     half_outer = np.sqrt(2.0 * r2 * t)
@@ -421,7 +401,7 @@ def engulfing_check(geom: MAGeometry, samples=10_000, seed=0,
     tau_x = 0.5 * np.min((half_outer[:, None] - np.abs(x1)) ** 2, axis=1)
 
     # z component: sections of h
-    z0 = rng.uniform(-center_box, center_box, samples)
+    z0 = rng.uniform(-2.0, 2.0, samples)
     zlo, zhi = geom.section_interval(z0, r2 * t)
     # inner center z1 sampled inside S_{r1 t}(z0)
     ilo, ihi = geom.section_interval(z0, r1 * t)
@@ -439,9 +419,8 @@ def engulfing_check(geom: MAGeometry, samples=10_000, seed=0,
 
     C0, p0, v0 = envelope(tau_x)
     C1, p1, v1 = envelope(tau_z)
-    return GeometryReport("engulfing", geom.s, {
-        "samples": samples, "n": n,
-        "C0_hat": C0, "p0_hat": p0,
-        "C1_hat": C1, "p1_hat": p1,
-        "violations": v0 + v1,
-    })
+    return {"kind": "engulfing", "s": geom.s,
+            "samples": samples, "n": n,
+            "C0_hat": C0, "p0_hat": p0,
+            "C1_hat": C1, "p1_hat": p1,
+            "violations": v0 + v1}

@@ -1,6 +1,11 @@
-"""Tensor grids over boxes and grid functions with CSV / binary serialization.
+"""Tensor grids over boxes, grid functions, and the JSON, CSV and binary writers of run outputs.
 
-Binary format (little-endian, documented for external consumers):
+Every JSON and CSV file a run writes goes through this module, which owns
+their formats: JSON (write_json) has sorted keys, a two-space indent and a
+trailing newline; CSV (write_csv) has a header line and float cells as
+repr(float), which reads back bit-exactly, other cells as str().
+
+Binary grid format (little-endian, documented for external consumers):
 
     bytes 0-3   magic  b"FXGB"
     uint32      format version (1)
@@ -16,6 +21,7 @@ Binary format (little-endian, documented for external consumers):
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -72,9 +78,9 @@ class BoxGrid:
 
 
 class GridFunction:
-    """Values sampled on a BoxGrid; boundary nodes carry the Dirichlet value."""
+    """Values sampled on a BoxGrid; boundary nodes carry the Dirichlet data."""
 
-    def __init__(self, grid: BoxGrid, values, dirichlet_value=0.0):
+    def __init__(self, grid: BoxGrid, values):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
@@ -82,7 +88,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         self.grid = grid
         self.values = values
-        self.dirichlet_value = float(dirichlet_value)
 
     @staticmethod
     def zeros(grid):
@@ -98,7 +103,7 @@ class GridFunction:
         return gf
 
     def copy_with(self, values):
-        return GridFunction(self.grid, values, self.dirichlet_value)
+        return GridFunction(self.grid, values)
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
@@ -114,11 +119,7 @@ class GridFunction:
         cols = [m.ravel() for m in mesh] + [self.values.ravel()]
         names = [f"x{i + 1}" for i in range(self.grid.ndim - 1)] + ["z"] if self.grid.ndim > 1 \
             else ["x1"]
-        header = ",".join(names) + ",value"
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, names + ["value"], zip(*cols))
 
     def to_binary(self, path):
         write_grid_binary(path, self.values, los=self.grid.los, his=self.grid.his)
@@ -129,6 +130,22 @@ class GridFunction:
         if axes is not None:
             raise ValueError("file stores explicit axes; use read_grid_binary directly")
         return GridFunction(BoxGrid(los, his, values.shape), values)
+
+
+def write_json(path, payload):
+    """Write a JSON-native payload in the report format."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows):
+    """Write the header names and the rows in the report CSV format."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def write_grid_binary(path, values, los=None, his=None, axes=None):

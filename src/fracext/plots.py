@@ -50,13 +50,13 @@ def _axes_box(parts, xlabel, ylabel):
                  f'transform="rotate(-90 18 {_H // 2})">{ylabel}</text>')
 
 
-def svg_loglog(path, xs, ys, ref_slope=None, title="decay", xlabel="r", ylabel="E",
-               meta_comment=""):
-    """Log-log scatter+line with an optional dashed reference-slope line."""
+def svg_loglog(path, xs, ys, ref_slope=None, title="decay", meta_comment=""):
+    """Log-log scatter+line of E against r with an optional dashed
+    reference-slope line."""
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     parts = _header(title, meta_comment)
-    _axes_box(parts, f"log10 {xlabel}", f"log10 {ylabel}")
+    _axes_box(parts, "log10 r", "log10 E")
     pts = [(np.log10(x), np.log10(y)) for x, y in zip(xs, ys) if x > 0 and y > 0]
     if not pts:
         parts.append(f'<text x="{_W // 2}" y="{_H // 2}" text-anchor="middle" '

@@ -6,13 +6,14 @@ the end-to-end fractional estimate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .benchmarks import harmonic_combo_problem
 from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
-                        HarmonicCombo, rescale_solution, solve_extension)
+                        HarmonicCombo, rescale_solution, solve_extension,
+                        transform_to_y)
 from .fitting import sup_fit
 from .geometry import MAGeometry
 from .semigroup import CoefficientField
@@ -75,13 +76,6 @@ class HarnackReport:
     F_term: float
     quotient: float
 
-    def to_json(self, path=None):
-        text = json.dumps(self.__dict__, sort_keys=True, indent=2)
-        if path:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
 
 def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R, kappa=0.5,
                      f_fn=None, F_fn=None) -> HarnackReport:
@@ -137,7 +131,7 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     reports = []
     for combo in family:
         vals = np.broadcast_to(combo(xs[None, :], zs[:, None]), (len(zs), len(xs)))
-        state = ExtensionState(s, [xs], 2.0 * s * zs ** (1.0 / (2 * s)), vals, 0.0, 0.0,
+        state = ExtensionState(s, [xs], transform_to_y(zs, s), vals, 0.0, 0.0,
                                meta={"synthetic": True}, reflected=True)
         reports.append(harnack_quotient(geom, state, (0.0, 0.0), R, kappa))
     quotients = np.array([r.quotient for r in reports])
@@ -159,27 +153,16 @@ def approximation_distance(s, eps0, mesh=None, boundary=None):
     """
     geom = MAGeometry(s)
     mesh = mesh or ExtensionMesh(nx=129, my=48)
-    domain = (-np.sqrt(2.0), np.sqrt(2.0))
-    Z = geom.setup.q_s  # h(Z) = 1
     boundary = boundary or HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)])
-
-    def g_lat(x, z):
-        return boundary(x, z)
-
-    def g_top(x):
-        return boundary(x, Z)
-
+    prob_h = harmonic_combo_problem(s, boundary)  # on S_1 x (0, Z), h(Z) = 1
     lam = max(1e-6, 1.0 - 0.45 * eps0)
     coeff_p = CoefficientField.scalar_1d(lambda x: 1.0 + 0.45 * eps0 * np.cos(2.0 * x),
                                          lam, 1.0 + 0.45 * eps0)
     prob_p = ExtensionProblem(
-        s=s, coeff=coeff_p, domain=domain, Z=Z,
+        s=s, coeff=coeff_p, domain=prob_h.domain, Z=prob_h.Z,
         bottom=("neumann", lambda x: 0.3 * eps0 * np.sin(3.0 * x)),
         F=lambda x, z: 0.25 * eps0 * np.cos(x) * np.ones_like(np.asarray(x, float)),
-        g_lateral=g_lat, g_top=g_top)
-    prob_h = ExtensionProblem(
-        s=s, coeff=CoefficientField.identity(1), domain=domain, Z=Z,
-        bottom=("neumann", 0.0), F=0.0, g_lateral=g_lat, g_top=g_top)
+        g_lateral=prob_h.g_lateral, g_top=prob_h.g_top)
     U = solve_extension(prob_p, mesh)
     H = solve_extension(prob_h, mesh)
     Zq, Xq = np.meshgrid(U.z_nodes, U.x_axes[0], indexing="ij")
@@ -199,8 +182,9 @@ def _case_basis(case, X, Z, geom: MAGeometry):
     return np.stack([ones, X, 0.5 * X**2, geom.h(Z)], axis=1)
 
 
-def _region(state: ExtensionState, geom: MAGeometry, r, case, node_cap=6000):
-    """Nodes of S_{r^2} x S_{zcap}^+ (zcap = r^2, or r^3 in the degenerate case)."""
+def _region(state: ExtensionState, geom: MAGeometry, r, case):
+    """Nodes of S_{r^2} x S_{zcap}^+ (zcap = r^2, or r^3 in the degenerate
+    case), thinned by a fixed stride to at most 6000."""
     xw = np.sqrt(2.0) * r
     zcap = r**2 if case in (1, 2) else r**3
     zlim = geom.section_interval(0.0, zcap)[1]
@@ -212,8 +196,8 @@ def _region(state: ExtensionState, geom: MAGeometry, r, case, node_cap=6000):
     sub = state.values[np.ix_(selz, selx)]
     Z, X = np.meshgrid(state.z_nodes[selz], xs[selx], indexing="ij")
     X, Z, V = X.ravel(), Z.ravel(), sub.ravel()
-    if len(V) > node_cap:
-        stride = int(np.ceil(len(V) / node_cap))
+    if len(V) > 6000:
+        stride = int(np.ceil(len(V) / 6000))
         X, Z, V = X[::stride], Z[::stride], V[::stride]
     return X, Z, V
 
@@ -229,29 +213,6 @@ class DecayReport:
     kept: list
     increments: dict = field(default_factory=dict)
     truncated: bool = False
-
-    def to_json(self, path=None):
-        payload = {
-            "case": self.case, "rho": self.rho,
-            "fitted_exponent": self.fitted_exponent,
-            "noise_floor": self.noise_floor,
-            "fit_window": self.fit_window,
-            "truncated": self.truncated,
-            "scales": self.scales,
-            "kept": self.kept,
-            "increments": self.increments,
-        }
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        if path:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("j,r,nodes,sup_error\n")
-            for row in self.scales:
-                fh.write(f"{row['j']},{row['r']!r},{row['nodes']},{row['E']!r}\n")
 
 
 def schauder_decay(state: ExtensionState, case, rho=0.5, depth=9, noise_floor=0.0,
@@ -319,13 +280,6 @@ class CampanatoReport:
     increments: dict
     limit: dict
     truncated: bool = False
-
-    def to_json(self, path=None):
-        text = json.dumps(self.__dict__, sort_keys=True, indent=2, default=list)
-        if path:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
 
 
 def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
@@ -407,13 +361,6 @@ class NormReport:
     holder_seminorm: float
     data_norm: float
     ratio: float
-
-    def to_json(self, path=None):
-        text = json.dumps(self.__dict__, sort_keys=True, indent=2)
-        if path:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
 
 
 def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:

@@ -1,31 +1,33 @@
 """Experiment orchestration: dispatch a validated config to the module
 pipelines, persist reports/plots, and assemble a run manifest.
 
-Reports never contain timestamps, so a fixed config+seed reproduces them
-byte-for-byte; the manifest carries the only timestamps of a run.
+Reports are plain data (dicts, or dataclasses taken apart by asdict) and
+every JSON and CSV file of a run is written by gridfn.write_json and
+gridfn.write_csv, which fix the format.  Reports never contain timestamps,
+so a fixed config+seed reproduces them byte-for-byte; the manifest carries
+the only timestamps of a run.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .barriers import (BarrierCase1, BarrierNotFound, inf_convolution,
                        search_case2_parameters, slide_paraboloids)
-from .benchmarks import (eigen_extension_problem, harmonic_combo_problem,
-                         kinked_trace_problem, positive_harmonic_family,
-                         sliding_fixture, vertex_lattice)
+from .benchmarks import (eigen_extension_problem, kinked_trace_problem,
+                         positive_harmonic_family, sliding_fixture, vertex_lattice)
 from .config import ExperimentConfig
-from .extension import ExtensionMesh, ExtensionState, HarmonicCombo, solve_extension, transform_to_y
+from .extension import (ExtensionMesh, ExtensionState, HarmonicCombo, solve_extension,
+                        transform_to_z)
 from .geometry import (MAGeometry, a_infinity_check, doubling_check, engulfing_check,
                        quasi_triangle_check, quotient_check, scaling_identity_check)
-from .gridfn import BoxGrid, GridFunction
+from .gridfn import BoxGrid, GridFunction, write_csv, write_json
 from .plots import svg_heatmap, svg_loglog
 from .regularity import (campanato_iterate, harnack_family_report,
                          interior_norm_report, schauder_decay)
@@ -71,15 +73,7 @@ class RunManifest:
             self.exit_status = 1
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, sort_keys=True, indent=2, default=str)
-            fh.write("\n")
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        write_json(path, asdict(self))
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
@@ -116,26 +110,20 @@ def _run_geometry(cfg, outdir):
     db = doubling_check(geom, sections)
     ai = a_infinity_check(geom, z0=0.3, R=1.0)
     en = engulfing_check(geom, prob["engulfing_samples"], seed=seed)
-    details = {
-        "quasi_triangle": json.loads(qt.to_json()),
-        "exact_scaling": json.loads(sc.to_json()),
-        "doubling": json.loads(db.to_json()),
-        "a_infinity": json.loads(ai.to_json()),
-        "engulfing": json.loads(en.to_json()),
-    }
-    ok = (np.isfinite(qt.data["K_hat"]) and qt.data["K_hat"] >= 1.0
-          and sc.data["max_rel_err_h"] < TOLERANCES["scaling_rel_error"]
-          and sc.data["max_rel_err_hp"] < TOLERANCES["scaling_rel_error"]
-          and db.data["min_ratio"] > 0.0 and np.isfinite(db.data["max_ratio"])
-          and all(a > b for a, b in zip(ai.data["weight_ratios"][:-1],
-                                        ai.data["weight_ratios"][1:]))
-          and en.data["violations"] == 0)
+    details = {"quasi_triangle": qt, "exact_scaling": sc, "doubling": db,
+               "a_infinity": ai, "engulfing": en}
+    ok = (np.isfinite(qt["K_hat"]) and qt["K_hat"] >= 1.0
+          and sc["max_rel_err_h"] < TOLERANCES["scaling_rel_error"]
+          and sc["max_rel_err_hp"] < TOLERANCES["scaling_rel_error"]
+          and db["min_ratio"] > 0.0 and np.isfinite(db["max_ratio"])
+          and all(a > b for a, b in zip(ai["weight_ratios"][:-1], ai["weight_ratios"][1:]))
+          and en["violations"] == 0)
     if setup.s <= 0.5:
         q = quotient_check(geom, seed=seed)
-        details["quotient"] = json.loads(q.to_json())
-        ok = ok and q.data["passes"]
+        details["quotient"] = q
+        ok = ok and q["passes"]
     path = os.path.join(outdir, "geometry_report.json")
-    _write_json(path, details)
+    write_json(path, details)
     return ok, details, [path]
 
 
@@ -167,7 +155,7 @@ def _run_fractional(cfg, outdir):
         details["roundtrip_rel_error"] = rt
         ok = ok and rt < TOLERANCES["roundtrip_rel_error"]
     path = os.path.join(outdir, "fractional_report.json")
-    _write_json(path, details)
+    write_json(path, details)
     return ok, details, [path]
 
 
@@ -198,7 +186,7 @@ def _run_solve_extension(cfg, outdir):
     ok = (field_err < TOLERANCES["field_error"]
           and state.residual_interior < TOLERANCES["residual_interior"])
     path = os.path.join(outdir, "extension_report.json")
-    _write_json(path, details)
+    write_json(path, details)
     return ok, details, outputs + [path]
 
 
@@ -224,7 +212,7 @@ def _run_barrier(cfg, outdir):
             details.update(eps=bar.eps, eps0=bar.profile.eps0, alpha=bar.alpha,
                            **bar.verify(samples=int(prob["samples"]), seed=cfg.seed))
     path = os.path.join(outdir, "barrier_report.json")
-    _write_json(path, details)
+    write_json(path, details)
     return details.get("passes", False), details, [path]
 
 
@@ -266,9 +254,11 @@ def _run_sliding(cfg, outdir):
     details["infconv_monotone"] = monotone
     ok = ok and below and monotone
     csv = os.path.join(outdir, "contacts.csv")
-    rep.to_csv(csv, xs, zs)
+    write_csv(csv, ["vertex_x", "vertex_z", "contact_x", "contact_z", "touching_value"],
+              [(vx, vz, xs[i], zs[j], c)
+               for (vx, vz), nodes, c in rep.contact_map for (i, j) in nodes])
     path = os.path.join(outdir, "sliding_report.json")
-    _write_json(path, details)
+    write_json(path, details)
     return ok, details, [path, csv]
 
 
@@ -291,12 +281,9 @@ def _run_harnack(cfg, outdir):
         details["C_H_drift"] = drift
         ok = ok and drift <= TOLERANCES["harnack_drift"]
     path = os.path.join(outdir, "harnack_report.json")
-    _write_json(path, details)
+    write_json(path, details)
     csv = os.path.join(outdir, "harnack_quotients.csv")
-    with open(csv, "w") as fh:
-        fh.write("index,quotient\n")
-        for i, qv in enumerate(quotients):
-            fh.write(f"{i},{qv!r}\n")
+    write_csv(csv, ["index", "quotient"], enumerate(quotients))
     return ok, details, [path, csv]
 
 
@@ -339,13 +326,13 @@ def _run_schauder(cfg, outdir):
         errs = [row["E"] for row in report.scales]
         ok = max(errs) < TOLERANCES["polynomial_error"]
         reference = None
-    details = json.loads(report.to_json())
-    details["target"] = reference
+    details = {**asdict(report), "target": reference}
     outputs = []
     jsonp = os.path.join(outdir, "decay_report.json")
-    report.to_json(jsonp)
+    write_json(jsonp, asdict(report))
     csvp = os.path.join(outdir, "decay_report.csv")
-    report.to_csv(csvp)
+    write_csv(csvp, ["j", "r", "nodes", "sup_error"],
+              [(row["j"], row["r"], row["nodes"], row["E"]) for row in report.scales])
     outputs += [jsonp, csvp]
     if cfg.emit_plots:
         svg = os.path.join(outdir, "decay.svg")
@@ -358,13 +345,11 @@ def _run_schauder(cfg, outdir):
 
 
 def _synthetic_state(s, fn, mx=200, my=96):
-    """Exact-valued state on the standard graded grid (noise floor ~ machine)."""
-    xs = np.concatenate([-np.sqrt(2.0) * (np.arange(mx, 0, -1) / mx) ** 2.0, [0.0],
-                         np.sqrt(2.0) * (np.arange(1, mx + 1) / mx) ** 2.0])
-    geom = MAGeometry(s)
-    Y = np.sqrt(2.0 / geom.setup.c_s)
-    y = Y * (np.arange(my + 1) / my) ** 3.0
-    from .extension import transform_to_z
+    """Exact-valued state on the kinked benchmark's graded grid over S_1 x
+    (0, Z), h(Z) = 1 (noise floor ~ machine)."""
+    mesh = ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0)
+    xs, = mesh.x_axes((-np.sqrt(2.0), np.sqrt(2.0)), 1)
+    y = mesh.y_nodes(np.sqrt(2.0 / MAGeometry(s).setup.c_s), s)
     zg = transform_to_z(y, s)
     vals = np.asarray(fn(xs[None, :], zg[:, None]), float)
     vals = np.broadcast_to(vals, (my + 1, len(xs))).copy()
@@ -411,11 +396,11 @@ def _run_end_to_end(cfg, outdir):
     f_holder = float(np.max(diff[m] / dist[m] ** alpha))
     data_norm = float(np.max(np.abs(f.values))) + f_holder
     rep = interior_norm_report(x, u.values, gamma_total, sub, data_norm)
-    details = {"eigen_rel_error": rel, "norm_report": json.loads(rep.to_json()),
+    details = {"eigen_rel_error": rel, "norm_report": asdict(rep),
                "f_holder_const": f_holder}
     ok = rel < TOLERANCES["eigen_rel_error"] and np.isfinite(rep.ratio)
     path = os.path.join(outdir, "endtoend_report.json")
-    _write_json(path, details)
+    write_json(path, details)
     return ok, details, [path]
 
 

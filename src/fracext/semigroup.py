@@ -70,7 +70,7 @@ def ds_constant(s):
 class CoefficientField:
     """Symmetric uniformly elliptic coefficients a^{ij}(x) on dimension n in {1, 2}."""
 
-    def __init__(self, n, fn, lam, Lam, continuity="constant"):
+    def __init__(self, n, fn, lam, Lam):
         if n not in (1, 2):
             raise ValueError("only n = 1 or 2 supported")
         if not 0 < lam <= Lam:
@@ -79,7 +79,6 @@ class CoefficientField:
         self._fn = fn
         self.lam = float(lam)
         self.Lam = float(Lam)
-        self.continuity = continuity
 
     @staticmethod
     def identity(n=1):
@@ -93,14 +92,14 @@ class CoefficientField:
         return CoefficientField(2, fn, 1.0, 1.0)
 
     @staticmethod
-    def scalar_1d(fn, lam, Lam, continuity="sampled"):
-        return CoefficientField(1, fn, lam, Lam, continuity)
+    def scalar_1d(fn, lam, Lam):
+        return CoefficientField(1, fn, lam, Lam)
 
     @staticmethod
-    def full_2d(a11, a12, a22, lam, Lam, continuity="sampled"):
+    def full_2d(a11, a12, a22, lam, Lam):
         """a^{ij} given by three callables of (x, y)."""
         return CoefficientField(2, lambda x, y: (a11(x, y), a12(x, y), a22(x, y)),
-                                lam, Lam, continuity)
+                                lam, Lam)
 
     def components(self, *coords):
         """a11 (n=1) or (a11, a12, a22) arrays broadcast over the coordinates."""
@@ -287,7 +286,7 @@ class SemigroupStepper:
     """
 
     def __init__(self, coeff: CoefficientField, grid: BoxGrid, integrator="cn-rannacher",
-                 dt_max=1e-2, decay_cut=30.0):
+                 dt_max=1e-2):
         self.coeff = coeff
         self.grid = grid
         self.integrator = integrator
@@ -298,11 +297,11 @@ class SemigroupStepper:
         self._lu_cache = {}
         # provable spectral floor: the 3-point Dirichlet eigenvalue on (lo, hi)
         # is at least 8/L^2 for any spacing, so ||e^{-tL}u|| <= e^{-lam_floor t}||u||;
-        # beyond decay_cut e-folds the solve is zero to machine precision.  The
+        # beyond 30 e-folds the solve is zero to machine precision.  The
         # floor is also the lower end of the 2-D rational fits.
         self.lam_floor = coeff.lam * sum(8.0 / (hi - lo) ** 2
                                          for lo, hi in zip(grid.los, grid.his))
-        self._t_cutoff = decay_cut / self.lam_floor
+        self._t_cutoff = 30.0 / self.lam_floor
 
     @cached_property
     def _modes(self):

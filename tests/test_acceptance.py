@@ -19,7 +19,7 @@ from fracext.barriers import BarrierCase1, inf_convolution, search_case2_paramet
 from fracext.benchmarks import (eigen_extension_problem, kinked_trace_problem,
                                 positive_harmonic_family, sliding_fixture,
                                 vertex_lattice, z_decay_exponent)
-from fracext.config import default_config
+from fracext.config import EXPERIMENT_KINDS, validate
 from fracext.extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo,
                                solve_extension, transform_to_y)
 from fracext.geometry import (FractionalSetup, MAGeometry, doubling_check,
@@ -118,17 +118,17 @@ def test_criterion_05_geometry_property_suite():
     for s in S_VALUES:
         geom = MAGeometry(s)
         qt = quasi_triangle_check(geom, samples=100_000, seed=11)
-        K = qt.data["K_hat"]
+        K = qt["K_hat"]
         ok &= np.isfinite(K) and K >= 1.0
         sc = scaling_identity_check(geom, seed=11)
-        ok &= sc.data["max_rel_err_h"] < 1e-12 and sc.data["max_rel_err_hp"] < 1e-12
+        ok &= sc["max_rel_err_h"] < 1e-12 and sc["max_rel_err_hp"] < 1e-12
         sections = [(z0, R) for z0 in (0.0, 0.7, 2.0) for R in np.geomspace(1e-3, 10, 9)]
         db = doubling_check(geom, sections)
-        ok &= db.data["min_ratio"] > 0 and np.isfinite(db.data["max_ratio"])
+        ok &= db["min_ratio"] > 0 and np.isfinite(db["max_ratio"])
         msgs.append(f"s={s}: K^={K:.2f}")
     for s in (0.25, 0.4, 0.5):
         q = quotient_check(MAGeometry(s), samples=40_000, seed=11)
-        ok &= q.data["min_Q"] >= 1.0 - 1e-10
+        ok &= q["min_Q"] >= 1.0 - 1e-10
     _report(5, ok, "; ".join(msgs) + "; scaling 1e-12, doubling bounded, Q >= 1-1e-10")
 
 
@@ -275,17 +275,33 @@ def test_criterion_12_harnack_quotients():
     _report(12, ok, f"{total}-solution family; " + "; ".join(details))
 
 
-def test_criterion_13_determinism(tmp_path):
-    """Identical config + seed reproduce byte-identical reports."""
+# Tiny (setup, problem) per experiment kind for the determinism reruns.
+_TINY_RUNS = {
+    "geometry-check": ({"s": 0.4}, {"samples": 100, "engulfing_samples": 10}),
+    "fractional-apply": ({"s": 0.4}, {"grid_points": 16, "inverse": True,
+                                      "quadrature": {"nodes": 8, "substeps": 2}}),
+    "solve-extension": ({"s": 0.4}, {"nx": 17, "my": 8}),
+    "barrier-check": ({"s": 0.4}, {"case": 1, "samples": 20}),
+    "slide-paraboloids": ({"s": 0.4}, {"nx": 9, "nz": 9, "vertex_stride": 2,
+                                       "check_refinement": False}),
+    "harnack": ({"s": 0.4}, {"family_size": 2, "nx": 17, "my": 8}),
+    "schauder-decay": ({"s": 0.4, "alpha": 0.5}, {"benchmark": "kinked", "case": 2,
+                                                  "mx": 40, "my": 24}),
+    "end-to-end": ({"s": 0.4}, {"grid_points": 16}),
+}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_criterion_13_determinism(tmp_path, kind):
+    """Identical config + seed reproduce byte-identical reports and plots."""
+    setup, problem = _TINY_RUNS[kind]
     dirs = [tmp_path / "r1", tmp_path / "r2"]
     for d in dirs:
-        cfg = default_config("geometry-check")
-        cfg.data["problem"]["samples"] = 5000
-        cfg.data["problem"]["engulfing_samples"] = 500
-        cfg.data["seed"] = 9
-        run(cfg, str(d))
-    ok = True
-    for name in sorted(os.listdir(dirs[0])):
+        run(validate({"experiment": kind, "setup": setup, "problem": problem, "seed": 9,
+                      "emit_plots": True}), str(d))
+    names = sorted(os.listdir(dirs[0]))
+    ok = names == sorted(os.listdir(dirs[1])) and len(names) >= 2
+    for name in names:
         b1 = (dirs[0] / name).read_bytes()
         b2 = (dirs[1] / name).read_bytes()
         if name == "manifest.json":
@@ -296,4 +312,5 @@ def test_criterion_13_determinism(tmp_path):
             ok &= m1 == m2
         else:
             ok &= b1 == b2
-    _report(13, ok, "reports byte-identical across reruns (timestamps excluded)")
+    _report(13, ok, f"{kind}: {len(names)} outputs byte-identical across reruns "
+                    "(timestamps excluded)")

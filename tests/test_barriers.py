@@ -10,8 +10,10 @@ from fracext.barriers import (EPS_LADDER, SCAN_MARGIN, BarrierCase1, BarrierCase
                               polynomial_to_MA, pucci, sample_annulus,
                               search_case2_parameters, slide_paraboloids, touch_test)
 from fracext.benchmarks import eigen_extension_problem, sliding_fixture, vertex_lattice
+from fracext.config import validate
 from fracext.extension import ExtensionMesh, solve_extension
 from fracext.geometry import MAGeometry
+from fracext.runner import run
 from fracext.semigroup import ds_constant
 
 
@@ -391,14 +393,14 @@ def test_cell_measures_partition():
 
 
 def test_contact_csv(tmp_path):
-    g = MAGeometry(0.5)
-    xs, zs, U = sliding_fixture(g, "convex", nx=21, nz=21)
-    rep = slide_paraboloids(g, xs, zs, U, [(0.0, 0.5)], 1.0)
-    p = tmp_path / "contacts.csv"
-    rep.to_csv(p, xs, zs)
-    lines = p.read_text().strip().split("\n")
+    cfg = validate({"experiment": "slide-paraboloids", "setup": {"s": 0.5},
+                    "problem": {"fixture": "convex", "nx": 21, "nz": 21, "vertex_stride": 10,
+                                "check_refinement": False}})
+    run(cfg, str(tmp_path))
+    lines = (tmp_path / "contacts.csv").read_text().strip().split("\n")
     assert lines[0] == "vertex_x,vertex_z,contact_x,contact_z,touching_value"
-    assert len(lines) >= 2
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) >= 9 and all(len(r) == 5 for r in rows)  # one contact per vertex
 
 
 # -- touch test ----------------------------------------------------------------------------

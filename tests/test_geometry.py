@@ -206,14 +206,14 @@ def test_scale_point_membership_property():
 def test_exact_scaling_identity():
     for s in (0.25, 0.5, 0.75):
         rep = scaling_identity_check(MAGeometry(s), seed=1)
-        assert rep.data["max_rel_err_h"] < 1e-12
-        assert rep.data["max_rel_err_hp"] < 1e-12
+        assert rep["max_rel_err_h"] < 1e-12
+        assert rep["max_rel_err_hp"] < 1e-12
 
 
 def test_quasi_triangle_finite():
     for s in (0.25, 0.5, 0.75):
         rep = quasi_triangle_check(MAGeometry(s), samples=20_000, seed=2)
-        K = rep.data["K_hat"]
+        K = rep["K_hat"]
         assert np.isfinite(K) and K >= 1.0
 
 
@@ -222,21 +222,21 @@ def test_doubling_origin_closed_form():
     for s in (0.25, 0.5, 0.75):
         g = MAGeometry(s)
         rep = doubling_check(g, [(0.0, R) for R in (1e-3, 1e-1, 1.0, 10.0)])
-        assert rep.data["min_ratio"] == pytest.approx(4.0 / s, rel=1e-10)
-        assert rep.data["max_ratio"] == pytest.approx(4.0 / s, rel=1e-10)
+        assert rep["min_ratio"] == pytest.approx(4.0 / s, rel=1e-10)
+        assert rep["max_ratio"] == pytest.approx(4.0 / s, rel=1e-10)
 
 
 def test_doubling_off_center_bounded():
     g = MAGeometry(0.75)
     rep = doubling_check(g, [(2.0, R) for R in np.geomspace(1e-3, 1.0, 7)])
-    assert rep.data["min_ratio"] > 0
-    assert np.isfinite(rep.data["max_ratio"])
+    assert rep["min_ratio"] > 0
+    assert np.isfinite(rep["max_ratio"])
 
 
 def test_a_infinity_trend():
     for s in (0.25, 0.75):
         rep = a_infinity_check(MAGeometry(s), z0=0.3, R=1.0, levels=8)
-        w = rep.data["weight_ratios"]
+        w = rep["weight_ratios"]
         assert all(a > b for a, b in zip(w[:-1], w[1:]))
         assert w[-1] < 0.05
 
@@ -244,7 +244,7 @@ def test_a_infinity_trend():
 def test_quotient_bound_nondegenerate_regime():
     for s in (0.25, 0.4, 0.5):
         rep = quotient_check(MAGeometry(s), samples=20_000, seed=3)
-        assert rep.data["min_Q"] >= 1.0 - 1e-10
+        assert rep["min_Q"] >= 1.0 - 1e-10
     # degenerate regime: the quotient drops below 1 near z = 0, which is why
     # the second barrier construction exists
     g = MAGeometry(0.75)
@@ -254,9 +254,9 @@ def test_quotient_bound_nondegenerate_regime():
 def test_engulfing_no_violations():
     for s in (0.25, 0.5):
         rep = engulfing_check(MAGeometry(s), samples=3000, seed=4)
-        assert rep.data["violations"] == 0
-        assert rep.data["C0_hat"] > 0 and rep.data["C1_hat"] > 0
-        assert rep.data["p0_hat"] >= 1.0 and rep.data["p1_hat"] >= 1.0
+        assert rep["violations"] == 0
+        assert rep["C0_hat"] > 0 and rep["C1_hat"] > 0
+        assert rep["p0_hat"] >= 1.0 and rep["p1_hat"] >= 1.0
 
 
 def test_engulfing_quadratic_exact_constants():

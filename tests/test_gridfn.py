@@ -1,11 +1,14 @@
 """Grid containers and the documented CSV / binary serialization."""
 
+import ast
+import pathlib
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fracext
 from fracext.gridfn import (BoxGrid, GridFunction, read_grid_binary,
                             write_grid_binary)
 
@@ -98,3 +101,40 @@ def test_csv_roundtrip(tmp_path):
     data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     assert np.allclose(data[:, 0], grid.axes()[0])
     assert np.allclose(data[:, 1], u.values)
+
+
+class _JsonWriters(ast.NodeVisitor):
+    """Scopes (module.class.function) that call json.dump / json.dumps or
+    import from json by name."""
+
+    def __init__(self, module):
+        self.scope, self.found = [module], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef = _enter
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps")
+                and isinstance(f.value, ast.Name) and f.value.id == "json"):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "json":
+            self.found.append(".".join(self.scope) + ": from json import")
+
+
+def test_json_formatted_in_one_place():
+    # every output's JSON format lives in gridfn.write_json; the compact
+    # canonical form is the config hash input, not an output
+    found = []
+    for path in sorted(pathlib.Path(fracext.__file__).parent.glob("*.py")):
+        visitor = _JsonWriters(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        found += visitor.found
+    assert sorted(found) == ["config.ExperimentConfig.canonical_bytes", "gridfn.write_json"]

@@ -1,6 +1,7 @@
 """Regularity lab: seminorms, Harnack quotients, approximation distance,
 decay fitting and the inductive iteration."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.optimize import linprog
 
 from fracext import fitting
 from fracext.benchmarks import harmonic_combo_problem, positive_harmonic_family
+from fracext.config import validate
 from fracext.extension import (ExtensionMesh, ExtensionState, HarmonicCombo,
                                rescale_solution, solve_extension, transform_to_y)
 from fracext.fitting import sup_fit
@@ -18,7 +20,7 @@ from fracext.regularity import (approximation_distance, campanato_iterate,
                                 harnack_family_report, harnack_quotient,
                                 holder_seminorm, holder_seminorm_state,
                                 interior_norm_report, schauder_decay)
-from fracext.runner import _polynomial_state, _synthetic_state
+from fracext.runner import _polynomial_state, _synthetic_state, run
 
 
 def _sample_points(n=400, seed=0):
@@ -198,15 +200,17 @@ def test_schauder_decay_harmonic_saturation():
 
 
 def test_schauder_report_serialization(tmp_path):
-    st = _polynomial_state(0.5, 2, mx=60, my=32)
-    rep = schauder_decay(st, 2, rho=0.5, depth=4)
-    jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
-    rep.to_json(jp)
-    rep.to_csv(cp)
-    import json
-    data = json.loads(jp.read_text())
+    cfg = validate({"experiment": "schauder-decay", "setup": {"s": 0.5},
+                    "problem": {"benchmark": "polynomial", "case": 2, "mx": 60, "my": 32,
+                                "depth": 4}})
+    assert run(cfg, str(tmp_path)).stages[0]["status"] == "pass"
+    data = json.loads((tmp_path / "decay_report.json").read_text())
     assert data["case"] == 2 and len(data["scales"]) == 5
-    assert cp.read_text().startswith("j,r,nodes,sup_error")
+    lines = (tmp_path / "decay_report.csv").read_text().splitlines()
+    assert lines[0] == "j,r,nodes,sup_error"
+    # float cells are repr(float): the CSV reads back to the JSON's numbers
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == \
+        [[row["j"], row["r"], row["nodes"], row["E"]] for row in data["scales"]]
 
 
 def test_campanato_polynomial_correctors_vanish():
