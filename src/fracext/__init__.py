@@ -28,8 +28,8 @@ __all__ = [
     "ExtensionMesh", "ExtensionProblem", "ExtensionState", "reflect_even",
     "rescale_solution", "solve_extension", "transform_to_y", "transform_to_z",
     "BarrierCase1", "BarrierCase2", "MAParaboloid", "MAPolynomial",
-    "inf_convolution", "polynomial_to_MA", "pucci", "slide_paraboloids",
-    "touch_test",
+    "inf_convolution", "polynomial_to_MA", "pucci", "search_case2_parameters",
+    "slide_paraboloids", "touch_test",
     "campanato_iterate", "harnack_quotient", "holder_seminorm", "schauder_decay",
     "ExperimentConfig", "load_config", "RunManifest", "run",
 ]

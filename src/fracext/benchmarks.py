@@ -76,15 +76,14 @@ def positive_harmonic_family(s, size, seed=0):
     box, keeping every member strictly positive.
     """
     rng = np.random.default_rng(seed)
+    # the mode profiles grow with y; normalize against their value at the box top
+    ycap = np.sqrt(2.0 / MAGeometry(s).setup.c_s)
     family = []
     for _ in range(size):
         nmodes = int(rng.integers(1, 4))
         ks = rng.integers(1, 4, nmodes)
         phases = rng.uniform(0.0, 2.0 * np.pi, nmodes)
         raw = rng.uniform(0.2, 1.0, nmodes)
-        # the mode profiles grow with y; normalize against their value at the box top
-        geom = MAGeometry(s)
-        ycap = np.sqrt(2.0 / geom.setup.c_s)
         growth = sum(r * harmonic_mode_profile(s, k, ycap) for r, k in zip(raw, ks))
         amps = 0.9 * raw / growth
         family.append(HarmonicCombo(s, const=1.0,

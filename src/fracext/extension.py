@@ -19,12 +19,15 @@ evaluates the weight at y = 0 and reproduces the homogeneous solutions 1 and
 y^{2s} exactly.  All off-diagonal couplings are nonnegative, which gives the
 discrete maximum principle whenever the x-stencil keeps it (always for n = 1).
 
-The assembled system is A = A_y (x) I + diag(V) (x) A_x.  For n = 1 it is
-solved by fast diagonalization: the tridiagonal A_x is symmetrized and
-diagonalized once, and one Thomas sweep in y per x-mode solves the rest.
-One refinement step with A follows and is kept only if it lowers the
-componentwise backward error.  For n = 2 (where a mixed a12 term couples
-the axes) A goes to sparse LU.
+The assembled system is A = A_y (x) I + diag(V) (x) A_x, solved by fast
+diagonalization in one of its two directions.  For n = 1 the tridiagonal A_x
+is symmetrized and diagonalized once, and one Thomas sweep in y per x-mode
+solves the rest.  For n = 2 a mixed a12 term couples the x-axes, so A_x does
+not separate; the degenerate direction does instead: the symmetric
+tridiagonal A_y and the cell weights V > 0 form a pencil whose eigenvectors
+split A into one (nx-2)^2 sparse system A_x + mu_k I per y-mode, each with
+2-D fill only.  Either way one refinement step with A follows and is kept
+only if it lowers the componentwise backward error.
 
 A native-z mode is kept for cross-checks on bands {z >= z_lo > 0} away from
 the degenerate boundary.
@@ -33,12 +36,12 @@ the degenerate boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gamma, iv
 
 from .geometry import MAGeometry
@@ -366,9 +369,9 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         solver = "fast-diagonalization"
         solve = _fast_diag_solver(Ay, Vlev, Ax)
     else:
-        solver = "sparse-lu"
-        solve = partial(spla.spsolve, A.tocsc())
-    sol, rel, refined = _checked_solve(A, rhs, solve, refine=n == 1)
+        solver = "y-mode-diagonalization"
+        solve = _y_mode_solver(Ay, Vlev, Ax)
+    sol, rel, refined = _checked_solve(A, rhs, solve)
     if kind == "neumann":
         res_bottom = float(np.max(rel[:nxi]))
         res_int = float(np.max(rel[nxi:])) if nl > 1 else 0.0
@@ -445,12 +448,43 @@ def _fast_diag_solver(Ay, V, Ax):
     return solve
 
 
-def _checked_solve(A, rhs, solve, refine):
+def _y_mode_solver(Ay, V, Ax):
+    """Solve function for (Ay (x) I + diag(V) (x) Ax) u = r by fast
+    diagonalization in the degenerate direction (Lynch, Rice & Thomas,
+    Numer. Math. 6 (1964) 185-199), for an Ax that does not separate.
+
+    With S = diag(V)^{1/2}, the symmetric tridiagonal pencil is factored once,
+    S^{-1} Ay S^{-1} = P diag(mu) P^T (P orthogonal), so that
+    A = (S P (x) I) (diag(mu) (x) I + I (x) Ax) (P^T S (x) I).  Hence
+    u = (S^{-1} P (x) I) w with (Ax + mu_k I) w_k = (P^T S^{-1} r)_k: one
+    sparse LU of the interior x-size per y-mode.  Ay is negative definite, so
+    every shift mu_k < 0 strengthens the diagonal of Ax.  The pencil is
+    strongly graded (K_{1/2} / V_0 grows like y_1^{-2}); the implicit QL/QR
+    driver `stev` follows the grading and keeps the backward error small where
+    the default divide-and-conquer driver does not (0.18 against 6e-16 on a
+    33^2 x 28 mesh at s = 0.92).  Vectors are raveled level-major.
+    """
+    rs = 1.0 / np.sqrt(V)
+    mu, P = eigh_tridiagonal(Ay.diagonal() * rs * rs, Ay.diagonal(1) * rs[:-1] * rs[1:],
+                             lapack_driver="stev")
+    Axc = sp.csc_matrix(Ax)
+    eye = sp.identity(Ax.shape[0], format="csc")
+    lus = [spla.splu(Axc + m * eye) for m in mu]
+
+    def solve(r):
+        g = P.T @ (r.reshape(len(V), -1) * rs[:, None])
+        w = np.stack([lu.solve(gk) for lu, gk in zip(lus, g)])
+        return ((P @ w) * rs[:, None]).ravel()
+
+    return solve
+
+
+def _checked_solve(A, rhs, solve):
     """solve(rhs) with the non-finite check and its componentwise backward
     error |A x - b| / (|A| |x| + |b|) per row (rows near y = 0 carry huge
-    conductances, so the raw residual must be normalized per row).  With
-    refine, one refinement step with A is taken and kept only if it lowers
-    the largest backward error.  Returns (x, per-row error, refinement kept).
+    conductances, so the raw residual must be normalized per row).  One
+    refinement step with A is taken and kept only if it lowers the largest
+    backward error.  Returns (x, per-row error, refinement kept).
     """
     def backward_error(x):
         return np.abs(A @ x - rhs) / (np.abs(A) @ np.abs(x) + np.abs(rhs) + 1e-300)
@@ -459,11 +493,10 @@ def _checked_solve(A, rhs, solve, refine):
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("linear solve failed: nonfinite solution")
     rel = backward_error(sol)
-    if refine:
-        sol1 = sol + solve(rhs - A @ sol)
-        rel1 = backward_error(sol1)
-        if np.max(rel1) < np.max(rel):
-            return sol1, rel1, True
+    sol1 = sol + solve(rhs - A @ sol)
+    rel1 = backward_error(sol1)
+    if np.max(rel1) < np.max(rel):
+        return sol1, rel1, True
     return sol, rel, False
 
 
@@ -510,8 +543,7 @@ def _solve_native_band(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extens
         if a == nzi - 1:
             row -= cE[-1] * np.asarray(problem.g_lateral(xi, zg[-1]), dtype=float)
         rhs[a * nxi:(a + 1) * nxi] = row
-    sol, rel, refined = _checked_solve(
-        A, rhs, _fast_diag_solver(Az, np.ones(nzi), Ax), refine=True)
+    sol, rel, refined = _checked_solve(A, rhs, _fast_diag_solver(Az, np.ones(nzi), Ax))
 
     W = np.empty((len(zg), len(axes[0])))
     for j in range(len(zg)):

@@ -29,8 +29,7 @@ from .geometry import (MAGeometry, a_infinity_check, doubling_check, engulfing_c
                        quasi_triangle_check, quotient_check, scaling_identity_check)
 from .gridfn import BoxGrid, GridFunction, write_csv, write_json
 from .plots import svg_heatmap, svg_loglog
-from .regularity import (campanato_iterate, harnack_family_report,
-                         interior_norm_report, schauder_decay)
+from .regularity import harnack_family_report, interior_norm_report, schauder_decay
 from .semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                         balakrishnan_scalar, fractional_apply, fractional_inverse)
 

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +17,7 @@ from fracext.extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo,
                                rescale_solution, solve_extension,
                                transform_to_y, transform_to_z)
 from fracext.geometry import MAGeometry
-from fracext.semigroup import CoefficientField, ds_constant
+from fracext.semigroup import CoefficientField, bessel_extension_profile, ds_constant
 
 
 def test_transform_examples():
@@ -228,7 +229,7 @@ def test_2d_solver_constant_and_max_principle():
                           1.0 + 0.5 * np.sin(3 * x1) * np.cos(2 * x2) + 0.2 * z,
                           g_top=lambda x1, x2: 1.3 + 0.4 * np.cos(x1 + x2))
     stm = solve_extension(pm, ExtensionMesh(nx=(13, 13), my=10))
-    assert stm.meta["linear_solver"] == "sparse-lu"
+    assert stm.meta["linear_solver"] == "y-mode-diagonalization"
     inner = stm.values[:-1, 1:-1, 1:-1]
     boundary = np.concatenate([stm.values[-1].ravel(), stm.values[:, 0, :].ravel(),
                                stm.values[:, -1, :].ravel(), stm.values[:, :, 0].ravel(),
@@ -262,9 +263,9 @@ def _solve_capturing_system(problem, mesh):
     """solve_extension plus the assembled (A, rhs) its linear solve received."""
     seen = {}
 
-    def spy(A, rhs, solve, refine):
+    def spy(A, rhs, solve):
         seen.update(A=A, rhs=rhs)
-        return checked(A, rhs, solve, refine)
+        return checked(A, rhs, solve)
 
     checked = extension._checked_solve
     with mock.patch.object(extension, "_checked_solve", spy):
@@ -303,6 +304,66 @@ def test_fast_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, ratio
     assert np.all(np.abs(field - ref) <= 1e-10 * np.max(np.abs(state.values)) + bound)
     assert state.residual_interior <= 1e-12
     assert state.residual_bottom <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.05, 0.85), st.integers(7, 21), st.integers(7, 21), st.integers(6, 24),
+       st.floats(0.05, 0.5), st.floats(0.5, 4.0), st.sampled_from(["neumann", "dirichlet"]))
+def test_y_mode_diagonalization_matches_sparse_lu(s, nx1, nx2, my, c12, freq, bottom):
+    # variable a^{ij} with a12 != 0 make Ax nonsymmetric; square cells and
+    # |a12| <= c12 < min(a11, a22) keep the upwinded mixed stencil
+    coeff = CoefficientField.full_2d(lambda x1, x2: 1.0 + 0.5 * np.sin(freq * x1) ** 2,
+                                     lambda x1, x2: c12 * np.cos(freq * (x1 + x2)),
+                                     lambda x1, x2: 1.0 + 0.5 * np.cos(freq * x2) ** 2,
+                                     0.5, 2.0)
+    half = (nx2 - 1) / (nx1 - 1)
+    prob = ExtensionProblem(s=s, coeff=coeff, domain=((-1.0, 1.0), (-half, half)), Z=1.0,
+                            bottom=(bottom, lambda x1, x2: np.cos(2.0 * x1) * np.sin(x2 + 1.0)),
+                            F=lambda x1, x2, z: x1 * z + x2,
+                            g_lateral=lambda x1, x2, z: 1.0 + x1 * z - x2,
+                            g_top=lambda x1, x2: 1.0 + x1 + x2 * x2)
+    state, A, rhs = _solve_capturing_system(prob, ExtensionMesh(nx=(nx1, nx2), my=my))
+    assert state.meta["linear_solver"] == "y-mode-diagonalization"
+    assert abs(A - A.T).max() > 0.0
+    # -A is an M-matrix, which the bound below needs
+    assert state.meta["m_matrix"]
+    assert (A - sp.diags(A.diagonal())).min() >= 0.0
+    j0 = 0 if bottom == "neumann" else 1
+    field = state.values[j0:my, 1:-1, 1:-1].ravel()
+    ref = spla.spsolve(A.tocsc(), rhs)
+    # the componentwise perturbation bound of test_fast_diagonalization_matches_sparse_lu
+    g = np.abs(A) @ np.abs(ref) + np.abs(rhs)
+    omega = np.max(np.abs(A @ ref - rhs) / g) + max(state.residual_interior,
+                                                    state.residual_bottom)
+    bound = omega * spla.spsolve(-A.tocsc(), g)
+    assert np.all(np.abs(field - ref) <= 1e-10 * np.max(np.abs(state.values)) + bound)
+    assert state.residual_interior <= 1e-12
+    assert state.residual_bottom <= 1e-12
+
+
+def test_2d_solve_without_sparse_lu():
+    # U = sin x1 sin x2 phi_2(z) under a constant mixed coefficient a12 = 0.3
+    s, a12, Z = 0.4, 0.3, 1.0
+    coeff = CoefficientField.full_2d(lambda x1, x2: np.ones(np.broadcast(x1, x2).shape),
+                                     lambda x1, x2: np.full(np.broadcast(x1, x2).shape, a12),
+                                     lambda x1, x2: np.ones(np.broadcast(x1, x2).shape),
+                                     1.0 - a12, 1.0 + a12)
+
+    def oracle(x1, x2, z):
+        return np.sin(x1) * np.sin(x2) * bessel_extension_profile(2.0, s, z)
+
+    prob = ExtensionProblem(
+        s=s, coeff=coeff, domain=((0.0, np.pi), (0.0, np.pi)), Z=Z,
+        bottom=("neumann", lambda x1, x2: -ds_constant(s) * 2.0**s * np.sin(x1) * np.sin(x2)),
+        F=lambda x1, x2, z: 2.0 * a12 * np.cos(x1) * np.cos(x2)
+        * bessel_extension_profile(2.0, s, z),
+        g_lateral=0.0, g_top=lambda x1, x2: oracle(x1, x2, Z))
+    with mock.patch.object(spla, "spsolve", side_effect=AssertionError("spsolve called")):
+        state = solve_extension(prob, ExtensionMesh(nx=25, my=20))
+    assert state.meta["linear_solver"] == "y-mode-diagonalization"
+    assert state.residual_interior <= 1e-14
+    Zq, X1, X2 = np.meshgrid(state.z_nodes, *state.x_axes, indexing="ij")
+    assert np.max(np.abs(state.values - oracle(X1, X2, Zq))) < 1e-3
 
 
 def test_fast_diagonalization_keeps_better_of_plain_and_refined():

@@ -10,7 +10,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import fractional_matrix_power
-from scipy.special import kv, gamma as Gamma
 
 from fracext import semigroup
 from fracext.gridfn import BoxGrid, GridFunction
