@@ -107,7 +107,7 @@ _PROBLEM_SCHEMAS = {
         "k": (2, _mesh(1)),
         "grid_points": (512, _mesh(16)),
         "inverse": (False, _boolean),
-        "quadrature": (None, None),  # nested
+        "quadrature": (None, None),  # nested; validated, kept for compatibility, no effect
     },
     "solve-extension": {
         "k": (2, _mesh(1)),

@@ -1,25 +1,18 @@
 """Discrete elliptic operator L = -a^{ij}(x) d_ij, its heat semigroup, and the
 realizations of L^s, L^{-s} and the semigroup extension formula.
 
-In 2-D the fractional powers are rational: L^{-s} f = r_s(L) f and
-L^s u = r_{1-s}(L)(L u), where r_beta(x) = c0 + sum_j w_j / (x - p_j) is a
-certified fit of x^{-beta} on [lam_floor, Gershgorin bound] (AAA poles,
-nonnegative weights; see `_power_fit`).  Each pole costs one sparse LU of
-L - p_j I, about a dozen in all.
+The fractional powers are rational in every dimension: L^{-s} f = r_s(L) f
+and L^s u = r_{1-s}(L)(L u), where r_beta(x) = c0 + sum_j w_j / (x - p_j) is
+a certified fit of x^{-beta} on [lam_floor, Gershgorin bound] (real poles
+p_j <= 0, nonnegative weights; see `_power_fit`).  Each pole costs one solve
+with L - p_j I: an O(N) tridiagonal LAPACK solve in 1-D (23-32 poles for
+N = 256-4096) and a sparse LU in 2-D (about a dozen).
 
-In 1-D the fractional powers come from the semigroup integral
-
-    L^s u = (1/Gamma(-s)) * integral_0^inf (e^{-tL} u - u) dt / t^{1+s}
-
-on a geometric node ladder t_j = t_min * r^j (trapezoid in log t with
-Euler-Maclaurin endpoint correction built from the node values themselves),
-plus analytic corrections for both tails: the integrand behaves like
--t L u * t^{-1-s} near 0 and like -u * t^{-1-s} near infinity.  The same
-ladder machinery drives the negative power (Balakrishnan integral) and, in
-every dimension, the extension-kernel integral, whose small-t tail is an
-incomplete-gamma term.  1-D keeps the ladder because it is cheaper there:
-at N = 256 with one BLAS thread an apply takes ~6 ms, stepper included,
-against ~16 ms for the rational path, half of that the fit.
+The extension-kernel integral over e^{-tL} u is taken on a geometric node
+ladder t_j = t_min * r^j (trapezoid in log t with Euler-Maclaurin endpoint
+correction built from the node values themselves); its small-t tail is an
+incomplete-gamma term.  The scalar oracles integrate the semigroup formulas
+for lam^s and lam^{-s} on the same ladder.
 
 e^{-tL} is realized by an implicit time stepper (backward Euler,
 Crank-Nicolson or Rannacher-started Crank-Nicolson).  In 1-D the tridiagonal
@@ -32,13 +25,14 @@ stepping serves `heat_apply` and the extension ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import AAA
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import nnls
 from scipy.special import gamma, gammaincc, kv
 
@@ -278,9 +272,9 @@ class SemigroupStepper:
     In 1-D this symbol is applied exactly in the eigenbasis of the
     tridiagonal L, computed on first use and shared by every later call; in
     2-D the steps are taken one by one with cached sparse-LU factors.  The
-    2-D steps serve `heat_apply` and the extension ladder; 2-D fractional
-    powers are rational instead, with one LU per pole.  `lam_floor` bounds
-    the spectrum from below; the decay cut-off and the rational fits use it.
+    steps serve `heat_apply` and the extension ladder; fractional powers are
+    rational instead, one shifted solve per pole.  `lam_floor` bounds the
+    spectrum from below; the decay cut-off and the rational fits use it.
 
     Immutable after construction; solves at distinct times are independent.
     """
@@ -298,7 +292,7 @@ class SemigroupStepper:
         # provable spectral floor: the 3-point Dirichlet eigenvalue on (lo, hi)
         # is at least 8/L^2 for any spacing, so ||e^{-tL}u|| <= e^{-lam_floor t}||u||;
         # beyond 30 e-folds the solve is zero to machine precision.  The
-        # floor is also the lower end of the 2-D rational fits.
+        # floor is also the lower end of the rational fits.
         self.lam_floor = coeff.lam * sum(8.0 / (hi - lo) ** 2
                                          for lo, hi in zip(grid.los, grid.his))
         self._t_cutoff = 30.0 / self.lam_floor
@@ -317,9 +311,6 @@ class SemigroupStepper:
 
     def _steps(self, t, substeps):
         return substeps if substeps is not None else max(1, int(np.ceil(t / self.dt_max)))
-
-    def apply_L(self, v):
-        return self.L @ v
 
     def heat_interior(self, v, t, substeps=None):
         """e^{-tL} applied to an interior-node vector."""
@@ -431,32 +422,49 @@ def log_trapezoid(G, h):
     return total - h**2 / 12.0 * (d_b - d_a)
 
 
-# -- rational functions of L (2-D) -------------------------------------------------------
+# -- rational functions of L -----------------------------------------------------------
 
 _RATIONAL_TOL = 1e-6   # sup relative error of a fit, as the scalar quadrature oracle's
 _FIT_SAMPLES = 256
 _CERT_SAMPLES = 10_000
+_AAA_MAX_RANGE = 1e3   # widest hi/lo whose poles AAA proposes
+_POLES_PER_DECADE = 3  # geometric poles on wider intervals ...
+_POLE_MARGIN = 1e2     # ... over [lo / margin, hi * margin]
 
 
+@lru_cache(maxsize=64)
 def _power_fit(lo, hi, beta):
     """Partial fractions r(x) = c0 + sum_j w_j / (x - p_j) for x^{-beta} on [lo, hi].
 
-    AAA (Nakatsukasa, Sete & Trefethen 2018) on a log-spaced sample proposes
-    the poles; the real negative ones are kept.  x^{-beta} with 0 < beta < 1
-    is a Stieltjes function, so c0, w_j >= 0: they are refit by
-    column-scaled nonnegative least squares on the relative error, and the
-    matrix sum has no cancellation.  AAA's own residues are too inaccurate
-    for a matrix sum.  Its default clean-up imports scipy.stats, about a
-    second on first use; dropping the other poles and refitting does its job.
+    x^{-beta} = (sin(pi beta) / pi) int_0^inf t^{-beta} / (x + t) dt is a
+    Stieltjes function: its poles are <= 0 and c0, w_j >= 0, refit by
+    column-scaled nonnegative least squares on the relative error, so the
+    matrix sum has no cancellation.  Up to hi/lo = _AAA_MAX_RANGE (every 2-D
+    mesh of the tests and benchmark) the poles are AAA's (Nakatsukasa, Sete &
+    Trefethen 2018), the fewest; AAA's tolerance is relative to max x^{-beta},
+    so wider intervals lose the far end (3.8e-6 at hi/lo = 8.4e6,
+    beta = 0.99), and its clean-up imports scipy.stats, a second on first use.
+    Wider intervals take _POLES_PER_DECADE geometric poles per decade over
+    [lo / _POLE_MARGIN, hi * _POLE_MARGIN] and one at 0, whose error (<= 3e-11
+    for beta in [0.001, 0.999] up to hi/lo = 1e14) does not grow with the
+    width: 32 poles for 1-D N = 4096, hi/lo = 8.4e6.  The certificate adds to
+    the error sampled on a dense log grid eps * hi / lo, the forward-error
+    bound of the worst-conditioned solve (cond(L - p I) <= hi / lo for p <= 0
+    and a symmetric L), so fits pass up to hi/lo ~ 4e9.
 
-    Returns (c0, poles, weights, sup relative error on a dense log grid);
-    raises ValueError unless 0 < beta < 1 and the error is <= _RATIONAL_TOL.
+    Memoized on (lo, hi, beta), arrays read-only: a round trip L^s L^{-s}
+    fits twice.  Returns (c0, poles, weights, certificate); raises ValueError
+    unless 0 < beta < 1 and the certificate is <= _RATIONAL_TOL.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("s must be in (0,1)")
     x = np.geomspace(lo, hi, _FIT_SAMPLES)
-    poles = AAA(x, x**-beta, clean_up=False).poles()
-    poles = poles[(np.abs(poles.imag) <= 1e-12 * np.abs(poles)) & (poles.real < 0.0)].real
+    if hi / lo <= _AAA_MAX_RANGE:
+        poles = AAA(x, x**-beta, clean_up=False).poles()
+        poles = poles[(np.abs(poles.imag) <= 1e-12 * np.abs(poles)) & (poles.real < 0.0)].real
+    else:
+        n = int(np.ceil(_POLES_PER_DECADE * np.log10(hi / lo * _POLE_MARGIN**2))) + 1
+        poles = np.append(-np.geomspace(lo / _POLE_MARGIN, hi * _POLE_MARGIN, n), 0.0)
 
     def rel_basis(t):
         return (np.column_stack([np.ones_like(t), 1.0 / (t[:, None] - poles)])
@@ -465,98 +473,82 @@ def _power_fit(lo, hi, beta):
     A = rel_basis(x)
     col = np.max(A, axis=0)
     w = nnls(A / col, np.ones_like(x))[0] / col
-    err = float(np.max(np.abs(rel_basis(np.geomspace(lo, hi, _CERT_SAMPLES)) @ w - 1.0)))
+    err = float(np.max(np.abs(rel_basis(np.geomspace(lo, hi, _CERT_SAMPLES)) @ w - 1.0))
+                + np.finfo(float).eps * hi / lo)
     if err > _RATIONAL_TOL:
         raise ValueError(f"rational fit of x^-{beta:g} on [{lo:g}, {hi:g}] has relative "
                          f"error {err:.3g} > {_RATIONAL_TOL:g}")
     keep = w[1:] > 0.0
-    return w[0], poles[keep], w[1:][keep], err
+    poles, weights = poles[keep], w[1:][keep]
+    poles.flags.writeable = weights.flags.writeable = False
+    return float(w[0]), poles, weights, err
 
 
 def _rational_power(stepper: SemigroupStepper, v, beta):
     """r(L) v for the fit r of x^{-beta} on [lam_floor, max absolute row sum of L].
 
-    One sparse LU of L - p I per pole.  info gives the pole count, the
-    interval, the fit's sup relative error and whether L is symmetric.  For a
-    symmetric L the spectrum lies in the interval, so the error bounds the
-    matrix error in the 2-norm; a nonsymmetric L (variable coefficients) is
-    not normal and the scalar error bounds nothing.
+    One solve with L - p I per pole: LAPACK's tridiagonal gtsv in 1-D, a
+    sparse LU in 2-D.  info gives beta, the pole count, the interval, the
+    fit's certificate and whether L is symmetric; then the certificate bounds
+    the relative matrix error in the 2-norm.  The 1-D L = -a(x) d_xx is
+    D S D^{-1} with S symmetric (`tridiagonal_modes`): cond(D) times the bound,
+    <= sqrt(Lambda / lambda) times on a uniform grid.  A nonsymmetric 2-D L
+    is not normal and the scalar error bounds nothing.
     """
     L = stepper.L
     lo = stepper.lam_floor
     # a single interior node puts the Gershgorin bound on the floor itself
     hi = max(float(np.max(abs(L).sum(axis=1))), 2.0 * lo)
     c0, poles, w, err = _power_fit(lo, hi, beta)
+    if stepper.grid.ndim == 1:
+        sub, diag, sup = L.diagonal(-1), L.diagonal(), L.diagonal(1)
+
+        def solve(p):
+            *_, x, status = dgtsv(sub, diag - p, sup, v)
+            if status != 0:
+                raise np.linalg.LinAlgError(f"L - ({p:g}) I is singular")
+            return x
+    else:
+        def solve(p):
+            return spla.splu((L - p * stepper._I).tocsc()).solve(v)
     out = c0 * v
     for p, wj in zip(poles, w):
-        out += wj * spla.splu((L - p * stepper._I).tocsc()).solve(v)
-    info = {"poles": len(poles), "interval": [lo, hi], "sup_rel_error": err,
+        out += wj * solve(p)
+    info = {"beta": beta, "poles": len(poles), "interval": [lo, hi], "sup_rel_error": err,
             "symmetric": (L != L.T).nnz == 0}
     return out, info
+
+
+def fit_rel_error(info, lam):
+    """|r(lam) - lam^{-beta}| / lam^{-beta} for the memoized fit r behind a
+    `_rational_power` info: the scalar check of the path that made a field."""
+    c0, poles, w, _ = _power_fit(*info["interval"], info["beta"])
+    return abs((c0 + float(np.sum(w / (lam - poles)))) * lam ** info["beta"] - 1.0)
 
 
 # -- fractional operators ----------------------------------------------------------------
 
 
 def fractional_apply(stepper: SemigroupStepper, u: GridFunction, s, quad=QuadratureSpec()):
-    """L^s u; returns (grid function, info dict).
+    """L^s u = r_{1-s}(L)(L u); returns (grid function, info dict).
 
-    2-D: L^s u = r_{1-s}(L)(L u) with r_{1-s} a certified rational fit of
-    x^{s-1} (the form L r(L) u would multiply the fit's error by the top of
-    the spectrum); info as in `_rational_power`.  `quad` steers the 1-D
-    ladder only.
-
-    1-D: the semigroup quadrature on `quad`'s ladder.  info records the
-    analytic tail terms that were added: the upper tail
-    ||u|| t_max^{-s} / (s |Gamma(-s)|) and the small-t correction built from
-    L u and L^2 u.
+    r_{1-s} is the certified rational fit of x^{s-1} (`_power_fit`); the form
+    L r_{1-s}(L) u would multiply the fit's error by the top of the spectrum.
+    info as in `_rational_power`.  `quad` is accepted for compatibility; it
+    has no effect.
     """
-    v = u.interior()
-    if stepper.grid.ndim == 2:
-        out, info = _rational_power(stepper, stepper.apply_L(v), 1.0 - s)
-        return stepper.wrap_interior(out), info
-    ts, h = quad.ladder()
-    heats = stepper.heat_many(v, ts, quad.substeps)
-    G = (heats - v[None, :]) * (ts[:, None] ** (-s))
-    main = log_trapezoid(G, h)
-    Lu = stepper.apply_L(v)
-    L2u = stepper.apply_L(Lu)
-    tmin, tmax = quad.t_min, quad.t_max
-    lower = -Lu * tmin ** (1 - s) / (1 - s) + L2u * tmin ** (2 - s) / (2 * (2 - s))
-    upper = -v * tmax ** (-s) / s
-    gns = gamma_neg_s(s)
-    out = (main + lower + upper) / gns
-    info = {
-        "upper_tail_term": float(np.max(np.abs(v)) * tmax ** (-s) / (s * abs(gns))),
-        "lower_tail_term": float(np.max(np.abs(lower)) / abs(gns)),
-    }
+    out, info = _rational_power(stepper, stepper.L @ u.interior(), 1.0 - s)
     return stepper.wrap_interior(out), info
 
 
 def fractional_inverse(stepper: SemigroupStepper, f: GridFunction, s, quad=QuadratureSpec()):
-    """L^{-s} f; returns (grid function, info dict).
+    """L^{-s} f = r_s(L) f; returns (grid function, info dict).
 
-    2-D: r_s(L) f with r_s a certified rational fit of x^{-s}; info as in
-    `_rational_power`.  `quad` steers the 1-D ladder only.
-
-    1-D: (1/Gamma(s)) integral_0^inf e^{-tL} f t^{s-1} dt on `quad`'s ladder.
+    r_s is the certified rational fit of x^{-s} (`_power_fit`); info as in
+    `_rational_power`.  `quad` is accepted for compatibility; it has no
+    effect.
     """
-    v = f.interior()
-    if stepper.grid.ndim == 2:
-        out, info = _rational_power(stepper, v, s)
-        return stepper.wrap_interior(out), info
-    ts, h = quad.ladder()
-    heats = stepper.heat_many(v, ts, quad.substeps)
-    G = heats * (ts[:, None] ** s)
-    main = log_trapezoid(G, h)
-    Lf = stepper.apply_L(v)
-    L2f = stepper.apply_L(Lf)
-    tmin = quad.t_min
-    lower = (v * tmin**s / s - Lf * tmin ** (s + 1) / (s + 1)
-             + L2f * tmin ** (s + 2) / (2 * (s + 2)))
-    out = (main + lower) / gamma(s)
-    info = {"lower_tail_term": float(np.max(np.abs(lower)) / gamma(s)),
-            "upper_tail_dropped": True}
+    out, info = _rational_power(stepper, f.interior(), s)
     return stepper.wrap_interior(out), info
 
 

@@ -18,8 +18,9 @@ from fracext.fitting import sup_fit
 from fracext.geometry import MAGeometry
 from fracext.regularity import (approximation_distance, campanato_iterate,
                                 harnack_family_report, harnack_quotient,
-                                holder_seminorm, holder_seminorm_state,
-                                interior_norm_report, schauder_decay)
+                                holder_quotient, holder_seminorm,
+                                holder_seminorm_state, interior_norm_report,
+                                schauder_decay)
 from fracext.runner import _polynomial_state, _synthetic_state, run
 
 
@@ -280,6 +281,23 @@ def test_interior_norm_report():
     # zero data: all norms vanish
     rep0 = interior_norm_report(xs, np.zeros_like(xs), 1.5, sub, data_norm=1.0)
     assert rep0.sup_u == 0.0 and rep0.holder_seminorm == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 700), gamma=st.floats(0.01, 0.99), seed=st.integers(0, 2**31),
+       repeat=st.booleans())
+@example(n=513, gamma=0.5, seed=0, repeat=False)  # three row blocks, the last of one row
+def test_holder_quotient_equals_dense_pairwise_max(n, gamma, seed, repeat):
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-3.0, 3.0, n))
+    if repeat:  # coincident points are skipped, as in the dense form
+        xs[n // 2] = xs[0]
+    g = rng.standard_normal(n)
+    diff = np.abs(g[:, None] - g[None, :])
+    dist = np.abs(xs[:, None] - xs[None, :])
+    m = dist > 1e-300
+    dense = float(np.max(diff[m] / dist[m] ** gamma)) if np.any(m) else 0.0
+    assert holder_quotient(xs, g, gamma) == dense
 
 
 # -- closed-form oracles evaluated on their own axes ----------------------------------------

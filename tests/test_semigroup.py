@@ -199,7 +199,85 @@ def test_fractional_apply_eigen_mapping():
             target = k ** (2.0 * s) * u.values
             rel = np.max(np.abs(out.values - target)) / np.max(np.abs(target))
             assert rel < 1e-3
-    assert info["upper_tail_term"] >= 0.0
+    assert info["beta"] == 1.0 - s and info["interval"][0] == st.lam_floor
+    assert 1 <= info["poles"] and info["sup_rel_error"] <= 1e-6
+
+
+def _variable_1d_field():
+    return CoefficientField.scalar_1d(lambda x: 1.0 + 0.3 * np.sin(3.0 * x), 0.7, 1.3)
+
+
+def _dense_power_1d(st_, power, v):
+    """L^power v by a dense symmetric eigendecomposition.  L = diag(a) T with
+    T the symmetric 3-point matrix of a uniform grid, so
+    S = diag(a)^{-1/2} L diag(a)^{1/2} is symmetric and L^p = diag(a)^{1/2} S^p
+    diag(a)^{-1/2}."""
+    x = st_.grid.axes()[0][1:-1]
+    r = np.sqrt(np.broadcast_to(st_.coeff.components(x), x.shape))
+    L = st_.L.toarray()
+    S = L * r[None, :] / r[:, None]
+    lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+    return r * (Q @ (lam**power * (Q.T @ (v / r))))
+
+
+@pytest.mark.parametrize("field", ["identity", "variable"])
+@pytest.mark.parametrize("N", [16, 64, 257, 1024])
+def test_1d_fractional_powers_match_dense_eigendecomposition(field, N):
+    coeff = CoefficientField.identity(1) if field == "identity" else _variable_1d_field()
+    st_ = SemigroupStepper(coeff, BoxGrid.interval(0.0, np.pi, N + 1))
+    vals = np.zeros(N + 1)
+    vals[1:-1] = np.random.default_rng(N).standard_normal(N - 1)
+    u = GridFunction(st_.grid, vals)
+    for s in (0.05, 0.5, 0.95):
+        out, info = fractional_apply(st_, u, s)
+        inv, inv_info = fractional_inverse(st_, u, s)
+        for got, power in ((out, s), (inv, -s)):
+            ref = _dense_power_1d(st_, power, u.interior())
+            assert np.max(np.abs(got.interior() - ref)) <= 1e-8 * np.max(np.abs(ref))
+            assert got.values[0] == got.values[-1] == 0.0
+        for i in (info, inv_info):
+            assert i["interval"][0] == st_.lam_floor and i["sup_rel_error"] <= 1e-6
+
+
+def test_1d_fractional_powers_on_4096_points():
+    # hi/lo = 8.4e6 on this mesh: wider than AAA resolves for beta near 1
+    N, k = 4096, 3
+    st_ = _stepper_1d(N=N)
+    u = GridFunction.from_callable(st_.grid, lambda x: np.sin(k * x))
+    lam = discrete_eigenvalue(k, N)
+    for s in (0.001, 0.01, 0.5, 0.99, 0.999):
+        out, _ = fractional_apply(st_, u, s)
+        inv, _ = fractional_inverse(st_, u, s)
+        assert np.max(np.abs(out.values - lam**s * u.values)) <= 1e-8 * lam**s
+        assert np.max(np.abs(inv.values - lam**-s * u.values)) <= 1e-8 * lam**-s
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.floats(0.1, 10.0), ratio=st.floats(2.0, 1e7), beta=st.floats(0.001, 0.999))
+def test_power_fit_certificate_holds_on_a_fresh_grid(lo, ratio, beta):
+    hi = lo * ratio
+    c0, poles, w, cert = semigroup._power_fit(lo, hi, beta)
+    assert cert <= semigroup._RATIONAL_TOL
+    assert np.all(poles <= 0.0) and c0 >= 0.0 and np.all(w > 0.0)
+    assert not (poles.flags.writeable or w.flags.writeable)
+    x = np.geomspace(lo, hi, 100_000)
+    r = c0 + np.sum(w / (x[:, None] - poles), axis=1)
+    # a few ulps for evaluating r(x) x^beta - 1 on the fresh points
+    assert np.max(np.abs(r * x**beta - 1.0)) <= cert + 8 * np.finfo(float).eps
+
+
+def test_1d_fractional_powers_never_diagonalize(monkeypatch):
+    def no_modes(*args, **kwargs):
+        raise AssertionError("eigendecomposition computed by a 1-D fractional power")
+
+    monkeypatch.setattr(semigroup, "tridiagonal_modes", no_modes)
+    monkeypatch.setattr(SemigroupStepper, "heat_many", no_modes)
+    for coeff in (CoefficientField.identity(1), _variable_1d_field()):
+        st_ = SemigroupStepper(coeff, BoxGrid.interval(0.0, np.pi, 65))
+        u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
+        f, _ = fractional_inverse(st_, u, 0.5)
+        fractional_apply(st_, f, 0.5)
+        assert "_modes" not in vars(st_)
 
 
 def test_fractional_apply_zero():
