@@ -48,9 +48,10 @@ def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
     return check
 
 
-# Largest node count per mesh axis: the 1-D solvers hold a dense float64 mode
-# matrix of side below the node count, at most 128 MiB up to here.  Wave
-# numbers and quadrature node and substep counts share it.
+# Largest node count per mesh axis: the 1-D heat stepper's dense float64 mode
+# matrix (`SemigroupStepper._modes`) stays below 128 MiB up to here, and the
+# extension's one dense factor is its my x my y-pencil.  Wave numbers and
+# quadrature node and substep counts share it.
 MAX_MESH_POINTS = 4096
 
 # Largest count of any other kind (samples, family members, ladder scales,

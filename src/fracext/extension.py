@@ -19,34 +19,37 @@ evaluates the weight at y = 0 and reproduces the homogeneous solutions 1 and
 y^{2s} exactly.  All off-diagonal couplings are nonnegative, which gives the
 discrete maximum principle whenever the x-stencil keeps it (always for n = 1).
 
-The assembled system is A = A_y (x) I + diag(V) (x) A_x, solved by fast
-diagonalization in one of its two directions.  For n = 1 the tridiagonal A_x
-is symmetrized and diagonalized once, and one Thomas sweep in y per x-mode
-solves the rest.  For n = 2 a mixed a12 term couples the x-axes, so A_x does
-not separate; the degenerate direction does instead: the symmetric
+The assembled system is A = A_y (x) I + diag(V) (x) A_x, solved in every
+dimension by fast diagonalization in the degenerate direction: the symmetric
 tridiagonal A_y and the cell weights V > 0 form a pencil whose eigenvectors
-split A into one (nx-2)^2 sparse system A_x + mu_k I per y-mode, each with
-2-D fill only.  Either way one refinement step with A follows and is kept
-only if it lowers the componentwise backward error.
+split A into one system A_x + mu_k I (mu_k < 0) per y-mode.  A_x need not
+separate, so a mixed a12 term in 2-D is no obstacle.  The per-mode kernel
+depends on the dimension: for n = 1 A_x is tridiagonal and one batched
+tridiagonal sweep in x solves all modes at once; for n = 2 each mode gets a
+sparse LU of size (nx-2)^2 with 2-D fill only.  One refinement step with A
+follows and is kept only if it lowers the componentwise backward error.
 
 A native-z mode is kept for cross-checks on bands {z >= z_lo > 0} away from
-the degenerate boundary.
+the degenerate boundary; it solves its (nonsymmetric) system by one sparse
+LU, independently of the transformed path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gamma, iv
 
 from .geometry import MAGeometry
 from .gridfn import write_grid_binary, write_json
-from .semigroup import CoefficientField, tridiagonal_modes, x_operator
+from .semigroup import CoefficientField, x_operator
 
 
 # -- coordinate transform ----------------------------------------------------------
@@ -146,6 +149,17 @@ class ExtensionMesh:
     grading: float | None = None
     x_grading: float | None = None
 
+    def __post_init__(self):
+        counts = [self.nx] if np.isscalar(self.nx) else list(self.nx)
+        if not counts or not all(isinstance(m, Integral) and m >= 3 for m in counts):
+            raise ValueError("nx must be an integer >= 3 per x-axis")
+        if not (isinstance(self.my, Integral) and self.my >= 2):
+            raise ValueError("my must be an integer >= 2")
+        for name in ("grading", "x_grading"):
+            g = getattr(self, name)
+            if g is not None and not (np.isfinite(g) and g > 0):
+                raise ValueError(f"{name} must be positive and finite")
+
     def y_grading(self, s):
         """The y-grading exponent; unset, it is max(1, 1/(2-2s))."""
         return self.grading if self.grading is not None else max(1.0, 1.0 / (2.0 - 2.0 * s))
@@ -157,9 +171,11 @@ class ExtensionMesh:
     def x_axes(self, domain, n):
         doms = [domain] if n == 1 else list(domain)
         counts = [self.nx] * n if np.isscalar(self.nx) else list(self.nx)
+        if self.x_grading is not None and n > 1:
+            raise ValueError("x_grading is implemented for 1-D x only")
         axes = []
         for (lo, hi), m in zip(doms, counts):
-            if self.x_grading is None or n > 1:
+            if self.x_grading is None:
                 axes.append(np.linspace(lo, hi, m))
             else:
                 if not lo < 0.0 < hi:
@@ -327,21 +343,11 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     levels = list(range(j0, my))
     nl = len(levels)
 
-    # tridiagonal y-coupling over unknown levels
-    diag = np.zeros(nl)
-    sub = np.zeros(nl - 1)
-    sup = np.zeros(nl - 1)
-    for a, j in enumerate(levels):
-        if j == 0:
-            diag[a] = -K[0]
-            sup[a] = K[0]
-        else:
-            diag[a] = -(K[j] + K[j - 1])
-            if a > 0:
-                sub[a - 1] = K[j - 1]
-            if a < nl - 1:
-                sup[a] = K[j]
-    Ay = sp.diags([sub, diag, sup], [-1, 0, 1], format="csr")
+    # symmetric tridiagonal y-coupling over unknown levels; level j couples to
+    # j + 1 through K_{j+1/2}, and the trace row j = 0 has no lower face
+    K_below = np.concatenate([[0.0], K])[levels]
+    off = K[levels[:-1]]
+    Ay = sp.diags([off, -(K[levels] + K_below), off], [-1, 0, 1], format="csr")
     Vlev = Vw[levels]
 
     A = sp.kron(Ay, sp.identity(nxi, format="csr"), format="csr") \
@@ -365,13 +371,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
             row = row - K[my - 1] * gt
         rhs[a * nxi:(a + 1) * nxi] = row
 
-    if n == 1:
-        solver = "fast-diagonalization"
-        solve = _fast_diag_solver(Ay, Vlev, Ax)
-    else:
-        solver = "y-mode-diagonalization"
-        solve = _y_mode_solver(Ay, Vlev, Ax)
-    sol, rel, refined = _checked_solve(A, rhs, solve)
+    sol, rel, refined = _checked_solve(A, rhs, _y_mode_solver(Ay, Vlev, Ax, n))
     if kind == "neumann":
         res_bottom = float(np.max(rel[:nxi]))
         res_int = float(np.max(rel[nxi:])) if nl > 1 else 0.0
@@ -411,70 +411,58 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         "Z": float(problem.Z),
         "trace_flux_factor": to_flux,
         "flux_trace_fv": flux_fv,
-        "linear_solver": solver,
+        "linear_solver": "y-mode-diagonalization",
         "refinement_kept": refined,
     }
     return ExtensionState(s, axes, y, W, res_int, res_bottom, meta)
 
 
-def _fast_diag_solver(Ay, V, Ax):
-    """Solve function for (Ay (x) I + diag(V) (x) Ax) u = r by fast
-    diagonalization (Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185-199).
-
-    `tridiagonal_modes` gives Ax = D Q diag(lam) Q^T D^{-1}; in the x-modes
-    the system splits into the tridiagonal systems Ay + lam_k diag(V), one
-    per mode, each diagonally dominant (lam_k < 0 < V) and solved by a
-    Thomas sweep without pivoting, all modes at once.  Vectors are raveled
-    level-major, as in the assembled A.
-    """
-    lam, Q, d = tridiagonal_modes(Ax)
-    sub, sup = Ay.diagonal(-1), Ay.diagonal(1)
-    # Thomas factorisation, one column per mode: pivots w and multipliers m
-    w = Ay.diagonal()[:, None] + np.outer(V, lam)
-    m = np.empty((len(sub), len(lam)))
-    for a in range(len(sub)):
-        m[a] = sub[a] / w[a]
-        w[a + 1] -= m[a] * sup[a]
-
-    def solve(r):
-        g = (r.reshape(len(w), -1) / d) @ Q
-        for a in range(len(sub)):
-            g[a + 1] -= m[a] * g[a]
-        g[-1] /= w[-1]
-        for a in range(len(sub) - 1, -1, -1):
-            g[a] = (g[a] - sup[a] * g[a + 1]) / w[a]
-        return ((g @ Q.T) * d).ravel()
-
-    return solve
-
-
-def _y_mode_solver(Ay, V, Ax):
+def _y_mode_solver(Ay, V, Ax, n):
     """Solve function for (Ay (x) I + diag(V) (x) Ax) u = r by fast
     diagonalization in the degenerate direction (Lynch, Rice & Thomas,
-    Numer. Math. 6 (1964) 185-199), for an Ax that does not separate.
+    Numer. Math. 6 (1964) 185-199), for n x-dimensions.
 
     With S = diag(V)^{1/2}, the symmetric tridiagonal pencil is factored once,
     S^{-1} Ay S^{-1} = P diag(mu) P^T (P orthogonal), so that
     A = (S P (x) I) (diag(mu) (x) I + I (x) Ax) (P^T S (x) I).  Hence
-    u = (S^{-1} P (x) I) w with (Ax + mu_k I) w_k = (P^T S^{-1} r)_k: one
-    sparse LU of the interior x-size per y-mode.  Ay is negative definite, so
-    every shift mu_k < 0 strengthens the diagonal of Ax.  The pencil is
-    strongly graded (K_{1/2} / V_0 grows like y_1^{-2}); the implicit QL/QR
-    driver `stev` follows the grading and keeps the backward error small where
-    the default divide-and-conquer driver does not (0.18 against 6e-16 on a
-    33^2 x 28 mesh at s = 0.92).  Vectors are raveled level-major.
+    u = (S^{-1} P (x) I) w with (Ax + mu_k I) w_k = (P^T S^{-1} r)_k, one
+    system of the interior x-size per y-mode.  Ay is negative definite, so
+    every shift mu_k < 0 strengthens the diagonal of Ax; in 1-D, where -Ax
+    has nonnegative row sums, Ax + mu_k I is strictly diagonally dominant
+    and needs no pivoting.  For n = 1 Ax is tridiagonal and one batched
+    tridiagonal sweep in x (LAPACK gtsv on the stacked mode systems) solves
+    all modes at once; for n = 2 each mode gets its own sparse LU.  The
+    pencil is strongly graded (K_{1/2} / V_0 grows like y_1^{-2}); the
+    implicit QL/QR driver `stev` follows the grading and keeps the backward
+    error small where the default divide-and-conquer driver does not (0.18
+    against 6e-16 on a 33^2 x 28 mesh at s = 0.92).  Vectors are raveled
+    level-major.
     """
     rs = 1.0 / np.sqrt(V)
     mu, P = eigh_tridiagonal(Ay.diagonal() * rs * rs, Ay.diagonal(1) * rs[:-1] * rs[1:],
                              lapack_driver="stev")
-    Axc = sp.csc_matrix(Ax)
-    eye = sp.identity(Ax.shape[0], format="csc")
-    lus = [spla.splu(Axc + m * eye) for m in mu]
+    if n == 1:
+        # the mode systems stacked mode-major: one block-diagonal tridiagonal
+        # system, its blocks uncoupled by the zeros between them
+        diag = (Ax.diagonal()[None, :] + mu[:, None]).ravel()
+        sub, sup = (np.tile(np.append(Ax.diagonal(k), 0.0), len(mu))[:-1] for k in (-1, 1))
+
+        def mode_solve(g):
+            *_, w, status = dgtsv(sub, diag, sup, g.ravel())
+            if status != 0:
+                raise np.linalg.LinAlgError("singular y-mode system")
+            return w.reshape(g.shape)
+    else:
+        Axc = sp.csc_matrix(Ax)
+        eye = sp.identity(Ax.shape[0], format="csc")
+        lus = [spla.splu(Axc + mk * eye) for mk in mu]
+
+        def mode_solve(g):
+            return np.stack([lu.solve(gk) for lu, gk in zip(lus, g)])
 
     def solve(r):
         g = P.T @ (r.reshape(len(V), -1) * rs[:, None])
-        w = np.stack([lu.solve(gk) for lu, gk in zip(lus, g)])
-        return ((P @ w) * rs[:, None]).ravel()
+        return ((P @ mode_solve(g)) * rs[:, None]).ravel()
 
     return solve
 
@@ -512,8 +500,6 @@ def _solve_native_band(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extens
     if n != 1:
         raise ValueError("native mode implemented for 1-D x")
     z_lo, z_hi = problem.z_band if problem.z_band else (0.0, problem.Z)
-    if s != 0.5 and z_lo <= 0:
-        raise ValueError("native band must stay away from z = 0 unless s = 1/2")
     axes = mesh.x_axes(problem.domain, n)
     zg = np.linspace(z_lo, z_hi, mesh.my + 1)
     Ax, Bx, m_matrix = x_operator(problem.coeff, axes)
@@ -543,7 +529,7 @@ def _solve_native_band(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extens
         if a == nzi - 1:
             row -= cE[-1] * np.asarray(problem.g_lateral(xi, zg[-1]), dtype=float)
         rhs[a * nxi:(a + 1) * nxi] = row
-    sol, rel, refined = _checked_solve(A, rhs, _fast_diag_solver(Az, np.ones(nzi), Ax))
+    sol, rel, refined = _checked_solve(A, rhs, spla.splu(A.tocsc()).solve)
 
     W = np.empty((len(zg), len(axes[0])))
     for j in range(len(zg)):
@@ -552,7 +538,7 @@ def _solve_native_band(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extens
         W[a + 1, 1:-1] = sol[a * nxi:(a + 1) * nxi]
     y = transform_to_y(zg, s)
     meta = {"mode": "native", "band": (float(z_lo), float(z_hi)), "m_matrix": m_matrix,
-            "linear_solver": "fast-diagonalization", "refinement_kept": refined}
+            "linear_solver": "sparse-lu", "refinement_kept": refined}
     return ExtensionState(s, axes, y, W, float(np.max(rel)), 0.0, meta)
 
 

@@ -489,11 +489,13 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
 
     One solve with L - p I per pole: LAPACK's tridiagonal gtsv in 1-D, a
     sparse LU in 2-D.  info gives beta, the pole count, the interval, the
-    fit's certificate and whether L is symmetric; then the certificate bounds
-    the relative matrix error in the 2-norm.  The 1-D L = -a(x) d_xx is
-    D S D^{-1} with S symmetric (`tridiagonal_modes`): cond(D) times the bound,
-    <= sqrt(Lambda / lambda) times on a uniform grid.  A nonsymmetric 2-D L
-    is not normal and the scalar error bounds nothing.
+    fit's certificate and whether L is symmetric up to the rounding its node
+    coordinates (errors of eps max|x|, relative to the smallest spacing) leave
+    in the stencil weights; then the certificate bounds the relative matrix
+    error in the 2-norm.  The 1-D L = -a(x) d_xx is D S D^{-1} with S
+    symmetric (`tridiagonal_modes`): cond(D) times the bound, <= sqrt(Lambda
+    / lambda) times on a uniform grid.  A nonsymmetric 2-D L is not normal
+    and the scalar error bounds nothing.
     """
     L = stepper.L
     lo = stepper.lam_floor
@@ -514,8 +516,10 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     out = c0 * v
     for p, wj in zip(poles, w):
         out += wj * solve(p)
+    rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in stepper.grid.axes())
+    symmetric = abs(L - L.T).max() <= 8 * np.finfo(float).eps * rounding * abs(L).max()
     info = {"beta": beta, "poles": len(poles), "interval": [lo, hi], "sup_rel_error": err,
-            "symmetric": (L != L.T).nnz == 0}
+            "symmetric": bool(symmetric)}
     return out, info
 
 

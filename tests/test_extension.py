@@ -277,8 +277,8 @@ def _solve_capturing_system(problem, mesh):
 @given(st.floats(0.05, 0.85), st.integers(17, 129), st.integers(8, 64),
        st.none() | st.floats(1.0, 3.0), st.floats(0.2, 1.0), st.floats(1.0, 5.0),
        st.floats(0.5, 6.0), st.sampled_from(["neumann", "dirichlet"]))
-def test_fast_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, ratio, freq,
-                                                bottom):
+def test_1d_y_mode_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, ratio, freq,
+                                                     bottom):
     Lam = lam * ratio
     coeff = CoefficientField.scalar_1d(
         lambda x: lam + (Lam - lam) * (0.5 + 0.5 * np.sin(freq * x)), lam, Lam)
@@ -289,7 +289,7 @@ def test_fast_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, ratio
                             g_top=lambda x: 1.0 + x)
     mesh = ExtensionMesh(nx=nx, my=my, x_grading=x_grading)
     state, A, rhs = _solve_capturing_system(prob, mesh)
-    assert state.meta["linear_solver"] == "fast-diagonalization"
+    assert state.meta["linear_solver"] == "y-mode-diagonalization"
     j0 = 0 if bottom == "neumann" else 1
     field = state.values[j0:my, 1:-1].ravel()
     ref = spla.spsolve(A.tocsc(), rhs)
@@ -331,7 +331,7 @@ def test_y_mode_diagonalization_matches_sparse_lu(s, nx1, nx2, my, c12, freq, bo
     j0 = 0 if bottom == "neumann" else 1
     field = state.values[j0:my, 1:-1, 1:-1].ravel()
     ref = spla.spsolve(A.tocsc(), rhs)
-    # the componentwise perturbation bound of test_fast_diagonalization_matches_sparse_lu
+    # the componentwise perturbation bound of test_1d_y_mode_diagonalization_matches_sparse_lu
     g = np.abs(A) @ np.abs(ref) + np.abs(rhs)
     omega = np.max(np.abs(A @ ref - rhs) / g) + max(state.residual_interior,
                                                     state.residual_bottom)
@@ -366,10 +366,58 @@ def test_2d_solve_without_sparse_lu():
     assert np.max(np.abs(state.values - oracle(X1, X2, Zq))) < 1e-3
 
 
-def test_fast_diagonalization_keeps_better_of_plain_and_refined():
-    # near s = 1 (K0 ~ 3e37) a refinement step raises the backward error by
-    # orders of magnitude; the solver must keep the unrefined solution there
-    problem, _ = eigen_extension_problem(0.95, 2, Z=1.0)
-    state = solve_extension(problem, ExtensionMesh(nx=257, my=96))
-    assert state.residual_interior <= 1e-12
-    assert not state.meta["refinement_kept"]
+def test_checked_solve_keeps_better_of_plain_and_refined():
+    # stub solves with a known error: the correction step of `good` recovers
+    # the exact solution, that of `bad` adds a large error to it
+    A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+    x = np.array([1.0, -2.0, 3.0])
+    rhs = A @ x
+    delta = np.array([1e-6, 0.0, -1e-6])
+
+    def good(r):
+        return x + delta if r is rhs else spla.spsolve(A.tocsc(), r)
+
+    def bad(r):
+        return x + delta if r is rhs else spla.spsolve(A.tocsc(), r) + 1e-3
+
+    sol, rel, refined = extension._checked_solve(A, rhs, good)
+    assert refined and np.max(rel) <= 1e-15
+    assert np.max(np.abs(sol - x)) <= 1e-14
+    sol, rel, refined = extension._checked_solve(A, rhs, bad)
+    assert not refined and np.array_equal(sol, x + delta)
+    plain = np.abs(A @ delta) / (np.abs(A) @ np.abs(x + delta) + np.abs(rhs))
+    assert np.max(rel) == pytest.approx(np.max(plain), rel=1e-8)
+    with pytest.raises(RuntimeError, match="nonfinite"):
+        extension._checked_solve(A, rhs, lambda r: np.full(3, np.nan))
+
+
+_MESH_COUNTS = st.integers(0, 12) | st.sampled_from([3, 4])
+_GRADINGS = st.none() | st.floats(-1.0, 4.0) | st.sampled_from([0.0, float("nan"), float("inf")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.floats(0.05, 0.9), _MESH_COUNTS, _MESH_COUNTS,
+       st.integers(-1, 12), _GRADINGS, _GRADINGS, st.booleans(),
+       st.sampled_from(["neumann", "dirichlet"]))
+def test_extension_mesh_gives_finite_state_or_value_error(n, s, nx1, nx2, my, grading,
+                                                          x_grading, per_axis, bottom):
+    # every mesh either solves to a finite state or is refused with ValueError;
+    # nx = 3 leaves a single interior x-node per axis
+    if n == 1:
+        coeff, domain = CoefficientField.identity(1), (-1.0, 1.0)
+        data = (bottom, lambda x: np.cos(x))
+        nx = nx1
+    else:
+        coeff, domain = CoefficientField.identity(2), ((-1.0, 1.0), (-1.0, 1.0))
+        data = (bottom, lambda x1, x2: np.cos(x1) * np.cos(x2))
+        nx = (nx1, nx2) if per_axis else nx1
+    prob = ExtensionProblem(s=s, coeff=coeff, domain=domain, Z=1.0, bottom=data,
+                            g_lateral=1.0, g_top=1.0)
+    try:
+        state = solve_extension(prob, ExtensionMesh(nx=nx, my=my, grading=grading,
+                                                    x_grading=x_grading))
+    except ValueError:
+        return
+    assert np.all(np.isfinite(state.values))
+    assert state.values.shape[0] == my + 1
+    assert state.residual_interior <= 1e-12 and state.residual_bottom <= 1e-12

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in the package and the tests is used."""
+"""Source hygiene: every module-level import in the package and the tests is
+used, and every private helper of the package is referenced by the package."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,35 @@ def test_no_unused_module_level_imports():
 def test_allowed_unused_imports_are_still_unused():
     for (rel, name) in ALLOWED_UNUSED:
         assert name in _unused_imports(ROOT / rel), f"{rel}: {name} is used now; drop its entry"
+
+
+def _private_definitions(path):
+    """Module-level private functions and classes (`_name`, not dunder)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _referenced_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_no_unreferenced_private_helpers():
+    # a private helper that only tests or the benchmark reach is dead code in
+    # the package; a replaced numerical path must not leave one behind
+    files = sorted((ROOT / "src" / "fracext").glob("*.py"))
+    referenced = set().union(*(_referenced_names(path) for path in files))
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line} {name}"
+             for path in files for name, line in _private_definitions(path).items()
+             if name not in referenced]
+    assert not found, "unreferenced private helpers: " + ", ".join(found)
