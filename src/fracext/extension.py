@@ -142,7 +142,8 @@ class ExtensionProblem:
 class ExtensionMesh:
     """Tensor mesh: nx nodes per x-axis, my cells in y with power grading
     y_j = Y (j/my)^grading.  x_grading != None grades the x-axis symmetrically
-    toward x = 0 (power law), which resolves trace-data kinks."""
+    toward x = 0 (power law), which resolves trace-data kinks; it needs an odd
+    nx."""
 
     nx: object = 129
     my: int = 64
@@ -159,6 +160,9 @@ class ExtensionMesh:
             g = getattr(self, name)
             if g is not None and not (np.isfinite(g) and g > 0):
                 raise ValueError(f"{name} must be positive and finite")
+        if self.x_grading is not None and any(m % 2 == 0 for m in counts):
+            raise ValueError("x_grading needs an odd nx: a node at x = 0 and the rest "
+                             "split evenly between the two sides")
 
     def y_grading(self, s):
         """The y-grading exponent; unset, it is max(1, 1/(2-2s))."""
@@ -474,8 +478,10 @@ def _checked_solve(A, rhs, solve):
     refinement step with A is taken and kept only if it lowers the largest
     backward error.  Returns (x, per-row error, refinement kept).
     """
+    abs_A = abs(A)
+
     def backward_error(x):
-        return np.abs(A @ x - rhs) / (np.abs(A) @ np.abs(x) + np.abs(rhs) + 1e-300)
+        return np.abs(A @ x - rhs) / (abs_A @ np.abs(x) + np.abs(rhs) + 1e-300)
 
     sol = solve(rhs)
     if not np.all(np.isfinite(sol)):

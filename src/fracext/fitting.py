@@ -1,109 +1,128 @@
 """Sup-norm (Chebyshev) linear fitting.
 
-`sup_fit` solves the linear program min t subject to
-|values_i - (basis @ c)_i| <= t for every row i with scipy's HiGHS backend,
-but on an active set of rows instead of all 2m inequality rows at once
-(Stiefel's exchange method).  The set starts from the rows where the
-least-squares residual is most negative and most positive, k = 4(p + 1) of
-each.  After each LP solve on the set, the residuals of its solution are
-computed on all m rows: if no row outside the set exceeds the set's optimum t
-by more than tol = 1e-12 max(1, max|values|), the solution is polished
-(below) and returned, otherwise the k worst violators join the set and the
-LP is solved again.
+`sup_fit` minimizes E = max_i |values_i - (basis @ c)_i| by Stiefel's exchange
+(Numer. Math. 1 (1959) 1-28), the simplex method on the dual LP
+max sum_i u_i r_i subject to B^T u = 0, sum_i |u_i| = 1.  It solves for the
+correction y to the least-squares fit: r is the least-squares residual and B
+the basis with unit-maximum columns, less the columns a pivoted QR finds
+dependent, so B has full rank q.  A reference is q + 1 rows J with signs
+sigma; with M = [B_J, sigma], M [y; h] = r_J levels the residual at sigma h on
+J and M^T u = e_{q+1} gives the dual weights lambda = sigma u.  It starts from
+q rows picked by a pivoted QR of B^T and the row of largest |r|, where the
+null vector of B_J^T is lambda >= 0, signed so that h >= 0.  Each step prices
+every row by one product B y: the worst row enters with its residual's sign
+and the ratio test on lambda picks the row that leaves.  The signs are
+carried, not read back from u, whose zero weights on degenerate references
+(repeated rows) can flip them and cycle.
 
-The LP on a subset of rows is a relaxation of the full one, so its optimum t
-is at most the full optimum E_opt, and the returned error
-max|values - basis @ c| <= t + tol <= E_opt + tol is a certificate, not an
-estimate.  The set grows on every pass, so the loop ends, at worst with all
-rows.  HiGHS works to absolute tolerances (primal feasibility 1e-7) and drops
-matrix entries below 1e-9, so each LP is posed for the correction to the
-least-squares fit, with unit-maximum basis columns and the least-squares
-residual scaled to _LP_SCALE.  Even so, HiGHS can leave a row of the set a
-few 1e-12 above t, so the final set's tight rows (nonzero duals) are solved
-once more as equations, which holds them at the optimum to rounding.
-
-Lawson's iteratively reweighted least squares serves method="lawson" and is
-the fallback when any LP solve fails.
+Every reference is dual feasible, so h <= E_opt by weak duality; the exchange
+stops once max|r - B y| <= h + tol, tol = 1e-12 max(1, max|values|) (or
+1e-12 max|r| when smaller), and the returned error is a certificate:
+h <= E_opt <= E <= h + tol.  After _MAX_EXCHANGES steps one HiGHS LP over all
+2m rows takes over, posed with the residual scaled to _LP_SCALE because
+HiGHS's tolerances are absolute; if it fails, Lawson's iteratively reweighted
+least squares answers, as it does for method="lawson".
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import qr
 from scipy.optimize import linprog
 
+_MAX_EXCHANGES = 100
 _LP_SCALE = 1e6
 
 
 def sup_fit(basis, values, method="lp", lawson_iters=8):
     """min over coefficients of max_i |values_i - (basis @ coeffs)_i|.
 
-    basis: (m, p) design matrix.  Returns (coeffs, sup_error), where
-    sup_error is the maximum residual of the returned coefficients.
+    basis: (m, p) design matrix, values: m finite numbers.  Returns
+    (coeffs, sup_error), where sup_error is the maximum residual of the
+    returned coefficients.
     """
     basis = np.asarray(basis, dtype=float)
     values = np.asarray(values, dtype=float)
+    if basis.ndim != 2:
+        raise ValueError("basis must be a 2-D (m, p) array")
+    if values.shape != (basis.shape[0],):
+        raise ValueError(f"values must have shape ({basis.shape[0]},), got {values.shape}")
+    if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(values))):
+        raise ValueError("basis and values must be finite")
     if method == "lp":
-        coeffs = _active_set_lp(basis, values)
+        coeffs = _minimax(basis, values)
         if coeffs is not None:
             return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
     return _lawson(basis, values, lawson_iters)
 
 
-def _active_set_lp(basis, values):
-    """Minimax coefficients from LPs on a growing set of rows; None if an LP
-    solve fails."""
-    m, p = basis.shape
-    k = 4 * (p + 1)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+def _minimax(basis, values):
+    """Minimax coefficients: the exchange, else one full LP; None if the LP
+    fails."""
     lsq, *_ = np.linalg.lstsq(basis, values, rcond=None)
     r = values - basis @ lsq
-    scale = float(np.max(np.abs(r)))
-    if scale == 0.0:
-        return lsq
     col = np.max(np.abs(basis), axis=0)
     col[col == 0.0] = 1.0
-    unit = scale / _LP_SCALE
-    Bs, rs = basis / col, r / unit
-    if m <= 2 * k:
-        rows = np.arange(m)
-    else:
-        order = np.argpartition(r, (k, m - k - 1))
-        rows = np.union1d(order[:k], order[m - k:])
-    c = np.zeros(p + 1)
-    c[-1] = 1.0
-    bounds = [(None, None)] * (p + 1)
-    while True:
-        B = Bs[rows]
-        ones = np.ones((len(rows), 1))
-        A = np.block([[B, -ones], [-B, -ones]])
-        b = np.concatenate([rs[rows], -rs[rows]])
-        res = linprog(c, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-        if not res.success:
-            return None
-        coeffs = lsq + res.x[:p] * unit / col
-        excess = np.abs(values - basis @ coeffs) - (res.x[p] * unit + tol)
-        excess[rows] = 0.0
-        worst = np.argsort(excess)[-k:]
-        worst = worst[excess[worst] > 0.0]
-        if worst.size == 0:
-            return _polish(basis, values, coeffs, lsq, unit / col, Bs[rows], rs[rows],
-                           res.ineqlin.marginals)
-        rows = np.union1d(rows, worst)
-
-
-def _polish(basis, values, coeffs, lsq, step, B, r, duals):
-    """Re-solve the final LP's tight rows (nonzero duals) as equations
-    B_i y + sigma_i t = r_i, sigma_i = -1 in the first block and +1 in the
-    second; the result is kept only if it lowers the sup error."""
-    tight = np.flatnonzero(duals)
-    sigma = np.where(tight < len(r), -1.0, 1.0)
-    rows = tight % len(r)
-    sol, *_ = np.linalg.lstsq(np.column_stack([B[rows], sigma]), r[rows], rcond=None)
-    polished = lsq + sol[:-1] * step
-    if (np.max(np.abs(values - basis @ polished))
-            < np.max(np.abs(values - basis @ coeffs))):
-        return polished
+    B = basis / col
+    R, perm = qr(B, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = np.sum(diag > np.finfo(float).eps * max(B.shape) * np.max(diag, initial=0.0))
+    keep = np.sort(perm[:rank])
+    if np.max(np.abs(r)) == 0.0 or not 0 < keep.size < len(r):
+        return lsq
+    B = B[:, keep]
+    tol = 1e-12 * min(max(1.0, float(np.max(np.abs(values)))), float(np.max(np.abs(r))))
+    found = _exchange(B, r, tol)
+    y = found[0] if found is not None else _full_lp(B, r)
+    if y is None:
+        return None
+    coeffs = lsq.copy()
+    coeffs[keep] += y / col[keep]
     return coeffs
+
+
+def _exchange(B, r, tol):
+    """Stiefel's exchange for min_y max|r - B y| with B of full column rank q
+    and more than q rows.  Returns (y, h), h the dual lower bound with
+    max|r - B y| <= h + tol, or None after _MAX_EXCHANGES steps."""
+    q = B.shape[1]
+    rows = qr(B.T, mode="r", pivoting=True)[1][:q]
+    mag = np.abs(r)
+    mag[rows] = -1.0
+    J = np.append(rows, np.argmax(mag))
+    u = np.append(-np.linalg.solve(B[rows].T, B[J[-1]]), 1.0)
+    if u @ r[J] < 0.0:
+        u = -u
+    sigma = np.where(u >= 0.0, 1.0, -1.0)
+    for _ in range(_MAX_EXCHANGES):
+        Minv = np.linalg.inv(np.column_stack([B[J], sigma]))
+        yh = Minv @ r[J]
+        e = r - B @ yh[:q]
+        k = np.argmax(np.abs(e))
+        if abs(e[k]) <= yh[q] + tol:
+            return yh[:q], yh[q]
+        sk = 1.0 if e[k] > 0.0 else -1.0
+        lam = np.maximum(sigma * Minv[q], 0.0)
+        d = sigma * (Minv.T @ np.append(sk * B[k], 1.0))
+        # d sums to 1; leaving on a pivot below 1e-12 would make M near singular
+        ratio = np.where(d > 1e-12, lam / np.where(d > 1e-12, d, 1.0), np.inf)
+        leave = np.argmax(np.where(ratio <= ratio.min(), d, -np.inf))
+        J[leave], sigma[leave] = k, sk
+    return None
+
+
+def _full_lp(B, r):
+    """min_y max|r - B y| as one HiGHS LP over all 2m rows, with r scaled to
+    max |r| = _LP_SCALE; None if the solve fails."""
+    m, q = B.shape
+    unit = float(np.max(np.abs(r))) / _LP_SCALE
+    cost = np.zeros(q + 1)
+    cost[-1] = 1.0
+    ones = np.ones((m, 1))
+    res = linprog(cost, A_ub=np.block([[B, -ones], [-B, -ones]]),
+                  b_ub=np.concatenate([r, -r]) / unit, bounds=[(None, None)] * (q + 1),
+                  method="highs")
+    return res.x[:q] * unit if res.success else None
 
 
 def _lawson(basis, values, iters):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracext import extension
 from fracext.benchmarks import (eigen_extension_problem, harmonic_combo_problem,
@@ -279,6 +279,8 @@ def _solve_capturing_system(problem, mesh):
        st.floats(0.5, 6.0), st.sampled_from(["neumann", "dirichlet"]))
 def test_1d_y_mode_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, ratio, freq,
                                                      bottom):
+    if x_grading is not None:
+        nx += 1 - nx % 2  # a graded x-axis needs an odd node count
     Lam = lam * ratio
     coeff = CoefficientField.scalar_1d(
         lambda x: lam + (Lam - lam) * (0.5 + 0.5 * np.sin(freq * x)), lam, Lam)
@@ -399,10 +401,11 @@ _GRADINGS = st.none() | st.floats(-1.0, 4.0) | st.sampled_from([0.0, float("nan"
 @given(st.sampled_from([1, 2]), st.floats(0.05, 0.9), _MESH_COUNTS, _MESH_COUNTS,
        st.integers(-1, 12), _GRADINGS, _GRADINGS, st.booleans(),
        st.sampled_from(["neumann", "dirichlet"]))
+@example(1, 0.4, 4, 4, 6, None, 2.0, False, "neumann")  # even nx with x_grading
 def test_extension_mesh_gives_finite_state_or_value_error(n, s, nx1, nx2, my, grading,
                                                           x_grading, per_axis, bottom):
-    # every mesh either solves to a finite state or is refused with ValueError;
-    # nx = 3 leaves a single interior x-node per axis
+    # every mesh either solves to a finite state of the asked size or is refused
+    # with ValueError; nx = 3 leaves a single interior x-node per axis
     if n == 1:
         coeff, domain = CoefficientField.identity(1), (-1.0, 1.0)
         data = (bottom, lambda x: np.cos(x))
@@ -419,5 +422,5 @@ def test_extension_mesh_gives_finite_state_or_value_error(n, s, nx1, nx2, my, gr
     except ValueError:
         return
     assert np.all(np.isfinite(state.values))
-    assert state.values.shape[0] == my + 1
+    assert state.values.shape == (my + 1, *([nx] * n if np.isscalar(nx) else nx))
     assert state.residual_interior <= 1e-12 and state.residual_bottom <= 1e-12

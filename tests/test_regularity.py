@@ -10,14 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from fracext import fitting
-from fracext.benchmarks import harmonic_combo_problem, positive_harmonic_family
+from fracext.benchmarks import (harmonic_combo_problem, kinked_trace_problem,
+                                positive_harmonic_family)
 from fracext.config import validate
 from fracext.extension import (ExtensionMesh, ExtensionState, HarmonicCombo,
                                rescale_solution, solve_extension, transform_to_y)
 from fracext.fitting import sup_fit
 from fracext.geometry import MAGeometry
-from fracext.regularity import (approximation_distance, campanato_iterate,
-                                harnack_family_report, harnack_quotient,
+from fracext.regularity import (_case_basis, _region, approximation_distance,
+                                campanato_iterate, harnack_family_report, harnack_quotient,
                                 holder_quotient, holder_seminorm,
                                 holder_seminorm_state, interior_norm_report,
                                 schauder_decay)
@@ -92,13 +93,100 @@ def test_sup_fit_rank_deficient_basis():
     assert np.all(np.isfinite(coeffs))
 
 
+def _scaled_lp_fit(basis, values):
+    """One HiGHS solve over all 2m rows for the correction to the least-squares
+    fit, with unit-maximum columns and the residual scaled to 1e6."""
+    m, p = basis.shape
+    lsq, *_ = np.linalg.lstsq(basis, values, rcond=None)
+    r = values - basis @ lsq
+    col = np.max(np.abs(basis), axis=0)
+    unit = float(np.max(np.abs(r))) / 1e6
+    cost = np.zeros(p + 1)
+    cost[-1] = 1.0
+    ones = np.ones((m, 1))
+    B = basis / col
+    res = linprog(cost, A_ub=np.block([[B, -ones], [-B, -ones]]),
+                  b_ub=np.concatenate([r, -r]) / unit, bounds=[(None, None)] * (p + 1),
+                  method="highs")
+    assert res.success
+    return lsq + res.x[:p] * unit / col
+
+
+def test_sup_fit_falls_back_to_the_full_lp_when_the_exchange_stalls(monkeypatch):
+    xs = np.linspace(-1, 1, 401)
+    B = np.stack([np.ones_like(xs), xs, xs**2], axis=1)
+    monkeypatch.setattr(fitting, "_MAX_EXCHANGES", 0)
+    coeffs, err = sup_fit(B, np.abs(xs) ** 0.7)
+    ref = _scaled_lp_fit(B, np.abs(xs) ** 0.7)
+    assert np.array_equal(coeffs, ref)
+    assert err == float(np.max(np.abs(np.abs(xs) ** 0.7 - B @ ref)))
+
+
 def test_sup_fit_falls_back_to_lawson_when_the_lp_fails(monkeypatch):
     xs = np.linspace(-1, 1, 401)
     B = np.stack([np.ones_like(xs), xs], axis=1)
+    monkeypatch.setattr(fitting, "_MAX_EXCHANGES", 0)
     monkeypatch.setattr(fitting, "linprog", lambda *a, **k: SimpleNamespace(success=False))
     coeffs, err = sup_fit(B, xs**2)
     ref_coeffs, ref_err = sup_fit(B, xs**2, method="lawson")
     assert np.array_equal(coeffs, ref_coeffs) and err == ref_err
+
+
+@pytest.mark.parametrize("basis, values", [
+    (np.ones(5), np.ones(5)),
+    (np.ones((5, 2, 1)), np.ones(5)),
+    (np.ones((5, 2)), np.ones(4)),
+    (np.ones((5, 2)), np.ones((5, 1))),
+    (np.ones((5, 2)), np.array([1.0, 2.0, np.nan, 4.0, 5.0])),
+    (np.ones((5, 2)), np.array([1.0, 2.0, np.inf, 4.0, 5.0])),
+    (np.array([[1.0, 0.0]] * 4 + [[1.0, -np.inf]]), np.ones(5)),
+])
+@pytest.mark.parametrize("method", ["lp", "lawson"])
+def test_sup_fit_rejects_malformed_input(basis, values, method):
+    with pytest.raises(ValueError):
+        sup_fit(basis, values, method=method)
+
+
+def _no_linprog(*args, **kwargs):
+    raise AssertionError("linprog called")
+
+
+@pytest.fixture(scope="module")
+def kinked_state():
+    problem, mesh = kinked_trace_problem(0.6, 0.5, mx=80, my=40)
+    return solve_extension(problem, mesh)
+
+
+@pytest.mark.parametrize("case", [2, 3])
+def test_exchange_certifies_degenerate_references(monkeypatch, kinked_state, case):
+    # decay regions: x symmetric about 0, so the rows of [1, x] repeat on every
+    # z level, and case 3 adds the h(z) column; the exchange must finish on its
+    # own (no LP fallback) with E <= h + tol and E <= the full LP's error + tol
+    monkeypatch.setattr(fitting, "linprog", _no_linprog)
+    levels = []
+    exchange = fitting._exchange
+
+    def spy(B, r, tol):
+        found = exchange(B, r, tol)
+        levels.append(found[1])
+        return found
+
+    monkeypatch.setattr(fitting, "_exchange", spy)
+    geom = MAGeometry(kinked_state.s)
+    for j in range(6):
+        X, Z, V = _region(kinked_state, geom, 0.5**j, case)
+        basis = _case_basis(case, X, Z, geom)
+        coeffs, err = sup_fit(basis, V)
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(V))))
+        assert err <= levels[-1] + tol
+        assert err <= _full_lp_error(basis, V) + tol
+
+
+def test_kinked_decay_and_campanato_make_no_lp_call(monkeypatch, kinked_state):
+    monkeypatch.setattr(fitting, "linprog", _no_linprog)
+    for case in (2, 3):
+        assert len(schauder_decay(kinked_state, case, rho=0.5, depth=6).scales) >= 4
+        assert campanato_iterate(kinked_state, case, alpha=0.5, rho=0.5, depth=4).steps >= 2
 
 
 def test_holder_seminorm_basics():
