@@ -19,19 +19,21 @@ evaluates the weight at y = 0 and reproduces the homogeneous solutions 1 and
 y^{2s} exactly.  All off-diagonal couplings are nonnegative, which gives the
 discrete maximum principle whenever the x-stencil keeps it (always for n = 1).
 
-The assembled system is A = A_y (x) I + diag(V) (x) A_x, solved in every
-dimension by fast diagonalization in the degenerate direction: the symmetric
-tridiagonal A_y and the cell weights V > 0 form a pencil whose eigenvectors
-split A into one system A_x + mu_k I (mu_k < 0) per y-mode.  A_x need not
-separate, so a mixed a12 term in 2-D is no obstacle.  The per-mode kernel
-depends on the dimension: for n = 1 A_x is tridiagonal and one batched
-tridiagonal sweep in x solves all modes at once; for n = 2 each mode gets a
-sparse LU of size (nx-2)^2 with 2-D fill only.  One refinement step with A
-follows and is kept only if it lowers the componentwise backward error.
+The system is A = A_y (x) I + diag(V) (x) A_x.  It is never assembled: A and
+|A| are applied through their factors, level by level, and it is solved in
+every dimension by fast diagonalization in the degenerate direction: the
+symmetric tridiagonal A_y and the cell weights V > 0 form a pencil whose
+eigenvectors split A into one system A_x + mu_k I (mu_k < 0) per y-mode.
+A_x need not separate, so a mixed a12 term in 2-D is no obstacle.  The
+per-mode kernel depends on the dimension: for n = 1 A_x is tridiagonal and
+one batched tridiagonal sweep in x solves all modes at once; for n = 2 each
+mode gets a sparse LU of size (nx-2)^2 with 2-D fill only.  One refinement
+step with A follows and is kept only if it lowers the componentwise backward
+error.
 
 A native-z mode is kept for cross-checks on bands {z >= z_lo > 0} away from
-the degenerate boundary; it solves its (nonsymmetric) system by one sparse
-LU, independently of the transformed path.
+the degenerate boundary; its (nonsymmetric) system is the one assembled
+matrix, solved by one sparse LU independently of the transformed path.
 """
 
 from __future__ import annotations
@@ -169,8 +171,17 @@ class ExtensionMesh:
         return self.grading if self.grading is not None else max(1.0, 1.0 / (2.0 - 2.0 * s))
 
     def y_nodes(self, Y, s):
+        """y_j = Y (j/my)^grading.  Raises ValueError when the nodes, or their
+        powers y^{2s} that the conductances difference, are not strictly
+        increasing (a grading so weak or so strong that nodes coincide)."""
         j = np.arange(self.my + 1)
-        return Y * (j / self.my) ** self.y_grading(s)
+        g = self.y_grading(s)
+        y = Y * (j / self.my) ** g
+        if not (np.all(np.diff(y) > 0.0) and np.all(np.diff(y ** (2.0 * s)) > 0.0)):
+            raise ValueError(f"grading {g:.6g} with my = {self.my} makes adjacent y-nodes "
+                             f"coincide at s = {s:.6g}; choose a grading nearer 1 or a "
+                             "smaller my")
+        return y
 
     def x_axes(self, domain, n):
         doms = [domain] if n == 1 else list(domain)
@@ -188,6 +199,9 @@ class ExtensionMesh:
                 left = lo * (np.arange(half, 0, -1) / half) ** self.x_grading
                 right = hi * (np.arange(1, half + 1) / half) ** self.x_grading
                 axes.append(np.concatenate([left, [0.0], right]))
+            if not np.all(np.diff(axes[-1]) > 0.0):
+                raise ValueError(f"x-axis ({lo:.6g}, {hi:.6g}) with nx = {m} and x_grading "
+                                 f"{self.x_grading} has coinciding nodes")
         return axes
 
 
@@ -344,38 +358,37 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
 
     kind, bdata = problem.bottom
     j0 = 0 if kind == "neumann" else 1
-    levels = list(range(j0, my))
-    nl = len(levels)
+    levels = slice(j0, my)
+    nl = my - j0
 
     # symmetric tridiagonal y-coupling over unknown levels; level j couples to
     # j + 1 through K_{j+1/2}, and the trace row j = 0 has no lower face
     K_below = np.concatenate([[0.0], K])[levels]
-    off = K[levels[:-1]]
+    off = K[j0:my - 1]
     Ay = sp.diags([off, -(K[levels] + K_below), off], [-1, 0, 1], format="csr")
-    Vlev = Vw[levels]
+    A = _LevelOperator(Ay, Vw[levels], Ax)
 
-    A = sp.kron(Ay, sp.identity(nxi, format="csr"), format="csr") \
-        + sp.kron(sp.diags(Vlev), Ax, format="csr")
-
+    # every datum evaluated once: W starts as the lateral data on all levels,
+    # and one Bx product gives the Dirichlet-neighbour term of every level
     zlev = transform_to_z(y, s)
-    rhs = np.zeros(nl * nxi)
-    for a, j in enumerate(levels):
-        Fj = np.broadcast_to(problem.F(*Xint, zlev[j]), Xint[0].shape).ravel()
-        gj = np.broadcast_to(problem.g_lateral(*Xfull, zlev[j]), Xfull[0].shape).ravel()
-        row = Vw[j] * Fj - Vw[j] * (Bx @ gj)
-        if j == 0:
-            ft = to_flux * np.broadcast_to(
-                problem.bottom[1](*Xint), Xint[0].shape).ravel()
-            row = row + ft
-        if j == 1 and kind == "dirichlet":
-            u0 = np.broadcast_to(bdata(*Xint), Xint[0].shape).ravel()
-            row = row - K[0] * u0
-        if j == my - 1:
-            gt = np.broadcast_to(problem.g_top(*Xint), Xint[0].shape).ravel()
-            row = row - K[my - 1] * gt
-        rhs[a * nxi:(a + 1) * nxi] = row
+    W = np.empty((my + 1,) + Xfull[0].shape)
+    for j in range(my + 1):
+        W[j] = problem.g_lateral(*Xfull, zlev[j])
+    BG = (Bx @ W.reshape(my + 1, -1).T).T
+    F = np.stack([np.broadcast_to(problem.F(*Xint, zlev[j]), Xint[0].shape).ravel()
+                  for j in range(my)])
+    g_top = np.broadcast_to(problem.g_top(*Xint), Xint[0].shape)
+    u_bottom = np.broadcast_to(bdata(*Xint), Xint[0].shape)
 
-    sol, rel, refined = _checked_solve(A, rhs, _y_mode_solver(Ay, Vlev, Ax, n))
+    rhs = Vw[:my, None] * F - Vw[:my, None] * BG[:my]
+    if kind == "neumann":
+        rhs[0] += to_flux * u_bottom.ravel()
+    else:
+        rhs[1] -= K[0] * u_bottom.ravel()
+    rhs[my - 1] -= K[my - 1] * g_top.ravel()
+    rhs = rhs[levels].ravel()
+
+    sol, rel, refined = _checked_solve(A, rhs, _y_mode_solver(Ay, Vw[levels], Ax, n))
     if kind == "neumann":
         res_bottom = float(np.max(rel[:nxi]))
         res_int = float(np.max(rel[nxi:])) if nl > 1 else 0.0
@@ -383,25 +396,18 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         res_bottom = 0.0
         res_int = float(np.max(rel))
 
-    # assemble the full value array, boundary data included
-    xshape = tuple(len(ax) for ax in axes)
-    W = np.empty((my + 1,) + xshape)
-    for j in range(my + 1):
-        W[j] = np.broadcast_to(problem.g_lateral(*Xfull, zlev[j]), Xfull[0].shape)
+    # the full value array, boundary data included
     inner = (slice(1, -1),) * n
-    W[(my,) + inner] = np.broadcast_to(problem.g_top(*Xint), Xint[0].shape)
+    W[(my,) + inner] = g_top
     if kind == "dirichlet":
-        W[(0,) + inner] = np.broadcast_to(bdata(*Xint), Xint[0].shape)
-    for a, j in enumerate(levels):
-        W[(j,) + inner] = sol[a * nxi:(a + 1) * nxi].reshape(Xint[0].shape)
+        W[(0,) + inner] = u_bottom
+    W[(levels,) + inner] = sol.reshape((nl,) + Xint[0].shape)
 
     # FV trace-row flux read-back: f~ = K_{1/2}(W_1 - W_0) + V_0 (a dW - F~)_0,
     # converted to native d_z U by the (2s)^{2s-1} factor
     w0 = W[(0,) + inner].ravel()
     w1 = W[(1,) + inner].ravel()
-    g0 = np.broadcast_to(problem.g_lateral(*Xfull, zlev[0]), Xfull[0].shape).ravel()
-    F0 = np.broadcast_to(problem.F(*Xint, zlev[0]), Xint[0].shape).ravel()
-    ft_read = K[0] * (w1 - w0) + Vw[0] * (Ax @ w0 + Bx @ g0 - F0)
+    ft_read = K[0] * (w1 - w0) + Vw[0] * (Ax @ w0 + BG[0] - F[0])
     flux_fv = (_dz_factor(s) * ft_read).reshape(Xint[0].shape)
 
     meta = {
@@ -471,24 +477,47 @@ def _y_mode_solver(Ay, V, Ax, n):
     return solve
 
 
+class _LevelOperator:
+    """A = Ay (x) I + diag(V) (x) Ax on level-major vectors, applied through its
+    factors: A x = Ay X + V o (Ax X^T)^T with X the vector as (levels, x-nodes).
+    abs() gives |A| = |Ay| (x) I + diag(V) (x) |Ax| the same way."""
+
+    def __init__(self, Ay, V, Ax):
+        self.Ay, self.V, self.Ax = Ay, V, Ax
+
+    def __matmul__(self, x):
+        X = x.reshape(len(self.V), -1)
+        return (self.Ay @ X + self.V[:, None] * (self.Ax @ X.T).T).ravel()
+
+    def __abs__(self):
+        # the two terms meet only on the diagonal, where no cancellation
+        # happens while both diagonals are <= 0; then |A| splits as above
+        if np.any(self.Ay.diagonal() > 0.0) or np.any(self.Ax.diagonal() > 0.0):
+            raise ValueError("|A| splits over the factors only for nonpositive diagonals")
+        return _LevelOperator(abs(self.Ay), self.V, abs(self.Ax))
+
+
 def _checked_solve(A, rhs, solve):
     """solve(rhs) with the non-finite check and its componentwise backward
     error |A x - b| / (|A| |x| + |b|) per row (rows near y = 0 carry huge
-    conductances, so the raw residual must be normalized per row).  One
-    refinement step with A is taken and kept only if it lowers the largest
-    backward error.  Returns (x, per-row error, refinement kept).
+    conductances, so the raw residual must be normalized per row).  A needs
+    only `A @ x` and `abs(A)`: the transformed solves pass a _LevelOperator,
+    the native band its assembled matrix.  One refinement step with A is
+    taken and kept only if it lowers the largest backward error.  Returns
+    (x, per-row error, refinement kept).
     """
     abs_A = abs(A)
 
-    def backward_error(x):
-        return np.abs(A @ x - rhs) / (abs_A @ np.abs(x) + np.abs(rhs) + 1e-300)
+    def residual_and_error(x):
+        r = rhs - A @ x
+        return r, np.abs(r) / (abs_A @ np.abs(x) + np.abs(rhs) + 1e-300)
 
     sol = solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("linear solve failed: nonfinite solution")
-    rel = backward_error(sol)
-    sol1 = sol + solve(rhs - A @ sol)
-    rel1 = backward_error(sol1)
+    r, rel = residual_and_error(sol)
+    sol1 = sol + solve(r)
+    _, rel1 = residual_and_error(sol1)
     if np.max(rel1) < np.max(rel):
         return sol1, rel1, True
     return sol, rel, False

@@ -55,8 +55,7 @@ def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta, pair_cap=2_000_0
 
 def holder_seminorm_state(geom, state: ExtensionState, center, R, beta, pair_cap=2_000_000):
     """Seminorm of a solved state restricted to the section S_R(center)."""
-    xs, z, v = state.node_points()
-    x = xs[0] if len(xs) == 1 else np.stack(xs, axis=-1)
+    x, z, v = _flat_nodes(state)
     member = geom.delta_Phi((center[0], center[1]), (x, z)) < R
     return holder_seminorm(geom, x[member], z[member], v[member], beta, pair_cap)
 
@@ -85,32 +84,52 @@ def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R, kappa=0
     symmetric solutions); f_fn / F_fn are the problem data used for the
     inhomogeneous terms, omitted means zero.
     """
+    x, z, v = _flat_nodes(state)
+    section = _HarnackSections(geom, x, z, center, R, kappa)
+    return section.report(v, f_fn, F_fn)
+
+
+def _flat_nodes(state: ExtensionState):
+    """(x, z, v) of state.node_points() with x stacked to (N, n) for n > 1."""
     xs, z, v = state.node_points()
-    x = xs[0] if len(xs) == 1 else np.stack(xs, axis=-1)
-    cx, cz = center
-    delta = geom.delta_Phi((cx, cz), (x, z))
-    in_R = delta < R
-    if not np.any(in_R):
-        raise ValueError("section S_R contains no grid nodes")
-    if np.min(v[in_R]) < -1e-10 * max(1.0, np.max(np.abs(v[in_R]))):
-        raise ValueError("Harnack quotient requires a nonnegative solution on S_R")
-    in_kR = delta < kappa * R
-    if not np.any(in_kR):
-        raise ValueError("section S_{kappa R} contains no grid nodes")
-    sup = float(np.max(v[in_kR]))
-    inf = float(max(np.min(v[in_kR]), 0.0))
-    f_term = 0.0
-    if f_fn is not None:
-        trace = in_R & (np.abs(z) < 1e-300)
-        if np.any(trace):
-            f_term = float(np.max(np.abs(f_fn(x[trace])))) * R**geom.s
-    F_term = 0.0
-    if F_fn is not None:
-        F_term = float(np.max(np.abs(F_fn(x[in_R], z[in_R])))) * R
-    den = inf + f_term + F_term
-    Q = 1.0 if sup == 0.0 else (np.inf if den == 0.0 else sup / den)
-    return HarnackReport(float(np.atleast_1d(cx)[0]), float(cz), float(R), float(kappa),
-                         sup, inf, f_term, F_term, float(Q))
+    return (xs[0] if len(xs) == 1 else np.stack(xs, axis=-1)), z, v
+
+
+class _HarnackSections:
+    """The nodes of S_R(center) and S_{kappa R}(center) among fixed nodes (x, z):
+    the geometry of a Harnack quotient, shared by every function on them."""
+
+    def __init__(self, geom: MAGeometry, x, z, center, R, kappa):
+        self.geom, self.x, self.z = geom, x, z
+        self.center, self.R, self.kappa = center, R, kappa
+        delta = geom.delta_Phi((center[0], center[1]), (x, z))
+        self.in_R = delta < R
+        if not np.any(self.in_R):
+            raise ValueError("section S_R contains no grid nodes")
+        self.in_kR = delta < kappa * R
+        if not np.any(self.in_kR):
+            raise ValueError("section S_{kappa R} contains no grid nodes")
+
+    def report(self, v, f_fn=None, F_fn=None) -> HarnackReport:
+        """The quotient of the node values v (one per node)."""
+        in_R, in_kR, R = self.in_R, self.in_kR, self.R
+        if np.min(v[in_R]) < -1e-10 * max(1.0, np.max(np.abs(v[in_R]))):
+            raise ValueError("Harnack quotient requires a nonnegative solution on S_R")
+        sup = float(np.max(v[in_kR]))
+        inf = float(max(np.min(v[in_kR]), 0.0))
+        f_term = 0.0
+        if f_fn is not None:
+            trace = in_R & (np.abs(self.z) < 1e-300)
+            if np.any(trace):
+                f_term = float(np.max(np.abs(f_fn(self.x[trace])))) * R**self.geom.s
+        F_term = 0.0
+        if F_fn is not None:
+            F_term = float(np.max(np.abs(F_fn(self.x[in_R], self.z[in_R])))) * R
+        den = inf + f_term + F_term
+        Q = 1.0 if sup == 0.0 else (np.inf if den == 0.0 else sup / den)
+        cx, cz = self.center
+        return HarnackReport(float(np.atleast_1d(cx)[0]), float(cz), float(R),
+                             float(self.kappa), sup, inf, f_term, F_term, float(Q))
 
 
 def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
@@ -118,7 +137,8 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
 
     family: list of HarmonicCombo (f = F = 0, so the data terms vanish).  Each
     is sampled on the solver grid at `refine` times the base resolution; the
-    sampling-grid sweep is what the stability check varies.
+    sampling-grid sweep is what the stability check varies.  The sections S_R
+    and S_{kappa R} of the reflected grid are found once for the family.
     """
     geom = MAGeometry(s)
     mesh = mesh or ExtensionMesh(nx=97, my=48)
@@ -128,12 +148,15 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     zcap = geom.section_interval(0.0, R)[1] * 1.05
     xs = np.linspace(-xlim, xlim, nx)
     zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)])
+    grid = ExtensionState(s, [xs], transform_to_y(zs, s), np.zeros((len(zs), len(xs))),
+                          0.0, 0.0, reflected=True)
+    x, z, _ = _flat_nodes(grid)
+    section = _HarnackSections(geom, x, z, (0.0, 0.0), R, kappa)
     reports = []
     for combo in family:
         vals = np.broadcast_to(combo(xs[None, :], zs[:, None]), (len(zs), len(xs)))
-        state = ExtensionState(s, [xs], transform_to_y(zs, s), vals, 0.0, 0.0,
-                               meta={"synthetic": True}, reflected=True)
-        reports.append(harnack_quotient(geom, state, (0.0, 0.0), R, kappa))
+        # the node order of the reflected grid: mirrored levels, then z >= 0
+        reports.append(section.report(np.concatenate([vals[::-1], vals[1:]]).ravel()))
     quotients = np.array([r.quotient for r in reports])
     return {"C_H_hat": float(np.max(quotients)),
             "min_quotient": float(np.min(quotients)),

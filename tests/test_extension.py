@@ -1,6 +1,7 @@
 """Extension solver: transforms, benchmarks against closed forms, maximum
 principle, reflection/rescaling, and the derivative-decay measurements."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -259,8 +260,15 @@ def test_state_save_roundtrip(tmp_path):
     assert sidecar["s"] == 0.5 and "residual_interior" in sidecar
 
 
-def _solve_capturing_system(problem, mesh):
-    """solve_extension plus the assembled (A, rhs) its linear solve received."""
+def _assembled(op):
+    """The matrix Ay (x) I + diag(V) (x) Ax that a level operator applies."""
+    return (sp.kron(op.Ay, sp.identity(op.Ax.shape[0]), format="csr")
+            + sp.kron(sp.diags(op.V), op.Ax, format="csr"))
+
+
+def _solve_capturing_system(problem, mesh, assemble=True):
+    """solve_extension plus the system (A, rhs) its linear solve received; A is
+    assembled from the operator's factors unless `assemble` is False."""
     seen = {}
 
     def spy(A, rhs, solve):
@@ -270,7 +278,32 @@ def _solve_capturing_system(problem, mesh):
     checked = extension._checked_solve
     with mock.patch.object(extension, "_checked_solve", spy):
         state = solve_extension(problem, mesh)
-    return state, seen["A"], seen["rhs"]
+    return state, _assembled(seen["A"]) if assemble else seen["A"], seen["rhs"]
+
+
+def _variable_1d_problem(s, lam, Lam, freq, bottom):
+    coeff = CoefficientField.scalar_1d(
+        lambda x: lam + (Lam - lam) * (0.5 + 0.5 * np.sin(freq * x)), lam, Lam)
+    return ExtensionProblem(s=s, coeff=coeff, domain=(-1.0, 1.0), Z=1.0,
+                            bottom=(bottom, lambda x: np.cos(2.0 * x)),
+                            F=lambda x, z: x * z,
+                            g_lateral=lambda x, z: 1.0 + x * z,
+                            g_top=lambda x: 1.0 + x)
+
+
+def _variable_2d_problem(s, nx1, nx2, c12, freq, bottom):
+    # variable a^{ij} with a12 != 0 make Ax nonsymmetric; square cells and
+    # |a12| <= c12 < min(a11, a22) keep the upwinded mixed stencil
+    coeff = CoefficientField.full_2d(lambda x1, x2: 1.0 + 0.5 * np.sin(freq * x1) ** 2,
+                                     lambda x1, x2: c12 * np.cos(freq * (x1 + x2)),
+                                     lambda x1, x2: 1.0 + 0.5 * np.cos(freq * x2) ** 2,
+                                     0.5, 2.0)
+    half = (nx2 - 1) / (nx1 - 1)
+    return ExtensionProblem(s=s, coeff=coeff, domain=((-1.0, 1.0), (-half, half)), Z=1.0,
+                            bottom=(bottom, lambda x1, x2: np.cos(2.0 * x1) * np.sin(x2 + 1.0)),
+                            F=lambda x1, x2, z: x1 * z + x2,
+                            g_lateral=lambda x1, x2, z: 1.0 + x1 * z - x2,
+                            g_top=lambda x1, x2: 1.0 + x1 + x2 * x2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -281,14 +314,7 @@ def test_1d_y_mode_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, 
                                                      bottom):
     if x_grading is not None:
         nx += 1 - nx % 2  # a graded x-axis needs an odd node count
-    Lam = lam * ratio
-    coeff = CoefficientField.scalar_1d(
-        lambda x: lam + (Lam - lam) * (0.5 + 0.5 * np.sin(freq * x)), lam, Lam)
-    prob = ExtensionProblem(s=s, coeff=coeff, domain=(-1.0, 1.0), Z=1.0,
-                            bottom=(bottom, lambda x: np.cos(2.0 * x)),
-                            F=lambda x, z: x * z,
-                            g_lateral=lambda x, z: 1.0 + x * z,
-                            g_top=lambda x: 1.0 + x)
+    prob = _variable_1d_problem(s, lam, lam * ratio, freq, bottom)
     mesh = ExtensionMesh(nx=nx, my=my, x_grading=x_grading)
     state, A, rhs = _solve_capturing_system(prob, mesh)
     assert state.meta["linear_solver"] == "y-mode-diagonalization"
@@ -312,18 +338,7 @@ def test_1d_y_mode_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, 
 @given(st.floats(0.05, 0.85), st.integers(7, 21), st.integers(7, 21), st.integers(6, 24),
        st.floats(0.05, 0.5), st.floats(0.5, 4.0), st.sampled_from(["neumann", "dirichlet"]))
 def test_y_mode_diagonalization_matches_sparse_lu(s, nx1, nx2, my, c12, freq, bottom):
-    # variable a^{ij} with a12 != 0 make Ax nonsymmetric; square cells and
-    # |a12| <= c12 < min(a11, a22) keep the upwinded mixed stencil
-    coeff = CoefficientField.full_2d(lambda x1, x2: 1.0 + 0.5 * np.sin(freq * x1) ** 2,
-                                     lambda x1, x2: c12 * np.cos(freq * (x1 + x2)),
-                                     lambda x1, x2: 1.0 + 0.5 * np.cos(freq * x2) ** 2,
-                                     0.5, 2.0)
-    half = (nx2 - 1) / (nx1 - 1)
-    prob = ExtensionProblem(s=s, coeff=coeff, domain=((-1.0, 1.0), (-half, half)), Z=1.0,
-                            bottom=(bottom, lambda x1, x2: np.cos(2.0 * x1) * np.sin(x2 + 1.0)),
-                            F=lambda x1, x2, z: x1 * z + x2,
-                            g_lateral=lambda x1, x2, z: 1.0 + x1 * z - x2,
-                            g_top=lambda x1, x2: 1.0 + x1 + x2 * x2)
+    prob = _variable_2d_problem(s, nx1, nx2, c12, freq, bottom)
     state, A, rhs = _solve_capturing_system(prob, ExtensionMesh(nx=(nx1, nx2), my=my))
     assert state.meta["linear_solver"] == "y-mode-diagonalization"
     assert abs(A - A.T).max() > 0.0
@@ -402,6 +417,7 @@ _GRADINGS = st.none() | st.floats(-1.0, 4.0) | st.sampled_from([0.0, float("nan"
        st.integers(-1, 12), _GRADINGS, _GRADINGS, st.booleans(),
        st.sampled_from(["neumann", "dirichlet"]))
 @example(1, 0.4, 4, 4, 6, None, 2.0, False, "neumann")  # even nx with x_grading
+@example(1, 0.5, 5, 0, 2, None, 3.313964065548941e-118, False, "neumann")  # x-nodes coincide
 def test_extension_mesh_gives_finite_state_or_value_error(n, s, nx1, nx2, my, grading,
                                                           x_grading, per_axis, bottom):
     # every mesh either solves to a finite state of the asked size or is refused
@@ -424,3 +440,61 @@ def test_extension_mesh_gives_finite_state_or_value_error(n, s, nx1, nx2, my, gr
     assert np.all(np.isfinite(state.values))
     assert state.values.shape == (my + 1, *([nx] * n if np.isscalar(nx) else nx))
     assert state.residual_interior <= 1e-12 and state.residual_bottom <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2]), st.floats(0.05, 0.9), st.integers(3, 12), st.integers(3, 12),
+       st.integers(2, 16), st.none() | st.floats(1.0, 3.0), st.floats(0.05, 0.5),
+       st.sampled_from(["neumann", "dirichlet"]), st.integers(0, 2**32 - 1))
+def test_level_operator_matches_the_assembled_matrix(n, s, nx1, nx2, my, x_grading, c12,
+                                                     bottom, seed):
+    # A and |A| applied through their factors agree with the kron-assembled
+    # matrix to a few ulps of |A||x|: 1-D on graded and uniform x, 2-D with
+    # variable a^{ij} and a12 != 0
+    if n == 1:
+        prob = _variable_1d_problem(s, 0.3, 1.7, 3.0, bottom)
+        mesh = ExtensionMesh(nx=2 * nx1 + 1, my=my, x_grading=x_grading)
+    else:
+        prob = _variable_2d_problem(s, nx1, nx2, c12, 2.0, bottom)
+        mesh = ExtensionMesh(nx=(nx1, nx2), my=my)
+    _, op, _ = _solve_capturing_system(prob, mesh, assemble=False)
+    A = _assembled(op)
+    x = np.random.default_rng(seed).standard_normal(A.shape[0])
+    scale = abs(A) @ np.abs(x)
+    assert np.all(np.abs(op @ x - A @ x) <= 8.0 * np.finfo(float).eps * scale)
+    assert np.all(np.abs(abs(op) @ np.abs(x) - scale) <= 8.0 * np.finfo(float).eps * scale)
+
+
+def test_transformed_solves_assemble_no_matrix():
+    # the transformed path applies A through its factors in every dimension;
+    # only the native band assembles its system
+    with mock.patch.object(extension.sp, "kron", side_effect=AssertionError("kron called")):
+        st1 = solve_extension(_variable_1d_problem(0.4, 0.5, 1.5, 2.0, "neumann"),
+                              ExtensionMesh(nx=33, my=12))
+        st2 = solve_extension(_variable_2d_problem(0.4, 9, 11, 0.3, 2.0, "dirichlet"),
+                              ExtensionMesh(nx=(9, 11), my=8))
+    assert max(st1.residual_interior, st2.residual_interior) <= 1e-14
+
+
+def test_level_operator_refuses_abs_with_a_positive_diagonal():
+    op = extension._LevelOperator(sp.diags([[-2.0, -2.0]], [0]), np.ones(2),
+                                  sp.diags([[-1.0, 0.5]], [0]))
+    with pytest.raises(ValueError, match="nonpositive diagonals"):
+        abs(op)
+
+
+@pytest.mark.parametrize("s, my, grading", [(0.4, 4, 1e-20), (0.4, 4, 1e-300),
+                                            (0.4, 4, 5e-324), (0.999, 64, None),
+                                            (0.995, 64, None)])
+def test_coinciding_y_nodes_are_refused(s, my, grading):
+    # a grading that makes adjacent y-nodes (or their powers y^{2s}) equal fails
+    # fast, naming the grading and my, before any division by zero; at
+    # s = 0.999 the default grading 500 gives y_1 = y_2 = 0, at s = 0.995 the
+    # default 100 gives y_1^{2s} = 0
+    prob = ExtensionProblem(s=s, coeff=CoefficientField.identity(1), domain=(-1.0, 1.0),
+                            Z=1.0, bottom=("neumann", lambda x: np.cos(x)),
+                            g_lateral=1.0, g_top=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"grading .* my = "):
+            solve_extension(prob, ExtensionMesh(nx=5, my=my, grading=grading))
