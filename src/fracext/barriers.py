@@ -439,6 +439,39 @@ def search_case2_parameters(geom: MAGeometry, x0, z0, R, rho):
     raise BarrierNotFound(f"no eps in {EPS_LADDER} admits the corrected barrier", reasons)
 
 
+# -- blocked min-plus products ------------------------------------------------------------
+
+# Elements in one temporary of a blocked minimization (2 MiB of float64):
+# inf-convolution passes, the paraboloid envelope, the exact shifted columns
+# of a slide and the runner's touch check all stay within it, or within one
+# row of the reduced axis when that row alone is longer.
+BLOCK_ELEMENTS = 1 << 18
+
+
+def blocks(n, width):
+    """Consecutive slices of range(n), max(1, BLOCK_ELEMENTS // width) items each."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
+
+
+def _min_plus(X, Y):
+    """out[a, b] = min_k X[a, k] + Y[b, k] and the first k attaining it.
+
+    The reduced axis is laid last and (a, b) is covered in blocks, so no
+    temporary exceeds BLOCK_ELEMENTS elements or one row of k.
+    """
+    X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
+    (na, nk), nb = X.shape, Y.shape[0]
+    val = np.empty((na, nb))
+    arg = np.empty((na, nb), dtype=np.intp)
+    for bs in blocks(nb, nk):
+        for as_ in blocks(na, nk * (bs.stop - bs.start)):
+            t = X[as_, None, :] + Y[None, bs, :]
+            arg[as_, bs] = k = np.argmin(t, axis=-1)
+            val[as_, bs] = np.take_along_axis(t, k[..., None], axis=-1)[..., 0]
+    return val, arg
+
+
 # -- inf-convolution -----------------------------------------------------------------------
 
 
@@ -446,7 +479,8 @@ class InfConvolution:
     """U_eps(p) = min_q [U(q) + |p - q|^2 / eps] on a tensor (x, z) grid.
 
     Exact separable two-pass minimization (the squared Euclidean penalty
-    splits over coordinates); argmin node indices are recorded per point.
+    splits over coordinates), each pass a blocked _min_plus, so memory stays
+    bounded on any grid; argmin node indices are recorded per point.
     """
 
     def __init__(self, xs, zs, U, eps):
@@ -457,15 +491,13 @@ class InfConvolution:
         U = np.asarray(U, dtype=float)
         if U.shape != (len(xs), len(zs)):
             raise ValueError("U must have shape (len(xs), len(zs))")
+        if not np.all(np.isfinite(U)):
+            raise ValueError("U must be finite")
         self.xs, self.zs, self.eps = xs, zs, eps
         Dz = (zs[:, None] - zs[None, :]) ** 2 / eps  # (w, q)
-        stage1 = U[:, :, None] + Dz[None, :, :]      # (i, w, q)
-        arg_w = np.argmin(stage1, axis=1)            # (i, q)
-        M1 = np.take_along_axis(stage1, arg_w[:, None, :], axis=1)[:, 0, :]
         Dx = (xs[:, None] - xs[None, :]) ** 2 / eps  # (i, p)
-        stage2 = M1[:, None, :] + Dx[:, :, None]     # (i, p, q)
-        arg_i = np.argmin(stage2, axis=0)            # (p, q)
-        self.values = np.take_along_axis(stage2, arg_i[None, :, :], axis=0)[0]
+        M1, arg_w = _min_plus(U, Dz.T)               # (i, q): min_w U[i, w] + Dz[w, q]
+        self.values, arg_i = _min_plus(Dx.T, M1.T)   # (p, q): min_i Dx[i, p] + M1[i, q]
         self.argmin_x = arg_i
         self.argmin_z = np.take_along_axis(arg_w, arg_i, axis=0)
 
@@ -475,6 +507,12 @@ def inf_convolution(xs, zs, U, eps):
 
 
 # -- sliding paraboloids --------------------------------------------------------------------
+
+# Contact nodes lie within CONTACT_TOL max(1, |c|) of the touching value c.
+CONTACT_TOL = 1e-12
+# Bound, relative to |U| + a (|delta_phi| + |delta_h|), on the gap between the
+# envelope's evaluation order and the exact one (slide_paraboloids).
+_ROUNDING_SLACK = 8.0 * np.finfo(float).eps
 
 
 def cell_measures(geom: MAGeometry, xs, zs):
@@ -492,6 +530,25 @@ def cell_measures(geom: MAGeometry, xs, zs):
     return wx[:, None] * wz[None, :]
 
 
+def paraboloid_rows(geom: MAGeometry, xs, zs, vertices):
+    """delta_phi(v_x, xs) and delta_h(v_z, zs), one call per distinct coordinate.
+
+    Returns (dphi, dh, pv, qv): vertex k's rows are dphi[pv[k]] and dh[qv[k]].
+    """
+    vx, vz = np.asarray(vertices, dtype=float).T
+    px, pv = np.unique(vx, return_inverse=True)
+    qz, qv = np.unique(vz, return_inverse=True)
+    dphi = np.array([geom.delta_phi(x, xs) for x in px])
+    dh = np.array([geom.delta_h(z, zs) for z in qz])
+    return dphi, dh, pv, qv
+
+
+def _nearest(grid, coords):
+    """Index of the first grid node nearest to each coordinate, one scan per distinct value."""
+    vals, inv = np.unique(coords, return_inverse=True)
+    return np.array([np.argmin(np.abs(grid - v)) for v in vals], dtype=np.intp)[inv]
+
+
 @dataclass
 class ContactReport:
     opening: float
@@ -505,37 +562,116 @@ class ContactReport:
     def measure_ratio(self):
         return self.mu_A / self.mu_B if self.mu_B > 0 else np.inf
 
+    @property
+    def contact_cells(self):
+        return int(self.contact_mask.sum())
+
+
+def _check_slide_input(xs, zs, U, verts, opening):
+    if U.shape != (len(xs), len(zs)):
+        raise ValueError(f"U must have shape (len(xs), len(zs)) = {(len(xs), len(zs))}, "
+                         f"got {U.shape}")
+    if not np.all(np.isfinite(U)):
+        raise ValueError("U must be finite")
+    if not (np.isfinite(opening) and opening > 0):
+        raise ValueError(f"opening must be finite and positive, got {opening}")
+    if verts.size == 0:
+        raise ValueError("vertices must hold at least one (x, z) pair")
+    if verts.ndim != 2 or verts.shape[1] != 2 or not np.all(np.isfinite(verts)):
+        raise ValueError("vertices must be finite (x, z) pairs")
+
 
 def slide_paraboloids(geom: MAGeometry, xs, zs, U, vertices, opening):
     """Slide paraboloids of fixed opening from below until first touch.
 
     vertices: list of (x_v, z_v).  For each vertex the touching level is
-    c(v) = min over grid nodes of U + opening * delta_Phi(v, .) and every node
-    within 1e-12 max(1, |c|) of the minimum is a contact node.  Measures of the contact
-    set and of the vertex set use the exact per-node cells of cell_measures
-    (vertices are snapped to their nearest node for the purpose of mu(B)).
+    c(v) = min over grid nodes of U + a delta_Phi(v, .), a = opening, and
+    every node within CONTACT_TOL max(1, |c|) of the minimum is a contact node.
+    Measures of the contact set and of the vertex set use the exact per-node
+    cells of cell_measures (vertices are snapped to their nearest node for
+    the purpose of mu(B)).
+
+    Raises ValueError for a U not of shape (len(xs), len(zs)), a non-finite
+    U, an opening that is not finite and positive, and no or non-finite
+    vertices.
+
+    Envelope: the shifted function is separable, so T[p, j] = min_i U[i, j]
+    + a delta_phi(x_p, x_i) for each distinct vertex abscissa x_p, and
+    col[v, j] = T[p(v), j] + a delta_h(z_v, z_j) is vertex v's column
+    minimum up to rounding; m = min_j col[v, j].  The delta_phi and delta_h
+    rows come from paraboloid_rows, the same calls as a full scan makes.
+
+    Rounding bound: col adds the terms in another order than the exact
+    U + a (delta_phi + delta_h).  Each order is within 3u S of the real sum
+    (u = eps/2, S = max |U| + a (max |delta_phi| + max |delta_h|) over the
+    vertex's rows), so the two differ by at most 3 eps S.  The filter uses
+    slack = _ROUNDING_SLACK S + tiny (8 eps S, which also covers the
+    rounding of the filter itself; tiny covers subnormals).
+
+    Candidate filter: column j can hold a contact only if col[v, j] <= m +
+    CONTACT_TOL max(1, |m| + slack) + 2 slack.  The exact expression is
+    evaluated on those columns alone (in blocks of BLOCK_ELEMENTS), so the
+    touching values and contact sets are those of a full per-vertex scan,
+    bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
     U = np.asarray(U, dtype=float)
-    cells = cell_measures(geom, xs, zs)
+    verts = np.asarray(vertices, dtype=float)
+    _check_slide_input(xs, zs, U, verts, opening)
+    a = opening
+    nx, nz = U.shape
+    dphi, dh, pv, qv = paraboloid_rows(geom, xs, zs, verts)
+
+    # candidate columns (vk[k], jk[k]) from the envelope, vertex-major
+    T, _ = _min_plus(a * dphi, U.T)
+    scale = np.max(np.abs(U)) + a * (np.max(np.abs(dphi), axis=1)[pv]
+                                     + np.max(np.abs(dh), axis=1)[qv])
+    slack = _ROUNDING_SLACK * scale + np.finfo(float).tiny
+    vk, jk = [], []
+    for vb in blocks(len(verts), nz):
+        col = T[pv[vb]] + a * dh[qv[vb]]
+        m = col.min(axis=1)
+        sl = slack[vb]
+        bound = m + CONTACT_TOL * np.maximum(1.0, np.abs(m) + sl) + 2.0 * sl
+        v, j = np.nonzero(col <= bound[:, None])
+        vk.append(v + vb.start)
+        jk.append(j)
+    vk, jk = np.concatenate(vk), np.concatenate(jk)
+
+    def exact(k):  # rows: U + a (delta_phi + delta_h) down the candidate columns k
+        return U.T[jk[k]] + a * (dphi[pv[vk[k]]] + dh[qv[vk[k]], jk[k]][:, None])
+
+    # exact touching levels, then the contact nodes of the columns that reach them
+    colmin = np.empty(len(jk))
+    for kb in blocks(len(jk), nx):
+        colmin[kb] = exact(kb).min(axis=1)
+    c = np.minimum.reduceat(colmin, np.flatnonzero(np.diff(vk, prepend=-1)))
+    limit = c + CONTACT_TOL * np.maximum(1.0, np.abs(c))
+    hit = np.flatnonzero(colmin <= limit[vk])
+    kn, ii = [], []
+    for hb in blocks(len(hit), nx):
+        h = hit[hb]
+        k, i = np.nonzero(exact(h) <= limit[vk[h], None])
+        kn.append(h[k])
+        ii.append(i)
+    kn, ii = np.concatenate(kn), np.concatenate(ii)
+    vn, jj = vk[kn], jk[kn]
+    order = np.lexsort((jj, ii, vn))  # per vertex in row-major (i, j) order
+    vn, ii, jj = vn[order], ii[order], jj[order]
+
     contact_mask = np.zeros(U.shape, dtype=bool)
+    contact_mask[ii, jj] = True
+    nodes = list(zip(ii.tolist(), jj.tolist()))
+    ends = np.cumsum(np.bincount(vn, minlength=len(verts))).tolist()
+    contact_map = [((x, z), nodes[lo:hi], cv) for (x, z), lo, hi, cv
+                   in zip(verts.tolist(), [0] + ends[:-1], ends, c.tolist())]
     vertex_mask = np.zeros(U.shape, dtype=bool)
-    contact_map = []
-    for (vx, vz) in vertices:
-        shifted = U + opening * (geom.delta_phi(vx, xs)[:, None]
-                                 + geom.delta_h(vz, zs)[None, :])
-        c = float(np.min(shifted))
-        tol = 1e-12 * max(1.0, abs(c))
-        nodes = np.argwhere(shifted <= c + tol)
-        for (i, j) in nodes:
-            contact_mask[i, j] = True
-        contact_map.append(((float(vx), float(vz)), [tuple(n) for n in nodes], c))
-        vertex_mask[np.argmin(np.abs(xs - vx)), np.argmin(np.abs(zs - vz))] = True
+    vertex_mask[_nearest(xs, verts[:, 0]), _nearest(zs, verts[:, 1])] = True
+    cells = cell_measures(geom, xs, zs)
     mu_A = float(cells[contact_mask].sum())
     mu_B = float(cells[vertex_mask].sum())
-    touching = np.array([c for (_, _, c) in contact_map])
-    return ContactReport(opening, touching, contact_map, contact_mask, mu_A, mu_B)
+    return ContactReport(opening, c, contact_map, contact_mask, mu_A, mu_B)
 
 
 # -- trace touch test --------------------------------------------------------------------

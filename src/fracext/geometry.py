@@ -293,10 +293,11 @@ def quasi_triangle_check(geom: MAGeometry, samples=100_000, seed=0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-2.0, 2.0, size=(3, samples, n))
     zs = rng.uniform(-2.0, 2.0, size=(3, samples))
+    hz, hpz = geom.h(zs), geom.hp(zs)  # once per sample set, for the 5 deltas
 
     def d(i, j):
         dphi = 0.5 * np.sum((xs[j] - xs[i]) ** 2, axis=-1)
-        return dphi + geom.delta_h(zs[i], zs[j])
+        return dphi + (hz[j] - hz[i] - hpz[i] * (zs[j] - zs[i]))  # delta_h(zs[i], zs[j])
 
     num = d(0, 1)
     den = np.minimum(d(0, 2), d(2, 0)) + np.minimum(d(1, 2), d(2, 1))

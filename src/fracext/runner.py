@@ -14,12 +14,13 @@ import os
 import time
 import traceback
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import __version__
-from .barriers import (BarrierCase1, BarrierNotFound, inf_convolution,
-                       search_case2_parameters, slide_paraboloids)
+from .barriers import (BarrierCase1, BarrierNotFound, blocks, inf_convolution,
+                       paraboloid_rows, search_case2_parameters, slide_paraboloids)
 from .benchmarks import (eigen_extension_problem, kinked_trace_problem,
                          positive_harmonic_family, sliding_fixture, vertex_lattice)
 from .config import ExperimentConfig
@@ -213,6 +214,25 @@ def _run_barrier(cfg, outdir):
     return details.get("passes", False), details, [path]
 
 
+def _touching_exact(geom, xs, zs, U, rep):
+    """Independent check of a slide over the whole grid: each paraboloid
+    -a delta_Phi(v, .) + c(v) lies below U within contact_gap and meets U
+    within contact_touch at its contact nodes.  Vertices go in blocks."""
+    a, c = rep.opening, rep.touching_values
+    dphi, dh, pv, qv = paraboloid_rows(geom, xs, zs, [v for v, _, _ in rep.contact_map])
+    for vb in blocks(len(c), U.size):
+        gap = dphi[pv[vb], :, None] + dh[qv[vb], None, :]
+        gap *= -a
+        gap += c[vb, None, None]  # the paraboloids P
+        if np.min(np.subtract(U, gap, out=gap)) < -TOLERANCES["contact_gap"]:
+            return False
+    nodes = [n for _, n, _ in rep.contact_map]
+    v = np.repeat(np.arange(len(c)), [len(n) for n in nodes])
+    i, j = np.array(list(chain.from_iterable(nodes)), dtype=np.intp).reshape(-1, 2).T
+    gap = U[i, j] - (-a * (dphi[pv[v], i] + dh[qv[v], j]) + c[v])
+    return bool(np.all(np.abs(gap) <= TOLERANCES["contact_touch"]))
+
+
 def _run_sliding(cfg, outdir):
     setup = cfg.setup()
     geom = MAGeometry(setup)
@@ -222,15 +242,10 @@ def _run_sliding(cfg, outdir):
     xs, zs, U = sliding_fixture(geom, prob["fixture"], nx, nz, a, seed=cfg.seed)
     verts = vertex_lattice(xs, zs, int(prob["vertex_stride"]))
     rep = slide_paraboloids(geom, xs, zs, U, verts, a)
-    touch_ok = True
-    for (vx, vz), nodes, c in rep.contact_map:
-        P = -a * (geom.delta_phi(vx, xs)[:, None] + geom.delta_h(vz, zs)[None, :]) + c
-        gap = U - P
-        touch_ok &= bool(np.min(gap) >= -TOLERANCES["contact_gap"])
-        touch_ok &= all(abs(gap[i, j]) <= TOLERANCES["contact_touch"] for (i, j) in nodes)
+    touch_ok = _touching_exact(geom, xs, zs, U, rep)
     details = {"fixture": prob["fixture"], "opening": a,
                "mu_A": rep.mu_A, "mu_B": rep.mu_B, "ratio": rep.measure_ratio,
-               "touching_exact": touch_ok}
+               "touching_exact": touch_ok, "contact_cells": rep.contact_cells}
     ok = touch_ok and rep.mu_A > 0.0
     if prob["check_refinement"]:
         xs2, zs2, U2 = sliding_fixture(geom, prob["fixture"], 2 * nx - 1, 2 * nz - 1,
@@ -239,6 +254,7 @@ def _run_sliding(cfg, outdir):
                                  vertex_lattice(xs2, zs2, 2 * int(prob["vertex_stride"])), a)
         drift = abs(rep2.measure_ratio - rep.measure_ratio) / rep.measure_ratio
         details["ratio_refined"] = rep2.measure_ratio
+        details["contact_cells_refined"] = rep2.contact_cells
         details["ratio_drift"] = drift
         ok = ok and drift <= TOLERANCES["sliding_drift"]
     # inf-convolution ride-along on the same fixture

@@ -1,11 +1,14 @@
 """Barriers, paraboloids, inf-convolutions, contact sets, touch test."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracext import barriers
 from fracext.barriers import (EPS_LADDER, SCAN_MARGIN, BarrierCase1, BarrierCase2,
-                              BarrierNotFound, MAParaboloid, MAPolynomial,
+                              BarrierNotFound, ContactReport, MAParaboloid, MAPolynomial,
                               cell_measures, inf_convolution,
                               polynomial_to_MA, pucci, sample_annulus,
                               search_case2_parameters, slide_paraboloids, touch_test)
@@ -13,7 +16,7 @@ from fracext.benchmarks import eigen_extension_problem, sliding_fixture, vertex_
 from fracext.config import validate
 from fracext.extension import ExtensionMesh, solve_extension
 from fracext.geometry import MAGeometry
-from fracext.runner import run
+from fracext.runner import _touching_exact, run
 from fracext.semigroup import ds_constant
 
 
@@ -401,6 +404,158 @@ def test_contact_csv(tmp_path):
     assert lines[0] == "vertex_x,vertex_z,contact_x,contact_z,touching_value"
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert len(rows) >= 9 and all(len(r) == 5 for r in rows)  # one contact per vertex
+
+
+def _slide_reference(geom, xs, zs, U, vertices, opening):
+    """The per-vertex scan of every grid node that slide_paraboloids reproduces."""
+    cells = cell_measures(geom, xs, zs)
+    contact_mask = np.zeros(U.shape, dtype=bool)
+    vertex_mask = np.zeros(U.shape, dtype=bool)
+    contact_map = []
+    for (vx, vz) in vertices:
+        shifted = U + opening * (geom.delta_phi(vx, xs)[:, None]
+                                 + geom.delta_h(vz, zs)[None, :])
+        c = float(np.min(shifted))
+        tol = 1e-12 * max(1.0, abs(c))
+        nodes = np.argwhere(shifted <= c + tol)
+        for (i, j) in nodes:
+            contact_mask[i, j] = True
+        contact_map.append(((float(vx), float(vz)), [tuple(n) for n in nodes], c))
+        vertex_mask[np.argmin(np.abs(xs - vx)), np.argmin(np.abs(zs - vz))] = True
+    touching = np.array([c for (_, _, c) in contact_map])
+    return ContactReport(opening, touching, contact_map, contact_mask,
+                         float(cells[contact_mask].sum()), float(cells[vertex_mask].sum()))
+
+
+def _report_fields(rep):
+    """Every ContactReport field but the mask, in ==-comparable form."""
+    return (rep.opening, rep.touching_values.tolist(), rep.contact_map, rep.mu_A, rep.mu_B)
+
+
+def _assert_same_slide(rep, ref):
+    assert _report_fields(rep) == _report_fields(ref)
+    assert np.array_equal(rep.contact_mask, ref.contact_mask)
+
+
+def _put_on_contact_edge(geom, xs, zs, U, vertex, opening, ulps):
+    """Lower the column minimum of vertex's highest column onto its contact
+    limit c + tol, shifted by `ulps` units in the last place: the column
+    whose membership only the filter's rounding slack decides."""
+    vx, vz = vertex
+    w = opening * (geom.delta_phi(vx, xs)[:, None] + geom.delta_h(vz, zs)[None, :])
+    shifted = U + w
+    c = float(np.min(shifted))
+    limit = c + 1e-12 * max(1.0, abs(c))
+    j = int(np.argmax(shifted.min(axis=0)))
+    if shifted[:, j].min() <= limit:
+        return U
+    i = int(np.argmin(shifted[:, j]))
+    target = limit
+    for _ in range(abs(ulps)):
+        target = np.nextafter(target, np.sign(ulps) * np.inf)
+    U = U.copy()
+    U[i, j] = target - w[i, j]
+    return U
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=st.floats(0.05, 0.95), opening=st.floats(0.05, 3.0),
+       fixture=st.sampled_from(["convex", "paraboloid", "harmonic"]),
+       nx=st.integers(9, 33), nz=st.integers(9, 33), stride=st.integers(1, 8),
+       seed=st.integers(0, 3), extra=st.integers(0, 6), edge=st.integers(-1, 40),
+       ulps=st.integers(-4, 4))
+def test_slide_equals_per_vertex_scan(s, opening, fixture, nx, nz, stride, seed, extra,
+                                      edge, ulps):
+    g = MAGeometry(s)
+    xs, zs, U = sliding_fixture(g, fixture, nx, nz, opening, seed=seed)
+    verts = vertex_lattice(xs, zs, stride)
+    rng = np.random.default_rng(seed)
+    # off-lattice, out-of-grid and duplicate vertices
+    verts += [(float(x), float(z)) for x, z in zip(rng.uniform(-1.5, 1.5, extra),
+                                                   rng.uniform(-0.2, 1.6, extra))]
+    verts += [verts[k] for k in rng.integers(0, len(verts), extra)]
+    if edge >= 0:
+        U = _put_on_contact_edge(g, xs, zs, U, verts[edge % len(verts)], opening, ulps)
+    _assert_same_slide(slide_paraboloids(g, xs, zs, U, verts, opening),
+                       _slide_reference(g, xs, zs, U, verts, opening))
+
+
+@pytest.mark.parametrize("block", [1, 7, 200])
+def test_slide_and_infconv_blocks_do_not_change_results(monkeypatch, block):
+    g = MAGeometry(0.45)
+    xs, zs, U = sliding_fixture(g, "harmonic", nx=23, nz=17, opening=0.8, seed=3)
+    verts = vertex_lattice(xs, zs, 2)
+    ref = _slide_reference(g, xs, zs, U, verts, 0.8)
+    Dz = (zs[:, None] - zs[None, :]) ** 2 / 0.1
+    stage1 = U[:, :, None] + Dz[None, :, :]
+    arg_w = np.argmin(stage1, axis=1)
+    M1 = np.take_along_axis(stage1, arg_w[:, None, :], axis=1)[:, 0, :]
+    stage2 = M1[:, None, :] + ((xs[:, None] - xs[None, :]) ** 2 / 0.1)[:, :, None]
+    arg_i = np.argmin(stage2, axis=0)
+    monkeypatch.setattr(barriers, "BLOCK_ELEMENTS", block)
+    _assert_same_slide(slide_paraboloids(g, xs, zs, U, verts, 0.8), ref)
+    ic = inf_convolution(xs, zs, U, 0.1)
+    assert np.array_equal(ic.values, np.take_along_axis(stage2, arg_i[None], axis=0)[0])
+    assert np.array_equal(ic.argmin_x, arg_i)
+    assert np.array_equal(ic.argmin_z, np.take_along_axis(arg_w, arg_i, axis=0))
+
+
+def test_infconv_and_refined_slide_memory_is_bounded():
+    g = MAGeometry(0.6)
+    xs, zs, U = sliding_fixture(g, "harmonic", nx=241, nz=241, opening=1.0, seed=1)
+    verts = vertex_lattice(xs, zs, 24)
+    for fn in (lambda: inf_convolution(xs, zs, U, 0.05),
+               lambda: slide_paraboloids(g, xs, zs, U, verts, 1.0)):
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("change, match", [
+    (dict(U=np.zeros((5, 5))), "shape"),
+    (dict(U=np.where(np.eye(9, 7) > 0, np.nan, 0.0)), "U must be finite"),
+    (dict(opening=-1.0), "opening"),
+    (dict(opening=np.inf), "opening"),
+    (dict(vertices=[]), "vertices"),
+])
+def test_slide_rejects_bad_input(change, match):
+    g = MAGeometry(0.5)
+    args = dict(xs=np.linspace(-1, 1, 9), zs=np.linspace(0.1, 1, 7), U=np.zeros((9, 7)),
+                vertices=[(0.0, 0.5)], opening=1.0)
+    args.update(change)
+    with pytest.raises(ValueError, match=match):
+        slide_paraboloids(g, **args)
+
+
+def test_infconv_rejects_nonfinite_values():
+    xs, zs = _rect_grid(9, 7)
+    U = np.zeros((9, 7))
+    U[3, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        inf_convolution(xs, zs, U, 0.1)
+
+
+def test_runner_touch_check_catches_a_wrong_touch():
+    g = MAGeometry(0.5)
+    xs, zs, U = sliding_fixture(g, "convex", nx=21, nz=21, opening=1.0)
+    rep = slide_paraboloids(g, xs, zs, U, vertex_lattice(xs, zs, 5), 1.0)
+    assert _touching_exact(g, xs, zs, U, rep)
+    rep.touching_values = rep.touching_values + np.where(np.arange(25) == 7, 1e-9, 0.0)
+    assert not _touching_exact(g, xs, zs, U, rep)  # that paraboloid crosses U
+    rep.touching_values[7] -= 2e-9
+    assert not _touching_exact(g, xs, zs, U, rep)  # below U but off its contacts
+
+
+def test_sliding_report_counts_contact_cells(tmp_path):
+    cfg = validate({"experiment": "slide-paraboloids", "setup": {"s": 0.5},
+                    "problem": {"fixture": "convex", "nx": 21, "nz": 21, "vertex_stride": 10}})
+    m = run(cfg, str(tmp_path))
+    d = m.stages[0]["details"]
+    assert d["contact_cells"] == 9 and d["contact_cells_refined"] >= 9
 
 
 # -- touch test ----------------------------------------------------------------------------
