@@ -25,11 +25,11 @@ every dimension by fast diagonalization in the degenerate direction: the
 symmetric tridiagonal A_y and the cell weights V > 0 form a pencil whose
 eigenvectors split A into one system A_x + mu_k I (mu_k < 0) per y-mode.
 A_x need not separate, so a mixed a12 term in 2-D is no obstacle.  The
-per-mode kernel depends on the dimension: for n = 1 A_x is tridiagonal and
-one batched tridiagonal sweep in x solves all modes at once; for n = 2 each
-mode gets a sparse LU of size (nx-2)^2 with 2-D fill only.  One refinement
-step with A follows and is kept only if it lowers the componentwise backward
-error.
+mode systems, stacked along the diagonal, are factored once per solve: by
+LAPACK's tridiagonal LU for n = 1, by its band LU for n = 2
+(`semigroup._shifted_band_solver`, as the 2-D fractional powers).  One
+refinement step with A follows, through the same factors, and is kept only
+if it lowers the componentwise backward error.
 
 A native-z mode is kept for cross-checks on bands {z >= z_lo > 0} away from
 the degenerate boundary; its (nonsymmetric) system is the one assembled
@@ -46,12 +46,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import gamma, iv
 
 from .geometry import MAGeometry
 from .gridfn import write_grid_binary, write_json
-from .semigroup import CoefficientField, x_operator
+from .semigroup import CoefficientField, _shifted_band_solver, x_operator
 
 
 # -- coordinate transform ----------------------------------------------------------
@@ -439,14 +439,17 @@ def _y_mode_solver(Ay, V, Ax, n):
     system of the interior x-size per y-mode.  Ay is negative definite, so
     every shift mu_k < 0 strengthens the diagonal of Ax; in 1-D, where -Ax
     has nonnegative row sums, Ax + mu_k I is strictly diagonally dominant
-    and needs no pivoting.  For n = 1 Ax is tridiagonal and one batched
-    tridiagonal sweep in x (LAPACK gtsv on the stacked mode systems) solves
-    all modes at once; for n = 2 each mode gets its own sparse LU.  The
-    pencil is strongly graded (K_{1/2} / V_0 grows like y_1^{-2}); the
-    implicit QL/QR driver `stev` follows the grading and keeps the backward
-    error small where the default divide-and-conquer driver does not (0.18
-    against 6e-16 on a 33^2 x 28 mesh at s = 0.92).  Vectors are raveled
-    level-major.
+    and needs no pivoting; in 2-D the centered mixed stencil does.  The mode
+    systems, stacked mode-major, are factored here, once, and every call of
+    the returned function (the solve and its refinement step) only
+    substitutes: LAPACK gttrf/gttrs for n = 1, the band LU of
+    `semigroup._shifted_band_solver` for n = 2, which holds N (3 m2 + 4)
+    numbers per mode (N interior x-nodes, m2 per x2-line).  A singular mode
+    system raises LinAlgError.  The pencil is strongly graded (K_{1/2} / V_0
+    grows like y_1^{-2}); the implicit QL/QR driver `stev` follows the
+    grading and keeps the backward error small where the default
+    divide-and-conquer driver does not (0.18 against 6e-16 on a 33^2 x 28
+    mesh at s = 0.92).  Vectors are raveled level-major.
     """
     rs = 1.0 / np.sqrt(V)
     mu, P = eigh_tridiagonal(Ay.diagonal() * rs * rs, Ay.diagonal(1) * rs[:-1] * rs[1:],
@@ -456,19 +459,14 @@ def _y_mode_solver(Ay, V, Ax, n):
         # system, its blocks uncoupled by the zeros between them
         diag = (Ax.diagonal()[None, :] + mu[:, None]).ravel()
         sub, sup = (np.tile(np.append(Ax.diagonal(k), 0.0), len(mu))[:-1] for k in (-1, 1))
+        *lu, status = dgttrf(sub, diag, sup)
+        if status != 0:
+            raise np.linalg.LinAlgError("singular y-mode system")
 
         def mode_solve(g):
-            *_, w, status = dgtsv(sub, diag, sup, g.ravel())
-            if status != 0:
-                raise np.linalg.LinAlgError("singular y-mode system")
-            return w.reshape(g.shape)
+            return dgttrs(*lu, g.ravel())[0].reshape(g.shape)
     else:
-        Axc = sp.csc_matrix(Ax)
-        eye = sp.identity(Ax.shape[0], format="csc")
-        lus = [spla.splu(Axc + mk * eye) for mk in mu]
-
-        def mode_solve(g):
-            return np.stack([lu.solve(gk) for lu, gk in zip(lus, g)])
+        mode_solve = _shifted_band_solver(Ax, mu, "singular y-mode system")
 
     def solve(r):
         g = P.T @ (r.reshape(len(V), -1) * rs[:, None])

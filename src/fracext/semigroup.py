@@ -6,7 +6,8 @@ and L^s u = r_{1-s}(L)(L u), where r_beta(x) = c0 + sum_j w_j / (x - p_j) is
 a certified fit of x^{-beta} on [lam_floor, Gershgorin bound] (real poles
 p_j <= 0, nonnegative weights; see `_power_fit`).  Each pole costs one solve
 with L - p_j I: an O(N) tridiagonal LAPACK solve in 1-D (23-32 poles for
-N = 256-4096) and a sparse LU in 2-D (about a dozen).
+N = 256-4096) and a LAPACK band LU in 2-D (about a dozen,
+`_shifted_band_solver`, which also factors the 2-D extension's y-modes).
 
 The extension-kernel integral over e^{-tL} u is taken on a geometric node
 ladder t_j = t_min * r^j (trapezoid in log t with Euler-Maclaurin endpoint
@@ -32,7 +33,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import AAA
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 from scipy.optimize import nnls
 from scipy.special import gamma, gammaincc, kv
 
@@ -224,6 +225,38 @@ def x_operator(coeff: CoefficientField, axes):
     else:
         Bx = sp.csr_matrix((nint, len(xs) * len(ys)))
     return Ax, Bx, m_matrix
+
+
+def _shifted_band_solver(A, shifts, message):
+    """Solve function for the block-diagonal diag(A + shifts[k] I), factored
+    once by LAPACK's band LU with partial pivoting (gbtrf, then gbtrs).
+
+    One shifted copy of A's COO entries per block, half-bandwidths kl = ku
+    = max |col - row| (m2 + 1 for the 2-D `x_operator`), N (3 kl + 1)
+    numbers per block in the Fortran order gbtrf factors in place.  The
+    zeros between blocks are exact, so no elimination step or pivot couples
+    two blocks.  solve(b) maps stacked right-hand sides, (len(shifts), N)
+    or raveled, to solutions of the same shape.  A zero pivot raises
+    LinAlgError(message).
+    """
+    coo = A.tocoo()
+    coo.sum_duplicates()
+    k = int(np.max(np.abs(coo.col - coo.row), initial=0))
+    n, m = A.shape[0], len(shifts)
+    # C-order (block, column, band row) is gbtrf's Fortran (band row,
+    # column) layout; A[i, j] sits in band row 2k + i - j
+    bands = np.zeros((m, n, 3 * k + 1))
+    bands[:, coo.col, 2 * k + coo.row - coo.col] = coo.data
+    bands[:, :, 2 * k] += np.asarray(shifts, dtype=float)[:, None]
+    lu, piv, info = dgbtrf(bands.reshape(m * n, 3 * k + 1).T, k, k, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(message)
+
+    def solve(b):
+        x, _ = dgbtrs(lu, k, k, b.reshape(m * n, 1), piv)
+        return x.reshape(b.shape)
+
+    return solve
 
 
 def tridiagonal_modes(A):
@@ -487,15 +520,17 @@ def _power_fit(lo, hi, beta):
 def _rational_power(stepper: SemigroupStepper, v, beta):
     """r(L) v for the fit r of x^{-beta} on [lam_floor, max absolute row sum of L].
 
-    One solve with L - p I per pole: LAPACK's tridiagonal gtsv in 1-D, a
-    sparse LU in 2-D.  info gives beta, the pole count, the interval, the
-    fit's certificate and whether L is symmetric up to the rounding its node
-    coordinates (errors of eps max|x|, relative to the smallest spacing) leave
-    in the stencil weights; then the certificate bounds the relative matrix
-    error in the 2-norm.  The 1-D L = -a(x) d_xx is D S D^{-1} with S
-    symmetric (`tridiagonal_modes`): cond(D) times the bound, <= sqrt(Lambda
-    / lambda) times on a uniform grid.  A nonsymmetric 2-D L is not normal
-    and the scalar error bounds nothing.
+    One solve with L - p I per pole (LinAlgError naming p if it is
+    singular): LAPACK's tridiagonal gtsv in 1-D, a band LU in 2-D
+    (`_shifted_band_solver`, one pole's band at a time).  info gives beta,
+    the pole count, the interval, the fit's certificate and whether L is
+    symmetric up to the rounding its node coordinates (errors of eps max|x|,
+    relative to the smallest spacing) leave in the stencil weights; then
+    the certificate bounds the relative matrix error in the 2-norm.  The 1-D
+    L = -a(x) d_xx is D S D^{-1} with S symmetric (`tridiagonal_modes`):
+    cond(D) times the bound, <= sqrt(Lambda / lambda) times on a uniform
+    grid.  A nonsymmetric 2-D L is not normal and the scalar error bounds
+    nothing.
     """
     L = stepper.L
     lo = stepper.lam_floor
@@ -512,7 +547,7 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
             return x
     else:
         def solve(p):
-            return spla.splu((L - p * stepper._I).tocsc()).solve(v)
+            return _shifted_band_solver(L, [-p], f"L - ({p:g}) I is singular")(v)
     out = c0 * v
     for p, wj in zip(poles, w):
         out += wj * solve(p)

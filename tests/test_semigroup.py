@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import fractional_matrix_power
 
 from fracext import semigroup
+from fracext.extension import ExtensionMesh, ExtensionProblem, solve_extension
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                                assemble_operator, balakrishnan_inverse_scalar,
@@ -440,6 +441,63 @@ def test_2d_fractional_powers_never_step_the_heat_semigroup(monkeypatch):
     f, _ = fractional_inverse(st_, u, 0.5)
     fractional_apply(st_, f, 0.5)
     assert st_._lu_cache == {}
+
+
+def test_2d_solves_never_factorize_with_splu(monkeypatch):
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called by a 2-D solve")
+
+    monkeypatch.setattr(semigroup.spla, "splu", no_splu)
+    st_ = _stepper_2d(_variable_2d_field(), 9)
+    u = _random_2d(st_.grid, 2)
+    f, _ = fractional_inverse(st_, u, 0.5)
+    fractional_apply(st_, f, 0.5)
+    assert st_._lu_cache == {}
+    prob = ExtensionProblem(s=0.5, coeff=_variable_2d_field(), domain=((0.0, 1.0), (0.0, 1.0)),
+                            Z=1.0, bottom=("neumann", lambda x, y: np.sin(3.0 * x) * y),
+                            g_lateral=1.0, g_top=1.0)
+    state = solve_extension(prob, ExtensionMesh(nx=9, my=6))
+    assert state.residual_interior <= 1e-14
+
+
+def test_shifted_band_solver_raises_on_a_zero_pivot():
+    # the 1 x 1 interior of a 3 x 3 grid: L - L[0, 0] I is the zero matrix
+    L = _stepper_2d(CoefficientField.identity(2), 3).L
+    c = L[0, 0]
+    with pytest.raises(np.linalg.LinAlgError, match=rf"L - \({c:g}\) I is singular"):
+        semigroup._shifted_band_solver(L, [-c], f"L - ({c:g}) I is singular")
+    # a zero pivot that elimination makes, in the second of two stacked blocks
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="singular y-mode system"):
+        semigroup._shifted_band_solver(A, [0.0, -1.0], "singular y-mode system")
+    b = np.array([[1.0, -2.0], [3.0, 0.5]])
+    x = semigroup._shifted_band_solver(A, [0.0, 3.0], "singular")(b)
+    assert np.allclose(x, [np.linalg.solve(A.toarray() + sh * np.eye(2), bk)
+                           for sh, bk in zip((0.0, 3.0), b)], rtol=1e-15, atol=1e-15)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(7, 13), st.floats(2.0, 6.0), st.floats(0.0, 16.0), st.floats(0.75, 0.95),
+       st.floats(0.5, 9.0), st.sampled_from([-1.0, 1.0]), st.floats(0.05, 0.95))
+@example(9, 4.0, 0.0, 0.75, 1.0, 1.0, 0.5)  # a11 = 1, a22 = 4, a12 = 1.5
+@example(13, 2.0, 16.0, 0.9, 9.0, -1.0, 0.5)  # rows swapped for the poles nearest 0
+def test_2d_fractional_powers_with_the_centered_cross_stencil(n, base, amp, t, freq, sign, s):
+    # a11 = 1 < |a12| = t sqrt(a22) on square cells: the centered cross
+    # stencil, no M-matrix; a strongly varying a22 makes the band LU swap rows
+    def a22(x, y):
+        return base + amp * (0.5 + 0.5 * np.sin(freq * y)) + 0.0 * x
+
+    coeff = CoefficientField.full_2d(lambda x, y: np.ones(np.broadcast(x, y).shape),
+                                     lambda x, y: sign * t * np.sqrt(a22(x, y)), a22,
+                                     (1.0 - t * t) * base / (1.0 + base), 1.0 + base + amp)
+    st_ = _stepper_2d(coeff, n)
+    assert not st_.m_matrix
+    u = _random_2d(st_.grid, n)
+    L = st_.L.toarray()
+    for op, power in ((fractional_apply, s), (fractional_inverse, -s)):
+        got, _ = op(st_, u, s)
+        ref = np.real(fractional_matrix_power(L, power)) @ u.interior()
+        assert np.max(np.abs(got.interior() - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_2d_fractional_power_does_not_import_scipy_stats():
