@@ -16,8 +16,8 @@ since d_z U = (2s)^{2s-1} y^{1-2s} d_y W.  The y-direction is discretized by
 finite volumes with exact two-point conductances K_{j+1/2} = 2s /
 (y_{j+1}^{2s} - y_j^{2s}) and exact cell weights, so the scheme never
 evaluates the weight at y = 0 and reproduces the homogeneous solutions 1 and
-y^{2s} exactly.  All off-diagonal couplings are nonnegative, which gives the
-discrete maximum principle whenever the x-stencil keeps it (always for n = 1).
+y^{2s} exactly.  All off-diagonal couplings, those of the monotone x-stencil
+included, are nonnegative, which gives the discrete maximum principle.
 
 The system is A = A_y (x) I + diag(V) (x) A_x.  It is never assembled: A and
 |A| are applied through their factors, level by level, and it is solved in
@@ -350,7 +350,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     # 4x the average weight mass, else the grading is too weak for this s
     coarse_flag = bool(Vw[0] > 4.0 * (Y**pw / pw) / my)
 
-    Ax, Bx, m_matrix = x_operator(problem.coeff, axes)
+    Ax, Bx = x_operator(problem.coeff, axes)
     nxi = Ax.shape[0]
     x_int = [ax[1:-1] for ax in axes]
     Xint = np.meshgrid(*x_int, indexing="ij")
@@ -415,7 +415,6 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         "bottom": kind,
         "grading": mesh.y_grading(s),
         "x_grading": mesh.x_grading,
-        "m_matrix": m_matrix,
         "coarse_weight_flag": coarse_flag,
         "Y": float(Y),
         "Z": float(problem.Z),
@@ -437,14 +436,14 @@ def _y_mode_solver(Ay, V, Ax, n):
     A = (S P (x) I) (diag(mu) (x) I + I (x) Ax) (P^T S (x) I).  Hence
     u = (S^{-1} P (x) I) w with (Ax + mu_k I) w_k = (P^T S^{-1} r)_k, one
     system of the interior x-size per y-mode.  Ay is negative definite, so
-    every shift mu_k < 0 strengthens the diagonal of Ax; in 1-D, where -Ax
-    has nonnegative row sums, Ax + mu_k I is strictly diagonally dominant
-    and needs no pivoting; in 2-D the centered mixed stencil does.  The mode
+    every shift mu_k < 0 strengthens the diagonal of Ax; -Ax has nonnegative
+    row sums, so Ax + mu_k I is strictly diagonally dominant.  The mode
     systems, stacked mode-major, are factored here, once, and every call of
     the returned function (the solve and its refinement step) only
     substitutes: LAPACK gttrf/gttrs for n = 1, the band LU of
-    `semigroup._shifted_band_solver` for n = 2, which holds N (3 m2 + 4)
-    numbers per mode (N interior x-nodes, m2 per x2-line).  A singular mode
+    `semigroup._shifted_band_solver` for n = 2, which holds N (3k + 1)
+    numbers per mode (N interior x-nodes, half-bandwidth k = max |e1 m2 + e2|
+    over the stencil offsets e, m2 per x2-line).  A singular mode
     system raises LinAlgError.  The pencil is strongly graded (K_{1/2} / V_0
     grows like y_1^{-2}); the implicit QL/QR driver `stev` follows the
     grading and keeps the backward error small where the default
@@ -535,7 +534,7 @@ def _solve_native_band(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extens
     z_lo, z_hi = problem.z_band if problem.z_band else (0.0, problem.Z)
     axes = mesh.x_axes(problem.domain, n)
     zg = np.linspace(z_lo, z_hi, mesh.my + 1)
-    Ax, Bx, m_matrix = x_operator(problem.coeff, axes)
+    Ax, Bx = x_operator(problem.coeff, axes)
     nxi = Ax.shape[0]
     xi = axes[0][1:-1]
 
@@ -570,7 +569,7 @@ def _solve_native_band(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extens
     for a in range(nzi):
         W[a + 1, 1:-1] = sol[a * nxi:(a + 1) * nxi]
     y = transform_to_y(zg, s)
-    meta = {"mode": "native", "band": (float(z_lo), float(z_hi)), "m_matrix": m_matrix,
+    meta = {"mode": "native", "band": (float(z_lo), float(z_hi)),
             "linear_solver": "sparse-lu", "refinement_kept": refined}
     return ExtensionState(s, axes, y, W, float(np.max(rel)), 0.0, meta)
 

@@ -170,7 +170,6 @@ def _run_solve_extension(cfg, outdir):
     details = {"field_error": field_err, "trace_error": trace_err,
                "residual_interior": state.residual_interior,
                "residual_bottom": state.residual_bottom,
-               "m_matrix": state.meta["m_matrix"],
                "coarse_weight_flag": state.meta["coarse_weight_flag"]}
     outputs = []
     base = os.path.join(outdir, "extension_state")

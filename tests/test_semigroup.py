@@ -1,6 +1,7 @@
 """Semigroup core: heat stepping, fractional powers, extension quadrature."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -8,19 +9,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import fractional_matrix_power
 
 from fracext import semigroup
 from fracext.extension import ExtensionMesh, ExtensionProblem, solve_extension
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
-                               assemble_operator, balakrishnan_inverse_scalar,
+                               balakrishnan_inverse_scalar,
                                balakrishnan_scalar, bessel_extension_profile,
                                ds_constant, extension_profile_scalar,
                                extension_via_semigroup, fractional_apply,
                                fractional_inverse, gamma_neg_s,
-                               richardson_trace_slope)
+                               richardson_trace_slope, x_operator)
 
 
 def _stepper_1d(N=129, integrator="cn-rannacher"):
@@ -357,8 +358,7 @@ def test_coefficient_field_ellipticity_and_2d_assembly():
     ok, emin, emax = c.ellipticity_check(xs[:, None], xs[None, :])
     assert ok and emin >= 0.4 and emax <= 1.6
     grid = BoxGrid.rectangle((0.0, 0.0), (1.0, 1.0), (17, 17))
-    L, m_matrix = assemble_operator(c, grid)
-    assert m_matrix  # |a12| <= min(a11, a22) held on this field
+    L = SemigroupStepper(c, grid).L
     # row sums vanish for interior rows whose full stencil stays interior
     row_sums = np.asarray(L.sum(axis=1)).ravel().reshape(15, 15)
     assert np.max(np.abs(row_sums[2:-2, 2:-2])) < 1e-9
@@ -373,13 +373,176 @@ def test_2d_heat_eigenfunction():
     assert np.max(np.abs(out.values - np.exp(-lam_h * 0.1) * u.values)) < 2e-5
 
 
+def _constant_2d(a11, a12, a22):
+    def const(v):
+        return lambda x, y: np.full(np.broadcast(x, y).shape, v)
+
+    return CoefficientField.full_2d(const(a11), const(a12), const(a22), 1e-3, 1e3)
+
+
+def _assert_monotone(Ax, Bx, shape):
+    """-Ax is an M-matrix with no stored zeros, and Bx reaches only boundary
+    nodes with the weights that make every row sum of [Ax Bx] vanish."""
+    assert (Ax - sp.diags(Ax.diagonal())).min() >= 0.0 and Bx.min() >= 0.0
+    assert np.all(Ax.data != 0.0) and np.all(Bx.data != 0.0)
+    rows = np.asarray(Ax.sum(axis=1)).ravel()
+    tol = 1e-12 * np.max(np.abs(Ax.diagonal()))
+    assert np.all(rows <= tol)
+    assert np.all(np.abs(rows + np.asarray(Bx.sum(axis=1)).ravel()) <= tol)
+    interior = np.zeros(shape, dtype=bool)
+    interior[1:-1, 1:-1] = True
+    assert Bx[:, interior.ravel()].nnz == 0
+
+
+def _upwind_reference(a11, a12, a22, xs, ys):
+    """The 5-point stencil plus the mixed term upwinded along (1, sign a12),
+    node by node for constant a^{ij}: (interior block, Dirichlet block)."""
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    c, d = abs(a12) / (hx * hy), (1 if a12 >= 0 else -1)
+    weights = {(1, 0): a11 / hx**2 - c, (-1, 0): a11 / hx**2 - c, (0, 1): a22 / hy**2 - c,
+               (0, -1): a22 / hy**2 - c, (1, d): c, (-1, -d): c,
+               (0, 0): -2.0 * a11 / hx**2 - 2.0 * a22 / hy**2 + 2.0 * c}
+    n1, n2 = len(xs), len(ys)
+    full = np.zeros(((n1 - 2) * (n2 - 2), n1 * n2))
+    for i in range(1, n1 - 1):
+        for j in range(1, n2 - 1):
+            for (di, dj), wt in weights.items():
+                full[(i - 1) * (n2 - 2) + j - 1, (i + di) * n2 + j + dj] += wt
+    interior = np.zeros((n1, n2), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    return full[:, interior.ravel()], np.where(interior.ravel(), 0.0, full)
+
+
+@pytest.mark.parametrize("a12", [0.0, 0.3])
+@pytest.mark.parametrize("n", [13, 25, 29])
+def test_selling_stencil_keeps_the_plane2d_operators(a12, n):
+    # the benchmark's 2-D coefficient sets on (0, pi)^2: identity and a12 = 0.3
+    axes = [np.linspace(0.0, np.pi, n)] * 2
+    Ax, Bx = x_operator(_constant_2d(1.0, a12, 1.0), axes)
+    ref_A, ref_B = _upwind_reference(1.0, a12, 1.0, *axes)
+    assert np.max(np.abs(Ax.toarray() - ref_A)) <= 1e-13 * np.max(np.abs(ref_A))
+    assert np.max(np.abs(Bx.toarray() - ref_B)) <= 1e-13 * np.max(np.abs(ref_B))
+    _assert_monotone(Ax, Bx, (n, n))
+    # no stored zeros: the band half-width is m2 without a mixed term
+    coo = Ax.tocoo()
+    assert np.max(np.abs(coo.col - coo.row)) == n - 2 + (a12 != 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(17, 33), st.floats(-0.99, 0.99), st.floats(0.25, 9.0),
+       st.sampled_from([0.0, 0.3, 0.6]), st.floats(0.5, 4.0))
+@example(17, 0.75, 4.0, 0.0, 1.0)   # a12 = 1.5, a22 = 4: -2.6e-5 with the centered cross
+@example(33, 0.95, 4.0, 0.0, 1.0)   # a12 = 1.9
+@example(33, 0.99, 4.0, 0.0, 1.0)   # a12 = 1.98
+@example(33, -0.99, 9.0, 0.6, 3.0)
+def test_point_sources_give_nonnegative_solutions(n, t, a22, amp, freq):
+    # -Ax u = e_i for 25 sources; |a12| <= 0.99 sqrt(a11 a22), constant when amp = 0
+    def a11(x, y):
+        return 1.0 + amp * np.sin(freq * x) + 0.0 * y
+
+    def a22f(x, y):
+        return a22 * (1.0 + amp * np.cos(freq * y)) + 0.0 * x
+
+    coeff = CoefficientField.full_2d(
+        a11, lambda x, y: t * np.cos(amp * freq * (x + y)) * np.sqrt(a11(x, y) * a22f(x, y)),
+        a22f, 1e-3, 1e3)
+    axes = [np.linspace(0.0, np.pi, n)] * 2
+    Ax, Bx = x_operator(coeff, axes)
+    _assert_monotone(Ax, Bx, (n, n))
+    E = np.zeros((Ax.shape[0], 25))
+    E[np.linspace(0, Ax.shape[0] - 1, 25).astype(int), np.arange(25)] = 1.0
+    u = spla.splu((-Ax).tocsc()).solve(E)
+    assert np.all(u.min(axis=0) >= -1e-12 * u.max(axis=0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(5, 12), st.integers(5, 12), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+       st.floats(-2.0, 2.0))
+@example(5, 5, 1.0, 1.0, 1.0)   # degenerate: a11 a22 = a12^2
+@example(6, 7, 0.0, 0.0, 1.0)
+def test_x_operator_rejects_constant_fields_that_are_not_elliptic(n1, n2, a11, a12, a22):
+    assume(not (a11 > 0.0 and a11 * a22 - a12 * a12 > 0.0))
+    xs, ys = np.linspace(0.0, 1.0, n1), np.linspace(0.0, 2.0, n2)
+    first = re.escape(f"at node ({xs[1]:g}, {ys[1]:g}): a11 = {a11:g}, a12 = {a12:g}")
+    with pytest.raises(ValueError, match=first):
+        x_operator(_constant_2d(a11, a12, a22), [xs, ys])
+    if a11 <= 0.0:
+        with pytest.raises(ValueError, match=re.escape(f"at node ({xs[1]:g}): a11 = {a11:g}")):
+            x_operator(CoefficientField.scalar_1d(lambda x: np.full_like(x, a11), 1.0, 1.0),
+                       [xs])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(5, 12), st.integers(5, 12), st.data(),
+       st.sampled_from([(0.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (1.0, 2.0, 1.0),
+                        (float("nan"), 0.0, 1.0), (1.0, 0.0, float("inf"))]))
+def test_x_operator_names_the_one_node_where_a_field_fails(n1, n2, data, bad):
+    xs, ys = np.linspace(-1.0, 1.0, n1), np.linspace(0.0, 3.0, n2)
+    i = data.draw(st.integers(1, n1 - 2))
+    j = data.draw(st.integers(1, n2 - 2))
+
+    def comp(k, good):
+        return lambda x, y: np.where((x == xs[i]) & (y == ys[j]), bad[k], good)
+
+    coeff = CoefficientField.full_2d(comp(0, 1.0), comp(1, 0.2), comp(2, 1.0), 0.5, 1.5)
+    with pytest.raises(ValueError, match=re.escape(f"at node ({xs[i]:g}, {ys[j]:g}): "
+                                                   f"a11 = {bad[0]:g}, a12 = {bad[1]:g}")):
+        x_operator(coeff, [xs, ys])
+    if not bad[0] > 0.0:
+        one = CoefficientField.scalar_1d(lambda x: np.where(x == xs[i], bad[0], 1.0), 1.0, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"at node ({xs[i]:g}): a11 = {bad[0]:g}")):
+            x_operator(one, [xs])
+
+
+def test_selling_flips_are_capped_on_extreme_anisotropy():
+    # a = R diag(1, 1e8) R^T, 1e-3 off the axes, is elliptic, but the flips
+    # to its obtuse superbase, steps of a subtractive Euclid algorithm on its
+    # principal direction, run past the cap
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    k = 1e8
+    coeff = _constant_2d(c * c + k * s * s, (1.0 - k) * c * s, s * s + k * c * c)
+    axes = [np.linspace(0.0, 1.0, 9)] * 2
+    with pytest.raises(ValueError, match=r"too anisotropic at node \(0.125, 0.125\)"):
+        x_operator(coeff, axes)
+
+
+@pytest.mark.parametrize("theta", [0.4, 1.1])
+@pytest.mark.parametrize("kappa", [10.0, 100.0])
+def test_anisotropic_stencil_converges_at_second_order(kappa, theta):
+    # a = R(theta) diag(1, kappa) R(theta)^T: Selling's offsets reach past the
+    # nearest neighbours, so steps from nodes next to the edge cross it and
+    # the nonzero boundary data are interpolated there
+    c, s = np.cos(theta), np.sin(theta)
+    a11, a12, a22 = c * c + kappa * s * s, (1.0 - kappa) * c * s, s * s + kappa * c * c
+
+    def exact(x, y):
+        return np.sin(2.0 * x + 0.5) * np.exp(y) + x * y * y
+
+    def source(x, y):
+        sn, cs = np.sin(2.0 * x + 0.5) * np.exp(y), np.cos(2.0 * x + 0.5) * np.exp(y)
+        return a11 * (-4.0 * sn) + 2.0 * a12 * (2.0 * cs + 2.0 * y) + a22 * (sn + 2.0 * x)
+
+    errs = []
+    for n in (17, 33, 65):
+        xs = np.linspace(0.0, 1.0, n)
+        Ax, Bx = x_operator(_constant_2d(a11, a12, a22), [xs, xs])
+        coo = Ax.tocoo()
+        assert set(np.abs(coo.col - coo.row)) - {0, 1, n - 3, n - 2, n - 1}
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+        boundary = exact(X, Y)
+        boundary[1:-1, 1:-1] = 0.0
+        u = spla.spsolve(Ax.tocsc(), source(X, Y)[1:-1, 1:-1].ravel() - Bx @ boundary.ravel())
+        errs.append(np.max(np.abs(u - exact(X, Y)[1:-1, 1:-1].ravel())))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.8), (errs, orders)
+
+
 def test_2d_mixed_upwind_positivity():
     c = CoefficientField.full_2d(lambda x, y: np.ones_like(x),
                                  lambda x, y: 0.5 * np.ones_like(x),
                                  lambda x, y: np.ones_like(x), lam=0.5, Lam=1.5)
     grid = BoxGrid.rectangle((0.0, 0.0), (1.0, 1.0), (21, 21))
     st = SemigroupStepper(c, grid, integrator="euler")
-    assert st.m_matrix
     rng = np.random.default_rng(1)
     vals = np.zeros(grid.shape)
     vals[1:-1, 1:-1] = rng.uniform(0, 1, (19, 19))
@@ -471,19 +634,21 @@ def test_shifted_band_solver_raises_on_a_zero_pivot():
     with pytest.raises(np.linalg.LinAlgError, match="singular y-mode system"):
         semigroup._shifted_band_solver(A, [0.0, -1.0], "singular y-mode system")
     b = np.array([[1.0, -2.0], [3.0, 0.5]])
-    x = semigroup._shifted_band_solver(A, [0.0, 3.0], "singular")(b)
-    assert np.allclose(x, [np.linalg.solve(A.toarray() + sh * np.eye(2), bk)
-                           for sh, bk in zip((0.0, 3.0), b)], rtol=1e-15, atol=1e-15)
+    # the second matrix needs a row swap in its unshifted block
+    for A in (A, sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))):
+        x = semigroup._shifted_band_solver(A, [0.0, 3.0], "singular")(b)
+        assert np.allclose(x, [np.linalg.solve(A.toarray() + sh * np.eye(2), bk)
+                               for sh, bk in zip((0.0, 3.0), b)], rtol=1e-15, atol=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(7, 13), st.floats(2.0, 6.0), st.floats(0.0, 16.0), st.floats(0.75, 0.95),
        st.floats(0.5, 9.0), st.sampled_from([-1.0, 1.0]), st.floats(0.05, 0.95))
 @example(9, 4.0, 0.0, 0.75, 1.0, 1.0, 0.5)  # a11 = 1, a22 = 4, a12 = 1.5
-@example(13, 2.0, 16.0, 0.9, 9.0, -1.0, 0.5)  # rows swapped for the poles nearest 0
-def test_2d_fractional_powers_with_the_centered_cross_stencil(n, base, amp, t, freq, sign, s):
-    # a11 = 1 < |a12| = t sqrt(a22) on square cells: the centered cross
-    # stencil, no M-matrix; a strongly varying a22 makes the band LU swap rows
+@example(13, 2.0, 16.0, 0.9, 9.0, -1.0, 0.5)
+def test_2d_fractional_powers_with_strong_anisotropy(n, base, amp, t, freq, sign, s):
+    # a11 = 1 < |a12| = t sqrt(a22) on square cells: beyond the 7-point
+    # upwind stencil, Selling's offsets reach past the nearest neighbours
     def a22(x, y):
         return base + amp * (0.5 + 0.5 * np.sin(freq * y)) + 0.0 * x
 
@@ -491,7 +656,6 @@ def test_2d_fractional_powers_with_the_centered_cross_stencil(n, base, amp, t, f
                                      lambda x, y: sign * t * np.sqrt(a22(x, y)), a22,
                                      (1.0 - t * t) * base / (1.0 + base), 1.0 + base + amp)
     st_ = _stepper_2d(coeff, n)
-    assert not st_.m_matrix
     u = _random_2d(st_.grid, n)
     L = st_.L.toarray()
     for op, power in ((fractional_apply, s), (fractional_inverse, -s)):
