@@ -186,6 +186,8 @@ class ExtensionMesh:
     def x_axes(self, domain, n):
         doms = [domain] if n == 1 else list(domain)
         counts = [self.nx] * n if np.isscalar(self.nx) else list(self.nx)
+        if len(counts) != n:
+            raise ValueError(f"nx gives {len(counts)} mesh counts for {n} x-dimensions")
         if self.x_grading is not None and n > 1:
             raise ValueError("x_grading is implemented for 1-D x only")
         axes = []

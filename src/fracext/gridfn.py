@@ -102,9 +102,6 @@ class GridFunction:
             gf.values[~grid.interior_mask()] = 0.0
         return gf
 
-    def copy_with(self, values):
-        return GridFunction(self.grid, values)
-
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
 

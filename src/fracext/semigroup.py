@@ -19,18 +19,16 @@ correction built from the node values themselves); its small-t tail is an
 incomplete-gamma term.  The scalar oracles integrate the semigroup formulas
 for lam^s and lam^{-s} on the same ladder.
 
-e^{-tL} is realized by an implicit time stepper (backward Euler,
-Crank-Nicolson or Rannacher-started Crank-Nicolson).  In 1-D the tridiagonal
-L is diagonalized once per stepper (`tridiagonal_modes`) and the stepper's
-rational symbol r(dt L) is applied exactly in its modes, so a whole ladder
-costs two dense products.  In 2-D each time step is a sparse-LU solve; that
-stepping serves `heat_apply` and the extension ladder.
+e^{-tL} is exact and 1-D only: the tridiagonal L is diagonalized once per
+stepper (`tridiagonal_modes`) and e^{-t lam} is applied in its modes, so a
+whole ladder costs two dense products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -118,7 +116,7 @@ class CoefficientField:
             disc = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2)
             emin = float(np.min((tr - disc) / 2.0))
             emax = float(np.max((tr + disc) / 2.0))
-        ok = emin >= self.lam - 1e-12 and emax <= self.Lam + 1e-12
+        ok = emin >= self.lam * (1.0 - 1e-12) and emax <= self.Lam * (1.0 + 1e-12)
         return ok, emin, emax
 
 
@@ -301,46 +299,34 @@ def tridiagonal_modes(A):
 
 
 class SemigroupStepper:
-    """Heat semigroup e^{-tL} on C_0 grid functions by implicit time stepping.
+    """The Dirichlet operator L = -a^{ij} d_ij of a coefficient field on a
+    grid, and its heat semigroup e^{-tL} in 1-D.
 
-    integrator:
-      "euler"        backward Euler (discrete max principle, first order)
-      "cn"           Crank-Nicolson (second order)
-      "cn-rannacher" two half-size backward-Euler startup steps, then
-                     Crank-Nicolson; damps stiff modes while keeping second
-                     order, the default for quadrature work.
-
-    A time t > 0 is covered by m steps of size dt = t/m (m = substeps, or
-    ceil(t / dt_max)), so the stepper applies the rational function r(dt L)
-    with, per eigenvalue lam of L and x = dt lam / 2,
-
-      euler          (1 + 2x)^{-m}
-      cn             ((1 - x) / (1 + x))^m
-      cn-rannacher   (1 + x)^{-2} ((1 - x) / (1 + x))^{m-1}.
-
-    In 1-D this symbol is applied exactly in the eigenbasis of the
-    tridiagonal L, computed on first use and shared by every later call; in
-    2-D the steps are taken one by one with cached sparse-LU factors.  The
-    steps serve `heat_apply` and the extension ladder; fractional powers are
-    rational instead, one shifted solve per pole.  `lam_floor` bounds the
-    spectrum from below; the decay cut-off and the rational fits use it.
+    The 1-D L = D Q diag(lam) Q^T D^{-1} (`tridiagonal_modes`, computed on
+    first use and shared by every later call), so e^{-tL} is applied exactly,
+    as e^{-t lam} in those modes.  2-D heat raises ValueError; fractional
+    powers are rational in every dimension, one shifted solve per pole.
+    `lam_floor` bounds the spectrum from below; the decay cut-off and the
+    rational fits use it.  The declared ellipticity bounds of `coeff` are
+    checked on the interior nodes (ValueError naming both ranges), since
+    `lam_floor` rests on them.
 
     Immutable after construction; solves at distinct times are independent.
     """
 
-    def __init__(self, coeff: CoefficientField, grid: BoxGrid, integrator="cn-rannacher",
-                 dt_max=1e-2):
+    def __init__(self, coeff: CoefficientField, grid: BoxGrid):
         self.coeff = coeff
         self.grid = grid
-        self.integrator = integrator
-        self.dt_max = float(dt_max)
         self.L = (-x_operator(coeff, grid.axes())[0]).tocsr()  # Dirichlet L = -a^{ij} d_ij
-        self._N = self.L.shape[0]
-        self._I = sp.identity(self._N, format="csc")
-        self._lu_cache = {}
+        ok, emin, emax = coeff.ellipticity_check(
+            *np.meshgrid(*(ax[1:-1] for ax in grid.axes()), indexing="ij"))
+        if not ok:
+            raise ValueError(f"declared ellipticity bounds [{coeff.lam:g}, {coeff.Lam:g}] "
+                             f"do not hold: the eigenvalues of a^{{ij}} on the interior "
+                             f"nodes span [{emin:g}, {emax:g}]")
         # provable spectral floor: the 3-point Dirichlet eigenvalue on (lo, hi)
         # is at least 8/L^2 for any spacing, so ||e^{-tL}u|| <= e^{-lam_floor t}||u||;
-        # beyond 30 e-folds the solve is zero to machine precision.  The
+        # beyond 30 e-folds the heat is zero to machine precision.  The
         # floor is also the lower end of the rational fits.
         self.lam_floor = coeff.lam * sum(8.0 / (hi - lo) ** 2
                                          for lo, hi in zip(grid.los, grid.his))
@@ -350,77 +336,26 @@ class SemigroupStepper:
     def _modes(self):
         return tridiagonal_modes(self.L)
 
-    def _lu(self, dt):
-        key = round(float(dt), 18)
-        lu = self._lu_cache.get(key)
-        if lu is None:
-            lu = spla.splu((self._I + dt * self.L).tocsc())
-            self._lu_cache[key] = lu
-        return lu
-
-    def _steps(self, t, substeps):
-        return substeps if substeps is not None else max(1, int(np.ceil(t / self.dt_max)))
-
-    def heat_interior(self, v, t, substeps=None):
+    def heat_interior(self, v, t):
         """e^{-tL} applied to an interior-node vector."""
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if self.grid.ndim == 1:
-            return self.heat_many(v, [t], substeps)[0]
-        if t == 0.0:
-            return v.copy()
-        if t > self._t_cutoff:
-            return np.zeros_like(v)
-        m = self._steps(t, substeps)
-        dt = t / m
-        out = v.copy()
-        if self.integrator == "euler":
-            lu = self._lu(dt)
-            for _ in range(m):
-                out = lu.solve(out)
-            return out
-        if self.integrator == "cn-rannacher":
-            lu_half = self._lu(dt / 2.0)
-            out = lu_half.solve(lu_half.solve(out))
-            steps = m - 1
-        else:
-            steps = m
-        if steps > 0:
-            lu = self._lu(dt / 2.0)
-            B = (self._I - (dt / 2.0) * self.L).tocsr()
-            for _ in range(steps):
-                out = lu.solve(B @ out)
-        return out
+        return self.heat_many(v, [t])[0]
 
-    def heat_many(self, v, ts, substeps=None):
-        """e^{-tL} v for every t in ts, one row per time: shape (len(ts), N)."""
+    def heat_many(self, v, ts):
+        """e^{-tL} v for every t in ts, one row per time: shape (len(ts), N).
+
+        Rows with t = 0 are v itself, rows past the decay cut-off are zero.
+        ValueError on a 2-D grid and for negative or NaN times.
+        """
+        if self.grid.ndim != 1:
+            raise ValueError("the heat semigroup is computed on 1-D grids only")
         ts = np.asarray(ts, dtype=float)
         if not np.all(ts >= 0.0):
             raise ValueError("time must be nonnegative")
-        if self.grid.ndim != 1:
-            return np.stack([self.heat_interior(v, t, substeps) for t in ts])
         lam, Q, d = self._modes
-        live = (ts > 0.0) & (ts <= self._t_cutoff)
-        m = np.array([self._steps(t, substeps) if ok else 1 for t, ok in zip(ts, live)])
-        x = np.where(live, ts / m, 0.0)[:, None] * (lam / 2.0)
-        if self.integrator == "euler":
-            R = (1.0 + 2.0 * x) ** -m[:, None]
-        elif self.integrator == "cn":
-            R = ((1.0 - x) / (1.0 + x)) ** m[:, None]
-        else:
-            R = ((1.0 - x) / (1.0 + x)) ** (m[:, None] - 1) / (1.0 + x) ** 2
-        R[~live] = 0.0
+        R = np.exp(-ts[:, None] * lam) * (ts <= self._t_cutoff)[:, None]
         out = ((R * ((v / d) @ Q)) @ Q.T) * d
         out[ts == 0.0] = v
         return out
-
-    def heat_apply(self, u: GridFunction, t, substeps=None):
-        """e^{-tL} u as a grid function (boundary stays at the Dirichlet value 0)."""
-        v = u.interior()
-        out = self.heat_interior(v, t, substeps)
-        vals = np.zeros(self.grid.shape)
-        vals[self.grid.interior_mask()] = out
-        return u.copy_with(vals)
 
     def wrap_interior(self, v):
         vals = np.zeros(self.grid.shape)
@@ -438,15 +373,16 @@ class QuadratureSpec:
     t_min: float = 1e-8
     t_max: float = 1e4
     nodes: int = 96
-    substeps: int = 96
 
     def __post_init__(self):
+        if not (np.isfinite(self.t_min) and np.isfinite(self.t_max)):
+            raise ValueError("quadrature t_min and t_max must be finite")
         if self.t_min <= 0:
             raise ValueError("quadrature t_min must be positive")
         if self.t_max <= self.t_min:
             raise ValueError("quadrature t_max must exceed t_min")
-        if self.nodes < 8:
-            raise ValueError("need at least 8 quadrature nodes")
+        if not isinstance(self.nodes, Integral) or self.nodes < 8:
+            raise ValueError("need an integer count of at least 8 quadrature nodes")
 
     def ladder(self):
         tau = np.linspace(np.log(self.t_min), np.log(self.t_max), self.nodes)
@@ -616,7 +552,8 @@ def extension_via_semigroup(stepper: SemigroupStepper, u: GridFunction, s, z,
 
 def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s, zs,
                                   quad=QuadratureSpec()):
-    """Extension values at several heights z > 0, sharing one heat ladder.
+    """Extension values at several heights z > 0, sharing one heat ladder
+    (1-D grids only: `heat_many` raises ValueError in 2-D).
 
     The small-t tail integrates the kernel against u exactly:
     (s^{2s} z / Gamma(s)) * c^{-s} Gamma(s, c/t_min) * u = Q(s, c/t_min) u
@@ -627,7 +564,7 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
         raise ValueError("extension height z must be positive")
     v = u.interior()
     ts, h = quad.ladder()
-    heats = stepper.heat_many(v, ts, quad.substeps)
+    heats = stepper.heat_many(v, ts)
     pref_all = []
     out = []
     for z in zs:

@@ -520,6 +520,16 @@ def test_level_operator_refuses_abs_with_a_positive_diagonal():
         abs(op)
 
 
+@pytest.mark.parametrize("n, nx", [(1, (9, 11)), (2, (9, 11, 13)), (2, (9,))],
+                         ids=["1d-two-counts", "2d-three-counts", "2d-one-count"])
+def test_x_axes_refuses_a_mesh_count_per_axis_mismatch(n, nx):
+    # a 1-D problem used to take 9 and drop 11, a 2-D one to drop 13, and
+    # (9,) on 2-D failed later on the coefficient dimension
+    domain = (0.0, 1.0) if n == 1 else ((0.0, 1.0), (0.0, 2.0))
+    with pytest.raises(ValueError, match=f"nx gives {len(nx)} mesh counts for {n} x-dimensions"):
+        ExtensionMesh(nx=nx, my=8).x_axes(domain, n)
+
+
 @pytest.mark.parametrize("s, my, grading", [(0.4, 4, 1e-20), (0.4, 4, 1e-300),
                                             (0.4, 4, 5e-324), (0.999, 64, None),
                                             (0.995, 64, None)])

@@ -11,6 +11,9 @@ ALLOWED_UNUSED = {
     ("src/fracext/geometry.py", "brentq"):
         "the benchmark tracer patches it by name to count root finds; it goes "
         "once the tracer reads counts recorded by the library",
+    ("src/fracext/semigroup.py", "spla"):
+        "the benchmark tracer patches `semigroup.spla.splu` by name to count "
+        "factorizations; it goes once the tracer reads counts recorded by the library",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import fractional_matrix_power
+from scipy.linalg import expm, fractional_matrix_power
 
 from fracext import semigroup
 from fracext.extension import ExtensionMesh, ExtensionProblem, solve_extension
@@ -19,14 +19,15 @@ from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupSteppe
                                balakrishnan_inverse_scalar,
                                balakrishnan_scalar, bessel_extension_profile,
                                ds_constant, extension_profile_scalar,
-                               extension_via_semigroup, fractional_apply,
+                               extension_via_semigroup,
+                               extension_via_semigroup_multi, fractional_apply,
                                fractional_inverse, gamma_neg_s,
                                richardson_trace_slope, x_operator)
 
 
-def _stepper_1d(N=129, integrator="cn-rannacher"):
+def _stepper_1d(N=129):
     grid = BoxGrid.interval(0.0, np.pi, N + 1)
-    return SemigroupStepper(CoefficientField.identity(1), grid, integrator=integrator)
+    return SemigroupStepper(CoefficientField.identity(1), grid)
 
 
 def discrete_eigenvalue(k, N):
@@ -65,116 +66,101 @@ def test_scalar_oracles():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(t_min=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(t_min=1.0, t_max=0.5)
+    for kwargs in ({"t_min": 0.0}, {"t_min": 1.0, "t_max": 0.5}, {"t_min": np.nan},
+                   {"t_max": np.inf}, {"t_min": -np.inf}, {"t_max": np.nan}, {"nodes": 7},
+                   {"nodes": 8.5}, {"nodes": 96.0}):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**kwargs)
+
+
+def _variable_heat_stepper(N, lam, ratio, freq, length):
+    Lam = lam * ratio
+    coeff = CoefficientField.scalar_1d(
+        lambda x: lam + (Lam - lam) * np.sin(freq * x) ** 2, lam, Lam)
+    return SemigroupStepper(coeff, BoxGrid.interval(0.0, length, N + 1))
 
 
 def test_heat_identity_and_eigen_decay():
     st = _stepper_1d(N=128)
-    grid = st.grid
     k = 3
-    u = GridFunction.from_callable(grid, lambda x: np.sin(k * x))
-    assert np.array_equal(st.heat_apply(u, 0.0).values, u.values)
+    v = np.sin(k * st.grid.axes()[0][1:-1])
+    assert np.array_equal(st.heat_interior(v, 0.0), v)
     lam_h = discrete_eigenvalue(k, 128)
-    for t in (0.01, 0.1, 0.5):
-        out = st.heat_apply(u, t, substeps=96)
-        assert np.max(np.abs(out.values - np.exp(-lam_h * t) * u.values)) < 2e-5
+    ts = [0.01, 0.1, 0.5]
+    for t, row in zip(ts, st.heat_many(v, ts)):
+        assert np.max(np.abs(row - np.exp(-lam_h * t) * v)) < 1e-13
 
 
-def test_heat_euler_positivity_and_sup_bound():
-    st = _stepper_1d(N=96, integrator="euler")
-    rng = np.random.default_rng(0)
-    vals = np.zeros(st.grid.shape)
-    vals[1:-1] = rng.uniform(0.0, 1.0, 95)
-    u = GridFunction(st.grid, vals)
-    prev = u
-    for t in (0.01, 0.1, 1.0):
-        out = st.heat_apply(u, t, substeps=24)
-        assert np.min(out.values) >= -1e-12          # M-matrix positivity
-        assert out.sup_norm() <= u.sup_norm() + 1e-12  # contraction
-        assert out.sup_norm() <= prev.sup_norm() + 1e-12
-        prev = out
+@settings(max_examples=30, deadline=None)
+@given(st.integers(16, 256), st.floats(0.2, 1.0), st.floats(1.0, 5.0), st.floats(0.5, 6.0),
+       st.floats(0.5, 4.0), st.integers(0, 2**32 - 1))
+def test_heat_positivity_and_sup_contraction(N, lam, ratio, freq, length, seed):
+    # -L is an M-matrix with nonpositive row sums: e^{-tL} is a nonnegative
+    # matrix whose rows sum to at most 1
+    stepper = _variable_heat_stepper(N, lam, ratio, freq, length)
+    v = np.random.default_rng(seed).uniform(0.0, 1.0, N - 1)
+    ts = np.geomspace(1e-6, 1.0, 13) * stepper._t_cutoff
+    rows = stepper.heat_many(v, ts)
+    tol = 1e-12 * np.max(v)
+    assert np.min(rows) >= -tol
+    sups = np.max(rows, axis=1)
+    assert np.all(sups <= np.max(v) + tol) and np.all(np.diff(sups) <= tol)
 
 
-def test_semigroup_property_aligned_steps():
-    st = _stepper_1d(N=64, integrator="euler")
-    u = GridFunction.from_callable(st.grid, lambda x: np.sin(2 * x) + 0.3 * np.sin(5 * x))
-    dt = 0.01
-    once = st.heat_apply(u, 0.12, substeps=12)
-    twice = st.heat_apply(st.heat_apply(u, 0.04, substeps=4), 0.08, substeps=8)
-    assert np.max(np.abs(once.values - twice.values)) < 1e-11
+@settings(max_examples=30, deadline=None)
+@given(st.integers(16, 256), st.floats(0.2, 1.0), st.floats(1.0, 5.0), st.floats(0.5, 6.0),
+       st.floats(0.5, 4.0), st.floats(1e-6, 1.0), st.floats(1e-6, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_semigroup_law_at_unaligned_times(N, lam, ratio, freq, length, a, b, seed):
+    stepper = _variable_heat_stepper(N, lam, ratio, freq, length)
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, N - 1)
+    once = stepper.heat_interior(v, a + b)
+    twice = stepper.heat_interior(stepper.heat_interior(v, a), b)
+    assert np.max(np.abs(once - twice)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_heat_cutoff_returns_zero():
     st = _stepper_1d(N=64)
-    u = GridFunction.from_callable(st.grid, lambda x: np.sin(x))
-    out = st.heat_apply(u, 1e4)
-    assert np.array_equal(out.values, np.zeros_like(out.values))
-
-
-def _lu_heat(stepper, v, t, substeps=None):
-    """Reference e^{-tL} v: the integrator's steps taken one by one with
-    sparse-LU factors of the assembled L."""
-    if t == 0.0:
-        return v.copy()
-    if t > stepper._t_cutoff:
-        return np.zeros_like(v)
-    m = substeps if substeps is not None else max(1, int(np.ceil(t / stepper.dt_max)))
-    dt = t / m
-    I = sp.identity(len(v), format="csc")
-    L = stepper.L
-    out = v.copy()
-    if stepper.integrator == "euler":
-        lu = spla.splu((I + dt * L).tocsc())
-        for _ in range(m):
-            out = lu.solve(out)
-        return out
-    lu = spla.splu((I + (dt / 2.0) * L).tocsc())
-    steps = m
-    if stepper.integrator == "cn-rannacher":
-        out = lu.solve(lu.solve(out))
-        steps = m - 1
-    B = (I - (dt / 2.0) * L).tocsr()
-    for _ in range(steps):
-        out = lu.solve(B @ out)
-    return out
+    v = np.sin(st.grid.axes()[0][1:-1])
+    assert np.array_equal(st.heat_interior(v, 1e4), np.zeros_like(v))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["euler", "cn", "cn-rannacher"]), st.integers(16, 256),
-       st.floats(0.2, 1.0), st.floats(1.0, 5.0), st.floats(0.5, 6.0), st.floats(0.5, 4.0),
-       st.just(0.0) | st.floats(1e-6, 10.0), st.none() | st.integers(1, 96),
-       st.integers(0, 2**32 - 1))
-def test_mode_space_heat_matches_lu_stepping(integrator, N, lam, ratio, freq, length, t,
-                                             substeps, seed):
-    Lam = lam * ratio
-    coeff = CoefficientField.scalar_1d(
-        lambda x: lam + (Lam - lam) * np.sin(freq * x) ** 2, lam, Lam)
-    grid = BoxGrid.interval(0.0, length, N + 1)
-    stepper = SemigroupStepper(coeff, grid, integrator=integrator)
+@given(st.integers(16, 256), st.floats(0.2, 1.0), st.floats(1.0, 5.0), st.floats(0.5, 6.0),
+       st.floats(0.5, 4.0), st.just(0.0) | st.floats(1e-6, 10.0), st.integers(0, 2**32 - 1))
+def test_heat_matches_dense_expm(N, lam, ratio, freq, length, t, seed):
+    stepper = _variable_heat_stepper(N, lam, ratio, freq, length)
     v = np.random.default_rng(seed).uniform(-1.0, 1.0, N - 1)
     tol = 1e-12 * np.max(np.abs(v))
-    assert np.max(np.abs(stepper.heat_interior(v, t, substeps)
-                         - _lu_heat(stepper, v, t, substeps))) <= tol
+    L = stepper.L.toarray()
     ts = [t, 0.5 * t, 0.0, 2.0 * t]
-    rows = stepper.heat_many(v, ts, substeps)
+    rows = stepper.heat_many(v, ts)
     assert rows.shape == (len(ts), N - 1)
     for tj, row in zip(ts, rows):
-        assert np.max(np.abs(row - _lu_heat(stepper, v, tj, substeps))) <= tol
+        assert np.max(np.abs(row - expm(-tj * L) @ v)) <= tol
     assert np.array_equal(rows[2], v)
 
 
 def test_mode_space_heat_edges():
-    st_ = _stepper_1d(N=64, integrator="cn")
+    st_ = _stepper_1d(N=64)
     v = np.random.default_rng(3).uniform(-1.0, 1.0, 63)
     assert np.array_equal(st_.heat_interior(v, 0.0), v)
-    past = [st_._t_cutoff * (1.0 + 1e-12), 1e4]
-    assert np.array_equal(st_.heat_many(v, past), np.zeros((2, 63)))
+    past = [st_._t_cutoff * (1.0 + 1e-12), 1e4, np.inf]
+    assert np.array_equal(st_.heat_many(v, past), np.zeros((3, 63)))
     for bad in (-1e-3, np.nan):
         with pytest.raises(ValueError):
             st_.heat_many(v, [0.1, bad])
+
+
+def test_2d_heat_is_refused():
+    grid = BoxGrid.rectangle((0.0, 0.0), (np.pi, np.pi), (9, 9))
+    st_ = SemigroupStepper(CoefficientField.identity(2), grid)
+    u = GridFunction.from_callable(grid, lambda x, y: np.sin(x) * np.sin(2 * y))
+    for call in (lambda: st_.heat_interior(u.interior(), 0.1),
+                 lambda: st_.heat_many(u.interior(), [0.0, 0.1]),
+                 lambda: extension_via_semigroup(st_, u, 0.5, 0.3)):
+        with pytest.raises(ValueError, match="1-D grids only"):
+            call()
 
 
 def test_1d_stepper_never_factorizes(monkeypatch):
@@ -182,14 +168,33 @@ def test_1d_stepper_never_factorizes(monkeypatch):
         raise AssertionError("splu called by a 1-D stepper")
 
     monkeypatch.setattr(semigroup.spla, "splu", no_splu)
-    for integrator in ("euler", "cn", "cn-rannacher"):
-        st_ = _stepper_1d(N=64, integrator=integrator)
-        u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
-        f, _ = fractional_inverse(st_, u, 0.5)
-        fractional_apply(st_, f, 0.5)
-        extension_via_semigroup(st_, u, 0.5, 0.3)
-        st_.heat_apply(u, 0.1, substeps=7)
-        assert st_._lu_cache == {}
+    st_ = _stepper_1d(N=64)
+    u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
+    f, _ = fractional_inverse(st_, u, 0.5)
+    fractional_apply(st_, f, 0.5)
+    extension_via_semigroup(st_, u, 0.5, 0.3)
+    st_.heat_many(u.interior(), [0.1, 0.2])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_declared_ellipticity_bounds_are_checked(n):
+    # lam_floor, and with it the decay cut-off and the rational fits' interval,
+    # rests on the declared lam: identity coefficients declared with
+    # lam = Lam = 30 put L^{-1/2} 3.9% off on 17^2 nodes while its
+    # certificate read 4.7e-13
+    if n == 1:
+        coeff = CoefficientField.scalar_1d(lambda x: np.ones_like(x), 30.0, 30.0)
+        grid = BoxGrid.interval(0.0, np.pi, 17)
+    else:
+        coeff = CoefficientField.full_2d(*(lambda x, y, v=v: np.full(np.broadcast(x, y).shape, v)
+                                           for v in (1.0, 0.0, 1.0)), 30.0, 30.0)
+        grid = BoxGrid.rectangle((0.0, 0.0), (np.pi, np.pi), (17, 17))
+    with pytest.raises(ValueError, match=re.escape(
+            "declared ellipticity bounds [30, 30] do not hold: the eigenvalues of a^{ij} "
+            "on the interior nodes span [1, 1]")):
+        SemigroupStepper(coeff, grid)
+    # bounds that hold are accepted
+    assert SemigroupStepper(CoefficientField.identity(n), grid).lam_floor > 0.0
 
 
 def test_fractional_apply_eigen_mapping():
@@ -330,6 +335,38 @@ def test_extension_via_semigroup_grid():
         extension_via_semigroup(st, u, s, 0.0)
 
 
+# the semigroup-extension design of the `spectral` benchmark workload: an
+# s-stratum and a grid size and wave number for each
+_SPECTRAL_EXTENSION_DESIGN = [((0.05, 0.055), 192, 1), ((0.29, 0.31), 256, 2),
+                              ((0.51, 0.53), 320, 3), ((0.73, 0.75), 384, 1),
+                              ((0.945, 0.95), 256, 2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_SPECTRAL_EXTENSION_DESIGN), st.floats(0.0, 1.0),
+       st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+@example(_SPECTRAL_EXTENSION_DESIGN[0], 0.0, [0.05, 0.46, 0.59])  # the ladder's worst z
+def test_semigroup_extension_matches_the_bessel_profile_of_the_discrete_eigenvalue(
+        design, where, heights):
+    (s_lo, s_hi), N, k = design
+    s = s_lo + where * (s_hi - s_lo)
+    st_ = _stepper_1d(N=N)
+    u = GridFunction.from_callable(st_.grid, lambda x: np.sin(k * x))
+    outs, _ = extension_via_semigroup_multi(st_, u, s, heights)
+    lam = discrete_eigenvalue(k, N)
+    t_min = QuadratureSpec().t_min
+    for U, z in zip(outs, heights):
+        # e^{-tL} is exact: what is left is the error of the quadrature ladder
+        ladder = extension_profile_scalar(lam, s, z) * u.values
+        assert np.max(np.abs(U.values - ladder)) <= 1e-12
+        # the ladder's Euler-Maclaurin end correction at t_min is only good to
+        # 1.7e-6 where the kernel's rise e^{-c/t}, c = s^2 z^{1/s}, straddles
+        # t_min: z in [0.46, 0.64] at s = 0.05 (7.5e-6 at s = 0.2, z = 0.07)
+        clear = not 0.01 <= s**2 * z ** (1.0 / s) / t_min <= 100.0
+        bessel = bessel_extension_profile(lam, s, z) * u.values
+        assert np.max(np.abs(U.values - bessel)) <= (1e-8 if clear else 2e-6)
+
+
 def test_neumann_trace_slope_scalar():
     for s in (0.25, 0.5, 0.75):
         lam = 4.0
@@ -362,15 +399,6 @@ def test_coefficient_field_ellipticity_and_2d_assembly():
     # row sums vanish for interior rows whose full stencil stays interior
     row_sums = np.asarray(L.sum(axis=1)).ravel().reshape(15, 15)
     assert np.max(np.abs(row_sums[2:-2, 2:-2])) < 1e-9
-
-
-def test_2d_heat_eigenfunction():
-    grid = BoxGrid.rectangle((0.0, 0.0), (np.pi, np.pi), (33, 33))
-    st = SemigroupStepper(CoefficientField.identity(2), grid)
-    u = GridFunction.from_callable(grid, lambda x, y: np.sin(x) * np.sin(2 * y))
-    lam_h = discrete_eigenvalue(1, 32) + discrete_eigenvalue(2, 32)
-    out = st.heat_apply(u, 0.1, substeps=64)
-    assert np.max(np.abs(out.values - np.exp(-lam_h * 0.1) * u.values)) < 2e-5
 
 
 def _constant_2d(a11, a12, a22):
@@ -538,16 +566,19 @@ def test_anisotropic_stencil_converges_at_second_order(kappa, theta):
 
 
 def test_2d_mixed_upwind_positivity():
+    # L^{-s} = c0 + sum_j w_j (L - p_j)^{-1} with w_j >= 0, p_j <= 0, and
+    # each resolvent of the M-matrix L is a nonnegative matrix
     c = CoefficientField.full_2d(lambda x, y: np.ones_like(x),
                                  lambda x, y: 0.5 * np.ones_like(x),
                                  lambda x, y: np.ones_like(x), lam=0.5, Lam=1.5)
     grid = BoxGrid.rectangle((0.0, 0.0), (1.0, 1.0), (21, 21))
-    st = SemigroupStepper(c, grid, integrator="euler")
+    st = SemigroupStepper(c, grid)
     rng = np.random.default_rng(1)
     vals = np.zeros(grid.shape)
     vals[1:-1, 1:-1] = rng.uniform(0, 1, (19, 19))
-    out = st.heat_apply(GridFunction(grid, vals), 0.05, substeps=16)
-    assert np.min(out.values) >= -1e-12
+    for s in (0.1, 0.5, 0.9):
+        out, _ = fractional_inverse(st, GridFunction(grid, vals), s)
+        assert np.min(out.values) >= -1e-12 * np.max(out.values)
 
 
 def _random_2d(grid, seed):
@@ -603,7 +634,6 @@ def test_2d_fractional_powers_never_step_the_heat_semigroup(monkeypatch):
     u = _random_2d(st_.grid, 1)
     f, _ = fractional_inverse(st_, u, 0.5)
     fractional_apply(st_, f, 0.5)
-    assert st_._lu_cache == {}
 
 
 def test_2d_solves_never_factorize_with_splu(monkeypatch):
@@ -615,7 +645,6 @@ def test_2d_solves_never_factorize_with_splu(monkeypatch):
     u = _random_2d(st_.grid, 2)
     f, _ = fractional_inverse(st_, u, 0.5)
     fractional_apply(st_, f, 0.5)
-    assert st_._lu_cache == {}
     prob = ExtensionProblem(s=0.5, coeff=_variable_2d_field(), domain=((0.0, 1.0), (0.0, 1.0)),
                             Z=1.0, bottom=("neumann", lambda x, y: np.sin(3.0 * x) * y),
                             g_lateral=1.0, g_top=1.0)
