@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .geometry import MAGeometry
 
@@ -276,6 +275,12 @@ def _smoothstep_down(t):
     return 1.0 - (10.0 * t**3 - 15.0 * t**4 + 6.0 * t**5)
 
 
+def _cumtrapz(y, x):
+    """Trapezoid integrals of y from x[0] to each x, summed in the order of
+    scipy's cumulative_trapezoid(y, x, initial=0)."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 class BarrierCase2(_ExponentialBarrier):
     """The corrected barrier for 1/2 < s < 1.
 
@@ -314,9 +319,8 @@ class BarrierCase2(_ExponentialBarrier):
         self._zeps, self._zt = z_eps, z_tilde
         two_n1 = 2.0 * (geom.n + 1)
         ztr = np.linspace(z_eps, z_tilde, TRANSITION_POINTS)
-        G1_tr = two_n1 * (geom.hp(z_eps) + cumulative_trapezoid(self.psi(ztr) * geom.hpp(ztr),
-                                                                ztr, initial=0.0))
-        G2_tr = two_n1 * geom.h(z_eps) + cumulative_trapezoid(G1_tr, ztr, initial=0.0)
+        G1_tr = two_n1 * (geom.hp(z_eps) + _cumtrapz(self.psi(ztr) * geom.hpp(ztr), ztr))
+        G2_tr = two_n1 * geom.h(z_eps) + _cumtrapz(G1_tr, ztr)
         self._ztr, self._G1_tr, self._G2_tr = ztr, G1_tr, G2_tr
         self._G1_t, self._G2_t = float(G1_tr[-1]), float(G2_tr[-1])
         self._two_n1 = two_n1

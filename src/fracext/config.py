@@ -51,7 +51,7 @@ def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
 # Largest node count per mesh axis: the 1-D heat stepper's dense float64 mode
 # matrix (`SemigroupStepper._modes`) stays below 128 MiB up to here, and the
 # extension's one dense factor is its my x my y-pencil.  Wave numbers and
-# quadrature node and substep counts share it.
+# quadrature node counts share it.
 MAX_MESH_POINTS = 4096
 
 # Largest count of any other kind (samples, family members, ladder scales,
@@ -95,7 +95,7 @@ _QUAD_SCHEMA = {
     "t_min": (1e-8, _num(0.0, lo_open=True)),
     "t_max": (1e4, _num(0.0, lo_open=True)),
     "nodes": (96, _mesh(8)),
-    "substeps": (96, _mesh(1)),
+    "substeps": (96, _mesh(1)),  # no effect; kept because benchmark configs send it
 }
 
 _PROBLEM_SCHEMAS = {
@@ -249,7 +249,7 @@ def validate(raw: dict) -> ExperimentConfig:
         raise ConfigError("config root must be an object")
     top = _apply_schema(raw, _TOP_SCHEMA, "", errors)
     kind = raw.get("experiment")
-    if kind in _PROBLEM_SCHEMAS:
+    if kind in EXPERIMENT_KINDS:  # a tuple: an unhashable kind compares unequal
         setup_in = raw.get("setup") or {}
         if not isinstance(setup_in, dict):
             errors.append("setup: must be an object")
@@ -284,8 +284,12 @@ def validate(raw: dict) -> ExperimentConfig:
 def read_config(path):
     """The parsed, not yet validated JSON of a config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: parse error at line {exc.lineno}, column "
                           f"{exc.colno}: {exc.msg}") from exc

@@ -39,12 +39,12 @@ matrix, solved by one sparse LU independently of the transformed path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import gamma, iv
@@ -229,8 +229,6 @@ class ExtensionState:
         self.reflected = bool(reflected)
         self._geom = MAGeometry(s)
         self._eta = self._geom.h(self.z_nodes)
-        self._interp = RegularGridInterpolator(
-            (self._eta, *self.x_axes), self.values, method="linear", bounds_error=True)
 
     @property
     def n(self):
@@ -259,23 +257,25 @@ class ExtensionState:
 
     def values_at(self, x, z):
         """Interpolated U, bilinear in (x, h-coordinate); x shape (...,) for
-        n=1 or (..., 2).  Queries must stay inside the grid (1e-12 relative
-        slack at the edges); |z| is used on reflected states."""
+        n=1 or (..., 2).  Queries must be finite and stay inside the grid
+        (1e-12 relative slack at the edges); |z| is used on reflected states."""
         z = np.asarray(z, dtype=float)
-        eta = self._geom.h(z)
         if not self.reflected and np.any(z < -1e-300):
             raise ValueError("state is not reflected; z must be nonnegative")
-        eta = _clip_to(eta, self._eta[0], self._eta[-1])
         x = np.asarray(x, dtype=float)
-        if self.n == 1:
-            xq = _clip_to(x, self.x_axes[0][0], self.x_axes[0][-1])
-            pts = np.stack(np.broadcast_arrays(eta, xq), axis=-1)
-        else:
-            xq = np.stack([_clip_to(x[..., i], ax[0], ax[-1])
-                           for i, ax in enumerate(self.x_axes)], axis=-1)
-            eta_b = np.broadcast_to(eta, xq.shape[:-1])
-            pts = np.concatenate([eta_b[..., None], xq], axis=-1)
-        return self._interp(pts)
+        axes = (self._eta, *self.x_axes)
+        qs = (self._geom.h(z), *([x] if self.n == 1 else [x[..., i] for i in range(self.n)]))
+        qs = np.broadcast_arrays(*(_clip_to(q, ax[0], ax[-1]) for q, ax in zip(qs, axes)))
+        # multilinear on the grid cell holding each point: per axis its cell
+        # and the offset in it, then a sum over the cell's 2^(n+1) corners
+        cells = [np.clip(np.searchsorted(ax, q, side="right") - 1, 0, len(ax) - 2)
+                 for ax, q in zip(axes, qs)]
+        ts = [(q - ax[i]) / (ax[i + 1] - ax[i]) for ax, q, i in zip(axes, qs, cells)]
+        out = 0.0
+        for corner in product((0, 1), repeat=len(axes)):
+            w = np.prod([t if c else 1.0 - t for c, t in zip(corner, ts)], axis=0)
+            out = out + self.values[tuple(i + c for i, c in zip(cells, corner))] * w
+        return out
 
     def flux_trace(self):
         """Discrete d_z U(x, 0).
@@ -320,11 +320,11 @@ def _json_ok(v):
 
 
 def _clip_to(vals, lo, hi, rel=1e-12):
-    """Clip values to [lo, hi], refusing queries materially outside the range."""
+    """Clip values to [lo, hi], refusing NaN and values materially outside."""
     vals = np.asarray(vals, dtype=float)
     slack = rel * max(abs(lo), abs(hi), 1.0)
-    if np.any(vals < lo - slack) or np.any(vals > hi + slack):
-        raise ValueError("query outside the grid domain")
+    if not np.all((vals >= lo - slack) & (vals <= hi + slack)):  # NaN fails both
+        raise ValueError("query is NaN or outside the grid domain")
     return np.clip(vals, lo, hi)
 
 

@@ -26,12 +26,22 @@ least squares answers, as it does for method="lawson".
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from scipy.linalg import qr
-from scipy.optimize import linprog
 
 _MAX_EXCHANGES = 100
 _LP_SCALE = 1e6
+
+
+def __getattr__(name):
+    # `linprog` is imported on each lookup and never stored: importing fitting
+    # skips scipy.optimize, and a patched `fitting.linprog` is what _full_lp calls
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def sup_fit(basis, values, method="lp", lawson_iters=8):
@@ -119,6 +129,7 @@ def _full_lp(B, r):
     cost = np.zeros(q + 1)
     cost[-1] = 1.0
     ones = np.ones((m, 1))
+    linprog = sys.modules[__name__].linprog
     res = linprog(cost, A_ub=np.block([[B, -ones], [-B, -ones]]),
                   b_ub=np.concatenate([r, -r]) / unit, bounds=[(None, None)] * (q + 1),
                   method="highs")

@@ -20,13 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq  # unused; perfbench/fxbench/trace.py looks this name up
 
 # section_endpoint: caps on bracket doublings and Newton steps (sections in
 # use take up to ~35), and the converged step relative to max(|z|, |z0|)
 _BRACKET_DOUBLINGS = 200
 _NEWTON_STEPS = 200
 _ENDPOINT_TOL = 4.0 * np.finfo(float).eps
+
+
+def __getattr__(name):
+    # the benchmark tracer looks `brentq` up here by name; it is resolved on
+    # each lookup and never stored, so importing geometry skips scipy.optimize
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,8 @@ from numbers import Integral
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import AAA
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
-from scipy.optimize import nnls
 from scipy.special import gamma, gammaincc, kv
 
 from .gridfn import BoxGrid, GridFunction
@@ -443,6 +441,8 @@ def _power_fit(lo, hi, beta):
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("s must be in (0,1)")
+    from scipy.interpolate import AAA  # here, not at import: most runs fit nothing
+    from scipy.optimize import nnls
     x = np.geomspace(lo, hi, _FIT_SAMPLES)
     if hi / lo <= _AAA_MAX_RANGE:
         poles = AAA(x, x**-beta, clean_up=False).poles()

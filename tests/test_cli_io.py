@@ -5,10 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracext.cli import main as cli_main
-from fracext.config import (EXPERIMENT_KINDS, MAX_COUNT, MAX_MESH_POINTS, MAX_THREADS,
-                            ConfigError, default_config, load_config, validate)
+from fracext.config import (_TOP_SCHEMA, EXPERIMENT_KINDS, MAX_COUNT, MAX_MESH_POINTS,
+                            MAX_THREADS, ConfigError, default_config, load_config, validate)
 from fracext.plots import svg_heatmap, svg_loglog
 from fracext.runner import run
 
@@ -167,6 +168,44 @@ def test_parse_error_reports_location(tmp_path):
     p.write_text('{"experiment": "harnack",\n  "setup": }')
     with pytest.raises(ConfigError, match="line 2"):
         load_config(p)
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("missing", "No such file"), ("directory", "Is a directory"), ("not-utf8", "not UTF-8")])
+def test_cli_refuses_unreadable_config_files(tmp_path, capsys, case, reason):
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
+    path = str({"missing": tmp_path / "missing.json", "directory": tmp_path,
+                "not-utf8": tmp_path / "bom.json"}[case])
+    with pytest.raises(ConfigError, match=reason):
+        load_config(path)
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and reason in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_string_experiment_is_a_config_error():
+    for kind in (["harnack"], {"harnack": 1}, 2, None):
+        with pytest.raises(ConfigError, match="experiment: must be one of"):
+            validate({"experiment": kind})
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(EXPERIMENT_KINDS),
+       key=st.sampled_from(sorted(_TOP_SCHEMA) + ["bogus"]), value=JSON_VALUES)
+def test_any_json_value_under_a_top_level_key_is_valid_or_a_config_error(kind, key, value):
+    raw = {"experiment": kind, key: value}
+    try:
+        validate(raw)
+    except ConfigError:
+        pass
 
 
 def _small_geometry_cfg(seed=0):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from fracext import extension
 from fracext.benchmarks import (eigen_extension_problem, harmonic_combo_problem,
                                 x_derivative_scaling, z_decay_exponent)
-from fracext.extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo,
+from fracext.extension import (ExtensionMesh, ExtensionProblem, ExtensionState, HarmonicCombo,
                                harmonic_mode_profile, reflect_even,
                                rescale_solution, solve_extension,
                                transform_to_y, transform_to_z)
@@ -157,6 +157,59 @@ def test_reflect_even():
     # reflecting twice changes nothing
     again = reflect_even(refl)
     assert np.array_equal(again.values, refl.values)
+
+
+def _random_state(kind, seed=0):
+    """A state with random values on graded axes: n = 1, n = 2 or reflected n = 1."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.1, 0.9)
+    n = 2 if kind == "n2" else 1
+    x_axes = [np.cumsum(rng.uniform(0.2, 1.0, m)) - 3.0 for m in (17, 9)[:n]]
+    y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, 12))])
+    values = rng.standard_normal((len(y), *(len(a) for a in x_axes))) * 10.0 ** rng.uniform(-3, 3)
+    st = ExtensionState(s, x_axes, y, values, 0.0, 0.0)
+    return reflect_even(st) if kind == "reflected" else st
+
+
+def _queries(st, rng, count):
+    zmax = st.z_nodes[-1]
+    z = rng.uniform(-zmax if st.reflected else 0.0, zmax, count)
+    xs = [rng.uniform(a[0], a[-1], count) for a in st.x_axes]
+    return (xs[0] if st.n == 1 else np.stack(xs, axis=-1)), z
+
+
+@pytest.mark.parametrize("kind", ["n1", "n2", "reflected"])
+@pytest.mark.parametrize("seed", range(4))
+def test_values_at_matches_scipy_regular_grid_interpolator(kind, seed):
+    from scipy.interpolate import RegularGridInterpolator
+    st = _random_state(kind, seed)
+    ref = RegularGridInterpolator((st._geom.h(st.z_nodes), *st.x_axes), st.values,
+                                  method="linear", bounds_error=True)
+    tol = 4 * np.spacing(np.max(np.abs(st.values)))
+    rng = np.random.default_rng(100 + seed)
+    x, z = _queries(st, rng, 500)
+    pts = np.column_stack([st._geom.h(z), x])
+    assert np.max(np.abs(st.values_at(x, z) - ref(pts))) <= tol
+    # on the nodes, including the last ones, the node values come back exactly
+    mesh = np.meshgrid(st.z_nodes, *st.x_axes, indexing="ij")
+    xn = mesh[1] if st.n == 1 else np.stack(mesh[1:], axis=-1)
+    assert np.array_equal(st.values_at(xn, mesh[0]), st.values)
+    if st.reflected:
+        assert np.array_equal(st.values_at(xn, -mesh[0]), st.values)
+
+
+@pytest.mark.parametrize("kind", ["n1", "n2", "reflected"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_values_at_refuses_nonfinite_queries(kind, bad):
+    st = _random_state(kind)
+    x, z = _queries(st, np.random.default_rng(1), 5)
+    st.values_at(x, z)
+    xq, zq = x.copy(), z.copy()
+    xq.flat[2] = zq[2] = bad
+    with pytest.raises(ValueError):
+        st.values_at(xq, z)
+    with pytest.raises(ValueError):
+        st.values_at(x, zq)
 
 
 def test_rescale_identity_and_oracle():
