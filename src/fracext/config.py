@@ -48,9 +48,10 @@ def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
     return check
 
 
-# Largest node count per mesh axis: the 1-D heat stepper's dense float64 mode
-# matrix (`SemigroupStepper._modes`) stays below 128 MiB up to here, and the
-# extension's one dense factor is its my x my y-pencil.  Wave numbers and
+# Largest node count per mesh axis: the 1-D stepper's dense float64 mode
+# matrix (`SemigroupStepper._modes`, which the heat semigroup and the
+# semigroup extension profile both apply) stays below 128 MiB up to here, and
+# the extension's one dense factor is its my x my y-pencil.  Wave numbers and
 # quadrature node counts share it.
 MAX_MESH_POINTS = 4096
 
@@ -79,8 +80,10 @@ def _string(v):
 
 
 def _choice(*options):
+    # `in` would let True stand for 1 and 2.0 for 2, and hash them apart
     def check(v):
-        return None if v in options else f"must be one of {options}"
+        ok = any(type(v) is type(o) and v == o for o in options)
+        return None if ok else f"must be one of {options}"
     return check
 
 

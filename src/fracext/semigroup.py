@@ -13,15 +13,11 @@ with L - p_j I: an O(N) tridiagonal LAPACK solve in 1-D (23-32 poles for
 N = 256-4096) and a LAPACK band LU in 2-D (about a dozen,
 `_shifted_band_solver`, which also factors the 2-D extension's y-modes).
 
-The extension-kernel integral over e^{-tL} u is taken on a geometric node
-ladder t_j = t_min * r^j (trapezoid in log t with Euler-Maclaurin endpoint
-correction built from the node values themselves); its small-t tail is an
-incomplete-gamma term.  The scalar oracles integrate the semigroup formulas
-for lam^s and lam^{-s} on the same ladder.
-
-e^{-tL} is exact and 1-D only: the tridiagonal L is diagonalized once per
-stepper (`tridiagonal_modes`) and e^{-t lam} is applied in its modes, so a
-whole ladder costs two dense products.
+e^{-tL} and the extension are exact and 1-D only: the tridiagonal L is
+diagonalized once per stepper (`tridiagonal_modes`), and a scalar function
+phi of its eigenvalues -- e^{-t lam}, or the Bessel profile of the extension
+problem (`bessel_extension_profile`) -- is applied in its modes, two dense
+products for a whole set of times or heights.
 """
 
 from __future__ import annotations
@@ -35,21 +31,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
-from scipy.special import gamma, gammaincc, kv
+from scipy.special import gamma, kv
 
 from .gridfn import BoxGrid, GridFunction
 
 
 # -- constants ---------------------------------------------------------------------
-
-
-def gamma_neg_s(s):
-    """Gamma(-s) for 0 < s < 1 via the reflection formula; always negative."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must be in (0,1)")
-    val = -np.pi / (np.sin(np.pi * s) * gamma(1.0 + s))
-    assert val < 0.0
-    return val
 
 
 def ds_constant(s):
@@ -301,8 +288,9 @@ class SemigroupStepper:
     grid, and its heat semigroup e^{-tL} in 1-D.
 
     The 1-D L = D Q diag(lam) Q^T D^{-1} (`tridiagonal_modes`, computed on
-    first use and shared by every later call), so e^{-tL} is applied exactly,
-    as e^{-t lam} in those modes.  2-D heat raises ValueError; fractional
+    first use and shared by every later call), so e^{-tL} and the extension
+    profile are applied exactly in those modes (`_in_modes`).  2-D heat and
+    extension raise ValueError; fractional
     powers are rational in every dimension, one shifted solve per pole.
     `lam_floor` bounds the spectrum from below; the decay cut-off and the
     rational fits use it.  The declared ellipticity bounds of `coeff` are
@@ -344,16 +332,23 @@ class SemigroupStepper:
         Rows with t = 0 are v itself, rows past the decay cut-off are zero.
         ValueError on a 2-D grid and for negative or NaN times.
         """
-        if self.grid.ndim != 1:
-            raise ValueError("the heat semigroup is computed on 1-D grids only")
         ts = np.asarray(ts, dtype=float)
         if not np.all(ts >= 0.0):
             raise ValueError("time must be nonnegative")
-        lam, Q, d = self._modes
-        R = np.exp(-ts[:, None] * lam) * (ts <= self._t_cutoff)[:, None]
-        out = ((R * ((v / d) @ Q)) @ Q.T) * d
+        out = self._in_modes(v, lambda lam: np.exp(-ts[:, None] * lam)
+                             * (ts <= self._t_cutoff)[:, None])
         out[ts == 0.0] = v
         return out
+
+    def _in_modes(self, v, phi):
+        """phi(L) v = D Q phi(lam) Q^T D^{-1} v, one row per row of phi(lam),
+        phi mapping the eigenvalue vector to an array of shape (rows, N).
+        ValueError on a 2-D grid."""
+        if self.grid.ndim != 1:
+            raise ValueError("the heat semigroup and the extension are computed "
+                             "on 1-D grids only")
+        lam, Q, d = self._modes
+        return ((phi(lam) * ((v / d) @ Q)) @ Q.T) * d
 
     def wrap_interior(self, v):
         vals = np.zeros(self.grid.shape)
@@ -361,12 +356,14 @@ class SemigroupStepper:
         return GridFunction(self.grid, vals)
 
 
-# -- quadrature ladder -----------------------------------------------------------------
+# -- quadrature parameters -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Geometric node ladder on (0, inf) with both tails handled analytically."""
+    """Validated time-quadrature parameters (a config's `problem.quadrature`
+    block).  No computation reads them: the `quad` arguments that take one
+    have no effect."""
 
     t_min: float = 1e-8
     t_max: float = 1e4
@@ -382,32 +379,10 @@ class QuadratureSpec:
         if not isinstance(self.nodes, Integral) or self.nodes < 8:
             raise ValueError("need an integer count of at least 8 quadrature nodes")
 
-    def ladder(self):
-        tau = np.linspace(np.log(self.t_min), np.log(self.t_max), self.nodes)
-        return np.exp(tau), tau[1] - tau[0]
-
-
-def log_trapezoid(G, h):
-    """Trapezoid in log t with Euler-Maclaurin endpoint correction.
-
-    G[j] = f(t_j) * t_j stacked along axis 0; the correction uses one-sided
-    fourth-order differences of the node values, so operator integrands need
-    no extra solves.
-    """
-    G = np.asarray(G, dtype=float)
-    n = G.shape[0]
-    w = np.full(n, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    total = np.tensordot(w, G, axes=(0, 0))
-    d_a = (-25 * G[0] + 48 * G[1] - 36 * G[2] + 16 * G[3] - 3 * G[4]) / (12 * h)
-    d_b = (25 * G[-1] - 48 * G[-2] + 36 * G[-3] - 16 * G[-4] + 3 * G[-5]) / (12 * h)
-    return total - h**2 / 12.0 * (d_b - d_a)
-
 
 # -- rational functions of L -----------------------------------------------------------
 
-_RATIONAL_TOL = 1e-6   # sup relative error of a fit, as the scalar quadrature oracle's
+_RATIONAL_TOL = 1e-6   # sup relative error of a fit, acceptance criterion 2's tolerance
 _FIT_SAMPLES = 256
 _CERT_SAMPLES = 10_000
 _AAA_MAX_RANGE = 1e3   # widest hi/lo whose poles AAA proposes
@@ -545,87 +520,46 @@ def fractional_inverse(stepper: SemigroupStepper, f: GridFunction, s, quad=Quadr
 
 def extension_via_semigroup(stepper: SemigroupStepper, u: GridFunction, s, z,
                             quad=QuadratureSpec()):
-    """U(., z) = (s^{2s} z / Gamma(s)) integral_0^inf e^{-s^2 z^{1/s}/t} e^{-tL} u dt/t^{1+s}."""
+    """U(., z) = phi(L, z) u at one height z > 0; see `extension_via_semigroup_multi`."""
     out, info = extension_via_semigroup_multi(stepper, u, s, [z], quad)
     return out[0], info
 
 
 def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s, zs,
                                   quad=QuadratureSpec()):
-    """Extension values at several heights z > 0, sharing one heat ladder
-    (1-D grids only: `heat_many` raises ValueError in 2-D).
+    """Extension U(., z) = phi(L, z) u at every height z in zs; returns (list of
+    grid functions, empty info dict).
 
-    The small-t tail integrates the kernel against u exactly:
-    (s^{2s} z / Gamma(s)) * c^{-s} Gamma(s, c/t_min) * u = Q(s, c/t_min) u
-    with c = s^2 z^{1/s} and Q the regularized upper incomplete gamma.
+    phi(lam, z) = `bessel_extension_profile`, the semigroup formula
+    (s^{2s} z / Gamma(s)) int_0^inf e^{-s^2 z^{1/s}/t} e^{-t lam} dt/t^{1+s} in
+    closed form (Stinga & Torrea, Comm. PDE 35 (2010) 2092-2122), applied in
+    the modes of the 1-D L (`SemigroupStepper._in_modes`; ValueError in 2-D).
+    ValueError unless 0 < s < 1 and every height is finite and positive.
+    `quad` is accepted for compatibility; it has no effect.
     """
-    zs = [float(z) for z in zs]
-    if any(z <= 0 for z in zs):
-        raise ValueError("extension height z must be positive")
-    v = u.interior()
-    ts, h = quad.ladder()
-    heats = stepper.heat_many(v, ts)
-    pref_all = []
-    out = []
-    for z in zs:
-        c = s**2 * z ** (1.0 / s)
-        G = np.exp(-c / ts)[:, None] * heats * (ts[:, None] ** (-s))
-        main = log_trapezoid(G, h)
-        pref = s ** (2.0 * s) * z / gamma(s)
-        lower = gammaincc(s, c / quad.t_min) * v
-        out.append(stepper.wrap_interior(pref * main + lower))
-        pref_all.append(pref)
-    info = {
-        "upper_tail_bound": float(max(pref_all) * np.max(np.abs(v))
-                                  * quad.t_max ** (-s) / s),
-    }
-    return out, info
+    zs = np.asarray(zs, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(zs) & (zs > 0.0)):
+        raise ValueError("extension height z must be finite and positive")
+    rows = stepper._in_modes(u.interior(),
+                             lambda lam: bessel_extension_profile(lam, s, zs[:, None]))
+    return [stepper.wrap_interior(row) for row in rows], {}
 
 
-# -- scalar oracles ------------------------------------------------------------------------
-
-
-def balakrishnan_scalar(lam, s, quad=QuadratureSpec()):
-    """Quadrature of (1/Gamma(-s)) integral (e^{-lam t} - 1) t^{-1-s} dt; equals lam^s."""
-    ts, h = quad.ladder()
-    G = (np.exp(-lam * ts) - 1.0) * ts ** (-s)
-    main = log_trapezoid(G, h)
-    tmin, tmax = quad.t_min, quad.t_max
-    lower = (-lam * tmin ** (1 - s) / (1 - s) + lam**2 * tmin ** (2 - s) / (2 * (2 - s))
-             - lam**3 * tmin ** (3 - s) / (6 * (3 - s)))
-    upper = -tmax ** (-s) / s
-    return (main + lower + upper) / gamma_neg_s(s)
-
-
-def balakrishnan_inverse_scalar(lam, s, quad=QuadratureSpec()):
-    """Quadrature of (1/Gamma(s)) integral e^{-lam t} t^{s-1} dt; equals lam^{-s}."""
-    ts, h = quad.ladder()
-    G = np.exp(-lam * ts) * ts**s
-    main = log_trapezoid(G, h)
-    tmin = quad.t_min
-    lower = (tmin**s / s - lam * tmin ** (s + 1) / (s + 1)
-             + lam**2 * tmin ** (s + 2) / (2 * (s + 2)))
-    return (main + lower) / gamma(s)
-
-
-def extension_profile_scalar(lam, s, z, quad=QuadratureSpec()):
-    """Extension kernel applied to the scalar semigroup e^{-lam t}, by quadrature."""
-    if z <= 0:
-        raise ValueError("z must be positive")
-    c = s**2 * z ** (1.0 / s)
-    ts, h = quad.ladder()
-    G = np.exp(-c / ts - lam * ts) * ts ** (-s)
-    main = log_trapezoid(G, h)
-    pref = s ** (2.0 * s) * z / gamma(s)
-    return pref * main + gammaincc(s, c / quad.t_min)
+# -- scalar profiles -----------------------------------------------------------------------
 
 
 def bessel_extension_profile(lam, s, z):
     """Closed form of the extension profile: 2^{1-s}/Gamma(s) (k y)^s K_s(k y).
 
-    Here k = sqrt(lam) and y = 2 s z^{1/(2s)}; the value tends to 1 as z -> 0.
+    Here k = sqrt(lam) and y = 2 s z^{1/(2s)}; the value is 1 at z = 0.
+    ValueError unless 0 < s < 1 and lam and z are finite and >= 0.
     """
+    if not 0.0 < s < 1.0:
+        raise ValueError("s must be in (0,1)")
     z = np.asarray(z, dtype=float)
+    if not (np.all(np.isfinite(lam) & (np.asarray(lam) >= 0.0))
+            and np.all(np.isfinite(z) & (z >= 0.0))):
+        raise ValueError("the extension profile needs finite lam >= 0 and z >= 0")
     k = np.sqrt(lam)
     y = 2.0 * s * z ** (1.0 / (2.0 * s))
     w = k * y

@@ -29,8 +29,8 @@ from fracext.gridfn import BoxGrid, GridFunction
 from fracext.regularity import harnack_family_report, schauder_decay
 from fracext.runner import _synthetic_state, run
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
-                               balakrishnan_scalar, ds_constant,
-                               extension_via_semigroup_multi, fractional_apply)
+                               ds_constant, extension_via_semigroup_multi,
+                               fit_rel_error, fractional_apply, fractional_inverse)
 
 S_VALUES = (0.25, 0.5, 0.75)
 
@@ -53,13 +53,17 @@ def test_criterion_01_constant_identities():
 
 
 def test_criterion_02_scalar_balakrishnan_oracle():
-    """Default quadrature reproduces lam^s to relative 1e-6."""
-    quad = QuadratureSpec()
+    """The certified fits behind L^s and L^{-s} (beta = 1 - s and beta = s) on
+    criterion 3's grid reproduce lam^{-beta} to relative 1e-6 at lam = 1, 4, 9."""
+    grid = BoxGrid.interval(0.0, np.pi, 513)
+    stepper = SemigroupStepper(CoefficientField.identity(1), grid)
+    u = GridFunction.from_callable(grid, np.sin)
     worst = 0.0
     for s in S_VALUES:
-        for lam in (1.0, 4.0, 9.0):
-            rel = abs(balakrishnan_scalar(lam, s, quad) - lam**s) / lam**s
-            worst = max(worst, rel)
+        for op in (fractional_apply, fractional_inverse):
+            _, info = op(stepper, u, s)
+            for lam in (1.0, 4.0, 9.0):
+                worst = max(worst, fit_rel_error(info, lam))
     _report(2, worst < 1e-6, f"worst scalar relative error {worst:.2e} < 1e-6")
 
 

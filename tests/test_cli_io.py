@@ -153,6 +153,29 @@ def test_non_numeric_t_max_rejected():
                   "problem": {"quadrature": {"t_max": "x"}}})
 
 
+@pytest.mark.parametrize("kind, path, value", [
+    ("barrier-check", "problem.case", True), ("barrier-check", "problem.case", 1.0),
+    ("schauder-decay", "problem.case", 3.0), ("geometry-check", "problem.dimension", 2.0),
+    ("geometry-check", "problem.dimension", True), ("geometry-check", "schema_version", True),
+    ("geometry-check", "schema_version", 1.0), ("slide-paraboloids", "problem.fixture", 1),
+])
+def test_choices_refuse_values_that_only_compare_equal(kind, path, value):
+    with pytest.raises(ConfigError, match=f"{path}: must be one of"):
+        validate(_raw_with(kind, path, value))
+
+
+def test_choices_hash_one_config_one_way():
+    # the only accepted spelling of {"dimension": 2, "schema_version": 1}
+    cfg = validate({"experiment": "geometry-check", "problem": {"dimension": 2},
+                    "schema_version": 1})
+    assert cfg.config_hash() == validate(
+        {"experiment": "geometry-check", "problem": {"dimension": 2}}).config_hash()
+    for kind, path, value in (("barrier-check", "problem.case", 1),
+                              ("schauder-decay", "problem.case", 3),
+                              ("schauder-decay", "problem.benchmark", "harmonic")):
+        assert validate(_raw_with(kind, path, value))
+
+
 def test_config_roundtrip_canonicalization(tmp_path):
     cfg = validate({"experiment": "geometry-check", "setup": {"s": 0.25},
                     "problem": {"samples": 123}, "seed": 5})

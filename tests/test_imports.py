@@ -1,12 +1,17 @@
 """Source hygiene: every module-level import in the package and the tests is
-used, every private helper of the package is referenced by the package, and
-importing the package loads no scipy subpackage that only some calls need."""
+used, every private helper of the package is referenced by the package,
+importing the package loads no scipy subpackage that only some calls need,
+and every name the benchmark tracer hooks by name still resolves."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -135,3 +140,53 @@ def test_common_experiments_run_without_lazy_scipy_packages(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# name below fracext -> why the benchmark tracer (`perfbench/fxbench/trace.py`)
+# needs it; the tracer patches or reads each by name, so a deletion here
+# breaks traced runs.  They go once the tracer reads counts recorded by the
+# library.
+TRACER_HOOKS = {
+    "semigroup.SemigroupStepper.heat_interior":
+        "patched in `vars(SemigroupStepper)`; its span is the `semigroup.heat_interior` layer",
+    "semigroup.SemigroupStepper._t_cutoff":
+        "read on the stepper a patched `heat_interior` receives, to count heats past the "
+        "decay cut-off",
+    "semigroup.fractional_apply.quad.nodes":
+        "the bound default of `quad` is added to `semigroup.quadrature_nodes`",
+    "semigroup.fractional_inverse.quad.nodes":
+        "the bound default of `quad` is added to `semigroup.quadrature_nodes`",
+    "semigroup.extension_via_semigroup_multi.quad.nodes":
+        "the bound default of `quad` is added to `semigroup.quadrature_nodes`",
+    "semigroup.spla.splu":
+        "wrapped through the module proxy to count factorizations and time steps",
+    "extension.spla.spsolve":
+        "wrapped through the module proxy to count sparse solves, unknowns and nonzeros",
+    "geometry.brentq": "patched to count root finds",
+    "fitting.linprog": "wrapped to count LP solves and their successes",
+}
+
+
+def _resolve_tracer_hook(path):
+    """Follow `path` the way the tracer reaches it: a class attribute in the
+    class's own vars (else on an instance over a small 1-D grid), a
+    function's parameter through its default, anything else by getattr."""
+    from fracext.gridfn import BoxGrid
+    from fracext.semigroup import CoefficientField
+
+    module, *parts = path.split(".")
+    obj = importlib.import_module(f"fracext.{module}")
+    for part in parts:
+        if isinstance(obj, type):
+            obj = vars(obj)[part] if part in vars(obj) else getattr(
+                obj(CoefficientField.identity(1), BoxGrid.interval(0.0, 1.0, 9)), part)
+        elif inspect.isfunction(obj):
+            obj = inspect.signature(obj).parameters[part].default
+        else:
+            obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("path", sorted(TRACER_HOOKS))
+def test_tracer_hook_points_resolve(path):
+    assert _resolve_tracer_hook(path) is not None

@@ -1,4 +1,4 @@
-"""Semigroup core: heat stepping, fractional powers, extension quadrature."""
+"""Semigroup core: heat semigroup, fractional powers, extension profile."""
 
 import os
 import re
@@ -10,18 +10,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import expm, fractional_matrix_power
+from scipy.linalg import eig, expm, fractional_matrix_power
 
 from fracext import semigroup
 from fracext.extension import ExtensionMesh, ExtensionProblem, solve_extension
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
-                               balakrishnan_inverse_scalar,
-                               balakrishnan_scalar, bessel_extension_profile,
-                               ds_constant, extension_profile_scalar,
-                               extension_via_semigroup,
-                               extension_via_semigroup_multi, fractional_apply,
-                               fractional_inverse, gamma_neg_s,
+                               bessel_extension_profile, ds_constant,
+                               extension_via_semigroup, extension_via_semigroup_multi,
+                               fractional_apply, fractional_inverse,
                                richardson_trace_slope, x_operator)
 
 
@@ -35,16 +32,6 @@ def discrete_eigenvalue(k, N):
     return 2.0 * (1.0 - np.cos(k * dx)) / dx**2
 
 
-def test_gamma_neg_s_sign_and_reflection():
-    for s in (0.1, 0.5, 0.9):
-        assert gamma_neg_s(s) < 0
-    # reflection formula agrees with mpmath's high-precision Gamma
-    import mpmath
-    for s in (0.25, 0.75):
-        ref = float(mpmath.gamma(-s))
-        assert gamma_neg_s(s) == pytest.approx(ref, rel=1e-13)
-
-
 def test_ds_constant():
     assert abs(ds_constant(0.5) - 1.0) < 1e-14
     for s in (0.1, 0.25, 0.9):
@@ -54,15 +41,6 @@ def test_ds_constant():
     ref = float(mpmath.mpf(0.25) ** mpmath.mpf(0.5) * mpmath.gamma(0.75)
                 / mpmath.gamma(1.25))
     assert ds_constant(0.25) == pytest.approx(ref, rel=1e-13)
-
-
-def test_scalar_oracles():
-    quad = QuadratureSpec()
-    for s in (0.25, 0.5, 0.75):
-        for lam in (1.0, 4.0, 9.0):
-            assert balakrishnan_scalar(lam, s, quad) == pytest.approx(lam**s, rel=1e-6)
-            assert balakrishnan_inverse_scalar(lam, s, quad) == \
-                pytest.approx(lam**-s, rel=1e-6)
 
 
 def test_quadrature_spec_validation():
@@ -309,16 +287,6 @@ def test_fractional_inverse_and_roundtrip():
         assert np.max(np.abs(back.values - f.values)) < 1e-3
 
 
-def test_extension_profile_matches_bessel():
-    quad = QuadratureSpec()
-    for s in (0.25, 0.5, 0.75):
-        for lam in (1.0, 9.0):
-            for z in (0.05, 0.3, 1.0):
-                got = extension_profile_scalar(lam, s, z, quad)
-                ref = bessel_extension_profile(lam, s, z)
-                assert got == pytest.approx(ref, rel=2e-5)
-
-
 def test_extension_via_semigroup_grid():
     st = _stepper_1d(N=192)
     s, k = 0.6, 2
@@ -345,7 +313,7 @@ _SPECTRAL_EXTENSION_DESIGN = [((0.05, 0.055), 192, 1), ((0.29, 0.31), 256, 2),
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(_SPECTRAL_EXTENSION_DESIGN), st.floats(0.0, 1.0),
        st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
-@example(_SPECTRAL_EXTENSION_DESIGN[0], 0.0, [0.05, 0.46, 0.59])  # the ladder's worst z
+@example(_SPECTRAL_EXTENSION_DESIGN[0], 0.0, [0.05, 0.46, 0.59])  # the old ladder's worst z
 def test_semigroup_extension_matches_the_bessel_profile_of_the_discrete_eigenvalue(
         design, where, heights):
     (s_lo, s_hi), N, k = design
@@ -354,24 +322,69 @@ def test_semigroup_extension_matches_the_bessel_profile_of_the_discrete_eigenval
     u = GridFunction.from_callable(st_.grid, lambda x: np.sin(k * x))
     outs, _ = extension_via_semigroup_multi(st_, u, s, heights)
     lam = discrete_eigenvalue(k, N)
-    t_min = QuadratureSpec().t_min
     for U, z in zip(outs, heights):
-        # e^{-tL} is exact: what is left is the error of the quadrature ladder
-        ladder = extension_profile_scalar(lam, s, z) * u.values
-        assert np.max(np.abs(U.values - ladder)) <= 1e-12
-        # the ladder's Euler-Maclaurin end correction at t_min is only good to
-        # 1.7e-6 where the kernel's rise e^{-c/t}, c = s^2 z^{1/s}, straddles
-        # t_min: z in [0.46, 0.64] at s = 0.05 (7.5e-6 at s = 0.2, z = 0.07)
-        clear = not 0.01 <= s**2 * z ** (1.0 / s) / t_min <= 100.0
         bessel = bessel_extension_profile(lam, s, z) * u.values
-        assert np.max(np.abs(U.values - bessel)) <= (1e-8 if clear else 2e-6)
+        assert np.max(np.abs(U.values - bessel)) <= 1e-12 * np.max(np.abs(u.values))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(16, 256), st.floats(0.2, 1.0), st.floats(1.0, 5.0), st.floats(0.5, 6.0),
+       st.floats(0.5, 4.0), st.floats(0.01, 0.99),
+       st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_semigroup_extension_matches_a_dense_eigendecomposition(N, lam, ratio, freq, length,
+                                                                 s, heights, seed):
+    # L = -a(x) d_xx is not symmetric: the reference is V diag(phi(lam, z)) V^{-1} u
+    stepper = _variable_heat_stepper(N, lam, ratio, freq, length)
+    vals = np.zeros(N + 1)
+    vals[1:-1] = np.random.default_rng(seed).uniform(-1.0, 1.0, N - 1)
+    u = GridFunction(stepper.grid, vals)
+    outs, _ = extension_via_semigroup_multi(stepper, u, s, heights)
+    ev, V = eig(stepper.L.toarray())
+    coef = np.linalg.solve(V, u.interior())
+    for U, z in zip(outs, heights):
+        ref = np.real(V @ (bessel_extension_profile(ev.real, s, z) * coef))
+        assert np.max(np.abs(U.interior() - ref)) <= 1e-10 * np.max(np.abs(vals))
+        assert U.values[0] == U.values[-1] == 0.0
+
+
+_NOT_FINITE_POSITIVE = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]) | st.floats(
+    max_value=0.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_NOT_FINITE_POSITIVE, st.floats(0.05, 0.95))
+def test_extension_refuses_heights_that_are_not_finite_and_positive(bad, s):
+    st_ = _stepper_1d(N=32)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    with pytest.raises(ValueError, match="finite and positive"):
+        extension_via_semigroup_multi(st_, u, s, [0.3, bad])
+    with pytest.raises(ValueError, match="finite and positive"):
+        extension_via_semigroup(st_, u, s, bad)
+    if bad == 0.0:
+        # the profile itself is 1 at z = 0: U(., 0) = u
+        assert bessel_extension_profile(4.0, s, bad) == 1.0
+        return
+    for lam, z in ((4.0, bad), (bad, 0.3), (np.array([1.0, bad]), 0.3)):
+        with pytest.raises(ValueError, match="finite lam >= 0 and z >= 0"):
+            bessel_extension_profile(lam, s, z)
+
+
+@pytest.mark.parametrize("s", [np.nan, -0.5, 0.0, 1.0, 1.5])
+def test_extension_refuses_s_outside_the_unit_interval(s):
+    # a NaN or negative s made the profile 1 everywhere: U(., z) = u
+    st_ = _stepper_1d(N=16)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    for call in (lambda: bessel_extension_profile(4.0, s, 0.3),
+                 lambda: extension_via_semigroup(st_, u, s, 0.3)):
+        with pytest.raises(ValueError, match=r"s must be in \(0,1\)"):
+            call()
 
 
 def test_neumann_trace_slope_scalar():
     for s in (0.25, 0.5, 0.75):
         lam = 4.0
         z = 1e-2 if s <= 0.5 else 1e-3
-        slope = richardson_trace_slope(lambda zz: extension_profile_scalar(lam, s, zz),
+        slope = richardson_trace_slope(lambda zz: bessel_extension_profile(lam, s, zz),
                                        1.0, z, s)
         target = -ds_constant(s) * lam**s
         assert slope == pytest.approx(target, rel=5e-3)
