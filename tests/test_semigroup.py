@@ -43,6 +43,23 @@ def test_ds_constant():
     assert ds_constant(0.25) == pytest.approx(ref, rel=1e-13)
 
 
+def test_scalar_oracles():
+    # the scalar lam^s = lam r_{1-s}(lam) and lam^-s = r_s(lam) from the
+    # certified fits on the spectral interval of a real 1-D stepper
+    st_ = _stepper_1d(N=256)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    for s in (0.25, 0.5, 0.75):
+        _, info = fractional_apply(st_, u, s)
+        lo, hi = info["interval"]
+        assert lo <= 1.0 and 9.0 <= hi
+        fit_s = semigroup._power_fit(lo, hi, s)
+        fit_1ms = semigroup._power_fit(lo, hi, 1.0 - s)
+        for lam in (1.0, 4.0, 9.0):
+            r = [c0 + float(np.sum(w / (lam - poles))) for c0, poles, w, _ in (fit_s, fit_1ms)]
+            assert lam * r[1] == pytest.approx(lam**s, rel=1e-6)
+            assert r[0] == pytest.approx(lam**-s, rel=1e-6)
+
+
 def test_quadrature_spec_validation():
     for kwargs in ({"t_min": 0.0}, {"t_min": 1.0, "t_max": 0.5}, {"t_min": np.nan},
                    {"t_max": np.inf}, {"t_min": -np.inf}, {"t_max": np.nan}, {"nodes": 7},
