@@ -8,10 +8,13 @@ decomposition of the coefficients at every node in 2-D).
 The fractional powers are rational in every dimension: L^{-s} f = r_s(L) f
 and L^s u = r_{1-s}(L)(L u), where r_beta(x) = c0 + sum_j w_j / (x - p_j) is
 a certified fit of x^{-beta} on [lam_floor, Gershgorin bound] (real poles
-p_j <= 0, nonnegative weights; see `_power_fit`).  Each pole costs one solve
-with L - p_j I: an O(N) tridiagonal LAPACK solve in 1-D (23-32 poles for
-N = 256-4096) and a LAPACK band LU in 2-D (about a dozen,
-`_shifted_band_solver`, which also factors the 2-D extension's y-modes).
+p_j <= 0, nonnegative weights; see `_power_fit`).  The fit needs numpy and
+scipy.linalg only: AAA poles from a port of scipy's (`_aaa_poles`), weights
+by least squares that eliminates negative ones, no scipy.optimize or
+scipy.interpolate to load.  Each pole costs one solve with L - p_j I: an
+O(N) tridiagonal LAPACK solve in 1-D (23-32 poles for N = 256-4096) and a
+LAPACK band LU in 2-D (about a dozen, `_shifted_band_solver`, which also
+factors the 2-D extension's y-modes).
 
 e^{-tL} and the extension are exact and 1-D only: the tridiagonal L is
 diagonalized once per stepper (`tridiagonal_modes`), and a scalar function
@@ -29,7 +32,7 @@ from numbers import Integral
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvals, svd
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
 from scipy.special import gamma, kv
 
@@ -388,6 +391,65 @@ _CERT_SAMPLES = 10_000
 _AAA_MAX_RANGE = 1e3   # widest hi/lo whose poles AAA proposes
 _POLES_PER_DECADE = 3  # geometric poles on wider intervals ...
 _POLE_MARGIN = 1e2     # ... over [lo / margin, hi * margin]
+_AAA_MAX_TERMS = 100   # at most _FIT_SAMPLES / 2: the Loewner matrix stays tall
+
+
+def _aaa_poles(z, f):
+    """Poles of the AAA fit of real f on distinct z (Nakatsukasa, Sete &
+    Trefethen 2018), as scipy.interpolate.AAA(z, f, clean_up=False).poles().
+
+    Each step takes the sample of largest error as a support point and the
+    weights from the smallest right singular vector of the Loewner matrix on
+    the rows not yet supported, column-scaled once its condition passes
+    1 / (3 eps); it stops at an error <= eps^0.75 max|f| or after
+    _AAA_MAX_TERMS terms.  The poles are the finite eigenvalues of the
+    arrowhead pencil of the barycentric form, complex ones included.
+    """
+    eps = np.finfo(float).eps
+    free = np.ones(z.size, dtype=bool)
+    C = np.empty((z.size, _AAA_MAX_TERMS))
+    zj, fj = np.empty(_AAA_MAX_TERMS), np.empty(_AAA_MAX_TERMS)
+    r = np.full(z.size, np.mean(f))
+    scaled = False
+    with np.errstate(divide="ignore", invalid="ignore"):  # support rows: masked or interpolated
+        for m in range(_AAA_MAX_TERMS):
+            j = np.flatnonzero(free)[np.argmax(np.abs(f - r)[free])]
+            free[j] = False
+            zj[m], fj[m] = z[j], f[j]
+            C[:, m] = 1.0 / (z - z[j])
+            loewner = (f[free, None] - fj[:m + 1]) * C[free, :m + 1]
+            if not scaled:
+                _, sv, V = svd(loewner, full_matrices=False, check_finite=False)
+                scaled = sv[0] / sv[-1] > 1.0 / (3.0 * eps)
+            col = 1.0
+            if scaled:
+                col = np.linalg.norm(loewner, axis=0)
+                _, sv, V = svd(loewner / col, full_matrices=False, check_finite=False)
+            low = sv == sv.min()
+            w = V[low].sum(axis=0) / np.sqrt(low.sum()) / col
+            nz = w != 0.0
+            den = C[:, :m + 1][:, nz] @ w[nz]
+            r = np.where(np.isfinite(den), C[:, :m + 1][:, nz] @ (w * fj[:m + 1])[nz] / den, f)
+            if np.max(np.abs(f - r)) <= eps**0.75 * np.max(np.abs(f)):
+                break
+    E = np.diag(np.append(0.0, zj[:m + 1][nz]))
+    E[0, 1:], E[1:, 0] = w[nz], 1.0
+    B = np.eye(E.shape[0])
+    B[0, 0] = 0.0
+    poles = eigvals(E, B)
+    return poles[np.isfinite(poles)]
+
+
+def _candidate_poles(x, beta):
+    """The poles `_power_fit` offers the weight fit of x^{-beta} on the
+    increasing samples x: AAA's real negative ones up to x[-1] / x[0] =
+    _AAA_MAX_RANGE, geometric ones and 0 beyond."""
+    lo, hi = x[0], x[-1]
+    if hi / lo <= _AAA_MAX_RANGE:
+        poles = _aaa_poles(x, x**-beta)
+        return poles[(np.abs(poles.imag) <= 1e-12 * np.abs(poles)) & (poles.real < 0.0)].real
+    n = int(np.ceil(_POLES_PER_DECADE * np.log10(hi / lo * _POLE_MARGIN**2))) + 1
+    return np.append(-np.geomspace(lo / _POLE_MARGIN, hi * _POLE_MARGIN, n), 0.0)
 
 
 @lru_cache(maxsize=64)
@@ -395,51 +457,51 @@ def _power_fit(lo, hi, beta):
     """Partial fractions r(x) = c0 + sum_j w_j / (x - p_j) for x^{-beta} on [lo, hi].
 
     x^{-beta} = (sin(pi beta) / pi) int_0^inf t^{-beta} / (x + t) dt is a
-    Stieltjes function: its poles are <= 0 and c0, w_j >= 0, refit by
-    column-scaled nonnegative least squares on the relative error, so the
-    matrix sum has no cancellation.  Up to hi/lo = _AAA_MAX_RANGE (every 2-D
-    mesh of the tests and benchmark) the poles are AAA's (Nakatsukasa, Sete &
-    Trefethen 2018), the fewest; AAA's tolerance is relative to max x^{-beta},
-    so wider intervals lose the far end (3.8e-6 at hi/lo = 8.4e6,
-    beta = 0.99), and its clean-up imports scipy.stats, a second on first use.
-    Wider intervals take _POLES_PER_DECADE geometric poles per decade over
-    [lo / _POLE_MARGIN, hi * _POLE_MARGIN] and one at 0, whose error (<= 3e-11
-    for beta in [0.001, 0.999] up to hi/lo = 1e14) does not grow with the
-    width: 32 poles for 1-D N = 4096, hi/lo = 8.4e6.  The certificate adds to
-    the error sampled on a dense log grid eps * hi / lo, the forward-error
-    bound of the worst-conditioned solve (cond(L - p I) <= hi / lo for p <= 0
-    and a symmetric L), so fits pass up to hi/lo ~ 4e9.
+    Stieltjes function: its poles are <= 0 and c0, w_j >= 0.  The weights
+    are the column-scaled least-squares fit of the relative error, so the
+    matrix sum has no cancellation; while one is negative, the most negative
+    column is dropped and the rest refit.  Up to hi/lo = _AAA_MAX_RANGE
+    (every 2-D mesh of the tests and benchmark) the poles are the real
+    negative ones of AAA (`_aaa_poles`), the fewest; AAA's tolerance is
+    relative to max x^{-beta}, so wider intervals lose the far end (3.8e-6
+    at hi/lo = 8.4e6, beta = 0.99).  Wider intervals take _POLES_PER_DECADE
+    geometric poles per decade over [lo / _POLE_MARGIN, hi * _POLE_MARGIN]
+    and one at 0, whose error (<= 3e-11 for beta in [0.001, 0.999] up to
+    hi/lo = 1e14) does not grow with the width: 32 poles for 1-D N = 4096,
+    hi/lo = 8.4e6.  The certificate adds to the error sampled on a dense log
+    grid eps * hi / lo, the forward-error bound of the worst-conditioned
+    solve (cond(L - p I) <= hi / lo for p <= 0 and a symmetric L), so fits
+    pass up to hi/lo ~ 4e9.
 
     Memoized on (lo, hi, beta), arrays read-only: a round trip L^s L^{-s}
     fits twice.  Returns (c0, poles, weights, certificate); raises ValueError
-    unless 0 < beta < 1 and the certificate is <= _RATIONAL_TOL.
+    unless 0 < lo < hi are finite, 0 < beta < 1 and the certificate is
+    <= _RATIONAL_TOL.
     """
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError(f"fit interval [{lo:g}, {hi:g}] needs finite 0 < lo < hi")
     if not 0.0 < beta < 1.0:
         raise ValueError("s must be in (0,1)")
-    from scipy.interpolate import AAA  # here, not at import: most runs fit nothing
-    from scipy.optimize import nnls
     x = np.geomspace(lo, hi, _FIT_SAMPLES)
-    if hi / lo <= _AAA_MAX_RANGE:
-        poles = AAA(x, x**-beta, clean_up=False).poles()
-        poles = poles[(np.abs(poles.imag) <= 1e-12 * np.abs(poles)) & (poles.real < 0.0)].real
-    else:
-        n = int(np.ceil(_POLES_PER_DECADE * np.log10(hi / lo * _POLE_MARGIN**2))) + 1
-        poles = np.append(-np.geomspace(lo / _POLE_MARGIN, hi * _POLE_MARGIN, n), 0.0)
-
-    def rel_basis(t):
-        return (np.column_stack([np.ones_like(t), 1.0 / (t[:, None] - poles)])
-                * (t**beta)[:, None])
-
-    A = rel_basis(x)
+    poles = _candidate_poles(x, beta)
+    A = np.column_stack([np.ones_like(x), 1.0 / (x[:, None] - poles)]) * (x**beta)[:, None]
     col = np.max(A, axis=0)
-    w = nnls(A / col, np.ones_like(x))[0] / col
-    err = float(np.max(np.abs(rel_basis(np.geomspace(lo, hi, _CERT_SAMPLES)) @ w - 1.0))
+    cols = np.arange(A.shape[1])
+    while True:
+        c = np.linalg.lstsq(A[:, cols] / col[cols], np.ones_like(x))[0]
+        if c.min() >= 0.0:
+            break
+        cols = np.delete(cols, np.argmin(c))
+    w = np.zeros(A.shape[1])
+    w[cols] = c / col[cols]
+    keep = w[1:] > 0.0
+    poles, weights = poles[keep], w[1:][keep]
+    xc = np.geomspace(lo, hi, _CERT_SAMPLES)
+    err = float(np.max(np.abs((w[0] + (1.0 / (xc[:, None] - poles)) @ weights) * xc**beta - 1.0))
                 + np.finfo(float).eps * hi / lo)
     if err > _RATIONAL_TOL:
         raise ValueError(f"rational fit of x^-{beta:g} on [{lo:g}, {hi:g}] has relative "
                          f"error {err:.3g} > {_RATIONAL_TOL:g}")
-    keep = w[1:] > 0.0
-    poles, weights = poles[keep], w[1:][keep]
     poles.flags.writeable = weights.flags.writeable = False
     return float(w[0]), poles, weights, err
 

@@ -92,7 +92,9 @@ def test_no_unreferenced_private_helpers():
 
 
 # scipy subpackages the package imports where they are first called, never at
-# module level: together they are about a quarter of a cold `import fracext`
+# module level: together they are about a quarter of a cold `import fracext`.
+# Only `sup_fit`'s fallback LP and the `brentq` users (geometry and the
+# barriers above it) need them.
 LAZY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate")
 
 
@@ -112,19 +114,35 @@ def test_no_module_level_import_of_lazy_scipy_packages():
 
 
 def test_common_experiments_run_without_lazy_scipy_packages(tmp_path):
-    # geometry, a case-2 barrier, a 1-D extension solve and a sup-norm fit in a
-    # fresh interpreter; the tracer's names still resolve afterwards
+    # geometry, a case-2 barrier, a 1-D extension solve, a sup-norm fit, the
+    # rational fractional powers in 1-D (runner, with inverse and round trip,
+    # and end to end) and 2-D, and the semigroup extension in a fresh
+    # interpreter; the tracer's names still resolve afterwards
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "import numpy as np\n"
         "import fracext\n"
-        "from fracext import barriers, extension, fitting, geometry, runner\n"
+        "from fracext import barriers, extension, fitting, geometry, runner, semigroup\n"
         "from fracext.config import default_config\n"
         "from fracext.benchmarks import eigen_extension_problem\n"
-        "LAZY = " + repr(LAZY_SCIPY) + "\n"
-        "cfg = default_config('geometry-check')\n"
-        "cfg.data['problem'].update(samples=200, engulfing_samples=50)\n"
-        "assert runner.run(cfg, out_dir=sys.argv[1]).exit_status == 0\n"
+        "from fracext.gridfn import BoxGrid, GridFunction\n"
+        "LAZY = " + repr(LAZY_SCIPY + ("scipy.stats",)) + "\n"
+        "def run(kind, problem):\n"
+        "    cfg = default_config(kind)\n"
+        "    cfg.data['problem'].update(problem)\n"
+        "    out = os.path.join(sys.argv[1], kind)\n"
+        "    assert runner.run(cfg, out_dir=out).exit_status == 0, kind\n"
+        "run('geometry-check', dict(samples=200, engulfing_samples=50))\n"
+        "run('fractional-apply', dict(grid_points=128, inverse=True))\n"
+        "run('end-to-end', dict(grid_points=128))\n"
+        "grid = BoxGrid.rectangle((0.0, 0.0), (np.pi, np.pi), (9, 9))\n"
+        "st = semigroup.SemigroupStepper(semigroup.CoefficientField.identity(2), grid)\n"
+        "u = GridFunction.from_callable(grid, lambda x, y: np.sin(x) * np.sin(y))\n"
+        "semigroup.fractional_apply(st, u, 0.4)\n"
+        "grid = BoxGrid.interval(0.0, np.pi, 65)\n"
+        "st = semigroup.SemigroupStepper(semigroup.CoefficientField.identity(1), grid)\n"
+        "u = GridFunction.from_callable(grid, np.sin)\n"
+        "semigroup.extension_via_semigroup_multi(st, u, 0.3, [0.1, 0.5])\n"
         "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.0, (0.5 / 0.75) ** 0.75, 0.5, 0.125,"
         " 0.1)\n"
         "mesh = extension.ExtensionMesh(nx=33, my=16)\n"

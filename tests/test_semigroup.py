@@ -1,9 +1,6 @@
 """Semigroup core: heat semigroup, fractional powers, extension profile."""
 
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -28,8 +25,9 @@ def _stepper_1d(N=129):
 
 
 def discrete_eigenvalue(k, N):
+    # 4 sin^2(kh/2) / h^2, not 2 (1 - cos kh) / h^2: no cancellation for small kh
     dx = np.pi / N
-    return 2.0 * (1.0 - np.cos(k * dx)) / dx**2
+    return 4.0 * np.sin(0.5 * k * dx) ** 2 / dx**2
 
 
 def test_ds_constant():
@@ -269,6 +267,61 @@ def test_power_fit_certificate_holds_on_a_fresh_grid(lo, ratio, beta):
     r = c0 + np.sum(w / (x[:, None] - poles), axis=1)
     # a few ulps for evaluating r(x) x^beta - 1 on the fresh points
     assert np.max(np.abs(r * x**beta - 1.0)) <= cert + 8 * np.finfo(float).eps
+
+
+def _nnls_fit(lo, hi, beta):
+    """The fit's candidate poles with scipy's nnls weights on the same
+    column-scaled relative-error matrix: (c0, poles with a positive weight,
+    their weights)."""
+    from scipy.optimize import nnls
+    x = np.geomspace(lo, hi, semigroup._FIT_SAMPLES)
+    poles = semigroup._candidate_poles(x, beta)
+    A = np.column_stack([np.ones_like(x), 1.0 / (x[:, None] - poles)]) * (x**beta)[:, None]
+    col = np.max(A, axis=0)
+    w = nnls(A / col, np.ones_like(x))[0] / col
+    return w[0], poles[w[1:] > 0.0], w[1:][w[1:] > 0.0]
+
+
+def _sampled_error(lo, hi, beta, c0, poles, w):
+    x = np.geomspace(lo, hi, semigroup._CERT_SAMPLES)
+    return np.max(np.abs((c0 + (1.0 / (x[:, None] - poles)) @ w) * x**beta - 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.floats(0.1, 10.0), ratio=st.floats(2.0, 1e3), beta=st.floats(0.001, 0.999))
+@example(lo=1.0, ratio=1e3, beta=0.7)
+def test_aaa_port_and_weight_elimination_match_scipy(lo, ratio, beta):
+    # the AAA port proposes as many real negative poles as scipy's AAA, and
+    # the elimination keeps the poles that nnls keeps on them
+    from scipy.interpolate import AAA
+    hi = lo * ratio
+    x = np.geomspace(lo, hi, semigroup._FIT_SAMPLES)
+    ref = AAA(x, x**-beta, clean_up=False).poles()
+    ref = ref[(np.abs(ref.imag) <= 1e-12 * np.abs(ref)) & (ref.real < 0.0)]
+    assert semigroup._candidate_poles(x, beta).size == ref.size
+    c0, poles, _, _ = semigroup._power_fit(lo, hi, beta)
+    c0_ref, poles_ref, _ = _nnls_fit(lo, hi, beta)
+    np.testing.assert_array_equal(np.sort(poles), np.sort(poles_ref))
+    assert (c0 > 0.0) == (c0_ref > 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lo=st.floats(0.1, 10.0), ratio=st.floats(2.0, 4e9), beta=st.floats(0.001, 0.999))
+@example(lo=1.0, ratio=4e9, beta=0.5)
+def test_weight_elimination_is_as_accurate_as_nnls(lo, ratio, beta):
+    hi = lo * ratio
+    c0, poles, w, _ = semigroup._power_fit(lo, hi, beta)
+    err = _sampled_error(lo, hi, beta, c0, poles, w)
+    assert err <= 1e-9
+    assert err <= 4.0 * _sampled_error(lo, hi, beta, *_nnls_fit(lo, hi, beta))
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, 10.0), (1.0, np.nan), (1.0, np.inf),
+                                    (-np.inf, 1.0), (10.0, 1.0), (5.0, 5.0), (-1.0, 10.0),
+                                    (0.0, 10.0)])
+def test_power_fit_refuses_degenerate_intervals(lo, hi):
+    with pytest.raises(ValueError, match="needs finite 0 < lo < hi"):
+        semigroup._power_fit(lo, hi, 0.5)
 
 
 def test_1d_fractional_powers_never_diagonalize(monkeypatch):
@@ -721,22 +774,3 @@ def test_2d_fractional_powers_with_strong_anisotropy(n, base, amp, t, freq, sign
         got, _ = op(st_, u, s)
         ref = np.real(fractional_matrix_power(L, power)) @ u.interior()
         assert np.max(np.abs(got.interior() - ref)) <= 1e-9 * np.max(np.abs(ref))
-
-
-def test_2d_fractional_power_does_not_import_scipy_stats():
-    # AAA's default clean-up imports scipy.stats, about a second on first use
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import fracext\n"
-        "from fracext.gridfn import BoxGrid, GridFunction\n"
-        "from fracext.semigroup import CoefficientField, SemigroupStepper, fractional_apply\n"
-        "grid = BoxGrid.rectangle((0.0, 0.0), (np.pi, np.pi), (7, 7))\n"
-        "st = SemigroupStepper(CoefficientField.identity(2), grid)\n"
-        "u = GridFunction.from_callable(grid, lambda x, y: np.sin(x) * np.sin(y))\n"
-        "fractional_apply(st, u, 0.4)\n"
-        "assert 'scipy.stats' not in sys.modules\n")
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
