@@ -3,7 +3,7 @@
     a^{ij}(x) d_ij U + z^{2-1/s} d_zz U = F   in  Omega x (0, Z)
     d_z U(x, 0) = f(x)                        on  Omega x {z = 0}
 
-The default path works in the transformed coordinate y = 2s z^{1/(2s)}, where
+The solver works in the transformed coordinate y = 2s z^{1/(2s)}, where
 W(x, y) = U(x, z) solves the weighted divergence-form equation
 
     div_{x,y}(y^{1-2s} grad W) = y^{1-2s} Ft
@@ -30,10 +30,6 @@ LAPACK's tridiagonal LU for n = 1, by its band LU for n = 2
 (`semigroup._shifted_band_solver`, as the 2-D fractional powers).  One
 refinement step with A follows, through the same factors, and is kept only
 if it lowers the componentwise backward error.
-
-A native-z mode is kept for cross-checks on bands {z >= z_lo > 0} away from
-the degenerate boundary; its (nonsymmetric) system is the one assembled
-matrix, solved by one sparse LU independently of the transformed path.
 """
 
 from __future__ import annotations
@@ -118,14 +114,20 @@ class ExtensionProblem:
     F: object = 0.0
     g_lateral: object = 0.0
     g_top: object = 0.0
-    mode: str = "transformed"
-    z_band: tuple | None = None  # native mode: (z_lo, z_hi), z_lo > 0
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError("s must be in (0,1)")
-        if self.Z <= 0:
-            raise ValueError("Z must be positive")
+        if not (np.isfinite(self.Z) and self.Z > 0):
+            raise ValueError(f"Z must be positive and finite, got {self.Z}")
+        try:
+            bounds = np.asarray(self.domain, dtype=float)
+        except (TypeError, ValueError):  # ragged
+            bounds = np.empty(0)
+        if not (bounds.shape == ((2,) if self.coeff.n == 1 else (2, 2))
+                and np.all(np.isfinite(bounds)) and np.all(np.diff(bounds) > 0.0)):
+            raise ValueError(f"domain must give finite, increasing bounds (lo, hi) for each "
+                             f"of the {self.coeff.n} x-axes, got {self.domain}")
         kind, data = self.bottom
         if kind not in ("neumann", "dirichlet"):
             raise ValueError("bottom condition must be neumann or dirichlet")
@@ -133,11 +135,6 @@ class ExtensionProblem:
         self.F = _as_callable(self.F)
         self.g_lateral = _as_callable(self.g_lateral)
         self.g_top = _as_callable(self.g_top)
-        if self.mode not in ("transformed", "native"):
-            raise ValueError("mode must be transformed or native")
-        if self.mode == "native":
-            if self.s != 0.5 and (self.z_band is None or self.z_band[0] <= 0.0):
-                raise ValueError("native mode needs a band z_lo > 0 unless s = 1/2")
 
 
 @dataclass
@@ -332,8 +329,6 @@ def _clip_to(vals, lo, hi, rel=1e-12):
 
 
 def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> ExtensionState:
-    if problem.mode == "native":
-        return _solve_native_band(problem, mesh)
     s = problem.s
     n = problem.coeff.n
     axes = mesh.x_axes(problem.domain, n)
@@ -500,10 +495,9 @@ def _checked_solve(A, rhs, solve):
     """solve(rhs) with the non-finite check and its componentwise backward
     error |A x - b| / (|A| |x| + |b|) per row (rows near y = 0 carry huge
     conductances, so the raw residual must be normalized per row).  A needs
-    only `A @ x` and `abs(A)`: the transformed solves pass a _LevelOperator,
-    the native band its assembled matrix.  One refinement step with A is
-    taken and kept only if it lowers the largest backward error.  Returns
-    (x, per-row error, refinement kept).
+    only `A @ x` and `abs(A)`, as a _LevelOperator gives them.  One
+    refinement step with A is taken and kept only if it lowers the largest
+    backward error.  Returns (x, per-row error, refinement kept).
     """
     abs_A = abs(A)
 
@@ -520,60 +514,6 @@ def _checked_solve(A, rhs, solve):
     if np.max(rel1) < np.max(rel):
         return sol1, rel1, True
     return sol, rel, False
-
-
-def _solve_native_band(problem: ExtensionProblem, mesh: ExtensionMesh) -> ExtensionState:
-    """Native-z cross-check solve on a band z in [z_lo, z_hi], all-Dirichlet.
-
-    g_lateral supplies every boundary value (bottom z_lo and top z_hi rows are
-    queried through it as well).  The z-stencil is the standard nonuniform
-    3-point second difference multiplied by z^{2-1/s}.
-    """
-    s = problem.s
-    n = problem.coeff.n
-    if n != 1:
-        raise ValueError("native mode implemented for 1-D x")
-    z_lo, z_hi = problem.z_band if problem.z_band else (0.0, problem.Z)
-    axes = mesh.x_axes(problem.domain, n)
-    zg = np.linspace(z_lo, z_hi, mesh.my + 1)
-    Ax, Bx = x_operator(problem.coeff, axes)
-    nxi = Ax.shape[0]
-    xi = axes[0][1:-1]
-
-    w = zg ** (2.0 - 1.0 / s) if s != 0.5 else np.ones_like(zg)
-    nzi = len(zg) - 2
-    hm = zg[1:-1] - zg[:-2]
-    hp = zg[2:] - zg[1:-1]
-    cW = 2.0 / (hm * (hm + hp)) * w[1:-1]
-    cE = 2.0 / (hp * (hm + hp)) * w[1:-1]
-    cC = -2.0 / (hm * hp) * w[1:-1]
-    Az = sp.diags([cW[1:], cC, cE[:-1]], [-1, 0, 1], format="csr")
-    A = sp.kron(Az, sp.identity(nxi), format="csr") \
-        + sp.kron(sp.identity(nzi), Ax, format="csr")
-
-    rhs = np.zeros(nzi * nxi)
-    for a in range(nzi):
-        j = a + 1
-        Fj = np.asarray(problem.F(xi, zg[j]), dtype=float)
-        gj = np.asarray(problem.g_lateral(axes[0], zg[j]), dtype=float)
-        row = np.broadcast_to(Fj, xi.shape).copy().astype(float)
-        row -= Bx @ np.broadcast_to(gj, axes[0].shape)
-        if a == 0:
-            row -= cW[0] * np.asarray(problem.g_lateral(xi, zg[0]), dtype=float)
-        if a == nzi - 1:
-            row -= cE[-1] * np.asarray(problem.g_lateral(xi, zg[-1]), dtype=float)
-        rhs[a * nxi:(a + 1) * nxi] = row
-    sol, rel, refined = _checked_solve(A, rhs, spla.splu(A.tocsc()).solve)
-
-    W = np.empty((len(zg), len(axes[0])))
-    for j in range(len(zg)):
-        W[j] = problem.g_lateral(axes[0], zg[j])
-    for a in range(nzi):
-        W[a + 1, 1:-1] = sol[a * nxi:(a + 1) * nxi]
-    y = transform_to_y(zg, s)
-    meta = {"mode": "native", "band": (float(z_lo), float(z_hi)),
-            "linear_solver": "sparse-lu", "refinement_kept": refined}
-    return ExtensionState(s, axes, y, W, float(np.max(rel)), 0.0, meta)
 
 
 # -- even reflection and anisotropic rescaling -------------------------------------------

@@ -22,10 +22,13 @@ from .semigroup import CoefficientField
 # -- Hoelder seminorm in the quasi-metric ---------------------------------------------------
 
 
-def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta, pair_cap=2_000_000):
+_PAIR_CAP = 2_000_000
+
+
+def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta):
     """max over ordered pairs of |U(p) - U(q)| / delta_Phi(p, q)^(beta/2).
 
-    Above the pair cap the node set is subsampled with a fixed stride
+    Above _PAIR_CAP pairs the node set is subsampled with a fixed stride
     (deterministic); on the graded grids used here that keeps pairs in every
     delta_Phi decade.
     """
@@ -35,7 +38,7 @@ def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta, pair_cap=2_000_0
     z_pts = np.asarray(z_pts, dtype=float)
     vals = np.asarray(vals, dtype=float)
     N = len(vals)
-    max_pts = int(np.sqrt(pair_cap))
+    max_pts = int(np.sqrt(_PAIR_CAP))
     if N > max_pts:
         stride = int(np.ceil(N / max_pts))
         sel = slice(0, None, stride)
@@ -53,11 +56,11 @@ def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta, pair_cap=2_000_0
     return float(np.max(num[mask] / delta[mask] ** (beta / 2.0)))
 
 
-def holder_seminorm_state(geom, state: ExtensionState, center, R, beta, pair_cap=2_000_000):
+def holder_seminorm_state(geom, state: ExtensionState, center, R, beta):
     """Seminorm of a solved state restricted to the section S_R(center)."""
     x, z, v = _flat_nodes(state)
     member = geom.delta_Phi((center[0], center[1]), (x, z)) < R
-    return holder_seminorm(geom, x[member], z[member], v[member], beta, pair_cap)
+    return holder_seminorm(geom, x[member], z[member], v[member], beta)
 
 
 # -- Harnack quotient -------------------------------------------------------------------------

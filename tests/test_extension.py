@@ -116,30 +116,6 @@ def test_neumann_flux_readback_consistency():
                                          np.max(np.abs(neu.trace() - np.sin(k * xs))))
 
 
-def test_native_band_cross_check():
-    # restrict the transformed solution to a band away from z = 0, re-solve in
-    # native coordinates with its boundary values, compare interiors
-    s = 0.75
-    combo = HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)])
-    tprob = harmonic_combo_problem(s, combo, domain=(-1.0, 1.0), Z=1.0)
-    tstate = solve_extension(tprob, ExtensionMesh(nx=97, my=64))
-    band = (0.2, 0.8)
-    nprob = ExtensionProblem(s=s, coeff=CoefficientField.identity(1),
-                             domain=(-1.0, 1.0), Z=1.0, mode="native",
-                             z_band=band,
-                             g_lateral=lambda x, z: combo(x, z))
-    nstate = solve_extension(nprob, ExtensionMesh(nx=97, my=48))
-    Zq, Xq = np.meshgrid(nstate.z_nodes, nstate.x_axes[0], indexing="ij")
-    assert np.max(np.abs(nstate.values - combo(Xq, Zq))) < 2e-4
-
-
-def test_native_band_requires_positive_zlo():
-    with pytest.raises(ValueError):
-        ExtensionProblem(s=0.75, coeff=CoefficientField.identity(1),
-                         domain=(-1.0, 1.0), Z=1.0, mode="native",
-                         z_band=(0.0, 1.0))
-
-
 def test_reflect_even():
     s = 0.5
     problem, _ = eigen_extension_problem(s, 1, Z=1.0)
@@ -269,6 +245,31 @@ def test_mesh_validation_and_coarse_flag():
     assert st.meta["coarse_weight_flag"]  # weight y^{-0.8} unresolved by a flat mesh
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, changes", [
+    ("Z", dict(Z=np.nan)),
+    ("Z", dict(Z=np.inf)),
+    ("domain", dict(domain=(0.0, np.inf))),
+    ("domain", dict(domain=(np.nan, 1.0))),
+    ("domain", dict(domain=(1.0, 1.0))),
+    ("domain", dict(domain=(1.0, -1.0))),
+    ("domain", dict(coeff=CoefficientField.identity(2), domain=((0.0, 1.0), (0.0, np.inf)))),
+    ("domain", dict(coeff=CoefficientField.identity(2), domain=((0.0, 1.0), (1.0, 0.0)))),
+    ("domain", dict(domain=((0.0, 1.0), (0.0, 1.0)))),
+    ("domain", dict(coeff=CoefficientField.identity(2), domain=(0.0, 1.0))),
+    ("domain", dict(coeff=CoefficientField.identity(2), domain=((0.0, 1.0), (0.0,)))),
+    ("domain", dict(coeff=CoefficientField.identity(2), domain=(0.0, 1.0, 0.0, 1.0))),
+], ids=["Z-nan", "Z-inf", "1d-inf", "1d-nan", "1d-empty", "1d-reversed",
+        "2d-inf", "2d-reversed", "1d-two-axes", "2d-one-axis", "2d-ragged", "2d-flat"])
+def test_extension_problem_refuses_bad_height_and_domain(field, changes):
+    # refused up front, naming the field, before any warning, a y-node message
+    # that blames the grading or a raw broadcast error
+    kwargs = dict(s=0.5, coeff=CoefficientField.identity(1), domain=(-1.0, 1.0), Z=1.0)
+    kwargs.update(changes)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        solve_extension(ExtensionProblem(**kwargs), ExtensionMesh(nx=9, my=4, grading=1.0))
+
+
 def test_2d_solver_constant_and_max_principle():
     coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0 * x,
                                      lambda x, y: 0.3 + 0 * x,
@@ -385,6 +386,30 @@ def test_1d_y_mode_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, 
     assert np.all(np.abs(field - ref) <= 1e-10 * np.max(np.abs(state.values)) + bound)
     assert state.residual_interior <= 1e-12
     assert state.residual_bottom <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_1d_variable_coefficient_source_converges_at_order_two(s):
+    # U = (1 + z) sin x + x has U_zz = 0, so F = a U_xx = -a (1 + z) sin x
+    # with variable a, the Neumann datum is sin x, and lateral and top data
+    # come from U: an exact solution with F != 0 and nonzero lateral data
+    def exact(x, z):
+        return (1.0 + z) * np.sin(x) + x
+
+    def a(x):
+        return 1.0 + 0.5 * np.sin(x) ** 2
+
+    prob = ExtensionProblem(s=s, coeff=CoefficientField.scalar_1d(a, 1.0, 1.5),
+                            domain=(-1.0, 1.0), Z=1.0, bottom=("neumann", np.sin),
+                            F=lambda x, z: -a(x) * (1.0 + z) * np.sin(x),
+                            g_lateral=exact, g_top=lambda x: exact(x, 1.0))
+    errs = []
+    for nx, my in ((33, 16), (65, 32), (129, 64)):
+        state = solve_extension(prob, ExtensionMesh(nx=nx, my=my))
+        Zq, Xq = np.meshgrid(state.z_nodes, state.x_axes[0], indexing="ij")
+        errs.append(np.max(np.abs(state.values - exact(Xq, Zq))))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.9), (errs, orders)
 
 
 @settings(max_examples=30, deadline=None)
@@ -556,8 +581,8 @@ def test_level_operator_matches_the_assembled_matrix(n, s, nx1, nx2, my, x_gradi
 
 
 def test_transformed_solves_assemble_no_matrix():
-    # the transformed path applies A through its factors in every dimension;
-    # only the native band assembles its system
+    # no solve assembles its system: A is applied through its factors in
+    # every dimension
     with mock.patch.object(extension.sp, "kron", side_effect=AssertionError("kron called")):
         st1 = solve_extension(_variable_1d_problem(0.4, 0.5, 1.5, 2.0, "neumann"),
                               ExtensionMesh(nx=33, my=12))

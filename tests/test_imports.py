@@ -20,6 +20,9 @@ ALLOWED_UNUSED = {
     ("src/fracext/semigroup.py", "spla"):
         "the benchmark tracer patches `semigroup.spla.splu` by name to count "
         "factorizations; it goes once the tracer reads counts recorded by the library",
+    ("src/fracext/extension.py", "spla"):
+        "the benchmark tracer patches `extension.spla.spsolve` by name to count sparse "
+        "solves; it goes once the tracer reads counts recorded by the library",
 }
 
 
@@ -161,9 +164,9 @@ def test_common_experiments_run_without_lazy_scipy_packages(tmp_path):
 
 
 # name below fracext -> why the benchmark tracer (`perfbench/fxbench/trace.py`)
-# needs it; the tracer patches or reads each by name, so a deletion here
-# breaks traced runs.  They go once the tracer reads counts recorded by the
-# library.
+# needs it; the tracer patches or reads each by name (a function's parameters
+# included), so a deletion or rename here breaks traced runs.  They go once
+# the tracer reads counts recorded by the library.
 TRACER_HOOKS = {
     "semigroup.SemigroupStepper.heat_interior":
         "patched in `vars(SemigroupStepper)`; its span is the `semigroup.heat_interior` layer",
@@ -182,6 +185,20 @@ TRACER_HOOKS = {
         "wrapped through the module proxy to count sparse solves, unknowns and nonzeros",
     "geometry.brentq": "patched to count root finds",
     "fitting.linprog": "wrapped to count LP solves and their successes",
+    "geometry.MAGeometry.section_interval":
+        "patched in `vars(MAGeometry)`; its span is the `geometry.section_interval` layer",
+    "geometry.MAGeometry.delta_h": "patched in `vars(MAGeometry)` to count calls",
+    "extension.ExtensionState.values_at": "patched in `vars(ExtensionState)` to count calls",
+    "barriers.BarrierCase2.__init__":
+        "patched in `vars(BarrierCase2)` to count case-2 candidates of the parameter search",
+    "semigroup.SemigroupStepper.heat_interior.t":
+        "read by name, against `_t_cutoff`, to count heats past the decay cut-off",
+    "extension.spla.spsolve.A":
+        "read by name to count the unknowns and nonzeros of each sparse solve",
+    "fitting.sup_fit.method": "read by name; `lp` fits add their rows to `fitting.lp_rows`",
+    "fitting.sup_fit.values": "read by name; its length gives the rows of an `lp` fit",
+    "barriers.sample_annulus.samples":
+        "read by name and added to `barriers.sample_annulus.points`",
 }
 
 
