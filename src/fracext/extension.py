@@ -277,10 +277,11 @@ class ExtensionState:
     def flux_trace(self):
         """Discrete d_z U(x, 0).
 
-        Solver-produced states carry the full finite-volume trace-row flux
+        Solver-produced states and their exact pullbacks (`rescale_solution`
+        without a target mesh) carry the full finite-volume trace-row flux
         (two-point flux plus the first-cell source and tangential terms) on
-        the interior x-nodes; otherwise the two-point flux of the first face
-        is returned.
+        the interior x-nodes; any other state, one interpolated onto a target
+        mesh too, returns the two-point flux of the first face on every x-node.
         """
         fv = self.meta.get("flux_trace_fv")
         if fv is not None:
@@ -536,15 +537,19 @@ def rescale_solution(state: ExtensionState, rho, target_mesh: ExtensionMesh | No
     bilinearly in (x, h-coordinate) on target_domain = (xlo, xhi, Z) (default:
     the full pulled-back domain); a target exceeding the source domain raises.
     The induced data transforms (a(rho x), rho^{2s} f(rho x)) are recorded in
-    the metadata.
+    the metadata; the pullback's trace flux is rho^{2s} times U's.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     s = state.s
+    meta = dict(state.meta)
+    fv = meta.pop("flux_trace_fv", None)
     if target_mesh is None:
         axes = [ax / rho for ax in state.x_axes]
         y = state.y_nodes / rho
         vals = state.values.copy()
+        if fv is not None:  # d_z V(x, 0) = rho^{2s} d_z U(rho x, 0)
+            meta["flux_trace_fv"] = rho ** (2.0 * s) * np.asarray(fv, dtype=float)
     else:
         if state.n != 1:
             raise ValueError("mesh-targeted rescaling implemented for 1-D x")
@@ -558,7 +563,6 @@ def rescale_solution(state: ExtensionState, rho, target_mesh: ExtensionMesh | No
         Xq = np.broadcast_to(axes[0], (len(y), len(axes[0])))
         Zq = np.broadcast_to(transform_to_z(y, s)[:, None], Xq.shape)
         vals = state.values_at(rho * Xq, rho ** (2 * s) * Zq)
-    meta = dict(state.meta)
     meta["rescaled_by"] = meta.get("rescaled_by", 1.0) * rho
     meta["data_transform"] = "a(rho x), rho^{2s} f(rho x), rho^2 F(rho x, rho^{2s} z)"
     return ExtensionState(s, axes, y, vals, state.residual_interior,

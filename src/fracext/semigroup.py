@@ -53,13 +53,14 @@ def ds_constant(s):
 
 
 class CoefficientField:
-    """Symmetric uniformly elliptic coefficients a^{ij}(x) on dimension n in {1, 2}."""
+    """Symmetric a^{ij}(x) on dimension n in {1, 2} with declared ellipticity
+    bounds 0 < lam <= Lam < inf, which `x_operator` checks."""
 
     def __init__(self, n, fn, lam, Lam):
         if n not in (1, 2):
             raise ValueError("only n = 1 or 2 supported")
-        if not 0 < lam <= Lam:
-            raise ValueError("need 0 < lambda <= Lambda")
+        if not 0 < lam <= Lam < np.inf:
+            raise ValueError("need 0 < lambda <= Lambda < inf")
         self.n = n
         self._fn = fn
         self.lam = float(lam)
@@ -93,20 +94,6 @@ class CoefficientField:
         a11, a12, a22 = self._fn(coords[0], coords[1])
         return (np.asarray(a11, float), np.asarray(a12, float), np.asarray(a22, float))
 
-    def ellipticity_check(self, *coords):
-        """Verify eigenvalues of [a^{ij}] lie in [lam, Lam] at the given points."""
-        if self.n == 1:
-            a = self.components(coords[0])
-            emin, emax = float(np.min(a)), float(np.max(a))
-        else:
-            a11, a12, a22 = self.components(*coords)
-            tr = a11 + a22
-            disc = np.sqrt((a11 - a22) ** 2 + 4.0 * a12**2)
-            emin = float(np.min((tr - disc) / 2.0))
-            emax = float(np.max((tr + disc) / 2.0))
-        ok = emin >= self.lam * (1.0 - 1e-12) and emax <= self.Lam * (1.0 + 1e-12)
-        return ok, emin, emax
-
 
 # -- operator assembly ---------------------------------------------------------------
 
@@ -122,7 +109,10 @@ def x_operator(coeff: CoefficientField, axes):
     when |a12| h_x h_y <= min(a11 h_y^2, a22 h_x^2).  A step that leaves the
     box stops at the edge (nonuniform 3-point difference, first order), its
     value interpolated linearly between the two boundary nodes around it.
-    ValueError names the first node where a, or a11 and det a, is not positive.
+    The one check of a^{ij}: its eigenvalues must lie in the declared
+    [coeff.lam, coeff.Lam] (1e-12 relative slack) at every interior node, else
+    ValueError names the bounds and the first node, with its a^{ij}; NaN and
+    inf fail.  Inside the bounds a11 > 0 and det a > 0, as `_selling` needs.
 
     Returns (Ax, Bx): Ax csr over raveled interior nodes, Bx csr mapping
     values on the full raveled grid (only boundary columns are nonzero) to
@@ -136,7 +126,7 @@ def x_operator(coeff: CoefficientField, axes):
         nx = len(xs)
         xi = xs[1:-1]
         a = np.broadcast_to(coeff.components(xi), xi.shape).astype(float)
-        _require_elliptic(np.isfinite(a) & (a > 0), (xi,), {"a11": a})
+        _require_elliptic(coeff, a, a, (xi,), {"a11": a})
         hm = xi - xs[:-2]
         hp = xs[2:] - xi
         cW = 2.0 / (hm * (hm + hp))
@@ -155,9 +145,10 @@ def x_operator(coeff: CoefficientField, axes):
     m1, m2 = len(xs) - 2, len(ys) - 2
     X, Y = np.meshgrid(xs[1:-1], ys[1:-1], indexing="ij")
     a11, a12, a22 = (np.broadcast_to(c, X.shape).ravel() for c in coeff.components(X, Y))
-    det = a11 * a22 - a12 * a12
-    _require_elliptic((a11 > 0) & (det > 0) & np.isfinite(det), (X, Y),
-                      {"a11": a11, "a12": a12, "a22": a22})
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN, inf: out of bounds
+        mid, rad = 0.5 * (a11 + a22), np.hypot(0.5 * (a11 - a22), a12)
+        _require_elliptic(coeff, mid - rad, mid + rad, (X, Y),
+                          {"a11": a11, "a12": a12, "a22": a22})
     lam, ex, ey = _selling(a11 / hx**2, a12 / (hx * hy), a22 / hy**2, (X, Y))
 
     # the steps +-e_k from every node in full-grid indices; a step that leaves
@@ -187,13 +178,16 @@ def x_operator(coeff: CoefficientField, axes):
     return Ax, Bx
 
 
-def _require_elliptic(ok, coords, comps):
-    """ValueError naming the first node where `ok` fails, and its a^{ij}."""
+def _require_elliptic(coeff, emin, emax, coords, comps):
+    """ValueError naming the first node where the eigenvalues emin <= emax of
+    a^{ij} leave [coeff.lam, coeff.Lam], and its a^{ij}."""
+    ok = (emin >= coeff.lam * (1.0 - 1e-12)) & (emax <= coeff.Lam * (1.0 + 1e-12))
     if not np.all(ok):
         i = np.flatnonzero(~np.ravel(ok))[0]
         at = ", ".join(f"{np.ravel(c)[i]:g}" for c in coords)
         vals = ", ".join(f"{name} = {np.ravel(v)[i]:g}" for name, v in comps.items())
-        raise ValueError(f"coefficients not uniformly elliptic at node ({at}): {vals}")
+        raise ValueError(f"coefficients leave their declared ellipticity bounds "
+                         f"[{coeff.lam:g}, {coeff.Lam:g}] at node ({at}): {vals}")
 
 
 def _selling(d11, d12, d22, coords):
@@ -296,9 +290,8 @@ class SemigroupStepper:
     extension raise ValueError; fractional
     powers are rational in every dimension, one shifted solve per pole.
     `lam_floor` bounds the spectrum from below; the decay cut-off and the
-    rational fits use it.  The declared ellipticity bounds of `coeff` are
-    checked on the interior nodes (ValueError naming both ranges), since
-    `lam_floor` rests on them.
+    rational fits use it.  It rests on the declared lam of `coeff`, which
+    `x_operator` checks on the interior nodes.
 
     Immutable after construction; solves at distinct times are independent.
     """
@@ -307,12 +300,6 @@ class SemigroupStepper:
         self.coeff = coeff
         self.grid = grid
         self.L = (-x_operator(coeff, grid.axes())[0]).tocsr()  # Dirichlet L = -a^{ij} d_ij
-        ok, emin, emax = coeff.ellipticity_check(
-            *np.meshgrid(*(ax[1:-1] for ax in grid.axes()), indexing="ij"))
-        if not ok:
-            raise ValueError(f"declared ellipticity bounds [{coeff.lam:g}, {coeff.Lam:g}] "
-                             f"do not hold: the eigenvalues of a^{{ij}} on the interior "
-                             f"nodes span [{emin:g}, {emax:g}]")
         # provable spectral floor: the 3-point Dirichlet eigenvalue on (lo, hi)
         # is at least 8/L^2 for any spacing, so ||e^{-tL}u|| <= e^{-lam_floor t}||u||;
         # beyond 30 e-folds the heat is zero to machine precision.  The

@@ -2,6 +2,7 @@
 principle, reflection/rescaling, and the derivative-decay measurements."""
 
 import dataclasses
+import re
 import warnings
 from unittest import mock
 
@@ -19,7 +20,9 @@ from fracext.extension import (ExtensionMesh, ExtensionProblem, ExtensionState, 
                                rescale_solution, solve_extension,
                                transform_to_y, transform_to_z)
 from fracext.geometry import MAGeometry
-from fracext.semigroup import CoefficientField, bessel_extension_profile, ds_constant
+from fracext.gridfn import BoxGrid
+from fracext.semigroup import (CoefficientField, SemigroupStepper, bessel_extension_profile,
+                               ds_constant)
 
 
 def test_transform_examples():
@@ -206,6 +209,23 @@ def test_rescale_identity_and_oracle():
                          target_domain=(-2.0, 2.0, 2.0))
 
 
+def test_rescaled_states_report_the_rescaled_flux():
+    # V(x, z) = U(rho x, rho^{2s} z) has d_z V(x, 0) = rho^{2s} d_z U(rho x, 0)
+    s, rho, k = 0.4, 0.5, 2
+    problem, _ = eigen_extension_problem(s, k)
+    U = solve_extension(problem, ExtensionMesh(nx=65, my=32))
+    V = rescale_solution(U, rho)
+    assert np.array_equal(V.flux_trace(), rho ** (2 * s) * U.flux_trace())
+    xv = V.x_axes[0][1:-1]
+    exact = -ds_constant(s) * k ** (2 * s) * np.sin(k * rho * xv)
+    assert np.max(np.abs(V.flux_trace() - rho ** (2 * s) * exact)) < 1e-10
+    # interpolated onto a target mesh the state has no finite-volume flux: it
+    # reads the two-point flux of its first face, on every x-node
+    W = rescale_solution(U, rho, target_mesh=ExtensionMesh(nx=33, my=16))
+    assert W.flux_trace().shape == (33,)
+    assert np.array_equal(W.flux_trace(), W.z_derivative_faces()[1][0])
+
+
 def test_hopf_maximum_principle_fixtures():
     # harmonic solves attain extrema on the lateral/top boundary, exactly
     fixtures = [
@@ -271,6 +291,8 @@ def test_extension_problem_refuses_bad_height_and_domain(field, changes):
 
 
 def test_2d_solver_constant_and_max_principle():
+    # a12 = 0.3 with a11 = a22 = 1 has eigenvalues 0.7 and 1.3, exactly the
+    # declared bounds (the plane2d benchmark's mixed2d field): accepted
     coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0 * x,
                                      lambda x, y: 0.3 + 0 * x,
                                      lambda x, y: 1.0 + 0 * x, 0.7, 1.3)
@@ -291,6 +313,38 @@ def test_2d_solver_constant_and_max_principle():
                                stm.values[:, :, -1].ravel()])
     assert inner.max() <= boundary.max() + 1e-11
     assert inner.min() >= boundary.min() - 1e-11
+
+
+def _constant_field(n, comps, lam, Lam):
+    if n == 1:
+        return CoefficientField.scalar_1d(lambda x: np.full(np.shape(x), comps[0]), lam, Lam)
+    return CoefficientField.full_2d(*(lambda x, y, v=v: np.full(np.broadcast(x, y).shape, v)
+                                      for v in comps), lam, Lam)
+
+
+@pytest.mark.parametrize("n, comps, lam, Lam, node", [
+    (1, (1.0,), 30.0, 30.0, "(0.125): a11 = 1"),
+    (1, (np.inf,), 0.5, 1.5, "(0.125): a11 = inf"),
+    (1, (np.nan,), 0.5, 1.5, "(0.125): a11 = nan"),
+    (2, (1.0, 0.0, 1.0), 30.0, 30.0, "(0.125, 0.125): a11 = 1, a12 = 0, a22 = 1"),
+    (2, (1.0, 0.0, np.inf), 0.5, 1.5, "(0.125, 0.125): a11 = 1, a12 = 0, a22 = inf"),
+    (2, (np.nan, 0.0, 1.0), 0.5, 1.5, "(0.125, 0.125): a11 = nan, a12 = 0, a22 = 1")])
+def test_extension_refuses_a_field_outside_its_declared_bounds(n, comps, lam, Lam, node):
+    # the solve and the fractional powers share x_operator's one check: the
+    # same ValueError names the bounds and the first interior node, and NaN
+    # or inf components fail it without a RuntimeWarning
+    coeff = _constant_field(n, comps, lam, Lam)
+    domain = (0.0, 1.0) if n == 1 else ((0.0, 1.0), (0.0, 1.0))
+    grid = BoxGrid((0.0,) * n, (1.0,) * n, (9,) * n)
+    problem = ExtensionProblem(s=0.5, coeff=coeff, domain=domain, Z=1.0)
+    mesh = ExtensionMesh(nx=9 if n == 1 else (9, 9), my=8)
+    message = re.escape(f"declared ellipticity bounds [{lam:g}, {Lam:g}] at node {node}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            solve_extension(problem, mesh)
+        with pytest.raises(ValueError, match=message):
+            SemigroupStepper(coeff, grid)
 
 
 def test_harmonic_mode_profile_value_at_zero():

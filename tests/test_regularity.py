@@ -226,6 +226,34 @@ def test_holder_seminorm_delta_power():
     assert val < 10.0  # bounded by the quasi-triangle inflation
 
 
+def _dense_holder_seminorm(g, x, z, v, beta):
+    """holder_seminorm over the full ordered-pair matrix at once."""
+    x = x.reshape(len(v), -1)
+    diff = x[:, None, :] - x[None, :, :]
+    delta = 0.5 * np.sum(diff * diff, axis=-1) + (
+        g.h(z)[None, :] - g.h(z)[:, None] - g.hp(z)[:, None] * (z[None, :] - z[:, None]))
+    mask = delta > 1e-300
+    return float(np.max(np.abs(v[None, :] - v[:, None])[mask] / delta[mask] ** (beta / 2.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_holder_seminorm_equals_dense_pairwise_max(n):
+    # more than 1,414 nodes (2e6 ordered pairs), where a stride subsample
+    # gave a lower bound: 1.4318 for 1.4342 on the 1-D kinked state
+    if n == 1:
+        g = MAGeometry(0.4)
+        problem, mesh = kinked_trace_problem(0.4, 0.5, mx=40, my=24)
+        xs, z, v = solve_extension(problem, mesh).node_points()
+        x = xs[0]
+    else:
+        g = MAGeometry(0.7)
+        rng = np.random.default_rng(3)
+        x, z = rng.uniform(-1.0, 1.0, (1500, 2)), rng.uniform(0.0, 1.0, 1500)
+        v = np.abs(x[:, 0]) ** 0.5 + np.sin(3.0 * x[:, 1]) * z
+    assert len(v) > 1414
+    assert holder_seminorm(g, x, z, v, 0.5) == _dense_holder_seminorm(g, x, z, v, 0.5)
+
+
 def test_harnack_quotient_constants_and_perturbation():
     s = 0.5
     g = MAGeometry(s)
