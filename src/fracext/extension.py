@@ -25,11 +25,23 @@ every dimension by fast diagonalization in the degenerate direction: the
 symmetric tridiagonal A_y and the cell weights V > 0 form a pencil whose
 eigenvectors split A into one system A_x + mu_k I (mu_k < 0) per y-mode.
 A_x need not separate, so a mixed a12 term in 2-D is no obstacle.  The
-mode systems, stacked along the diagonal, are factored once per solve: by
-LAPACK's tridiagonal LU for n = 1, by its band LU for n = 2
-(`semigroup._shifted_band_solver`, as the 2-D fractional powers).  One
-refinement step with A follows, through the same factors, and is kept only
-if it lowers the componentwise backward error.
+mode systems, stacked along the diagonal, are factored in the solver:
+
+- n = 1: A_x is similar to a symmetric matrix, so every -(A_x + mu_k I) is
+  factored by LAPACK's symmetric positive definite tridiagonal LDL^T, once
+  per solve, 2 numbers per unknown;
+- n = 2: LAPACK's band LU (`semigroup._shifted_band_solver`, as the 2-D
+  fractional powers), N (3k + 1) numbers per mode for N interior x-nodes and
+  half-bandwidth k, at most a fixed byte budget of them held at once: a
+  system whose bands fit is factored once per solve, a larger one batch by
+  batch in each solve call.
+
+One refinement step with A follows, through the same factors (re-factored
+batch by batch when they did not fit), and is kept only if it lowers the
+componentwise backward error.  Besides the factors, a solve holds about ten
+solution-sized vectors at its peak: the data are turned into the
+right-hand side level by level, and the products with A, the backward
+error and the mode transforms work in place.
 """
 
 from __future__ import annotations
@@ -42,12 +54,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import gamma, iv
 
 from .geometry import MAGeometry
 from .gridfn import write_grid_binary, write_json
-from .semigroup import CoefficientField, _shifted_band_solver, x_operator
+from .semigroup import (CoefficientField, _shifted_band_solver, _tridiagonal_symmetrizer,
+                        x_operator)
 
 
 # -- coordinate transform ----------------------------------------------------------
@@ -367,24 +380,30 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     A = _LevelOperator(Ay, Vw[levels], Ax)
 
     # every datum evaluated once: W starts as the lateral data on all levels,
-    # and one Bx product gives the Dirichlet-neighbour term of every level
+    # one Bx product gives the Dirichlet-neighbour term of every level, and
+    # the sources go into the right-hand side level by level; only level 0's
+    # terms are kept, for the flux below
     zlev = transform_to_z(y, s)
     W = np.empty((my + 1,) + Xfull[0].shape)
     for j in range(my + 1):
         W[j] = problem.g_lateral(*Xfull, zlev[j])
-    BG = (Bx @ W.reshape(my + 1, -1).T).T
-    F = np.stack([np.broadcast_to(problem.F(*Xint, zlev[j]), Xint[0].shape).ravel()
-                  for j in range(my)])
+    BG = (Bx @ W.reshape(my + 1, -1)[:my].T).T
+    rhs = np.empty((nl, nxi))
+    for j in range(my):
+        Fj = np.broadcast_to(problem.F(*Xint, zlev[j]), Xint[0].shape).ravel()
+        if j == 0:
+            F0, BG0 = Fj, BG[0].copy()
+        if j >= j0:
+            rhs[j - j0] = Vw[j] * Fj - Vw[j] * BG[j]
+    del BG
     g_top = np.broadcast_to(problem.g_top(*Xint), Xint[0].shape)
     u_bottom = np.broadcast_to(bdata(*Xint), Xint[0].shape)
-
-    rhs = Vw[:my, None] * F - Vw[:my, None] * BG[:my]
     if kind == "neumann":
         rhs[0] += to_flux * u_bottom.ravel()
     else:
-        rhs[1] -= K[0] * u_bottom.ravel()
-    rhs[my - 1] -= K[my - 1] * g_top.ravel()
-    rhs = rhs[levels].ravel()
+        rhs[0] -= K[0] * u_bottom.ravel()
+    rhs[-1] -= K[my - 1] * g_top.ravel()
+    rhs = rhs.ravel()
 
     sol, rel, refined = _checked_solve(A, rhs, _y_mode_solver(Ay, Vw[levels], Ax, n))
     if kind == "neumann":
@@ -405,7 +424,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     # converted to native d_z U by the (2s)^{2s-1} factor
     w0 = W[(0,) + inner].ravel()
     w1 = W[(1,) + inner].ravel()
-    ft_read = K[0] * (w1 - w0) + Vw[0] * (Ax @ w0 + BG[0] - F[0])
+    ft_read = K[0] * (w1 - w0) + Vw[0] * (Ax @ w0 + BG0 - F0)
     flux_fv = (_dz_factor(s) * ft_read).reshape(Xint[0].shape)
 
     meta = {
@@ -435,39 +454,63 @@ def _y_mode_solver(Ay, V, Ax, n):
     u = (S^{-1} P (x) I) w with (Ax + mu_k I) w_k = (P^T S^{-1} r)_k, one
     system of the interior x-size per y-mode.  Ay is negative definite, so
     every shift mu_k < 0 strengthens the diagonal of Ax; -Ax has nonnegative
-    row sums, so Ax + mu_k I is strictly diagonally dominant.  The mode
-    systems, stacked mode-major, are factored here, once, and every call of
-    the returned function (the solve and its refinement step) only
-    substitutes: LAPACK gttrf/gttrs for n = 1, the band LU of
-    `semigroup._shifted_band_solver` for n = 2, which holds N (3k + 1)
+    row sums, so Ax + mu_k I is strictly diagonally dominant.  The pencil is
+    strongly graded (K_{1/2} / V_0 grows like y_1^{-2}); the implicit QL/QR
+    driver `stev` follows the grading and keeps the backward error small
+    where the default divide-and-conquer driver does not (0.18 against 6e-16
+    on a 33^2 x 28 mesh at s = 0.92).  Vectors are raveled level-major.
+
+    The mode systems, stacked mode-major, are factored without pivoting in
+    1-D and with partial pivoting in 2-D.  n = 1: Ax = D Sx D^{-1} with Sx
+    symmetric (`semigroup._tridiagonal_symmetrizer`), so every
+    -(Sx + mu_k I) is a symmetric positive definite tridiagonal M-matrix;
+    LAPACK pttrf factors all of them once, 2 numbers per unknown, and every
+    call (the solve and its refinement step) only substitutes with pttrs.
+    n = 2: the band LU of `semigroup._shifted_band_solver`, N (3k + 1)
     numbers per mode (N interior x-nodes, half-bandwidth k = max |e1 m2 + e2|
-    over the stencil offsets e, m2 per x2-line).  A singular mode
-    system raises LinAlgError.  The pencil is strongly graded (K_{1/2} / V_0
-    grows like y_1^{-2}); the implicit QL/QR driver `stev` follows the
-    grading and keeps the backward error small where the default
-    divide-and-conquer driver does not (0.18 against 6e-16 on a 33^2 x 28
-    mesh at s = 0.92).  Vectors are raveled level-major.
+    over the stencil offsets e, m2 per x2-line), at most its byte budget
+    held at once: a system that fits is factored once, a larger one is
+    factored batch by batch in each call, the refinement step's too.  A
+    mode system that is singular (2-D) or not positive definite (1-D: a
+    shift mu_k >= 0, left by rounding in a pencil graded beyond double
+    precision) raises LinAlgError.
     """
     rs = 1.0 / np.sqrt(V)
     mu, P = eigh_tridiagonal(Ay.diagonal() * rs * rs, Ay.diagonal(1) * rs[:-1] * rs[1:],
                              lapack_driver="stev")
     if n == 1:
-        # the mode systems stacked mode-major: one block-diagonal tridiagonal
-        # system, its blocks uncoupled by the zeros between them
-        diag = (Ax.diagonal()[None, :] + mu[:, None]).ravel()
-        sub, sup = (np.tile(np.append(Ax.diagonal(k), 0.0), len(mu))[:-1] for k in (-1, 1))
-        *lu, status = dgttrf(sub, diag, sup)
+        # -(Ax + mu_k I) = D (-(Sx + mu_k I)) D^{-1}: scale by -1/d, solve the
+        # stacked symmetric systems (their blocks uncoupled by the zeros
+        # between them), scale by d
+        d, e = _tridiagonal_symmetrizer(Ax)
+        diag = Ax.diagonal()[None, :] + mu[:, None]
+        np.negative(diag, out=diag)
+        off = np.zeros_like(diag)
+        off[:, :-1] = -e
+        diag, off, status = dpttrf(diag.ravel(), off.ravel()[:-1], overwrite_d=1, overwrite_e=1)
         if status != 0:
-            raise np.linalg.LinAlgError("singular y-mode system")
+            k = (status - 1) // len(d)
+            raise np.linalg.LinAlgError(f"y-mode system {k} is not positive definite: its "
+                                        f"shift mu = {mu[k]:g} lost its sign to rounding")
+        scale_in, scale_out = -1.0 / d, d
 
-        def mode_solve(g):
-            return dgttrs(*lu, g.ravel())[0].reshape(g.shape)
+        def mode_solve(G):
+            G *= scale_in
+            dpttrs(diag, off, G.reshape(-1, 1), overwrite_b=1)
+            G *= scale_out
     else:
-        mode_solve = _shifted_band_solver(Ax, mu, "singular y-mode system")
+        band_solve = _shifted_band_solver(Ax, mu, "singular y-mode system")
+
+        def mode_solve(G):
+            band_solve(G, overwrite_b=True)
 
     def solve(r):
-        g = P.T @ (r.reshape(len(V), -1) * rs[:, None])
-        return ((P @ mode_solve(g)) * rs[:, None]).ravel()
+        X = r.reshape(len(V), -1) * rs[:, None]
+        G = P.T @ X
+        mode_solve(G)
+        np.matmul(P, G, out=X)
+        X *= rs[:, None]
+        return X.ravel()
 
     return solve
 
@@ -475,14 +518,22 @@ def _y_mode_solver(Ay, V, Ax, n):
 class _LevelOperator:
     """A = Ay (x) I + diag(V) (x) Ax on level-major vectors, applied through its
     factors: A x = Ay X + V o (Ax X^T)^T with X the vector as (levels, x-nodes).
-    abs() gives |A| = |Ay| (x) I + diag(V) (x) |Ax| the same way."""
+    abs() gives |A| = |Ay| (x) I + diag(V) (x) |Ax| the same way.  The Ax
+    products run over blocks of at most an eighth of the levels (and at
+    least 8192 numbers), so their transposed copies stay small beside the
+    result."""
 
     def __init__(self, Ay, V, Ax):
         self.Ay, self.V, self.Ax = Ay, V, Ax
+        step = max(-(-len(V) // 8), -(-8192 // Ax.shape[0]))
+        self._blocks = [slice(i, i + step) for i in range(0, len(V), step)]
 
     def __matmul__(self, x):
         X = x.reshape(len(self.V), -1)
-        return (self.Ay @ X + self.V[:, None] * (self.Ax @ X.T).T).ravel()
+        out = self.Ay @ X
+        for b in self._blocks:
+            out[b] += self.V[b, None] * (self.Ax @ X[b].T).T
+        return out.ravel()
 
     def __abs__(self):
         # the two terms meet only on the diagonal, where no cancellation
@@ -503,14 +554,23 @@ def _checked_solve(A, rhs, solve):
     abs_A = abs(A)
 
     def residual_and_error(x):
-        r = rhs - A @ x
-        return r, np.abs(r) / (abs_A @ np.abs(x) + np.abs(rhs) + 1e-300)
+        # three solution-sized buffers: r, |x| (then |b|, |r|) and the error
+        r = A @ x
+        np.subtract(rhs, r, out=r)
+        t = np.abs(x)
+        rel = abs_A @ t
+        rel += np.abs(rhs, out=t)
+        rel += 1e-300
+        np.divide(np.abs(r, out=t), rel, out=rel)
+        return r, rel
 
     sol = solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("linear solve failed: nonfinite solution")
     r, rel = residual_and_error(sol)
-    sol1 = sol + solve(r)
+    sol1 = solve(r)
+    del r
+    sol1 += sol
     _, rel1 = residual_and_error(sol1)
     if np.max(rel1) < np.max(rel):
         return sol1, rel1, True

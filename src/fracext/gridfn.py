@@ -167,9 +167,10 @@ def write_grid_binary(path, values, los=None, his=None, axes=None):
                 raise ValueError("axes do not match value shape")
             fh.write(struct.pack("<I", 1))
             for a in axes:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(a, dtype="<f8").data)
         fh.write(struct.pack("<I", 0))  # dtype tag: float64
-        fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        # the array's own buffer, no bytes copy of the field
+        fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def read_grid_binary(path):

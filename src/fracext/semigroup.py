@@ -227,9 +227,12 @@ def _selling(d11, d12, d22, coords):
     return -p, -by[:, K], bx[:, K]
 
 
+_BAND_BUDGET = 256 * 2**20  # bytes of band LU that `_shifted_band_solver` holds at once
+
+
 def _shifted_band_solver(A, shifts, message):
-    """Solve function for the block-diagonal diag(A + shifts[k] I), factored
-    once by LAPACK's band LU with partial pivoting (gbtrf, then gbtrs).
+    """Solve function for the block-diagonal diag(A + shifts[k] I), by
+    LAPACK's band LU with partial pivoting (gbtrf, then gbtrs).
 
     One shifted copy of A's COO entries per block, half-bandwidths kl = ku
     = k = max |col - row|, N (3k + 1) numbers per block.  For the 2-D
@@ -237,28 +240,56 @@ def _shifted_band_solver(A, shifts, message):
     nodes per x2-line): m2 for identity coefficients, m2 + 1 with a mixed
     term, more where a^{ij} is strongly anisotropic.  The blocks are stored
     in the Fortran order gbtrf factors in place, and the zeros between them
-    are exact, so no elimination step or pivot couples two blocks.  solve(b)
-    maps stacked right-hand sides, (len(shifts), N) or raveled, to solutions
-    of the same shape.  A zero pivot raises LinAlgError(message).
+    are exact, so no elimination step or pivot couples two blocks.
+
+    At most _BAND_BUDGET bytes of bands are held at once.  When every block
+    fits, all are factored here, once, and each call only substitutes.
+    Otherwise each call factors, substitutes and releases one batch of
+    blocks at a time, so a second call factors them all again.
+    solve(b, overwrite_b=False) maps stacked right-hand sides,
+    (len(shifts), N) or raveled, to solutions of the same shape; with
+    overwrite_b a C-contiguous b receives the solution.  A zero pivot raises
+    LinAlgError(message): here, or in the call that meets it.
     """
     coo = A.tocoo()
     coo.sum_duplicates()
     k = int(np.max(np.abs(coo.col - coo.row), initial=0))
     n, m = A.shape[0], len(shifts)
-    # C-order (block, column, band row) is gbtrf's Fortran (band row,
-    # column) layout; A[i, j] sits in band row 2k + i - j
-    bands = np.zeros((m, n, 3 * k + 1))
-    bands[:, coo.col, 2 * k + coo.row - coo.col] = coo.data
-    bands[:, :, 2 * k] += np.asarray(shifts, dtype=float)[:, None]
-    lu, piv, info = dgbtrf(bands.reshape(m * n, 3 * k + 1).T, k, k, overwrite_ab=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(message)
+    shifts = np.asarray(shifts, dtype=float)
+    per_batch = max(1, _BAND_BUDGET // (8 * n * (3 * k + 1)))
 
-    def solve(b):
-        x, _ = dgbtrs(lu, k, k, b.reshape(m * n, 1), piv)
-        return x.reshape(b.shape)
+    def factor(batch):
+        # C-order (block, column, band row) is gbtrf's Fortran (band row,
+        # column) layout; A[i, j] sits in band row 2k + i - j
+        bands = np.zeros((len(batch), n, 3 * k + 1))
+        bands[:, coo.col, 2 * k + coo.row - coo.col] = coo.data
+        bands[:, :, 2 * k] += batch[:, None]
+        lu, piv, info = dgbtrf(bands.reshape(-1, 3 * k + 1).T, k, k, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(message)
+        return lu, piv
+
+    held = factor(shifts) if m <= per_batch else None  # every block fits: factor once
+
+    def solve(b, overwrite_b=False):
+        x = (np.ascontiguousarray(b, dtype=float) if overwrite_b
+             else np.array(b, dtype=float, order="C"))
+        rows = x.reshape(m, n)
+        for i in range(0, m, per_batch):
+            lu, piv = held or factor(shifts[i:i + per_batch])
+            dgbtrs(lu, k, k, rows[i:i + per_batch].reshape(-1, 1), piv, overwrite_b=1)
+            del lu, piv  # a batch factored here is released before the next
+        return x
 
     return solve
+
+
+def _tridiagonal_symmetrizer(A):
+    """(d, e) for a tridiagonal A whose off-diagonal pairs have positive
+    products: with D = diag(d), taken from the off-diagonals, S = D^{-1} A D
+    is symmetric with A's diagonal and off-diagonal e = sign(up) sqrt(up lo)."""
+    lo, up = A.diagonal(-1), A.diagonal(1)
+    return np.concatenate([[1.0], np.cumprod(np.sqrt(lo / up))]), np.sign(up) * np.sqrt(lo * up)
 
 
 def tridiagonal_modes(A):
@@ -266,14 +297,12 @@ def tridiagonal_modes(A):
     matrix whose off-diagonal pairs have positive products (the 1-D
     `x_operator` and its negation L).
 
-    The diagonal similarity D = diag(d) taken from the off-diagonals makes
-    S = D^{-1} A D symmetric with off-diagonal sign(up) sqrt(up lo); one
+    S = D^{-1} A D is symmetric (`_tridiagonal_symmetrizer`); one
     eigh_tridiagonal gives S = Q diag(lam) Q^T with Q orthogonal.  Returns
     (lam, Q, d).
     """
-    lo, up = A.diagonal(-1), A.diagonal(1)
-    d = np.concatenate([[1.0], np.cumprod(np.sqrt(lo / up))])
-    lam, Q = eigh_tridiagonal(A.diagonal(), np.sign(up) * np.sqrt(lo * up))
+    d, e = _tridiagonal_symmetrizer(A)
+    lam, Q = eigh_tridiagonal(A.diagonal(), e)
     return lam, Q, d
 
 

@@ -3,6 +3,7 @@ principle, reflection/rescaling, and the derivative-decay measurements."""
 
 import dataclasses
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
-from fracext import extension
+from fracext import extension, semigroup
 from fracext.benchmarks import (eigen_extension_problem, harmonic_combo_problem,
                                 x_derivative_scaling, z_decay_exponent)
 from fracext.extension import (ExtensionMesh, ExtensionProblem, ExtensionState, HarmonicCombo,
@@ -416,8 +417,9 @@ def _variable_2d_problem(s, nx1, nx2, c12, freq, bottom):
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 0.85), st.integers(17, 129), st.integers(8, 64),
-       st.none() | st.floats(1.0, 3.0), st.floats(0.2, 1.0), st.floats(1.0, 5.0),
+       st.none() | st.floats(1.0, 3.0), st.floats(0.2, 1.0), st.floats(1.0, 1e3),
        st.floats(0.5, 6.0), st.sampled_from(["neumann", "dirichlet"]))
+@example(0.4, 65, 32, 2.0, 0.2, 1e3, 6.0, "neumann")  # a(x) spans [0.2, 200]
 def test_1d_y_mode_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, ratio, freq,
                                                      bottom):
     if x_grading is not None:
@@ -440,6 +442,74 @@ def test_1d_y_mode_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, 
     assert np.all(np.abs(field - ref) <= 1e-10 * np.max(np.abs(state.values)) + bound)
     assert state.residual_interior <= 1e-12
     assert state.residual_bottom <= 1e-12
+
+
+def _traced_peak(fn):
+    """fn() and the peak of the bytes it had allocated at once (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("bottom", ["neumann", "dirichlet"])
+def test_1d_solve_holds_at_most_twelve_solution_vectors(bottom):
+    # the solution, the right-hand side, the full value array, the
+    # symmetric mode factors (2 per unknown), the refinement's second
+    # solution and backward errors, and the few buffers the products and
+    # substitutions need: the traced peak, in vectors of (nx - 2) my doubles
+    nx, my = 513, 128
+    prob = _variable_1d_problem(0.4, 0.5, 1.5, 2.0, bottom)
+    mesh = ExtensionMesh(nx=nx, my=my)
+    solve_extension(prob, mesh)  # first-call allocations stay outside the trace
+    state, peak = _traced_peak(lambda: solve_extension(prob, mesh))
+    assert state.residual_interior <= 1e-14 and state.residual_bottom <= 1e-14
+    assert peak <= 12 * (nx - 2) * my * 8, peak / ((nx - 2) * my * 8)
+
+
+def _per_mode_band_bytes(prob, mesh):
+    """Bytes of one y-mode's band LU: N (3k + 1) doubles."""
+    Ax, _ = semigroup.x_operator(prob.coeff, mesh.x_axes(prob.domain, 2))
+    coo = Ax.tocoo()
+    return 8 * Ax.shape[0] * (3 * int(np.max(np.abs(coo.col - coo.row))) + 1)
+
+
+@pytest.mark.parametrize("modes", [1, 2])
+@pytest.mark.parametrize("bottom", ["neumann", "dirichlet"])
+def test_2d_band_lu_in_mode_batches_matches_one_batch(monkeypatch, modes, bottom):
+    # a byte budget that holds `modes` y-modes' bands: every call factors,
+    # substitutes and releases one batch at a time, so the refinement step
+    # factors every mode again; the field is the one-batch field
+    prob = _variable_2d_problem(0.4, 13, 11, 0.3, 2.0, bottom)
+    mesh = ExtensionMesh(nx=(13, 11), my=9)
+    nl = 9 if bottom == "neumann" else 8
+    runs = []
+    for budget in (semigroup._BAND_BUDGET, modes * _per_mode_band_bytes(prob, mesh)):
+        monkeypatch.setattr(semigroup, "_BAND_BUDGET", budget)
+        with mock.patch.object(semigroup, "dgbtrf", wraps=semigroup.dgbtrf) as factor:
+            runs.append((solve_extension(prob, mesh), factor.call_count))
+    (one, one_factorizations), (batched, batched_factorizations) = runs
+    assert one_factorizations == 1
+    assert batched_factorizations == 2 * -(-nl // modes)
+    assert np.max(np.abs(batched.values - one.values)) <= 1e-13 * np.max(np.abs(one.values))
+    for state in (one, batched):
+        assert state.residual_interior <= 1e-14 and state.residual_bottom <= 1e-14
+    assert batched.meta["refinement_kept"] == one.meta["refinement_kept"]
+
+
+def test_2d_band_lu_in_mode_batches_bounds_the_traced_peak(monkeypatch):
+    # 33^2 x 24 with a12 != 0: the bands of all 24 modes (18 MB) dominate the
+    # one-batch peak; two modes per batch, 12 batches, at least halve it
+    prob = _variable_2d_problem(0.4, 33, 33, 0.3, 2.0, "neumann")
+    mesh = ExtensionMesh(nx=33, my=24)
+    solve_extension(prob, mesh)
+    one, one_peak = _traced_peak(lambda: solve_extension(prob, mesh))
+    monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * _per_mode_band_bytes(prob, mesh))
+    batched, batched_peak = _traced_peak(lambda: solve_extension(prob, mesh))
+    assert batched_peak <= 0.5 * one_peak, (batched_peak, one_peak)
+    assert np.max(np.abs(batched.values - one.values)) <= 1e-13 * np.max(np.abs(one.values))
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])

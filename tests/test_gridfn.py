@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import struct
 import tempfile
 
 import numpy as np
@@ -55,6 +56,28 @@ def test_binary_roundtrip_explicit_axes(tmp_path):
     assert np.array_equal(out, vals)
     for a, b in zip(axes, axes_out):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "big-endian", "int"])
+def test_binary_bytes_equal_the_documented_encoding(tmp_path, layout):
+    # the writer hands the array buffers to the file; the bytes must be the
+    # struct-packed header plus the little-endian float64 values in C order,
+    # whatever the memory layout or dtype of the arrays passed in
+    vals = np.arange(24, dtype=float).reshape(4, 6) * 0.37 - 2.0
+    axes = [np.array([0.0, 0.1, 0.5, 1.5]), np.linspace(0.0, 1.0, 12)[::2]]
+    passed = {"C": vals, "F": np.asfortranarray(vals), "strided": np.repeat(vals, 2, 1)[:, ::2],
+              "big-endian": vals.astype(">f8"), "int": np.arange(24).reshape(4, 6)}[layout]
+    expected_vals = np.asarray(passed, dtype=float)
+    for kwargs, header in (({"axes": axes}, struct.pack("<I", 1) + b"".join(
+                                np.asarray(a, "<f8").tobytes() for a in axes)),
+                           ({"los": (0.0, -1.0), "his": (2.0, 1.0)},
+                            struct.pack("<I", 0) + struct.pack("<2d", 0.0, -1.0)
+                            + struct.pack("<2d", 2.0, 1.0))):
+        p = tmp_path / f"{layout}.bin"
+        write_grid_binary(p, passed, **kwargs)
+        assert p.read_bytes() == (b"FXGB" + struct.pack("<I", 1) + struct.pack("<I", 2)
+                                  + struct.pack("<2I", 4, 6) + header + struct.pack("<I", 0)
+                                  + np.ascontiguousarray(expected_vals, "<f8").tobytes())
 
 
 def test_binary_rejects_garbage(tmp_path):
