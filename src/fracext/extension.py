@@ -25,16 +25,10 @@ every dimension by fast diagonalization in the degenerate direction: the
 symmetric tridiagonal A_y and the cell weights V > 0 form a pencil whose
 eigenvectors split A into one system A_x + mu_k I (mu_k < 0) per y-mode.
 A_x need not separate, so a mixed a12 term in 2-D is no obstacle.  The
-mode systems, stacked along the diagonal, are factored in the solver:
-
-- n = 1: A_x is similar to a symmetric matrix, so every -(A_x + mu_k I) is
-  factored by LAPACK's symmetric positive definite tridiagonal LDL^T, once
-  per solve, 2 numbers per unknown;
-- n = 2: LAPACK's band LU (`semigroup._shifted_band_solver`, as the 2-D
-  fractional powers), N (3k + 1) numbers per mode for N interior x-nodes and
-  half-bandwidth k, at most a fixed byte budget of them held at once: a
-  system whose bands fit is factored once per solve, a larger one batch by
-  batch in each solve call.
+mode systems are factored by `semigroup._shifted_solver`, as the poles of
+the fractional powers are: symmetric tridiagonal LDL^T in 1-D, band LU in
+2-D, at most a fixed byte budget of bands at once (beyond it, batch by
+batch in each solve call).
 
 One refinement step with A follows, through the same factors (re-factored
 batch by batch when they did not fit), and is kept only if it lowers the
@@ -54,13 +48,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import gamma, iv
 
 from .geometry import MAGeometry
 from .gridfn import write_grid_binary, write_json
-from .semigroup import (CoefficientField, _shifted_band_solver, _tridiagonal_symmetrizer,
-                        x_operator)
+from .semigroup import CoefficientField, _shifted_solver, x_operator
 
 
 # -- coordinate transform ----------------------------------------------------------
@@ -346,16 +338,11 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     s = problem.s
     n = problem.coeff.n
     axes = mesh.x_axes(problem.domain, n)
-    Y = transform_to_y(problem.Z, s)
-    y = mesh.y_nodes(Y, s)
+    Y, y, K, Vw = _y_cells(problem.Z, s, mesh)
     my = mesh.my
     two_s = 2.0 * s
-
-    K = _conductances(y, s)
-    faces = np.concatenate([[0.0], 0.5 * (y[1:] + y[:-1]), [y[-1]]])
     pw = 2.0 - two_s
     to_flux = two_s ** (1.0 - two_s)
-    Vw = (faces[1:] ** pw - faces[:-1] ** pw) / pw
 
     # mesh-resolution heuristic: the first cell should not carry more than
     # 4x the average weight mass, else the grading is too weak for this s
@@ -405,7 +392,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     rhs[-1] -= K[my - 1] * g_top.ravel()
     rhs = rhs.ravel()
 
-    sol, rel, refined = _checked_solve(A, rhs, _y_mode_solver(Ay, Vw[levels], Ax, n))
+    sol, rel, refined = _checked_solve(A, rhs, _y_mode_solver(Ay, Vw[levels], Ax))
     if kind == "neumann":
         res_bottom = float(np.max(rel[:nxi]))
         res_int = float(np.max(rel[nxi:])) if nl > 1 else 0.0
@@ -443,10 +430,32 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     return ExtensionState(s, axes, y, W, res_int, res_bottom, meta)
 
 
-def _y_mode_solver(Ay, V, Ax, n):
+def _y_cells(Z, s, mesh):
+    """(Y, y, K, V): the transformed height, the y-nodes, the conductances
+    and the cell weights of the height Z.  ValueError naming Z, before any
+    warning, when h(Z) overflows (the state interpolates in h), when Y or a
+    weight is not a normal double, or when the y-pencil (K_{j-1/2} +
+    K_{j+1/2}) / V_j overflows: Z = 1e300 and 1e-300 at s = 1/2."""
+    tiny = np.finfo(float).tiny
+    with np.errstate(all="ignore"):  # out-of-range values are refused below
+        Y = transform_to_y(Z, s)
+        ok = Y >= tiny and np.isfinite(MAGeometry(s).h(Z))
+        if ok:
+            y = mesh.y_nodes(Y, s)
+            K = _conductances(y, s)
+            faces = np.concatenate([[0.0], 0.5 * (y[1:] + y[:-1]), [y[-1]]]) ** (2.0 - 2.0 * s)
+            V = (faces[1:] - faces[:-1]) / (2.0 - 2.0 * s)
+            ok = np.all(V >= tiny) and np.all(np.isfinite((K + np.append(0.0, K[:-1])) / V[:-1]))
+    if not ok:
+        raise ValueError(f"height Z = {Z:g} is out of range at s = {s:g} with my = {mesh.my}: "
+                         "h(Z), the cell weights or the y-pencil leave double precision")
+    return Y, y, K, V
+
+
+def _y_mode_solver(Ay, V, Ax):
     """Solve function for (Ay (x) I + diag(V) (x) Ax) u = r by fast
     diagonalization in the degenerate direction (Lynch, Rice & Thomas,
-    Numer. Math. 6 (1964) 185-199), for n x-dimensions.
+    Numer. Math. 6 (1964) 185-199).
 
     With S = diag(V)^{1/2}, the symmetric tridiagonal pencil is factored once,
     S^{-1} Ay S^{-1} = P diag(mu) P^T (P orthogonal), so that
@@ -460,54 +469,19 @@ def _y_mode_solver(Ay, V, Ax, n):
     where the default divide-and-conquer driver does not (0.18 against 6e-16
     on a 33^2 x 28 mesh at s = 0.92).  Vectors are raveled level-major.
 
-    The mode systems, stacked mode-major, are factored without pivoting in
-    1-D and with partial pivoting in 2-D.  n = 1: Ax = D Sx D^{-1} with Sx
-    symmetric (`semigroup._tridiagonal_symmetrizer`), so every
-    -(Sx + mu_k I) is a symmetric positive definite tridiagonal M-matrix;
-    LAPACK pttrf factors all of them once, 2 numbers per unknown, and every
-    call (the solve and its refinement step) only substitutes with pttrs.
-    n = 2: the band LU of `semigroup._shifted_band_solver`, N (3k + 1)
-    numbers per mode (N interior x-nodes, half-bandwidth k = max |e1 m2 + e2|
-    over the stencil offsets e, m2 per x2-line), at most its byte budget
-    held at once: a system that fits is factored once, a larger one is
-    factored batch by batch in each call, the refinement step's too.  A
-    mode system that is singular (2-D) or not positive definite (1-D: a
-    shift mu_k >= 0, left by rounding in a pencil graded beyond double
-    precision) raises LinAlgError.
+    `semigroup._shifted_solver` solves the stacked -Ax - mu_k I (the sign is
+    in the input scaling, exactly); a shift mu_k >= 0, left by rounding in
+    a pencil graded beyond double precision, raises LinAlgError.
     """
     rs = 1.0 / np.sqrt(V)
     mu, P = eigh_tridiagonal(Ay.diagonal() * rs * rs, Ay.diagonal(1) * rs[:-1] * rs[1:],
                              lapack_driver="stev")
-    if n == 1:
-        # -(Ax + mu_k I) = D (-(Sx + mu_k I)) D^{-1}: scale by -1/d, solve the
-        # stacked symmetric systems (their blocks uncoupled by the zeros
-        # between them), scale by d
-        d, e = _tridiagonal_symmetrizer(Ax)
-        diag = Ax.diagonal()[None, :] + mu[:, None]
-        np.negative(diag, out=diag)
-        off = np.zeros_like(diag)
-        off[:, :-1] = -e
-        diag, off, status = dpttrf(diag.ravel(), off.ravel()[:-1], overwrite_d=1, overwrite_e=1)
-        if status != 0:
-            k = (status - 1) // len(d)
-            raise np.linalg.LinAlgError(f"y-mode system {k} is not positive definite: its "
-                                        f"shift mu = {mu[k]:g} lost its sign to rounding")
-        scale_in, scale_out = -1.0 / d, d
-
-        def mode_solve(G):
-            G *= scale_in
-            dpttrs(diag, off, G.reshape(-1, 1), overwrite_b=1)
-            G *= scale_out
-    else:
-        band_solve = _shifted_band_solver(Ax, mu, "singular y-mode system")
-
-        def mode_solve(G):
-            band_solve(G, overwrite_b=True)
+    mode_solve = _shifted_solver(-Ax, -mu, "y-mode system {k} is singular or indefinite: its "
+                                 "shift mu = {p:g} lost its sign to rounding")
 
     def solve(r):
-        X = r.reshape(len(V), -1) * rs[:, None]
-        G = P.T @ X
-        mode_solve(G)
+        X = r.reshape(len(V), -1) * -rs[:, None]
+        G = mode_solve(P.T @ X, overwrite_b=True)
         np.matmul(P, G, out=X)
         X *= rs[:, None]
         return X.ravel()

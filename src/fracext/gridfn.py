@@ -111,12 +111,11 @@ class GridFunction:
     # -- serialization -----------------------------------------------------------
 
     def to_csv(self, path):
+        """One row per node: x1[, x2], value."""
         axes = self.grid.axes()
         mesh = np.meshgrid(*axes, indexing="ij")
         cols = [m.ravel() for m in mesh] + [self.values.ravel()]
-        names = [f"x{i + 1}" for i in range(self.grid.ndim - 1)] + ["z"] if self.grid.ndim > 1 \
-            else ["x1"]
-        write_csv(path, names + ["value"], zip(*cols))
+        write_csv(path, [f"x{i + 1}" for i in range(self.grid.ndim)] + ["value"], zip(*cols))
 
     def to_binary(self, path):
         write_grid_binary(path, self.values, los=self.grid.los, his=self.grid.his)

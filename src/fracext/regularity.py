@@ -107,8 +107,10 @@ class _HarnackSections:
             raise ValueError("section S_{kappa R} contains no grid nodes")
 
     def report(self, v, f_fn=None, F_fn=None) -> HarnackReport:
-        """The quotient of the node values v (one per node)."""
+        """The quotient of the node values v (one per node, all finite)."""
         in_R, in_kR, R = self.in_R, self.in_kR, self.R
+        if not np.all(np.isfinite(v)):
+            raise ValueError("Harnack quotient requires finite node values")
         if np.min(v[in_R]) < -1e-10 * max(1.0, np.max(np.abs(v[in_R]))):
             raise ValueError("Harnack quotient requires a nonnegative solution on S_R")
         sup = float(np.max(v[in_kR]))

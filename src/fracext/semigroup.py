@@ -11,10 +11,10 @@ a certified fit of x^{-beta} on [lam_floor, Gershgorin bound] (real poles
 p_j <= 0, nonnegative weights; see `_power_fit`).  The fit needs numpy and
 scipy.linalg only: AAA poles from a port of scipy's (`_aaa_poles`), weights
 by least squares that eliminates negative ones, no scipy.optimize or
-scipy.interpolate to load.  Each pole costs one solve with L - p_j I: an
-O(N) tridiagonal LAPACK solve in 1-D (23-32 poles for N = 256-4096) and a
-LAPACK band LU in 2-D (about a dozen, `_shifted_band_solver`, which also
-factors the 2-D extension's y-modes).
+scipy.interpolate to load.  The systems L - p_j I of the poles (23-32 in
+1-D for N = 256-4096, about a dozen in 2-D) and the extension's y-modes are
+stacks of shifted x-operator systems, which `_shifted_solver` alone factors
+(no other module imports LAPACK).
 
 e^{-tL} and the extension are exact and 1-D only: the tridiagonal L is
 diagonalized once per stepper (`tridiagonal_modes`), and a scalar function
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal, eigvals, svd
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgtsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.special import gamma, kv
 
 from .gridfn import BoxGrid, GridFunction
@@ -227,58 +227,82 @@ def _selling(d11, d12, d22, coords):
     return -p, -by[:, K], bx[:, K]
 
 
-_BAND_BUDGET = 256 * 2**20  # bytes of band LU that `_shifted_band_solver` holds at once
+_BAND_BUDGET = 256 * 2**20  # bytes of band LU that `_shifted_solver` holds at once
 
 
-def _shifted_band_solver(A, shifts, message):
-    """Solve function for the block-diagonal diag(A + shifts[k] I), by
-    LAPACK's band LU with partial pivoting (gbtrf, then gbtrs).
+def _shifted_solver(A, shifts, message):
+    """Solve function for the block-diagonal diag(A + shifts[k] I): the
+    poles of the fractional powers and the y-modes of the extension.
 
-    One shifted copy of A's COO entries per block, half-bandwidths kl = ku
-    = k = max |col - row|, N (3k + 1) numbers per block.  For the 2-D
-    `x_operator` k = max |e1 m2 + e2| over its stencil offsets e (m2 interior
-    nodes per x2-line): m2 for identity coefficients, m2 + 1 with a mixed
-    term, more where a^{ij} is strongly anisotropic.  The blocks are stored
-    in the Fortran order gbtrf factors in place, and the zeros between them
-    are exact, so no elimination step or pivot couples two blocks.
+    A tridiagonal A, N >= 2, whose off-diagonals are all < 0 (every 1-D L)
+    is D S D^{-1} with S symmetric (`_tridiagonal_symmetrizer`): LAPACK's
+    positive definite LDL^T (pttrf) factors every S + shifts[k] I, 2
+    numbers per unknown.  Any other A takes the band LU with partial
+    pivoting (gbtrf), N (3k + 1) numbers per block for the half-bandwidth k
+    = max |col - row| (2-D `x_operator`: max |e1 m2 + e2| over the stencil
+    offsets e, m2 nodes per x2-line; m2 for identity coefficients, m2 + 1
+    with a mixed term).  At most _BAND_BUDGET bytes of bands are held: if
+    every block fits, all are factored here, once, else each call factors,
+    substitutes and releases one batch of blocks at a time.  The blocks
+    follow one another, and the exact zeros between them keep them apart.
 
-    At most _BAND_BUDGET bytes of bands are held at once.  When every block
-    fits, all are factored here, once, and each call only substitutes.
-    Otherwise each call factors, substitutes and releases one batch of
-    blocks at a time, so a second call factors them all again.
-    solve(b, overwrite_b=False) maps stacked right-hand sides,
-    (len(shifts), N) or raveled, to solutions of the same shape; with
-    overwrite_b a C-contiguous b receives the solution.  A zero pivot raises
-    LinAlgError(message): here, or in the call that meets it.
+    solve(b, overwrite_b=False) maps stacked right-hand sides, (len(shifts),
+    N) or raveled, to solutions of the same shape; with overwrite_b a
+    C-contiguous b receives the solution.  The first block k that is
+    singular (band) or not positive definite (tridiagonal) raises
+    LinAlgError(message.format(k=k, p=-shifts[k])), the block being A - p I.
     """
-    coo = A.tocoo()
-    coo.sum_duplicates()
-    k = int(np.max(np.abs(coo.col - coo.row), initial=0))
-    n, m = A.shape[0], len(shifts)
     shifts = np.asarray(shifts, dtype=float)
-    per_batch = max(1, _BAND_BUDGET // (8 * n * (3 * k + 1)))
+    n, m = A.shape[0], len(shifts)
 
-    def factor(batch):
-        # C-order (block, column, band row) is gbtrf's Fortran (band row,
-        # column) layout; A[i, j] sits in band row 2k + i - j
-        bands = np.zeros((len(batch), n, 3 * k + 1))
-        bands[:, coo.col, 2 * k + coo.row - coo.col] = coo.data
-        bands[:, :, 2 * k] += batch[:, None]
-        lu, piv, info = dgbtrf(bands.reshape(-1, 3 * k + 1).T, k, k, overwrite_ab=1)
+    def check(info, start=0):
         if info != 0:
-            raise np.linalg.LinAlgError(message)
-        return lu, piv
+            j = start + (info - 1) // n
+            raise np.linalg.LinAlgError(message.format(k=j, p=-shifts[j]))
 
-    held = factor(shifts) if m <= per_batch else None  # every block fits: factor once
+    diag = A.diagonal()
+    if (n > 1 and np.all(A.diagonal(-1) < 0.0) and np.all(A.diagonal(1) < 0.0)
+            and A.count_nonzero() == np.count_nonzero(diag) + 2 * (n - 1)):  # tridiagonal
+        d, e = _tridiagonal_symmetrizer(A)
+        diag = diag[None, :] + shifts[:, None]
+        off = np.zeros_like(diag)
+        off[:, :-1] = e
+        diag, off, info = dpttrf(diag.ravel(), off.ravel()[:-1], overwrite_d=1, overwrite_e=1)
+        check(info)
+        scale = 1.0 / d
+
+        def substitute(rows):
+            rows *= scale
+            dpttrs(diag, off, rows.reshape(-1, 1), overwrite_b=1)
+            rows *= d
+    else:
+        coo = A.tocoo()
+        coo.sum_duplicates()
+        k = int(np.max(np.abs(coo.col - coo.row), initial=0))
+        per_batch = max(1, _BAND_BUDGET // (8 * n * (3 * k + 1)))
+
+        def factor(start, stop):
+            # C-order (block, column, band row) is gbtrf's Fortran (band row,
+            # column) layout; A[i, j] sits in band row 2k + i - j
+            bands = np.zeros((stop - start, n, 3 * k + 1))
+            bands[:, coo.col, 2 * k + coo.row - coo.col] = coo.data
+            bands[:, :, 2 * k] += shifts[start:stop, None]
+            lu, piv, info = dgbtrf(bands.reshape(-1, 3 * k + 1).T, k, k, overwrite_ab=1)
+            check(info, start)
+            return lu, piv
+
+        held = factor(0, m) if m <= per_batch else None  # every block fits: factor once
+
+        def substitute(rows):
+            for i in range(0, m, per_batch):
+                lu, piv = held or factor(i, min(i + per_batch, m))
+                dgbtrs(lu, k, k, rows[i:i + per_batch].reshape(-1, 1), piv, overwrite_b=1)
+                del lu, piv  # a batch factored here is released before the next
 
     def solve(b, overwrite_b=False):
         x = (np.ascontiguousarray(b, dtype=float) if overwrite_b
              else np.array(b, dtype=float, order="C"))
-        rows = x.reshape(m, n)
-        for i in range(0, m, per_batch):
-            lu, piv = held or factor(shifts[i:i + per_batch])
-            dgbtrs(lu, k, k, rows[i:i + per_batch].reshape(-1, 1), piv, overwrite_b=1)
-            del lu, piv  # a batch factored here is released before the next
+        substitute(x.reshape(m, n))
         return x
 
     return solve
@@ -459,9 +483,10 @@ def _aaa_poles(z, f):
 def _candidate_poles(x, beta):
     """The poles `_power_fit` offers the weight fit of x^{-beta} on the
     increasing samples x: AAA's real negative ones up to x[-1] / x[0] =
-    _AAA_MAX_RANGE, geometric ones and 0 beyond."""
+    _AAA_MAX_RANGE (up to rounding: lo * _AAA_MAX_RANGE / lo may exceed it
+    by an ulp), geometric ones and 0 beyond."""
     lo, hi = x[0], x[-1]
-    if hi / lo <= _AAA_MAX_RANGE:
+    if hi / lo <= _AAA_MAX_RANGE * (1.0 + 4.0 * np.finfo(float).eps):
         poles = _aaa_poles(x, x**-beta)
         return poles[(np.abs(poles.imag) <= 1e-12 * np.abs(poles)) & (poles.real < 0.0)].real
     n = int(np.ceil(_POLES_PER_DECADE * np.log10(hi / lo * _POLE_MARGIN**2))) + 1
@@ -525,9 +550,8 @@ def _power_fit(lo, hi, beta):
 def _rational_power(stepper: SemigroupStepper, v, beta):
     """r(L) v for the fit r of x^{-beta} on [lam_floor, max absolute row sum of L].
 
-    One solve with L - p I per pole (LinAlgError naming p if it is
-    singular): LAPACK's tridiagonal gtsv in 1-D, a band LU in 2-D
-    (`_shifted_band_solver`, one pole's band at a time).  info gives beta,
+    Every pole's L - p I is factored in one `_shifted_solver` call
+    (LinAlgError naming p if one is singular).  info gives beta,
     the pole count, the interval, the fit's certificate and whether L is
     symmetric up to the rounding its node coordinates (errors of eps max|x|,
     relative to the smallest spacing) leave in the stencil weights; then
@@ -542,20 +566,11 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     # a single interior node puts the Gershgorin bound on the floor itself
     hi = max(float(np.max(abs(L).sum(axis=1))), 2.0 * lo)
     c0, poles, w, err = _power_fit(lo, hi, beta)
-    if stepper.grid.ndim == 1:
-        sub, diag, sup = L.diagonal(-1), L.diagonal(), L.diagonal(1)
-
-        def solve(p):
-            *_, x, status = dgtsv(sub, diag - p, sup, v)
-            if status != 0:
-                raise np.linalg.LinAlgError(f"L - ({p:g}) I is singular")
-            return x
-    else:
-        def solve(p):
-            return _shifted_band_solver(L, [-p], f"L - ({p:g}) I is singular")(v)
+    x = _shifted_solver(L, -poles, "L - ({p:g}) I is singular")(
+        np.broadcast_to(v, (len(poles), len(v))))
     out = c0 * v
-    for p, wj in zip(poles, w):
-        out += wj * solve(p)
+    for wj, xj in zip(w, x):
+        out += wj * xj
     rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in stepper.grid.axes())
     symmetric = abs(L - L.T).max() <= 8 * np.finfo(float).eps * rounding * abs(L).max()
     info = {"beta": beta, "poles": len(poles), "interval": [lo, hi], "sup_rel_error": err,

@@ -20,8 +20,10 @@ from fracext.extension import (ExtensionMesh, ExtensionProblem, ExtensionState, 
                                harmonic_mode_profile, reflect_even,
                                rescale_solution, solve_extension,
                                transform_to_y, transform_to_z)
+from fracext.config import validate
 from fracext.geometry import MAGeometry
 from fracext.gridfn import BoxGrid
+from fracext.runner import run
 from fracext.semigroup import (CoefficientField, SemigroupStepper, bessel_extension_profile,
                                ds_constant)
 
@@ -289,6 +291,24 @@ def test_extension_problem_refuses_bad_height_and_domain(field, changes):
     kwargs.update(changes)
     with pytest.raises(ValueError, match=f"^{field} "):
         solve_extension(ExtensionProblem(**kwargs), ExtensionMesh(nx=9, my=4, grading=1.0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_extreme_heights_fail_fast_naming_z(s, tmp_path):
+    # Z = 1e-300 overflows the y-pencil (or underflows Y), Z = 1e300 overflows
+    # h(Z); both are refused before any warning, naming Z
+    mesh = ExtensionMesh(nx=257, my=96)
+    for Z in (1e-300, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"height Z = {Z:g} ")):
+            solve_extension(eigen_extension_problem(s, 1, Z=Z)[0], mesh)
+    for Z in (1e-60, 1e30):
+        state = solve_extension(eigen_extension_problem(s, 1, Z=Z)[0], mesh)
+        assert np.all(np.isfinite(state.values))
+    cfg = validate({"experiment": "solve-extension", "setup": {"s": s}, "problem": {"Z": 1e-300}})
+    stage = run(cfg, str(tmp_path)).stages[0]
+    assert stage["status"] == "error"
+    assert "height Z = 1e-300" in stage["details"]["exception"]
 
 
 def test_2d_solver_constant_and_max_principle():

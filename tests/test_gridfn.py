@@ -126,6 +126,19 @@ def test_csv_roundtrip(tmp_path):
     assert np.allclose(data[:, 1], u.values)
 
 
+def test_csv_2d_heads_both_x_axes(tmp_path):
+    # a 2-D BoxGrid is the x-domain of L: x1, x2, no z
+    grid = BoxGrid.rectangle((0.0, -1.0), (1.0, 1.0), (3, 4))
+    u = GridFunction.from_callable(grid, lambda x, y: x + 10.0 * y, zero_boundary=False)
+    p = tmp_path / "u.csv"
+    u.to_csv(p)
+    rows = p.read_text().strip().split("\n")
+    assert rows[0] == "x1,x2,value"
+    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+    assert data.shape == (12, 3)
+    assert np.allclose(data[:, 2], data[:, 0] + 10.0 * data[:, 1])
+
+
 class _JsonWriters(ast.NodeVisitor):
     """Scopes (module.class.function) that call json.dump / json.dumps or
     import from json by name."""

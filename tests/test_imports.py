@@ -1,7 +1,8 @@
 """Source hygiene: every module-level import in the package and the tests is
 used, every private helper of the package is referenced by the package,
-importing the package loads no scipy subpackage that only some calls need,
-and every name the benchmark tracer hooks by name still resolves."""
+only `semigroup` imports LAPACK, importing the package loads no scipy
+subpackage that only some calls need, and every name the benchmark tracer
+hooks by name still resolves."""
 
 import ast
 import importlib
@@ -92,6 +93,21 @@ def test_no_unreferenced_private_helpers():
              for path in files for name, line in _private_definitions(path).items()
              if name not in referenced]
     assert not found, "unreferenced private helpers: " + ", ".join(found)
+
+
+def test_only_semigroup_imports_lapack():
+    # the factorization of shifted x-operator systems has one owner,
+    # `semigroup._shifted_solver`; no other module calls LAPACK directly
+    found = []
+    for path in sorted((ROOT / "src" / "fracext").glob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{rel}:{node.lineno} {name}" for name in names
+                      if name.startswith("scipy.linalg.lapack")
+                      and rel != "src/fracext/semigroup.py"]
+    assert not found, "LAPACK imported outside semigroup.py: " + ", ".join(found)
 
 
 # scipy subpackages the package imports where they are first called, never at

@@ -254,6 +254,28 @@ def test_holder_seminorm_equals_dense_pairwise_max(n):
     assert holder_seminorm(g, x, z, v, 0.5) == _dense_holder_seminorm(g, x, z, v, 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_harnack_report_refuses_nonfinite_node_values(bad):
+    s = 0.5
+    xs = np.linspace(-1.5, 1.5, 41)
+    zs = np.concatenate([[0.0], np.geomspace(1e-3, 1.5, 30)])
+    vals = np.ones((len(zs), len(xs)))
+    vals[3, 20] = bad
+    state = ExtensionState(s, [xs], transform_to_y(zs, s), vals, 0.0, 0.0, reflected=True)
+    with pytest.raises(ValueError, match="finite node values"):
+        harnack_quotient(MAGeometry(s), state, (0.0, 0.0), 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the family's own overflow, as in a run
+def test_harnack_run_with_overflowing_modes_errors_instead_of_reporting_nan(tmp_path):
+    # at R = 1e300 the mode profiles overflow and cos * inf sums to NaN
+    cfg = validate({"experiment": "harnack", "setup": {"s": 0.4},
+                    "problem": {"R": 1e300, "family_size": 2, "nx": 17, "my": 8}})
+    stage = run(cfg, str(tmp_path)).stages[0]
+    assert stage["status"] == "error"
+    assert "finite node values" in stage["details"]["exception"]
+
+
 def test_harnack_quotient_constants_and_perturbation():
     s = 0.5
     g = MAGeometry(s)

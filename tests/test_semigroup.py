@@ -1,6 +1,7 @@
 """Semigroup core: heat semigroup, fractional powers, extension profile."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,6 +299,7 @@ def _sampled_error(lo, hi, beta, c0, poles, w):
 @settings(max_examples=40, deadline=None)
 @given(lo=st.floats(0.1, 10.0), ratio=st.floats(2.0, 1e3), beta=st.floats(0.001, 0.999))
 @example(lo=1.0, ratio=1e3, beta=0.7)
+@example(lo=8.785926927902384, ratio=1e3, beta=0.5)  # lo * 1e3 / lo rounds above 1e3
 def test_aaa_port_and_weight_elimination_match_scipy(lo, ratio, beta):
     # the AAA port proposes as many real negative poles as scipy's AAA, and
     # the elimination keeps the poles that nnls keeps on them
@@ -745,17 +747,82 @@ def test_shifted_band_solver_raises_on_a_zero_pivot():
     L = _stepper_2d(CoefficientField.identity(2), 3).L
     c = L[0, 0]
     with pytest.raises(np.linalg.LinAlgError, match=rf"L - \({c:g}\) I is singular"):
-        semigroup._shifted_band_solver(L, [-c], f"L - ({c:g}) I is singular")
+        semigroup._shifted_solver(L, [-c], f"L - ({c:g}) I is singular")
     # a zero pivot that elimination makes, in the second of two stacked blocks
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(np.linalg.LinAlgError, match="singular y-mode system"):
-        semigroup._shifted_band_solver(A, [0.0, -1.0], "singular y-mode system")
+        semigroup._shifted_solver(A, [0.0, -1.0], "singular y-mode system")
     b = np.array([[1.0, -2.0], [3.0, 0.5]])
     # the second matrix needs a row swap in its unshifted block
     for A in (A, sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))):
-        x = semigroup._shifted_band_solver(A, [0.0, 3.0], "singular")(b)
+        x = semigroup._shifted_solver(A, [0.0, 3.0], "singular")(b)
         assert np.allclose(x, [np.linalg.solve(A.toarray() + sh * np.eye(2), bk)
                                for sh, bk in zip((0.0, 3.0), b)], rtol=1e-15, atol=1e-15)
+
+
+def _engine_solves(A, shifts, seed):
+    """`_shifted_solver` on random stacked right-hand sides, the dense
+    solutions of every block, and the LAPACK factorizations it called."""
+    b = np.random.default_rng(seed).standard_normal((len(shifts), A.shape[0]))
+    with mock.patch.object(semigroup, "dpttrf", wraps=semigroup.dpttrf) as pt, \
+            mock.patch.object(semigroup, "dgbtrf", wraps=semigroup.dgbtrf) as gb:
+        x = semigroup._shifted_solver(A, shifts, "block {k}")(b)
+    ref = [np.linalg.solve(A.toarray() + sh * np.eye(A.shape[0]), bk) for sh, bk in zip(shifts, b)]
+    return x, np.array(ref), {"pttrf": pt.call_count, "gbtrf": gb.call_count}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.25, 1.0), min_size=2, max_size=40), st.floats(0.05, 1.0),
+       st.floats(1.0, 1e3), st.floats(0.5, 20.0),
+       st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6), st.integers(0, 2**16))
+@example([1.0, 1.0], 1.0, 1.0, 1.0, [0.0], 0)  # one unknown: the band LU's 1 x 1
+def test_shifted_solver_on_1d_operators_takes_the_symmetric_tridiagonal_factorization(
+        steps, lam, ratio, freq, shifts, seed):
+    # a random nonuniform grid and a(x) in [lam, lam ratio]: L = -Ax is
+    # tridiagonal with negative off-diagonals, and every L + shift I with
+    # shift >= 0 is positive definite after the symmetrizing similarity
+    xs = np.concatenate([[0.0], np.cumsum(steps)])
+    coeff = CoefficientField.scalar_1d(
+        lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)), lam, lam * ratio)
+    L = -x_operator(coeff, [xs])[0]
+    x, ref, calls = _engine_solves(L, shifts, seed)
+    assert calls == ({"pttrf": 1, "gbtrf": 0} if L.shape[0] > 1 else {"pttrf": 0, "gbtrf": 1})
+    for xk, rk in zip(x, ref):
+        assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 10), st.integers(4, 10), st.floats(0.05, 0.45), st.floats(0.5, 6.0),
+       st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4), st.integers(0, 2**16))
+def test_shifted_solver_on_2d_operators_takes_the_band_lu(n1, n2, c12, freq, shifts, seed):
+    coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(freq * x) ** 2,
+                                     lambda x, y: c12 * np.cos(freq * (x + y)),
+                                     lambda x, y: 1.0 + 0.5 * np.cos(freq * y) ** 2, 0.5, 2.0)
+    L = -x_operator(coeff, [np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)])[0]
+    x, ref, calls = _engine_solves(L, shifts, seed)
+    assert calls == {"pttrf": 0, "gbtrf": 1}
+    for xk, rk in zip(x, ref):
+        assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
+
+
+def test_shifted_solver_names_an_indefinite_1d_block():
+    L = _stepper_1d(N=32).L
+    lam = np.linalg.eigvals(L.toarray()).real
+    middle = -0.5 * (lam.min() + lam.max())  # L + middle I has both signs of eigenvalue
+    with pytest.raises(np.linalg.LinAlgError, match=r"^block 2 of A - \(\S+\) I$"):
+        semigroup._shifted_solver(L, [0.0, 1.0, middle, 2.0], "block {k} of A - ({p:g}) I")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [0.0, 0.5])
+def test_shifted_solver_takes_the_band_lu_off_negative_off_diagonals(entry):
+    # tridiagonal, but one off-diagonal entry is zero or positive: no
+    # symmetrizing similarity exists, so the band LU solves, with no warning
+    L = _stepper_1d(N=16).L.tolil()
+    L[3, 4] = entry
+    x, ref, calls = _engine_solves(L.tocsr(), [0.0, 2.0], 5)
+    assert calls == {"pttrf": 0, "gbtrf": 1}
+    np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
 @settings(max_examples=20, deadline=None)
