@@ -4,7 +4,7 @@ machinery and the regularity measurement experiments built on top of it."""
 
 __version__ = "0.1.0"
 
-from .geometry import FractionalSetup, MAGeometry, SectionDescriptor
+from .geometry import MAGeometry, SectionDescriptor
 from .gridfn import BoxGrid, GridFunction
 from .semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                         ds_constant, fractional_apply, fractional_inverse,
@@ -21,7 +21,7 @@ from .config import ExperimentConfig, load_config
 from .runner import RunManifest, run
 
 __all__ = [
-    "FractionalSetup", "MAGeometry", "SectionDescriptor",
+    "MAGeometry", "SectionDescriptor",
     "BoxGrid", "GridFunction",
     "CoefficientField", "QuadratureSpec", "SemigroupStepper", "ds_constant",
     "fractional_apply", "fractional_inverse", "extension_via_semigroup",

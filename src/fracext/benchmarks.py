@@ -44,7 +44,7 @@ def kinked_trace_problem(s, alpha, mx=260, my=140):
     geom = MAGeometry(s)
     coeff = CoefficientField.identity(1)
     half = np.sqrt(2.0)
-    Z = geom.setup.q_s  # h(Z) = 1
+    Z = geom.q_s  # h(Z) = 1
 
     def f(x):
         return np.abs(np.asarray(x, float)) ** alpha
@@ -59,7 +59,7 @@ def harmonic_combo_problem(s, combo: HarmonicCombo, domain=(-np.sqrt(2.0), np.sq
                            Z=None):
     """Zero-Neumann problem whose exact solution is the given combination."""
     geom = MAGeometry(s)
-    Z = Z if Z is not None else geom.setup.q_s
+    Z = Z if Z is not None else geom.q_s
     problem = ExtensionProblem(
         s=s, coeff=CoefficientField.identity(1), domain=domain, Z=Z,
         bottom=("neumann", 0.0),
@@ -77,7 +77,7 @@ def positive_harmonic_family(s, size, seed=0):
     """
     rng = np.random.default_rng(seed)
     # the mode profiles grow with y; normalize against their value at the box top
-    ycap = np.sqrt(2.0 / MAGeometry(s).setup.c_s)
+    ycap = np.sqrt(2.0 / MAGeometry(s).c_s)
     family = []
     for _ in range(size):
         nmodes = int(rng.integers(1, 4))
@@ -128,7 +128,7 @@ def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
     saturated by this family and the fitted exponent approaches -order/2.
     """
     geom = MAGeometry(s)
-    cs = geom.setup.c_s
+    cs = geom.c_s
     ratios, rs = [], []
     for kmode in kmodes:
         r = 2.0 / kmode**2

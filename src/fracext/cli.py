@@ -18,8 +18,6 @@ def _add_common(p):
                    help="output directory (default: config output_dir, or "
                         "$FRACEXT_OUT, or '.')")
     p.add_argument("--seed", type=int, default=None, help="sampling seed override")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for compatibility; has no effect")
     p.add_argument("--emit-plots", action="store_true", default=None,
                    help="emit SVG plots alongside the reports")
     p.add_argument("--s", type=float, default=None, dest="s_value",
@@ -40,7 +38,7 @@ def build_parser():
 
 
 def _with_overrides(raw, args):
-    """raw with the --s, --seed, --threads and --emit-plots flags applied."""
+    """raw with the --s, --seed and --emit-plots flags applied."""
     if not isinstance(raw, dict):
         return raw  # validate rejects it
     raw = dict(raw)
@@ -49,8 +47,6 @@ def _with_overrides(raw, args):
         raw["setup"] = {**setup, "s": args.s_value}
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.threads is not None:
-        raw["threads"] = args.threads
     if args.emit_plots:
         raw["emit_plots"] = True
     return raw

@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .geometry import FractionalSetup
 from .gridfn import write_json
 
 SCHEMA_VERSION = 1
@@ -28,13 +27,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
     def check(v):
-        if not _is_number(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             return "must be a number"
         if isinstance(v, float) and not math.isfinite(v):
             return "must be finite"
@@ -111,7 +106,7 @@ _PROBLEM_SCHEMAS = {
         "k": (2, _mesh(1)),
         "grid_points": (512, _mesh(16)),
         "inverse": (False, _boolean),
-        "quadrature": (None, None),  # nested; validated, kept for compatibility, no effect
+        "quadrature": _QUAD_SCHEMA,  # validated, kept for compatibility, no effect
     },
     "solve-extension": {
         "k": (2, _mesh(1)),
@@ -162,8 +157,7 @@ _PROBLEM_SCHEMAS = {
 _TOP_SCHEMA = {
     "schema_version": (SCHEMA_VERSION, _choice(SCHEMA_VERSION)),
     "experiment": (None, _choice(*EXPERIMENT_KINDS)),
-    "setup": (None, None),
-    "problem": (None, None),
+    "setup": _SETUP_SCHEMA,
     "output_dir": (".", _string),
     "seed": (0, _num(0, integer=True)),
     "threads": (1, _num(1, MAX_THREADS, integer=True)),
@@ -172,19 +166,28 @@ _TOP_SCHEMA = {
 
 
 def _apply_schema(data, schema, path, errors):
+    """data checked against schema, defaults filled in, messages appended to
+    errors.  An entry is (default, check), None marking a required key, or a
+    nested schema for a block that may be absent or null."""
     out = {}
     for key in data:
         if key not in schema:
             errors.append(f"{path}{key}: unknown key")
-    for key, (default, check) in schema.items():
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            block = data.get(key) or {}
+            if not isinstance(block, dict):
+                errors.append(f"{path}{key}: must be an object")
+                block = {}
+            out[key] = _apply_schema(block, entry, f"{path}{key}.", errors)
+            continue
+        default, check = entry
         if key in data:
-            value = data[key]
-            if check is not None:
-                msg = check(value)
-                if msg:
-                    errors.append(f"{path}{key}: {msg}")
-            out[key] = value
-        elif default is not None or key in ("setup", "problem", "quadrature"):
+            msg = check(data[key])
+            if msg:
+                errors.append(f"{path}{key}: {msg}")
+            out[key] = data[key]
+        elif default is not None:
             out[key] = default
         else:
             errors.append(f"{path}{key}: missing required key")
@@ -231,10 +234,10 @@ class ExperimentConfig:
     def problem(self):
         return self.data["problem"]
 
-    def setup(self) -> FractionalSetup:
-        st = self.data["setup"]
-        return FractionalSetup(s=st["s"], lam=st["lambda"], Lam=st["Lambda"],
-                               alpha=st["alpha"])
+    @property
+    def setup(self):
+        """The validated setup block: s, lambda, Lambda and alpha."""
+        return self.data["setup"]
 
     def canonical_bytes(self) -> bytes:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":")).encode()
@@ -247,38 +250,24 @@ class ExperimentConfig:
 
 
 def validate(raw: dict) -> ExperimentConfig:
-    errors = []
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    top = _apply_schema(raw, _TOP_SCHEMA, "", errors)
+    errors = []
     kind = raw.get("experiment")
-    if kind in EXPERIMENT_KINDS:  # a tuple: an unhashable kind compares unequal
-        setup_in = raw.get("setup") or {}
-        if not isinstance(setup_in, dict):
-            errors.append("setup: must be an object")
-            setup_in = {}
-        top["setup"] = _apply_schema(setup_in, _SETUP_SCHEMA, "setup.", errors)
-        lam, Lam = top["setup"].get("lambda"), top["setup"].get("Lambda")
-        if _is_number(lam) and _is_number(Lam) and lam > Lam:
+    # the problem block's schema is the experiment's; an unknown experiment
+    # has none, so every problem key is unknown beside the experiment's error
+    known = kind in EXPERIMENT_KINDS  # a tuple: an unhashable kind compares unequal
+    top = _apply_schema(raw, {**_TOP_SCHEMA, "problem": _PROBLEM_SCHEMAS[kind] if known else {}},
+                        "", errors)
+    setup, prob = top["setup"], top["problem"]
+    if not errors:  # the rules across fields, once every field passed its own check
+        if setup["lambda"] > setup["Lambda"]:
             errors.append("setup.Lambda: must be >= setup.lambda")
-        prob_in = raw.get("problem") or {}
-        if not isinstance(prob_in, dict):
-            errors.append("problem: must be an object")
-            prob_in = {}
-        prob = _apply_schema(prob_in, _PROBLEM_SCHEMAS[kind], "problem.", errors)
-        if kind == "fractional-apply":
-            quad_in = prob.get("quadrature") or {}
-            if not isinstance(quad_in, dict):
-                errors.append("problem.quadrature: must be an object")
-                quad_in = {}
-            prob["quadrature"] = _apply_schema(quad_in, _QUAD_SCHEMA,
-                                               "problem.quadrature.", errors)
-            t_min, t_max = prob["quadrature"]["t_min"], prob["quadrature"]["t_max"]
-            if _is_number(t_min) and _is_number(t_max) and t_max <= t_min:
-                errors.append("problem.quadrature.t_max: must exceed t_min")
-        if kind == "barrier-check" and not errors:
-            errors += _barrier_errors(top["setup"]["s"], prob)
-        top["problem"] = prob
+        quad = prob.get("quadrature")
+        if quad and quad["t_max"] <= quad["t_min"]:
+            errors.append("problem.quadrature.t_max: must exceed t_min")
+        if kind == "barrier-check":
+            errors += _barrier_errors(setup["s"], prob)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(sorted(errors)))
     return ExperimentConfig(top)

@@ -50,30 +50,12 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gamma, iv
 
-from .geometry import MAGeometry
+from .geometry import MAGeometry, transform_to_y, transform_to_z
 from .gridfn import write_grid_binary, write_json
 from .semigroup import CoefficientField, _shifted_solver, x_operator
 
 
-# -- coordinate transform ----------------------------------------------------------
-
-
-def transform_to_y(z, s):
-    """y = 2s z^{1/(2s)}; turns h(z) into c_s y^2 / 2.  Identity at s = 1/2."""
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("transform defined for z >= 0")
-    out = 2.0 * s * z ** (1.0 / (2.0 * s))
-    return out if out.ndim else float(out)
-
-
-def transform_to_z(y, s):
-    """Inverse transform z = (y / 2s)^{2s}."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("transform defined for y >= 0")
-    out = (y / (2.0 * s)) ** (2.0 * s)
-    return out if out.ndim else float(out)
+# -- the y-discretization ---------------------------------------------------------
 
 
 def _conductances(y, s):

@@ -6,6 +6,8 @@ Everything here is closed form for fixed s in (0, 1):
     h'(z)  = s/(1-s) |z|^(1/s - 1) sign(z)
     h''(z) = |z|^(1/s - 2)          (z != 0)
 
+MAGeometry owns s and its constants q_s and c_s; the change of variables
+y = 2s z^(1/(2s)) that turns h into c_s y^2/2 (transform_to_y) is here too.
 Quasi-distances, sections, cubes and cylinders are built from the Bregman
 deltas of phi(x) = |x|^2/2 and h.  Measures of h-intervals always use the
 exact antiderivative h', never pointwise h'' (which is singular or degenerate
@@ -17,6 +19,8 @@ solved for whole arrays of (z0, R) at once by safeguarded Newton steps
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,52 +41,49 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class FractionalSetup:
-    """Global parameters of an experiment: fractional order, ellipticity, Hoelder exponent."""
+def transform_to_y(z, s):
+    """y = 2s z^{1/(2s)}; turns h(z) into c_s y^2 / 2.  Identity at s = 1/2."""
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError("transform defined for z >= 0")
+    out = 2.0 * s * z ** (1.0 / (2.0 * s))
+    return out if out.ndim else float(out)
 
-    s: float
-    lam: float = 1.0
-    Lam: float = 1.0
-    alpha: float = 0.5
 
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError(f"s must be in (0,1), got {self.s}")
-        if not 0.0 < self.lam <= self.Lam:
-            raise ValueError(f"need 0 < lambda <= Lambda, got ({self.lam}, {self.Lam})")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-
-    @property
-    def q_s(self) -> float:
-        """Radius constant of sections at the origin: S_R(0) = (-q_s R^s, q_s R^s)."""
-        return ((1.0 - self.s) / self.s**2) ** self.s
-
-    @property
-    def c_s(self) -> float:
-        """Constant with h(z) = c_s y^2 / 2 under the change of variables y = 2s z^(1/2s)."""
-        return 1.0 / (2.0 * (1.0 - self.s))
+def transform_to_z(y, s):
+    """Inverse transform z = (y / 2s)^{2s}."""
+    y = np.asarray(y, dtype=float)
+    if np.any(y < 0):
+        raise ValueError("transform defined for y >= 0")
+    out = (y / (2.0 * s)) ** (2.0 * s)
+    return out if out.ndim else float(out)
 
 
 class MAGeometry:
     """Closed-form quasi-metric machinery for fixed s and x-dimension n.
 
-    Immutable after construction; every method is pure and safe to share
-    between threads.
+    Owns s: ValueError unless 0 < s < 1 and the constants of h, q_s and c_s
+    are finite and nonzero (not so for s below ~1e-154).  Immutable after
+    construction; every method is pure and safe to share between threads.
     """
 
-    def __init__(self, setup, n=1):
-        if not isinstance(setup, FractionalSetup):
-            setup = FractionalSetup(s=float(setup))
+    def __init__(self, s, n=1):
+        s = float(s)
+        if not 0.0 < s < 1.0:
+            raise ValueError(f"s must be in (0,1), got {s}")
         if n not in (1, 2):
             raise ValueError("x-dimension must be 1 or 2")
-        self.setup = setup
-        self.s = setup.s
+        self.s = s
         self.n = n
-        self._hcoef = setup.s**2 / (1.0 - setup.s)
-        self._inv_s = 1.0 / setup.s
-        self._weight_exp = 1.0 / setup.s - 2.0
+        self._hcoef = s**2 / (1.0 - s)
+        # S_R(0) = (-q_s R^s, q_s R^s), and h(z) = c_s y^2 / 2 in y = transform_to_y(z, s)
+        self.q_s = ((1.0 - s) / s**2) ** s if self._hcoef > 0.0 else math.inf
+        self.c_s = 1.0 / (2.0 * (1.0 - s))
+        if not math.isfinite(self.q_s):
+            raise ValueError(f"s = {s!r} is too close to 0: s^2 underflows, so the "
+                             f"constants of h are not finite and nonzero")
+        self._inv_s = 1.0 / s
+        self._weight_exp = 1.0 / s - 2.0
 
     # -- the convex profile and its derivatives -------------------------------
 
@@ -156,7 +157,8 @@ class MAGeometry:
         doubled until f >= 0, all lanes take Newton steps with the exact
         derivative h' - h'(z0), bisecting their bracket whenever a step is
         not strictly inside it, until the step is a few ulp.  A lane that
-        does not converge raises RuntimeError.
+        does not converge raises RuntimeError; a zero slope (h' is flat to
+        rounding for s within ~1e-16 of 1) raises ValueError naming s.
         """
         z0, R, side = np.broadcast_arrays(np.asarray(z0, dtype=float),
                                           np.asarray(R, dtype=float),
@@ -167,17 +169,24 @@ class MAGeometry:
             raise ValueError("section center and radius must be finite")
         if not np.all(np.abs(side) == 1.0):
             raise ValueError("section side must be +1 or -1")
-        out = np.asarray(side * self.setup.q_s * R**self.s)
+        out = np.asarray(side * self.q_s * R**self.s)
         solve = z0 != 0.0
         if np.any(solve):
-            out[solve] = self._solve_endpoints(z0[solve], R[solve], side[solve])
+            try:
+                out[solve] = self._solve_endpoints(z0[solve], R[solve], side[solve])
+            except FloatingPointError as exc:
+                raise ValueError(f"section endpoint at s = {self.s!r}: {exc}") from exc
         return out[()]
 
+    # the bracket test reads only the sign of (new - inner) (new - outer), which
+    # overflows to an infinity of the right sign on huge sections (R ~ 1e300);
+    # a zero slope (h' flat to rounding as s nears 1) raises
+    @np.errstate(over="ignore", divide="raise", invalid="raise")
     def _solve_endpoints(self, z0, R, side):
         c = np.stack([z0, R])  # per lane, compressed as lanes finish
         f = lambda z, c: self.delta_h(c[0], z) - c[1]
 
-        reach = self.setup.q_s * (R + np.abs(self.delta_h(z0, 0.0))) ** self.s + np.abs(z0)
+        reach = self.q_s * (R + np.abs(self.delta_h(z0, 0.0))) ** self.s + np.abs(z0)
         outer = z0 + side * reach
         fz = f(outer, c)
         for _ in range(_BRACKET_DOUBLINGS):
@@ -290,6 +299,21 @@ class SectionDescriptor:
 # Each check returns a plain dict: its "kind", the order "s" and its measurements.
 
 
+def _names_s(check):
+    """check(geom, ...) with its floating-point exceptions raised as a
+    ValueError that names s: near s = 0, h = c |z|^(1/s) overflows on the
+    sample boxes."""
+    @functools.wraps(check)
+    def checked(geom, *args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return check(geom, *args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValueError(f"{check.__name__} at s = {geom.s!r}: {exc}") from exc
+    return checked
+
+
+@_names_s
 def quasi_triangle_check(geom: MAGeometry, samples=100_000, seed=0):
     """Empirical quasi-triangle constant over triples sampled in [-2, 2]^(n+1).
 
@@ -317,6 +341,7 @@ def quasi_triangle_check(geom: MAGeometry, samples=100_000, seed=0):
             "median_ratio": float(np.median(ratios))}
 
 
+@_names_s
 def scaling_identity_check(geom: MAGeometry, samples=2048, seed=0):
     """Max relative error of rho^2 h(z) = h(rho^{2s} z) and the h' analogue."""
     rng = np.random.default_rng(seed)
@@ -334,6 +359,7 @@ def scaling_identity_check(geom: MAGeometry, samples=2048, seed=0):
             "max_rel_err_hp": float(err_hp)}
 
 
+@_names_s
 def doubling_check(geom: MAGeometry, sections):
     """Ratios |S_R(z0)| mu_h(S_R(z0)) / R over a list of (z0, R) pairs."""
     z0, R = np.asarray(sections, dtype=float).T
@@ -346,6 +372,7 @@ def doubling_check(geom: MAGeometry, sections):
             "ratios": [float(r) for r in ratios]}
 
 
+@_names_s
 def a_infinity_check(geom: MAGeometry, z0=0.3, R=1.0, levels=8):
     """Lebesgue-ratio vs weight-ratio trend for shrinking subsets of a section.
 
@@ -371,6 +398,7 @@ def a_infinity_check(geom: MAGeometry, z0=0.3, R=1.0, levels=8):
             "weight_ratios": [float(v) for v in wgt]}
 
 
+@_names_s
 def quotient_check(geom: MAGeometry, samples=20_000, seed=0, tol=1e-10):
     """Minimum of Q(z) over sampled z0 > 0, z > 0.
 
@@ -388,6 +416,7 @@ def quotient_check(geom: MAGeometry, samples=20_000, seed=0, tol=1e-10):
             "passes": bool(q.min() >= 1.0 - tol)}
 
 
+@_names_s
 def engulfing_check(geom: MAGeometry, samples=10_000, seed=0):
     """Monte-Carlo engulfing constants for cubes in x and sections in z.
 

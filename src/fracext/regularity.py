@@ -152,7 +152,11 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     section = _HarnackSections(geom, x, z, (0.0, 0.0), R, kappa)
     reports = []
     for combo in family:
-        vals = np.broadcast_to(combo(xs[None, :], zs[:, None]), (len(zs), len(xs)))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            vals = np.broadcast_to(combo(xs[None, :], zs[:, None]), (len(zs), len(xs)))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"R = {R:g} is too large: a family member overflows on S_R, "
+                             f"where its mode profiles grow like e^(k y)")
         # the node order of the reflected grid: mirrored levels, then z >= 0
         reports.append(section.report(np.concatenate([vals[::-1], vals[1:]]).ravel()))
     quotients = np.array([r.quotient for r in reports])

@@ -100,9 +100,9 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
 
 
 def _run_geometry(cfg, outdir):
-    setup = cfg.setup()
+    s = cfg.setup["s"]
     prob = cfg.problem
-    geom = MAGeometry(setup, n=prob["dimension"])
+    geom = MAGeometry(s, n=prob["dimension"])
     seed = cfg.seed
     qt = quasi_triangle_check(geom, prob["samples"], seed=seed)
     sc = scaling_identity_check(geom, seed=seed)
@@ -119,7 +119,7 @@ def _run_geometry(cfg, outdir):
           and db["min_ratio"] > 0.0 and np.isfinite(db["max_ratio"])
           and all(a > b for a, b in zip(ai["weight_ratios"][:-1], ai["weight_ratios"][1:]))
           and en["violations"] == 0)
-    if setup.s <= 0.5:
+    if s <= 0.5:
         q = quotient_check(geom, seed=seed)
         details["quotient"] = q
         ok = ok and q["passes"]
@@ -129,7 +129,7 @@ def _run_geometry(cfg, outdir):
 
 
 def _run_fractional(cfg, outdir):
-    s = cfg.setup().s
+    s = cfg.setup["s"]
     prob = cfg.problem
     N = int(prob["grid_points"])
     k = int(prob["k"])
@@ -158,8 +158,7 @@ def _run_fractional(cfg, outdir):
 
 
 def _run_solve_extension(cfg, outdir):
-    setup = cfg.setup()
-    s = setup.s
+    s = cfg.setup["s"]
     prob = cfg.problem
     problem, oracle = eigen_extension_problem(s, int(prob["k"]), Z=prob["Z"])
     mesh = ExtensionMesh(nx=int(prob["nx"]), my=int(prob["my"]))
@@ -188,10 +187,9 @@ def _run_solve_extension(cfg, outdir):
 
 
 def _run_barrier(cfg, outdir):
-    setup = cfg.setup()
-    s = setup.s
+    s = cfg.setup["s"]
     prob = cfg.problem
-    geom = MAGeometry(setup)
+    geom = MAGeometry(s)
     R = float(prob["R"])
     rho = R * float(prob["rho_fraction"])
     z0 = (R / s) ** s  # delta_h(z0, 0) = s z0^{1/s} = R
@@ -233,8 +231,7 @@ def _touching_exact(geom, xs, zs, U, rep):
 
 
 def _run_sliding(cfg, outdir):
-    setup = cfg.setup()
-    geom = MAGeometry(setup)
+    geom = MAGeometry(cfg.setup["s"])
     prob = cfg.problem
     a = float(prob["opening"])
     nx, nz = int(prob["nx"]), int(prob["nz"])
@@ -275,8 +272,7 @@ def _run_sliding(cfg, outdir):
 
 
 def _run_harnack(cfg, outdir):
-    setup = cfg.setup()
-    s = setup.s
+    s = cfg.setup["s"]
     prob = cfg.problem
     family = positive_harmonic_family(s, int(prob["family_size"]), seed=cfg.seed)
     mesh = ExtensionMesh(nx=int(prob["nx"]), my=int(prob["my"]))
@@ -304,8 +300,7 @@ def _decay_case_bounds(case):
 
 
 def _run_schauder(cfg, outdir):
-    setup = cfg.setup()
-    s, alpha = setup.s, setup.alpha
+    s, alpha = cfg.setup["s"], cfg.setup["alpha"]
     prob = cfg.problem
     case = int(prob["case"])
     lo, hi = _decay_case_bounds(case)
@@ -361,7 +356,7 @@ def _synthetic_state(s, fn, mx=200, my=96):
     (0, Z), h(Z) = 1 (noise floor ~ machine)."""
     mesh = ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0)
     xs, = mesh.x_axes((-np.sqrt(2.0), np.sqrt(2.0)), 1)
-    y = mesh.y_nodes(np.sqrt(2.0 / MAGeometry(s).setup.c_s), s)
+    y = mesh.y_nodes(np.sqrt(2.0 / MAGeometry(s).c_s), s)
     zg = transform_to_z(y, s)
     vals = np.asarray(fn(xs[None, :], zg[:, None]), float)
     vals = np.broadcast_to(vals, (my + 1, len(xs))).copy()
@@ -383,8 +378,7 @@ def _polynomial_state(s, case, mx=200, my=96):
 
 
 def _run_end_to_end(cfg, outdir):
-    setup = cfg.setup()
-    s, alpha = setup.s, setup.alpha
+    s, alpha = cfg.setup["s"], cfg.setup["alpha"]
     prob = cfg.problem
     N = int(prob["grid_points"])
     k = int(prob["k"])

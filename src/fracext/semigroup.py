@@ -36,6 +36,7 @@ from scipy.linalg import eigh_tridiagonal, eigvals, svd
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
 from scipy.special import gamma, kv
 
+from .geometry import transform_to_y
 from .gridfn import BoxGrid, GridFunction
 
 
@@ -522,7 +523,7 @@ def _power_fit(lo, hi, beta):
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"fit interval [{lo:g}, {hi:g}] needs finite 0 < lo < hi")
     if not 0.0 < beta < 1.0:
-        raise ValueError("s must be in (0,1)")
+        raise ValueError(f"the power x^-beta needs beta in (0,1), got beta = {beta!r}")
     x = np.geomspace(lo, hi, _FIT_SAMPLES)
     poles = _candidate_poles(x, beta)
     A = np.column_stack([np.ones_like(x), 1.0 / (x[:, None] - poles)]) * (x**beta)[:, None]
@@ -566,11 +567,12 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     # a single interior node puts the Gershgorin bound on the floor itself
     hi = max(float(np.max(abs(L).sum(axis=1))), 2.0 * lo)
     c0, poles, w, err = _power_fit(lo, hi, beta)
-    x = _shifted_solver(L, -poles, "L - ({p:g}) I is singular")(
-        np.broadcast_to(v, (len(poles), len(v))))
     out = c0 * v
-    for wj, xj in zip(w, x):
-        out += wj * xj
+    if len(poles):  # beta ~ 1e-16 on a narrow interval: the fit is c0 alone, r(L) = c0 I
+        x = _shifted_solver(L, -poles, "L - ({p:g}) I is singular")(
+            np.broadcast_to(v, (len(poles), len(v))))
+        for wj, xj in zip(w, x):
+            out += wj * xj
     rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in stepper.grid.axes())
     symmetric = abs(L - L.T).max() <= 8 * np.finfo(float).eps * rounding * abs(L).max()
     info = {"beta": beta, "poles": len(poles), "interval": [lo, hi], "sup_rel_error": err,
@@ -644,7 +646,7 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
 def bessel_extension_profile(lam, s, z):
     """Closed form of the extension profile: 2^{1-s}/Gamma(s) (k y)^s K_s(k y).
 
-    Here k = sqrt(lam) and y = 2 s z^{1/(2s)}; the value is 1 at z = 0.
+    Here k = sqrt(lam) and y = `transform_to_y(z, s)`; the value is 1 at z = 0.
     ValueError unless 0 < s < 1 and lam and z are finite and >= 0.
     """
     if not 0.0 < s < 1.0:
@@ -653,9 +655,7 @@ def bessel_extension_profile(lam, s, z):
     if not (np.all(np.isfinite(lam) & (np.asarray(lam) >= 0.0))
             and np.all(np.isfinite(z) & (z >= 0.0))):
         raise ValueError("the extension profile needs finite lam >= 0 and z >= 0")
-    k = np.sqrt(lam)
-    y = 2.0 * s * z ** (1.0 / (2.0 * s))
-    w = k * y
+    w = np.sqrt(lam) * transform_to_y(z, s)
     out = np.where(w > 0, 2.0 ** (1 - s) / gamma(s) * np.maximum(w, 1e-300) ** s
                    * kv(s, np.maximum(w, 1e-300)), 1.0)
     return out if out.ndim else float(out)

@@ -22,7 +22,7 @@ from fracext.benchmarks import (eigen_extension_problem, kinked_trace_problem,
 from fracext.config import EXPERIMENT_KINDS, validate
 from fracext.extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo,
                                solve_extension, transform_to_y)
-from fracext.geometry import (FractionalSetup, MAGeometry, doubling_check,
+from fracext.geometry import (MAGeometry, doubling_check,
                               quasi_triangle_check, quotient_check,
                               scaling_identity_check)
 from fracext.gridfn import BoxGrid, GridFunction
@@ -44,9 +44,9 @@ def _report(num, ok, detail):
 def test_criterion_01_constant_identities():
     """ds(1/2) = 1, q_{1/2} = sqrt(2), c_{1/2} = 1, y-transform identity at s=1/2."""
     ok = abs(ds_constant(0.5) - 1.0) < 1e-14
-    st = FractionalSetup(0.5)
-    ok &= st.q_s == np.sqrt(2.0)
-    ok &= st.c_s == 1.0
+    g = MAGeometry(0.5)
+    ok &= g.q_s == np.sqrt(2.0)
+    ok &= g.c_s == 1.0
     zs = np.linspace(0.0, 2.0, 21)
     ok &= bool(np.array_equal(transform_to_y(zs, 0.5), zs))
     _report(1, ok, f"d_(1/2)={ds_constant(0.5)!r}, q=sqrt2, c=1, y==z at s=1/2")

@@ -29,6 +29,8 @@ def test_out_of_range_rejected():
         validate({"experiment": "harnack", "problem": {"kappa": 0.5, "bogus": 1}})
     with pytest.raises(ConfigError, match="Lambda"):
         validate({"experiment": "harnack", "setup": {"lambda": 2.0, "Lambda": 1.0}})
+    with pytest.raises(ConfigError, match="setup.alpha: must be < 1"):
+        validate({"experiment": "harnack", "setup": {"alpha": 1.0}})
     with pytest.raises(ConfigError, match="experiment"):
         validate({"experiment": "nonsense"})
     with pytest.raises(ConfigError, match="t_max"):
@@ -300,7 +302,9 @@ def _barrier_raw(s, **problem):
     return {"experiment": "barrier-check", "setup": {"s": s}, "problem": problem}
 
 
-@pytest.mark.parametrize("R", [0.5, 0.6])
+# R = 1e300: the endpoint bracket test's product overflows (to an infinity
+# of the right sign)
+@pytest.mark.parametrize("R", [0.5, 0.6, 1e10, 1e300])
 @pytest.mark.parametrize("s", [0.55, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9])
 def test_barrier_case2_stage_passes(tmp_path, s, R):
     m = run(validate(dict(_barrier_raw(s, case=2, R=R, samples=2000), seed=4)), str(tmp_path))
@@ -318,6 +322,60 @@ def test_barrier_search_failure_is_a_failed_stage(tmp_path):
     assert [eps for eps, _ in failures] == [0.2, 0.1, 0.05, 0.02]
     assert all(isinstance(reason, str) and reason for _, reason in failures)
     assert stage["details"]["search_failures"] == [tuple(f) for f in failures]
+
+
+# config_hash of every kind's default config at two orders, pinned: a
+# manifest names its experiment by this hash, so a change to the config code
+# must keep it
+GOLDEN_CONFIG_HASHES = {
+    ("geometry-check", 0.3): "76f5e306b9683c4d42e66f04226d7b6235a8fe7768601a1b66fea5acd3c42437",
+    ("geometry-check", 0.7): "df9c64424f397487da7bd0f578247cb7eff9bce01f60d3657527d5f2e797b67a",
+    ("fractional-apply", 0.3): "55573b851c4b1e2b84c3c657dedc658c25b6e42e3df0b3d60b1a822e78c06a19",
+    ("fractional-apply", 0.7): "c4ef59baea1fd6c3342c95de8310278073176c7095c0a6e3de68ece00d97962d",
+    ("solve-extension", 0.3): "f41750e60ba3b4629dbe2e65cb1554ee531f3e1c29e6dad05c3aafdfe782a217",
+    ("solve-extension", 0.7): "cd27703322b0a853d7e63b452ed1929b0f751ce0b0ddfb864cdd449c5439c6d7",
+    ("barrier-check", 0.3): "a32695b3e7014e4c58edce6ccbb4efa1ef0ad25d1978815b0e5195f856f5f6fa",
+    ("barrier-check", 0.7): "1834b87ebe5be0abc4894ea1285d2249f73c3c4fef913dcf0faaec4f180dbdf8",
+    ("slide-paraboloids", 0.3): "8c6433673cbc99e926eeebce2d70af5a312a4f17d8360e0ff1c96ff443029a46",
+    ("slide-paraboloids", 0.7): "e72a3483bc7f11081b86307aea80751900e8c926c5c2db9ed2329da4516c5af5",
+    ("harnack", 0.3): "d2f43621274950c56591b87ec68f640ada989771d8ca162537adb4db0c65f782",
+    ("harnack", 0.7): "b1ddda5756fb8d6f62564300b46226d30811871450ba6f07fe796993f63cf228",
+    ("schauder-decay", 0.3): "31dfd2d743566d7f1a043c0ad36c2be91cfcd0bf76ebd902643b797f65b2a503",
+    ("schauder-decay", 0.7): "d7cde447238881a4a1d5d33eb09c5b5232ff330c4a900b954fde1f224cc4c686",
+    ("end-to-end", 0.3): "a2971e6a4522d6b6fde7a3ed31a8c5d754fadf533cf8630a89902e8bbc0c68ec",
+    ("end-to-end", 0.7): "8c5b25f69cd1ef4d58bbba5b90304a114a12f52c35f969fc4b0cf60ceb0012ac",
+}
+
+# a benchmark-shaped config: it still sends `threads` and the no-op `quadrature`
+BENCHMARK_SHAPED_RAW = {
+    "experiment": "fractional-apply", "setup": {"s": 0.4}, "seed": 0, "threads": 1,
+    "emit_plots": False,
+    "problem": {"grid_points": 16, "inverse": True,
+                "quadrature": {"nodes": 8, "substeps": 2}}}
+
+
+@pytest.mark.parametrize("kind, s", sorted(GOLDEN_CONFIG_HASHES))
+def test_default_config_hashes_are_pinned(kind, s):
+    assert default_config(kind, s).config_hash() == GOLDEN_CONFIG_HASHES[kind, s]
+
+
+def test_benchmark_shaped_config_hash_is_pinned():
+    assert validate(BENCHMARK_SHAPED_RAW).config_hash() == \
+        "9a4c906d8dd9bbb9e4bdf52307e1faeffa59704a87a8c66246fe761d552e5efc"
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("s", [1e-300, 1e-155, 1e-150, 1e-20, 1e-3, 0.01, 0.05, 0.5, 0.95,
+                               1.0 - 1e-10, 1.0 - 1e-16])
+def test_geometry_check_at_extreme_s_passes_fails_or_names_s(tmp_path, s, dimension):
+    # RuntimeWarnings are errors here: an overflow must surface as a ValueError
+    cfg = validate({"experiment": "geometry-check", "setup": {"s": s},
+                    "problem": {"samples": 500, "engulfing_samples": 100,
+                                "dimension": dimension}})
+    stage = run(cfg, str(tmp_path)).stages[0]
+    exc = stage["details"].get("exception", "")
+    assert stage["status"] in ("pass", "fail") or (
+        exc.startswith("ValueError(") and f"s = {s!r}" in exc), exc
 
 
 @pytest.mark.parametrize("raw, key", [
@@ -370,6 +428,13 @@ def test_cli_subcommand_and_overrides(tmp_path, capsys):
     data = json.loads((tmp_path / "manifest.json").read_text())
     assert data["config"]["seed"] == 3
     assert data["config"]["setup"]["s"] == 0.25
+
+
+def test_cli_has_no_threads_flag(tmp_path, capsys):
+    # the config key stays (the benchmark sends it); the flag had no effect
+    with pytest.raises(SystemExit):
+        cli_main(["geometry-check", "--out", str(tmp_path), "--threads", "2"])
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_cli_run_requires_config(capsys):

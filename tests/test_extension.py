@@ -40,7 +40,7 @@ def test_transform_examples():
         z = np.linspace(1e-6, 2.0, 50)
         y = transform_to_y(z, s)
         assert np.allclose(transform_to_z(y, s), z, rtol=1e-13)
-        assert np.allclose(g.h(z), g.setup.c_s * y**2 / 2.0, rtol=1e-12)
+        assert np.allclose(g.h(z), g.c_s * y**2 / 2.0, rtol=1e-12)
     with pytest.raises(ValueError):
         transform_to_y(-1.0, 0.5)
 
@@ -50,7 +50,7 @@ def test_transform_maps_sections_to_intervals():
     for s in (0.3, 0.75):
         g = MAGeometry(s)
         r = 0.63
-        zhi = g.section_interval(0.0, g.setup.c_s * r)[1]
+        zhi = g.section_interval(0.0, g.c_s * r)[1]
         assert transform_to_y(zhi, s) == pytest.approx(np.sqrt(2.0 * r), rel=1e-12)
 
 

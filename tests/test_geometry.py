@@ -6,25 +6,38 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fracext.geometry import (FractionalSetup, MAGeometry, SectionDescriptor,
+from fracext.geometry import (MAGeometry, SectionDescriptor,
                               a_infinity_check, doubling_check, engulfing_check,
                               quasi_triangle_check, quotient_check,
                               scaling_identity_check)
 
 
 def test_setup_validation():
-    with pytest.raises(ValueError):
-        FractionalSetup(s=1.2)
-    with pytest.raises(ValueError):
-        FractionalSetup(s=0.5, lam=2.0, Lam=1.0)
-    with pytest.raises(ValueError):
-        FractionalSetup(s=0.5, alpha=1.0)
+    # MAGeometry owns s; lambda, Lambda and alpha are the config's
+    for s in (1.2, 0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="s must be in"):
+            MAGeometry(s)
+    with pytest.raises(ValueError, match="x-dimension"):
+        MAGeometry(0.5, n=3)
 
 
 def test_setup_constants_half():
-    st = FractionalSetup(s=0.5)
-    assert st.q_s == np.sqrt(2.0)
-    assert st.c_s == 1.0
+    g = MAGeometry(0.5)
+    assert g.q_s == np.sqrt(2.0)
+    assert g.c_s == 1.0
+
+
+def test_constants_and_checks_name_an_extreme_s():
+    # s^2 underflows: q_s would divide by zero
+    with pytest.raises(ValueError, match=r"s = 1e-300 is too close to 0"):
+        MAGeometry(1e-300)
+    # h = c |z|^1000 overflows on the scaling check's sample box
+    with pytest.raises(ValueError, match=r"scaling_identity_check at s = 0\.001: overflow"):
+        scaling_identity_check(MAGeometry(0.001))
+    # h' = c |z|^(2e-16) sign(z) is flat to rounding: a Newton step divides by zero
+    g = MAGeometry(1.0 - 1e-16)
+    with pytest.raises(ValueError, match=f"section endpoint at s = {g.s!r}: divide by zero"):
+        g.section_interval(0.5, 0.1)
 
 
 def test_delta_phi_examples():
@@ -105,7 +118,7 @@ def test_section_interval():
     for s in (0.3, 0.8):
         gs = MAGeometry(s)
         R = 0.37
-        half = gs.setup.q_s * R**s
+        half = gs.q_s * R**s
         assert gs.section_interval(0.0, R) == pytest.approx((-half, half))
         # off-center endpoints solve delta_h = R to high accuracy
         lo, hi = gs.section_interval(0.9, R)
@@ -126,9 +139,9 @@ def test_section_interval_rejects_non_finite(z0, R):
 def _endpoint_oracle(g, z0, R, side):
     """Tight scalar brentq on delta_h(z0, .) - R, bracketed as section_endpoint is."""
     if z0 == 0.0:
-        return side * g.setup.q_s * R**g.s
+        return side * g.q_s * R**g.s
     f = lambda z: float(g.delta_h(z0, z)) - R
-    b = z0 + side * (g.setup.q_s * (R + abs(float(g.delta_h(z0, 0.0)))) ** g.s + abs(z0))
+    b = z0 + side * (g.q_s * (R + abs(float(g.delta_h(z0, 0.0)))) ** g.s + abs(z0))
     while f(b) < 0.0:
         b = z0 + 2.0 * (b - z0)
     lo, hi = sorted((z0, b))

@@ -266,14 +266,15 @@ def test_harnack_report_refuses_nonfinite_node_values(bad):
         harnack_quotient(MAGeometry(s), state, (0.0, 0.0), 0.5)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the family's own overflow, as in a run
 def test_harnack_run_with_overflowing_modes_errors_instead_of_reporting_nan(tmp_path):
-    # at R = 1e300 the mode profiles overflow and cos * inf sums to NaN
-    cfg = validate({"experiment": "harnack", "setup": {"s": 0.4},
-                    "problem": {"R": 1e300, "family_size": 2, "nx": 17, "my": 8}})
-    stage = run(cfg, str(tmp_path)).stages[0]
-    assert stage["status"] == "error"
-    assert "finite node values" in stage["details"]["exception"]
+    # on a large S_R the mode profiles overflow, and cos * inf would sum to
+    # NaN; RuntimeWarnings are errors here, so the refusal comes first
+    for R in (1e10, 1e300):
+        cfg = validate({"experiment": "harnack", "setup": {"s": 0.4},
+                        "problem": {"R": R, "family_size": 2, "nx": 17, "my": 8}})
+        stage = run(cfg, str(tmp_path)).stages[0]
+        assert stage["status"] == "error"
+        assert stage["details"]["exception"].startswith(f"ValueError('R = {R:g} is too large")
 
 
 def test_harnack_quotient_constants_and_perturbation():
@@ -459,7 +460,7 @@ def test_harnack_family_report_equals_full_grid_evaluation(refine, s, R, kappa, 
     zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, mesh.my * refine)])
     Zq, Xq = np.meshgrid(zs, xs, indexing="ij")
     for combo, got in zip(family, rep["reports"]):
-        state = ExtensionState(s, [xs], 2.0 * s * zs ** (1.0 / (2 * s)), combo(Xq, Zq),
+        state = ExtensionState(s, [xs], transform_to_y(zs, s), combo(Xq, Zq),
                                0.0, 0.0, reflected=True)
         ref = harnack_quotient(geom, state, (0.0, 0.0), R, kappa)
         assert got == ref

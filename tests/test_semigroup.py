@@ -334,6 +334,26 @@ def test_power_fit_refuses_degenerate_intervals(lo, hi):
         semigroup._power_fit(lo, hi, 0.5)
 
 
+@pytest.mark.parametrize("op, s", [(fractional_apply, 1.0 - 1e-16),
+                                   (fractional_inverse, 1.1e-16)])
+def test_a_fit_without_poles_is_c0_times_the_identity(op, s):
+    # beta = 1.1e-16 on N = 16: the fit keeps c0 alone, and no system is solved
+    st_ = _stepper_1d(N=16)
+    u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
+    out, info = op(st_, u, s)
+    c0 = semigroup._power_fit(*info["interval"], info["beta"])[0]
+    v = st_.L @ u.interior() if op is fractional_apply else u.interior()
+    assert info["poles"] == 0 and c0 == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(out.interior(), c0 * v)
+
+
+def test_power_fit_names_beta_when_one_minus_s_rounds_to_one():
+    st_ = _stepper_1d(N=16)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    with pytest.raises(ValueError, match=r"beta in \(0,1\), got beta = 1\.0"):
+        fractional_apply(st_, u, 1e-300)
+
+
 def test_1d_fractional_powers_never_diagonalize(monkeypatch):
     def no_modes(*args, **kwargs):
         raise AssertionError("eigendecomposition computed by a 1-D fractional power")
