@@ -68,6 +68,12 @@ def harmonic_combo_problem(s, combo: HarmonicCombo, domain=(-np.sqrt(2.0), np.sq
     return problem
 
 
+def harmonic_family_ycap(s):
+    """y = sqrt(2 / c_s), the top of the box h(z) <= 1: `positive_harmonic_family`
+    keeps its members positive up to it."""
+    return np.sqrt(2.0 / MAGeometry(s).c_s)
+
+
 def positive_harmonic_family(s, size, seed=0):
     """Nonnegative exact harmonic combinations: 1 + small random cosine modes
     with wave numbers 1 to 3.
@@ -77,7 +83,7 @@ def positive_harmonic_family(s, size, seed=0):
     """
     rng = np.random.default_rng(seed)
     # the mode profiles grow with y; normalize against their value at the box top
-    ycap = np.sqrt(2.0 / MAGeometry(s).c_s)
+    ycap = harmonic_family_ycap(s)
     family = []
     for _ in range(size):
         nmodes = int(rng.integers(1, 4))

@@ -32,10 +32,12 @@ batch in each solve call).
 
 One refinement step with A follows, through the same factors (re-factored
 batch by batch when they did not fit), and is kept only if it lowers the
-componentwise backward error.  Besides the factors, a solve holds about ten
-solution-sized vectors at its peak: the data are turned into the
-right-hand side level by level, and the products with A, the backward
-error and the mode transforms work in place.
+componentwise backward error.  Besides the factors, a solve holds at most
+four solution-sized arrays at once: the right-hand side, the solution, one
+work array (the residual, then the refined solution) and the mode-transform
+temporary.  The data are turned into the right-hand side level by level,
+the backward error is reduced to its maximum per level a block of levels at
+a time, and the value array is allocated once the right-hand side is gone.
 """
 
 from __future__ import annotations
@@ -348,15 +350,25 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     Ay = sp.diags([off, -(K[levels] + K_below), off], [-1, 0, 1], format="csr")
     A = _LevelOperator(Ay, Vw[levels], Ax)
 
-    # every datum evaluated once: W starts as the lateral data on all levels,
-    # one Bx product gives the Dirichlet-neighbour term of every level, and
-    # the sources go into the right-hand side level by level; only level 0's
-    # terms are kept, for the flux below
+    # every datum evaluated once: the lateral data go through a buffer of a
+    # few levels (65536 numbers, or one level), where one Bx product gives
+    # their Dirichlet-neighbour terms, and only their boundary values are
+    # kept; the sources go into the right-hand side level by level, and only
+    # level 0's terms are kept, for the flux below
     zlev = transform_to_z(y, s)
-    W = np.empty((my + 1,) + Xfull[0].shape)
-    for j in range(my + 1):
-        W[j] = problem.g_lateral(*Xfull, zlev[j])
-    BG = (Bx @ W.reshape(my + 1, -1)[:my].T).T
+    inner = (slice(1, -1),) * n
+    edge = np.ones(Xfull[0].shape, dtype=bool)
+    edge[inner] = False
+    lateral = np.empty((my + 1, np.count_nonzero(edge)))
+    BG = np.empty((my + 1, nxi))  # the top level's row goes unused
+    buf = np.empty((min(my + 1, max(1, 65536 // edge.size)),) + edge.shape)
+    for c in range(0, my + 1, len(buf)):
+        part = buf[:min(len(buf), my + 1 - c)]
+        for i in range(len(part)):
+            part[i] = problem.g_lateral(*Xfull, zlev[c + i])
+        lateral[c:c + len(part)] = part[:, edge]
+        BG[c:c + len(part)] = (Bx @ part.reshape(len(part), -1).T).T
+    del buf, part
     rhs = np.empty((nl, nxi))
     for j in range(my):
         Fj = np.broadcast_to(problem.F(*Xint, zlev[j]), Xint[0].shape).ravel()
@@ -372,18 +384,19 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     else:
         rhs[0] -= K[0] * u_bottom.ravel()
     rhs[-1] -= K[my - 1] * g_top.ravel()
-    rhs = rhs.ravel()
 
-    sol, rel, refined = _checked_solve(A, rhs, _y_mode_solver(Ay, Vw[levels], Ax))
+    sol, err, refined = _checked_solve(A, rhs.ravel(), _y_mode_solver(Ay, Vw[levels], Ax))
+    del rhs
     if kind == "neumann":
-        res_bottom = float(np.max(rel[:nxi]))
-        res_int = float(np.max(rel[nxi:])) if nl > 1 else 0.0
+        res_bottom = float(err[0])
+        res_int = float(np.max(err[1:])) if nl > 1 else 0.0
     else:
         res_bottom = 0.0
-        res_int = float(np.max(rel))
+        res_int = float(np.max(err))
 
     # the full value array, boundary data included
-    inner = (slice(1, -1),) * n
+    W = np.empty((my + 1,) + edge.shape)
+    W[:, edge] = lateral
     W[(my,) + inner] = g_top
     if kind == "dirichlet":
         W[(0,) + inner] = u_bottom
@@ -461,8 +474,10 @@ def _y_mode_solver(Ay, V, Ax):
     mode_solve = _shifted_solver(-Ax, -mu, "y-mode system {k} is singular or indefinite: its "
                                  "shift mu = {p:g} lost its sign to rounding")
 
-    def solve(r):
-        X = r.reshape(len(V), -1) * -rs[:, None]
+    def solve(r, overwrite=False):
+        # with overwrite, r's buffer is scaled, transformed and returned
+        X = r.reshape(len(V), -1)
+        X = np.multiply(X, -rs[:, None], out=X if overwrite else None)
         G = mode_solve(P.T @ X, overwrite_b=True)
         np.matmul(P, G, out=X)
         X *= rs[:, None]
@@ -473,64 +488,81 @@ def _y_mode_solver(Ay, V, Ax):
 
 class _LevelOperator:
     """A = Ay (x) I + diag(V) (x) Ax on level-major vectors, applied through its
-    factors: A x = Ay X + V o (Ax X^T)^T with X the vector as (levels, x-nodes).
-    abs() gives |A| = |Ay| (x) I + diag(V) (x) |Ax| the same way.  The Ax
-    products run over blocks of at most an eighth of the levels (and at
-    least 8192 numbers), so their transposed copies stay small beside the
-    result."""
+    factors a block of levels at a time: with X the vector as (levels,
+    x-nodes), the rows of A x on the levels b are (Ay X)_b + V_b o (Ax
+    X_b^T)^T.  Ay X is summed from Ay's three diagonals, from 0 and in
+    column order as Ay's CSR product sums, so bit for bit as `Ay @ X`.
+    `_blocks` pairs each block b with the levels near it reads (b and its
+    two neighbours).  A block holds at most an eighth of the levels (and at
+    least 8192 numbers), so its temporaries stay small beside a solution.
+    abs() gives |A| = |Ay| (x) I + diag(V) (x) |Ax| the same way."""
 
     def __init__(self, Ay, V, Ax):
         self.Ay, self.V, self.Ax = Ay, V, Ax
-        step = max(-(-len(V) // 8), -(-8192 // Ax.shape[0]))
-        self._blocks = [slice(i, i + step) for i in range(0, len(V), step)]
+        self._diags = Ay.diagonal(-1), Ay.diagonal(), Ay.diagonal(1)
+        nl = len(V)
+        step = max(-(-nl // 8), -(-8192 // Ax.shape[0]))
+        self._blocks = [(slice(i, min(i + step, nl)), slice(max(i - 1, 0), min(i + step + 1, nl)))
+                        for i in range(0, nl, step)]
 
-    def __matmul__(self, x):
-        X = x.reshape(len(self.V), -1)
-        out = self.Ay @ X
-        for b in self._blocks:
-            out[b] += self.V[b, None] * (self.Ax @ X[b].T).T
-        return out.ravel()
+    def rows(self, Xn, b, near):
+        """The rows of A X on the levels b, a new array, from Xn = X[near]."""
+        lo, d, up = self._diags
+        i, j, o = b.start, b.stop, near.start
+        out = np.zeros((j - i, Xn.shape[1]))
+        k = max(i, 1)  # levels k.. have a lower neighbour
+        out[k - i:] += lo[k - 1:j - 1, None] * Xn[k - 1 - o:j - 1 - o]
+        out += d[b, None] * Xn[i - o:j - o]
+        k = min(j, len(d) - 1)  # levels ..k-1 have an upper neighbour
+        out[:k - i] += up[i:k, None] * Xn[i + 1 - o:k + 1 - o]
+        out += self.V[b, None] * (self.Ax @ Xn[i - o:j - o].T).T
+        return out
 
     def __abs__(self):
         # the two terms meet only on the diagonal, where no cancellation
         # happens while both diagonals are <= 0; then |A| splits as above
-        if np.any(self.Ay.diagonal() > 0.0) or np.any(self.Ax.diagonal() > 0.0):
+        if np.any(self._diags[1] > 0.0) or np.any(self.Ax.diagonal() > 0.0):
             raise ValueError("|A| splits over the factors only for nonpositive diagonals")
         return _LevelOperator(abs(self.Ay), self.V, abs(self.Ax))
 
 
 def _checked_solve(A, rhs, solve):
     """solve(rhs) with the non-finite check and its componentwise backward
-    error |A x - b| / (|A| |x| + |b|) per row (rows near y = 0 carry huge
-    conductances, so the raw residual must be normalized per row).  A needs
-    only `A @ x` and `abs(A)`, as a _LevelOperator gives them.  One
-    refinement step with A is taken and kept only if it lowers the largest
-    backward error.  Returns (x, per-row error, refinement kept).
+    error |b - A x| / (|A| |x| + |b|) per row (rows near y = 0 carry huge
+    conductances, so the raw residual must be normalized per row), taken a
+    block of levels at a time through the _LevelOperator A and kept as its
+    maximum per level.  One refinement step with A is taken, solve(r,
+    overwrite=True) turning the residual's buffer into the correction, and
+    kept only if it lowers the largest backward error.  Returns (x,
+    per-level maxima, refinement kept).
     """
     abs_A = abs(A)
+    B = rhs.reshape(len(A.V), -1)
 
-    def residual_and_error(x):
-        # three solution-sized buffers: r, |x| (then |b|, |r|) and the error
-        r = A @ x
-        np.subtract(rhs, r, out=r)
-        t = np.abs(x)
-        rel = abs_A @ t
-        rel += np.abs(rhs, out=t)
-        rel += 1e-300
-        np.divide(np.abs(r, out=t), rel, out=rel)
-        return r, rel
+    def level_errors(x, residual=None):
+        # b - A x goes into `residual` when one is given
+        X = x.reshape(B.shape)
+        err = np.empty(len(B))
+        for b, near in A._blocks:
+            r = A.rows(X[near], b, near)
+            r = np.subtract(B[b], r, out=r if residual is None else residual[b])
+            den = abs_A.rows(np.abs(X[near]), b, near)
+            den += np.abs(B[b])
+            den += 1e-300
+            err[b] = np.max(np.divide(np.abs(r), den, out=den), axis=1)
+        return err
 
     sol = solve(rhs)
     if not np.all(np.isfinite(sol)):
         raise RuntimeError("linear solve failed: nonfinite solution")
-    r, rel = residual_and_error(sol)
-    sol1 = solve(r)
-    del r
+    r = np.empty_like(B)
+    err = level_errors(sol, r)
+    sol1 = solve(r, overwrite=True)
     sol1 += sol
-    _, rel1 = residual_and_error(sol1)
-    if np.max(rel1) < np.max(rel):
-        return sol1, rel1, True
-    return sol, rel, False
+    err1 = level_errors(sol1)
+    if np.max(err1) < np.max(err):
+        return sol1, err1, True
+    return sol, err, False
 
 
 # -- even reflection and anisotropic rescaling -------------------------------------------
@@ -618,12 +650,18 @@ class HarmonicCombo:
         self.const = float(const)
         self.modes = [(float(a), float(k), float(p)) for (a, k, p) in modes]
 
-    def at_y(self, x, y):
+    def at_y(self, x, y, profiles=None):
+        """The combination at (x, y).  profiles, a dict by wave number, holds
+        the mode profiles at this y: those missing are added, so combos
+        evaluated at the same y with one dict compute each profile once."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        profiles = {} if profiles is None else profiles
         out = np.full(np.broadcast(x, y).shape, self.const, dtype=float)
         for a, k, p in self.modes:
-            out = out + a * np.cos(k * x + p) * harmonic_mode_profile(self.s, k, y)
+            if k not in profiles:
+                profiles[k] = harmonic_mode_profile(self.s, k, y)
+            out = out + a * np.cos(k * x + p) * profiles[k]
         return out
 
     def __call__(self, x, z):

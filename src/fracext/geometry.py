@@ -183,8 +183,10 @@ class MAGeometry:
     # a zero slope (h' flat to rounding as s nears 1) raises
     @np.errstate(over="ignore", divide="raise", invalid="raise")
     def _solve_endpoints(self, z0, R, side):
-        c = np.stack([z0, R])  # per lane, compressed as lanes finish
-        f = lambda z, c: self.delta_h(c[0], z) - c[1]
+        # per lane z0, R, h(z0) and h'(z0), compressed as lanes finish; f is
+        # delta_h(z0, z) - R in delta_h's order of operations
+        c = np.stack([z0, R, self.h(z0), self.hp(z0)])
+        f = lambda z, c: self.h(z) - c[2] - c[3] * (z - c[0]) - c[1]
 
         reach = self.q_s * (R + np.abs(self.delta_h(z0, 0.0))) ** self.s + np.abs(z0)
         outer = z0 + side * reach
@@ -205,7 +207,7 @@ class MAGeometry:
         inner, z = z0.copy(), outer
         result = np.empty_like(z0)
         for _ in range(_NEWTON_STEPS):
-            new = z - fz / (self.hp(z) - self.hp(c[0]))
+            new = z - fz / (self.hp(z) - c[3])
             off = (new != z) & ~((new - inner) * (new - outer) < 0.0)
             new = np.where(off, 0.5 * (inner + outer), new)
             # the rounding of f in z is relative to the larger of |z| and |z0|

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmarks import harmonic_combo_problem
+from .benchmarks import harmonic_combo_problem, harmonic_family_ycap
 from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
                         HarmonicCombo, rescale_solution, solve_extension,
                         transform_to_y)
@@ -146,19 +146,28 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     zcap = geom.section_interval(0.0, R)[1] * 1.05
     xs = np.linspace(-xlim, xlim, nx)
     zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)])
-    grid = ExtensionState(s, [xs], transform_to_y(zs, s), np.zeros((len(zs), len(xs))),
-                          0.0, 0.0, reflected=True)
+    ys = transform_to_y(zs, s)
+    grid = ExtensionState(s, [xs], ys, np.zeros((len(zs), len(xs))), 0.0, 0.0, reflected=True)
     x, z, _ = _flat_nodes(grid)
     section = _HarnackSections(geom, x, z, (0.0, 0.0), R, kappa)
+    profiles = {}  # each wave number's mode profile on this grid, for the whole family
     reports = []
-    for combo in family:
+    for i, combo in enumerate(family):
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            vals = np.broadcast_to(combo(xs[None, :], zs[:, None]), (len(zs), len(xs)))
+            vals = np.broadcast_to(combo.at_y(xs[None, :], ys[:, None], profiles),
+                                   (len(zs), len(xs)))
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"R = {R:g} is too large: a family member overflows on S_R, "
                              f"where its mode profiles grow like e^(k y)")
         # the node order of the reflected grid: mirrored levels, then z >= 0
-        reports.append(section.report(np.concatenate([vals[::-1], vals[1:]]).ravel()))
+        try:
+            reports.append(section.report(np.concatenate([vals[::-1], vals[1:]]).ravel()))
+        except ValueError as exc:  # the values are finite: negative on S_R
+            raise ValueError(
+                f"R = {R:g} is too large: family member {i} is negative on S_R, sampled up "
+                f"to y = {ys[-1]:.4g}, and positive_harmonic_family keeps its members "
+                f"positive only on the box h(z) <= 1, y <= {harmonic_family_ycap(s):.4g}"
+            ) from exc
     quotients = np.array([r.quotient for r in reports])
     return {"C_H_hat": float(np.max(quotients)),
             "min_quotient": float(np.min(quotients)),

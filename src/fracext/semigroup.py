@@ -244,8 +244,11 @@ def _shifted_solver(A, shifts, message):
     offsets e, m2 nodes per x2-line; m2 for identity coefficients, m2 + 1
     with a mixed term).  At most _BAND_BUDGET bytes of bands are held: if
     every block fits, all are factored here, once, else each call factors,
-    substitutes and releases one batch of blocks at a time.  The blocks
-    follow one another, and the exact zeros between them keep them apart.
+    substitutes and releases one batch of blocks at a time, except the last
+    batch it walks, which it keeps for the next call; that call walks the
+    batches the other way round, so b batches cost b factorizations in the
+    first call and b - 1 in each later one.  The blocks follow one another,
+    and the exact zeros between them keep them apart.
 
     solve(b, overwrite_b=False) maps stacked right-hand sides, (len(shifts),
     N) or raveled, to solutions of the same shape; with overwrite_b a
@@ -292,12 +295,19 @@ def _shifted_solver(A, shifts, message):
             check(info, start)
             return lu, piv
 
-        held = factor(0, m) if m <= per_batch else None  # every block fits: factor once
+        starts = range(0, m, per_batch)
+        # the factors of one batch stay between calls: all of them when every
+        # block fits, else the last batch a call walked, which the next call
+        # walks first (the calls alternate direction)
+        kept = {0: factor(0, m)} if m <= per_batch else {}
 
         def substitute(rows):
-            for i in range(0, m, per_batch):
-                lu, piv = held or factor(i, min(i + per_batch, m))
+            order = starts[::-1] if starts[-1] in kept else starts
+            for i in order:
+                lu, piv = kept.pop(i, None) or factor(i, min(i + per_batch, m))
                 dgbtrs(lu, k, k, rows[i:i + per_batch].reshape(-1, 1), piv, overwrite_b=1)
+                if i == order[-1]:
+                    kept[i] = lu, piv
                 del lu, piv  # a batch factored here is released before the next
 
     def solve(b, overwrite_b=False):

@@ -475,18 +475,38 @@ def _traced_peak(fn):
 
 
 @pytest.mark.parametrize("bottom", ["neumann", "dirichlet"])
-def test_1d_solve_holds_at_most_twelve_solution_vectors(bottom):
-    # the solution, the right-hand side, the full value array, the
-    # symmetric mode factors (2 per unknown), the refinement's second
-    # solution and backward errors, and the few buffers the products and
-    # substitutions need: the traced peak, in vectors of (nx - 2) my doubles
-    nx, my = 513, 128
+def test_1d_solve_holds_at_most_seven_solution_arrays(bottom):
+    # the right-hand side, the symmetric mode factors (2 per unknown), the
+    # solution, one work array (the residual, then the refined solution) and
+    # the mode-transform temporary, plus one for the blocks of the backward
+    # error and the value array: the traced peak, in arrays of (nx - 2) my
+    # doubles
+    nx, my = 1025, 192
     prob = _variable_1d_problem(0.4, 0.5, 1.5, 2.0, bottom)
     mesh = ExtensionMesh(nx=nx, my=my)
     solve_extension(prob, mesh)  # first-call allocations stay outside the trace
     state, peak = _traced_peak(lambda: solve_extension(prob, mesh))
     assert state.residual_interior <= 1e-14 and state.residual_bottom <= 1e-14
-    assert peak <= 12 * (nx - 2) * my * 8, peak / ((nx - 2) * my * 8)
+    assert peak <= 7 * (nx - 2) * my * 8, peak / ((nx - 2) * my * 8)
+
+
+def test_2d_solve_peak_grows_by_at_most_five_solution_arrays_beside_its_factors():
+    # 25^2 x 20 and 25^2 x 40 with a12 != 0: what the peak gains with the
+    # 20 added levels is their band LU (bands and pivots) and at most five
+    # arrays of their size (four are held: the right-hand side, the
+    # solution, the work array and the mode-transform temporary); the
+    # x-operators and numpy's fixed buffers, as large as a few levels here,
+    # cancel in the difference
+    prob = _variable_2d_problem(0.4, 25, 25, 0.3, 2.0, "neumann")
+    peaks = []
+    for my in (20, 40):
+        mesh = ExtensionMesh(nx=25, my=my)
+        solve_extension(prob, mesh)
+        peaks.append(_traced_peak(lambda: solve_extension(prob, mesh))[1])
+    level = 23 * 23 * 8
+    factors = _per_mode_band_bytes(prob, ExtensionMesh(nx=25, my=20)) + 23 * 23 * 4
+    gained = (peaks[1] - peaks[0] - 20 * factors) / (20 * level)
+    assert gained <= 5.0, gained
 
 
 def _per_mode_band_bytes(prob, mesh):
@@ -500,8 +520,8 @@ def _per_mode_band_bytes(prob, mesh):
 @pytest.mark.parametrize("bottom", ["neumann", "dirichlet"])
 def test_2d_band_lu_in_mode_batches_matches_one_batch(monkeypatch, modes, bottom):
     # a byte budget that holds `modes` y-modes' bands: every call factors,
-    # substitutes and releases one batch at a time, so the refinement step
-    # factors every mode again; the field is the one-batch field
+    # substitutes and releases one batch at a time but keeps the last, which
+    # the refinement step reuses; the field is the one-batch field
     prob = _variable_2d_problem(0.4, 13, 11, 0.3, 2.0, bottom)
     mesh = ExtensionMesh(nx=(13, 11), my=9)
     nl = 9 if bottom == "neumann" else 8
@@ -512,7 +532,7 @@ def test_2d_band_lu_in_mode_batches_matches_one_batch(monkeypatch, modes, bottom
             runs.append((solve_extension(prob, mesh), factor.call_count))
     (one, one_factorizations), (batched, batched_factorizations) = runs
     assert one_factorizations == 1
-    assert batched_factorizations == 2 * -(-nl // modes)
+    assert batched_factorizations == 2 * -(-nl // modes) - 1
     assert np.max(np.abs(batched.values - one.values)) <= 1e-13 * np.max(np.abs(one.values))
     for state in (one, batched):
         assert state.residual_interior <= 1e-14 and state.residual_bottom <= 1e-14
@@ -644,27 +664,32 @@ def test_2d_solve_without_sparse_lu():
 
 def test_checked_solve_keeps_better_of_plain_and_refined():
     # stub solves with a known error: the correction step of `good` recovers
-    # the exact solution, that of `bad` adds a large error to it
-    A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
-    x = np.array([1.0, -2.0, 3.0])
+    # the exact solution, that of `bad` adds a large error to it; A has
+    # three levels of two x-nodes
+    Ay = sp.diags([[1.0, 1.0], [-3.0, -3.0, -3.0], [1.0, 1.0]], [-1, 0, 1], format="csr")
+    op = extension._LevelOperator(Ay, np.array([1.0, 2.0, 0.5]),
+                                  sp.csr_matrix(np.array([[-2.0, 1.0], [1.0, -2.0]])))
+    A = _assembled(op).tocsc()
+    x = np.array([1.0, -2.0, 3.0, 0.5, -1.5, 2.5])
     rhs = A @ x
-    delta = np.array([1e-6, 0.0, -1e-6])
+    delta = np.array([1e-6, 0.0, -1e-6, 2e-6, 0.0, 1e-6])
 
-    def good(r):
-        return x + delta if r is rhs else spla.spsolve(A.tocsc(), r)
+    def good(r, overwrite=False):
+        return x + delta if r is rhs else spla.spsolve(A, r.ravel())
 
-    def bad(r):
-        return x + delta if r is rhs else spla.spsolve(A.tocsc(), r) + 1e-3
+    def bad(r, overwrite=False):
+        return x + delta if r is rhs else spla.spsolve(A, r.ravel()) + 1e-3
 
-    sol, rel, refined = extension._checked_solve(A, rhs, good)
+    sol, rel, refined = extension._checked_solve(op, rhs, good)
+    assert rel.shape == (3,)  # one maximum per level
     assert refined and np.max(rel) <= 1e-15
     assert np.max(np.abs(sol - x)) <= 1e-14
-    sol, rel, refined = extension._checked_solve(A, rhs, bad)
+    sol, rel, refined = extension._checked_solve(op, rhs, bad)
     assert not refined and np.array_equal(sol, x + delta)
     plain = np.abs(A @ delta) / (np.abs(A) @ np.abs(x + delta) + np.abs(rhs))
-    assert np.max(rel) == pytest.approx(np.max(plain), rel=1e-8)
+    assert rel == pytest.approx(np.max(plain.reshape(3, 2), axis=1), rel=1e-8)
     with pytest.raises(RuntimeError, match="nonfinite"):
-        extension._checked_solve(A, rhs, lambda r: np.full(3, np.nan))
+        extension._checked_solve(op, rhs, lambda r, overwrite=False: np.full(6, np.nan))
 
 
 _MESH_COUNTS = st.integers(0, 12) | st.sampled_from([3, 4])
@@ -720,8 +745,18 @@ def test_level_operator_matches_the_assembled_matrix(n, s, nx1, nx2, my, x_gradi
     A = _assembled(op)
     x = np.random.default_rng(seed).standard_normal(A.shape[0])
     scale = abs(A) @ np.abs(x)
-    assert np.all(np.abs(op @ x - A @ x) <= 8.0 * np.finfo(float).eps * scale)
-    assert np.all(np.abs(abs(op) @ np.abs(x) - scale) <= 8.0 * np.finfo(float).eps * scale)
+    assert np.all(np.abs(_blockwise(op, x) - A @ x) <= 8.0 * np.finfo(float).eps * scale)
+    assert np.all(np.abs(_blockwise(abs(op), np.abs(x)) - scale)
+                  <= 8.0 * np.finfo(float).eps * scale)
+    # the three diagonals sum every row as Ay's CSR product does, bit for bit
+    X = x.reshape(len(op.V), -1)
+    assert np.array_equal(_blockwise(op, x), (op.Ay @ X + op.V[:, None] * (op.Ax @ X.T).T).ravel())
+
+
+def _blockwise(op, x):
+    """A x from the rows of every block of levels."""
+    X = x.reshape(len(op.V), -1)
+    return np.concatenate([op.rows(X[near], b, near) for b, near in op._blocks]).ravel()
 
 
 def test_transformed_solves_assemble_no_matrix():

@@ -2,6 +2,7 @@
 decay fitting and the inductive iteration."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -275,6 +276,19 @@ def test_harnack_run_with_overflowing_modes_errors_instead_of_reporting_nan(tmp_
         stage = run(cfg, str(tmp_path)).stages[0]
         assert stage["status"] == "error"
         assert stage["details"]["exception"].startswith(f"ValueError('R = {R:g} is too large")
+
+
+@pytest.mark.parametrize("R", [2.0, 5.0, 20.0, 100.0])
+def test_harnack_run_with_a_section_beyond_the_family_box_names_R(tmp_path, R):
+    # the family is positive on h(z) <= 1 only; a larger S_R makes a member
+    # negative there, and the error names R and that box, not only the sign
+    cfg = validate({"experiment": "harnack", "setup": {"s": 0.4},
+                    "problem": {"R": R, "family_size": 6, "nx": 33, "my": 16}})
+    stage = run(cfg, str(tmp_path)).stages[0]
+    assert stage["status"] == "error"
+    assert re.match(rf"ValueError\('R = {R:g} is too large: family member \d+ is negative on "
+                    r"S_R, .* positive only on the box h\(z\) <= 1, y <= 1.549'\)$",
+                    stage["details"]["exception"])
 
 
 def test_harnack_quotient_constants_and_perturbation():

@@ -825,6 +825,33 @@ def test_shifted_solver_on_2d_operators_takes_the_band_lu(n1, n2, c12, freq, shi
         assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
 
 
+def test_band_lu_batches_keep_the_last_for_the_next_call(monkeypatch):
+    # beyond the byte budget each call factors its batches in turn and keeps
+    # the last, which the next call, walking the other way, solves with
+    # first: 4 batches cost 4 factorizations, then 3 per call, and kept
+    # factors solve bit for bit as fresh ones
+    coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(2.0 * x) ** 2,
+                                     lambda x, y: 0.3 * np.cos(2.0 * (x + y)),
+                                     lambda x, y: 1.0 + 0.5 * np.cos(2.0 * y) ** 2, 0.5, 2.0)
+    L = -x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)])[0]
+    coo = L.tocoo()
+    k = int(np.max(np.abs(coo.col - coo.row)))
+    monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * L.shape[0] * (3 * k + 1))
+    shifts = np.linspace(0.0, 60.0, 7)
+    b = np.random.default_rng(3).standard_normal((len(shifts), L.shape[0]))
+    with mock.patch.object(semigroup, "dgbtrf", wraps=semigroup.dgbtrf) as gb:
+        solve = semigroup._shifted_solver(L, shifts, "block {k}")
+        runs = []
+        for _ in range(3):
+            before = gb.call_count
+            runs.append((solve(b), gb.call_count - before))
+    assert [count for _, count in runs] == [4, 3, 3]
+    for x, _ in runs[1:]:
+        assert np.array_equal(x, runs[0][0])
+    ref = [np.linalg.solve(L.toarray() + sh * np.eye(L.shape[0]), bk) for sh, bk in zip(shifts, b)]
+    assert np.allclose(runs[0][0], ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
 def test_shifted_solver_names_an_indefinite_1d_block():
     L = _stepper_1d(N=32).L
     lam = np.linalg.eigvals(L.toarray()).real
