@@ -84,13 +84,17 @@ def positive_harmonic_family(s, size, seed=0):
     rng = np.random.default_rng(seed)
     # the mode profiles grow with y; normalize against their value at the box top
     ycap = harmonic_family_ycap(s)
+    top = {}  # each wave number's profile at ycap, from its first use on
     family = []
     for _ in range(size):
         nmodes = int(rng.integers(1, 4))
         ks = rng.integers(1, 4, nmodes)
         phases = rng.uniform(0.0, 2.0 * np.pi, nmodes)
         raw = rng.uniform(0.2, 1.0, nmodes)
-        growth = sum(r * harmonic_mode_profile(s, k, ycap) for r, k in zip(raw, ks))
+        for k in ks:
+            if k not in top:
+                top[k] = harmonic_mode_profile(s, k, ycap)
+        growth = sum(r * top[k] for r, k in zip(raw, ks))
         amps = 0.9 * raw / growth
         family.append(HarmonicCombo(s, const=1.0,
                                     modes=list(zip(amps, ks.astype(float), phases))))

@@ -22,6 +22,10 @@ h <= E_opt <= E <= h + tol.  After _MAX_EXCHANGES steps one HiGHS LP over all
 2m rows takes over, posed with the residual scaled to _LP_SCALE because
 HiGHS's tolerances are absolute; if it fails, Lawson's iteratively reweighted
 least squares answers, as it does for method="lawson".
+
+`sup_fitter(basis)` is that fit as a function of the values: the basis checks,
+the column scaling and both pivoted QRs depend on the basis alone and run once
+for all the value vectors it fits.  `sup_fit` is `sup_fitter(basis)(values)`.
 """
 
 from __future__ import annotations
@@ -51,26 +55,42 @@ def sup_fit(basis, values, method="lp", lawson_iters=8):
     (coeffs, sup_error), where sup_error is the maximum residual of the
     returned coefficients.
     """
+    return sup_fitter(basis, method, lawson_iters)(values)
+
+
+def sup_fitter(basis, method="lp", lawson_iters=8):
+    """fit(values) -> sup_fit(basis, values, method, lawson_iters), bit for bit.
+
+    The work on the basis alone is done here, once for every values vector
+    fit is given: its checks, and for method "lp" the column scaling, the
+    rank-revealing pivoted QR and the exchange's starting rows.
+    """
     basis = np.asarray(basis, dtype=float)
-    values = np.asarray(values, dtype=float)
     if basis.ndim != 2:
         raise ValueError("basis must be a 2-D (m, p) array")
-    if values.shape != (basis.shape[0],):
-        raise ValueError(f"values must have shape ({basis.shape[0]},), got {values.shape}")
-    if not (np.all(np.isfinite(basis)) and np.all(np.isfinite(values))):
+    if not np.all(np.isfinite(basis)):
         raise ValueError("basis and values must be finite")
-    if method == "lp":
-        coeffs = _minimax(basis, values)
-        if coeffs is not None:
-            return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
-    return _lawson(basis, values, lawson_iters)
+    m = basis.shape[0]
+    minimax = _minimax(basis) if method == "lp" else None
+
+    def fit(values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (m,):
+            raise ValueError(f"values must have shape ({m},), got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("basis and values must be finite")
+        if minimax is not None:
+            coeffs = minimax(values)
+            if coeffs is not None:
+                return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
+        return _lawson(basis, values, lawson_iters)
+
+    return fit
 
 
-def _minimax(basis, values):
-    """Minimax coefficients: the exchange, else one full LP; None if the LP
-    fails."""
-    lsq, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    r = values - basis @ lsq
+def _minimax(basis):
+    """values -> minimax coefficients on this basis: the exchange's, else one
+    full LP's; None if the LP fails."""
     col = np.max(np.abs(basis), axis=0)
     col[col == 0.0] = 1.0
     B = basis / col
@@ -78,25 +98,33 @@ def _minimax(basis, values):
     diag = np.abs(np.diag(R))
     rank = np.sum(diag > np.finfo(float).eps * max(B.shape) * np.max(diag, initial=0.0))
     keep = np.sort(perm[:rank])
-    if np.max(np.abs(r)) == 0.0 or not 0 < keep.size < len(r):
-        return lsq
     B = B[:, keep]
-    tol = 1e-12 * min(max(1.0, float(np.max(np.abs(values)))), float(np.max(np.abs(r))))
-    found = _exchange(B, r, tol)
-    y = found[0] if found is not None else _full_lp(B, r)
-    if y is None:
-        return None
-    coeffs = lsq.copy()
-    coeffs[keep] += y / col[keep]
-    return coeffs
+    # the exchange starts from the rows a pivoted QR of B^T ranks first
+    rows = qr(B.T, mode="r", pivoting=True)[1][:rank] if 0 < rank < len(B) else None
+
+    def solve(values):
+        lsq, *_ = np.linalg.lstsq(basis, values, rcond=None)
+        r = values - basis @ lsq
+        if np.max(np.abs(r)) == 0.0 or rows is None:
+            return lsq
+        tol = 1e-12 * min(max(1.0, float(np.max(np.abs(values)))), float(np.max(np.abs(r))))
+        found = _exchange(B, r, tol, rows)
+        y = found[0] if found is not None else _full_lp(B, r)
+        if y is None:
+            return None
+        coeffs = lsq.copy()
+        coeffs[keep] += y / col[keep]
+        return coeffs
+
+    return solve
 
 
-def _exchange(B, r, tol):
+def _exchange(B, r, tol, rows):
     """Stiefel's exchange for min_y max|r - B y| with B of full column rank q
-    and more than q rows.  Returns (y, h), h the dual lower bound with
-    max|r - B y| <= h + tol, or None after _MAX_EXCHANGES steps."""
+    and more than q rows, started from the q independent rows `rows`.
+    Returns (y, h), h the dual lower bound with max|r - B y| <= h + tol, or
+    None after _MAX_EXCHANGES steps."""
     q = B.shape[1]
-    rows = qr(B.T, mode="r", pivoting=True)[1][:q]
     mag = np.abs(r)
     mag[rows] = -1.0
     J = np.append(rows, np.argmax(mag))

@@ -130,9 +130,9 @@ class GridFunction:
 
 def write_json(path, payload):
     """Write a JSON-native payload in the report format."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_csv(path, header, rows):

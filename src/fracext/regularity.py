@@ -13,8 +13,8 @@ import numpy as np
 from .benchmarks import harmonic_combo_problem, harmonic_family_ycap
 from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
                         HarmonicCombo, rescale_solution, solve_extension,
-                        transform_to_y)
-from .fitting import sup_fit
+                        transform_to_y, transform_to_z)
+from .fitting import sup_fit, sup_fitter
 from .geometry import MAGeometry
 from .semigroup import CoefficientField
 
@@ -92,33 +92,35 @@ def _flat_nodes(state: ExtensionState):
 
 
 class _HarnackSections:
-    """The nodes of S_R(center) and S_{kappa R}(center) among fixed nodes (x, z):
-    the geometry of a Harnack quotient, shared by every function on them."""
+    """The nodes of S_R(center) and S_{kappa R}(center) among fixed nodes (x, z),
+    as flat index arrays: the geometry of a Harnack quotient, shared by every
+    function on them."""
 
     def __init__(self, geom: MAGeometry, x, z, center, R, kappa):
         self.geom, self.x, self.z = geom, x, z
         self.center, self.R, self.kappa = center, R, kappa
         delta = geom.delta_Phi((center[0], center[1]), (x, z))
-        self.in_R = delta < R
-        if not np.any(self.in_R):
+        self.in_R = np.flatnonzero(delta < R)
+        if not self.in_R.size:
             raise ValueError("section S_R contains no grid nodes")
-        self.in_kR = delta < kappa * R
-        if not np.any(self.in_kR):
+        self.in_kR = np.flatnonzero(delta < kappa * R)
+        if not self.in_kR.size:
             raise ValueError("section S_{kappa R} contains no grid nodes")
 
     def report(self, v, f_fn=None, F_fn=None) -> HarnackReport:
         """The quotient of the node values v (one per node, all finite)."""
-        in_R, in_kR, R = self.in_R, self.in_kR, self.R
+        in_R, R = self.in_R, self.R
         if not np.all(np.isfinite(v)):
             raise ValueError("Harnack quotient requires finite node values")
-        if np.min(v[in_R]) < -1e-10 * max(1.0, np.max(np.abs(v[in_R]))):
+        v_R, v_kR = v[in_R], v[self.in_kR]
+        if np.min(v_R) < -1e-10 * max(1.0, np.max(np.abs(v_R))):
             raise ValueError("Harnack quotient requires a nonnegative solution on S_R")
-        sup = float(np.max(v[in_kR]))
-        inf = float(max(np.min(v[in_kR]), 0.0))
+        sup = float(np.max(v_kR))
+        inf = float(max(np.min(v_kR), 0.0))
         f_term = 0.0
         if f_fn is not None:
-            trace = in_R & (np.abs(self.z) < 1e-300)
-            if np.any(trace):
+            trace = in_R[np.abs(self.z[in_R]) < 1e-300]
+            if trace.size:
                 f_term = float(np.max(np.abs(f_fn(self.x[trace])))) * R**self.geom.s
         F_term = 0.0
         if F_fn is not None:
@@ -135,8 +137,12 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
 
     family: list of HarmonicCombo (f = F = 0, so the data terms vanish).  Each
     is sampled on the solver grid at `refine` times the base resolution; the
-    sampling-grid sweep is what the stability check varies.  The sections S_R
-    and S_{kappa R} of the reflected grid are found once for the family.
+    sampling-grid sweep is what the stability check varies.  The quotients are
+    those of the reflected grid, levels -z and z, but delta_Phi((0, 0), .) and
+    every member are even in z, so a mirrored node lies in a section exactly
+    when its z >= 0 twin does and holds the same value: the sections are found
+    once for the family on the half grid z >= 0, and each member is evaluated
+    and reduced there.
     """
     geom = MAGeometry(s)
     mesh = mesh or ExtensionMesh(nx=97, my=48)
@@ -147,21 +153,18 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     xs = np.linspace(-xlim, xlim, nx)
     zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)])
     ys = transform_to_y(zs, s)
-    grid = ExtensionState(s, [xs], ys, np.zeros((len(zs), len(xs))), 0.0, 0.0, reflected=True)
-    x, z, _ = _flat_nodes(grid)
-    section = _HarnackSections(geom, x, z, (0.0, 0.0), R, kappa)
+    Z, X = np.meshgrid(transform_to_z(ys, s), xs, indexing="ij")
+    section = _HarnackSections(geom, X.ravel(), Z.ravel(), (0.0, 0.0), R, kappa)
     profiles = {}  # each wave number's mode profile on this grid, for the whole family
     reports = []
     for i, combo in enumerate(family):
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            vals = np.broadcast_to(combo.at_y(xs[None, :], ys[:, None], profiles),
-                                   (len(zs), len(xs)))
+            vals = combo.at_y(xs[None, :], ys[:, None], profiles)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"R = {R:g} is too large: a family member overflows on S_R, "
                              f"where its mode profiles grow like e^(k y)")
-        # the node order of the reflected grid: mirrored levels, then z >= 0
         try:
-            reports.append(section.report(np.concatenate([vals[::-1], vals[1:]]).ravel()))
+            reports.append(section.report(vals.ravel()))
         except ValueError as exc:  # the values are finite: negative on S_R
             raise ValueError(
                 f"R = {R:g} is too large: family member {i} is negative on S_R, sampled up "
@@ -330,7 +333,9 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
         A += rho^{k(alpha+2s-2)} A_step    d += rho^{k(alpha+2s-2)} d_step.
 
     The loop stops early (truncated report) once the zoomed fit region falls
-    below a few source-grid cells.
+    below a few source-grid cells.  Every step lands on the same fit mesh, so
+    its member nodes, their basis and the fit's work on that basis alone
+    (`fitting.sup_fitter`) are set up once, before the loop.
     """
     if state.n != 1:
         raise ValueError("iteration implemented for 1-D x")
@@ -343,6 +348,13 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
     Zfit = geom.section_interval(0.0, zcap)[1] * 1.02
     xs_src = state.x_axes[0]
     dx0 = float(np.min(np.diff(xs_src)))
+    # the fit mesh's grid as rescale_solution builds it, and its fit region
+    Zg, Xg = np.meshgrid(transform_to_z(fit_mesh.y_nodes(transform_to_y(Zfit, s), s), s),
+                         fit_mesh.x_axes((-xw, xw), 1)[0], indexing="ij")
+    X, Z = Xg.ravel(), Zg.ravel()
+    member = np.flatnonzero((0.5 * X**2 < rho**2) & (geom.h(Z) < zcap))
+    X, Z = X[member], Z[member]
+    fit = sup_fitter(_case_basis(case, X, Z, geom))
 
     c = b = A = d = 0.0
     coefficients, step_errors = [], []
@@ -354,16 +366,11 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
             break
         V = rescale_solution(state, rho**k, target_mesh=fit_mesh,
                              target_domain=(-xw, xw, Zfit))
-        Zg, Xg = np.meshgrid(V.z_nodes, V.x_axes[0], indexing="ij")
-        X, Z = Xg.ravel(), Zg.ravel()
-        member = (0.5 * X**2 < rho**2) & (geom.h(Z) < zcap)
-        X, Z, W = X[member], Z[member], V.values.ravel()[member]
+        W = V.values.ravel()[member]
         # subtract the accumulated polynomial in original coordinates
         Xo, Zo = rho**k * X, rho ** (2 * s * k) * Z
         Pk = c + b * Xo + 0.5 * A * Xo**2 + d * geom.h(Zo)
-        vals = (W - Pk) / rho ** (k * gam)
-        basis = _case_basis(case, X, Z, geom)
-        theta, err = sup_fit(basis, vals)
+        theta, err = fit((W - Pk) / rho ** (k * gam))
         step_errors.append(float(err))
         cs = theta[0]
         bs = theta[1] if case >= 2 else 0.0

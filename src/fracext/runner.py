@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 
 import numpy as np
@@ -73,8 +73,8 @@ class RunManifest:
         if status != "pass":
             self.exit_status = 1
 
-    def save(self, path):
-        write_json(path, asdict(self))
+    def save(self, path):  # the stages hold plain data: written as they are, not deep-copied
+        write_json(path, {f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:

@@ -300,6 +300,8 @@ def _shifted_solver(A, shifts, message):
         # block fits, else the last batch a call walked, which the next call
         # walks first (the calls alternate direction)
         kept = {0: factor(0, m)} if m <= per_batch else {}
+        if kept:  # every block's factors stay: factor never runs again, so its coo goes
+            coo = None
 
         def substitute(rows):
             order = starts[::-1] if starts[-1] in kept else starts

@@ -1,17 +1,18 @@
 """Grid containers and the documented CSV / binary serialization."""
 
 import ast
+import json
 import pathlib
 import struct
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fracext
 from fracext.gridfn import (BoxGrid, GridFunction, read_grid_binary,
-                            write_grid_binary)
+                            write_grid_binary, write_json)
 
 
 def test_boxgrid_validation():
@@ -174,3 +175,28 @@ def test_json_formatted_in_one_place():
         visitor.visit(ast.parse(path.read_text()))
         found += visitor.found
     assert sorted(found) == ["config.ExperimentConfig.canonical_bytes", "gridfn.write_json"]
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6))
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(deadline=None)
+@given(_JSON_PAYLOADS)
+@example({"b": [1.5, float("nan"), (2, -0.0)], "a": {"z": 1e-310, "y": (float("inf"),)},
+          "é": "ü"})
+def test_write_json_bytes_equal_json_dump(payload):
+    # one encode and one write: the bytes json.dump streamed, sorted keys,
+    # two-space indent and a trailing newline
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "payload.json"
+        write_json(path, payload)
+        with open(pathlib.Path(tmp) / "reference.json", "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        assert path.read_bytes() == (pathlib.Path(tmp) / "reference.json").read_bytes()

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from fracext import fitting
-from fracext.benchmarks import (harmonic_combo_problem, kinked_trace_problem,
-                                positive_harmonic_family)
+from fracext.benchmarks import (harmonic_combo_problem, harmonic_family_ycap,
+                                kinked_trace_problem, positive_harmonic_family,
+                                sliding_fixture)
 from fracext.config import validate
 from fracext.extension import (ExtensionMesh, ExtensionState, HarmonicCombo,
-                               rescale_solution, solve_extension, transform_to_y)
+                               harmonic_mode_profile, rescale_solution, solve_extension,
+                               transform_to_y)
 from fracext.fitting import sup_fit
 from fracext.geometry import MAGeometry
 from fracext.regularity import (_case_basis, _region, approximation_distance,
@@ -167,8 +169,8 @@ def test_exchange_certifies_degenerate_references(monkeypatch, kinked_state, cas
     levels = []
     exchange = fitting._exchange
 
-    def spy(B, r, tol):
-        found = exchange(B, r, tol)
+    def spy(*args):
+        found = exchange(*args)
         levels.append(found[1])
         return found
 
@@ -181,6 +183,94 @@ def test_exchange_certifies_degenerate_references(monkeypatch, kinked_state, cas
         tol = 1e-12 * max(1.0, float(np.max(np.abs(V))))
         assert err <= levels[-1] + tol
         assert err <= _full_lp_error(basis, V) + tol
+
+
+def _assert_fitter_matches_fresh_fits(basis, value_list, method):
+    """One sup_fitter(basis) over every vector, then a fresh sup_fit for each:
+    the same coefficients and error, bit for bit."""
+    fit = fitting.sup_fitter(basis, method)
+    reused = [fit(values) for values in value_list]
+    for values, (coeffs, err) in zip(value_list, reused):
+        fresh_coeffs, fresh_err = sup_fit(basis, values, method=method)
+        assert np.array_equal(coeffs, fresh_coeffs) and err == fresh_err
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 60), p=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["full", "zero column", "dependent column", "m <= rank"]),
+       method=st.sampled_from(["lp", "lawson"]))
+@example(m=1, p=1, seed=0, shape="full", method="lp")
+@example(m=40, p=3, seed=1, shape="dependent column", method="lp")
+def test_sup_fitter_reused_equals_fresh_sup_fits(m, p, seed, shape, method):
+    # random bases, with a zero or a dependent column, or no more rows than
+    # the rank (the least-squares fit is returned); the zero vector has a
+    # zero least-squares residual
+    rng = np.random.default_rng(seed)
+    m = min(m, p) if shape == "m <= rank" else max(m, p + 1)
+    x = rng.uniform(-1.0, 1.0, m)
+    basis = np.stack([x**j for j in range(p)], axis=1) + 0.1 * rng.standard_normal((m, p))
+    if shape == "zero column":
+        basis[:, rng.integers(p)] = 0.0
+    elif shape == "dependent column" and p > 1:
+        basis[:, -1] = 2.0 * basis[:, 0] - basis[:, p // 2]
+    value_list = [np.sin(3.0 * x) + 0.5 * rng.standard_normal(m), np.zeros(m),
+                  np.abs(x) ** 0.7, 1e-6 * rng.standard_normal(m)]
+    _assert_fitter_matches_fresh_fits(basis, value_list, method)
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=st.sampled_from([2, 3]), j=st.integers(0, 5), seed=st.integers(0, 2**16))
+def test_sup_fitter_on_decay_regions_equals_fresh_sup_fits(kinked_state, case, j, seed):
+    # the degenerate bases of the decay fits: rows of [1, x] repeat on every
+    # z level, and case 3 adds x^2 / 2 and h(z)
+    geom = MAGeometry(kinked_state.s)
+    X, Z, V = _region(kinked_state, geom, 0.5**j, case)
+    noise = np.random.default_rng(seed).standard_normal(len(V))
+    _assert_fitter_matches_fresh_fits(_case_basis(case, X, Z, geom),
+                                      [V, V - V.mean(), V + 1e-3 * noise, np.sin(5.0 * X) * V],
+                                      "lp")
+
+
+def _campanato_reference(state, case, alpha, rho, depth, fit_mesh):
+    """campanato_iterate as a loop that rescales, selects the fit region and
+    calls sup_fit afresh at every step."""
+    s = state.s
+    geom = MAGeometry(s)
+    gam = alpha + 2.0 * s
+    xw = np.sqrt(2.0) * rho * 1.02
+    zcap = rho**2 if case in (1, 2) else rho**3
+    Zfit = geom.section_interval(0.0, zcap)[1] * 1.02
+    dx0 = float(np.min(np.diff(state.x_axes[0])))
+    c = b = A = d = 0.0
+    coefficients, errors = [], []
+    for k in range(depth):
+        if rho**k * xw < 4.0 * dx0 / np.sqrt(2.0):
+            break
+        V = rescale_solution(state, rho**k, target_mesh=fit_mesh, target_domain=(-xw, xw, Zfit))
+        Zg, Xg = np.meshgrid(V.z_nodes, V.x_axes[0], indexing="ij")
+        X, Z = Xg.ravel(), Zg.ravel()
+        member = (0.5 * X**2 < rho**2) & (geom.h(Z) < zcap)
+        X, Z, W = X[member], Z[member], V.values.ravel()[member]
+        Xo, Zo = rho**k * X, rho ** (2 * s * k) * Z
+        Pk = c + b * Xo + 0.5 * A * Xo**2 + d * geom.h(Zo)
+        theta, err = sup_fit(_case_basis(case, X, Z, geom), (W - Pk) / rho ** (k * gam))
+        errors.append(float(err))
+        theta = np.concatenate([theta, np.zeros(4 - len(theta))])
+        c += rho ** (k * gam) * theta[0]
+        b += rho ** (k * (gam - 1.0)) * theta[1]
+        A += rho ** (k * (gam - 2.0)) * theta[2]
+        d += rho ** (k * (gam - 2.0)) * theta[3]
+        coefficients.append({"c": float(c), "b": float(b), "A": float(A), "d": float(d)})
+    return coefficients, errors
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_campanato_equals_a_loop_of_fresh_fits(kinked_state, case):
+    mesh = ExtensionMesh(nx=97, my=40, grading=3.0)
+    rep = campanato_iterate(kinked_state, case, alpha=0.5, rho=0.5, depth=8)
+    coefficients, errors = _campanato_reference(kinked_state, case, 0.5, 0.5, 8, mesh)
+    assert rep.steps == len(coefficients) >= 2
+    assert rep.coefficients == coefficients and rep.step_errors == errors
 
 
 def test_kinked_decay_and_campanato_make_no_lp_call(monkeypatch, kinked_state):
@@ -324,6 +414,53 @@ def test_harnack_family_stability():
     rep2 = harnack_family_report(s, family, ExtensionMesh(nx=65, my=32), refine=2)
     assert rep1["min_quotient"] >= 1.0 - 1e-9
     assert abs(rep2["C_H_hat"] - rep1["C_H_hat"]) <= 0.2 * rep1["C_H_hat"]
+
+
+def _family_profile_per_mode(s, size, seed):
+    """positive_harmonic_family with the box-top profile evaluated for every
+    member and mode."""
+    rng = np.random.default_rng(seed)
+    ycap = harmonic_family_ycap(s)
+    family = []
+    for _ in range(size):
+        nmodes = int(rng.integers(1, 4))
+        ks = rng.integers(1, 4, nmodes)
+        phases = rng.uniform(0.0, 2.0 * np.pi, nmodes)
+        raw = rng.uniform(0.2, 1.0, nmodes)
+        growth = sum(r * harmonic_mode_profile(s, k, ycap) for r, k in zip(raw, ks))
+        family.append(HarmonicCombo(s, const=1.0,
+                                    modes=list(zip(0.9 * raw / growth, ks.astype(float), phases))))
+    return family
+
+
+@pytest.mark.parametrize("s, size, seed", [(0.05, 20, 0), (0.4, 1, 7), (0.75, 12, 3),
+                                           (0.95, 5, 11)])
+def test_harmonic_family_profiles_once_per_wave_number(s, size, seed):
+    family = positive_harmonic_family(s, size, seed=seed)
+    reference = _family_profile_per_mode(s, size, seed)
+    assert [(c.const, c.modes) for c in family] == [(c.const, c.modes) for c in reference]
+    if size == 1:  # the sliding fixture's one member
+        xs, zs, U = sliding_fixture(MAGeometry(s), "harmonic", 21, 17, seed=seed)
+        assert np.array_equal(U, reference[0](xs[:, None], zs[None, :]))
+
+
+@pytest.mark.parametrize("s, R, kappa, refine", [(0.3, 0.5, 0.5, 1), (0.75, 0.3, 0.4, 2),
+                                                 (0.5, 1.0, 0.6, 1)])
+def test_harnack_family_half_grid_equals_the_reflected_grid(s, R, kappa, refine):
+    # each member's report is harnack_quotient's over the reflected grid,
+    # levels -z and z, which the family report reduces on z >= 0 only
+    family = positive_harmonic_family(s, 8, seed=5)
+    mesh = ExtensionMesh(nx=33, my=16)
+    rep = harnack_family_report(s, family, mesh, kappa=kappa, R=R, refine=refine)
+    geom = MAGeometry(s)
+    nx, my = (mesh.nx - 1) * refine + 1, mesh.my * refine
+    xs = np.linspace(-np.sqrt(2.0 * R) * 1.05, np.sqrt(2.0 * R) * 1.05, nx)
+    zcap = geom.section_interval(0.0, R)[1] * 1.05
+    ys = transform_to_y(np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)]), s)
+    for combo, got in zip(family, rep["reports"]):
+        state = ExtensionState(s, [xs], ys, combo.at_y(xs[None, :], ys[:, None]), 0.0, 0.0,
+                               reflected=True)
+        assert got == harnack_quotient(geom, state, (0.0, 0.0), R, kappa)
 
 
 def test_approximation_distance_monotone():

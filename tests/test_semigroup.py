@@ -1,6 +1,7 @@
 """Semigroup core: heat semigroup, fractional powers, extension profile."""
 
 import re
+import types
 from unittest import mock
 
 import numpy as np
@@ -850,6 +851,43 @@ def test_band_lu_batches_keep_the_last_for_the_next_call(monkeypatch):
         assert np.array_equal(x, runs[0][0])
     ref = [np.linalg.solve(L.toarray() + sh * np.eye(L.shape[0]), bk) for sh, bk in zip(shifts, b)]
     assert np.allclose(runs[0][0], ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _closure_reach(func):
+    """Every object `func` keeps alive through closure cells, following nested
+    functions, tuples, lists and dicts."""
+    seen, stack = {}, [func]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+    return list(seen.values())
+
+
+def test_band_solver_with_every_block_factored_keeps_no_operator_copy(monkeypatch):
+    # when every block fits the budget the solve keeps the band LU and its
+    # pivots, not the COO copy of the operator that factoring read; past
+    # the budget the solve refactors batches, so it must keep that copy
+    coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(2.0 * x) ** 2,
+                                     lambda x, y: 0.3 * np.cos(2.0 * (x + y)),
+                                     lambda x, y: 1.0 + 0.5 * np.cos(2.0 * y) ** 2, 0.5, 2.0)
+    L = -x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)])[0]
+    n, shifts = L.shape[0], np.linspace(0.0, 60.0, 7)
+    k = int(np.max(np.abs(L.tocoo().col - L.tocoo().row)))
+    reach = _closure_reach(semigroup._shifted_solver(L, shifts, "block {k}"))
+    assert not any(sp.issparse(obj) for obj in reach)
+    assert sorted(obj.shape for obj in reach if isinstance(obj, np.ndarray) and obj.size >= n) \
+        == sorted([(3 * k + 1, len(shifts) * n), (len(shifts) * n,)])
+    monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * n * (3 * k + 1))
+    reach = _closure_reach(semigroup._shifted_solver(L, shifts, "block {k}"))
+    assert any(sp.issparse(obj) and obj.format == "coo" for obj in reach)
 
 
 def test_shifted_solver_names_an_indefinite_1d_block():
