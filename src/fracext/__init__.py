@@ -1,6 +1,10 @@
 """Numerical laboratory for fractional powers of nondivergence-form elliptic
 operators via the degenerate extension problem, with the quasi-metric geometry
-machinery and the regularity measurement experiments built on top of it."""
+machinery and the regularity measurement experiments built on top of it.
+
+Importing the package loads numpy only: each scipy module is imported in the
+function that calls it, so the geometry, the barriers and the sliding
+paraboloids never load scipy."""
 
 __version__ = "0.1.0"
 

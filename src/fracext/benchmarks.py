@@ -9,7 +9,7 @@ import numpy as np
 
 from .extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo, harmonic_mode_profile,
                         solve_extension, transform_to_y, transform_to_z)
-from .geometry import MAGeometry
+from .geometry import MAGeometry, _names_s
 from .semigroup import CoefficientField, bessel_extension_profile, ds_constant
 
 
@@ -101,6 +101,7 @@ def positive_harmonic_family(s, size, seed=0):
     return family
 
 
+@_names_s
 def sliding_fixture(geom: MAGeometry, kind, nx=61, nz=61, opening=1.0, seed=0):
     """Grid fixtures for the contact-set experiment on a rectangle above z=0.
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import sys
 
 import numpy as np
-from scipy.linalg import qr
 
 _MAX_EXCHANGES = 100
 _LP_SCALE = 1e6
@@ -91,6 +90,8 @@ def sup_fitter(basis, method="lp", lawson_iters=8):
 def _minimax(basis):
     """values -> minimax coefficients on this basis: the exchange's, else one
     full LP's; None if the LP fails."""
+    from scipy.linalg import qr
+
     col = np.max(np.abs(basis), axis=0)
     col[col == 0.0] = 1.0
     B = basis / col

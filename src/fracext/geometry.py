@@ -302,16 +302,17 @@ class SectionDescriptor:
 
 
 def _names_s(check):
-    """check(geom, ...) with its floating-point exceptions raised as a
-    ValueError that names s: near s = 0, h = c |z|^(1/s) overflows on the
-    sample boxes."""
+    """check(geom, ...) or check(s, ...) with its floating-point exceptions
+    raised as a ValueError that names s: near s = 0, h = c |z|^(1/s) and
+    y = 2s z^(1/(2s)) overflow on the sample boxes."""
     @functools.wraps(check)
     def checked(geom, *args, **kwargs):
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 return check(geom, *args, **kwargs)
         except FloatingPointError as exc:
-            raise ValueError(f"{check.__name__} at s = {geom.s!r}: {exc}") from exc
+            s = geom.s if isinstance(geom, MAGeometry) else geom
+            raise ValueError(f"{check.__name__} at s = {s!r}: {exc}") from exc
     return checked
 
 

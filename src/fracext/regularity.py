@@ -15,7 +15,7 @@ from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
                         HarmonicCombo, rescale_solution, solve_extension,
                         transform_to_y, transform_to_z)
 from .fitting import sup_fit, sup_fitter
-from .geometry import MAGeometry
+from .geometry import MAGeometry, _names_s
 from .semigroup import CoefficientField
 
 
@@ -132,6 +132,7 @@ class _HarnackSections:
                              float(self.kappa), sup, inf, f_term, F_term, float(Q))
 
 
+@_names_s
 def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     """Max quotient over a family of exact nonnegative harmonic combinations.
 

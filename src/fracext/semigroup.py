@@ -30,14 +30,20 @@ from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal, eigvals, svd
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
-from scipy.special import gamma, kv
 
 from .geometry import transform_to_y
 from .gridfn import BoxGrid, GridFunction
+
+
+def __getattr__(name):
+    # the benchmark tracer wraps `spla.splu` here by name; the first lookup
+    # imports scipy.sparse.linalg and binds it in this module, where the
+    # tracer's patch replaces and restores it (no call here uses it)
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+        globals()["spla"] = spla
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- constants ---------------------------------------------------------------------
@@ -45,6 +51,8 @@ from .gridfn import BoxGrid, GridFunction
 
 def ds_constant(s):
     """Trace constant d_s = s^{2s} Gamma(1-s) / Gamma(1+s) of the extension problem."""
+    from scipy.special import gamma
+
     if not 0.0 < s < 1.0:
         raise ValueError("s must be in (0,1)")
     return s ** (2.0 * s) * gamma(1.0 - s) / gamma(1.0 + s)
@@ -119,6 +127,8 @@ def x_operator(coeff: CoefficientField, axes):
     values on the full raveled grid (only boundary columns are nonzero) to
     the stencil contribution of Dirichlet neighbours.
     """
+    import scipy.sparse as sp
+
     n = len(axes)
     if coeff.n != n:
         raise ValueError("coefficient dimension does not match grid")
@@ -256,6 +266,8 @@ def _shifted_solver(A, shifts, message):
     singular (band) or not positive definite (tridiagonal) raises
     LinAlgError(message.format(k=k, p=-shifts[k])), the block being A - p I.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs
+
     shifts = np.asarray(shifts, dtype=float)
     n, m = A.shape[0], len(shifts)
 
@@ -338,6 +350,8 @@ def tridiagonal_modes(A):
     eigh_tridiagonal gives S = Q diag(lam) Q^T with Q orthogonal.  Returns
     (lam, Q, d).
     """
+    from scipy.linalg import eigh_tridiagonal
+
     d, e = _tridiagonal_symmetrizer(A)
     lam, Q = eigh_tridiagonal(A.diagonal(), e)
     return lam, Q, d
@@ -458,6 +472,8 @@ def _aaa_poles(z, f):
     _AAA_MAX_TERMS terms.  The poles are the finite eigenvalues of the
     arrowhead pencil of the barycentric form, complex ones included.
     """
+    from scipy.linalg import eigvals, svd
+
     eps = np.finfo(float).eps
     free = np.ones(z.size, dtype=bool)
     C = np.empty((z.size, _AAA_MAX_TERMS))
@@ -661,6 +677,8 @@ def bessel_extension_profile(lam, s, z):
     Here k = sqrt(lam) and y = `transform_to_y(z, s)`; the value is 1 at z = 0.
     ValueError unless 0 < s < 1 and lam and z are finite and >= 0.
     """
+    from scipy.special import gamma, kv
+
     if not 0.0 < s < 1.0:
         raise ValueError("s must be in (0,1)")
     z = np.asarray(z, dtype=float)

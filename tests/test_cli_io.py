@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from fracext.cli import main as cli_main
 from fracext.config import (_TOP_SCHEMA, EXPERIMENT_KINDS, MAX_COUNT, MAX_MESH_POINTS,
-                            MAX_THREADS, ConfigError, default_config, load_config, validate)
+                            MAX_THREADS, ConfigError, default_config, default_raw, load_config,
+                            validate)
 from fracext.plots import svg_heatmap, svg_loglog
 from fracext.runner import run
 
@@ -376,6 +377,20 @@ def test_geometry_check_at_extreme_s_passes_fails_or_names_s(tmp_path, s, dimens
     exc = stage["details"].get("exception", "")
     assert stage["status"] in ("pass", "fail") or (
         exc.startswith("ValueError(") and f"s = {s!r}" in exc), exc
+
+
+@pytest.mark.parametrize("kind, fixture", [
+    ("slide-paraboloids", "convex"), ("slide-paraboloids", "paraboloid"),
+    ("slide-paraboloids", "harmonic"), ("harnack", None)])
+def test_sliding_and_harnack_at_s_1e_6_name_s(tmp_path, kind, fixture):
+    # RuntimeWarnings are errors here: h = c |z|^(1/s) and y = 2s z^(1/(2s))
+    # overflow on the sample boxes, and the stage must say so through s
+    raw = default_raw(kind, 1e-6)
+    if fixture is not None:
+        raw["problem"]["fixture"] = fixture
+    stage = run(validate(raw), str(tmp_path)).stages[0]
+    exc = stage["details"].get("exception", "")
+    assert stage["status"] == "error" and exc.startswith("ValueError(") and "s = 1e-06" in exc, exc
 
 
 @pytest.mark.parametrize("raw, key", [

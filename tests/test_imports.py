@@ -1,8 +1,8 @@
 """Source hygiene: every module-level import in the package and the tests is
 used, every private helper of the package is referenced by the package,
-only `semigroup` imports LAPACK, importing the package loads no scipy
-subpackage that only some calls need, and every name the benchmark tracer
-hooks or the benchmark's tests read by name still resolves."""
+only `semigroup` imports LAPACK, importing the package loads no scipy module
+(each is imported in the function that calls it), and every name the
+benchmark tracer hooks or the benchmark's tests read by name still resolves."""
 
 import ast
 import importlib
@@ -17,14 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # (module file, imported name) -> why the import stays although nothing uses it
-ALLOWED_UNUSED = {
-    ("src/fracext/semigroup.py", "spla"):
-        "the benchmark tracer patches `semigroup.spla.splu` by name to count "
-        "factorizations; it goes once the tracer reads counts recorded by the library",
-    ("src/fracext/extension.py", "spla"):
-        "the benchmark tracer patches `extension.spla.spsolve` by name to count sparse "
-        "solves; it goes once the tracer reads counts recorded by the library",
-}
+ALLOWED_UNUSED = {}
 
 
 def _unused_imports(path):
@@ -110,14 +103,24 @@ def test_only_semigroup_imports_lapack():
     assert not found, "LAPACK imported outside semigroup.py: " + ", ".join(found)
 
 
-# scipy subpackages the package imports where they are first called, never at
-# module level: together they are about a quarter of a cold `import fracext`.
-# Only `sup_fit`'s fallback LP and the `brentq` users (geometry and the
-# barriers above it) need them.
-LAZY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate")
+# scipy subpackages that no common experiment loads: only `sup_fit`'s fallback
+# LP and the tracer's `geometry.brentq` and `spla` lookups import them
+LAZY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.sparse.linalg")
+
+
+def _run_fresh(code, tmp_path):
+    """Run `code` in a fresh interpreter on this checkout, tmp_path as argv[1]."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_module_level_import_of_lazy_scipy_packages():
+    # every scipy module is imported in the function that calls it: a cold
+    # `import fracext` loads numpy only (scipy.linalg, sparse and special
+    # were about half of the benchmark's set-up time), and the geometry, the
+    # barriers and the sliding paraboloids never load scipy at all
     found = []
     for path in sorted((ROOT / "src" / "fracext").glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -128,15 +131,58 @@ def test_no_module_level_import_of_lazy_scipy_packages():
             else:
                 continue
             found += [f"{path.relative_to(ROOT).as_posix()}:{node.lineno} {name}"
-                      for name in names if name.startswith(LAZY_SCIPY)]
-    assert not found, "module-level imports of lazily loaded scipy packages: " + ", ".join(found)
+                      for name in names if name == "scipy" or name.startswith("scipy.")]
+    assert not found, "module-level imports of scipy: " + ", ".join(found)
+
+
+def test_geometry_barriers_and_sliding_run_without_scipy(tmp_path):
+    # in a fresh interpreter: every default config validated, geometry-check
+    # in 1-D and 2-D, barrier case 1 through the runner and a case-2 barrier
+    # directly, and sliding paraboloids on two fixtures load no scipy module
+    code = (
+        "import os, sys\n"
+        "import fracext\n"
+        "from fracext import barriers, geometry, runner\n"
+        "from fracext.config import EXPERIMENT_KINDS, default_config, default_raw, validate\n"
+        "for kind in EXPERIMENT_KINDS:\n"
+        "    default_config(kind)\n"
+        "def run(raw, name):\n"
+        "    out = os.path.join(sys.argv[1], name)\n"
+        "    assert runner.run(validate(raw), out_dir=out).exit_status == 0, name\n"
+        "for dimension in (1, 2):\n"
+        "    raw = default_raw('geometry-check')\n"
+        "    raw['problem'].update(samples=200, engulfing_samples=50, dimension=dimension)\n"
+        "    run(raw, f'geometry{dimension}')\n"
+        "raw = default_raw('barrier-check', 0.3)\n"
+        "assert raw['problem'].get('case', 1) == 1\n"
+        "run(raw, 'barrier1')\n"
+        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.0, (0.5 / 0.75) ** 0.75, 0.5, 0.125,"
+        " 0.1)\n"
+        "for fixture in ('convex', 'paraboloid'):\n"
+        "    raw = default_raw('slide-paraboloids')\n"
+        "    raw['problem']['fixture'] = fixture\n"
+        "    run(raw, fixture)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded\n")
+    _run_fresh(code, tmp_path)
+
+
+@pytest.mark.parametrize("module", ["semigroup", "extension"])
+def test_tracer_spla_lookup_binds_the_module(module):
+    # the tracer's patch reads `vars(module)["spla"]` to restore it later, so
+    # the first lookup must bind scipy.sparse.linalg in the module namespace
+    mod = importlib.import_module(f"fracext.{module}")
+    spla = getattr(mod, "spla")
+    assert "spla" in vars(mod) and vars(mod)["spla"] is spla
+    assert spla.__name__ == "scipy.sparse.linalg"
 
 
 def test_common_experiments_run_without_lazy_scipy_packages(tmp_path):
     # geometry, a case-2 barrier, a 1-D extension solve, a sup-norm fit, the
     # rational fractional powers in 1-D (runner, with inverse and round trip,
     # and end to end) and 2-D, and the semigroup extension in a fresh
-    # interpreter; the tracer's names still resolve afterwards
+    # interpreter, none of which loads scipy.sparse.linalg; the tracer's names
+    # still resolve afterwards
     code = (
         "import os, sys\n"
         "import numpy as np\n"
@@ -172,11 +218,9 @@ def test_common_experiments_run_without_lazy_scipy_packages(tmp_path):
         "loaded = [m for m in LAZY if m in sys.modules]\n"
         "assert not loaded, loaded\n"
         "assert geometry.brentq.__module__.startswith('scipy.optimize')\n"
-        "assert fitting.linprog.__module__.startswith('scipy.optimize')\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+        "assert fitting.linprog.__module__.startswith('scipy.optimize')\n"
+        "assert semigroup.spla.__name__ == extension.spla.__name__ == 'scipy.sparse.linalg'\n")
+    _run_fresh(code, tmp_path)
 
 
 # name below fracext -> why the benchmark tracer (`perfbench/fxbench/trace.py`)
@@ -196,9 +240,13 @@ TRACER_HOOKS = {
     "semigroup.extension_via_semigroup_multi.quad.nodes":
         "the bound default of `quad` is added to `semigroup.quadrature_nodes`",
     "semigroup.spla.splu":
-        "wrapped through the module proxy to count factorizations and time steps",
+        "wrapped through a module proxy put in place of `semigroup.spla`, which the "
+        "module's `__getattr__` imports and binds on first lookup; no library call "
+        "factors with it",
     "extension.spla.spsolve":
-        "wrapped through the module proxy to count sparse solves, unknowns and nonzeros",
+        "wrapped through a module proxy put in place of `extension.spla`, which the "
+        "module's `__getattr__` imports and binds on first lookup; no library call "
+        "solves with it",
     "geometry.brentq": "patched to count root finds",
     "fitting.linprog": "wrapped to count LP solves and their successes",
     "geometry.MAGeometry.section_interval":

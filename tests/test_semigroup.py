@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import eig, expm, fractional_matrix_power
+from scipy.linalg import eig, expm, fractional_matrix_power, lapack
 
 from fracext import semigroup
 from fracext.extension import ExtensionMesh, ExtensionProblem, solve_extension
@@ -785,8 +785,8 @@ def _engine_solves(A, shifts, seed):
     """`_shifted_solver` on random stacked right-hand sides, the dense
     solutions of every block, and the LAPACK factorizations it called."""
     b = np.random.default_rng(seed).standard_normal((len(shifts), A.shape[0]))
-    with mock.patch.object(semigroup, "dpttrf", wraps=semigroup.dpttrf) as pt, \
-            mock.patch.object(semigroup, "dgbtrf", wraps=semigroup.dgbtrf) as gb:
+    with mock.patch.object(lapack, "dpttrf", wraps=lapack.dpttrf) as pt, \
+            mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as gb:
         x = semigroup._shifted_solver(A, shifts, "block {k}")(b)
     ref = [np.linalg.solve(A.toarray() + sh * np.eye(A.shape[0]), bk) for sh, bk in zip(shifts, b)]
     return x, np.array(ref), {"pttrf": pt.call_count, "gbtrf": gb.call_count}
@@ -840,7 +840,7 @@ def test_band_lu_batches_keep_the_last_for_the_next_call(monkeypatch):
     monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * L.shape[0] * (3 * k + 1))
     shifts = np.linspace(0.0, 60.0, 7)
     b = np.random.default_rng(3).standard_normal((len(shifts), L.shape[0]))
-    with mock.patch.object(semigroup, "dgbtrf", wraps=semigroup.dgbtrf) as gb:
+    with mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as gb:
         solve = semigroup._shifted_solver(L, shifts, "block {k}")
         runs = []
         for _ in range(3):
