@@ -22,7 +22,11 @@ from .semigroup import CoefficientField
 # -- Hoelder seminorm in the quasi-metric ---------------------------------------------------
 
 
+# Points per row block in both Hoelder maxima: holder_seminorm pairs each row
+# block with every point, holder_quotient pairs its leaf blocks row block by
+# row block, so each keeps O(_HOLDER_BLOCK N) values at a time.
 _HOLDER_BLOCK = 256
+_HOLDER_LEAF = 16  # points per leaf block of holder_quotient's bounds
 
 
 def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta):
@@ -395,17 +399,75 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
 
 
 def holder_quotient(xs, g, gamma):
-    """max |g_i - g_j| / |x_i - x_j|^gamma over distinct points (0 if none), by
-    row blocks against the points from the block on: O(_HOLDER_BLOCK N) memory, and
-    as |a - b| = |b - a| in floating point, bit for bit the full matrix's."""
+    """max |g_i - g_j| / |x_i - x_j|^gamma over the pairs of points with
+    |x_i - x_j| > 1e-300 (0 if none), bit for bit the dense all-pairs max.
+
+    The points, sorted by x, fall into leaf blocks of _HOLDER_LEAF.  For
+    blocks I <= J every pair (i in I, j in J) has
+        quotient <= ub = max(gmax_J - gmin_I, gmax_I - gmin_J) / (xlo_J - xhi_I)^gamma
+    in floating point too: IEEE subtraction and division are monotone, and
+    pow is up to its rounding, which the factor 1 + 1e-12 below covers.  ub
+    is inf where the gap is <= 1e-300 (diagonal and touching blocks).
+    `best` starts as the max of the dense quotients of each block pair's
+    extreme-value pairs (argmin_I with argmax_J, argmax_I with argmin_J).
+    A block pair with ub (1 + 1e-12) <= best is skipped: its pairs are all
+    <= best, itself a pair's quotient, so the max is exact.  The others are
+    evaluated with the dense formula.  Smooth data leaves a few block pairs
+    near the diagonal; the worst case (nothing pruned) is O(N^2) time.
+    Bounds and pairs are built for _HOLDER_BLOCK points of rows at a time:
+    O(_HOLDER_BLOCK N) memory.
+
+    ValueError unless xs and g are finite 1-D arrays of one length and gamma
+    is finite and > 0 (a NaN would drop pairs, gamma <= 0 reverse the bound).
+    """
     xs, g = np.asarray(xs, dtype=float), np.asarray(g, dtype=float)
-    maxima = [0.0]
-    for i in range(0, len(xs), _HOLDER_BLOCK):
-        dist = np.abs(xs[i:i + _HOLDER_BLOCK, None] - xs[None, i:])
-        mask = dist > 1e-300
-        diff = np.abs(g[i:i + _HOLDER_BLOCK, None] - g[None, i:])[mask]
-        maxima.append(np.max(diff / dist[mask] ** gamma, initial=0.0))
-    return float(np.max(maxima))
+    if xs.ndim != 1 or xs.shape != g.shape:
+        raise ValueError("holder_quotient: xs and g must be 1-D arrays of equal length")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("holder_quotient: xs must be finite")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("holder_quotient: g must be finite")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"holder_quotient: gamma must be finite and > 0, got {gamma!r}")
+    n = len(xs)
+    if n < 2:
+        return 0.0
+    # repeating the last point adds only pairs the dense max already has
+    order = np.pad(np.argsort(xs, kind="stable"), (0, -n % _HOLDER_LEAF), mode="edge")
+    x, v = xs[order].reshape(-1, _HOLDER_LEAF), g[order].reshape(-1, _HOLDER_LEAF)
+    blocks = np.arange(len(x))
+    lo, hi = x[:, 0], x[:, -1]
+    imin, imax = v.argmin(axis=1), v.argmax(axis=1)
+    xmin, gmin = x[blocks, imin], v[blocks, imin]
+    xmax, gmax = x[blocks, imax], v[blocks, imax]
+    step = _HOLDER_BLOCK // _HOLDER_LEAF
+    rows = [slice(i, i + step) for i in range(0, len(x), step)]
+    # argmin_I with argmax_J over all ordered (I, J) is both extreme-value pairs of I <= J
+    best = np.max([_block_pair_max(xmin[None, r], gmin[None, r], xmax[None, :], gmax[None, :],
+                                   gamma) for r in rows])
+    for r in rows:
+        gap = lo[None, :] - hi[r, None]
+        apart = gap > 1e-300
+        num = np.maximum(gmax[None, :] - gmin[r, None], gmax[r, None] - gmin[None, :])
+        bound = num / np.where(apart, gap, 1.0) ** gamma * (1.0 + 1e-12)
+        bi, bj = np.nonzero((blocks[None, :] >= blocks[r, None]) & ~(apart & (bound <= best)))
+        bi += r.start
+        best = np.maximum(best, _block_pair_max(x[bi], v[bi], x[bj], v[bj], gamma))
+    return float(best)
+
+
+def _block_pair_max(x_rows, g_rows, x_cols, g_cols, gamma):
+    """max |g_i - g_j| / |x_i - x_j|^gamma over i in row k and j in column k of
+    (K, a) and (K, b) arrays, pairs with |x_i - x_j| <= 1e-300 skipped (0 if
+    none).  A NaN quotient propagates, as in the dense max."""
+    dist = x_rows[:, :, None] - x_cols[:, None, :]
+    np.abs(dist, out=dist)
+    apart = dist > 1e-300
+    diff = g_rows[:, :, None] - g_cols[:, None, :]
+    np.abs(diff, out=diff)
+    dist **= gamma
+    np.divide(diff, dist, out=diff, where=apart)
+    return float(np.max(diff, where=apart, initial=0.0))
 
 
 @dataclass
@@ -420,11 +482,18 @@ class NormReport:
 
 
 def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
-    """C^{m, gamma} norms by divided differences on a 1-D grid.
+    """C^{m, gamma} norms by divided differences on a uniform 1-D grid.
 
     m = floor(gamma_total), gamma = gamma_total - m; derivatives use centered
-    second-order stencils, one-sided at the subdomain edges.  The ratio is
+    second-order stencils with spacing xs[1] - xs[0], one-sided at the grid
+    ends.  [D^m u]_gamma is holder_quotient over the nodes of sub_mask: the
+    exact all-pairs max, pruned by block bounds, O(N^2) time at worst and
+    O(_HOLDER_BLOCK N) memory.  The ratio is
     (sup |u| + sup |D^m u| + [D^m u]_gamma) / data_norm.
+
+    ValueError for fewer than 3 nodes, a grid that is not uniform
+    (np.diff(xs) within 1e-12 relative of xs[1] - xs[0] != 0, as
+    `semigroup.x_operator` asks) or an empty sub_mask.
     """
     xs = np.asarray(xs, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -432,7 +501,13 @@ def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
     gam = gamma_total - m
     if not 0.0 < gam < 1.0:
         raise ValueError("gamma_total must have fractional part in (0,1)")
+    if len(xs) < 3:
+        raise ValueError(f"interior_norm_report needs at least 3 nodes, got {len(xs)}")
     h = xs[1] - xs[0]
+    if not (h != 0 and np.allclose(np.diff(xs), h, rtol=1e-12, atol=0.0)):
+        raise ValueError("interior_norm_report needs a uniform grid xs")
+    if not np.any(sub_mask):
+        raise ValueError("interior_norm_report: sub_mask selects no node")
     derivs = [u]
     cur = u
     for _ in range(m):

@@ -138,9 +138,11 @@ def test_no_module_level_import_of_lazy_scipy_packages():
 def test_geometry_barriers_and_sliding_run_without_scipy(tmp_path):
     # in a fresh interpreter: every default config validated, geometry-check
     # in 1-D and 2-D, barrier case 1 through the runner and a case-2 barrier
-    # directly, and sliding paraboloids on two fixtures load no scipy module
+    # directly, sliding paraboloids on two fixtures and the end-to-end Hoelder
+    # quotients and norm report load no scipy module
     code = (
         "import os, sys\n"
+        "import numpy as np\n"
         "import fracext\n"
         "from fracext import barriers, geometry, runner\n"
         "from fracext.config import EXPERIMENT_KINDS, default_config, default_raw, validate\n"
@@ -162,6 +164,10 @@ def test_geometry_barriers_and_sliding_run_without_scipy(tmp_path):
         "    raw = default_raw('slide-paraboloids')\n"
         "    raw['problem']['fixture'] = fixture\n"
         "    run(raw, fixture)\n"
+        "from fracext.regularity import holder_quotient, interior_norm_report\n"
+        "xs = np.linspace(0.0, 3.0, 600)\n"
+        "assert holder_quotient(xs, np.sin(xs), 0.5) > 0\n"
+        "interior_norm_report(xs, np.sin(xs), 1.5, xs > 1.0, 1.0)\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "assert not loaded, loaded\n")
     _run_fresh(code, tmp_path)

@@ -573,6 +573,22 @@ def test_interior_norm_report():
     assert rep0.sup_u == 0.0 and rep0.holder_seminorm == 0.0
 
 
+def test_interior_norm_report_refuses_grids_it_would_get_wrong():
+    xs = np.linspace(0.0, 1.0, 41)
+    u, sub = np.sin(xs), (xs > 0.2) & (xs < 0.8)
+    # differences with the spacing xs[1] - xs[0] read a ratio of ~54 on x^2
+    with pytest.raises(ValueError, match="uniform"):
+        interior_norm_report(xs**2, u, 1.5, sub, data_norm=1.0)
+    with pytest.raises(ValueError, match="uniform"):
+        interior_norm_report(np.zeros_like(xs), u, 1.5, sub, data_norm=1.0)
+    # a decreasing uniform grid is differenced correctly and stays allowed
+    assert np.isfinite(interior_norm_report(xs[::-1], u, 1.5, sub, data_norm=1.0).ratio)
+    with pytest.raises(ValueError, match="3 nodes"):
+        interior_norm_report(xs[:2], u[:2], 1.5, sub[:2], data_norm=1.0)
+    with pytest.raises(ValueError, match="sub_mask"):
+        interior_norm_report(xs, u, 1.5, np.zeros_like(sub), data_norm=1.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 700), gamma=st.floats(0.01, 0.99), seed=st.integers(0, 2**31),
        repeat=st.booleans())
@@ -588,6 +604,113 @@ def test_holder_quotient_equals_dense_pairwise_max(n, gamma, seed, repeat):
     m = dist > 1e-300
     dense = float(np.max(diff[m] / dist[m] ** gamma)) if np.any(m) else 0.0
     assert holder_quotient(xs, g, gamma) == dense
+
+
+def _dense_quotient(xs, g, gamma):
+    """max |g_i - g_j| / |x_i - x_j|^gamma over every pair apart, by the full matrix."""
+    xs, g = np.asarray(xs, dtype=float), np.asarray(g, dtype=float)
+    diff = np.abs(g[:, None] - g[None, :])
+    dist = np.abs(xs[:, None] - xs[None, :])
+    m = dist > 1e-300
+    return float(np.max(diff[m] / dist[m] ** gamma)) if np.any(m) else 0.0
+
+
+def _quotient_case(kind, n, rng):
+    if kind == "unsorted":  # random order, coincident points, a random walk
+        xs = rng.uniform(-2.0, 2.0, n)
+        xs[rng.integers(0, n, n // 4)] = xs[0]
+        return xs, np.cumsum(rng.standard_normal(n))
+    xs = np.linspace(0.0, np.pi, n)
+    if kind == "smooth":  # nearly every block pair pruned
+        return xs, np.sin(rng.uniform(1.0, 6.0) * xs)
+    return xs, np.round(np.sin(3.0 * xs) * 2.0) / 2.0  # plateaus of equal g
+
+
+# leaf blocks hold 16 points and row blocks 256: n on either side of both
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 255, 256, 257, 511, 512, 513])
+@pytest.mark.parametrize("kind", ["unsorted", "smooth", "plateaus"])
+@pytest.mark.parametrize("gamma", [0.01, 0.99])
+def test_holder_quotient_block_bounds_are_exact(n, kind, gamma):
+    rng = np.random.default_rng(n)
+    xs, g = _quotient_case(kind, n, rng)
+    assert holder_quotient(xs, g, gamma) == _dense_quotient(xs, g, gamma)
+
+
+def test_holder_quotient_prunes_smooth_data(monkeypatch):
+    # a regression to evaluating every pair would still give the right value
+    import fracext.regularity as regularity
+
+    kernel, pairs = regularity._block_pair_max, []
+
+    def spy(x_rows, g_rows, x_cols, g_cols, gamma):
+        pairs.append(x_rows.size * x_cols.shape[1])
+        return kernel(x_rows, g_rows, x_cols, g_cols, gamma)
+
+    monkeypatch.setattr(regularity, "_block_pair_max", spy)
+    n = 513
+    xs = np.linspace(0.0, np.pi, n)
+    g = np.sin(2.0 * xs)
+    assert holder_quotient(xs, g, 0.5) == _dense_quotient(xs, g, 0.5)
+    assert 0 < sum(pairs) < 0.25 * n * (n - 1) / 2
+
+
+@pytest.mark.parametrize("values", [
+    dict(xs=[0.0, np.nan, 1.0], g=[0.0, 5.0, 1.0], gamma=0.5, name="xs"),
+    dict(xs=[0.0, np.inf, 1.0], g=[0.0, 5.0, 1.0], gamma=0.5, name="xs"),
+    dict(xs=[0.0, 0.5, 1.0], g=[0.0, np.inf, 1.0], gamma=0.5, name="g"),
+    dict(xs=[0.0, 0.5, 1.0], g=[0.0, np.nan, 1.0], gamma=0.5, name="g"),
+    dict(xs=[0.0, 0.5, 1.0], g=[0.0, 5.0, 1.0], gamma=0.0, name="gamma"),
+    dict(xs=[0.0, 0.5, 1.0], g=[0.0, 5.0, 1.0], gamma=-0.5, name="gamma"),
+    dict(xs=[0.0, 0.5, 1.0], g=[0.0, 5.0, 1.0], gamma=np.nan, name="gamma"),
+    dict(xs=[0.0, 0.5, 1.0], g=[0.0, 5.0, 1.0], gamma=np.inf, name="gamma"),
+    dict(xs=[0.0, 0.5, 1.0], g=[0.0, 5.0], gamma=0.5, name="length"),
+])
+def test_holder_quotient_rejects_inputs_it_would_get_wrong(values):
+    with pytest.raises(ValueError, match=values["name"]):
+        holder_quotient(values["xs"], values["g"], values["gamma"])
+
+
+def test_holder_quotient_memory_at_4097_points():
+    # rows of 256 points against every later point peak at 33 MiB for this
+    # size; the surviving block pairs of smooth or random data take ~1 MiB
+    import tracemalloc
+
+    xs = np.linspace(0.0, np.pi, 4097)
+    for g in (np.sin(2.0 * xs), np.random.default_rng(0).standard_normal(len(xs))):
+        tracemalloc.start()
+        try:
+            holder_quotient(xs, g, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_end_to_end_holder_constants_equal_dense_maxima(tmp_path, s):
+    from fracext.config import default_config
+    from fracext.gridfn import BoxGrid, GridFunction
+    from fracext.semigroup import CoefficientField, SemigroupStepper, fractional_inverse
+
+    cfg = default_config("end-to-end", s)
+    details = run(cfg, str(tmp_path)).stages[0]["details"]
+    report = json.loads((tmp_path / "endtoend_report.json").read_text())
+    N, k = cfg.problem["grid_points"], cfg.problem["k"]
+    frac, alpha = cfg.problem["subdomain_fraction"], cfg.setup["alpha"]
+    grid = BoxGrid.interval(0.0, np.pi, N + 1)
+    x = grid.axes()[0]
+    f = GridFunction.from_callable(grid, lambda xx: np.sin(k * xx))
+    u = fractional_inverse(SemigroupStepper(CoefficientField.identity(1), grid), f, s)[0].values
+    assert report["f_holder_const"] == details["f_holder_const"] == _dense_quotient(
+        x, f.values, alpha)
+    # the default alpha + 2s lies in (1, 2): one centred difference, all
+    # nodes of the subdomain interior to the grid
+    assert report["norm_report"]["order"] == 1
+    du = (u[2:] - u[:-2]) / (2 * (x[1] - x[0]))
+    sub = (x >= 0.5 * (1 - frac) * np.pi) & (x <= (0.5 + 0.5 * frac) * np.pi)
+    assert not (sub[0] or sub[-1])
+    dense = _dense_quotient(x[sub], du[sub[1:-1]], alpha + 2 * s - 1)
+    assert report["norm_report"]["holder_seminorm"] == dense
 
 
 # -- closed-form oracles evaluated on their own axes ----------------------------------------
