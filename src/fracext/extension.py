@@ -545,13 +545,15 @@ def _checked_solve(A, rhs, solve):
     maximum per level.  One refinement step with A is taken, solve(r,
     overwrite=True) turning the residual's buffer into the correction, and
     kept only if it lowers the largest backward error.  Returns (x,
-    per-level maxima, refinement kept).
+    per-level maxima, refinement kept).  |A| lives only through one
+    backward-error pass, so no copy of |Ay| and |Ax| is held while solve
+    runs.
     """
-    abs_A = abs(A)
     B = rhs.reshape(len(A.V), -1)
 
     def level_errors(x, residual=None):
         # b - A x goes into `residual` when one is given
+        abs_A = abs(A)
         X = x.reshape(B.shape)
         err = np.empty(len(B))
         for b, near in A._blocks:

@@ -8,13 +8,16 @@ decomposition of the coefficients at every node in 2-D).
 The fractional powers are rational in every dimension: L^{-s} f = r_s(L) f
 and L^s u = r_{1-s}(L)(L u), where r_beta(x) = c0 + sum_j w_j / (x - p_j) is
 a certified fit of x^{-beta} on [lam_floor, Gershgorin bound] (real poles
-p_j <= 0, nonnegative weights; see `_power_fit`).  The fit needs numpy and
-scipy.linalg only: AAA poles from a port of scipy's (`_aaa_poles`), weights
-by least squares that eliminates negative ones, no scipy.optimize or
-scipy.interpolate to load.  The systems L - p_j I of the poles (23-32 in
-1-D for N = 256-4096, about a dozen in 2-D) and the extension's y-modes are
-stacks of shifted x-operator systems, which `_shifted_solver` alone factors
-(no other module imports LAPACK).
+p_j <= 0, nonnegative weights; see `_power_fit`).  The stepper owns that
+interval and L's symmetry flag: it derives both once, on first use
+(`SemigroupStepper._fit_interval`; in 1-D from L's three diagonals), and
+every power reads them.  The fit needs numpy and scipy.linalg only: AAA
+poles from a port of scipy's (`_aaa_poles`), weights by least squares that
+eliminates negative ones, no scipy.optimize or scipy.interpolate to load.
+The systems L - p_j I of the poles (23-32 in 1-D for N = 256-4096, about a
+dozen in 2-D) and the extension's y-modes are stacks of shifted x-operator
+systems, which `_shifted_solver` alone factors (no other module imports
+LAPACK).
 
 e^{-tL} and the extension are exact and 1-D only: the tridiagonal L is
 diagonalized once per stepper (`tridiagonal_modes`), and a scalar function
@@ -111,7 +114,12 @@ def x_operator(coeff: CoefficientField, axes):
     """Discrete a^{ij} d_ij over the interior nodes of a tensor grid, monotone
     (off-diagonals >= 0, row sums <= 0: -Ax is an M-matrix).
 
-    1-D axes may be nonuniform (3-point stencil, exact nonuniform weights).
+    1-D axes may be nonuniform (3-point stencil, exact nonuniform weights)
+    and decreasing (the mirrored matrices); an axis with fewer than 3
+    nodes, a non-finite node or a step that is zero or changes sign raises
+    ValueError naming it.  Ax and Bx are written in CSR directly, with the
+    arrays sp.diags and a COO build would give: zero weights are dropped
+    from Ax and kept in Bx.
     2-D axes must be uniform; at each node `_selling` writes diag(h)^{-1} a
     diag(h)^{-1} = sum_k lam_k e_k e_k^T (lam_k >= 0, integer e_k), and the
     stencil is sum_k lam_k (u(x + h e_k) - 2u + u(x - h e_k)): 7-point upwind
@@ -135,6 +143,11 @@ def x_operator(coeff: CoefficientField, axes):
     if n == 1:
         xs = np.asarray(axes[0], dtype=float)
         nx = len(xs)
+        steps = np.diff(xs)
+        if not (nx >= 3 and np.all(np.isfinite(steps))
+                and (np.all(steps > 0.0) or np.all(steps < 0.0))):
+            raise ValueError(f"the 1-D x-axis {np.array2string(xs, threshold=12)} must be "
+                             "finite and strictly monotone, with at least 3 nodes")
         xi = xs[1:-1]
         a = np.broadcast_to(coeff.components(xi), xi.shape).astype(float)
         _require_elliptic(coeff, a, a, (xi,), {"a11": a})
@@ -143,10 +156,19 @@ def x_operator(coeff: CoefficientField, axes):
         cW = 2.0 / (hm * (hm + hp))
         cE = 2.0 / (hp * (hm + hp))
         cC = -2.0 / (hm * hp)
-        Ax = sp.diags([(a * cW)[1:], a * cC, (a * cE)[:-1]], [-1, 0, 1], format="csr")
-        Bx = sp.csr_matrix(
-            ([a[0] * cW[0], a[-1] * cE[-1]], ([0, nx - 3], [0, nx - 1])),
-            shape=(nx - 2, nx))
+        # row i holds (W, C, E) at columns (i - 1, i, i + 1); row 0's W and
+        # the last row's E are the Dirichlet neighbours, Bx's two entries
+        m = nx - 2
+        stencil = np.column_stack([a * cW, a * cC, a * cE]).ravel()
+        cols = (np.arange(m, dtype=np.int32)[:, None] + np.array([-1, 0, 1], np.int32)).ravel()
+        ptr = 3 * np.arange(m + 1, dtype=np.int32) - 1
+        ptr[0], ptr[-1] = 0, 3 * m - 2
+        Ax = sp.csr_matrix((stencil[1:-1], cols[1:-1], ptr), shape=(m, m))
+        Ax.eliminate_zeros()
+        ptr = np.ones(m + 1, dtype=np.int32)
+        ptr[0], ptr[-1] = 0, 2
+        Bx = sp.csr_matrix((stencil[[0, -1]], np.array([0, nx - 1], np.int32), ptr),
+                           shape=(m, nx))
         return Ax, Bx
 
     xs, ys = (np.asarray(ax, dtype=float) for ax in axes)
@@ -371,7 +393,10 @@ class SemigroupStepper:
     powers are rational in every dimension, one shifted solve per pole.
     `lam_floor` bounds the spectrum from below; the decay cut-off and the
     rational fits use it.  It rests on the declared lam of `coeff`, which
-    `x_operator` checks on the interior nodes.
+    `x_operator` checks on the interior nodes.  The top of the fits'
+    interval and the symmetry flag are the stepper's too (`_fit_interval`,
+    derived on first use like the modes), so the powers do not rederive
+    them per call.
 
     Immutable after construction; solves at distinct times are independent.
     """
@@ -391,6 +416,35 @@ class SemigroupStepper:
     @cached_property
     def _modes(self):
         return tridiagonal_modes(self.L)
+
+    @cached_property
+    def _fit_interval(self):
+        """((lam_floor, hi), symmetric) for every rational power of L.
+
+        hi is the Gershgorin bound max_i sum_j |L_ij|, raised to 2 lam_floor
+        when below it (a single interior node puts the bound on the floor
+        itself).  symmetric: max |L - L^T| <= 8 eps rounding max |L|, where
+        rounding = max|x| / min spacing over the axes bounds the relative
+        error that node coordinates leave in the stencil weights.  The 1-D L
+        is tridiagonal: the row sums |lo| + (|d| + |up|), in the order of
+        scipy's CSR row sum, and the defect max |up - lo| of its diagonals
+        give the bits of the sparse expressions, which 2-D evaluates.
+        """
+        L = self.L
+        if self.grid.ndim == 1:
+            lo, d, up = L.diagonal(-1), L.diagonal(), L.diagonal(1)
+            rows = np.abs(d)
+            rows[:-1] += np.abs(up)
+            rows[1:] += np.abs(lo)
+            top = np.max(rows)
+            defect = np.max(np.abs(up - lo), initial=0.0)
+            scale = np.max(np.abs(L.data), initial=0.0)
+        else:
+            top = np.max(abs(L).sum(axis=1))
+            defect, scale = abs(L - L.T).max(), abs(L).max()
+        rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in self.grid.axes())
+        hi = max(float(top), 2.0 * self.lam_floor)
+        return (self.lam_floor, hi), bool(defect <= 8 * np.finfo(float).eps * rounding * scale)
 
     def heat_interior(self, v, t):
         """e^{-tL} applied to an interior-node vector."""
@@ -577,34 +631,30 @@ def _power_fit(lo, hi, beta):
 
 
 def _rational_power(stepper: SemigroupStepper, v, beta):
-    """r(L) v for the fit r of x^{-beta} on [lam_floor, max absolute row sum of L].
+    """r(L) v for the fit r of x^{-beta} on [lam_floor, Gershgorin bound of L].
 
-    Every pole's L - p I is factored in one `_shifted_solver` call
-    (LinAlgError naming p if one is singular).  info gives beta,
-    the pole count, the interval, the fit's certificate and whether L is
-    symmetric up to the rounding its node coordinates (errors of eps max|x|,
-    relative to the smallest spacing) leave in the stencil weights; then
-    the certificate bounds the relative matrix error in the 2-norm.  The 1-D
-    L = -a(x) d_xx is D S D^{-1} with S symmetric (`tridiagonal_modes`):
-    cond(D) times the bound, <= sqrt(Lambda / lambda) times on a uniform
-    grid.  A nonsymmetric 2-D L is not normal and the scalar error bounds
-    nothing.
+    The interval and the symmetry flag are read from the stepper, which
+    derives them once (`SemigroupStepper._fit_interval`).  Every pole's
+    L - p I is factored in one `_shifted_solver` call (LinAlgError naming p
+    if one is singular).  info gives beta, the pole count, the interval, the
+    fit's certificate and whether L is symmetric up to the rounding its node
+    coordinates (errors of eps max|x|, relative to the smallest spacing)
+    leave in the stencil weights; then the certificate bounds the relative
+    matrix error in the 2-norm.  The 1-D L = -a(x) d_xx is D S D^{-1} with S
+    symmetric (`tridiagonal_modes`): cond(D) times the bound, <= sqrt(Lambda
+    / lambda) times on a uniform grid.  A nonsymmetric 2-D L is not normal
+    and the scalar error bounds nothing.
     """
-    L = stepper.L
-    lo = stepper.lam_floor
-    # a single interior node puts the Gershgorin bound on the floor itself
-    hi = max(float(np.max(abs(L).sum(axis=1))), 2.0 * lo)
+    (lo, hi), symmetric = stepper._fit_interval
     c0, poles, w, err = _power_fit(lo, hi, beta)
     out = c0 * v
     if len(poles):  # beta ~ 1e-16 on a narrow interval: the fit is c0 alone, r(L) = c0 I
-        x = _shifted_solver(L, -poles, "L - ({p:g}) I is singular")(
+        x = _shifted_solver(stepper.L, -poles, "L - ({p:g}) I is singular")(
             np.broadcast_to(v, (len(poles), len(v))))
         for wj, xj in zip(w, x):
             out += wj * xj
-    rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in stepper.grid.axes())
-    symmetric = abs(L - L.T).max() <= 8 * np.finfo(float).eps * rounding * abs(L).max()
     info = {"beta": beta, "poles": len(poles), "interval": [lo, hi], "sup_rel_error": err,
-            "symmetric": bool(symmetric)}
+            "symmetric": symmetric}
     return out, info
 
 

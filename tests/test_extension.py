@@ -3,7 +3,9 @@ principle, reflection/rescaling, and the derivative-decay measurements."""
 
 import dataclasses
 import re
+import sys
 import tracemalloc
+import types
 import warnings
 from unittest import mock
 
@@ -769,6 +771,52 @@ def test_transformed_solves_assemble_no_matrix():
         st2 = solve_extension(_variable_2d_problem(0.4, 9, 11, 0.3, 2.0, "dirichlet"),
                               ExtensionMesh(nx=(9, 11), my=8))
     assert max(st1.residual_interior, st2.residual_interior) <= 1e-14
+
+
+def _frame_reach(frame):
+    """Every object a frame's locals keep alive, following function
+    closures, tuples, lists, dicts and level operators."""
+    seen, stack = {}, list(frame.f_locals.values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif isinstance(obj, extension._LevelOperator):
+            stack += vars(obj).values()
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_checked_solve_keeps_no_abs_operator_through_the_solves(dim):
+    # |A| = |Ay| (x) I + diag(V) (x) |Ax| is built inside each backward-error
+    # pass: while either mode solve runs, the only operators _checked_solve
+    # keeps alive are A's own Ay and Ax
+    if dim == 1:
+        prob, mesh = _variable_1d_problem(0.4, 0.5, 1.5, 2.0, "neumann"), ExtensionMesh(33, 12)
+    else:
+        prob, mesh = _variable_2d_problem(0.4, 9, 11, 0.3, 2.0, "neumann"), ExtensionMesh((9, 11), 8)
+    held = []
+    checked = extension._checked_solve
+
+    def spy(A, rhs, solve):
+        def watched(r, overwrite=False):
+            reach = _frame_reach(sys._getframe(1))
+            held.append(sorted(id(o) for o in reach if sp.issparse(o)
+                               or isinstance(o, extension._LevelOperator))
+                        == sorted(map(id, (A, A.Ay, A.Ax))))
+            return solve(r, overwrite)
+        return checked(A, rhs, watched)
+
+    with mock.patch.object(extension, "_checked_solve", spy):
+        state = solve_extension(prob, mesh)
+    assert held == [True, True] and state.residual_interior <= 1e-14
 
 
 def test_level_operator_refuses_abs_with_a_positive_diagonal():

@@ -2,6 +2,7 @@
 
 import re
 import types
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -931,3 +932,127 @@ def test_2d_fractional_powers_with_strong_anisotropy(n, base, amp, t, freq, sign
         got, _ = op(st_, u, s)
         ref = np.real(fractional_matrix_power(L, power)) @ u.interior()
         assert np.max(np.abs(got.interior() - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def _diags_1d_x_operator(coeff, xs):
+    """The 1-D (Ax, Bx) as sp.diags and a COO matrix build them."""
+    nx, xi = len(xs), xs[1:-1]
+    a = np.broadcast_to(coeff.components(xi), xi.shape).astype(float)
+    hm, hp = xi - xs[:-2], xs[2:] - xi
+    cW, cE, cC = 2.0 / (hm * (hm + hp)), 2.0 / (hp * (hm + hp)), -2.0 / (hm * hp)
+    Ax = sp.diags([(a * cW)[1:], a * cC, (a * cE)[:-1]], [-1, 0, 1], format="csr")
+    Bx = sp.csr_matrix(([a[0] * cW[0], a[-1] * cE[-1]], ([0, nx - 3], [0, nx - 1])),
+                       shape=(nx - 2, nx))
+    return Ax, Bx
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40), st.floats(-5.0, 5.0),
+       st.floats(0.1, 2.0), st.floats(1.0, 1e3), st.floats(0.5, 20.0), st.booleans())
+@example([1.0, 1.0], 0.0, 1.0, 1.0, 1.0, False)  # one interior node
+@example([1.0, 1e100, 1e100], 0.0, 1e-300, 1.0, 1.0, False)  # every Ax weight underflows to 0
+def test_1d_x_operator_writes_the_arrays_of_the_diags_build(steps, start, lam, ratio, freq,
+                                                            reverse):
+    # nonuniform axes, increasing or decreasing, and a non-identity a(x): the
+    # directly written CSR arrays are those of sp.diags and the COO build,
+    # bit for bit, zero weights dropped from Ax and kept in Bx
+    xs = start + np.concatenate([[0.0], np.cumsum(steps)])
+    if reverse:
+        xs = xs[::-1].copy()
+    coeff = CoefficientField.scalar_1d(
+        lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)), lam, lam * ratio)
+    for got, ref in zip(x_operator(coeff, [xs]), _diags_1d_x_operator(coeff, xs)):
+        assert got.format == ref.format == "csr" and got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), name
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xs", [[0.0, 0.3, 0.2, 0.6, 1.0], [0.0, 0.25, np.nan, 0.75, 1.0],
+                                [0.0, 0.5, 0.5, 1.0], [0.0, 0.5, np.inf], [0.0, 1.0]],
+                         ids=["not-monotone", "nan-node", "coinciding-nodes", "inf-node",
+                              "two-nodes"])
+def test_1d_x_operator_refuses_an_axis_that_is_not_finite_and_strictly_monotone(xs):
+    # [0, 0.3, 0.2, 0.6, 1] gave the diagonal [66.7, 50, -12.5] and negative
+    # off-diagonals, a NaN node a NaN operator, coinciding nodes a bare
+    # RuntimeWarning
+    xs = np.array(xs)
+    with pytest.raises(ValueError, match=re.escape(
+            f"1-D x-axis {np.array2string(xs, threshold=12)} must be finite and strictly "
+            "monotone")):
+        x_operator(CoefficientField.identity(1), [xs])
+
+
+def test_1d_x_operator_on_a_decreasing_axis_gives_the_mirrored_m_matrix():
+    xs = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
+    coeff = CoefficientField.scalar_1d(lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
+    Ax, Bx = (M.toarray() for M in x_operator(coeff, [xs]))
+    Rx, Rb = (M.toarray() for M in x_operator(coeff, [xs[::-1].copy()]))
+    assert np.array_equal(Rx, Ax[::-1, ::-1]) and np.array_equal(Rb, Bx[::-1, ::-1])
+    off = Rx - np.diag(np.diag(Rx))
+    assert np.all(off >= 0.0) and np.all(np.diag(Rx) < 0.0) and np.all(Rx.sum(axis=1) <= 0.0)
+
+
+def _sparse_fit_interval(stepper):
+    """The fit interval and symmetry flag from the sparse expressions on L."""
+    L = stepper.L
+    rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in stepper.grid.axes())
+    hi = max(float(np.max(abs(L).sum(axis=1))), 2.0 * stepper.lam_floor)
+    symmetric = abs(L - L.T).max() <= 8 * np.finfo(float).eps * rounding * abs(L).max()
+    return (stepper.lam_floor, hi), bool(symmetric)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 300), st.floats(-3.0, 3.0), st.floats(0.1, 10.0),
+       st.sampled_from(["identity", "variable"]), st.floats(1.0, 1e3), st.floats(0.5, 20.0))
+@example(3, 0.0, np.pi, "identity", 1.0, 1.0)  # one interior node: the top is 2 lam_floor
+@example(65, 0.0, np.pi, "identity", 1.0, 1.0)  # symmetric
+@example(65, 0.0, np.pi, "variable", 10.0, 3.0)  # not symmetric
+def test_1d_stepper_fit_interval_is_the_sparse_expressions_bit_for_bit(m, lo, length, field,
+                                                                       ratio, freq):
+    coeff = (CoefficientField.identity(1) if field == "identity" else
+             CoefficientField.scalar_1d(lambda x: 1.0 + (ratio - 1.0) * np.sin(freq * x) ** 2,
+                                        1.0, ratio))
+    stepper = SemigroupStepper(coeff, BoxGrid.interval(lo, lo + length, m))
+    got = stepper._fit_interval
+    assert got == _sparse_fit_interval(stepper)
+    assert type(got[1]) is bool and got[0][1] >= 2.0 * stepper.lam_floor
+
+
+@pytest.mark.parametrize("field", ["identity", "variable"])
+@pytest.mark.parametrize("n", [3, 9, 13])
+def test_2d_stepper_fit_interval_is_the_sparse_expressions(field, n):
+    coeff = CoefficientField.identity(2) if field == "identity" else _variable_2d_field()
+    stepper = _stepper_2d(coeff, n)
+    assert stepper._fit_interval == _sparse_fit_interval(stepper)
+
+
+@pytest.mark.parametrize("dim, field, symmetric", [(1, "identity", True), (1, "variable", False),
+                                                   (2, "identity", True), (2, "variable", False)])
+def test_powers_on_one_stepper_derive_the_fit_interval_once(monkeypatch, dim, field, symmetric):
+    derive, derived = SemigroupStepper._fit_interval.func, []
+
+    def spy(self):
+        derived.append(self)
+        return derive(self)
+
+    prop = cached_property(spy)
+    prop.__set_name__(SemigroupStepper, "_fit_interval")
+    monkeypatch.setattr(SemigroupStepper, "_fit_interval", prop)
+    if dim == 1:
+        coeff = (CoefficientField.identity(1) if field == "identity" else
+                 CoefficientField.scalar_1d(lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5))
+        stepper = SemigroupStepper(coeff, BoxGrid.interval(0.0, np.pi, 65))
+        u = GridFunction.from_callable(stepper.grid, lambda x: np.sin(x) * (1.0 + x))
+    else:
+        stepper = _stepper_2d(CoefficientField.identity(2) if field == "identity"
+                              else _variable_2d_field(), 9)
+        u = _random_2d(stepper.grid, 9)
+    _, apply_info = fractional_apply(stepper, u, 0.4)
+    inv, inverse_info = fractional_inverse(stepper, u, 0.4)
+    _, back_info = fractional_apply(stepper, inv, 0.4)
+    assert derived == [stepper]
+    (lo, hi), flag = _sparse_fit_interval(stepper)
+    for info in (apply_info, inverse_info, back_info):
+        assert info["interval"] == [lo, hi] and info["symmetric"] is flag is symmetric
