@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MAGeometry
+from .geometry import MAGeometry, SectionDescriptor
 
 
 # -- paraboloids and polynomials ------------------------------------------------------
@@ -707,8 +707,7 @@ def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius,
         raise ValueError("touch test expects the trace row zs[0] = 0")
     x0 = xs[ix0]
     u0 = U[ix0, 0]
-    delta = geom.delta_phi(x0, xs)[:, None] + geom.delta_h(0.0, zs)[None, :]
-    sect = delta < section_radius
+    sect = SectionDescriptor((x0,), 0.0, section_radius).contains(geom, xs[:, None], zs[None, :])
     if grad_lattice is None:
         span = 4.0 * max(1e-12, np.max(np.abs(U[sect] - u0))) / \
             max(1e-12, np.sqrt(2.0 * section_radius))

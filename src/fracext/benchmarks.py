@@ -9,7 +9,7 @@ import numpy as np
 
 from .extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo, harmonic_mode_profile,
                         solve_extension, transform_to_y, transform_to_z)
-from .geometry import MAGeometry, _names_s
+from .geometry import MAGeometry, SectionDescriptor, _names_s
 from .semigroup import CoefficientField, bessel_extension_profile, ds_constant
 
 
@@ -139,7 +139,6 @@ def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
     saturated by this family and the fitted exponent approaches -order/2.
     """
     geom = MAGeometry(s)
-    cs = geom.c_s
     ratios, rs = [], []
     for kmode in kmodes:
         r = 2.0 / kmode**2
@@ -152,14 +151,13 @@ def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
                                 g_top=lambda x, Zk=Zk: combo(x, Zk))
         st = solve_extension(prob, ExtensionMesh(nx=nx, my=my))
         xs = st.x_axes[0]
-        selx = np.abs(xs) < np.sqrt(r / 2.0)
-        selz = geom.h(st.z_nodes) < cs * r / 4.0
-        D = st.values[selz, :]
+        inner, outer = (SectionDescriptor((0.0,), 0.0, R, "cylinder", geom.c_s * R).contains(
+            geom, xs[None, :], st.z_nodes[:, None]) for R in (r / 4.0, r))
+        D = st.values
         for _ in range(order):
             D = np.gradient(D, xs, axis=1)
-        sup = np.max(np.abs(D[:, selx]))
-        block = st.values[np.ix_(geom.h(st.z_nodes) < cs * r,
-                                 np.abs(xs) < np.sqrt(2.0 * r))]
+        sup = np.max(np.abs(D[inner]))
+        block = st.values[outer]
         ratios.append(sup / (block.max() - block.min()))
         rs.append(r)
     return float(np.polyfit(np.log(rs), np.log(ratios), 1)[0])

@@ -8,13 +8,14 @@ Everything here is closed form for fixed s in (0, 1):
 
 MAGeometry owns s and its constants q_s and c_s; the change of variables
 y = 2s z^(1/(2s)) that turns h into c_s y^2/2 (transform_to_y) is here too.
-Quasi-distances, sections, cubes and cylinders are built from the Bregman
-deltas of phi(x) = |x|^2/2 and h.  Measures of h-intervals always use the
-exact antiderivative h', never pointwise h'' (which is singular or degenerate
-at z = 0 depending on s).  The one quantity without a closed form is a
-section endpoint off the origin, the root of delta_h(z0, .) = R; it is
-solved for whole arrays of (z0, R) at once by safeguarded Newton steps
-(MAGeometry.section_endpoint).
+Quasi-distances and sections are built from the Bregman deltas of
+phi(x) = |x|^2/2 and h; SectionDescriptor.contains is the package's one rule
+for which nodes lie in a section or cylinder (its callers are listed there).
+Measures of h-intervals always use the exact antiderivative h', never
+pointwise h'' (which is singular or degenerate at z = 0 depending on s).  The
+one quantity without a closed form is a section endpoint off the origin, the
+root of delta_h(z0, .) = R; it is solved for whole arrays of (z0, R) at once
+by safeguarded Newton steps (MAGeometry.section_endpoint).
 """
 
 from __future__ import annotations
@@ -250,11 +251,17 @@ class MAGeometry:
 
 @dataclass(frozen=True)
 class SectionDescriptor:
-    """A section / cube / cylinder / rectangle in the (x, z) product geometry.
+    """A section or cylinder of the (x, z) geometry: the package's one
+    membership rule, used by `regularity` (`schauder_decay`'s regions,
+    `campanato_iterate`, `harnack_quotient`, `harnack_family_report`,
+    `holder_seminorm_state`, `approximation_distance`),
+    `benchmarks.x_derivative_scaling` and `barriers.touch_test`.
 
-    kind: "section" (delta_Phi ball), "cube" (Q_R = per-coordinate x-sections
-    times z-section), "cylinder" (S_R(x) x S_r(z)), "rectangle"
-    (Q_R(x) x S_r(z)).  half=True restricts to z > 0.
+    "section": delta_Phi((x0, z0), (x, z)) < R.  "cylinder" S_R(x0) x S_r(z0)
+    (r = R unless given): |x - x0| < sqrt(2 R) and z strictly inside
+    geom.section_interval(z0, r).  delta_phi < R and delta_h(z0, .) < r give
+    the same set but decide some boundary nodes the other way, and the decay
+    and Campanato reports rest on this form.
     """
 
     center_x: tuple
@@ -262,38 +269,26 @@ class SectionDescriptor:
     R: float
     kind: str = "section"
     r: float | None = None
-    half: bool = False
 
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError("section radius must be positive")
-        if self.kind not in ("section", "cube", "cylinder", "rectangle"):
+        if self.kind not in ("section", "cylinder"):
             raise ValueError(f"unknown section kind {self.kind!r}")
 
     def contains(self, geom: MAGeometry, x, z):
-        """Vectorized membership; x has shape (..., n) (or plain (...) for n = 1)."""
+        """Vectorized membership; x has shape (..., n) (or plain (...) for
+        n = 1) and broadcasts against z."""
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
         cx = np.asarray(self.center_x, dtype=float)
         if geom.n == 1:
             cx = cx.reshape(()) if cx.size == 1 else cx
-        r_z = self.R if self.r is None else self.r
         if self.kind == "section":
-            inside = geom.delta_Phi((cx, self.center_z), (x, z)) < self.R
-        else:
-            dz = geom.delta_h(self.center_z, z) < r_z
-            if self.kind == "cylinder":
-                dx = geom.delta_phi(cx, x) < self.R
-            else:  # cube / rectangle: per-coordinate sections
-                diff = x - cx
-                if geom.n == 1:
-                    dx = 0.5 * diff * diff < self.R
-                else:
-                    dx = np.all(0.5 * diff * diff < self.R, axis=-1)
-            inside = dx & dz
-        if self.half:
-            inside = inside & (z > 0)
-        return inside
+            return geom.delta_Phi((cx, self.center_z), (x, z)) < self.R
+        dist = np.abs(x - cx) if geom.n == 1 else np.linalg.norm(x - cx, axis=-1)
+        lo, hi = geom.section_interval(self.center_z, self.R if self.r is None else self.r)
+        return (dist < np.sqrt(2.0 * self.R)) & (lo < z) & (z < hi)
 
 
 # -- empirical property reports -------------------------------------------------

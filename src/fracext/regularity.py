@@ -15,7 +15,7 @@ from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
                         HarmonicCombo, rescale_solution, solve_extension,
                         transform_to_y, transform_to_z)
 from .fitting import sup_fit, sup_fitter
-from .geometry import MAGeometry, _names_s
+from .geometry import MAGeometry, SectionDescriptor, _names_s
 from .semigroup import CoefficientField
 
 
@@ -56,7 +56,7 @@ def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta):
 def holder_seminorm_state(geom, state: ExtensionState, center, R, beta):
     """Seminorm of a solved state restricted to the section S_R(center)."""
     x, z, v = _flat_nodes(state)
-    member = geom.delta_Phi((center[0], center[1]), (x, z)) < R
+    member = SectionDescriptor(center[0], center[1], R).contains(geom, x, z)
     return holder_seminorm(geom, x[member], z[member], v[member], beta)
 
 
@@ -103,11 +103,10 @@ class _HarnackSections:
     def __init__(self, geom: MAGeometry, x, z, center, R, kappa):
         self.geom, self.x, self.z = geom, x, z
         self.center, self.R, self.kappa = center, R, kappa
-        delta = geom.delta_Phi((center[0], center[1]), (x, z))
-        self.in_R = np.flatnonzero(delta < R)
+        self.in_R, self.in_kR = (np.flatnonzero(SectionDescriptor(
+            center[0], center[1], radius).contains(geom, x, z)) for radius in (R, kappa * R))
         if not self.in_R.size:
             raise ValueError("section S_R contains no grid nodes")
-        self.in_kR = np.flatnonzero(delta < kappa * R)
         if not self.in_kR.size:
             raise ValueError("section S_{kappa R} contains no grid nodes")
 
@@ -141,13 +140,14 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     """Max quotient over a family of exact nonnegative harmonic combinations.
 
     family: list of HarmonicCombo (f = F = 0, so the data terms vanish).  Each
-    is sampled on the solver grid at `refine` times the base resolution; the
-    sampling-grid sweep is what the stability check varies.  The quotients are
-    those of the reflected grid, levels -z and z, but delta_Phi((0, 0), .) and
-    every member are even in z, so a mirrored node lies in a section exactly
-    when its z >= 0 twin does and holds the same value: the sections are found
-    once for the family on the half grid z >= 0, and each member is evaluated
-    and reduced there.
+    is sampled, not solved, on a grid of its own: (mesh.nx - 1) refine + 1
+    x-nodes and mesh.my refine geometric z-levels plus the trace z = 0, over
+    S_R(0) x S_R(0)^+ widened by 5%; `refine` is what the stability check
+    varies.  The quotients are those of the reflected grid, levels -z and z,
+    but delta_Phi((0, 0), .) and every member are even in z, so a mirrored
+    node lies in a section exactly when its z >= 0 twin does and holds the
+    same value: the sections are found once for the family on the half grid
+    z >= 0, and each member is evaluated and reduced there.
     """
     geom = MAGeometry(s)
     mesh = mesh or ExtensionMesh(nx=97, my=48)
@@ -207,8 +207,8 @@ def approximation_distance(s, eps0, mesh=None, boundary=None):
         g_lateral=prob_h.g_lateral, g_top=prob_h.g_top)
     U = solve_extension(prob_p, mesh)
     H = solve_extension(prob_h, mesh)
-    Zq, Xq = np.meshgrid(U.z_nodes, U.x_axes[0], indexing="ij")
-    member = (0.5 * Xq**2 < 0.75) & (geom.h(Zq) < 0.75)
+    member = SectionDescriptor((0.0,), 0.0, 0.75, "cylinder").contains(
+        geom, U.x_axes[0][None, :], U.z_nodes[:, None])
     return float(np.max(np.abs(U.values - H.values)[member]))
 
 
@@ -227,17 +227,14 @@ def _case_basis(case, X, Z, geom: MAGeometry):
 def _region(state: ExtensionState, geom: MAGeometry, r, case):
     """Nodes of S_{r^2} x S_{zcap}^+ (zcap = r^2, or r^3 in the degenerate
     case), thinned by a fixed stride to at most 6000."""
-    xw = np.sqrt(2.0) * r
     zcap = r**2 if case in (1, 2) else r**3
-    zlim = geom.section_interval(0.0, zcap)[1]
-    xs = state.x_axes[0]
-    selx = np.abs(xs) < xw
-    selz = state.z_nodes < zlim
-    if selx.sum() < 7 or selz.sum() < 4:
+    xs, zs = state.x_axes[0], state.z_nodes
+    inside = SectionDescriptor((0.0,), 0.0, r**2, "cylinder", zcap).contains(
+        geom, xs[None, :], zs[:, None])
+    if inside.any(axis=0).sum() < 7 or inside.any(axis=1).sum() < 4:
         return None
-    sub = state.values[np.ix_(selz, selx)]
-    Z, X = np.meshgrid(state.z_nodes[selz], xs[selx], indexing="ij")
-    X, Z, V = X.ravel(), Z.ravel(), sub.ravel()
+    iz, ix = np.nonzero(inside)
+    X, Z, V = xs[ix], zs[iz], state.values[iz, ix]
     if len(V) > 6000:
         stride = int(np.ceil(len(V) / 6000))
         X, Z, V = X[::stride], Z[::stride], V[::stride]
@@ -357,7 +354,8 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
     Zg, Xg = np.meshgrid(transform_to_z(fit_mesh.y_nodes(transform_to_y(Zfit, s), s), s),
                          fit_mesh.x_axes((-xw, xw), 1)[0], indexing="ij")
     X, Z = Xg.ravel(), Zg.ravel()
-    member = np.flatnonzero((0.5 * X**2 < rho**2) & (geom.h(Z) < zcap))
+    member = np.flatnonzero(
+        SectionDescriptor((0.0,), 0.0, rho**2, "cylinder", zcap).contains(geom, X, Z))
     X, Z = X[member], Z[member]
     fit = sup_fitter(_case_basis(case, X, Z, geom))
 

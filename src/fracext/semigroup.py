@@ -116,7 +116,8 @@ def x_operator(coeff: CoefficientField, axes):
 
     1-D axes may be nonuniform (3-point stencil, exact nonuniform weights)
     and decreasing (the mirrored matrices); an axis with fewer than 3
-    nodes, a non-finite node or a step that is zero or changes sign raises
+    nodes, a non-finite node, a step that is zero or changes sign, or steps
+    whose weights overflow or whose diagonal underflows to 0 raises
     ValueError naming it.  Ax and Bx are written in CSR directly, with the
     arrays sp.diags and a COO build would give: zero weights are dropped
     from Ax and kept in Bx.
@@ -153,13 +154,19 @@ def x_operator(coeff: CoefficientField, axes):
         _require_elliptic(coeff, a, a, (xi,), {"a11": a})
         hm = xi - xs[:-2]
         hp = xs[2:] - xi
-        cW = 2.0 / (hm * (hm + hp))
-        cE = 2.0 / (hp * (hm + hp))
-        cC = -2.0 / (hm * hp)
-        # row i holds (W, C, E) at columns (i - 1, i, i + 1); row 0's W and
-        # the last row's E are the Dirichlet neighbours, Bx's two entries
+        # |W|, |E| <= |C| in floating point too: a finite nonzero diagonal
+        # rules out both overflow and a singular (or empty) Ax
+        with np.errstate(over="ignore"):
+            cW = 2.0 / (hm * (hm + hp))
+            cE = 2.0 / (hp * (hm + hp))
+            cC = -2.0 / (hm * hp)
+            # row i holds (W, C, E) at columns (i - 1, i, i + 1); row 0's W and
+            # the last row's E are the Dirichlet neighbours, Bx's two entries
+            stencil = np.column_stack([a * cW, a * cC, a * cE]).ravel()
+        if not np.all(np.isfinite(stencil[1::3]) & (stencil[1::3] != 0.0)):
+            raise ValueError(f"the 1-D x-axis {np.array2string(xs, threshold=12)} gives "
+                             "stencil weights that overflow or a diagonal that underflows to 0")
         m = nx - 2
-        stencil = np.column_stack([a * cW, a * cC, a * cE]).ravel()
         cols = (np.arange(m, dtype=np.int32)[:, None] + np.array([-1, 0, 1], np.int32)).ravel()
         ptr = 3 * np.arange(m + 1, dtype=np.int32) - 1
         ptr[0], ptr[-1] = 0, 3 * m - 2

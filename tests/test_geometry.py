@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -290,18 +290,48 @@ def test_section_descriptor_membership_and_chain():
     for s in (0.3, 0.7):
         g = MAGeometry(s, n=2)
         sec = SectionDescriptor(center_x, center_z, 0.8, kind="section")
-        cube = SectionDescriptor(center_x, center_z, 0.8, kind="cube")
         cyl = SectionDescriptor(center_x, center_z, 0.8, kind="cylinder")
         x = rng.uniform(-2, 2, size=(4000, 2))
         z = rng.uniform(-2, 2, 4000)
         in_sec = sec.contains(g, x, z)
         in_cyl = cyl.contains(g, x, z)
-        in_cube = cube.contains(g, x, z)
         # membership agrees with the raw delta definition
         raw = g.delta_phi(np.asarray(center_x), x) + g.delta_h(center_z, z) < 0.8
         assert np.array_equal(in_sec, raw)
-        # containment chain S subset S x S subset Q
+        # containment S subset S x S
         assert np.all(~in_sec | in_cyl)
-        assert np.all(~in_cyl | in_cube)
-    with pytest.raises(ValueError):
-        SectionDescriptor((0.0,), 0.0, 0.5, kind="blob")
+    for kind in ("blob", "cube", "rectangle"):
+        with pytest.raises(ValueError, match="unknown section kind"):
+            SectionDescriptor((0.0,), 0.0, 0.5, kind=kind)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=st.floats(0.2, 0.8), n=st.sampled_from([1, 2]),
+       z0=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), R=st.floats(0.05, 2.0),
+       r=st.floats(0.05, 2.0), seed=st.integers(0, 2**16))
+@example(s=0.5, n=1, z0=0.0, R=0.25, r=0.125, seed=0)
+@example(s=0.3, n=2, z0=0.6, R=0.5, r=1.5, seed=1)
+def test_section_descriptor_cylinder_is_the_product_of_delta_balls(s, n, z0, R, r, seed):
+    # away from the boundary (relative gap > 1e-12) the cylinder's x-part is
+    # delta_phi < R and its z-part delta_h(z0, .) < r, each seen with the
+    # other coordinate at the center, and S_R lies in S_R x S_R
+    g = MAGeometry(s, n=n)
+    rng = np.random.default_rng(seed)
+    cx = rng.uniform(-1.0, 1.0, n)
+    x = cx + rng.uniform(-1.5, 1.5, size=(2000, n)) * np.sqrt(2.0 * R)
+    if n == 1:
+        cx, x = cx[0], x[:, 0]
+    lo, hi = g.section_interval(z0, r)
+    z = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo), 2000)
+    dphi, dh = g.delta_phi(cx, x), g.delta_h(z0, z)
+    far_x, far_z = np.abs(dphi - R) > 1e-12 * R, np.abs(dh - r) > 1e-12 * r
+    cyl = SectionDescriptor(tuple(np.atleast_1d(cx)), z0, R, "cylinder", r)
+    in_z = cyl.contains(g, np.broadcast_to(cx, x.shape), z)
+    in_x = cyl.contains(g, x, np.full(len(z), z0))
+    assert np.array_equal(in_z[far_z], (dh < r)[far_z])
+    assert np.array_equal(in_x[far_x], (dphi < R)[far_x])
+    assert in_z.any() and (~in_z).any() and in_x.any() and (~in_x).any()
+    far = far_x & (np.abs(dh - R) > 1e-12 * R)
+    in_sec = SectionDescriptor(cyl.center_x, z0, R).contains(g, x, z)
+    in_same = SectionDescriptor(cyl.center_x, z0, R, "cylinder").contains(g, x, z)
+    assert np.all(~in_sec[far] | in_same[far])

@@ -1,8 +1,10 @@
 """Source hygiene: every module-level import in the package and the tests is
 used, every private helper of the package is referenced by the package,
-only `semigroup` imports LAPACK, importing the package loads no scipy module
-(each is imported in the function that calls it), and every name the
-benchmark tracer hooks or the benchmark's tests read by name still resolves."""
+every public function or class is used by a package module or listed in
+API_ONLY with its reason, only `semigroup` imports LAPACK, importing the
+package loads no scipy module (each is imported in the function that calls
+it), and every name the benchmark tracer hooks or the benchmark's tests read
+by name still resolves."""
 
 import ast
 import importlib
@@ -86,6 +88,76 @@ def test_no_unreferenced_private_helpers():
              for path in files for name, line in _private_definitions(path).items()
              if name not in referenced]
     assert not found, "unreferenced private helpers: " + ", ".join(found)
+
+
+# public module-level function or class below fracext -> why it stays although
+# no package module uses it (the re-exports of `__init__` are not uses)
+API_ONLY = {
+    "barriers.MAParaboloid":
+        "the sliding paraboloid of the barrier geometry as an object; "
+        "tests/test_barriers.py checks its values and its opening check",
+    "barriers.MAPolynomial":
+        "the second-order polynomials of the geometry; tests/test_barriers.py checks them",
+    "barriers.polynomial_to_MA":
+        "classical second-order data to geometry-adapted polynomials; "
+        "tests/test_barriers.py checks it",
+    "barriers.pucci": "the Pucci extremal operators of the barrier arguments",
+    "barriers.touch_test":
+        "the viscosity trace derivative; ROADMAP item 7 reports it beside `flux_trace`",
+    "benchmarks.x_derivative_scaling":
+        "interior x-derivative estimate of harmonic solutions, measured by a Tier-1 test",
+    "benchmarks.z_decay_exponent":
+        "z-decay of d_z H at the trace, measured by the acceptance tests",
+    "config.load_config": "read and validate a config file in one call",
+    "config.default_config": "the built-in config of a kind, validated (the CLI takes "
+                             "the raw one from `default_raw`)",
+    "extension.reflect_even":
+        "the even reflection across z = 0 that `harnack_quotient` asks for on symmetric "
+        "solutions",
+    "regularity.holder_seminorm_state":
+        "a state's Hoelder seminorm on a section; ROADMAP item 6 fits its decay",
+    "regularity.harnack_quotient": "the Harnack quotient of one solved state; ROADMAP "
+                                   "item 6 reports it for rough coefficients",
+    "regularity.approximation_distance":
+        "the perturbation step of Caffarelli's method; ROADMAP item 5 reports it per scale",
+    "regularity.campanato_iterate":
+        "the inductive zoom; run by the benchmark's `campanato` cases and by tests",
+    "semigroup.extension_via_semigroup":
+        "the one-height form of `extension_via_semigroup_multi`",
+    "semigroup.richardson_trace_slope":
+        "the extrapolated trace slope of a profile, checked against the Bessel profile",
+}
+
+
+def _public_definitions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def _package_uses():
+    return set().union(*(_referenced_names(path)
+                         for path in sorted((ROOT / "src" / "fracext").glob("*.py"))
+                         if path.name != "__init__.py"))
+
+
+def test_no_unreferenced_public_definitions():
+    # a public function or class that no package module uses is either API
+    # kept on purpose (API_ONLY, with the reason) or dead code
+    used = _package_uses()
+    found = [f"src/fracext/{path.name}:{line} {name}"
+             for path in sorted((ROOT / "src" / "fracext").glob("*.py"))
+             for name, line in _public_definitions(path).items()
+             if name not in used and f"{path.stem}.{name}" not in API_ONLY]
+    assert not found, "public definitions no package module uses: " + ", ".join(found)
+
+
+def test_api_only_entries_are_defined_and_still_unused():
+    used = _package_uses()
+    for entry in API_ONLY:
+        module, name = entry.split(".")
+        assert name in _public_definitions(ROOT / "src" / "fracext" / f"{module}.py"), entry
+        assert name not in used, f"{entry} is used by the package now; drop its entry"
 
 
 def test_only_semigroup_imports_lapack():

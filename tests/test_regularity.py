@@ -14,7 +14,7 @@ from fracext import fitting
 from fracext.benchmarks import (harmonic_combo_problem, harmonic_family_ycap,
                                 kinked_trace_problem, positive_harmonic_family,
                                 sliding_fixture)
-from fracext.config import validate
+from fracext.config import default_config, validate
 from fracext.extension import (ExtensionMesh, ExtensionState, HarmonicCombo,
                                harmonic_mode_profile, rescale_solution, solve_extension,
                                transform_to_y)
@@ -229,6 +229,25 @@ def test_sup_fitter_on_decay_regions_equals_fresh_sup_fits(kinked_state, case, j
     _assert_fitter_matches_fresh_fits(_case_basis(case, X, Z, geom),
                                       [V, V - V.mean(), V + 1e-3 * noise, np.sin(5.0 * X) * V],
                                       "lp")
+
+
+def test_decay_region_excludes_the_mesh_row_on_the_section_boundary():
+    # grading 3 and h(Z) = 1 give h(z_j) = (j/my)^6, so row 70 of the
+    # default 260x140 kinked mesh lies on the boundary of S_{4^-3} at scale 3:
+    # z_70 is the section endpoint to the last bit and the strict rule leaves
+    # it out.  Taking it in moves the default config's exponent from 1.4722
+    # to 1.4830; this pins today's decision until the rule for boundary rows
+    # is settled.
+    cfg = default_config("schauder-decay")
+    s, prob = cfg.data["setup"]["s"], cfg.data["problem"]
+    problem, mesh = kinked_trace_problem(s, cfg.data["setup"]["alpha"], prob["mx"], prob["my"])
+    assert (prob["mx"], prob["my"], prob["case"]) == (260, 140, 2)
+    state = solve_extension(problem, mesh)
+    geom = MAGeometry(s)
+    zs = state.z_nodes
+    assert zs[70] == geom.section_interval(0.0, 4.0**-3)[1]
+    X, Z, V = _region(state, geom, 0.5**3, 2)
+    assert np.array_equal(np.unique(Z), zs[:70])
 
 
 def _campanato_reference(state, case, alpha, rho, depth, fit_mesh):
@@ -742,7 +761,7 @@ def test_harnack_family_report_equals_full_grid_evaluation(refine, s, R, kappa, 
 
 def test_solve_extension_field_error_equals_full_grid_evaluation(tmp_path):
     from fracext.benchmarks import eigen_extension_problem
-    from fracext.config import validate
+    from fracext.config import default_config, validate
     from fracext.runner import run
     s, k, nx, my = 0.4, 2, 65, 24
     cfg = validate({"experiment": "solve-extension", "setup": {"s": s},

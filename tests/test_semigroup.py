@@ -950,7 +950,6 @@ def _diags_1d_x_operator(coeff, xs):
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40), st.floats(-5.0, 5.0),
        st.floats(0.1, 2.0), st.floats(1.0, 1e3), st.floats(0.5, 20.0), st.booleans())
 @example([1.0, 1.0], 0.0, 1.0, 1.0, 1.0, False)  # one interior node
-@example([1.0, 1e100, 1e100], 0.0, 1e-300, 1.0, 1.0, False)  # every Ax weight underflows to 0
 def test_1d_x_operator_writes_the_arrays_of_the_diags_build(steps, start, lam, ratio, freq,
                                                             reverse):
     # nonuniform axes, increasing or decreasing, and a non-identity a(x): the
@@ -982,6 +981,22 @@ def test_1d_x_operator_refuses_an_axis_that_is_not_finite_and_strictly_monotone(
             f"1-D x-axis {np.array2string(xs, threshold=12)} must be finite and strictly "
             "monotone")):
         x_operator(CoefficientField.identity(1), [xs])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xs, a", [([0.0, 1.0, 1e160, 2e160], 1.0),
+                                   ([0.0, 1.0, 1e100, 2e100], 1e-300)],
+                         ids=["weights-overflow", "diagonal-underflows"])
+def test_1d_x_operator_refuses_weights_that_overflow_or_a_diagonal_that_underflows(xs, a):
+    # the first axis gave three overflow RuntimeWarnings and a singular Ax,
+    # the second (a = lam = Lam = 1e-300) an Ax with no entries; no warning
+    # may escape the refusal
+    xs = np.array(xs)
+    coeff = CoefficientField.scalar_1d(lambda x: np.full_like(x, a), a, a)
+    with pytest.raises(ValueError, match=re.escape(
+            f"1-D x-axis {np.array2string(xs, threshold=12)} gives stencil weights that "
+            "overflow or a diagonal that underflows to 0")):
+        x_operator(coeff, [xs])
 
 
 def test_1d_x_operator_on_a_decreasing_axis_gives_the_mirrored_m_matrix():
