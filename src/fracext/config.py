@@ -268,6 +268,10 @@ def validate(raw: dict) -> ExperimentConfig:
             errors.append("problem.quadrature.t_max: must exceed t_min")
         if kind == "barrier-check":
             errors += _barrier_errors(setup["s"], prob)
+        gamma = setup["alpha"] + 2.0 * setup["s"]
+        if kind == "end-to-end" and gamma == math.floor(gamma):
+            errors.append(f"setup.alpha: end-to-end needs setup.alpha + 2 setup.s off the "
+                          f"integers, where C^(2s+alpha) has no Hoelder part; got {gamma:g}")
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(sorted(errors)))
     return ExperimentConfig(top)

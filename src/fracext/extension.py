@@ -231,9 +231,6 @@ class ExtensionState:
         """U(., 0)."""
         return self.values[0]
 
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
-
     def node_points(self):
         """Flat node coordinates and values, honoring reflection.
 
@@ -273,11 +270,11 @@ class ExtensionState:
     def flux_trace(self):
         """Discrete d_z U(x, 0).
 
-        Solver-produced states and their exact pullbacks (`rescale_solution`
-        without a target mesh) carry the full finite-volume trace-row flux
-        (two-point flux plus the first-cell source and tangential terms) on
-        the interior x-nodes; any other state, one interpolated onto a target
-        mesh too, returns the two-point flux of the first face on every x-node.
+        Solver-produced states and their pullbacks (`rescale_solution`)
+        carry the full finite-volume trace-row flux (two-point flux plus the
+        first-cell source and tangential terms) on the interior x-nodes; any
+        other state, one built from sampled values for instance, returns the
+        two-point flux of the first face on every x-node.
         """
         fv = self.meta.get("flux_trace_fv")
         if fv is not None:
@@ -589,44 +586,26 @@ def reflect_even(state: ExtensionState) -> ExtensionState:
     return out
 
 
-def rescale_solution(state: ExtensionState, rho, target_mesh: ExtensionMesh | None = None,
-                     target_domain=None) -> ExtensionState:
-    """V(x, z) = U(rho x, rho^{2s} z) as a new state.
+def rescale_solution(state: ExtensionState, rho) -> ExtensionState:
+    """V(x, z) = U(rho x, rho^{2s} z) as a new state: the exact pullback.
 
-    Without a target mesh the grid is pulled back exactly (x/rho, y/rho) and no
-    interpolation happens.  With a target mesh the values are interpolated
-    bilinearly in (x, h-coordinate) on target_domain = (xlo, xhi, Z) (default:
-    the full pulled-back domain); a target exceeding the source domain raises.
-    The induced data transforms (a(rho x), rho^{2s} f(rho x)) are recorded in
-    the metadata; the pullback's trace flux is rho^{2s} times U's.
+    The grid is pulled back (x/rho, y/rho) and the values are kept, so no
+    interpolation happens; to sample V elsewhere, evaluate
+    state.values_at(rho x, rho^{2s} z).  The induced data transforms
+    (a(rho x), rho^{2s} f(rho x)) are recorded in the metadata; the trace
+    flux is rho^{2s} times U's.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     s = state.s
     meta = dict(state.meta)
     fv = meta.pop("flux_trace_fv", None)
-    if target_mesh is None:
-        axes = [ax / rho for ax in state.x_axes]
-        y = state.y_nodes / rho
-        vals = state.values.copy()
-        if fv is not None:  # d_z V(x, 0) = rho^{2s} d_z U(rho x, 0)
-            meta["flux_trace_fv"] = rho ** (2.0 * s) * np.asarray(fv, dtype=float)
-    else:
-        if state.n != 1:
-            raise ValueError("mesh-targeted rescaling implemented for 1-D x")
-        if target_domain is None:
-            xlo, xhi = state.x_axes[0][0] / rho, state.x_axes[0][-1] / rho
-            Znew = transform_to_z(state.y_nodes[-1] / rho, s)
-        else:
-            xlo, xhi, Znew = target_domain
-        axes = target_mesh.x_axes((xlo, xhi), 1)
-        y = target_mesh.y_nodes(transform_to_y(Znew, s), s)
-        Xq = np.broadcast_to(axes[0], (len(y), len(axes[0])))
-        Zq = np.broadcast_to(transform_to_z(y, s)[:, None], Xq.shape)
-        vals = state.values_at(rho * Xq, rho ** (2 * s) * Zq)
+    if fv is not None:  # d_z V(x, 0) = rho^{2s} d_z U(rho x, 0)
+        meta["flux_trace_fv"] = rho ** (2.0 * s) * np.asarray(fv, dtype=float)
     meta["rescaled_by"] = meta.get("rescaled_by", 1.0) * rho
     meta["data_transform"] = "a(rho x), rho^{2s} f(rho x), rho^2 F(rho x, rho^{2s} z)"
-    return ExtensionState(s, axes, y, vals, state.residual_interior,
+    return ExtensionState(s, [ax / rho for ax in state.x_axes], state.y_nodes / rho,
+                          state.values.copy(), state.residual_interior,
                           state.residual_bottom, meta, reflected=state.reflected)
 
 

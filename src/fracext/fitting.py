@@ -18,10 +18,11 @@ carried, not read back from u, whose zero weights on degenerate references
 Every reference is dual feasible, so h <= E_opt by weak duality; the exchange
 stops once max|r - B y| <= h + tol, tol = 1e-12 max(1, max|values|) (or
 1e-12 max|r| when smaller), and the returned error is a certificate:
-h <= E_opt <= E <= h + tol.  After _MAX_EXCHANGES steps one HiGHS LP over all
-2m rows takes over, posed with the residual scaled to _LP_SCALE because
-HiGHS's tolerances are absolute; if it fails, Lawson's iteratively reweighted
-least squares answers, as it does for method="lawson".
+h <= E_opt <= E <= h + tol.  After _MAX_EXCHANGES steps, or at a reference
+whose M is singular, one HiGHS LP over all 2m rows takes over, posed with the
+residual scaled to _LP_SCALE because HiGHS's tolerances are absolute; if it
+fails, Lawson's iteratively reweighted least squares answers, as it does for
+method="lawson".
 
 `sup_fitter(basis)` is that fit as a function of the values: the basis checks,
 the column scaling and both pivoted QRs depend on the basis alone and run once
@@ -124,7 +125,7 @@ def _exchange(B, r, tol, rows):
     """Stiefel's exchange for min_y max|r - B y| with B of full column rank q
     and more than q rows, started from the q independent rows `rows`.
     Returns (y, h), h the dual lower bound with max|r - B y| <= h + tol, or
-    None after _MAX_EXCHANGES steps."""
+    None after _MAX_EXCHANGES steps or at a reference whose M is singular."""
     q = B.shape[1]
     mag = np.abs(r)
     mag[rows] = -1.0
@@ -134,7 +135,10 @@ def _exchange(B, r, tol, rows):
         u = -u
     sigma = np.where(u >= 0.0, 1.0, -1.0)
     for _ in range(_MAX_EXCHANGES):
-        Minv = np.linalg.inv(np.column_stack([B[J], sigma]))
+        try:
+            Minv = np.linalg.inv(np.column_stack([B[J], sigma]))
+        except np.linalg.LinAlgError:  # a singular reference stalls the exchange
+            return None
         yh = Minv @ r[J]
         e = r - B @ yh[:q]
         k = np.argmax(np.abs(e))

@@ -52,9 +52,6 @@ class BoxGrid:
     def axes(self):
         return [np.linspace(lo, hi, m) for lo, hi, m in zip(self.los, self.his, self.shape)]
 
-    def spacing(self):
-        return tuple((hi - lo) / (m - 1) for lo, hi, m in zip(self.los, self.his, self.shape))
-
     def interior_mask(self):
         mask = np.ones(self.shape, dtype=bool)
         for ax in range(self.ndim):

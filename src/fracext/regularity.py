@@ -12,7 +12,7 @@ import numpy as np
 
 from .benchmarks import harmonic_combo_problem, harmonic_family_ycap
 from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
-                        HarmonicCombo, rescale_solution, solve_extension,
+                        HarmonicCombo, solve_extension,
                         transform_to_y, transform_to_z)
 from .fitting import sup_fit, sup_fitter
 from .geometry import MAGeometry, SectionDescriptor, _names_s
@@ -215,6 +215,12 @@ def approximation_distance(s, eps0, mesh=None, boundary=None):
 # -- dyadic polynomial decay at the trace -------------------------------------------------------
 
 
+# the coefficients of each case's polynomial c + b x + 1/2 A x^2 + d h(z), in
+# the column order of _case_basis, and the degree by which each one scales
+_CASE_COEFFS = {1: ("c",), 2: ("c", "b"), 3: ("c", "b", "A", "d")}
+_DEGREE = {"c": 0, "b": 1, "A": 2, "d": 2}
+
+
 def _case_basis(case, X, Z, geom: MAGeometry):
     ones = np.ones_like(X)
     if case == 1:
@@ -224,13 +230,17 @@ def _case_basis(case, X, Z, geom: MAGeometry):
     return np.stack([ones, X, 0.5 * X**2, geom.h(Z)], axis=1)
 
 
+def _decay_cylinder(r, case):
+    """S_{r^2} x S_{zcap}^+ about the origin: zcap = r^2 in cases 1-2 and r^3
+    in the degenerate case 3."""
+    return SectionDescriptor((0.0,), 0.0, r**2, "cylinder", r**2 if case in (1, 2) else r**3)
+
+
 def _region(state: ExtensionState, geom: MAGeometry, r, case):
-    """Nodes of S_{r^2} x S_{zcap}^+ (zcap = r^2, or r^3 in the degenerate
-    case), thinned by a fixed stride to at most 6000."""
-    zcap = r**2 if case in (1, 2) else r**3
+    """Nodes of the decay cylinder of radius r, thinned by a fixed stride to
+    at most 6000."""
     xs, zs = state.x_axes[0], state.z_nodes
-    inside = SectionDescriptor((0.0,), 0.0, r**2, "cylinder", zcap).contains(
-        geom, xs[None, :], zs[:, None])
+    inside = _decay_cylinder(r, case).contains(geom, xs[None, :], zs[:, None])
     if inside.any(axis=0).sum() < 7 or inside.any(axis=1).sum() < 4:
         return None
     iz, ix = np.nonzero(inside)
@@ -280,9 +290,8 @@ def schauder_decay(state: ExtensionState, case, rho=0.5, depth=9, noise_floor=0.
         X, Z, V = nodes
         basis = _case_basis(case, X, Z, geom)
         coeffs, E = sup_fit(basis, V)
-        names = ["c"] if case == 1 else (["c", "b"] if case == 2 else ["c", "b", "A", "d"])
         scales.append({"j": j, "r": float(r), "nodes": int(len(V)), "E": float(E),
-                       "coeffs": {k: float(v) for k, v in zip(names, coeffs)}})
+                       "coeffs": {k: float(v) for k, v in zip(_CASE_COEFFS[case], coeffs)}})
     kept = [row for row in scales if row["E"] > 10.0 * noise_floor]
     if fit_window:
         kept = kept[-fit_window:]
@@ -291,16 +300,11 @@ def schauder_decay(state: ExtensionState, case, rho=0.5, depth=9, noise_floor=0.
         lr = np.log([row["r"] for row in kept])
         lE = np.log([row["E"] for row in kept])
         fitted = float(np.polyfit(lr, lE, 1)[0])
-    increments = {"dc": [], "db": [], "dA": [], "dd": []}
+    increments = {"d" + name: [] for name in _DEGREE}
     for a, b in zip(scales[:-1], scales[1:]):
-        ca, cb = a["coeffs"], b["coeffs"]
-        rj = a["r"]
-        increments["dc"].append(abs(ca["c"] - cb["c"]))
-        if case >= 2:
-            increments["db"].append(rj * abs(ca["b"] - cb["b"]))
-        if case == 3:
-            increments["dA"].append(rj**2 * abs(ca["A"] - cb["A"]))
-            increments["dd"].append(rj**2 * abs(ca["d"] - cb["d"]))
+        for name in _CASE_COEFFS[case]:
+            increments["d" + name].append(
+                a["r"] ** _DEGREE[name] * abs(a["coeffs"][name] - b["coeffs"][name]))
     return DecayReport(case, float(rho), scales, fitted, float(noise_floor),
                        fit_window, [row["j"] for row in kept], increments, truncated)
 
@@ -321,74 +325,63 @@ class CampanatoReport:
     truncated: bool = False
 
 
-def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8,
-                      fit_mesh: ExtensionMesh | None = None) -> CampanatoReport:
-    """Inductive zoom: rescale, fit a unit-scale corrector, accumulate.
+def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> CampanatoReport:
+    """Inductive zoom: sample the zoomed state, fit a unit-scale corrector,
+    accumulate.
 
-    At step k the rescaled function rho^{-k(alpha+2s)} (U(rho^k x, rho^{2sk} z)
-    - P_k(...)) is built with rescale_solution onto a fixed fit mesh, the
-    order-k corrector is sup-fitted at the fixed scale (region of radius
-    rho^2), and the accumulated polynomial is updated by
+    The fit nodes are those of a fixed 97 x 40 grid (grading 3) on
+    [-xw, xw] x [0, Zfit] that lie in the decay cylinder of radius rho.  At
+    step k, rho^{-k(alpha+2s)} (U(rho^k x, rho^{2sk} z) - P_k(...)) is sampled
+    there with `values_at` and sup-fitted by the case polynomial, and the
+    accumulated polynomial is updated by
     P_{k+1} = P_k + rho^{k(alpha+2s)} P(rho^{-k} x, rho^{-2ks} z), i.e.
 
         c += rho^{k(alpha+2s)} c_step      b += rho^{k(alpha+2s-1)} b_step
         A += rho^{k(alpha+2s-2)} A_step    d += rho^{k(alpha+2s-2)} d_step.
 
     The loop stops early (truncated report) once the zoomed fit region falls
-    below a few source-grid cells.  Every step lands on the same fit mesh, so
-    its member nodes, their basis and the fit's work on that basis alone
-    (`fitting.sup_fitter`) are set up once, before the loop.
+    below a few source-grid cells.  The fit nodes, their basis and the fit's
+    work on that basis alone (`fitting.sup_fitter`) are set up once, before
+    the loop.
     """
     if state.n != 1:
         raise ValueError("iteration implemented for 1-D x")
     s = state.s
     geom = MAGeometry(s)
     gam = alpha + 2.0 * s
-    fit_mesh = fit_mesh or ExtensionMesh(nx=97, my=40, grading=3.0)
+    cylinder = _decay_cylinder(rho, case)
     xw = np.sqrt(2.0) * rho * 1.02
-    zcap = rho**2 if case in (1, 2) else rho**3
-    Zfit = geom.section_interval(0.0, zcap)[1] * 1.02
-    xs_src = state.x_axes[0]
-    dx0 = float(np.min(np.diff(xs_src)))
-    # the fit mesh's grid as rescale_solution builds it, and its fit region
-    Zg, Xg = np.meshgrid(transform_to_z(fit_mesh.y_nodes(transform_to_y(Zfit, s), s), s),
-                         fit_mesh.x_axes((-xw, xw), 1)[0], indexing="ij")
-    X, Z = Xg.ravel(), Zg.ravel()
-    member = np.flatnonzero(
-        SectionDescriptor((0.0,), 0.0, rho**2, "cylinder", zcap).contains(geom, X, Z))
-    X, Z = X[member], Z[member]
+    Zfit = geom.section_interval(0.0, cylinder.r)[1] * 1.02
+    dx0 = float(np.min(np.diff(state.x_axes[0])))
+    grid = ExtensionMesh(nx=97, my=40, grading=3.0)
+    Zg, Xg = np.meshgrid(transform_to_z(grid.y_nodes(transform_to_y(Zfit, s), s), s),
+                         grid.x_axes((-xw, xw), 1)[0], indexing="ij")
+    member = cylinder.contains(geom, Xg.ravel(), Zg.ravel())
+    X, Z = Xg.ravel()[member], Zg.ravel()[member]
     fit = sup_fitter(_case_basis(case, X, Z, geom))
 
-    c = b = A = d = 0.0
+    acc = dict.fromkeys(_DEGREE, 0.0)
     coefficients, step_errors = [], []
-    inc = {"dc": [], "db": [], "dA": [], "dd": []}
+    inc = {"d" + name: [] for name in _DEGREE}
     truncated = False
     for k in range(depth):
         if rho**k * xw < 4.0 * dx0 / np.sqrt(2.0):
             truncated = True
             break
-        V = rescale_solution(state, rho**k, target_mesh=fit_mesh,
-                             target_domain=(-xw, xw, Zfit))
-        W = V.values.ravel()[member]
+        Xo = rho**k * X
+        W = state.values_at(Xo, (rho**k) ** (2 * s) * Z)
         # subtract the accumulated polynomial in original coordinates
-        Xo, Zo = rho**k * X, rho ** (2 * s * k) * Z
-        Pk = c + b * Xo + 0.5 * A * Xo**2 + d * geom.h(Zo)
+        Pk = acc["c"] + acc["b"] * Xo + 0.5 * acc["A"] * Xo**2 + acc["d"] * geom.h(
+            rho ** (2 * s * k) * Z)
         theta, err = fit((W - Pk) / rho ** (k * gam))
         step_errors.append(float(err))
-        cs = theta[0]
-        bs = theta[1] if case >= 2 else 0.0
-        As = theta[2] if case == 3 else 0.0
-        ds = theta[3] if case == 3 else 0.0
-        inc["dc"].append(abs(rho ** (k * gam) * cs))
-        inc["db"].append(abs(rho ** (k * gam) * bs))
-        inc["dA"].append(abs(rho ** (k * gam) * As))
-        inc["dd"].append(abs(rho ** (k * gam) * ds))
-        c += rho ** (k * gam) * cs
-        b += rho ** (k * (gam - 1.0)) * bs
-        A += rho ** (k * (gam - 2.0)) * As
-        d += rho ** (k * (gam - 2.0)) * ds
-        coefficients.append({"c": float(c), "b": float(b), "A": float(A), "d": float(d)})
-    limit = coefficients[-1] if coefficients else {"c": 0.0, "b": 0.0, "A": 0.0, "d": 0.0}
+        step = dict.fromkeys(_DEGREE, 0.0)
+        step.update(zip(_CASE_COEFFS[case], theta))
+        for name, value in step.items():
+            inc["d" + name].append(abs(rho ** (k * gam) * value))
+            acc[name] += rho ** (k * (gam - _DEGREE[name])) * value
+        coefficients.append({name: float(value) for name, value in acc.items()})
+    limit = coefficients[-1] if coefficients else dict.fromkeys(_DEGREE, 0.0)
     return CampanatoReport(case, float(rho), float(alpha), len(coefficients),
                            coefficients, step_errors, inc, limit, truncated)
 

@@ -408,6 +408,18 @@ def test_barrier_configs_the_stage_cannot_run_are_rejected(tmp_path, capsys, raw
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("s, refused", [(0.25, True), (0.75, True), (0.3, False)])
+def test_end_to_end_refuses_an_integer_alpha_plus_2s(s, refused):
+    # at alpha + 2s = 1 or 2 the C^(2s+alpha) norm has no Hoelder part to measure
+    raw = default_raw("end-to-end", s)
+    assert raw["setup"].get("alpha", 0.5) == 0.5
+    if not refused:
+        assert validate(raw).setup["s"] == s
+        return
+    with pytest.raises(ConfigError, match="setup.alpha: .*setup.alpha \\+ 2 setup.s"):
+        validate(raw)
+
+
 def test_svg_empty_ladder_and_reference_slope(tmp_path):
     p = tmp_path / "empty.svg"
     svg_loglog(p, [], [], title="decay")

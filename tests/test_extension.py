@@ -204,15 +204,16 @@ def test_rescale_identity_and_oracle():
     st = solve_extension(prob, ExtensionMesh(nx=129, my=48))
     r1 = rescale_solution(st, 1.0)
     assert np.array_equal(r1.values, st.values)
-    # V(x, z) = U(rho x, rho^{2s} z), checked against the exact combination
+    # V(x, z) = U(rho x, rho^{2s} z) on the pulled-back nodes, checked against
+    # the exact combination
     rho = 0.5
-    V = rescale_solution(st, rho, target_mesh=ExtensionMesh(nx=65, my=24),
-                         target_domain=(-1.0, 1.0, 0.5))
+    V = rescale_solution(st, rho)
+    assert np.array_equal(V.values, st.values)
+    assert np.array_equal(V.x_axes[0], st.x_axes[0] / rho)
     Zq, Xq = np.meshgrid(V.z_nodes, V.x_axes[0], indexing="ij")
     assert np.max(np.abs(V.values - combo(rho * Xq, rho ** (2 * s) * Zq))) < 5e-4
     with pytest.raises(ValueError):
-        rescale_solution(st, 2.0, target_mesh=ExtensionMesh(nx=33, my=12),
-                         target_domain=(-2.0, 2.0, 2.0))
+        rescale_solution(st, 0.0)
 
 
 def test_rescaled_states_report_the_rescaled_flux():
@@ -225,9 +226,11 @@ def test_rescaled_states_report_the_rescaled_flux():
     xv = V.x_axes[0][1:-1]
     exact = -ds_constant(s) * k ** (2 * s) * np.sin(k * rho * xv)
     assert np.max(np.abs(V.flux_trace() - rho ** (2 * s) * exact)) < 1e-10
-    # interpolated onto a target mesh the state has no finite-volume flux: it
-    # reads the two-point flux of its first face, on every x-node
-    W = rescale_solution(U, rho, target_mesh=ExtensionMesh(nx=33, my=16))
+    # a state built from sampled values has no finite-volume flux: it reads
+    # the two-point flux of its first face, on every x-node
+    xs, ys = np.linspace(0.0, np.pi, 33) / rho, U.y_nodes[::2] / rho
+    Zq, Xq = np.meshgrid(transform_to_z(ys, s), xs, indexing="ij")
+    W = ExtensionState(s, [xs], ys, U.values_at(rho * Xq, rho ** (2 * s) * Zq), 0.0, 0.0)
     assert W.flux_trace().shape == (33,)
     assert np.array_equal(W.flux_trace(), W.z_derivative_faces()[1][0])
 

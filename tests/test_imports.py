@@ -1,10 +1,10 @@
 """Source hygiene: every module-level import in the package and the tests is
 used, every private helper of the package is referenced by the package,
-every public function or class is used by a package module or listed in
-API_ONLY with its reason, only `semigroup` imports LAPACK, importing the
-package loads no scipy module (each is imported in the function that calls
-it), and every name the benchmark tracer hooks or the benchmark's tests read
-by name still resolves."""
+every public function, class or method is used by a package module, listed
+in API_ONLY with its reason or read by the benchmark, only `semigroup`
+imports LAPACK, importing the package loads no scipy module (each is
+imported in the function that calls it), and every name the benchmark
+tracer hooks or the benchmark's tests read by name still resolves."""
 
 import ast
 import importlib
@@ -98,6 +98,8 @@ API_ONLY = {
         "tests/test_barriers.py checks its values and its opening check",
     "barriers.MAPolynomial":
         "the second-order polynomials of the geometry; tests/test_barriers.py checks them",
+    "barriers.MAPolynomial.weighted_zz":
+        "z^{2-1/s} d_zz P, the class-membership identity; tests/test_barriers.py checks it",
     "barriers.polynomial_to_MA":
         "classical second-order data to geometry-adapted polynomials; "
         "tests/test_barriers.py checks it",
@@ -111,9 +113,26 @@ API_ONLY = {
     "config.load_config": "read and validate a config file in one call",
     "config.default_config": "the built-in config of a kind, validated (the CLI takes "
                              "the raw one from `default_raw`)",
+    "config.ExperimentConfig.emit":
+        "writes the validated config as JSON; tests/test_cli_io.py loads it back",
     "extension.reflect_even":
         "the even reflection across z = 0 that `harnack_quotient` asks for on symmetric "
         "solutions",
+    "extension.rescale_solution":
+        "the exact pullback U(rho x, rho^{2s} z) as a state, with its rescaled trace flux; "
+        "tests check its flux and the seminorm's scaling covariance on it",
+    "extension.ExtensionState.flux_trace":
+        "the discrete d_z U at the trace, checked against exact fluxes by the tests; "
+        "ROADMAP item 7's Hopf quotient reads it",
+    "geometry.MAGeometry.scale_point":
+        "the anisotropic dilation (x, z) -> (rho x, rho^{2s} z); tests/test_geometry.py "
+        "checks that it maps sections to sections",
+    "gridfn.GridFunction.sup_norm": "max |u|; tests bound extensions by it",
+    "gridfn.GridFunction.to_csv": "grid-function output; tests/test_gridfn.py reads it back",
+    "gridfn.GridFunction.to_binary":
+        "grid-function output; tests/test_gridfn.py round-trips it with `from_binary`",
+    "gridfn.GridFunction.from_binary":
+        "grid-function input; tests/test_gridfn.py round-trips it with `to_binary`",
     "regularity.holder_seminorm_state":
         "a state's Hoelder seminorm on a section; ROADMAP item 6 fits its decay",
     "regularity.harnack_quotient": "the Harnack quotient of one solved state; ROADMAP "
@@ -130,9 +149,18 @@ API_ONLY = {
 
 
 def _public_definitions(path):
+    """Public module-level functions and classes, and the public methods of
+    those classes as `Class.method`."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    return {node.name: node.lineno for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found[node.name] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                found.update({f"{node.name}.{item.name}": item.lineno for item in node.body
+                              if isinstance(item, ast.FunctionDef)
+                              and not item.name.startswith("_")})
+    return found
 
 
 def _package_uses():
@@ -142,22 +170,24 @@ def _package_uses():
 
 
 def test_no_unreferenced_public_definitions():
-    # a public function or class that no package module uses is either API
-    # kept on purpose (API_ONLY, with the reason) or dead code
+    # a public function, class or method that no package module uses (by its
+    # name) is either API kept on purpose (API_ONLY, with the reason), a name
+    # the benchmark hooks or reads (TRACER_HOOKS, BENCHMARK_READS) or dead code
     used = _package_uses()
+    kept = {**API_ONLY, **TRACER_HOOKS, **BENCHMARK_READS}
     found = [f"src/fracext/{path.name}:{line} {name}"
              for path in sorted((ROOT / "src" / "fracext").glob("*.py"))
              for name, line in _public_definitions(path).items()
-             if name not in used and f"{path.stem}.{name}" not in API_ONLY]
+             if name.split(".")[-1] not in used and f"{path.stem}.{name}" not in kept]
     assert not found, "public definitions no package module uses: " + ", ".join(found)
 
 
 def test_api_only_entries_are_defined_and_still_unused():
     used = _package_uses()
     for entry in API_ONLY:
-        module, name = entry.split(".")
+        module, name = entry.split(".", 1)
         assert name in _public_definitions(ROOT / "src" / "fracext" / f"{module}.py"), entry
-        assert name not in used, f"{entry} is used by the package now; drop its entry"
+        assert name.split(".")[-1] not in used, f"{entry} is used by the package now; drop it"
 
 
 def test_only_semigroup_imports_lapack():
@@ -331,6 +361,8 @@ TRACER_HOOKS = {
         "patched in `vars(MAGeometry)`; its span is the `geometry.section_interval` layer",
     "geometry.MAGeometry.delta_h": "patched in `vars(MAGeometry)` to count calls",
     "extension.ExtensionState.values_at": "patched in `vars(ExtensionState)` to count calls",
+    "extension.rescale_solution":
+        "patched by name; its span is the `extension.rescale_solution` layer",
     "barriers.BarrierCase2.__init__":
         "patched in `vars(BarrierCase2)` to count case-2 candidates of the parameter search",
     "semigroup.SemigroupStepper.heat_interior.t":
@@ -348,6 +380,9 @@ TRACER_HOOKS = {
 BENCHMARK_READS = {
     "config.ExperimentConfig.threads": "read by `perfbench/tests/test_cases.py`",
     "config.ExperimentConfig.emit_plots": "read by `perfbench/tests/test_cases.py`",
+    "semigroup.CoefficientField.full_2d":
+        "`perfbench/fxbench/cases.py` builds the `mixed2d` coefficients with it",
+    "gridfn.BoxGrid.rectangle": "`perfbench/fxbench/cases.py` builds the 2-D grids with it",
 }
 
 
