@@ -36,8 +36,9 @@ componentwise backward error.  Besides the factors, a solve holds at most
 four solution-sized arrays at once: the right-hand side, the solution, one
 work array (the residual, then the refined solution) and the mode-transform
 temporary.  The data are turned into the right-hand side level by level,
-the backward error is reduced to its maximum per level a block of levels at
-a time, and the value array is allocated once the right-hand side is gone.
+the lateral data evaluated on the boundary nodes alone, the backward error
+is reduced to its maximum per level a block of levels at a time, and the
+value array is allocated once the right-hand side is gone.
 """
 
 from __future__ import annotations
@@ -356,33 +357,28 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     Ay = sp.diags([off, -(K[levels] + K_below), off], [-1, 0, 1], format="csr")
     A = _LevelOperator(Ay, Vw[levels], Ax)
 
-    # every datum evaluated once: the lateral data go through a buffer of a
-    # few levels (65536 numbers, or one level), where one Bx product gives
-    # their Dirichlet-neighbour terms, and only their boundary values are
-    # kept; the sources go into the right-hand side level by level, and only
-    # level 0's terms are kept, for the flux below
+    # every datum evaluated once, level by level: the lateral data on the
+    # boundary nodes only, where the boundary columns of Bx give their
+    # Dirichlet-neighbour terms, and the sources straight into the
+    # right-hand side; only level 0's terms are kept, for the flux below
     zlev = transform_to_z(y, s)
     inner = (slice(1, -1),) * n
     edge = np.ones(Xfull[0].shape, dtype=bool)
     edge[inner] = False
-    lateral = np.empty((my + 1, np.count_nonzero(edge)))
-    BG = np.empty((my + 1, nxi))  # the top level's row goes unused
-    buf = np.empty((min(my + 1, max(1, 65536 // edge.size)),) + edge.shape)
-    for c in range(0, my + 1, len(buf)):
-        part = buf[:min(len(buf), my + 1 - c)]
-        for i in range(len(part)):
-            part[i] = problem.g_lateral(*Xfull, zlev[c + i])
-        lateral[c:c + len(part)] = part[:, edge]
-        BG[c:c + len(part)] = (Bx @ part.reshape(len(part), -1).T).T
-    del buf, part
+    X_edge = [X[edge] for X in Xfull]
+    B_edge = Bx[:, edge.ravel()]
+    lateral = np.empty((my + 1, len(X_edge[0])))
     rhs = np.empty((nl, nxi))
-    for j in range(my):
+    for j in range(my + 1):
+        lateral[j] = problem.g_lateral(*X_edge, zlev[j])
+        if j == my:  # the top level's sources and Dirichlet terms go unused
+            break
+        BGj = B_edge @ lateral[j]
         Fj = np.broadcast_to(problem.F(*Xint, zlev[j]), Xint[0].shape).ravel()
         if j == 0:
-            F0, BG0 = Fj, BG[0].copy()
+            F0, BG0 = Fj, BGj
         if j >= j0:
-            rhs[j - j0] = Vw[j] * Fj - Vw[j] * BG[j]
-    del BG
+            rhs[j - j0] = Vw[j] * Fj - Vw[j] * BGj
     g_top = np.broadcast_to(problem.g_top(*Xint), Xint[0].shape)
     u_bottom = np.broadcast_to(bdata(*Xint), Xint[0].shape)
     if kind == "neumann":

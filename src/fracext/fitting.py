@@ -20,9 +20,9 @@ stops once max|r - B y| <= h + tol, tol = 1e-12 max(1, max|values|) (or
 1e-12 max|r| when smaller), and the returned error is a certificate:
 h <= E_opt <= E <= h + tol.  After _MAX_EXCHANGES steps, or at a reference
 whose M is singular, one HiGHS LP over all 2m rows takes over, posed with the
-residual scaled to _LP_SCALE because HiGHS's tolerances are absolute; if it
-fails, Lawson's iteratively reweighted least squares answers, as it does for
-method="lawson".
+residual scaled to _LP_SCALE because HiGHS's tolerances are absolute.  If
+that fails too, the fit raises a ValueError naming the row count: a fit that
+is not the minimax fit is never returned.
 
 `sup_fitter(basis)` is that fit as a function of the values: the basis checks,
 the column scaling and both pivoted QRs depend on the basis alone and run once
@@ -48,51 +48,34 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def sup_fit(basis, values, method="lp", lawson_iters=8):
+def sup_fit(basis, values, method="lp"):
     """min over coefficients of max_i |values_i - (basis @ coeffs)_i|.
 
     basis: (m, p) design matrix, values: m finite numbers.  Returns
     (coeffs, sup_error), where sup_error is the maximum residual of the
-    returned coefficients.
+    returned coefficients.  "lp" is the only method; any other raises
+    ValueError, as does a fit that neither the exchange nor the LP solves.
     """
-    return sup_fitter(basis, method, lawson_iters)(values)
+    if method != "lp":
+        raise ValueError(f"unknown sup_fit method {method!r}: the only method is 'lp'")
+    return sup_fitter(basis)(values)
 
 
-def sup_fitter(basis, method="lp", lawson_iters=8):
-    """fit(values) -> sup_fit(basis, values, method, lawson_iters), bit for bit.
+def sup_fitter(basis):
+    """fit(values) -> sup_fit(basis, values), bit for bit.
 
     The work on the basis alone is done here, once for every values vector
-    fit is given: its checks, and for method "lp" the column scaling, the
-    rank-revealing pivoted QR and the exchange's starting rows.
+    fit is given: its checks, the column scaling, the rank-revealing pivoted
+    QR and the exchange's starting rows.
     """
+    from scipy.linalg import qr
+
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2:
         raise ValueError("basis must be a 2-D (m, p) array")
     if not np.all(np.isfinite(basis)):
         raise ValueError("basis and values must be finite")
     m = basis.shape[0]
-    minimax = _minimax(basis) if method == "lp" else None
-
-    def fit(values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (m,):
-            raise ValueError(f"values must have shape ({m},), got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("basis and values must be finite")
-        if minimax is not None:
-            coeffs = minimax(values)
-            if coeffs is not None:
-                return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
-        return _lawson(basis, values, lawson_iters)
-
-    return fit
-
-
-def _minimax(basis):
-    """values -> minimax coefficients on this basis: the exchange's, else one
-    full LP's; None if the LP fails."""
-    from scipy.linalg import qr
-
     col = np.max(np.abs(basis), axis=0)
     col[col == 0.0] = 1.0
     B = basis / col
@@ -102,23 +85,26 @@ def _minimax(basis):
     keep = np.sort(perm[:rank])
     B = B[:, keep]
     # the exchange starts from the rows a pivoted QR of B^T ranks first
-    rows = qr(B.T, mode="r", pivoting=True)[1][:rank] if 0 < rank < len(B) else None
+    rows = qr(B.T, mode="r", pivoting=True)[1][:rank] if 0 < rank < m else None
 
-    def solve(values):
-        lsq, *_ = np.linalg.lstsq(basis, values, rcond=None)
-        r = values - basis @ lsq
-        if np.max(np.abs(r)) == 0.0 or rows is None:
-            return lsq
-        tol = 1e-12 * min(max(1.0, float(np.max(np.abs(values)))), float(np.max(np.abs(r))))
-        found = _exchange(B, r, tol, rows)
-        y = found[0] if found is not None else _full_lp(B, r)
-        if y is None:
-            return None
-        coeffs = lsq.copy()
-        coeffs[keep] += y / col[keep]
-        return coeffs
+    def fit(values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (m,):
+            raise ValueError(f"values must have shape ({m},), got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("basis and values must be finite")
+        coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
+        r = values - basis @ coeffs
+        if np.max(np.abs(r)) > 0.0 and rows is not None:
+            tol = 1e-12 * min(max(1.0, float(np.max(np.abs(values)))), float(np.max(np.abs(r))))
+            found = _exchange(B, r, tol, rows)
+            y = found[0] if found is not None else _full_lp(B, r)
+            if y is None:
+                raise ValueError(f"sup-norm fit over {m} rows: exchange and full LP both failed")
+            coeffs[keep] += y / col[keep]
+        return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
 
-    return solve
+    return fit
 
 
 def _exchange(B, r, tol, rows):
@@ -167,21 +153,3 @@ def _full_lp(B, r):
                   b_ub=np.concatenate([r, -r]) / unit, bounds=[(None, None)] * (q + 1),
                   method="highs")
     return res.x[:q] * unit if res.success else None
-
-
-def _lawson(basis, values, iters):
-    """Lawson's algorithm: weighted LS with weights multiplicatively updated by
-    the residual magnitudes converges to the Chebyshev fit."""
-    m = basis.shape[0]
-    w = np.full(m, 1.0 / m)
-    coeffs = None
-    for _ in range(max(1, iters)):
-        sw = np.sqrt(w)
-        coeffs, *_ = np.linalg.lstsq(basis * sw[:, None], values * sw, rcond=None)
-        r = np.abs(values - basis @ coeffs)
-        w = w * r
-        tot = w.sum()
-        if tot <= 0:
-            break
-        w /= tot
-    return coeffs, float(np.max(np.abs(values - basis @ coeffs)))

@@ -158,8 +158,8 @@ class MAGeometry:
         doubled until f >= 0, all lanes take Newton steps with the exact
         derivative h' - h'(z0), bisecting their bracket whenever a step is
         not strictly inside it, until the step is a few ulp.  A lane that
-        does not converge raises RuntimeError; a zero slope (h' is flat to
-        rounding for s within ~1e-16 of 1) raises ValueError naming s.
+        does not converge raises ValueError naming s, z0 and R; a zero slope
+        (h' flat to rounding for s within ~1e-16 of 1), one naming s.
         """
         z0, R, side = np.broadcast_arrays(np.asarray(z0, dtype=float),
                                           np.asarray(R, dtype=float),
@@ -199,7 +199,7 @@ class MAGeometry:
             outer[short] = z0[short] + 2.0 * (outer[short] - z0[short])
             fz[short] = f(outer[short], c[:, short])
         else:
-            raise RuntimeError("section endpoint bracket did not close")
+            raise self._unsolved(c[:, short], "bracket did not close")
 
         # z is always an end of the bracket [inner (f < 0), outer (f >= 0)], so
         # an iterate not strictly inside it would only repeat an end (a
@@ -225,7 +225,12 @@ class MAGeometry:
             below = fz < 0.0
             inner = np.where(below, z, inner)
             outer = np.where(below, outer, z)
-        raise RuntimeError("section endpoint Newton iteration did not converge")
+        raise self._unsolved(c, "Newton iteration did not converge")
+
+    def _unsolved(self, c, what):
+        # the first unsolved lane; h(2) ~ 4e55 at s = 0.005 leaves some with no root
+        return ValueError(f"section endpoint at s = {self.s!r}, z0 = {float(c[0, 0])!r}, "
+                          f"R = {float(c[1, 0])!r}: {what}")
 
     # -- anisotropic scaling ----------------------------------------------------
 

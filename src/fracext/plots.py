@@ -1,6 +1,7 @@
 """Standalone, byte-deterministic SVG emission: log-log decay ladders with a
-reference slope, Harnack sweeps, and heatmaps of extension states.  No plotting
-dependency; identical inputs produce identical bytes."""
+reference slope (`svg_loglog`) and heatmaps of extension states
+(`svg_heatmap`).  No plotting dependency; identical inputs produce identical
+bytes."""
 
 from __future__ import annotations
 

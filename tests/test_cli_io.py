@@ -393,6 +393,13 @@ def test_sliding_and_harnack_at_s_1e_6_name_s(tmp_path, kind, fixture):
     assert stage["status"] == "error" and exc.startswith("ValueError(") and "s = 1e-06" in exc, exc
 
 
+def test_geometry_check_at_s_0_005_names_the_endpoint_it_cannot_solve(tmp_path):
+    stage = run(validate(default_raw("geometry-check", 0.005)), str(tmp_path)).stages[0]
+    exc = stage["details"].get("exception", "")
+    assert stage["status"] == "error", stage
+    assert exc.startswith("ValueError('section endpoint at s = 0.005, z0 = "), exc
+
+
 @pytest.mark.parametrize("raw, key", [
     (_barrier_raw(0.75, case=1), "problem.case"),
     (_barrier_raw(0.3, case=2), "problem.case"),

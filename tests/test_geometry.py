@@ -40,6 +40,15 @@ def test_constants_and_checks_name_an_extreme_s():
         g.section_interval(0.5, 0.1)
 
 
+def test_an_endpoint_past_double_precision_names_s_z0_and_r():
+    # h(2) ~ 4e55 at s = 0.005, so delta_h(2, .) = 1e-3 has no root in double
+    # precision and Newton cannot converge; the error names the lane
+    with pytest.raises(ValueError, match=r"s = 0\.005, z0 = 2\.0, R = 0\.001: Newton"):
+        MAGeometry(0.005).section_interval(2.0, 1e-3)
+    with pytest.raises(ValueError, match=r"s = 0\.002, z0 = 0\.3, R = 1\.0: Newton"):
+        a_infinity_check(MAGeometry(0.002))
+
+
 def test_delta_phi_examples():
     g = MAGeometry(0.5)
     g2 = MAGeometry(0.5, n=2)

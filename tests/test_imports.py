@@ -369,7 +369,9 @@ TRACER_HOOKS = {
         "read by name, against `_t_cutoff`, to count heats past the decay cut-off",
     "extension.spla.spsolve.A":
         "read by name to count the unknowns and nonzeros of each sparse solve",
-    "fitting.sup_fit.method": "read by name; `lp` fits add their rows to `fitting.lp_rows`",
+    "fitting.sup_fit.method":
+        "read by name; an `lp` fit adds its rows to `fitting.lp_rows`, and `lp` is the only "
+        "method `sup_fit` accepts",
     "fitting.sup_fit.values": "read by name; its length gives the rows of an `lp` fit",
     "barriers.sample_annulus.samples":
         "read by name and added to `barriers.sample_annulus.points`",

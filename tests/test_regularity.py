@@ -40,9 +40,6 @@ def test_sup_fit_chebyshev_exact():
     coeffs, err = sup_fit(B, xs**2)
     assert err == pytest.approx(0.5, abs=1e-6)
     assert coeffs[0] == pytest.approx(0.5, abs=1e-5)
-    # Lawson fallback agrees
-    coeffs2, err2 = sup_fit(B, xs**2, method="lawson", lawson_iters=40)
-    assert err2 == pytest.approx(0.5, abs=5e-3)
 
 
 def _full_lp_error(basis, values):
@@ -147,14 +144,37 @@ def test_sup_fit_answers_a_singular_reference_by_the_full_lp(monkeypatch):
     assert err == float(np.max(np.abs(np.sin(5 * X) - B @ coeffs)))
 
 
-def test_sup_fit_falls_back_to_lawson_when_the_lp_fails(monkeypatch):
+def test_sup_fit_answers_an_unforced_stall_by_the_full_lp(monkeypatch):
+    # 30 rows on 7 distinct abscissae with a degree-6 basis and noisy data:
+    # the exchange stalls with nothing forced, and HiGHS answers, E = 0.16733
+    rng = np.random.default_rng(6)
+    xs = np.sort(rng.uniform(-1, 1, 7))
+    x = xs[rng.integers(0, 7, 30)]
+    v = np.sin(5 * x) + 0.1 * rng.standard_normal(30)
+    B = np.vander(x, 7, increasing=True)
+    exchanges = []
+    exchange = fitting._exchange
+
+    def spy(*args):
+        exchanges.append(exchange(*args))
+        return exchanges[-1]
+
+    monkeypatch.setattr(fitting, "_exchange", spy)
+    coeffs, err = sup_fit(B, v)
+    assert exchanges == [None]
+    assert err == pytest.approx(0.16733, abs=1e-5)
+    assert err == float(np.max(np.abs(v - B @ coeffs)))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
+    assert err <= _full_lp_error(B, v) + tol
+
+
+def test_sup_fit_raises_when_the_exchange_stalls_and_the_lp_fails(monkeypatch):
     xs = np.linspace(-1, 1, 401)
     B = np.stack([np.ones_like(xs), xs], axis=1)
     monkeypatch.setattr(fitting, "_MAX_EXCHANGES", 0)
     monkeypatch.setattr(fitting, "linprog", lambda *a, **k: SimpleNamespace(success=False))
-    coeffs, err = sup_fit(B, xs**2)
-    ref_coeffs, ref_err = sup_fit(B, xs**2, method="lawson")
-    assert np.array_equal(coeffs, ref_coeffs) and err == ref_err
+    with pytest.raises(ValueError, match="sup-norm fit over 401 rows"):
+        sup_fit(B, xs**2)
 
 
 @pytest.mark.parametrize("basis, values", [
@@ -170,6 +190,13 @@ def test_sup_fit_falls_back_to_lawson_when_the_lp_fails(monkeypatch):
 def test_sup_fit_rejects_malformed_input(basis, values, method):
     with pytest.raises(ValueError):
         sup_fit(basis, values, method=method)
+
+
+def test_sup_fit_rejects_any_method_but_lp():
+    # "lp" is the one method: a well-formed fit asked for "lawson" is refused
+    xs = np.linspace(-1, 1, 21)
+    with pytest.raises(ValueError, match="'lawson'"):
+        sup_fit(np.stack([np.ones_like(xs), xs], axis=1), xs**2, method="lawson")
 
 
 def _no_linprog(*args, **kwargs):
@@ -207,23 +234,22 @@ def test_exchange_certifies_degenerate_references(monkeypatch, kinked_state, cas
         assert err <= _full_lp_error(basis, V) + tol
 
 
-def _assert_fitter_matches_fresh_fits(basis, value_list, method):
+def _assert_fitter_matches_fresh_fits(basis, value_list):
     """One sup_fitter(basis) over every vector, then a fresh sup_fit for each:
     the same coefficients and error, bit for bit."""
-    fit = fitting.sup_fitter(basis, method)
+    fit = fitting.sup_fitter(basis)
     reused = [fit(values) for values in value_list]
     for values, (coeffs, err) in zip(value_list, reused):
-        fresh_coeffs, fresh_err = sup_fit(basis, values, method=method)
+        fresh_coeffs, fresh_err = sup_fit(basis, values)
         assert np.array_equal(coeffs, fresh_coeffs) and err == fresh_err
 
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 60), p=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
-       shape=st.sampled_from(["full", "zero column", "dependent column", "m <= rank"]),
-       method=st.sampled_from(["lp", "lawson"]))
-@example(m=1, p=1, seed=0, shape="full", method="lp")
-@example(m=40, p=3, seed=1, shape="dependent column", method="lp")
-def test_sup_fitter_reused_equals_fresh_sup_fits(m, p, seed, shape, method):
+       shape=st.sampled_from(["full", "zero column", "dependent column", "m <= rank"]))
+@example(m=1, p=1, seed=0, shape="full")
+@example(m=40, p=3, seed=1, shape="dependent column")
+def test_sup_fitter_reused_equals_fresh_sup_fits(m, p, seed, shape):
     # random bases, with a zero or a dependent column, or no more rows than
     # the rank (the least-squares fit is returned); the zero vector has a
     # zero least-squares residual
@@ -237,7 +263,7 @@ def test_sup_fitter_reused_equals_fresh_sup_fits(m, p, seed, shape, method):
         basis[:, -1] = 2.0 * basis[:, 0] - basis[:, p // 2]
     value_list = [np.sin(3.0 * x) + 0.5 * rng.standard_normal(m), np.zeros(m),
                   np.abs(x) ** 0.7, 1e-6 * rng.standard_normal(m)]
-    _assert_fitter_matches_fresh_fits(basis, value_list, method)
+    _assert_fitter_matches_fresh_fits(basis, value_list)
 
 
 @settings(max_examples=12, deadline=None)
@@ -249,8 +275,7 @@ def test_sup_fitter_on_decay_regions_equals_fresh_sup_fits(kinked_state, case, j
     X, Z, V = _region(kinked_state, geom, 0.5**j, case)
     noise = np.random.default_rng(seed).standard_normal(len(V))
     _assert_fitter_matches_fresh_fits(_case_basis(case, X, Z, geom),
-                                      [V, V - V.mean(), V + 1e-3 * noise, np.sin(5.0 * X) * V],
-                                      "lp")
+                                      [V, V - V.mean(), V + 1e-3 * noise, np.sin(5.0 * X) * V])
 
 
 def test_decay_region_excludes_the_mesh_row_on_the_section_boundary():
