@@ -403,9 +403,11 @@ class SemigroupStepper:
     `x_operator` checks on the interior nodes.  The top of the fits'
     interval and the symmetry flag are the stepper's too (`_fit_interval`,
     derived on first use like the modes), so the powers do not rederive
-    them per call.
+    them per call, and so are the factored pole systems of every power
+    x^-beta it has applied (`_pole_solver`).
 
-    Immutable after construction; solves at distinct times are independent.
+    Its operator and grid do not change after construction; solves at
+    distinct times are independent.
     """
 
     def __init__(self, coeff: CoefficientField, grid: BoxGrid):
@@ -419,6 +421,7 @@ class SemigroupStepper:
         self.lam_floor = coeff.lam * sum(8.0 / (hi - lo) ** 2
                                          for lo, hi in zip(grid.los, grid.his))
         self._t_cutoff = 30.0 / self.lam_floor
+        self._pole_solvers = {}
 
     @cached_property
     def _modes(self):
@@ -452,6 +455,16 @@ class SemigroupStepper:
         rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in self.grid.axes())
         hi = max(float(top), 2.0 * self.lam_floor)
         return (self.lam_floor, hi), bool(defect <= 8 * np.finfo(float).eps * rounding * scale)
+
+    def _pole_solver(self, beta, poles):
+        """The `_shifted_solver` of every L - p I over the poles of the fit
+        of x^-beta, factored on the first call for beta and kept: the poles
+        depend only on beta and `_fit_interval`."""
+        solve = self._pole_solvers.get(beta)
+        if solve is None:
+            solve = self._pole_solvers[beta] = _shifted_solver(self.L, -poles,
+                                                               "L - ({p:g}) I is singular")
+        return solve
 
     def heat_interior(self, v, t):
         """e^{-tL} applied to an interior-node vector."""
@@ -643,11 +656,12 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     The interval and the symmetry flag are read from the stepper, which
     derives them once (`SemigroupStepper._fit_interval`).  Every pole's
     L - p I is factored in one `_shifted_solver` call (LinAlgError naming p
-    if one is singular).  info gives beta, the pole count, the interval, the
-    fit's certificate and whether L is symmetric up to the rounding its node
-    coordinates (errors of eps max|x|, relative to the smallest spacing)
-    leave in the stencil weights; then the certificate bounds the relative
-    matrix error in the 2-norm.  The 1-D L = -a(x) d_xx is D S D^{-1} with S
+    if one is singular), which the stepper keeps for later calls at the same
+    beta (`SemigroupStepper._pole_solver`).  info gives beta, the pole
+    count, the interval, the fit's certificate and whether L is symmetric up
+    to the rounding its node coordinates (errors of eps max|x|, relative to
+    the smallest spacing) leave in the stencil weights; then the certificate
+    bounds the relative matrix error in the 2-norm.  The 1-D L = -a(x) d_xx is D S D^{-1} with S
     symmetric (`tridiagonal_modes`): cond(D) times the bound, <= sqrt(Lambda
     / lambda) times on a uniform grid.  A nonsymmetric 2-D L is not normal
     and the scalar error bounds nothing.
@@ -656,8 +670,7 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     c0, poles, w, err = _power_fit(lo, hi, beta)
     out = c0 * v
     if len(poles):  # beta ~ 1e-16 on a narrow interval: the fit is c0 alone, r(L) = c0 I
-        x = _shifted_solver(stepper.L, -poles, "L - ({p:g}) I is singular")(
-            np.broadcast_to(v, (len(poles), len(v))))
+        x = stepper._pole_solver(beta, poles)(np.broadcast_to(v, (len(poles), len(v))))
         for wj, xj in zip(w, x):
             out += wj * xj
     info = {"beta": beta, "poles": len(poles), "interval": [lo, hi], "sup_rel_error": err,

@@ -400,6 +400,19 @@ def test_geometry_check_at_s_0_005_names_the_endpoint_it_cannot_solve(tmp_path):
     assert exc.startswith("ValueError('section endpoint at s = 0.005, z0 = "), exc
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_geometry_check_at_s_0_01_says_tau_z_cancels(tmp_path, dimension):
+    # h = c |z|^100: the engulfing gap delta_h(z1, section end) rounds to 0,
+    # and the stage says so instead of repeating numpy's log warning
+    raw = default_raw("geometry-check", 0.01)
+    raw["problem"]["dimension"] = dimension
+    stage = run(validate(raw), str(tmp_path)).stages[0]
+    exc = stage["details"].get("exception", "")
+    assert stage["status"] == "error", stage
+    assert exc.startswith("ValueError('engulfing_check at s = 0.01: tau_z"), exc
+    assert "cancels to 0 in double precision" in exc and "log" not in exc
+
+
 @pytest.mark.parametrize("raw, key", [
     (_barrier_raw(0.75, case=1), "problem.case"),
     (_barrier_raw(0.3, case=2), "problem.case"),

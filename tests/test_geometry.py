@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from fracext import obs
 from fracext.geometry import (MAGeometry, SectionDescriptor,
                               a_infinity_check, doubling_check, engulfing_check,
                               quasi_triangle_check, quotient_check,
@@ -202,6 +203,25 @@ def test_section_endpoint_array_equals_scalar_calls(s, lanes):
     assert np.array_equal(hi, [g.section_interval(a, b)[1] for a, b in zip(z0, R)])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.75, 0.948])
+def test_endpoint_newton_takes_at_most_25_steps_per_call(s, seed):
+    # section centers and radii drawn as engulfing_check draws them; the
+    # counters are paid once per call: lanes, Newton sweeps, lane-steps
+    rng = np.random.default_rng(seed)
+    r2 = rng.uniform(0.05, 1.0, 2000)
+    r1 = r2 * rng.uniform(0.05, 0.95, 2000)
+    t = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), 2000))
+    z0 = rng.uniform(-2.0, 2.0, 2000)
+    g = MAGeometry(s)
+    for R in (r2 * t, r1 * t):
+        with obs.recording() as counts:
+            g.section_interval(z0, R)
+        assert counts["geometry.endpoint_lanes"] == 2 * np.count_nonzero(z0)
+        assert 1 <= counts["geometry.endpoint_steps"] <= 25
+        assert counts["geometry.endpoint_lane_steps"] <= 25 * counts["geometry.endpoint_lanes"]
+
+
 def test_scale_point_membership_property():
     # membership before iff membership after, against the raw delta definitions
     rng = np.random.default_rng(11)
@@ -230,6 +250,42 @@ def test_exact_scaling_identity():
         rep = scaling_identity_check(MAGeometry(s), seed=1)
         assert rep["max_rel_err_h"] < 1e-12
         assert rep["max_rel_err_hp"] < 1e-12
+
+
+def test_h_and_hp_are_their_closed_forms_bit_for_bit():
+    # the exact-scaling check reads these bits; the endpoint solver's own
+    # one-power h must not leak into them
+    z = np.random.default_rng(8).uniform(-5.0, 5.0, 4096)
+    for s in (0.05, 0.3, 0.5, 0.7, 0.95):
+        g = MAGeometry(s)
+        assert np.array_equal(g.h(z), s**2 / (1.0 - s) * np.abs(z) ** (1.0 / s))
+        assert np.array_equal(g.hp(z), s / (1.0 - s) * np.abs(z) ** (1.0 / s - 1.0) * np.sign(z))
+
+
+def _quasi_triangle_five_deltas(g, samples, seed):
+    """quasi_triangle_check's report with each of its five deltas summed
+    over the coordinate axis by np.sum."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-2.0, 2.0, size=(3, samples, g.n))
+    zs = rng.uniform(-2.0, 2.0, size=(3, samples))
+
+    def d(i, j):
+        return 0.5 * np.sum((xs[j] - xs[i]) ** 2, axis=-1) + g.delta_h(zs[i], zs[j])
+
+    num = d(0, 1)
+    den = np.minimum(d(0, 2), d(2, 0)) + np.minimum(d(1, 2), d(2, 1))
+    ok = den > 1e-12
+    ratios = num[ok] / den[ok]
+    return {"kind": "quasi-triangle", "s": g.s, "samples": int(ok.sum()),
+            "K_hat": float(np.max(ratios)), "median_ratio": float(np.median(ratios))}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.95])
+def test_quasi_triangle_check_equals_the_five_delta_reference(s, n):
+    g = MAGeometry(s, n=n)
+    for seed in (0, 6061):
+        assert quasi_triangle_check(g, 5000, seed) == _quasi_triangle_five_deltas(g, 5000, seed)
 
 
 def test_quasi_triangle_finite():

@@ -133,6 +133,9 @@ API_ONLY = {
         "grid-function output; tests/test_gridfn.py round-trips it with `from_binary`",
     "gridfn.GridFunction.from_binary":
         "grid-function input; tests/test_gridfn.py round-trips it with `to_binary`",
+    "obs.recording":
+        "collects the counters the layers report (ROADMAP item 3 writes them into the "
+        "manifest); tests/test_geometry.py reads the endpoint counters through it",
     "regularity.holder_seminorm_state":
         "a state's Hoelder seminorm on a section; ROADMAP item 6 fits its decay",
     "regularity.harnack_quotient": "the Harnack quotient of one solved state; ROADMAP "

@@ -389,6 +389,27 @@ def test_fractional_inverse_and_roundtrip():
         assert np.max(np.abs(back.values - f.values)) < 1e-3
 
 
+@pytest.mark.parametrize("make", [lambda: _stepper_1d(N=64),
+                                  lambda: _stepper_2d(CoefficientField.identity(2), 9)])
+def test_a_second_power_at_the_same_beta_reuses_the_pole_factors(monkeypatch, make):
+    # the round trip L^s L^{-s} applies beta = 1 - s twice: the second apply
+    # factors nothing and gives the bits of a fresh stepper's apply
+    calls = []
+    shifted = semigroup._shifted_solver
+    monkeypatch.setattr(semigroup, "_shifted_solver",
+                        lambda *args: calls.append(args) or shifted(*args))
+    st_, s = make(), 0.3
+    u = st_.wrap_interior(np.random.default_rng(3).standard_normal(st_.L.shape[0]))
+    first, _ = fractional_apply(st_, u, s)
+    inv, _ = fractional_inverse(st_, u, s)
+    assert len(calls) == 2
+    again, _ = fractional_apply(st_, inv, s)
+    assert len(calls) == 2
+    fresh, _ = fractional_apply(make(), inv, s)
+    assert np.array_equal(again.values, fresh.values)
+    assert np.array_equal(first.values, fractional_apply(make(), u, s)[0].values)
+
+
 def test_extension_via_semigroup_grid():
     st = _stepper_1d(N=192)
     s, k = 0.6, 2
