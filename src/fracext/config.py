@@ -44,10 +44,10 @@ def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
 
 
 # Largest node count per mesh axis: the 1-D stepper's dense float64 mode
-# matrix (`SemigroupStepper._modes`, which the heat semigroup and the
-# semigroup extension profile both apply) stays below 128 MiB up to here, and
-# the extension's one dense factor is its my x my y-pencil.  Wave numbers and
-# quadrature node counts share it.
+# matrix (`SemigroupStepper._modes`, which only the heat semigroup applies; the
+# semigroup extension's contour solves hold O(nodes N) numbers, 22 MiB at
+# 4096) stays below 128 MiB up to here, and the extension's one dense factor
+# is its my x my y-pencil.  Wave numbers and quadrature node counts share it.
 MAX_MESH_POINTS = 4096
 
 # Largest count of any other kind (samples, family members, ladder scales,

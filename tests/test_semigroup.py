@@ -2,6 +2,7 @@
 
 import re
 import types
+import warnings
 from functools import cached_property
 from unittest import mock
 
@@ -12,7 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eig, expm, fractional_matrix_power, lapack
 
-from fracext import semigroup
+from fracext import obs, semigroup
 from fracext.extension import ExtensionMesh, ExtensionProblem, solve_extension
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
@@ -503,6 +504,101 @@ def test_extension_refuses_s_outside_the_unit_interval(s):
             call()
 
 
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+def test_semigroup_extension_at_4096_nodes_matches_the_bessel_profile(s):
+    # the widest 1-D spectrum (hi/lo = 8.4e6): 114 nodes, 57 complex solves
+    N, k = 4096, 3
+    st_ = _stepper_1d(N=N)
+    u = GridFunction.from_callable(st_.grid, lambda x: np.sin(k * x))
+    heights = [1e-3, 0.1, 0.7]
+    outs, info = extension_via_semigroup_multi(st_, u, s, heights)
+    lam = discrete_eigenvalue(k, N)
+    for U, z in zip(outs, heights):
+        bessel = bessel_extension_profile(lam, s, z) * u.values
+        assert np.max(np.abs(U.values - bessel)) <= 1e-11 * np.max(np.abs(u.values))
+    assert info["interval"] == list(st_._fit_interval[0])
+    assert info["sup_error"] <= semigroup._EXTENSION_TOL
+
+
+def test_semigroup_extension_node_count_grows_slowly_and_never_diagonalizes(monkeypatch):
+    # the elliptic rule's node count grows like log(hi/lo): 1.43 times as
+    # many at N = 4096 as at N = 256, hi/lo 256 times wider (a Joukowski
+    # ellipse, ~ (hi/lo)^{1/8}, needs 2.04 times as many); one shifted solve
+    # per conjugate pair of nodes, and the modes of L are never computed
+    def no_modes(*args, **kwargs):
+        raise AssertionError("eigendecomposition computed by the semigroup extension")
+
+    monkeypatch.setattr(semigroup, "tridiagonal_modes", no_modes)
+    nodes = {}
+    for N in (256, 4096):
+        st_ = _stepper_1d(N=N)
+        u = GridFunction.from_callable(st_.grid, np.sin)
+        with obs.recording() as counts:
+            _, info = extension_via_semigroup_multi(st_, u, 0.4, [0.2, 0.6])
+        nodes[N] = counts["semigroup.extension_nodes"]
+        assert nodes[N] == info["nodes"] == 2 * counts["semigroup.shifted_blocks"]
+        assert counts["semigroup.shifted_unknowns"] == counts["semigroup.shifted_blocks"] * (N - 1)
+        assert "_modes" not in vars(st_)
+    assert nodes[4096] <= 2.2 * nodes[256]
+
+
+def test_fractional_powers_count_their_shifted_blocks():
+    st_ = _stepper_1d(N=64)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    with obs.recording() as counts:
+        _, info = fractional_inverse(st_, u, 0.5)
+    assert counts == {"semigroup.shifted_blocks": info["poles"],
+                      "semigroup.shifted_unknowns": info["poles"] * 63}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(16, 256), st.floats(0.2, 1.0), st.floats(1.0, 5.0), st.floats(0.5, 6.0),
+       st.floats(0.5, 4.0), st.floats(0.01, 0.99),
+       st.lists(st.floats(1e-4, 2.0), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_semigroup_extension_certificate_bounds_its_error(N, lam, ratio, freq, length, s,
+                                                          heights, seed):
+    # L = D S D^{-1}, S symmetric: the field's 2-norm error is at most cond(D)
+    # times the certificate times |u|, up to a rounding floor of 1e-12 |u|,
+    # mostly the dense eig reference's (in 200 random draws it was up to
+    # 2.8e-13 |u| off the modes of S, and the field within 0.72 cond(D)
+    # times the certificate of them)
+    stepper = _variable_heat_stepper(N, lam, ratio, freq, length)
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, N - 1)
+    outs, info = extension_via_semigroup_multi(stepper, stepper.wrap_interior(v), s, heights)
+    assert 0.0 <= info["sup_error"] <= semigroup._EXTENSION_TOL
+    d = semigroup._tridiagonal_symmetrizer(stepper.L)[0]
+    ev, V = eig(stepper.L.toarray())
+    coef = np.linalg.solve(V, v)
+    bound = (d.max() / d.min() * info["sup_error"] + 1e-12) * np.linalg.norm(v)
+    for U, z in zip(outs, heights):
+        ref = np.real(V @ (bessel_extension_profile(ev.real, s, z) * coef))
+        assert np.linalg.norm(U.interior() - ref) <= bound
+
+
+def test_semigroup_extension_names_s_and_z_when_the_certificate_fails(monkeypatch):
+    monkeypatch.setattr(semigroup, "_EXTENSION_TOL", 1e-20)
+    st_ = _stepper_1d(N=32)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    with pytest.raises(ValueError, match=r"s = 0\.3, z = 0\.\d+ has error \S+ > 1e-20"):
+        extension_via_semigroup_multi(st_, u, 0.3, [0.2, 0.6])
+
+
+@pytest.mark.parametrize("s, z", [(0.01, 1e7), (1e-6, 1e8)])
+def test_extension_profile_is_zero_where_y_overflows(s, z):
+    # y = 2s z^{1/2s} overflows to inf: the profile's limit is 0 at every
+    # lam > 0, real or a contour node, and 1 at lam = 0, with no warning
+    st_ = _stepper_1d(N=32)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    zeta, _, _ = semigroup._profile_contour(*st_._fit_interval[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert bessel_extension_profile(4.0, s, z) == 0.0
+        assert bessel_extension_profile(0.0, s, z) == 1.0
+        assert np.array_equal(semigroup._bessel_profile(np.sqrt(zeta), s, z), np.zeros(len(zeta)))
+        (U,), info = extension_via_semigroup_multi(st_, u, s, [z])
+    assert np.array_equal(U.values, np.zeros_like(u.values)) and info["sup_error"] == 0.0
+
+
 def test_neumann_trace_slope_scalar():
     for s in (0.25, 0.5, 0.75):
         lam = 4.0
@@ -918,6 +1014,43 @@ def test_shifted_solver_names_an_indefinite_1d_block():
     middle = -0.5 * (lam.min() + lam.max())  # L + middle I has both signs of eigenvalue
     with pytest.raises(np.linalg.LinAlgError, match=r"^block 2 of A - \(\S+\) I$"):
         semigroup._shifted_solver(L, [0.0, 1.0, middle, 2.0], "block {k} of A - ({p:g}) I")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.25, 1.0), min_size=2, max_size=40), st.floats(0.05, 1.0),
+       st.floats(1.0, 1e3), st.floats(0.5, 20.0),
+       st.lists(st.builds(complex, st.floats(-1e4, 1e4), st.floats(1e-3, 1e4)), min_size=3,
+                max_size=6), st.integers(0, 2**16))
+@example([1.0, 1.0], 1.0, 1.0, 1.0, [2.0j, 1.0 + 1.0j, -3.0j], 0)  # one unknown per block
+def test_shifted_solver_takes_complex_shifts_through_the_tridiagonal_lu(
+        steps, lam, ratio, freq, shifts, seed):
+    # the contour nodes of the semigroup extension: L + shift I is complex,
+    # and LAPACK's tridiagonal LU factors every block of the stack at once
+    xs = np.concatenate([[0.0], np.cumsum(steps)])
+    coeff = CoefficientField.scalar_1d(
+        lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)), lam, lam * ratio)
+    L = -x_operator(coeff, [xs])[0]
+    b = np.random.default_rng(seed).standard_normal((len(shifts), L.shape[0]))
+    with mock.patch.object(lapack, "zgttrf", wraps=lapack.zgttrf) as gt, \
+            mock.patch.object(lapack, "dpttrf", wraps=lapack.dpttrf) as pt, \
+            mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as gb:
+        x = semigroup._shifted_solver(L, np.array(shifts), "block {k}")(b)
+    assert (gt.call_count, pt.call_count, gb.call_count) == (1, 0, 0)
+    A = L.toarray()
+    for xk, sh, bk in zip(x, shifts, b):
+        # componentwise backward error of the pivoted LU: a few eps
+        r = np.abs(A @ xk + sh * xk - bk)
+        assert np.all(r <= 1e-13 * ((np.abs(A) + abs(sh) * np.eye(len(bk))) @ np.abs(xk)
+                                     + np.abs(bk)))
+
+
+def test_shifted_solver_refuses_complex_shifts_off_a_tridiagonal_operator():
+    L = _stepper_1d(N=3).L[:1, :1]
+    with pytest.raises(np.linalg.LinAlgError, match=r"^block 1 of A - \(\S+\) I$"):
+        semigroup._shifted_solver(L, [1j, -L[0, 0] + 0j, 2j], "block {k} of A - ({p:g}) I")
+    for A, shifts in ((_stepper_2d(CoefficientField.identity(2), 5).L, [1j]), (L, [1j, 2j])):
+        with pytest.raises(ValueError, match=r"tridiagonal A, off-diagonals < 0, N m >= 3"):
+            semigroup._shifted_solver(A, shifts, "")
 
 
 @pytest.mark.filterwarnings("error")
