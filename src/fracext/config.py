@@ -165,32 +165,47 @@ _TOP_SCHEMA = {
 }
 
 
+class _Optional:
+    """A schema entry whose key may be absent: absent, or equal to its
+    default, the key stays out of the validated data and the config hash."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+
 def _apply_schema(data, schema, path, errors):
     """data checked against schema, defaults filled in, messages appended to
     errors.  An entry is (default, check), None marking a required key, or a
-    nested schema for a block that may be absent or null."""
+    nested schema for a block that may be absent or null; _Optional wraps either."""
     out = {}
     for key in data:
         if key not in schema:
             errors.append(f"{path}{key}: unknown key")
     for key, entry in schema.items():
+        optional = isinstance(entry, _Optional)
+        if optional and key not in data:
+            continue
+        entry = entry.entry if optional else entry
         if isinstance(entry, dict):
             block = data.get(key) or {}
             if not isinstance(block, dict):
                 errors.append(f"{path}{key}: must be an object")
                 block = {}
             out[key] = _apply_schema(block, entry, f"{path}{key}.", errors)
-            continue
-        default, check = entry
-        if key in data:
-            msg = check(data[key])
-            if msg:
-                errors.append(f"{path}{key}: {msg}")
-            out[key] = data[key]
-        elif default is not None:
-            out[key] = default
+            default = _apply_schema({}, entry, path, []) if optional else None
         else:
-            errors.append(f"{path}{key}: missing required key")
+            default, check = entry
+            if key in data:
+                msg = check(data[key])
+                if msg:
+                    errors.append(f"{path}{key}: {msg}")
+                out[key] = data[key]
+            elif default is not None:
+                out[key] = default
+            else:
+                errors.append(f"{path}{key}: missing required key")
+        if optional and out[key] == default:
+            del out[key]
     return out
 
 

@@ -35,10 +35,12 @@ batch by batch when they did not fit), and is kept only if it lowers the
 componentwise backward error.  Besides the factors, a solve holds at most
 four solution-sized arrays at once: the right-hand side, the solution, one
 work array (the residual, then the refined solution) and the mode-transform
-temporary.  The data are turned into the right-hand side level by level,
-the lateral data evaluated on the boundary nodes alone, the backward error
-is reduced to its maximum per level a block of levels at a time, and the
-value array is allocated once the right-hand side is gone.
+temporary.  Each datum is called once for all levels, F with a column of
+heights against the interior x-nodes and the lateral data on the boundary
+nodes alone, and the right-hand side is formed in whole-array passes.  The
+backward error is reduced to its maximum per level a block of levels at a
+time, in the fewest equal blocks of at most 128 KiB of solution each, and
+the value array is allocated once the right-hand side is gone.
 """
 
 from __future__ import annotations
@@ -82,6 +84,17 @@ def _dz_factor(s):
 # -- problem and mesh descriptions ---------------------------------------------------
 
 
+def _datum(fn, name, shape, *args):
+    """fn(*args) as floats broadcast to shape; a ValueError naming the datum
+    and its contract when fn raises or its value does not broadcast."""
+    try:
+        return np.broadcast_to(np.asarray(fn(*args), dtype=float), shape)
+    except (TypeError, ValueError) as exc:
+        contract = ("(x, z) must accept z as an array of heights broadcasting against x"
+                    if name in ("F", "g_lateral") else "(x) must accept x as an array of nodes")
+        raise ValueError(f"{name}{contract}, to shape {shape}: {exc}") from exc
+
+
 def _as_callable(data):
     if callable(data):
         return data
@@ -100,7 +113,12 @@ class ExtensionProblem:
     bottom is ("neumann", f) or ("dirichlet", u) with f/u callables of x (or
     constants).  g_lateral(x, z) supplies the lateral Dirichlet values,
     g_top(x) the top.  F(x, z) is the interior right-hand side in native
-    coordinates.  domain is (lo, hi) for n = 1 or ((lo1, hi1), (lo2, hi2)).
+    coordinates.  In 2-D, x stands for x1, x2.  A solve calls each datum
+    once: F(x, z) and g_lateral(x, z) must accept z as an array of heights
+    broadcasting against x (a column of levels against the x-nodes), as
+    numpy ufuncs do and `math.sin` does not; a datum that raises TypeError
+    or ValueError, or whose value does not broadcast, is a ValueError
+    naming it.  domain is (lo, hi) for n = 1 or ((lo1, hi1), (lo2, hi2)).
     """
 
     s: float
@@ -324,8 +342,9 @@ def _clip_to(vals, lo, hi, rel=1e-12):
 
 
 def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> ExtensionState:
-    import scipy.sparse as sp
-
+    """The state solving problem on mesh.  Counts obs extension.solves,
+    extension.unknowns (levels x interior x-nodes), extension.y_modes,
+    extension.level_blocks and extension.refinements_kept."""
     s = problem.s
     n = problem.coeff.n
     axes = mesh.x_axes(problem.domain, n)
@@ -350,37 +369,37 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     levels = slice(j0, my)
     nl = my - j0
 
-    # symmetric tridiagonal y-coupling over unknown levels; level j couples to
-    # j + 1 through K_{j+1/2}, and the trace row j = 0 has no lower face
-    K_below = np.concatenate([[0.0], K])[levels]
+    # A_y, symmetric tridiagonal over the unknown levels, as its three
+    # diagonals; level j couples to j + 1 through K_{j+1/2}, and the trace
+    # row j = 0 has no lower face
     off = K[j0:my - 1]
-    Ay = sp.diags([off, -(K[levels] + K_below), off], [-1, 0, 1], format="csr")
+    Ay = (off, -(K[levels] + np.concatenate([[0.0], K])[levels]), off)
     A = _LevelOperator(Ay, Vw[levels], Ax)
 
-    # every datum evaluated once, level by level: the lateral data on the
-    # boundary nodes only, where the boundary columns of Bx give their
-    # Dirichlet-neighbour terms, and the sources straight into the
-    # right-hand side; only level 0's terms are kept, for the flux below
+    # every datum called once for all levels: the lateral data on the
+    # boundary nodes only, whose Dirichlet-neighbour terms the boundary
+    # columns of Bx give on the few rows that have entries, and F below the
+    # top; level 0's terms are kept for the flux below
     zlev = transform_to_z(y, s)
     inner = (slice(1, -1),) * n
     edge = np.ones(Xfull[0].shape, dtype=bool)
     edge[inner] = False
     X_edge = [X[edge] for X in Xfull]
+    lateral = _datum(problem.g_lateral, "g_lateral", (my + 1, len(X_edge[0])),
+                     *X_edge, zlev[:, None])
+    Fz = _datum(problem.F, "F", (my,) + Xint[0].shape, *Xint,
+                zlev[:my].reshape((my,) + (1,) * n)).reshape(my, nxi)
     B_edge = Bx[:, edge.ravel()]
-    lateral = np.empty((my + 1, len(X_edge[0])))
-    rhs = np.empty((nl, nxi))
-    for j in range(my + 1):
-        lateral[j] = problem.g_lateral(*X_edge, zlev[j])
-        if j == my:  # the top level's sources and Dirichlet terms go unused
-            break
-        BGj = B_edge @ lateral[j]
-        Fj = np.broadcast_to(problem.F(*Xint, zlev[j]), Xint[0].shape).ravel()
-        if j == 0:
-            F0, BG0 = Fj, BGj
-        if j >= j0:
-            rhs[j - j0] = Vw[j] * Fj - Vw[j] * BGj
-    g_top = np.broadcast_to(problem.g_top(*Xint), Xint[0].shape)
-    u_bottom = np.broadcast_to(bdata(*Xint), Xint[0].shape)
+    by_edge = np.flatnonzero(np.diff(B_edge.indptr))
+    BG = (B_edge[by_edge] @ lateral[:my].T).T
+    F0, BG0 = Fz[0].copy(), np.zeros(nxi)
+    BG0[by_edge] = BG[0]
+    Vl = Vw[levels, None]
+    rhs = Vl * Fz[levels]
+    rhs[:, by_edge] -= Vl * BG[levels]  # the other rows would subtract 0: no bit moves
+    del Fz
+    g_top = _datum(problem.g_top, "g_top", Xint[0].shape, *Xint)
+    u_bottom = _datum(bdata, "bottom", Xint[0].shape, *Xint)
     if kind == "neumann":
         rhs[0] += to_flux * u_bottom.ravel()
     else:
@@ -424,6 +443,13 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         "linear_solver": "y-mode-diagonalization",
         "refinement_kept": refined,
     }
+    from . import obs  # here, so loading the package imports no counters
+
+    obs.count("extension.solves")
+    obs.count("extension.unknowns", nl * nxi)
+    obs.count("extension.y_modes", nl)
+    obs.count("extension.level_blocks", len(A._blocks))
+    obs.count("extension.refinements_kept", int(refined))
     return ExtensionState(s, axes, y, W, res_int, res_bottom, meta)
 
 
@@ -473,8 +499,7 @@ def _y_mode_solver(Ay, V, Ax):
     from scipy.linalg import eigh_tridiagonal
 
     rs = 1.0 / np.sqrt(V)
-    mu, P = eigh_tridiagonal(Ay.diagonal() * rs * rs, Ay.diagonal(1) * rs[:-1] * rs[1:],
-                             lapack_driver="stev")
+    mu, P = eigh_tridiagonal(Ay[1] * rs * rs, Ay[2] * rs[:-1] * rs[1:], lapack_driver="stev")
     mode_solve = _shifted_solver(-Ax, -mu, "y-mode system {k} is singular or indefinite: its "
                                  "shift mu = {p:g} lost its sign to rounding")
 
@@ -490,28 +515,34 @@ def _y_mode_solver(Ay, V, Ax):
     return solve
 
 
+# bytes of solution in one block of levels: its backward-error pass makes
+# about five temporaries of that size, 640 KiB together, which a core's L2
+# cache holds
+_BLOCK_BYTES = 2**17
+
+
 class _LevelOperator:
     """A = Ay (x) I + diag(V) (x) Ax on level-major vectors, applied through its
     factors a block of levels at a time: with X the vector as (levels,
     x-nodes), the rows of A x on the levels b are (Ay X)_b + V_b o (Ax
-    X_b^T)^T.  Ay X is summed from Ay's three diagonals, from 0 and in
-    column order as Ay's CSR product sums, so bit for bit as `Ay @ X`.
-    `_blocks` pairs each block b with the levels near it reads (b and its
-    two neighbours).  A block holds at most an eighth of the levels (and at
-    least 8192 numbers), so its temporaries stay small beside a solution.
-    abs() gives |A| = |Ay| (x) I + diag(V) (x) |Ax| the same way."""
+    X_b^T)^T.  Ay is its three diagonals (lower, main, upper); Ay X is summed
+    from them, from 0 and in column order as a CSR product sums, so bit for
+    bit as `Ay @ X` with Ay assembled.  `_blocks` pairs each block b with
+    the levels near it reads (b and its two neighbours): the fewest equal
+    blocks of at most _BLOCK_BYTES of solution each.  abs() gives |A| =
+    |Ay| (x) I + diag(V) (x) |Ax| the same way."""
 
     def __init__(self, Ay, V, Ax):
         self.Ay, self.V, self.Ax = Ay, V, Ax
-        self._diags = Ay.diagonal(-1), Ay.diagonal(), Ay.diagonal(1)
         nl = len(V)
-        step = max(-(-nl // 8), -(-8192 // Ax.shape[0]))
+        blocks = -(-nl * Ax.shape[0] * 8 // _BLOCK_BYTES)  # the fewest that fit the bytes
+        step = -(-nl // blocks)  # of equal size
         self._blocks = [(slice(i, min(i + step, nl)), slice(max(i - 1, 0), min(i + step + 1, nl)))
                         for i in range(0, nl, step)]
 
     def rows(self, Xn, b, near):
         """The rows of A X on the levels b, a new array, from Xn = X[near]."""
-        lo, d, up = self._diags
+        lo, d, up = self.Ay
         i, j, o = b.start, b.stop, near.start
         out = np.zeros((j - i, Xn.shape[1]))
         k = max(i, 1)  # levels k.. have a lower neighbour
@@ -525,9 +556,9 @@ class _LevelOperator:
     def __abs__(self):
         # the two terms meet only on the diagonal, where no cancellation
         # happens while both diagonals are <= 0; then |A| splits as above
-        if np.any(self._diags[1] > 0.0) or np.any(self.Ax.diagonal() > 0.0):
+        if np.any(self.Ay[1] > 0.0) or np.any(self.Ax.diagonal() > 0.0):
             raise ValueError("|A| splits over the factors only for nonpositive diagonals")
-        return _LevelOperator(abs(self.Ay), self.V, abs(self.Ax))
+        return _LevelOperator(tuple(map(np.abs, self.Ay)), self.V, abs(self.Ax))
 
 
 def _checked_solve(A, rhs, solve):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracext.cli import main as cli_main
-from fracext.config import (_TOP_SCHEMA, EXPERIMENT_KINDS, MAX_COUNT, MAX_MESH_POINTS,
-                            MAX_THREADS, ConfigError, default_config, default_raw, load_config,
-                            validate)
+from fracext.config import (_PROBLEM_SCHEMAS, _TOP_SCHEMA, EXPERIMENT_KINDS, MAX_COUNT,
+                            MAX_MESH_POINTS, MAX_THREADS, ConfigError, _boolean, _num,
+                            _Optional, default_config, default_raw, load_config, validate)
 from fracext.plots import svg_heatmap, svg_loglog
 from fracext.runner import run
 
@@ -360,9 +360,39 @@ def test_default_config_hashes_are_pinned(kind, s):
     assert default_config(kind, s).config_hash() == GOLDEN_CONFIG_HASHES[kind, s]
 
 
+BENCHMARK_SHAPED_HASH = "9a4c906d8dd9bbb9e4bdf52307e1faeffa59704a87a8c66246fe761d552e5efc"
+
+
 def test_benchmark_shaped_config_hash_is_pinned():
-    assert validate(BENCHMARK_SHAPED_RAW).config_hash() == \
-        "9a4c906d8dd9bbb9e4bdf52307e1faeffa59704a87a8c66246fe761d552e5efc"
+    assert validate(BENCHMARK_SHAPED_RAW).config_hash() == BENCHMARK_SHAPED_HASH
+
+
+def test_optional_keys_leave_the_pinned_hashes_alone(monkeypatch):
+    # an optional key in every problem schema and an optional top-level
+    # block: absent, or set to their defaults, they stay out of the validated
+    # data and the hash; any other value enters both and is checked
+    for schema in _PROBLEM_SCHEMAS.values():
+        monkeypatch.setitem(schema, "extra", _Optional((0.5, _num(0.0, 1.0))))
+    monkeypatch.setitem(_TOP_SCHEMA, "block", _Optional({"a": (1, _num()), "b": (True, _boolean)}))
+    for (kind, s), digest in GOLDEN_CONFIG_HASHES.items():
+        assert default_config(kind, s).config_hash() == digest
+        raw = default_raw(kind, s)
+        raw["problem"]["extra"], raw["block"] = 0.5, {"a": 1}
+        cfg = validate(raw)
+        assert "block" not in cfg.data and "extra" not in cfg.problem
+        assert cfg.config_hash() == digest
+    assert validate(BENCHMARK_SHAPED_RAW).config_hash() == BENCHMARK_SHAPED_HASH
+    raw = default_raw("harnack", 0.3)
+    raw["problem"]["extra"], raw["block"] = 0.25, {"b": False}
+    cfg = validate(raw)
+    assert cfg.problem["extra"] == 0.25 and cfg.data["block"] == {"a": 1, "b": False}
+    assert cfg.config_hash() != GOLDEN_CONFIG_HASHES["harnack", 0.3]
+    del raw["block"]
+    assert validate(raw).config_hash() not in (cfg.config_hash(),
+                                               GOLDEN_CONFIG_HASHES["harnack", 0.3])
+    raw["problem"]["extra"] = 2.0
+    with pytest.raises(ConfigError, match=r"problem.extra: must be <= 1.0"):
+        validate(raw)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])

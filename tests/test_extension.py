@@ -2,11 +2,13 @@
 principle, reflection/rescaling, and the derivative-decay measurements."""
 
 import dataclasses
+import math
 import re
 import sys
 import tracemalloc
 import types
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -16,7 +18,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack
 
-from fracext import extension, semigroup
+from fracext import extension, obs, semigroup
 from fracext.benchmarks import (eigen_extension_problem, harmonic_combo_problem,
                                 x_derivative_scaling, z_decay_exponent)
 from fracext.extension import (ExtensionMesh, ExtensionProblem, ExtensionState, HarmonicCombo,
@@ -395,9 +397,14 @@ def test_state_save_roundtrip(tmp_path):
     assert sidecar["s"] == 0.5 and "residual_interior" in sidecar
 
 
+def _tridiagonal(diagonals):
+    """The CSR matrix of (lower, main, upper) diagonals."""
+    return sp.diags(diagonals, [-1, 0, 1], format="csr")
+
+
 def _assembled(op):
     """The matrix Ay (x) I + diag(V) (x) Ax that a level operator applies."""
-    return (sp.kron(op.Ay, sp.identity(op.Ax.shape[0]), format="csr")
+    return (sp.kron(_tridiagonal(op.Ay), sp.identity(op.Ax.shape[0]), format="csr")
             + sp.kron(sp.diags(op.V), op.Ax, format="csr"))
 
 
@@ -468,6 +475,200 @@ def test_1d_y_mode_diagonalization_matches_sparse_lu(s, nx, my, x_grading, lam, 
     assert np.all(np.abs(field - ref) <= 1e-10 * np.max(np.abs(state.values)) + bound)
     assert state.residual_interior <= 1e-12
     assert state.residual_bottom <= 1e-12
+
+
+def _per_level_solve(problem, mesh):
+    """Reference for `solve_extension` that calls the data once per level
+    with a scalar height and builds the right-hand side row by row (the
+    lateral data on the boundary nodes); the linear solve is the solver's.
+    Returns (values, residual_interior, residual_bottom, flux_trace_fv, the
+    raveled right-hand side)."""
+    s, n, my = problem.s, problem.coeff.n, mesh.my
+    axes = mesh.x_axes(problem.domain, n)
+    _, y, K, Vw = extension._y_cells(problem.Z, s, mesh)
+    Ax, Bx = semigroup.x_operator(problem.coeff, axes)
+    Xint = np.meshgrid(*[ax[1:-1] for ax in axes], indexing="ij")
+    Xfull = np.meshgrid(*axes, indexing="ij")
+    kind, bdata = problem.bottom
+    j0 = 0 if kind == "neumann" else 1
+    inner = (slice(1, -1),) * n
+    edge = np.ones(Xfull[0].shape, dtype=bool)
+    edge[inner] = False
+    X_edge = [X[edge] for X in Xfull]
+    B_edge = Bx[:, edge.ravel()]
+    zlev = transform_to_z(y, s)
+    lateral = np.empty((my + 1, len(X_edge[0])))
+    rhs = np.empty((my - j0, Ax.shape[0]))
+    for j in range(my + 1):
+        lateral[j] = problem.g_lateral(*X_edge, zlev[j])
+        if j < my:
+            BGj = B_edge @ lateral[j]
+            Fj = np.broadcast_to(problem.F(*Xint, zlev[j]), Xint[0].shape).ravel()
+            if j == 0:
+                F0, BG0 = Fj, BGj
+            if j >= j0:
+                rhs[j - j0] = Vw[j] * Fj - Vw[j] * BGj
+    g_top = np.broadcast_to(problem.g_top(*Xint), Xint[0].shape)
+    u_bottom = np.broadcast_to(bdata(*Xint), Xint[0].shape)
+    if kind == "neumann":
+        rhs[0] += (2.0 * s) ** (1.0 - 2.0 * s) * u_bottom.ravel()
+    else:
+        rhs[0] -= K[0] * u_bottom.ravel()
+    rhs[-1] -= K[my - 1] * g_top.ravel()
+    off = K[j0:my - 1]
+    diags = (off, -(K[j0:my] + np.concatenate([[0.0], K])[j0:my]), off)
+    sol, err, _ = extension._checked_solve(extension._LevelOperator(diags, Vw[j0:my], Ax),
+                                           rhs.ravel(),
+                                           extension._y_mode_solver(diags, Vw[j0:my], Ax))
+    W = np.empty((my + 1,) + edge.shape)
+    W[:, edge] = lateral
+    W[(my,) + inner] = g_top
+    if kind == "dirichlet":
+        W[(0,) + inner] = u_bottom
+    W[(slice(j0, my),) + inner] = sol.reshape((my - j0,) + Xint[0].shape)
+    w0, w1 = W[(0,) + inner].ravel(), W[(1,) + inner].ravel()
+    flux = extension._dz_factor(s) * (K[0] * (w1 - w0) + Vw[0] * (Ax @ w0 + BG0 - F0))
+    if kind == "neumann":
+        res = float(np.max(err[1:])) if len(err) > 1 else 0.0, float(err[0])
+    else:
+        res = float(np.max(err)), 0.0
+    return (W, *res, flux.reshape(Xint[0].shape), rhs.ravel())
+
+
+_EPS = np.finfo(float).eps
+
+
+def _constant_problem(n, bottom):
+    domain = (-1.0, 1.0) if n == 1 else ((-1.0, 1.0), (0.0, 1.5))
+    return ExtensionProblem(s=0.3, coeff=CoefficientField.identity(n), domain=domain, Z=1.0,
+                            bottom=(bottom, 0.25), F=0.5, g_lateral=1.0, g_top=2.0)
+
+
+def _array_power_problem(n, bottom):
+    """Data through array powers: 1-D, HarmonicCombo lateral and top data;
+    2-D, the plane2d benchmark's mixed-term source 2 a12 cos x1 cos x2 phi(z)
+    (phi the Bessel profile of lam = 2)."""
+    if n == 1:
+        combo = HarmonicCombo(0.35, 1.0, [(0.3, 1.0, 0.2), (0.2, 3.0, 1.0)])
+        return ExtensionProblem(s=0.35, coeff=CoefficientField.identity(1), domain=(-1.0, 1.0),
+                                Z=1.0, bottom=(bottom, lambda x: combo(x, 0.0)),
+                                g_lateral=combo, g_top=lambda x: combo(x, 1.0))
+    s, a12 = 0.7, 0.3
+    coeff = CoefficientField.full_2d(lambda x1, x2: 1.0 + 0.0 * x1, lambda x1, x2: a12 + 0.0 * x1,
+                                     lambda x1, x2: 1.0 + 0.0 * x1, 1.0 - a12, 1.0 + a12)
+    return ExtensionProblem(
+        s=s, coeff=coeff, domain=((0.0, np.pi), (0.0, np.pi)), Z=1.0,
+        bottom=(bottom, lambda x1, x2: np.sin(x1) * np.sin(x2)),
+        F=lambda x1, x2, z: 2.0 * a12 * np.cos(x1) * np.cos(x2)
+        * bessel_extension_profile(2.0, s, z),
+        g_top=lambda x1, x2: np.sin(x1) * np.sin(x2) * bessel_extension_profile(2.0, s, 1.0))
+
+
+_DATA_CASES = {
+    "constant": _constant_problem,
+    "polynomial": lambda n, bottom: (_variable_1d_problem(0.4, 0.5, 1.5, 2.0, bottom) if n == 1
+                                     else _variable_2d_problem(0.4, 13, 11, 0.3, 2.0, bottom)),
+    "array-powers": _array_power_problem,
+}
+
+
+@pytest.mark.parametrize("data", sorted(_DATA_CASES))
+@pytest.mark.parametrize("bottom", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_call_per_datum_matches_the_per_level_reference(n, bottom, data):
+    # constant and polynomial data give the reference's bits everywhere.  Data
+    # through array powers may differ in the last bits from their per-level
+    # scalar values: the right-hand sides and the boundary values agree to 4
+    # ulp, the unknowns to the bound that two backward-stable solves of those
+    # systems obey (see test_1d_y_mode_diagonalization_matches_sparse_lu).
+    # The flux read-back multiplies the unknowns' differences by K_{1/2}, so
+    # there it is compared on exact data only
+    prob = _DATA_CASES[data](n, bottom)
+    mesh = ExtensionMesh(nx=49, my=20) if n == 1 else ExtensionMesh(nx=(13, 11), my=12)
+    state, A, rhs = _solve_capturing_system(prob, mesh)
+    values, res_int, res_bottom, flux, ref_rhs = _per_level_solve(prob, mesh)
+    if data != "array-powers":
+        for got, ref in zip((state.values, state.residual_interior, state.residual_bottom,
+                             state.meta["flux_trace_fv"], rhs),
+                            (values, res_int, res_bottom, flux, ref_rhs)):
+            assert np.array_equal(got, ref)
+        return
+    assert np.all(np.abs(rhs - ref_rhs) <= 4.0 * _EPS * (np.abs(rhs) + np.abs(ref_rhs)))
+    unknowns = (slice(0 if bottom == "neumann" else 1, -1),) + (slice(1, -1),) * n
+    data_nodes = np.ones(values.shape, dtype=bool)
+    data_nodes[unknowns] = False
+    assert np.all(np.abs(state.values - values)[data_nodes]
+                  <= 4.0 * _EPS * np.abs(values)[data_nodes])
+    field, ref = state.values[unknowns].ravel(), values[unknowns].ravel()
+    g = np.abs(A) @ np.abs(ref) + np.abs(ref_rhs)
+    omega = max(res_int, res_bottom) + max(state.residual_interior, state.residual_bottom)
+    bound = spla.spsolve(-A.tocsc(), omega * g + np.abs(rhs - ref_rhs))
+    assert np.all(np.abs(field - ref) <= bound)
+
+
+def _counted(fn, calls, name):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("bottom", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_datum_is_called_once_per_solve(n, bottom):
+    prob = _DATA_CASES["polynomial"](n, bottom)
+    calls = Counter()
+    prob = dataclasses.replace(prob, bottom=(bottom, _counted(prob.bottom[1], calls, "bottom")),
+                               **{name: _counted(getattr(prob, name), calls, name)
+                                  for name in ("F", "g_lateral", "g_top")})
+    solve_extension(prob, ExtensionMesh(nx=17, my=8) if n == 1 else ExtensionMesh((13, 11), 8))
+    assert calls == {"F": 1, "g_lateral": 1, "g_top": 1, "bottom": 1}
+
+
+def _bad_datum(n, datum, wrong_shape):
+    """A datum written for one height or one node at a time (math.sin), or
+    one whose value has the wrong shape."""
+    if wrong_shape:
+        return lambda *args: np.ones(7)
+    if datum in ("F", "g_lateral"):
+        return (lambda x, z: x * math.sin(z)) if n == 1 else (lambda x1, x2, z: x1 * math.sin(z))
+    return (lambda x: math.cos(x)) if n == 1 else (lambda x1, x2: x2 * math.cos(x1))
+
+
+_CONTRACTS = {"F": r"F\(x, z\) must accept z as an array of heights broadcasting against x",
+              "g_lateral": r"g_lateral\(x, z\) must accept z as an array of heights "
+                           "broadcasting against x",
+              "g_top": r"g_top\(x\) must accept x as an array of nodes",
+              "bottom": r"bottom\(x\) must accept x as an array of nodes"}
+
+
+@pytest.mark.parametrize("wrong_shape", [False, True], ids=["scalar-only", "wrong-shape"])
+@pytest.mark.parametrize("datum", sorted(_CONTRACTS))
+@pytest.mark.parametrize("n", [1, 2])
+def test_data_that_cannot_take_arrays_are_refused(n, datum, wrong_shape):
+    # a ValueError naming the datum and its contract, never numpy's TypeError
+    bad = _bad_datum(n, datum, wrong_shape)
+    prob = dataclasses.replace(_DATA_CASES["polynomial"](n, "neumann"),
+                               **{datum: ("neumann", bad) if datum == "bottom" else bad})
+    mesh = ExtensionMesh(nx=17, my=8) if n == 1 else ExtensionMesh((13, 11), 8)
+    with pytest.raises(ValueError, match=_CONTRACTS[datum]):
+        solve_extension(prob, mesh)
+
+
+@pytest.mark.parametrize("n, bottom, nx, my", [(1, "neumann", 1025, 64),
+                                               (2, "dirichlet", (13, 11), 8)])
+def test_extension_solves_count_their_work(n, bottom, nx, my):
+    # levels x interior x-nodes unknowns, one y-mode per level, and the
+    # fewest equal blocks of at most _BLOCK_BYTES (4 at 1025 x 64, 1 in 2-D)
+    prob = _DATA_CASES["polynomial"](n, bottom)
+    with obs.recording() as counts:
+        state = solve_extension(prob, ExtensionMesh(nx=nx, my=my))
+    nl = my if bottom == "neumann" else my - 1
+    nxi = int(np.prod(np.subtract(nx, 2)))
+    assert {k: v for k, v in counts.items() if k.startswith("extension.")} == {
+        "extension.solves": 1, "extension.unknowns": nl * nxi, "extension.y_modes": nl,
+        "extension.level_blocks": 4 if n == 1 else 1,
+        "extension.refinements_kept": int(state.meta["refinement_kept"])}
 
 
 def _traced_peak(fn):
@@ -672,7 +873,7 @@ def test_checked_solve_keeps_better_of_plain_and_refined():
     # stub solves with a known error: the correction step of `good` recovers
     # the exact solution, that of `bad` adds a large error to it; A has
     # three levels of two x-nodes
-    Ay = sp.diags([[1.0, 1.0], [-3.0, -3.0, -3.0], [1.0, 1.0]], [-1, 0, 1], format="csr")
+    Ay = (np.array([1.0, 1.0]), np.array([-3.0, -3.0, -3.0]), np.array([1.0, 1.0]))
     op = extension._LevelOperator(Ay, np.array([1.0, 2.0, 0.5]),
                                   sp.csr_matrix(np.array([[-2.0, 1.0], [1.0, -2.0]])))
     A = _assembled(op).tocsc()
@@ -756,7 +957,8 @@ def test_level_operator_matches_the_assembled_matrix(n, s, nx1, nx2, my, x_gradi
                   <= 8.0 * np.finfo(float).eps * scale)
     # the three diagonals sum every row as Ay's CSR product does, bit for bit
     X = x.reshape(len(op.V), -1)
-    assert np.array_equal(_blockwise(op, x), (op.Ay @ X + op.V[:, None] * (op.Ax @ X.T).T).ravel())
+    assert np.array_equal(_blockwise(op, x),
+                          (_tridiagonal(op.Ay) @ X + op.V[:, None] * (op.Ax @ X.T).T).ravel())
 
 
 def _blockwise(op, x):
@@ -800,7 +1002,7 @@ def _frame_reach(frame):
 def test_checked_solve_keeps_no_abs_operator_through_the_solves(dim):
     # |A| = |Ay| (x) I + diag(V) (x) |Ax| is built inside each backward-error
     # pass: while either mode solve runs, the only operators _checked_solve
-    # keeps alive are A's own Ay and Ax
+    # keeps alive are A's own Ay (its three diagonals) and Ax
     if dim == 1:
         prob, mesh = _variable_1d_problem(0.4, 0.5, 1.5, 2.0, "neumann"), ExtensionMesh(33, 12)
     else:
@@ -812,7 +1014,9 @@ def test_checked_solve_keeps_no_abs_operator_through_the_solves(dim):
         def watched(r, overwrite=False):
             reach = _frame_reach(sys._getframe(1))
             held.append(sorted(id(o) for o in reach if sp.issparse(o)
-                               or isinstance(o, extension._LevelOperator))
+                               or isinstance(o, extension._LevelOperator)
+                               or isinstance(o, tuple) and len(o) == 3
+                               and all(isinstance(d, np.ndarray) for d in o))
                         == sorted(map(id, (A, A.Ay, A.Ax))))
             return solve(r, overwrite)
         return checked(A, rhs, watched)
@@ -823,8 +1027,8 @@ def test_checked_solve_keeps_no_abs_operator_through_the_solves(dim):
 
 
 def test_level_operator_refuses_abs_with_a_positive_diagonal():
-    op = extension._LevelOperator(sp.diags([[-2.0, -2.0]], [0]), np.ones(2),
-                                  sp.diags([[-1.0, 0.5]], [0]))
+    op = extension._LevelOperator((np.zeros(1), np.array([-2.0, -2.0]), np.zeros(1)),
+                                  np.ones(2), sp.diags([[-1.0, 0.5]], [0]))
     with pytest.raises(ValueError, match="nonpositive diagonals"):
         abs(op)
 
