@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .geometry import MAGeometry, SectionDescriptor
 from .gridfn import BoxGrid, GridFunction
 from .semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
-                        ds_constant, fractional_apply, fractional_inverse,
-                        extension_via_semigroup)
+                        ds_constant, fractional_apply, fractional_inverse)
 from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
                         reflect_even, rescale_solution, solve_extension,
                         transform_to_y, transform_to_z)
@@ -28,7 +27,7 @@ __all__ = [
     "MAGeometry", "SectionDescriptor",
     "BoxGrid", "GridFunction",
     "CoefficientField", "QuadratureSpec", "SemigroupStepper", "ds_constant",
-    "fractional_apply", "fractional_inverse", "extension_via_semigroup",
+    "fractional_apply", "fractional_inverse",
     "ExtensionMesh", "ExtensionProblem", "ExtensionState", "reflect_even",
     "rescale_solution", "solve_extension", "transform_to_y", "transform_to_z",
     "BarrierCase1", "BarrierCase2", "MAParaboloid", "MAPolynomial",

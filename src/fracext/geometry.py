@@ -28,8 +28,8 @@ import numpy as np
 
 # section_endpoint: caps on bracket doublings and Newton steps (the sections
 # of the geometry checks take at most ~24 steps per call; far out, a Newton
-# step gains only a factor ~1 - s, so from the reach at s = 0.002, z0 = 0.3,
-# R = 1 the cap is hit), and the converged step relative to max(|z|, |z0|)
+# step gains only a factor ~1 - s, so the upper endpoint of S_1(0.3) at s =
+# 0.002 takes 134), and the converged step relative to max(|z|, |z0|)
 _BRACKET_DOUBLINGS = 200
 _NEWTON_STEPS = 200
 _ENDPOINT_TOL = 4.0 * np.finfo(float).eps
@@ -167,8 +167,10 @@ class MAGeometry:
         delta_h(z0, .) - R is convex and monotone on each side of z0.  Each
         lane starts from an outer end at the quadratic-regime half-width
         sqrt(2R / h''(z0)) when that is below |z0|; a section reaching across
-        0 toward it starts at an upper bound on its reach past 0; every other
-        lane starts at the reach q_s (R + |delta_h(z0, 0)|)^s + |z0|.  The
+        0 toward it starts at an upper bound on its reach past 0; at s <= 1/2
+        a lane away from 0 starts at the smaller of sqrt(2R / h''(z0)) and
+        q_s R^s, both upper bounds on its half-width; every other lane
+        starts at the reach q_s (R + |delta_h(z0, 0)|)^s + |z0|.  The
         outer end is doubled until f >= 0; then all lanes take Newton steps
         with the exact derivative h' - h'(z0), one power of |z| per step,
         bisecting their bracket whenever a step is not strictly inside it,
@@ -230,9 +232,11 @@ class MAGeometry:
 
         # start at the quadratic-regime half-width sqrt(2R / h''(z0)) where it
         # is below |z0| (h'' changes little over it) and moves z0, else at the
-        # reach q_s (R + |delta_h(z0, 0)|)^s + |z0|.  A section reaching
-        # across 0 toward it starts at |z0| plus the smaller of the two upper
-        # bounds R' / |h'(z0)| and q_s R'^s, R' = R - delta_h(z0, 0).
+        # reach q_s (R + |delta_h(z0, 0)|)^s + |z0|; at s <= 1/2 a lane away
+        # from 0 starts at the smaller of sqrt(2R / h''(z0)) and q_s R^s.  A
+        # section reaching across 0 toward it starts at |z0| plus the smaller
+        # of the two upper bounds R' / |h'(z0)| and q_s R'^s, R' = R -
+        # delta_h(z0, 0).
         a = np.abs(z0)
         d0 = np.abs(0.0 - c[2] - c[3] * (0.0 - z0))  # |delta_h(z0, 0)|
         t = self.q_s * (R + d0) ** self.s + a
@@ -240,6 +244,11 @@ class MAGeometry:
         quad = np.sqrt(2.0 * R / np.where(hpp > 0.0, hpp, 1.0))
         local = (hpp > 0.0) & (quad < a) & (quad > _ENDPOINT_TOL * a)
         t[local] = quad[local]
+        if self.s <= 0.5:
+            # h'' grows with |z|: away from 0, delta_h(z0, z0 + side t) >=
+            # max(h''(z0) t^2 / 2, h(t)), so both starts are at or past the root
+            away = (side * z0 > 0.0) & (hpp > 0.0) & (quad > _ENDPOINT_TOL * a)
+            t[away] = np.minimum(quad[away], self.q_s * R[away] ** self.s)
         cross = (side * z0 < 0.0) & (R > d0)
         if cross.any():
             rest, slope0 = R[cross] - d0[cross], np.abs(c[3, cross])

@@ -540,6 +540,7 @@ class QuadratureSpec:
 _RATIONAL_TOL = 1e-6   # sup relative error of a fit, acceptance criterion 2's tolerance
 _FIT_SAMPLES = 256
 _CERT_SAMPLES = 10_000
+_CERT_BLOCK = 1024     # certificate rows evaluated at once
 _AAA_MAX_RANGE = 1e3   # widest hi/lo whose poles AAA proposes
 _POLES_PER_DECADE = 3  # geometric poles on wider intervals ...
 _POLE_MARGIN = 1e2     # ... over [lo / margin, hi * margin]
@@ -615,9 +616,13 @@ def _power_fit(lo, hi, beta):
     Stieltjes function: its poles are <= 0 and c0, w_j >= 0.  The weights
     are the column-scaled least-squares fit of the relative error, so the
     matrix sum has no cancellation; while one is negative, the most negative
-    column is dropped and the rest refit.  Up to hi/lo = _AAA_MAX_RANGE
-    (every 2-D mesh of the tests and benchmark) the poles are the real
-    negative ones of AAA (`_aaa_poles`), the fewest; AAA's tolerance is
+    column is dropped and the rest refit.  The scaled _FIT_SAMPLES-row matrix,
+    with the right-hand side 1 as a last column, is QR-factored once, and
+    every refit solves the columns of its small R against the last column
+    (Q^T 1) with the truncation np.linalg.lstsq gives the full matrix (rcond
+    = eps _FIT_SAMPLES; R has its singular values).  Up to hi/lo =
+    _AAA_MAX_RANGE (every 2-D mesh of the tests and benchmark) the poles are
+    the real negative ones of AAA (`_aaa_poles`), the fewest; AAA's tolerance is
     relative to max x^{-beta}, so wider intervals lose the far end (3.8e-6
     at hi/lo = 8.4e6, beta = 0.99).  Wider intervals take _POLES_PER_DECADE
     geometric poles per decade over [lo / _POLE_MARGIN, hi * _POLE_MARGIN]
@@ -626,24 +631,37 @@ def _power_fit(lo, hi, beta):
     hi/lo = 8.4e6.  The certificate adds to the error sampled on a dense log
     grid eps * hi / lo, the forward-error bound of the worst-conditioned
     solve (cond(L - p I) <= hi / lo for p <= 0 and a symmetric L), so fits
-    pass up to hi/lo ~ 4e9.
+    pass up to hi/lo ~ 4e9.  The samples are evaluated _CERT_BLOCK rows at a
+    time, each row with the bits of the one-shot product, so no _CERT_SAMPLES
+    x poles array is allocated.  With the memory of earlier work returned to
+    the system, a fresh fit at hi/lo in [1e4, 1e6] costs about 3.5 ms, 0.6
+    times a full-matrix lstsq per refit with a one-shot certificate (medians
+    of 60 draws; one BLAS thread on a shared 2-core Xeon VM).
 
     Memoized on (lo, hi, beta), arrays read-only: a round trip L^s L^{-s}
-    fits twice.  Returns (c0, poles, weights, certificate); raises ValueError
-    unless 0 < lo < hi are finite, 0 < beta < 1 and the certificate is
-    <= _RATIONAL_TOL.
+    fits twice.  Counts obs semigroup.power_fits once per fit made (a memo
+    hit counts none) and semigroup.fit_refits per least-squares solve.
+    Returns (c0, poles, weights, certificate); raises ValueError unless 0 <
+    lo < hi are finite, 0 < beta < 1 and the certificate is <= _RATIONAL_TOL
+    (a NaN certificate included).
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
         raise ValueError(f"fit interval [{lo:g}, {hi:g}] needs finite 0 < lo < hi")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"the power x^-beta needs beta in (0,1), got beta = {beta!r}")
+    from . import obs  # here, so loading the package imports no counters
+
+    obs.count("semigroup.power_fits")
     x = np.geomspace(lo, hi, _FIT_SAMPLES)
     poles = _candidate_poles(x, beta)
     A = np.column_stack([np.ones_like(x), 1.0 / (x[:, None] - poles)]) * (x**beta)[:, None]
     col = np.max(A, axis=0)
+    R = np.linalg.qr(np.column_stack([A / col, np.ones_like(x)]), mode="r")
+    R, rhs = R[:-1, :-1], R[:-1, -1]  # A / col = Q R and Q^T 1, Q never formed
     cols = np.arange(A.shape[1])
     while True:
-        c = np.linalg.lstsq(A[:, cols] / col[cols], np.ones_like(x))[0]
+        obs.count("semigroup.fit_refits")
+        c = np.linalg.lstsq(R[:, cols], rhs, rcond=np.finfo(float).eps * _FIT_SAMPLES)[0]
         if c.min() >= 0.0:
             break
         cols = np.delete(cols, np.argmin(c))
@@ -652,9 +670,12 @@ def _power_fit(lo, hi, beta):
     keep = w[1:] > 0.0
     poles, weights = poles[keep], w[1:][keep]
     xc = np.geomspace(lo, hi, _CERT_SAMPLES)
-    err = float(np.max(np.abs((w[0] + (1.0 / (xc[:, None] - poles)) @ weights) * xc**beta - 1.0))
+    scale = xc**beta
+    err = float(np.max([np.max(np.abs((w[0] + (1.0 / (xc[i:i + _CERT_BLOCK, None] - poles))
+                                       @ weights) * scale[i:i + _CERT_BLOCK] - 1.0))
+                        for i in range(0, _CERT_SAMPLES, _CERT_BLOCK)])
                 + np.finfo(float).eps * hi / lo)
-    if err > _RATIONAL_TOL:
+    if not err <= _RATIONAL_TOL:
         raise ValueError(f"rational fit of x^-{beta:g} on [{lo:g}, {hi:g}] has relative "
                          f"error {err:.3g} > {_RATIONAL_TOL:g}")
     poles.flags.writeable = weights.flags.writeable = False
@@ -720,13 +741,6 @@ def fractional_inverse(stepper: SemigroupStepper, f: GridFunction, s, quad=Quadr
     """
     out, info = _rational_power(stepper, f.interior(), s)
     return stepper.wrap_interior(out), info
-
-
-def extension_via_semigroup(stepper: SemigroupStepper, u: GridFunction, s, z,
-                            quad=QuadratureSpec()):
-    """U(., z) = phi(L, z) u at one height z > 0; see `extension_via_semigroup_multi`."""
-    out, info = extension_via_semigroup_multi(stepper, u, s, [z], quad)
-    return out[0], info
 
 
 def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s, zs,
@@ -839,16 +853,3 @@ def _bessel_profile(k, s, z):
         x = k * np.minimum(transform_to_y(z, s), np.finfo(float).max)
     xs = np.minimum(np.maximum(x, 1e-300), 800.0)
     return np.where(x == 0, 1.0, 2.0 ** (1 - s) / gamma(s) * xs ** s * kv(s, xs))
-
-
-def richardson_trace_slope(profile, u0, z, s):
-    """Extrapolated limit of (U(z) - u0)/z as z -> 0.
-
-    profile(z) evaluates U at height z.  The leading correction exponent of the
-    difference quotient is q = min(1, 1/s - 1), so a single Richardson step
-    with ratio 2 removes it.
-    """
-    q = min(1.0, 1.0 / s - 1.0)
-    g1 = (profile(z) - u0) / z
-    g2 = (profile(z / 2.0) - u0) / (z / 2.0)
-    return (2.0**q * g2 - g1) / (2.0**q - 1.0)

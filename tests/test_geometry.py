@@ -1,5 +1,6 @@
 """Geometry module: closed-form identities, section machinery, empirical checks."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,8 +47,26 @@ def test_an_endpoint_past_double_precision_names_s_z0_and_r():
     # precision and Newton cannot converge; the error names the lane
     with pytest.raises(ValueError, match=r"s = 0\.005, z0 = 2\.0, R = 0\.001: Newton"):
         MAGeometry(0.005).section_interval(2.0, 1e-3)
-    with pytest.raises(ValueError, match=r"s = 0\.002, z0 = 0\.3, R = 1\.0: Newton"):
-        a_infinity_check(MAGeometry(0.002))
+
+
+def test_a_far_endpoint_at_s_0_002_is_the_mpmath_root():
+    # far out a Newton step gains only a factor ~1 - s: from the reach, 200
+    # steps did not reach the upper endpoint of S_1(0.3) at s = 0.002; from
+    # q_s R^s, a bound on the half-width away from 0 at s <= 1/2, they do
+    def f(z):  # delta_h(z0, z) - R
+        s, z0 = mpmath.mpf(1) / 500, mpmath.mpf("0.3")
+        h = lambda t: s**2 / (1 - s) * abs(t) ** (1 / s)
+        return h(z) - h(z0) - s / (1 - s) * z0 ** (1 / s - 1) * (z - z0) - 1
+
+    with mpmath.workdps(50):
+        roots = [float(mpmath.findroot(f, (mpmath.mpf(a), mpmath.mpf(b)), solver="bisect"))
+                 for a, b in ((-1.1, -1), (1, 1.1))]
+    g = MAGeometry(0.002)
+    ends = g.section_interval(0.3, 1.0)
+    assert roots[1] == pytest.approx(1.02516587, abs=1e-8)
+    for end, root in zip(ends, roots):
+        assert abs(end - root) <= 4.0 * np.finfo(float).eps * abs(root)
+    assert a_infinity_check(g)["lebesgue_ratios"][-1] == 2.0**-8
 
 
 def test_delta_phi_examples():

@@ -144,10 +144,6 @@ API_ONLY = {
         "the perturbation step of Caffarelli's method; ROADMAP item 5 reports it per scale",
     "regularity.campanato_iterate":
         "the inductive zoom; run by the benchmark's `campanato` cases and by tests",
-    "semigroup.extension_via_semigroup":
-        "the one-height form of `extension_via_semigroup_multi`",
-    "semigroup.richardson_trace_slope":
-        "the extrapolated trace slope of a profile, checked against the Bessel profile",
 }
 
 
@@ -388,6 +384,8 @@ BENCHMARK_READS = {
     "semigroup.CoefficientField.full_2d":
         "`perfbench/fxbench/cases.py` builds the `mixed2d` coefficients with it",
     "gridfn.BoxGrid.rectangle": "`perfbench/fxbench/cases.py` builds the 2-D grids with it",
+    "semigroup.extension_via_semigroup_multi":
+        "`perfbench/fxbench/cases.py` runs the `semigroup-extension` cases with it",
 }
 
 

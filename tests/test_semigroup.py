@@ -18,9 +18,8 @@ from fracext.extension import ExtensionMesh, ExtensionProblem, solve_extension
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                                bessel_extension_profile, ds_constant,
-                               extension_via_semigroup, extension_via_semigroup_multi,
-                               fractional_apply, fractional_inverse,
-                               richardson_trace_slope, x_operator)
+                               extension_via_semigroup_multi, fractional_apply,
+                               fractional_inverse, x_operator)
 
 
 def _stepper_1d(N=129):
@@ -155,7 +154,7 @@ def test_2d_heat_is_refused():
     u = GridFunction.from_callable(grid, lambda x, y: np.sin(x) * np.sin(2 * y))
     for call in (lambda: st_.heat_interior(u.interior(), 0.1),
                  lambda: st_.heat_many(u.interior(), [0.0, 0.1]),
-                 lambda: extension_via_semigroup(st_, u, 0.5, 0.3)):
+                 lambda: extension_via_semigroup_multi(st_, u, 0.5, [0.3])):
         with pytest.raises(ValueError, match="1-D grids only"):
             call()
 
@@ -169,7 +168,7 @@ def test_1d_stepper_never_factorizes(monkeypatch):
     u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
     f, _ = fractional_inverse(st_, u, 0.5)
     fractional_apply(st_, f, 0.5)
-    extension_via_semigroup(st_, u, 0.5, 0.3)
+    extension_via_semigroup_multi(st_, u, 0.5, [0.3])
     st_.heat_many(u.interior(), [0.1, 0.2])
 
 
@@ -329,6 +328,77 @@ def test_weight_elimination_is_as_accurate_as_nnls(lo, ratio, beta):
     assert err <= 4.0 * _sampled_error(lo, hi, beta, *_nnls_fit(lo, hi, beta))
 
 
+def _full_matrix_fit(lo, hi, beta):
+    """The weight elimination with np.linalg.lstsq on the full column-scaled
+    sample matrix at every refit: (c0, poles with a positive weight, their
+    weights)."""
+    x = np.geomspace(lo, hi, semigroup._FIT_SAMPLES)
+    poles = semigroup._candidate_poles(x, beta)
+    A = np.column_stack([np.ones_like(x), 1.0 / (x[:, None] - poles)]) * (x**beta)[:, None]
+    col = np.max(A, axis=0)
+    cols = np.arange(A.shape[1])
+    while True:
+        c = np.linalg.lstsq(A[:, cols] / col[cols], np.ones_like(x))[0]
+        if c.min() >= 0.0:
+            break
+        cols = np.delete(cols, np.argmin(c))
+    w = np.zeros(A.shape[1])
+    w[cols] = c / col[cols]
+    keep = w[1:] > 0.0
+    return w[0], poles[keep], w[1:][keep]
+
+
+def _fresh_fits(seed, n):
+    """n seeded (lo, hi, beta): lo in [0.1, 10] and hi/lo in [10, 1e9], both
+    log-uniform, beta in [0.001, 0.999]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        lo = 10.0 ** rng.uniform(-1.0, 1.0)
+        yield lo, lo * 10.0 ** rng.uniform(1.0, 9.0), rng.uniform(0.001, 0.999)
+
+
+def test_blocked_certificate_is_the_dense_expression_bit_for_bit():
+    # the certificate is evaluated _CERT_BLOCK rows at a time; on both pole
+    # paths it equals the one-shot _CERT_SAMPLES x poles expression
+    paths = set()
+    for lo, hi, beta in _fresh_fits(37, 60):
+        c0, poles, w, cert = semigroup._power_fit.__wrapped__(lo, hi, beta)
+        paths.add(hi / lo <= semigroup._AAA_MAX_RANGE)
+        assert cert == _sampled_error(lo, hi, beta, c0, poles, w) + np.finfo(float).eps * hi / lo
+    assert paths == {True, False}
+
+
+def test_refits_on_the_r_factor_keep_the_poles_of_full_matrix_refits():
+    # the least squares is rank-deficient (cond ~ 1e15): the weights move in
+    # the rounding, the kept poles do not, and the certificate barely
+    for lo, hi, beta in _fresh_fits(2026, 200):
+        c0, poles, w, cert = semigroup._power_fit.__wrapped__(lo, hi, beta)
+        c0_ref, poles_ref, w_ref = _full_matrix_fit(lo, hi, beta)
+        np.testing.assert_array_equal(poles, poles_ref)
+        assert c0 >= 0.0 and np.all(w >= 0.0)
+        ref = _sampled_error(lo, hi, beta, c0_ref, poles_ref, w_ref) + np.finfo(float).eps * hi / lo
+        assert cert <= semigroup._RATIONAL_TOL
+        assert abs(cert / ref - 1.0) <= 0.02
+
+
+def test_power_fits_are_counted_once_per_fresh_fit(monkeypatch):
+    # a fresh apply + inverse pair fits x^{s-1} and x^{-s}; the same pair on a
+    # new stepper hits the memo; fit_refits counts the least-squares solves
+    lstsq, solves = np.linalg.lstsq, []
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
+    semigroup._power_fit.cache_clear()
+    grid = BoxGrid.interval(0.0, np.pi, 97)
+    u = GridFunction.from_callable(grid, np.sin)
+    for fits in (2, 0):
+        st_ = SemigroupStepper(CoefficientField.identity(1), grid)
+        solves.clear()
+        with obs.recording() as counts:
+            fractional_apply(st_, u, 0.35)
+            fractional_inverse(st_, u, 0.35)
+        assert counts["semigroup.power_fits"] == fits
+        assert counts["semigroup.fit_refits"] == len(solves) >= fits
+
+
 @pytest.mark.parametrize("lo, hi", [(np.nan, 10.0), (1.0, np.nan), (1.0, np.inf),
                                     (-np.inf, 1.0), (10.0, 1.0), (5.0, 5.0), (-1.0, 10.0),
                                     (0.0, 10.0)])
@@ -416,15 +486,15 @@ def test_extension_via_semigroup_grid():
     s, k = 0.6, 2
     u = GridFunction.from_callable(st.grid, lambda x: np.sin(k * x))
     z = 0.4
-    U, info = extension_via_semigroup(st, u, s, z)
+    (U,), info = extension_via_semigroup_multi(st, u, s, [z])
     ref = bessel_extension_profile(k * k, s, z) * u.values
     assert np.max(np.abs(U.values - ref)) < 5e-4
     # sup bound and approximate identity as z -> 0
     assert U.sup_norm() <= u.sup_norm() * (1.0 + 1e-6)
-    U0, _ = extension_via_semigroup(st, u, s, 1e-4)
+    (U0,), _ = extension_via_semigroup_multi(st, u, s, [1e-4])
     assert np.max(np.abs(U0.values - u.values)) < 5e-3
     with pytest.raises(ValueError):
-        extension_via_semigroup(st, u, s, 0.0)
+        extension_via_semigroup_multi(st, u, s, [0.0])
 
 
 # the semigroup-extension design of the `spectral` benchmark workload: an
@@ -483,7 +553,7 @@ def test_extension_refuses_heights_that_are_not_finite_and_positive(bad, s):
     with pytest.raises(ValueError, match="finite and positive"):
         extension_via_semigroup_multi(st_, u, s, [0.3, bad])
     with pytest.raises(ValueError, match="finite and positive"):
-        extension_via_semigroup(st_, u, s, bad)
+        extension_via_semigroup_multi(st_, u, s, [bad])
     if bad == 0.0:
         # the profile itself is 1 at z = 0: U(., 0) = u
         assert bessel_extension_profile(4.0, s, bad) == 1.0
@@ -499,7 +569,7 @@ def test_extension_refuses_s_outside_the_unit_interval(s):
     st_ = _stepper_1d(N=16)
     u = GridFunction.from_callable(st_.grid, np.sin)
     for call in (lambda: bessel_extension_profile(4.0, s, 0.3),
-                 lambda: extension_via_semigroup(st_, u, s, 0.3)):
+                 lambda: extension_via_semigroup_multi(st_, u, s, [0.3])):
         with pytest.raises(ValueError, match=r"s must be in \(0,1\)"):
             call()
 
@@ -597,16 +667,6 @@ def test_extension_profile_is_zero_where_y_overflows(s, z):
         assert np.array_equal(semigroup._bessel_profile(np.sqrt(zeta), s, z), np.zeros(len(zeta)))
         (U,), info = extension_via_semigroup_multi(st_, u, s, [z])
     assert np.array_equal(U.values, np.zeros_like(u.values)) and info["sup_error"] == 0.0
-
-
-def test_neumann_trace_slope_scalar():
-    for s in (0.25, 0.5, 0.75):
-        lam = 4.0
-        z = 1e-2 if s <= 0.5 else 1e-3
-        slope = richardson_trace_slope(lambda zz: bessel_extension_profile(lam, s, zz),
-                                       1.0, z, s)
-        target = -ds_constant(s) * lam**s
-        assert slope == pytest.approx(target, rel=5e-3)
 
 
 def _variable_2d_field():
