@@ -15,8 +15,7 @@ from .semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
 from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
                         reflect_even, rescale_solution, solve_extension,
                         transform_to_y, transform_to_z)
-from .barriers import (BarrierCase1, BarrierCase2, MAParaboloid, MAPolynomial,
-                       inf_convolution, polynomial_to_MA, pucci,
+from .barriers import (BarrierCase1, BarrierCase2, inf_convolution,
                        search_case2_parameters, slide_paraboloids, touch_test)
 from .regularity import (campanato_iterate, harnack_quotient, holder_seminorm,
                          schauder_decay)
@@ -30,8 +29,7 @@ __all__ = [
     "fractional_apply", "fractional_inverse",
     "ExtensionMesh", "ExtensionProblem", "ExtensionState", "reflect_even",
     "rescale_solution", "solve_extension", "transform_to_y", "transform_to_z",
-    "BarrierCase1", "BarrierCase2", "MAParaboloid", "MAPolynomial",
-    "inf_convolution", "polynomial_to_MA", "pucci", "search_case2_parameters",
+    "BarrierCase1", "BarrierCase2", "inf_convolution", "search_case2_parameters",
     "slide_paraboloids", "touch_test",
     "campanato_iterate", "harnack_quotient", "holder_seminorm", "schauder_decay",
     "ExperimentConfig", "load_config", "RunManifest", "run",

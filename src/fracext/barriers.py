@@ -1,6 +1,6 @@
-"""Executable proof devices: explicit barriers, paraboloids and polynomials
-adapted to the product geometry, inf-convolutions, sliding contact sets,
-Pucci extremal operators and the trace touch test.
+"""Executable proof devices: the explicit exponential barriers of the two
+cases s <= 1/2 and s > 1/2, inf-convolutions, paraboloids of the product
+geometry slid from below to their contact sets, and the trace touch test.
 
 A barrier's operator is a positive factor times a bracket alpha P - Q whose
 P and Q do not depend on alpha.  So its predicates are decided by signs,
@@ -15,124 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import MAGeometry, SectionDescriptor
-
-
-# -- paraboloids and polynomials ------------------------------------------------------
-
-
-@dataclass
-class MAParaboloid:
-    """P(x, z) = -a delta_Phi((x_v, z_v), (x, z)) + c with opening a > 0."""
-
-    geom: MAGeometry
-    opening: float
-    vertex_x: object
-    vertex_z: float
-    c: float = 0.0
-
-    def __post_init__(self):
-        if self.opening <= 0:
-            raise ValueError("paraboloid opening must be positive")
-
-    def __call__(self, x, z):
-        d = self.geom.delta_phi(self.vertex_x, x) + self.geom.delta_h(self.vertex_z, z)
-        return -self.opening * d + self.c
-
-
-@dataclass
-class MAPolynomial:
-    """Second-order polynomial model of the geometry:
-
-        P(x, z) = 1/2 <A x, x> + <bxz, x> z + d h(z) + <px, x> + qz z + c
-
-    Orders 0 and 1 zero out the quadratic blocks.  x may be scalar (n = 1) or
-    an (..., n) array.
-    """
-
-    s: float
-    order: int = 2
-    A: object = 0.0
-    bxz: object = 0.0
-    d: float = 0.0
-    px: object = 0.0
-    qz: float = 0.0
-    c: float = 0.0
-
-    def __post_init__(self):
-        if self.order not in (0, 1, 2):
-            raise ValueError("polynomial order must be 0, 1 or 2")
-        if self.order < 2 and (np.any(self.A != 0.0) or np.any(self.bxz != 0.0)
-                               or self.d != 0.0):
-            raise ValueError("quadratic coefficients require order 2")
-        if self.order < 1 and (np.any(self.px != 0.0) or self.qz != 0.0):
-            raise ValueError("affine coefficients require order >= 1")
-
-    def __call__(self, x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        A = np.asarray(self.A, dtype=float)
-        if x.ndim and A.ndim == 2:
-            quad = 0.5 * np.einsum("...i,ij,...j->...", x, A, x)
-            cross = np.einsum("...i,i->...", x, np.asarray(self.bxz, float)) * z
-            lin = np.einsum("...i,i->...", x, np.asarray(self.px, float))
-        else:
-            quad = 0.5 * float(A) * x * x
-            cross = float(np.asarray(self.bxz, float)) * x * z
-            lin = float(np.asarray(self.px, float)) * x
-        return quad + cross + self.d * MAGeometry(self.s).h(z) + lin + self.qz * z + self.c
-
-    def weighted_zz(self, z):
-        """z^{2-1/s} d_zz P = d, constant: the class-membership identity."""
-        return np.full_like(np.asarray(z, dtype=float), self.d)
-
-
-def polynomial_to_MA(geom: MAGeometry, M, p, x0, z0, value):
-    """Convert classical second-order data at a base point with z0 != 0 into the
-    geometry-adapted polynomial: the 1/2 m (z - z0)^2 block becomes
-    m |z0|^{2-1/s} delta_h(z0, z), which matches it to second order because
-    delta_h(z0, z) = h''(z0) (z-z0)^2 / 2 + o((z-z0)^2).
-
-    M is the (n+1) x (n+1) classical Hessian (z last), p the gradient.
-    Returns a callable centered polynomial and its canonical coefficients.
-    """
-    if z0 == 0.0:
-        raise ValueError("base point must have z0 != 0")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    n = M.shape[0] - 1
-    Mn = M[:n, :n]
-    m = M[n, n]
-    b = 0.5 * (M[:n, n] + M[n, :n])
-    d = m * np.abs(z0) ** (2.0 - 1.0 / geom.s)
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-
-    def P(x, z):
-        x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if n == 1:
-            dx = x - x0v[0]
-            quad = 0.5 * Mn[0, 0] * dx * dx
-            cross = b[0] * dx * (z - z0)
-            lin = p[0] * dx + p[1] * (z - z0)
-        else:
-            dx = x - x0v
-            quad = 0.5 * np.einsum("...i,ij,...j->...", dx, Mn, dx)
-            cross = np.einsum("...i,i->...", dx, b) * (z - z0)
-            lin = np.einsum("...i,i->...", dx, p[:n]) + p[n] * (z - z0)
-        return quad + d * geom.delta_h(z0, z) + cross + lin + value
-
-    return P, {"A": Mn, "bxz": b, "d": float(d)}
-
-
-def pucci(M, lam, Lam):
-    """Pucci extremal operators: P^- = lam sum e_i^+ + Lam sum e_i^-, P^+ swapped."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if not np.allclose(M, M.T, atol=1e-12):
-        raise ValueError("pucci operators take a symmetric matrix")
-    e = np.linalg.eigvalsh(M)
-    pos = e[e > 0].sum()
-    neg = e[e < 0].sum()
-    return lam * pos + Lam * neg, Lam * pos + lam * neg
 
 
 # -- annulus sampling shared by the barrier checks --------------------------------------
@@ -493,10 +375,7 @@ class InfConvolution:
         xs = np.asarray(xs, dtype=float)
         zs = np.asarray(zs, dtype=float)
         U = np.asarray(U, dtype=float)
-        if U.shape != (len(xs), len(zs)):
-            raise ValueError("U must have shape (len(xs), len(zs))")
-        if not np.all(np.isfinite(U)):
-            raise ValueError("U must be finite")
+        _check_grid_values(xs, zs, U)
         self.xs, self.zs, self.eps = xs, zs, eps
         Dz = (zs[:, None] - zs[None, :]) ** 2 / eps  # (w, q)
         Dx = (xs[:, None] - xs[None, :]) ** 2 / eps  # (i, p)
@@ -571,12 +450,18 @@ class ContactReport:
         return int(self.contact_mask.sum())
 
 
-def _check_slide_input(xs, zs, U, verts, opening):
+def _check_grid_values(xs, zs, U):
+    """Refuses a U that is not one finite value per node of the (xs, zs) grid."""
     if U.shape != (len(xs), len(zs)):
         raise ValueError(f"U must have shape (len(xs), len(zs)) = {(len(xs), len(zs))}, "
                          f"got {U.shape}")
     if not np.all(np.isfinite(U)):
-        raise ValueError("U must be finite")
+        raise ValueError(f"U must be finite, got {np.count_nonzero(~np.isfinite(U))} "
+                         f"non-finite values")
+
+
+def _check_slide_input(xs, zs, U, verts, opening):
+    _check_grid_values(xs, zs, U)
     if not (np.isfinite(opening) and opening > 0):
         raise ValueError(f"opening must be finite and positive, got {opening}")
     if verts.size == 0:
@@ -699,12 +584,18 @@ def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius,
     reported min_slope is the exact infimum snapped up to a multiple of 1e-3,
     a discrete upper bound for d_z U(x0, 0).  An empty feasible set is
     reported, not raised.
+
+    Raises ValueError for a U not of shape (len(xs), len(zs)), a non-finite
+    U, no trace row zs[0] = 0 and an ix0 that is not a node index of xs.
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
     U = np.asarray(U, dtype=float)
-    if zs[0] != 0.0:
+    _check_grid_values(xs, zs, U)
+    if not len(zs) or zs[0] != 0.0:
         raise ValueError("touch test expects the trace row zs[0] = 0")
+    if not (isinstance(ix0, (int, np.integer)) and 0 <= ix0 < len(xs)):
+        raise ValueError(f"ix0 must be a node index in [0, {len(xs)}), got {ix0!r}")
     x0 = xs[ix0]
     u0 = U[ix0, 0]
     sect = SectionDescriptor((x0,), 0.0, section_radius).contains(geom, xs[:, None], zs[None, :])

@@ -351,8 +351,10 @@ class SectionDescriptor:
     r: float | None = None
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("section radius must be positive")
+        for name, radius in (("R", self.R), ("r", self.R if self.r is None else self.r)):
+            if not (math.isfinite(radius) and radius > 0):
+                raise ValueError(f"section radius {name} must be finite and positive, "
+                                 f"got {radius!r}")
         if self.kind not in ("section", "cylinder"):
             raise ValueError(f"unknown section kind {self.kind!r}")
 

@@ -78,7 +78,8 @@ class HarnackReport:
 
 def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R, kappa=0.5,
                      f_fn=None, F_fn=None) -> HarnackReport:
-    """sup / (inf + ||f|| R^s + ||F|| R) over the shrunken section S_{kappa R}.
+    """sup / (inf + ||f|| R^s + ||F|| R) over the shrunken section S_{kappa R},
+    0 < kappa < 1.
 
     The state must be nonnegative on S_R (use the even reflection for
     symmetric solutions); f_fn / F_fn are the problem data used for the
@@ -101,6 +102,8 @@ class _HarnackSections:
     function on them."""
 
     def __init__(self, geom: MAGeometry, x, z, center, R, kappa):
+        if not 0.0 < kappa < 1.0:  # S_{kappa R} must lie inside S_R, where v >= 0 is checked
+            raise ValueError(f"Harnack kappa must lie in (0, 1), got {kappa!r}")
         self.geom, self.x, self.z = geom, x, z
         self.center, self.R, self.kappa = center, R, kappa
         self.in_R, self.in_kR = (np.flatnonzero(SectionDescriptor(

@@ -628,7 +628,13 @@ def _power_fit(lo, hi, beta):
     geometric poles per decade over [lo / _POLE_MARGIN, hi * _POLE_MARGIN]
     and one at 0, whose error (<= 3e-11 for beta in [0.001, 0.999] up to
     hi/lo = 1e14) does not grow with the width: 32 poles for 1-D N = 4096,
-    hi/lo = 8.4e6.  The certificate adds to the error sampled on a dense log
+    hi/lo = 8.4e6.  Geometric poles would certify on the narrow intervals
+    too, but AAA's are fewer, and each pole is one shifted solve per call:
+    on `plane2d`'s intervals (hi/lo 72 to 392) AAA keeps 10 to 13 poles
+    where geometric ones keep 14 to 19 (certified <= 6.4e-11); with them
+    everywhere `plane2d` (seed 6061) ran 7 to 9% slower, wall_s 0.130 ->
+    0.139 and 0.142 s, slower in each of two sets of 6 alternating pairs,
+    so both families stay.  The certificate adds to the error sampled on a dense log
     grid eps * hi / lo, the forward-error bound of the worst-conditioned
     solve (cond(L - p I) <= hi / lo for p <= 0 and a symmetric L), so fits
     pass up to hi/lo ~ 4e9.  The samples are evaluated _CERT_BLOCK rows at a

@@ -1,4 +1,4 @@
-"""Barriers, paraboloids, inf-convolutions, contact sets, touch test."""
+"""Barriers, inf-convolutions, sliding paraboloids and contact sets, touch test."""
 
 import tracemalloc
 
@@ -8,88 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from fracext import barriers
 from fracext.barriers import (EPS_LADDER, SCAN_MARGIN, BarrierCase1, BarrierCase2,
-                              BarrierNotFound, ContactReport, MAParaboloid, MAPolynomial,
-                              cell_measures, inf_convolution,
-                              polynomial_to_MA, pucci, sample_annulus,
-                              search_case2_parameters, slide_paraboloids, touch_test)
+                              BarrierNotFound, ContactReport, cell_measures, inf_convolution,
+                              sample_annulus, search_case2_parameters, slide_paraboloids,
+                              touch_test)
 from fracext.benchmarks import eigen_extension_problem, sliding_fixture, vertex_lattice
 from fracext.config import validate
 from fracext.extension import ExtensionMesh, solve_extension
 from fracext.geometry import MAGeometry
 from fracext.runner import _touching_exact, run
 from fracext.semigroup import ds_constant
-
-
-# -- polynomial models -------------------------------------------------------------
-
-
-def test_paraboloid_vertex_is_max():
-    g = MAGeometry(0.6)
-    P = MAParaboloid(g, opening=2.0, vertex_x=0.3, vertex_z=0.7, c=1.5)
-    assert P(0.3, 0.7) == 1.5
-    rng = np.random.default_rng(0)
-    xs, zs = rng.uniform(-2, 2, 200), rng.uniform(-2, 2, 200)
-    assert np.all(P(xs, zs) <= 1.5 + 1e-14)
-    with pytest.raises(ValueError):
-        MAParaboloid(g, opening=-1.0, vertex_x=0.0, vertex_z=0.0)
-
-
-def test_ma_polynomial_weighted_second_derivative_constant():
-    # z^{2-1/s} d_zz (d h(z)) = d: membership in the admissible test class
-    poly = MAPolynomial(s=0.75, order=2, A=0.5, bxz=0.2, d=-0.7, px=0.1, qz=0.3, c=1.0)
-    zs = np.geomspace(1e-6, 2.0, 50)
-    assert np.allclose(poly.weighted_zz(zs), -0.7)
-    # numeric check of the identity via second differences
-    for z in (0.3, 1.1):
-        h = 1e-5
-        dzz = (poly(0.0, z + h) - 2 * poly(0.0, z) + poly(0.0, z - h)) / h**2
-        assert z ** (2 - 1 / 0.75) * dzz == pytest.approx(-0.7, rel=1e-4)
-    with pytest.raises(ValueError):
-        MAPolynomial(s=0.5, order=1, A=1.0)
-
-
-def test_polynomial_to_MA_identity_at_half():
-    # s = 1/2: h''(z0) = 1, so the transformation leaves the z-part unchanged
-    g = MAGeometry(0.5)
-    P, coeffs = polynomial_to_MA(g, [[0.0, 0.0], [0.0, 2.0]], [0.0, 0.0], 0.0, 1.0, 0.0)
-    zs = np.linspace(0.2, 1.8, 30)
-    assert np.allclose(P(0.0, zs), 0.5 * 2.0 * (zs - 1.0) ** 2, atol=1e-13)
-    assert coeffs["d"] == pytest.approx(2.0)
-
-
-def test_polynomial_to_MA_zero_and_window_ratios():
-    g = MAGeometry(1.0 / 3.0)
-    # m = 0: the z-quadratic part vanishes
-    P0, c0 = polynomial_to_MA(g, [[0.3, 0.0], [0.0, 0.0]], [0.1, 0.2], 0.0, 1.0, 0.0)
-    assert c0["d"] == 0.0
-    # shrinking-window ratio sup |P - Pc| / delta_h -> 0
-    P, _ = polynomial_to_MA(g, [[0.0, 0.0], [0.0, 2.0]], [0.0, 0.0], 0.0, 1.0, 0.0)
-    ratios = []
-    for w in (1e-1, 1e-2, 1e-3):
-        zq = 1.0 + np.linspace(-w, w, 301)
-        Pc = 0.5 * 2.0 * (zq - 1.0) ** 2
-        ratios.append(np.max(np.abs(P(0.0, zq) - Pc)
-                             / np.maximum(g.delta_h(1.0, zq), 1e-300)))
-    assert ratios[0] > ratios[1] > ratios[2]
-    assert ratios[2] < 1e-3
-    with pytest.raises(ValueError):
-        polynomial_to_MA(g, np.eye(2), [0.0, 0.0], 0.0, 0.0, 0.0)
-
-
-def test_pucci():
-    assert pucci(np.diag([1.0, -1.0]), 1.0, 2.0) == pytest.approx((-1.0, 1.0))
-    assert pucci(np.zeros((2, 2)), 1.0, 2.0) == (0.0, 0.0)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        M = rng.normal(size=(3, 3))
-        M = 0.5 * (M + M.T)
-        pm, pp = pucci(M, 0.5, 2.5)
-        pm2, pp2 = pucci(-M, 0.5, 2.5)
-        assert pm == pytest.approx(-pp2, rel=1e-12, abs=1e-12)
-        assert pm <= pp + 1e-14
-        # positive homogeneity
-        pm3, pp3 = pucci(3.0 * M, 0.5, 2.5)
-        assert pm3 == pytest.approx(3.0 * pm, rel=1e-12)
 
 
 # -- barriers -----------------------------------------------------------------------
@@ -614,3 +541,17 @@ def test_touch_requires_trace_row():
     zs = np.linspace(0.1, 1.0, 9)
     with pytest.raises(ValueError):
         touch_test(g, xs, zs, np.zeros((11, 9)), 5, 0.2)
+
+
+@pytest.mark.parametrize("bad_U, ix0, match", [
+    (lambda U: U[:, :-1], 10, r"U must have shape \(len\(xs\), len\(zs\)\) = \(21, 11\)"),
+    (lambda U: np.where(U > 1.5, np.nan, U), 10, "U must be finite, got 6 non-finite values"),
+    (None, 30, r"ix0 must be a node index in \[0, 21\), got 30"),
+    (None, 2.0, "ix0 must be a node index"),
+], ids=["shape", "nan-values", "ix0-past-the-grid", "ix0-float"])
+def test_touch_refuses_malformed_input(bad_U, ix0, match):
+    # each of these used to leak an IndexError, or (NaN where U > 1.5) to
+    # report a feasible touch with slope 1 read off the finite nodes alone
+    g, xs, zs, U = _touch_grid(0.5, lambda x, z: x * x + z, nx=21, nz=10)
+    with pytest.raises(ValueError, match=match):
+        touch_test(g, xs, zs, U if bad_U is None else bad_U(U), ix0, 0.3)

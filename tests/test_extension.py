@@ -716,6 +716,25 @@ def test_2d_solve_peak_grows_by_at_most_five_solution_arrays_beside_its_factors(
     assert gained <= 5.0, gained
 
 
+def test_backward_error_pass_allocates_a_few_blocks_beyond_its_inputs():
+    # 1025 x 256: the solution spans 16 blocks of _BLOCK_BYTES.  With solves
+    # that allocate nothing, _checked_solve holds the residual, |A| for one
+    # pass at a time, and each block's temporaries (about five blocks); a
+    # pass that formed any solution-sized temporary would add 16 blocks
+    prob = _variable_1d_problem(0.4, 0.5, 1.5, 2.0, "neumann")
+    _, A, rhs = _solve_capturing_system(prob, ExtensionMesh(nx=1025, my=256), assemble=False)
+    assert len(A._blocks) == 16
+    x = np.linspace(1.0, 2.0, rhs.size)
+    abs_A = abs(A)
+    abs_bytes = sum(d.nbytes for d in abs_A.Ay) + sum(
+        a.nbytes for a in (abs_A.Ax.data, abs_A.Ax.indices, abs_A.Ax.indptr))
+    del abs_A
+    _, peak = _traced_peak(lambda: extension._checked_solve(
+        A, rhs, lambda r, overwrite=False: r.ravel() if overwrite else x))
+    assert peak - rhs.nbytes - abs_bytes <= 8 * extension._BLOCK_BYTES, \
+        (peak - rhs.nbytes - abs_bytes) / extension._BLOCK_BYTES
+
+
 def _per_mode_band_bytes(prob, mesh):
     """Bytes of one y-mode's band LU: N (3k + 1) doubles."""
     Ax, _ = semigroup.x_operator(prob.coeff, mesh.x_axes(prob.domain, 2))

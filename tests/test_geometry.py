@@ -389,6 +389,16 @@ def test_section_descriptor_membership_and_chain():
             SectionDescriptor((0.0,), 0.0, 0.5, kind=kind)
 
 
+@pytest.mark.parametrize("R, r, name", [(np.nan, None, "R"), (np.inf, None, "R"),
+                                        (0.5, np.nan, "r"), (0.5, -np.inf, "r"),
+                                        (0.5, 0.0, "r")])
+@pytest.mark.parametrize("kind", ["section", "cylinder"])
+def test_section_descriptor_refuses_a_bad_radius(R, r, name, kind):
+    # R = nan used to describe an empty section, whose membership is all False
+    with pytest.raises(ValueError, match=f"section radius {name} must be finite and positive"):
+        SectionDescriptor((0.0,), 0.0, R, kind, r)
+
+
 @settings(max_examples=80, deadline=None)
 @given(s=st.floats(0.2, 0.8), n=st.sampled_from([1, 2]),
        z0=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), R=st.floats(0.05, 2.0),

@@ -93,17 +93,6 @@ def test_no_unreferenced_private_helpers():
 # public module-level function or class below fracext -> why it stays although
 # no package module uses it (the re-exports of `__init__` are not uses)
 API_ONLY = {
-    "barriers.MAParaboloid":
-        "the sliding paraboloid of the barrier geometry as an object; "
-        "tests/test_barriers.py checks its values and its opening check",
-    "barriers.MAPolynomial":
-        "the second-order polynomials of the geometry; tests/test_barriers.py checks them",
-    "barriers.MAPolynomial.weighted_zz":
-        "z^{2-1/s} d_zz P, the class-membership identity; tests/test_barriers.py checks it",
-    "barriers.polynomial_to_MA":
-        "classical second-order data to geometry-adapted polynomials; "
-        "tests/test_barriers.py checks it",
-    "barriers.pucci": "the Pucci extremal operators of the barrier arguments",
     "barriers.touch_test":
         "the viscosity trace derivative; ROADMAP item 7 reports it beside `flux_trace`",
     "benchmarks.x_derivative_scaling":

@@ -530,6 +530,24 @@ def test_harnack_family_half_grid_equals_the_reflected_grid(s, R, kappa, refine)
         assert got == harnack_quotient(geom, state, (0.0, 0.0), R, kappa)
 
 
+@pytest.mark.parametrize("kappa", [2.0, 1.0, 0.0, -0.5, np.nan])
+def test_harnack_refuses_kappa_outside_the_unit_interval(kappa):
+    # kappa = 2 used to give a quotient over S_{2R}, where nonnegativity was
+    # never checked, and kappa = nan to report an S_{kappa R} without nodes
+    s, R = 0.4, 0.5
+    family = positive_harmonic_family(s, 2, seed=5)
+    mesh = ExtensionMesh(nx=21, my=10)
+    xs = np.linspace(-1.2, 1.2, 21)
+    ys = transform_to_y(np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 10)]), s)
+    state = ExtensionState(s, [xs], ys, family[0].at_y(xs[None, :], ys[:, None]), 0.0, 0.0,
+                           reflected=True)
+    match = re.escape(f"Harnack kappa must lie in (0, 1), got {kappa!r}")
+    with pytest.raises(ValueError, match=match):
+        harnack_quotient(MAGeometry(s), state, (0.0, 0.0), R, kappa)
+    with pytest.raises(ValueError, match=match):
+        harnack_family_report(s, family, mesh, kappa=kappa, R=R)
+
+
 def test_approximation_distance_monotone():
     s = 0.5
     mesh = ExtensionMesh(nx=97, my=40)
