@@ -341,52 +341,44 @@ def blocks(n, width):
 
 
 def _min_plus(X, Y):
-    """out[a, b] = min_k X[a, k] + Y[b, k] and the first k attaining it.
+    """out[a, b] = min_k X[a, k] + Y[b, k].
 
     The reduced axis is laid last and (a, b) is covered in blocks, so no
-    temporary exceeds BLOCK_ELEMENTS elements or one row of k.
+    temporary exceeds BLOCK_ELEMENTS elements or one row of k.  The minimum
+    is read at the argmin, which is faster than np.min over the last axis.
     """
     X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     (na, nk), nb = X.shape, Y.shape[0]
     val = np.empty((na, nb))
-    arg = np.empty((na, nb), dtype=np.intp)
     for bs in blocks(nb, nk):
         for as_ in blocks(na, nk * (bs.stop - bs.start)):
             t = X[as_, None, :] + Y[None, bs, :]
-            arg[as_, bs] = k = np.argmin(t, axis=-1)
+            k = np.argmin(t, axis=-1)
             val[as_, bs] = np.take_along_axis(t, k[..., None], axis=-1)[..., 0]
-    return val, arg
+    return val
 
 
 # -- inf-convolution -----------------------------------------------------------------------
 
 
-class InfConvolution:
+def inf_convolution(xs, zs, U, eps):
     """U_eps(p) = min_q [U(q) + |p - q|^2 / eps] on a tensor (x, z) grid.
 
     Exact separable two-pass minimization (the squared Euclidean penalty
     splits over coordinates), each pass a blocked _min_plus, so memory stays
-    bounded on any grid; argmin node indices are recorded per point.
+    bounded on any grid.  Raises ValueError unless eps > 0 and U holds one
+    finite value per node.
     """
-
-    def __init__(self, xs, zs, U, eps):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        xs = np.asarray(xs, dtype=float)
-        zs = np.asarray(zs, dtype=float)
-        U = np.asarray(U, dtype=float)
-        _check_grid_values(xs, zs, U)
-        self.xs, self.zs, self.eps = xs, zs, eps
-        Dz = (zs[:, None] - zs[None, :]) ** 2 / eps  # (w, q)
-        Dx = (xs[:, None] - xs[None, :]) ** 2 / eps  # (i, p)
-        M1, arg_w = _min_plus(U, Dz.T)               # (i, q): min_w U[i, w] + Dz[w, q]
-        self.values, arg_i = _min_plus(Dx.T, M1.T)   # (p, q): min_i Dx[i, p] + M1[i, q]
-        self.argmin_x = arg_i
-        self.argmin_z = np.take_along_axis(arg_w, arg_i, axis=0)
-
-
-def inf_convolution(xs, zs, U, eps):
-    return InfConvolution(xs, zs, U, eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    xs = np.asarray(xs, dtype=float)
+    zs = np.asarray(zs, dtype=float)
+    U = np.asarray(U, dtype=float)
+    _check_grid_values(xs, zs, U)
+    Dz = (zs[:, None] - zs[None, :]) ** 2 / eps  # (w, q)
+    Dx = (xs[:, None] - xs[None, :]) ** 2 / eps  # (i, p)
+    M1 = _min_plus(U, Dz.T)                      # (i, q): min_w U[i, w] + Dz[w, q]
+    return _min_plus(Dx.T, M1.T)                 # (p, q): min_i Dx[i, p] + M1[i, q]
 
 
 # -- sliding paraboloids --------------------------------------------------------------------
@@ -513,7 +505,7 @@ def slide_paraboloids(geom: MAGeometry, xs, zs, U, vertices, opening):
     dphi, dh, pv, qv = paraboloid_rows(geom, xs, zs, verts)
 
     # candidate columns (vk[k], jk[k]) from the envelope, vertex-major
-    T, _ = _min_plus(a * dphi, U.T)
+    T = _min_plus(a * dphi, U.T)
     scale = np.max(np.abs(U)) + a * (np.max(np.abs(dphi), axis=1)[pv]
                                      + np.max(np.abs(dh), axis=1)[qv])
     slack = _ROUNDING_SLACK * scale + np.finfo(float).tiny
@@ -571,19 +563,18 @@ class TouchReport:
     feasible: bool
     min_slope: float | None
     exact_min_slope: float | None
-    candidates: list
 
 
-def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius,
-               grad_lattice=None, curv_lattice=None):
+def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius):
     """Search test functions P(x) + a z touching U from above at (x0, 0).
 
-    For each quadratic P on the (gradient, curvature) lattice the minimal
-    admissible slope is a(P) = max over section nodes with z > 0 of
-    (U - P)/z, subject to P >= U on the trace part of the section.  The
-    reported min_slope is the exact infimum snapped up to a multiple of 1e-3,
-    a discrete upper bound for d_z U(x0, 0).  An empty feasible set is
-    reported, not raised.
+    P runs over the quadratics u0 + g (x - x0) + q (x - x0)^2 / 2 of a 33 x 17
+    (gradient, curvature) lattice scaled by the oscillation of U on the
+    section.  The minimal admissible slope of P is a(P) = max over section
+    nodes with z > 0 of (U - P)/z, subject to P >= U on the trace part of the
+    section.  The reported min_slope is the exact infimum snapped up to a
+    multiple of 1e-3, a discrete upper bound for d_z U(x0, 0).  An empty
+    feasible set is reported, not raised.
 
     Raises ValueError for a U not of shape (len(xs), len(zs)), a non-finite
     U, no trace row zs[0] = 0 and an ix0 that is not a node index of xs.
@@ -599,19 +590,14 @@ def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius,
     x0 = xs[ix0]
     u0 = U[ix0, 0]
     sect = SectionDescriptor((x0,), 0.0, section_radius).contains(geom, xs[:, None], zs[None, :])
-    if grad_lattice is None:
-        span = 4.0 * max(1e-12, np.max(np.abs(U[sect] - u0))) / \
-            max(1e-12, np.sqrt(2.0 * section_radius))
-        grad_lattice = np.linspace(-span, span, 33)
-    if curv_lattice is None:
-        curv_lattice = np.linspace(0.0, 8.0 * max(1e-12, np.max(np.abs(U[sect] - u0)))
-                                   / max(1e-12, section_radius), 17)
+    osc = max(1e-12, np.max(np.abs(U[sect] - u0)))
+    span = 4.0 * osc / max(1e-12, np.sqrt(2.0 * section_radius))
+    curvatures = np.linspace(0.0, 8.0 * osc / max(1e-12, section_radius), 17)
     dx = xs - x0
     zpos = zs > 0
     best = None
-    candidates = []
-    for g in grad_lattice:
-        for q in curv_lattice:
+    for g in np.linspace(-span, span, 33):
+        for q in curvatures:
             P = u0 + g * dx[:, None] + 0.5 * q * dx[:, None] ** 2
             trace_ok = np.all(P[:, 0][sect[:, 0]] >= U[:, 0][sect[:, 0]] - 1e-12)
             if not trace_ok:
@@ -621,10 +607,9 @@ def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius,
                 continue
             ratios = (U - P)[m] / np.broadcast_to(zs[None, :], U.shape)[m]
             a_min = float(np.max(ratios))
-            candidates.append((float(g), float(q), a_min))
             if best is None or a_min < best:
                 best = a_min
     if best is None:
-        return TouchReport(False, None, None, [])
+        return TouchReport(False, None, None)
     snapped = float(np.ceil(best / 1e-3) * 1e-3)
-    return TouchReport(True, snapped, float(best), candidates)
+    return TouchReport(True, snapped, float(best))

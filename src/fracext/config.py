@@ -99,7 +99,7 @@ _QUAD_SCHEMA = {
 _PROBLEM_SCHEMAS = {
     "geometry-check": {
         "samples": (100_000, _count(1)),
-        "engulfing_samples": (10_000, _count(1)),
+        "engulfing_samples": (10_000, _count(2)),  # the exponent fit needs two points
         "dimension": (1, _choice(1, 2)),
     },
     "fractional-apply": {

@@ -51,6 +51,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import obs
 from .geometry import MAGeometry, transform_to_y, transform_to_z
 from .gridfn import write_grid_binary, write_json
 from .semigroup import CoefficientField, _shifted_solver, x_operator
@@ -329,10 +330,11 @@ def _json_ok(v):
     return isinstance(v, (str, int, float, bool, type(None), list, tuple))
 
 
-def _clip_to(vals, lo, hi, rel=1e-12):
-    """Clip values to [lo, hi], refusing NaN and values materially outside."""
+def _clip_to(vals, lo, hi):
+    """Clip values to [lo, hi], refusing NaN and values more than 1e-12
+    max(|lo|, |hi|, 1) outside."""
     vals = np.asarray(vals, dtype=float)
-    slack = rel * max(abs(lo), abs(hi), 1.0)
+    slack = 1e-12 * max(abs(lo), abs(hi), 1.0)
     if not np.all((vals >= lo - slack) & (vals <= hi + slack)):  # NaN fails both
         raise ValueError("query is NaN or outside the grid domain")
     return np.clip(vals, lo, hi)
@@ -443,8 +445,6 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         "linear_solver": "y-mode-diagonalization",
         "refinement_kept": refined,
     }
-    from . import obs  # here, so loading the package imports no counters
-
     obs.count("extension.solves")
     obs.count("extension.unknowns", nl * nxi)
     obs.count("extension.y_modes", nl)

@@ -91,16 +91,11 @@ class GridFunction:
         return GridFunction(grid, np.zeros(grid.shape))
 
     @staticmethod
-    def from_callable(grid, fn, zero_boundary=True):
-        mesh = grid.meshgrid()
-        vals = np.asarray(fn(*mesh), dtype=float)
-        gf = GridFunction(grid, vals)
-        if zero_boundary:
-            gf.values[~grid.interior_mask()] = 0.0
+    def from_callable(grid, fn):
+        """fn at the nodes, with the boundary nodes set to 0 (Dirichlet data)."""
+        gf = GridFunction(grid, np.asarray(fn(*grid.meshgrid()), dtype=float))
+        gf.values[~grid.interior_mask()] = 0.0
         return gf
-
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
 
     def interior(self):
         return self.values[self.grid.interior_mask()]

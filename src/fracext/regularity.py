@@ -71,23 +71,19 @@ class HarnackReport:
     kappa: float
     sup: float
     inf: float
-    f_term: float
-    F_term: float
     quotient: float
 
 
-def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R, kappa=0.5,
-                     f_fn=None, F_fn=None) -> HarnackReport:
-    """sup / (inf + ||f|| R^s + ||F|| R) over the shrunken section S_{kappa R},
-    0 < kappa < 1.
+def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R,
+                     kappa=0.5) -> HarnackReport:
+    """sup / inf over the shrunken section S_{kappa R}, 0 < kappa < 1.
 
     The state must be nonnegative on S_R (use the even reflection for
-    symmetric solutions); f_fn / F_fn are the problem data used for the
-    inhomogeneous terms, omitted means zero.
+    symmetric solutions) and solve a problem with f = F = 0, so the data
+    terms ||f|| R^s + ||F|| R of the denominator vanish.
     """
     x, z, v = _flat_nodes(state)
-    section = _HarnackSections(geom, x, z, center, R, kappa)
-    return section.report(v, f_fn, F_fn)
+    return _HarnackSections(geom, x, z, center, R, kappa).report(v)
 
 
 def _flat_nodes(state: ExtensionState):
@@ -104,7 +100,6 @@ class _HarnackSections:
     def __init__(self, geom: MAGeometry, x, z, center, R, kappa):
         if not 0.0 < kappa < 1.0:  # S_{kappa R} must lie inside S_R, where v >= 0 is checked
             raise ValueError(f"Harnack kappa must lie in (0, 1), got {kappa!r}")
-        self.geom, self.x, self.z = geom, x, z
         self.center, self.R, self.kappa = center, R, kappa
         self.in_R, self.in_kR = (np.flatnonzero(SectionDescriptor(
             center[0], center[1], radius).contains(geom, x, z)) for radius in (R, kappa * R))
@@ -113,29 +108,19 @@ class _HarnackSections:
         if not self.in_kR.size:
             raise ValueError("section S_{kappa R} contains no grid nodes")
 
-    def report(self, v, f_fn=None, F_fn=None) -> HarnackReport:
+    def report(self, v) -> HarnackReport:
         """The quotient of the node values v (one per node, all finite)."""
-        in_R, R = self.in_R, self.R
         if not np.all(np.isfinite(v)):
             raise ValueError("Harnack quotient requires finite node values")
-        v_R, v_kR = v[in_R], v[self.in_kR]
+        v_R, v_kR = v[self.in_R], v[self.in_kR]
         if np.min(v_R) < -1e-10 * max(1.0, np.max(np.abs(v_R))):
             raise ValueError("Harnack quotient requires a nonnegative solution on S_R")
         sup = float(np.max(v_kR))
         inf = float(max(np.min(v_kR), 0.0))
-        f_term = 0.0
-        if f_fn is not None:
-            trace = in_R[np.abs(self.z[in_R]) < 1e-300]
-            if trace.size:
-                f_term = float(np.max(np.abs(f_fn(self.x[trace])))) * R**self.geom.s
-        F_term = 0.0
-        if F_fn is not None:
-            F_term = float(np.max(np.abs(F_fn(self.x[in_R], self.z[in_R])))) * R
-        den = inf + f_term + F_term
-        Q = 1.0 if sup == 0.0 else (np.inf if den == 0.0 else sup / den)
+        Q = 1.0 if sup == 0.0 else (np.inf if inf == 0.0 else sup / inf)
         cx, cz = self.center
-        return HarnackReport(float(np.atleast_1d(cx)[0]), float(cz), float(R),
-                             float(self.kappa), sup, inf, f_term, F_term, float(Q))
+        return HarnackReport(float(np.atleast_1d(cx)[0]), float(cz), float(self.R),
+                             float(self.kappa), sup, inf, float(Q))
 
 
 @_names_s
@@ -188,18 +173,19 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
 # -- approximation by harmonic solutions ------------------------------------------------------
 
 
-def approximation_distance(s, eps0, mesh=None, boundary=None):
+def approximation_distance(s, eps0, mesh=None):
     """||U - H||_inf on S_{3/4} x S_{3/4}^+ u T_{3/4} for a perturbed problem.
 
     U solves coefficients 1 + 0.45 eps0 cos(2x), Neumann 0.3 eps0 sin(3x) and
     right-hand side 0.25 eps0 cos(x); H solves the harmonic problem (a = 1,
-    f = F = 0); both use the same lateral/top data and mesh, so the distance
-    tends to 0 with eps0.
+    f = F = 0); both take the lateral/top data of the harmonic combination
+    1 + 0.4 cos(x + 0.2) (times its mode profile) and one mesh, so the
+    distance tends to 0 with eps0.
     """
     geom = MAGeometry(s)
     mesh = mesh or ExtensionMesh(nx=129, my=48)
-    boundary = boundary or HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)])
-    prob_h = harmonic_combo_problem(s, boundary)  # on S_1 x (0, Z), h(Z) = 1
+    # on S_1 x (0, Z), h(Z) = 1
+    prob_h = harmonic_combo_problem(s, HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)]))
     lam = max(1e-6, 1.0 - 0.45 * eps0)
     coeff_p = CoefficientField.scalar_1d(lambda x: 1.0 + 0.45 * eps0 * np.cos(2.0 * x),
                                          lam, 1.0 + 0.45 * eps0)

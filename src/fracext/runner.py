@@ -255,10 +255,10 @@ def _run_sliding(cfg, outdir):
         ok = ok and drift <= TOLERANCES["sliding_drift"]
     # inf-convolution ride-along on the same fixture
     eps = float(prob["eps_infconv"])
-    ic1 = inf_convolution(xs, zs, U, eps)
-    ic2 = inf_convolution(xs, zs, U, 2 * eps)
-    below = bool(np.all(ic1.values <= U + TOLERANCES["infconv_slack"]))
-    monotone = bool(np.all(ic2.values <= ic1.values + TOLERANCES["infconv_slack"]))
+    U1 = inf_convolution(xs, zs, U, eps)
+    U2 = inf_convolution(xs, zs, U, 2 * eps)
+    below = bool(np.all(U1 <= U + TOLERANCES["infconv_slack"]))
+    monotone = bool(np.all(U2 <= U1 + TOLERANCES["infconv_slack"]))
     details["infconv_below"] = below
     details["infconv_monotone"] = monotone
     ok = ok and below and monotone

@@ -33,6 +33,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import obs
 from .geometry import transform_to_y
 from .gridfn import BoxGrid, GridFunction
 
@@ -298,8 +299,6 @@ def _shifted_solver(A, shifts, message):
     Counts obs semigroup.shifted_blocks and semigroup.shifted_unknowns.
     """
     from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs, zgttrf, zgttrs
-
-    from . import obs  # here, so loading the package imports no counters
 
     shifts = np.asarray(shifts, dtype=complex if np.iscomplexobj(shifts) else float)
     n, m = A.shape[0], len(shifts)
@@ -655,8 +654,6 @@ def _power_fit(lo, hi, beta):
         raise ValueError(f"fit interval [{lo:g}, {hi:g}] needs finite 0 < lo < hi")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"the power x^-beta needs beta in (0,1), got beta = {beta!r}")
-    from . import obs  # here, so loading the package imports no counters
-
     obs.count("semigroup.power_fits")
     x = np.geomspace(lo, hi, _FIT_SAMPLES)
     poles = _candidate_poles(x, beta)
@@ -767,8 +764,6 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     positive, and for a sup_error above _EXTENSION_TOL (naming s and z).
     `quad` is accepted for compatibility; it has no effect.
     """
-    from . import obs  # here, so loading the package imports no counters
-
     zs = np.asarray(zs, dtype=float).reshape(-1)
     if not np.all(np.isfinite(zs) & (zs > 0.0)):
         raise ValueError("extension height z must be finite and positive")

@@ -216,19 +216,19 @@ def test_criterion_10_inf_convolution_suite():
     ok = True
     prev = None
     for eps in (0.02, 0.05, 0.2):
-        ic = inf_convolution(xs, zs, U, eps)
-        ok &= bool(np.all(ic.values <= U + 1e-13))
-        ok &= np.max(np.abs(ic.values - U)) <= eps / 4.0 + 1e-12
+        Ue = inf_convolution(xs, zs, U, eps)
+        ok &= bool(np.all(Ue <= U + 1e-13))
+        ok &= np.max(np.abs(Ue - U)) <= eps / 4.0 + 1e-12
         if prev is not None:
-            ok &= bool(np.all(ic.values <= prev + 1e-13))
-        prev = ic.values
+            ok &= bool(np.all(Ue <= prev + 1e-13))
+        prev = Ue
     rng = np.random.default_rng(31)
     V = np.cos(3 * xs)[:, None] * (1 + zs)[None, :] + 0.1 * rng.normal(size=(41, 33))
     eps = 0.1
-    ic = inf_convolution(xs, zs, V, eps)
+    Ve = inf_convolution(xs, zs, V, eps)
     hx, hz = xs[1] - xs[0], zs[1] - zs[0]
-    d2x = (ic.values[2:] - 2 * ic.values[1:-1] + ic.values[:-2]) / hx**2
-    d2z = (ic.values[:, 2:] - 2 * ic.values[:, 1:-1] + ic.values[:, :-2]) / hz**2
+    d2x = (Ve[2:] - 2 * Ve[1:-1] + Ve[:-2]) / hx**2
+    d2z = (Ve[:, 2:] - 2 * Ve[:, 1:-1] + Ve[:, :-2]) / hz**2
     ok &= max(np.max(d2x), np.max(d2z)) <= 2.0 / eps + 1e-8
     _report(10, ok, "U_eps <= U, monotone in eps, L^2 eps/4 bound, 2/eps semiconcavity")
 

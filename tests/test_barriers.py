@@ -214,8 +214,7 @@ def _rect_grid(nx=31, nz=25):
 def test_infconv_constant_fixed_point():
     xs, zs = _rect_grid()
     U = np.full((len(xs), len(zs)), 2.7)
-    ic = inf_convolution(xs, zs, U, 0.1)
-    assert np.allclose(ic.values, 2.7)
+    assert np.allclose(inf_convolution(xs, zs, U, 0.1), 2.7)
 
 
 def test_infconv_brute_force_oracle():
@@ -223,30 +222,24 @@ def test_infconv_brute_force_oracle():
     xs, zs = _rect_grid(13, 11)
     U = rng.normal(size=(13, 11))
     eps = 0.3
-    ic = inf_convolution(xs, zs, U, eps)
     # brute force over all nodes
     X, Z = np.meshgrid(xs, zs, indexing="ij")
     P = np.stack([X.ravel(), Z.ravel()], axis=1)
     D = ((P[:, None, :] - P[None, :, :]) ** 2).sum(-1) / eps
     brute = (U.ravel()[None, :] + D).min(axis=1).reshape(U.shape)
-    assert np.allclose(ic.values, brute, atol=1e-12)
-    # recorded argmin reconstructs the minimum exactly
-    i, j = 5, 7
-    ai, aj = ic.argmin_x[i, j], ic.argmin_z[i, j]
-    val = U[ai, aj] + ((xs[i] - xs[ai]) ** 2 + (zs[j] - zs[aj]) ** 2) / eps
-    assert val == pytest.approx(ic.values[i, j], abs=1e-12)
+    assert np.allclose(inf_convolution(xs, zs, U, eps), brute, atol=1e-12)
 
 
 def test_infconv_ordering_monotonicity_lipschitz():
     xs, zs = _rect_grid(41, 31)
     U = np.abs(xs)[:, None] + 0.0 * zs[None, :]   # Lipschitz constant 1
     e1, e2 = 0.05, 0.2
-    ic1 = inf_convolution(xs, zs, U, e1)
-    ic2 = inf_convolution(xs, zs, U, e2)
-    assert np.all(ic1.values <= U + 1e-13)
-    assert np.all(ic2.values <= ic1.values + 1e-13)
-    assert np.max(np.abs(ic1.values - U)) <= 1.0**2 * e1 / 4.0 + 1e-12
-    assert np.max(np.abs(ic2.values - U)) <= 1.0**2 * e2 / 4.0 + 1e-12
+    U1 = inf_convolution(xs, zs, U, e1)
+    U2 = inf_convolution(xs, zs, U, e2)
+    assert np.all(U1 <= U + 1e-13)
+    assert np.all(U2 <= U1 + 1e-13)
+    assert np.max(np.abs(U1 - U)) <= 1.0**2 * e1 / 4.0 + 1e-12
+    assert np.max(np.abs(U2 - U)) <= 1.0**2 * e2 / 4.0 + 1e-12
     with pytest.raises(ValueError):
         inf_convolution(xs, zs, U, 0.0)
 
@@ -256,22 +249,13 @@ def test_infconv_semiconcavity():
     xs, zs = _rect_grid(33, 27)
     U = np.cos(3 * xs)[:, None] * (1 + zs)[None, :] + 0.1 * rng.normal(size=(33, 27))
     eps = 0.15
-    ic = inf_convolution(xs, zs, U, eps)
+    Ue = inf_convolution(xs, zs, U, eps)
     hx = xs[1] - xs[0]
-    d2x = (ic.values[2:, :] - 2 * ic.values[1:-1, :] + ic.values[:-2, :]) / hx**2
+    d2x = (Ue[2:, :] - 2 * Ue[1:-1, :] + Ue[:-2, :]) / hx**2
     hz = zs[1] - zs[0]
-    d2z = (ic.values[:, 2:] - 2 * ic.values[:, 1:-1] + ic.values[:, :-2]) / hz**2
+    d2z = (Ue[:, 2:] - 2 * Ue[:, 1:-1] + Ue[:, :-2]) / hz**2
     assert np.max(d2x) <= 2.0 / eps + 1e-8
     assert np.max(d2z) <= 2.0 / eps + 1e-8
-
-
-def test_infconv_equality_at_argmin_self():
-    xs, zs = _rect_grid(21, 17)
-    U = 0.5 * xs[:, None] ** 2 + 0.5 * zs[None, :] ** 2  # convex, slowly varying
-    ic = inf_convolution(xs, zs, U, 1e-4)
-    self_nodes = (ic.argmin_x == np.arange(len(xs))[:, None]) & \
-        (ic.argmin_z == np.arange(len(zs))[None, :])
-    assert np.all(np.abs(ic.values[self_nodes] - U[self_nodes]) < 1e-14)
 
 
 # -- sliding paraboloids -----------------------------------------------------------------
@@ -421,10 +405,8 @@ def test_slide_and_infconv_blocks_do_not_change_results(monkeypatch, block):
     arg_i = np.argmin(stage2, axis=0)
     monkeypatch.setattr(barriers, "BLOCK_ELEMENTS", block)
     _assert_same_slide(slide_paraboloids(g, xs, zs, U, verts, 0.8), ref)
-    ic = inf_convolution(xs, zs, U, 0.1)
-    assert np.array_equal(ic.values, np.take_along_axis(stage2, arg_i[None], axis=0)[0])
-    assert np.array_equal(ic.argmin_x, arg_i)
-    assert np.array_equal(ic.argmin_z, np.take_along_axis(arg_w, arg_i, axis=0))
+    assert np.array_equal(inf_convolution(xs, zs, U, 0.1),
+                          np.take_along_axis(stage2, arg_i[None], axis=0)[0])
 
 
 def test_infconv_and_refined_slide_memory_is_bounded():

@@ -145,6 +145,22 @@ def test_cli_rejects_oversized_grid_points(tmp_path, capsys, kind):
     assert not (tmp_path / "o").exists()
 
 
+def test_one_engulfing_sample_is_rejected(tmp_path, capsys):
+    # engulfing_check fits its exponent line through the samples: through a
+    # single point numpy warns (RankWarning) and the fitted p is arbitrary
+    raw = {"experiment": "geometry-check", "problem": {"engulfing_samples": 1}}
+    with pytest.raises(ConfigError, match="problem.engulfing_samples: must be >= 2"):
+        validate(raw)
+    raw["problem"]["engulfing_samples"] = 2
+    assert validate(raw)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"experiment": "geometry-check",
+                             "problem": {"engulfing_samples": 1}}))
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "problem.engulfing_samples: must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_nan_nx_rejected(tmp_path):
     with pytest.raises(ConfigError, match="problem.nx: must be finite"):
         _load_text(tmp_path, '{"experiment": "solve-extension", "problem": {"nx": NaN}}')

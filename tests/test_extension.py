@@ -27,10 +27,10 @@ from fracext.extension import (ExtensionMesh, ExtensionProblem, ExtensionState, 
                                transform_to_y, transform_to_z)
 from fracext.config import validate
 from fracext.geometry import MAGeometry
-from fracext.gridfn import BoxGrid
+from fracext.gridfn import BoxGrid, GridFunction
 from fracext.runner import run
 from fracext.semigroup import (CoefficientField, SemigroupStepper, bessel_extension_profile,
-                               ds_constant)
+                               ds_constant, extension_via_semigroup_multi)
 
 
 def test_transform_examples():
@@ -1077,3 +1077,39 @@ def test_coinciding_y_nodes_are_refused(s, my, grading):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"grading .* my = "):
             solve_extension(prob, ExtensionMesh(nx=5, my=my, grading=grading))
+
+
+# 40 equal pieces on (0, pi), log-uniform in [1, 256]
+_ROUGH_PIECES = np.exp(np.random.default_rng(0).uniform(0.0, np.log(256.0), 40))
+
+
+@pytest.mark.parametrize("coeff", [
+    CoefficientField.identity(1),
+    CoefficientField.scalar_1d(lambda x: 1.0 + 3.0 * np.sin(3.0 * x) ** 2, 1.0, 4.0),
+    CoefficientField.scalar_1d(
+        lambda x: _ROUGH_PIECES[np.clip((x / np.pi * 40).astype(int), 0, 39)], 1.0, 256.0),
+], ids=["a=1", "smooth", "rough"])
+def test_finite_volume_y_error_converges_at_order_two_against_the_contour_route(coeff):
+    # the contour semigroup gives U(., z) = phi(L, z) u exactly in z, with the
+    # x-operator the finite volumes use: with Dirichlet bottom u, lateral
+    # data 0 and top data phi(L, 1) u, the difference of the two fields is
+    # the y-error of the finite volumes alone, for any coefficient; at
+    # grading 3 it falls at order 2 in my
+    grid = BoxGrid.interval(0.0, np.pi, 257)
+    stepper = SemigroupStepper(coeff, grid)
+    x = grid.axes()[0]
+    u = GridFunction.from_callable(grid, lambda t: np.sqrt(np.abs(t - 1.3)) * np.sin(t))
+    for s in (0.25, 0.5, 0.75):
+        (top,), _ = extension_via_semigroup_multi(stepper, u, s, [1.0])
+        prob = ExtensionProblem(s=s, coeff=coeff, domain=(0.0, np.pi), Z=1.0,
+                                bottom=("dirichlet", lambda xq: np.interp(xq, x, u.values)),
+                                g_top=lambda xq: np.interp(xq, x, top.values))
+        errs = []
+        for my in (24, 48, 96):
+            state = solve_extension(prob, ExtensionMesh(nx=257, my=my, grading=3.0))
+            assert np.array_equal(state.x_axes[0], x)
+            levels, _ = extension_via_semigroup_multi(stepper, u, s, state.z_nodes[1:-1])
+            ref = np.array([level.values for level in levels])
+            errs.append(np.max(np.abs(state.values[1:-1] - ref)) / np.max(np.abs(u.values)))
+        order = np.log2(errs[1] / errs[2])
+        assert abs(order - 2.0) <= 0.1, (s, errs)

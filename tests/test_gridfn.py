@@ -39,7 +39,8 @@ def test_from_callable_zeroes_boundary():
 
 def test_binary_roundtrip_uniform(tmp_path):
     grid = BoxGrid.rectangle((0.0, -1.0), (2.0, 1.0), (7, 5))
-    u = GridFunction.from_callable(grid, lambda x, y: np.sin(x) * y, zero_boundary=False)
+    x, y = grid.meshgrid()
+    u = GridFunction(grid, np.sin(x) * y)
     p = tmp_path / "u.bin"
     u.to_binary(p)
     v = GridFunction.from_binary(p)
@@ -117,7 +118,7 @@ def test_binary_reader_fuzz(tail):
 
 def test_csv_roundtrip(tmp_path):
     grid = BoxGrid.interval(0.0, 1.0, 6)
-    u = GridFunction.from_callable(grid, lambda x: x**2, zero_boundary=False)
+    u = GridFunction(grid, grid.axes()[0] ** 2)
     p = tmp_path / "u.csv"
     u.to_csv(p)
     rows = p.read_text().strip().split("\n")
@@ -130,7 +131,8 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_2d_heads_both_x_axes(tmp_path):
     # a 2-D BoxGrid is the x-domain of L: x1, x2, no z
     grid = BoxGrid.rectangle((0.0, -1.0), (1.0, 1.0), (3, 4))
-    u = GridFunction.from_callable(grid, lambda x, y: x + 10.0 * y, zero_boundary=False)
+    x, y = grid.meshgrid()
+    u = GridFunction(grid, x + 10.0 * y)
     p = tmp_path / "u.csv"
     u.to_csv(p)
     rows = p.read_text().strip().split("\n")

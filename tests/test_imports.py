@@ -1,7 +1,9 @@
 """Source hygiene: every module-level import in the package and the tests is
 used, every private helper of the package is referenced by the package,
 every public function, class or method is used by a package module, listed
-in API_ONLY with its reason or read by the benchmark, only `semigroup`
+in API_ONLY with its reason or read by the benchmark, every defaulted
+parameter is set by a package or benchmark call or listed in DEFAULT_ONLY
+with its reason, only `semigroup`
 imports LAPACK, importing the package loads no scipy module (each is
 imported in the function that calls it), and every name the benchmark
 tracer hooks or the benchmark's tests read by name still resolves."""
@@ -113,10 +115,6 @@ API_ONLY = {
     "extension.ExtensionState.flux_trace":
         "the discrete d_z U at the trace, checked against exact fluxes by the tests; "
         "ROADMAP item 7's Hopf quotient reads it",
-    "geometry.MAGeometry.scale_point":
-        "the anisotropic dilation (x, z) -> (rho x, rho^{2s} z); tests/test_geometry.py "
-        "checks that it maps sections to sections",
-    "gridfn.GridFunction.sup_norm": "max |u|; tests bound extensions by it",
     "gridfn.GridFunction.to_csv": "grid-function output; tests/test_gridfn.py reads it back",
     "gridfn.GridFunction.to_binary":
         "grid-function output; tests/test_gridfn.py round-trips it with `from_binary`",
@@ -134,6 +132,106 @@ API_ONLY = {
     "regularity.campanato_iterate":
         "the inductive zoom; run by the benchmark's `campanato` cases and by tests",
 }
+
+
+# defaulted parameter below fracext -> why it stays although no call in a
+# package module or under perfbench/ sets it (a default no caller changes is a
+# constant, and a knob only a test turns is kept only for a reason)
+DEFAULT_ONLY = {
+    "semigroup.fractional_apply.quad":
+        "read by name by the benchmark tracer (TRACER_HOOKS); ROADMAP item 3 deletes it",
+    "semigroup.fractional_inverse.quad":
+        "read by name by the benchmark tracer (TRACER_HOOKS); ROADMAP item 3 deletes it",
+    "semigroup.extension_via_semigroup_multi.quad":
+        "read by name by the benchmark tracer (TRACER_HOOKS); ROADMAP item 3 deletes it",
+    "fitting.sup_fit.method":
+        "read by name by the benchmark tracer (TRACER_HOOKS); ROADMAP item 12 deletes it",
+    "barriers.BarrierCase2.__init__.alpha":
+        "tests build a barrier at a given alpha to check the search's smallest one",
+    "geometry.a_infinity_check.levels": "tests pass the depth of the shrinking subsets",
+    "geometry.quotient_check.samples": "the acceptance test samples twice as many points",
+    "regularity.campanato_iterate.depth": "tests run shorter zooms",
+    "regularity.harnack_quotient.kappa":
+        "tests vary the shrunken section; ROADMAP item 6 reports the quotient per kappa",
+    "benchmarks.x_derivative_scaling.kmodes":
+        "the Tier-1 test measures fewer scales on a coarser mesh",
+    "benchmarks.x_derivative_scaling.nx":
+        "the Tier-1 test measures fewer scales on a coarser mesh",
+    "benchmarks.x_derivative_scaling.my":
+        "the Tier-1 test measures fewer scales on a coarser mesh",
+    "benchmarks.z_decay_exponent.nx": "tests measure on a coarser mesh",
+    "benchmarks.z_decay_exponent.my": "tests measure on a coarser mesh",
+    "config.default_config.s": "tests pin the config hash of each kind at two orders s",
+    "cli.main.argv": "tests call the command line in-process; the console script passes none",
+}
+
+
+def _defaulted_parameters(path):
+    """`module.function.param` (`module.Class.method.param` for a method of a
+    module-level class) -> (the name a call uses, the class for `__init__`;
+    the index of the positional argument that sets it, None if keyword-only)."""
+    found = {}
+
+    def add(fn, qualname, callee, bound):
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        for i, arg in enumerate(args[first:], first):
+            found[f"{path.stem}.{qualname}.{arg.arg}"] = (callee, i - bound)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                found[f"{path.stem}.{qualname}.{arg.arg}"] = (callee, None)
+
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            add(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    add(item, f"{node.name}.{item.name}",
+                        node.name if item.name == "__init__" else item.name, 0 if static else 1)
+    return found
+
+
+def _unset_defaulted_parameters():
+    """The defaulted parameters that no call in a package module or under
+    perfbench/ sets, by keyword or position (a call with *args or **kwargs
+    may set any), matching calls by the callee's name as the public
+    definitions are matched."""
+    calls = {}
+    for path in sorted((ROOT / "src" / "fracext").glob("*.py")) + sorted(
+            (ROOT / "perfbench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, param, position):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, param) for k in call.keywords)
+                or position is not None and len(call.args) > position)
+
+    params = {}
+    for path in sorted((ROOT / "src" / "fracext").glob("*.py")):
+        params.update(_defaulted_parameters(path))
+    return {key for key, (callee, position) in params.items()
+            if not any(sets(call, key.rsplit(".", 1)[1], position)
+                       for call in calls.get(callee, []))}
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    found = sorted(_unset_defaulted_parameters() - DEFAULT_ONLY.keys())
+    assert not found, "defaulted parameters no package or benchmark call sets: " + ", ".join(found)
+
+
+def test_default_only_entries_are_defined_and_still_unset():
+    params = set().union(*(_defaulted_parameters(path)
+                           for path in sorted((ROOT / "src" / "fracext").glob("*.py"))))
+    unset = _unset_defaulted_parameters()
+    for entry in DEFAULT_ONLY:
+        assert entry in params, f"{entry} is not a defaulted parameter; drop it"
+        assert entry in unset, f"{entry} is set by the package or the benchmark now; drop it"
 
 
 def _public_definitions(path):
