@@ -46,6 +46,7 @@ the value array is allocated once the right-hand side is gone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from numbers import Integral
 
@@ -486,20 +487,16 @@ def _y_mode_solver(Ay, V, Ax):
     u = (S^{-1} P (x) I) w with (Ax + mu_k I) w_k = (P^T S^{-1} r)_k, one
     system of the interior x-size per y-mode.  Ay is negative definite, so
     every shift mu_k < 0 strengthens the diagonal of Ax; -Ax has nonnegative
-    row sums, so Ax + mu_k I is strictly diagonally dominant.  The pencil is
-    strongly graded (K_{1/2} / V_0 grows like y_1^{-2}); the implicit QL/QR
-    driver `stev` follows the grading and keeps the backward error small
-    where the default divide-and-conquer driver does not (0.18 against 6e-16
-    on a 33^2 x 28 mesh at s = 0.92).  Vectors are raveled level-major.
+    row sums, so Ax + mu_k I is strictly diagonally dominant.  No coefficient
+    or datum enters the pencil, so `_pencil_modes` factors each one once per
+    process.  Vectors are raveled level-major.
 
     `semigroup._shifted_solver` solves the stacked -Ax - mu_k I (the sign is
     in the input scaling, exactly); a shift mu_k >= 0, left by rounding in
     a pencil graded beyond double precision, raises LinAlgError.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     rs = 1.0 / np.sqrt(V)
-    mu, P = eigh_tridiagonal(Ay[1] * rs * rs, Ay[2] * rs[:-1] * rs[1:], lapack_driver="stev")
+    mu, P = _pencil_modes((Ay[1] * rs * rs).tobytes(), (Ay[2] * rs[:-1] * rs[1:]).tobytes())
     mode_solve = _shifted_solver(-Ax, -mu, "y-mode system {k} is singular or indefinite: its "
                                  "shift mu = {p:g} lost its sign to rounding")
 
@@ -513,6 +510,30 @@ def _y_mode_solver(Ay, V, Ax):
         return X.ravel()
 
     return solve
+
+
+@lru_cache(maxsize=64)
+def _pencil_modes(diag, off):
+    """(mu, P) with P diag(mu) P^T the symmetric tridiagonal matrix of the
+    float64 bytes diag and off: the scaled y-pencil of `_y_mode_solver`, which
+    is strongly graded (K_{1/2} / V_0 grows like y_1^{-2}).  The implicit QL/QR
+    driver `stev` follows the grading: the divide-and-conquer `stevd` left a
+    backward error of 0.18 against 6e-16 on a 33^2 x 28 mesh at s = 0.92, and
+    scipy's default, MRRR `stemr`, 4-5x faster at my = 192, leaves ||P^T P -
+    I|| at 1e-13 to 2.4e-13 against 2.4e-15 to 3.7e-15 (my 96-192, s = 0.05
+    and 0.48), too much to trade for a factorization made once per pencil.
+
+    Memoized on the bytes, arrays read-only: the solves on one y-mesh (s, Z,
+    my, grading, bottom) share its modes bit for bit.  P holds my^2 doubles:
+    295 KB at my = 192, 128 MiB at the config's cap my = 4096.  Counts obs
+    extension.pencil_factorizations per factorization made (a hit counts none).
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    obs.count("extension.pencil_factorizations")
+    mu, P = eigh_tridiagonal(np.frombuffer(diag), np.frombuffer(off), lapack_driver="stev")
+    mu.flags.writeable = P.flags.writeable = False
+    return mu, P
 
 
 # bytes of solution in one block of levels: its backward-error pass makes

@@ -508,8 +508,11 @@ def engulfing_check(geom: MAGeometry, samples=10_000, seed=0):
     that the inner cube/section of radius tau still fits inside the outer one
     is computed exactly; the report gives the lower-envelope constants
     (C, p) with C (r2-r1)^p t <= tau over every sample, so violations at the
-    reported constants are zero by construction.
+    reported constants are zero by construction.  ValueError naming samples
+    below 2: the exponent line needs two points.
     """
+    if not samples >= 2:
+        raise ValueError(f"engulfing_check fits a line: samples must be >= 2, got {samples!r}")
     n = geom.n
     rng = np.random.default_rng(seed)
     r2 = rng.uniform(0.05, 1.0, samples)

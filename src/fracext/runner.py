@@ -333,10 +333,11 @@ def _run_schauder(cfg, outdir):
         errs = [row["E"] for row in report.scales]
         ok = max(errs) < TOLERANCES["polynomial_error"]
         reference = None
-    details = {**asdict(report), "target": reference}
+    fields = asdict(report)
+    details = {**fields, "target": reference}
     outputs = []
     jsonp = os.path.join(outdir, "decay_report.json")
-    write_json(jsonp, asdict(report))
+    write_json(jsonp, fields)
     csvp = os.path.join(outdir, "decay_report.csv")
     write_csv(csvp, ["j", "r", "nodes", "sup_error"],
               [(row["j"], row["r"], row["nodes"], row["E"]) for row in report.scales])

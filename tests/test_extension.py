@@ -661,14 +661,61 @@ def test_extension_solves_count_their_work(n, bottom, nx, my):
     # levels x interior x-nodes unknowns, one y-mode per level, and the
     # fewest equal blocks of at most _BLOCK_BYTES (4 at 1025 x 64, 1 in 2-D)
     prob = _DATA_CASES["polynomial"](n, bottom)
+    extension._pencil_modes.cache_clear()
     with obs.recording() as counts:
         state = solve_extension(prob, ExtensionMesh(nx=nx, my=my))
     nl = my if bottom == "neumann" else my - 1
     nxi = int(np.prod(np.subtract(nx, 2)))
     assert {k: v for k, v in counts.items() if k.startswith("extension.")} == {
         "extension.solves": 1, "extension.unknowns": nl * nxi, "extension.y_modes": nl,
-        "extension.level_blocks": 4 if n == 1 else 1,
+        "extension.level_blocks": 4 if n == 1 else 1, "extension.pencil_factorizations": 1,
         "extension.refinements_kept": int(state.meta["refinement_kept"])}
+
+
+@pytest.mark.parametrize("bottom", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_solves_on_one_y_mesh_share_one_pencil_factorization(n, bottom):
+    # no coefficient or datum enters the y-pencil: a second problem on the
+    # same (s, Z, my, grading, bottom) factors nothing, and its field has the
+    # bits of the same solve with the pencil factored afresh
+    if n == 1:
+        first = _variable_1d_problem(0.4, 0.5, 1.5, 2.0, bottom)
+        second = _variable_1d_problem(0.4, 0.8, 3.0, 5.0, bottom)
+        mesh = ExtensionMesh(nx=49, my=20)
+    else:
+        first = _variable_2d_problem(0.4, 13, 11, 0.3, 2.0, bottom)
+        second = _variable_2d_problem(0.4, 13, 11, 0.2, 3.0, bottom)
+        mesh = ExtensionMesh(nx=(13, 11), my=12)
+    second = dataclasses.replace(second, bottom=(bottom, lambda *x: 2.0 + x[0]),
+                                 F=lambda *xz: np.sin(xz[0]) * xz[-1],
+                                 g_top=lambda *x: 1.0 - x[0])
+    extension._pencil_modes.cache_clear()
+    solve_extension(first, mesh)
+    with obs.recording() as counts:
+        reused = solve_extension(second, mesh)
+    assert counts["extension.pencil_factorizations"] == 0
+    extension._pencil_modes.cache_clear()
+    with obs.recording() as counts:
+        fresh = solve_extension(second, mesh)
+    assert counts["extension.pencil_factorizations"] == 1
+    for got, ref in ((reused.values, fresh.values),
+                     (reused.residual_interior, fresh.residual_interior),
+                     (reused.residual_bottom, fresh.residual_bottom),
+                     (reused.meta["flux_trace_fv"], fresh.meta["flux_trace_fv"])):
+        assert np.array_equal(got, ref)
+
+
+def test_pencil_modes_are_read_only():
+    # every solve on the y-mesh is handed the same arrays
+    d, e = np.array([-3.0, -2.0, -2.5]), np.array([1.0, 0.5])
+    mu, P = extension._pencil_modes(d.tobytes(), e.tobytes())
+    assert extension._pencil_modes(d.tobytes(), e.tobytes())[1] is P
+    assert np.allclose(P @ np.diag(mu) @ P.T, np.diag(d) + np.diag(e, 1) + np.diag(e, -1),
+                       rtol=0.0, atol=1e-14)
+    for arr in (mu, P):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def _traced_peak(fn):

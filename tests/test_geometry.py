@@ -1,5 +1,7 @@
 """Geometry module: closed-form identities, section machinery, empirical checks."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -352,6 +354,16 @@ def test_engulfing_no_violations():
         assert rep["violations"] == 0
         assert rep["C0_hat"] > 0 and rep["C1_hat"] > 0
         assert rep["p0_hat"] >= 1.0 and rep["p1_hat"] >= 1.0
+
+
+@pytest.mark.parametrize("samples", [1, 0])
+def test_engulfing_check_refuses_fewer_than_two_samples(samples):
+    # the exponent line is fitted through the samples: one point fixes no slope
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"samples must be >= 2, got {samples}"):
+            engulfing_check(MAGeometry(0.3), samples=samples)
+    assert engulfing_check(MAGeometry(0.3), samples=2)["samples"] == 2
 
 
 def test_engulfing_quadratic_exact_constants():
