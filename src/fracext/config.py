@@ -255,7 +255,10 @@ class ExperimentConfig:
         return self.data["setup"]
 
     def canonical_bytes(self) -> bytes:
-        return json.dumps(self.data, sort_keys=True, separators=(",", ":")).encode()
+        """The hash input: the data with `output_dir` at its default "." (where
+        a run writes is not part of the experiment), compact, keys sorted."""
+        return json.dumps({**self.data, "output_dir": "."}, sort_keys=True,
+                          separators=(",", ":")).encode()
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
@@ -287,6 +290,11 @@ def validate(raw: dict) -> ExperimentConfig:
         if kind == "end-to-end" and gamma == math.floor(gamma):
             errors.append(f"setup.alpha: end-to-end needs setup.alpha + 2 setup.s off the "
                           f"integers, where C^(2s+alpha) has no Hoelder part; got {gamma:g}")
+        if kind == "schauder-decay" and prob["benchmark"] == "kinked":
+            case = prob["case"]
+            if not case - 1 < gamma < case:
+                errors.append(f"setup.alpha: kinked schauder-decay case {case} needs "
+                              f"{case - 1} < setup.alpha + 2 setup.s < {case}; got {gamma:g}")
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(sorted(errors)))
     return ExperimentConfig(top)

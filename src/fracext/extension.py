@@ -354,12 +354,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     Y, y, K, Vw = _y_cells(problem.Z, s, mesh)
     my = mesh.my
     two_s = 2.0 * s
-    pw = 2.0 - two_s
     to_flux = two_s ** (1.0 - two_s)
-
-    # mesh-resolution heuristic: the first cell should not carry more than
-    # 4x the average weight mass, else the grading is too weak for this s
-    coarse_flag = bool(Vw[0] > 4.0 * (Y**pw / pw) / my)
 
     Ax, Bx = x_operator(problem.coeff, axes)
     nxi = Ax.shape[0]
@@ -434,16 +429,13 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     flux_fv = (_dz_factor(s) * ft_read).reshape(Xint[0].shape)
 
     meta = {
-        "mode": "transformed",
         "bottom": kind,
         "grading": mesh.y_grading(s),
         "x_grading": mesh.x_grading,
-        "coarse_weight_flag": coarse_flag,
         "Y": float(Y),
         "Z": float(problem.Z),
         "trace_flux_factor": to_flux,
         "flux_trace_fv": flux_fv,
-        "linear_solver": "y-mode-diagonalization",
         "refinement_kept": refined,
     }
     obs.count("extension.solves")

@@ -11,10 +11,8 @@ Binary grid format (little-endian, documented for external consumers):
     uint32      format version (1)
     uint32      ndim
     uint32[nd]  shape (nodes per axis)
-    uint32      axes mode: 0 = uniform (lower/upper corners follow),
-                           1 = explicit (each axis's coordinates follow)
-    mode 0:     float64[nd] lower corners, float64[nd] upper corners
-    mode 1:     float64[shape[k]] coordinates for k = 0..nd-1
+    uint32      axes mode (1 = explicit coordinates; any other is refused)
+    float64[m]  coordinates of axis k = 0..nd-1 in turn, m = shape[k]
     uint32      dtype tag (0 = float64)
     float64[*]  values, row-major (C order)
 """
@@ -87,10 +85,6 @@ class GridFunction:
         self.values = values
 
     @staticmethod
-    def zeros(grid):
-        return GridFunction(grid, np.zeros(grid.shape))
-
-    @staticmethod
     def from_callable(grid, fn):
         """fn at the nodes, with the boundary nodes set to 0 (Dirichlet data)."""
         gf = GridFunction(grid, np.asarray(fn(*grid.meshgrid()), dtype=float))
@@ -99,25 +93,6 @@ class GridFunction:
 
     def interior(self):
         return self.values[self.grid.interior_mask()]
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_csv(self, path):
-        """One row per node: x1[, x2], value."""
-        axes = self.grid.axes()
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cols = [m.ravel() for m in mesh] + [self.values.ravel()]
-        write_csv(path, [f"x{i + 1}" for i in range(self.grid.ndim)] + ["value"], zip(*cols))
-
-    def to_binary(self, path):
-        write_grid_binary(path, self.values, los=self.grid.los, his=self.grid.his)
-
-    @staticmethod
-    def from_binary(path):
-        values, los, his, axes = read_grid_binary(path)
-        if axes is not None:
-            raise ValueError("file stores explicit axes; use read_grid_binary directly")
-        return GridFunction(BoxGrid(los, his, values.shape), values)
 
 
 def write_json(path, payload):
@@ -136,36 +111,28 @@ def write_csv(path, header, rows):
                               for v in row) + "\n")
 
 
-def write_grid_binary(path, values, los=None, his=None, axes=None):
-    """Write a tensor-grid array in the documented binary format.
-
-    Pass either (los, his) for a uniform grid or explicit per-axis
-    coordinate arrays.
-    """
+def write_grid_binary(path, values, axes):
+    """Write a tensor-grid array and its per-axis coordinates in the
+    documented binary format."""
     values = np.asarray(values, dtype=float)
     nd = values.ndim
+    if len(axes) != nd or any(len(a) != m for a, m in zip(axes, values.shape)):
+        raise ValueError("axes do not match value shape")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", nd))
         fh.write(struct.pack(f"<{nd}I", *values.shape))
-        if axes is None:
-            fh.write(struct.pack("<I", 0))
-            fh.write(struct.pack(f"<{nd}d", *los))
-            fh.write(struct.pack(f"<{nd}d", *his))
-        else:
-            if len(axes) != nd or any(len(a) != m for a, m in zip(axes, values.shape)):
-                raise ValueError("axes do not match value shape")
-            fh.write(struct.pack("<I", 1))
-            for a in axes:
-                fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+        fh.write(struct.pack("<I", 1))  # axes mode: explicit coordinates
+        for a in axes:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
         fh.write(struct.pack("<I", 0))  # dtype tag: float64
         # the array's own buffer, no bytes copy of the field
         fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def read_grid_binary(path):
-    """Read the binary grid format; returns (values, los, his, axes).
+    """Read the binary grid format; returns (values, axes).
 
     Every field's length is checked against the bytes left in the file before
     it is decoded, so a short file raises ValueError("truncated grid binary").
@@ -189,16 +156,11 @@ def read_grid_binary(path):
     nd, = struct.unpack("<I", take(4))
     shape = struct.unpack(f"<{nd}I", take(4 * nd))
     mode, = struct.unpack("<I", take(4))
-    los = his = axes = None
-    if mode == 0:
-        los = struct.unpack(f"<{nd}d", take(8 * nd))
-        his = struct.unpack(f"<{nd}d", take(8 * nd))
-    elif mode == 1:
-        axes = [np.frombuffer(take(8 * m), dtype="<f8").copy() for m in shape]
-    else:
+    if mode != 1:
         raise ValueError(f"unsupported axes mode {mode}")
+    axes = [np.frombuffer(take(8 * m), dtype="<f8").copy() for m in shape]
     tag, = struct.unpack("<I", take(4))
     if tag != 0:
         raise ValueError(f"unsupported dtype tag {tag}")
     values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-    return values, los, his, axes
+    return values, axes

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -190,9 +191,11 @@ def test_choices_hash_one_config_one_way():
     assert cfg.config_hash() == validate(
         {"experiment": "geometry-check", "problem": {"dimension": 2}}).config_hash()
     for kind, path, value in (("barrier-check", "problem.case", 1),
-                              ("schauder-decay", "problem.case", 3),
                               ("schauder-decay", "problem.benchmark", "harmonic")):
         assert validate(_raw_with(kind, path, value))
+    # case 3 where no alpha + 2s is fitted (the kinked default's 1.5 is outside (2, 3))
+    assert validate({"experiment": "schauder-decay",
+                     "problem": {"case": 3, "benchmark": "harmonic"}})
 
 
 def test_config_roundtrip_canonicalization(tmp_path):
@@ -484,6 +487,38 @@ def test_end_to_end_refuses_an_integer_alpha_plus_2s(s, refused):
         return
     with pytest.raises(ConfigError, match="setup.alpha: .*setup.alpha \\+ 2 setup.s"):
         validate(raw)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.75, 0.9])
+def test_kinked_decay_refuses_alpha_plus_2s_outside_its_case(s):
+    # the default case 2 at alpha = 0.5 measures a decay exponent in (1, 2);
+    # the other benchmarks fit no alpha + 2s and take any case
+    raw = default_raw("schauder-decay", s)
+    assert (raw["setup"].get("alpha", 0.5), raw["problem"].get("case", 2)) == (0.5, 2)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"setup.alpha: kinked schauder-decay case 2 needs 1 < setup.alpha + 2 setup.s "
+            f"< 2; got {0.5 + 2 * s:g}")):
+        validate(raw)
+    raw["problem"]["benchmark"] = "harmonic"
+    assert validate(raw).setup["s"] == s
+
+
+def test_config_hash_leaves_out_the_output_dir(tmp_path):
+    # one experiment run into two directories: one config_hash in both
+    # manifests, the default-directory config's, and byte-identical plots
+    # (the hash is the SVG's metadata comment)
+    hashes = []
+    for name in ("a", "b"):
+        raw = default_raw("solve-extension")
+        raw["problem"].update(nx=17, my=8)
+        raw["emit_plots"] = True
+        digest = validate(raw).config_hash()
+        raw["output_dir"] = str(tmp_path / name)
+        run(validate(raw))
+        hashes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"])
+    assert hashes == [digest, digest]
+    assert (tmp_path / "a" / "extension_state.svg").read_bytes() == \
+        (tmp_path / "b" / "extension_state.svg").read_bytes()
 
 
 def test_svg_empty_ladder_and_reference_slope(tmp_path):

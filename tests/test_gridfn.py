@@ -1,4 +1,4 @@
-"""Grid containers and the documented CSV / binary serialization."""
+"""Grid containers, the JSON writer and the documented binary grid format."""
 
 import ast
 import json
@@ -37,27 +37,26 @@ def test_from_callable_zeroes_boundary():
     assert u.values[4] == pytest.approx(np.cos(grid.axes()[0][4]))
 
 
-def test_binary_roundtrip_uniform(tmp_path):
-    grid = BoxGrid.rectangle((0.0, -1.0), (2.0, 1.0), (7, 5))
-    x, y = grid.meshgrid()
-    u = GridFunction(grid, np.sin(x) * y)
-    p = tmp_path / "u.bin"
-    u.to_binary(p)
-    v = GridFunction.from_binary(p)
-    assert v.grid == grid
-    assert np.array_equal(v.values, u.values)
-
-
 def test_binary_roundtrip_explicit_axes(tmp_path):
     axes = [np.array([0.0, 0.1, 0.5, 1.5]), np.linspace(0, 1, 6)]
     vals = np.arange(24, dtype=float).reshape(4, 6)
     p = tmp_path / "grid.bin"
-    write_grid_binary(p, vals, axes=axes)
-    out, los, his, axes_out = read_grid_binary(p)
-    assert los is None and his is None
+    write_grid_binary(p, vals, axes)
+    out, axes_out = read_grid_binary(p)
     assert np.array_equal(out, vals)
     for a, b in zip(axes, axes_out):
         assert np.array_equal(a, b)
+
+
+def test_binary_reader_refuses_uniform_corner_mode(tmp_path):
+    # axes mode 0 (lower and upper corners in place of the coordinates) has
+    # no writer; a well-formed mode-0 file is refused by its mode word
+    p = tmp_path / "uniform.bin"
+    p.write_bytes(b"FXGB" + struct.pack("<4I", 1, 2, 3, 4) + struct.pack("<I", 0)
+                  + struct.pack("<4d", 0.0, -1.0, 2.0, 1.0) + struct.pack("<I", 0)
+                  + np.zeros(12).tobytes())
+    with pytest.raises(ValueError, match="unsupported axes mode 0"):
+        read_grid_binary(p)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided", "big-endian", "int"])
@@ -70,16 +69,13 @@ def test_binary_bytes_equal_the_documented_encoding(tmp_path, layout):
     passed = {"C": vals, "F": np.asfortranarray(vals), "strided": np.repeat(vals, 2, 1)[:, ::2],
               "big-endian": vals.astype(">f8"), "int": np.arange(24).reshape(4, 6)}[layout]
     expected_vals = np.asarray(passed, dtype=float)
-    for kwargs, header in (({"axes": axes}, struct.pack("<I", 1) + b"".join(
-                                np.asarray(a, "<f8").tobytes() for a in axes)),
-                           ({"los": (0.0, -1.0), "his": (2.0, 1.0)},
-                            struct.pack("<I", 0) + struct.pack("<2d", 0.0, -1.0)
-                            + struct.pack("<2d", 2.0, 1.0))):
-        p = tmp_path / f"{layout}.bin"
-        write_grid_binary(p, passed, **kwargs)
-        assert p.read_bytes() == (b"FXGB" + struct.pack("<I", 1) + struct.pack("<I", 2)
-                                  + struct.pack("<2I", 4, 6) + header + struct.pack("<I", 0)
-                                  + np.ascontiguousarray(expected_vals, "<f8").tobytes())
+    p = tmp_path / f"{layout}.bin"
+    write_grid_binary(p, passed, axes)
+    assert p.read_bytes() == (b"FXGB" + struct.pack("<I", 1) + struct.pack("<I", 2)
+                              + struct.pack("<2I", 4, 6) + struct.pack("<I", 1)
+                              + b"".join(np.asarray(a, "<f8").tobytes() for a in axes)
+                              + struct.pack("<I", 0)
+                              + np.ascontiguousarray(expected_vals, "<f8").tobytes())
 
 
 def test_binary_rejects_garbage(tmp_path):
@@ -92,14 +88,13 @@ def test_binary_rejects_garbage(tmp_path):
 def test_binary_truncated_at_every_offset(tmp_path):
     p = tmp_path / "u.bin"
     cut = tmp_path / "cut.bin"
-    for kwargs in ({"los": (0.0, -1.0), "his": (2.0, 1.0)},
-                   {"axes": [np.array([0.0, 0.1, 0.5]), np.linspace(0, 1, 4)]}):
-        write_grid_binary(p, np.arange(12, dtype=float).reshape(3, 4), **kwargs)
-        data = p.read_bytes()
-        for n in range(len(data)):
-            cut.write_bytes(data[:n])
-            with pytest.raises(ValueError, match="truncated grid binary"):
-                read_grid_binary(cut)
+    write_grid_binary(p, np.arange(12, dtype=float).reshape(3, 4),
+                      [np.array([0.0, 0.1, 0.5]), np.linspace(0, 1, 4)])
+    data = p.read_bytes()
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(ValueError, match="truncated grid binary"):
+            read_grid_binary(cut)
 
 
 @given(st.binary(max_size=200))
@@ -114,32 +109,6 @@ def test_binary_reader_fuzz(tail):
             read_grid_binary(p)
         except ValueError:
             pass
-
-
-def test_csv_roundtrip(tmp_path):
-    grid = BoxGrid.interval(0.0, 1.0, 6)
-    u = GridFunction(grid, grid.axes()[0] ** 2)
-    p = tmp_path / "u.csv"
-    u.to_csv(p)
-    rows = p.read_text().strip().split("\n")
-    assert rows[0] == "x1,value"
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    assert np.allclose(data[:, 0], grid.axes()[0])
-    assert np.allclose(data[:, 1], u.values)
-
-
-def test_csv_2d_heads_both_x_axes(tmp_path):
-    # a 2-D BoxGrid is the x-domain of L: x1, x2, no z
-    grid = BoxGrid.rectangle((0.0, -1.0), (1.0, 1.0), (3, 4))
-    x, y = grid.meshgrid()
-    u = GridFunction(grid, x + 10.0 * y)
-    p = tmp_path / "u.csv"
-    u.to_csv(p)
-    rows = p.read_text().strip().split("\n")
-    assert rows[0] == "x1,x2,value"
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    assert data.shape == (12, 3)
-    assert np.allclose(data[:, 2], data[:, 0] + 10.0 * data[:, 1])
 
 
 class _JsonWriters(ast.NodeVisitor):

@@ -69,13 +69,20 @@ def _private_definitions(path):
 
 
 def _referenced_names(path):
+    """The names `path` uses: every name, every attribute but those of a
+    module the file binds by `import` (`np.zeros` uses numpy's `zeros`, not a
+    package definition of that name), and every name imported from a module."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names |= {alias.name for alias in node.names}
     return names
@@ -115,11 +122,8 @@ API_ONLY = {
     "extension.ExtensionState.flux_trace":
         "the discrete d_z U at the trace, checked against exact fluxes by the tests; "
         "ROADMAP item 7's Hopf quotient reads it",
-    "gridfn.GridFunction.to_csv": "grid-function output; tests/test_gridfn.py reads it back",
-    "gridfn.GridFunction.to_binary":
-        "grid-function output; tests/test_gridfn.py round-trips it with `from_binary`",
-    "gridfn.GridFunction.from_binary":
-        "grid-function input; tests/test_gridfn.py round-trips it with `to_binary`",
+    "gridfn.read_grid_binary":
+        "reads the `.bin` of `ExtensionState.save`; tests round-trip saved states through it",
     "obs.recording":
         "collects the counters the layers report (ROADMAP item 3 writes them into the "
         "manifest); tests/test_geometry.py reads the endpoint counters through it",

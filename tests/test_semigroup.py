@@ -444,7 +444,7 @@ def test_1d_fractional_powers_never_diagonalize(monkeypatch):
 def test_fractional_apply_zero():
     for st in (_stepper_1d(N=64), _stepper_2d(CoefficientField.identity(2), 9)):
         for op in (fractional_apply, fractional_inverse):
-            out, _ = op(st, GridFunction.zeros(st.grid), 0.5)
+            out, _ = op(st, GridFunction(st.grid, np.zeros(st.grid.shape)), 0.5)
             assert np.max(np.abs(out.values)) == 0.0
 
 
