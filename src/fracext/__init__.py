@@ -12,9 +12,8 @@ from .geometry import MAGeometry, SectionDescriptor
 from .gridfn import BoxGrid, GridFunction
 from .semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                         ds_constant, fractional_apply, fractional_inverse)
-from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
-                        reflect_even, rescale_solution, solve_extension,
-                        transform_to_y, transform_to_z)
+from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState, rescale_solution,
+                        solve_extension, transform_to_y, transform_to_z)
 from .barriers import (BarrierCase1, BarrierCase2, inf_convolution,
                        search_case2_parameters, slide_paraboloids, touch_test)
 from .regularity import (campanato_iterate, harnack_quotient, holder_seminorm,
@@ -27,8 +26,8 @@ __all__ = [
     "BoxGrid", "GridFunction",
     "CoefficientField", "QuadratureSpec", "SemigroupStepper", "ds_constant",
     "fractional_apply", "fractional_inverse",
-    "ExtensionMesh", "ExtensionProblem", "ExtensionState", "reflect_even",
-    "rescale_solution", "solve_extension", "transform_to_y", "transform_to_z",
+    "ExtensionMesh", "ExtensionProblem", "ExtensionState", "rescale_solution", "solve_extension",
+    "transform_to_y", "transform_to_z",
     "BarrierCase1", "BarrierCase2", "inf_convolution", "search_case2_parameters",
     "slide_paraboloids", "touch_test",
     "campanato_iterate", "harnack_quotient", "holder_seminorm", "schauder_decay",

@@ -90,8 +90,10 @@ class _ExponentialBarrier:
         g = self.geom
         z = np.asarray(z, dtype=float)
         D = g.hp(z) - g.hp(self.z0) - self.h_eps_prime(z)
-        return (2.0 * dphi + z ** (2.0 - 1.0 / g.s) * D * D,
-                (self.n + 1) * (1.0 - 2.0 * self.psi(z)))
+        # at small s z^{2-1/s} overflows near z = 0, where D -> -h'(z0) != 0: P = +inf
+        with np.errstate(over="ignore"):
+            return (2.0 * dphi + z ** (2.0 - 1.0 / g.s) * D * D,
+                    (self.n + 1) * (1.0 - 2.0 * self.psi(z)))
 
     def _exponent(self, x, z):
         return self.geom.delta_phi(self.x0, x) + self.geom.delta_h(self.z0, z) - self.h_eps(z)
@@ -113,7 +115,9 @@ class _ExponentialBarrier:
         a, slope = self.alpha, self.slope_coefficient
         xs, zs = sample_annulus(self.geom, self.x0, self.z0, self.R, self.rho, samples, seed)
         P, Q = self.bracket_terms(self.geom.delta_phi(self.x0, xs), zs)
-        bracket, log_weight = a * P - Q, np.log(a) - a * self._exponent(xs, zs)
+        with np.errstate(over="ignore"):  # a P = +inf where P is, or overflows
+            bracket = a * P - Q
+        log_weight = np.log(a) - a * self._exponent(xs, zs)
         return {"operator_min": float(np.min(np.exp(log_weight) * bracket)),
                 "bracket_min": float(np.min(bracket)),
                 "log_operator_min": float(np.min(log_weight + np.log(bracket)))

@@ -144,11 +144,7 @@ def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
         r = 2.0 / kmode**2
         combo = HarmonicCombo(s, const=0.0, modes=[(1.0, kmode, 0.0)])
         Zk = transform_to_z(3.0 / kmode, s)
-        prob = ExtensionProblem(s=s, coeff=CoefficientField.identity(1),
-                                domain=(-4.0 / kmode, 4.0 / kmode), Z=Zk,
-                                bottom=("neumann", 0.0),
-                                g_lateral=lambda x, z: combo(x, z),
-                                g_top=lambda x, Zk=Zk: combo(x, Zk))
+        prob = harmonic_combo_problem(s, combo, domain=(-4.0 / kmode, 4.0 / kmode), Z=Zk)
         st = solve_extension(prob, ExtensionMesh(nx=nx, my=my))
         xs = st.x_axes[0]
         inner, outer = (SectionDescriptor((0.0,), 0.0, R, "cylinder", geom.c_s * R).contains(

@@ -286,6 +286,14 @@ def validate(raw: dict) -> ExperimentConfig:
             errors.append("problem.quadrature.t_max: must exceed t_min")
         if kind == "barrier-check":
             errors += _barrier_errors(setup["s"], prob)
+        # sin(k x) vanishes on every node of (0, pi) cut into k cells, and aliases on fewer
+        key = {"fractional-apply": "grid_points", "end-to-end": "grid_points",
+               "solve-extension": "nx"}.get(kind)
+        cells = prob["nx"] - 1 if key == "nx" else prob.get(key)
+        if key and prob["k"] >= cells:
+            errors.append(f"problem.k: must be below the {cells} cells that problem.{key} gives, "
+                          f"where sin(k x) vanishes on every node or aliases to a lower mode; "
+                          f"got {prob['k']}")
         gamma = setup["alpha"] + 2.0 * setup["s"]
         if kind == "end-to-end" and gamma == math.floor(gamma):
             errors.append(f"setup.alpha: end-to-end needs setup.alpha + 2 setup.s off the "

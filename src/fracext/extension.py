@@ -231,7 +231,7 @@ class ExtensionState:
     """
 
     def __init__(self, s, x_axes, y_nodes, values, residual_interior, residual_bottom,
-                 meta=None, reflected=False):
+                 meta=None):
         self.s = s
         self.x_axes = [np.asarray(a, dtype=float) for a in x_axes]
         self.y_nodes = np.asarray(y_nodes, dtype=float)
@@ -240,7 +240,6 @@ class ExtensionState:
         self.residual_interior = float(residual_interior)
         self.residual_bottom = float(residual_bottom)
         self.meta = dict(meta or {})
-        self.reflected = bool(reflected)
         self._geom = MAGeometry(s)
         self._eta = self._geom.h(self.z_nodes)
 
@@ -253,26 +252,18 @@ class ExtensionState:
         return self.values[0]
 
     def node_points(self):
-        """Flat node coordinates and values, honoring reflection.
-
-        Returns (xs, z, v): xs is a list of flat coordinate arrays (one per
-        x-axis), z and v flat arrays of the same length.
-        """
-        zs = self.z_nodes
-        vals = self.values
-        if self.reflected:
-            zs = np.concatenate([-zs[::-1], zs[1:]])
-            vals = np.concatenate([vals[::-1], vals[1:]], axis=0)
-        mesh = np.meshgrid(zs, *self.x_axes, indexing="ij")
-        return [m.ravel() for m in mesh[1:]], mesh[0].ravel(), vals.ravel()
+        """(x, z, v): the nodes and their values, flat; x has shape (N,) for
+        n = 1 and (N, n) otherwise."""
+        z, *xs = (m.ravel() for m in np.meshgrid(self.z_nodes, *self.x_axes, indexing="ij"))
+        return (xs[0] if self.n == 1 else np.stack(xs, axis=-1)), z, self.values.ravel()
 
     def values_at(self, x, z):
         """Interpolated U, bilinear in (x, h-coordinate); x shape (...,) for
         n=1 or (..., 2).  Queries must be finite and stay inside the grid
-        (1e-12 relative slack at the edges); |z| is used on reflected states."""
+        (1e-12 relative slack at the edges), z >= 0."""
         z = np.asarray(z, dtype=float)
-        if not self.reflected and np.any(z < -1e-300):
-            raise ValueError("state is not reflected; z must be nonnegative")
+        if np.any(z < -1e-300):
+            raise ValueError("the state lives on the half-space z >= 0; z must be nonnegative")
         x = np.asarray(x, dtype=float)
         axes = (self._eta, *self.x_axes)
         qs = (self._geom.h(z), *([x] if self.n == 1 else [x[..., i] for i in range(self.n)]))
@@ -321,7 +312,6 @@ class ExtensionState:
             "s": self.s,
             "residual_interior": self.residual_interior,
             "residual_bottom": self.residual_bottom,
-            "reflected": self.reflected,
             "meta": {k: v for k, v in self.meta.items() if _json_ok(v)},
         }
         write_json(path_prefix + ".json", sidecar)
@@ -615,15 +605,7 @@ def _checked_solve(A, rhs, solve):
     return sol, err, False
 
 
-# -- even reflection and anisotropic rescaling -------------------------------------------
-
-
-def reflect_even(state: ExtensionState) -> ExtensionState:
-    """Even reflection across {z = 0}: node enumeration gains the z < 0 mirror."""
-    out = ExtensionState(state.s, state.x_axes, state.y_nodes, state.values,
-                         state.residual_interior, state.residual_bottom,
-                         dict(state.meta), reflected=True)
-    return out
+# -- anisotropic rescaling -----------------------------------------------------------------
 
 
 def rescale_solution(state: ExtensionState, rho) -> ExtensionState:
@@ -646,7 +628,7 @@ def rescale_solution(state: ExtensionState, rho) -> ExtensionState:
     meta["data_transform"] = "a(rho x), rho^{2s} f(rho x), rho^2 F(rho x, rho^{2s} z)"
     return ExtensionState(s, [ax / rho for ax in state.x_axes], state.y_nodes / rho,
                           state.values.copy(), state.residual_interior,
-                          state.residual_bottom, meta, reflected=state.reflected)
+                          state.residual_bottom, meta)
 
 
 # -- exact solutions used as oracles -----------------------------------------------------

@@ -54,9 +54,14 @@ def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta):
 
 
 def holder_seminorm_state(geom, state: ExtensionState, center, R, beta):
-    """Seminorm of a solved state restricted to the section S_R(center)."""
-    x, z, v = _flat_nodes(state)
+    """Seminorm of a solved state restricted to the section S_R(center), a
+    ValueError if it holds no node.  It is its even reflection's too: with
+    t > 0, delta_h(-z, t) = delta_h(z, t) + 2 h'(z) t and delta_h(-z, -t) =
+    delta_h(z, t), so no pair across z = 0 beats its twin pair."""
+    x, z, v = state.node_points()
     member = SectionDescriptor(center[0], center[1], R).contains(geom, x, z)
+    if not member.any():
+        raise ValueError("section S_R contains no grid nodes")
     return holder_seminorm(geom, x[member], z[member], v[member], beta)
 
 
@@ -78,18 +83,14 @@ def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R,
                      kappa=0.5) -> HarnackReport:
     """sup / inf over the shrunken section S_{kappa R}, 0 < kappa < 1.
 
-    The state must be nonnegative on S_R (use the even reflection for
-    symmetric solutions) and solve a problem with f = F = 0, so the data
-    terms ||f|| R^s + ||F|| R of the denominator vanish.
+    The state must be nonnegative on S_R and solve a problem with f = F = 0,
+    so the data terms ||f|| R^s + ||F|| R of the denominator vanish.  It is
+    the quotient of the even reflection across z = 0 too: with t > 0,
+    delta_h(z0, -t) = delta_h(z0, t) + 2 h'(z0) t >= delta_h(z0, t), so a
+    mirrored node lies in a section only if its twin does.
     """
-    x, z, v = _flat_nodes(state)
+    x, z, v = state.node_points()
     return _HarnackSections(geom, x, z, center, R, kappa).report(v)
-
-
-def _flat_nodes(state: ExtensionState):
-    """(x, z, v) of state.node_points() with x stacked to (N, n) for n > 1."""
-    xs, z, v = state.node_points()
-    return (xs[0] if len(xs) == 1 else np.stack(xs, axis=-1)), z, v
 
 
 class _HarnackSections:
@@ -131,11 +132,8 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     is sampled, not solved, on a grid of its own: (mesh.nx - 1) refine + 1
     x-nodes and mesh.my refine geometric z-levels plus the trace z = 0, over
     S_R(0) x S_R(0)^+ widened by 5%; `refine` is what the stability check
-    varies.  The quotients are those of the reflected grid, levels -z and z,
-    but delta_Phi((0, 0), .) and every member are even in z, so a mirrored
-    node lies in a section exactly when its z >= 0 twin does and holds the
-    same value: the sections are found once for the family on the half grid
-    z >= 0, and each member is evaluated and reduced there.
+    varies.  The sections are found once for the family; by the inequality in
+    `harnack_quotient` the quotients are also those of the even reflection.
     """
     geom = MAGeometry(s)
     mesh = mesh or ExtensionMesh(nx=97, my=48)

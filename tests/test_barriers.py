@@ -12,7 +12,7 @@ from fracext.barriers import (EPS_LADDER, SCAN_MARGIN, BarrierCase1, BarrierCase
                               sample_annulus, search_case2_parameters, slide_paraboloids,
                               touch_test)
 from fracext.benchmarks import eigen_extension_problem, sliding_fixture, vertex_lattice
-from fracext.config import validate
+from fracext.config import default_config, validate
 from fracext.extension import ExtensionMesh, solve_extension
 from fracext.geometry import MAGeometry
 from fracext.runner import _touching_exact, run
@@ -135,6 +135,16 @@ def test_barrier_case1_large_alpha_decided_by_sign(alpha):
     else:
         assert rep["operator_min"] == 0.0
         assert -1000.0 < rep["log_operator_min"] < np.log(np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("s", [0.001, 0.002, 0.005])
+def test_barrier_check_passes_at_small_s(tmp_path, s):
+    # z^{2-1/s} overflows near z = 0, where P = +inf is the honest bracket
+    # term; RuntimeWarnings are errors here, so an unguarded overflow errors
+    # the stage
+    stage = run(default_config("barrier-check", s), str(tmp_path)).stages[0]
+    assert stage["status"] == "pass", stage["details"].get("exception")
+    assert stage["details"]["bracket_min"] > 0.0
 
 
 def _case2_args(s, R=0.5, rho_fraction=0.5):

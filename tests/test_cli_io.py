@@ -75,6 +75,19 @@ def test_mesh_sizes_share_one_bound():
                 validate({"experiment": kind, "problem": {name: 4097}})
 
 
+@pytest.mark.parametrize("kind, key, size, cells", [
+    ("fractional-apply", "grid_points", 512, 512), ("end-to-end", "grid_points", 512, 512),
+    ("solve-extension", "nx", 257, 256)])
+def test_wave_numbers_at_or_above_the_cell_count_are_refused(kind, key, size, cells):
+    # sin(k x) on (0, pi) vanishes on every node of a grid of k cells, where
+    # a run would pass on zero data, and aliases to a lower mode on fewer
+    validate({"experiment": kind, "problem": {key: size, "k": cells - 1}})
+    for k in (cells, cells + 1, 4096):
+        with pytest.raises(ConfigError, match=rf"problem\.k: must be below the {cells} cells "
+                                              rf"that problem\.{key} gives, .*got {k}$"):
+            validate({"experiment": kind, "problem": {key: size, "k": k}})
+
+
 def _raw_with(kind, path, value):
     """A config of `kind` with the dotted key `path` set to `value`."""
     raw = {"experiment": kind}
@@ -105,7 +118,11 @@ _COUNT_FIELDS = [
 
 @pytest.mark.parametrize("kind, path, bound", _COUNT_FIELDS)
 def test_count_fields_are_bounded(kind, path, bound):
-    validate(_raw_with(kind, path, bound))
+    if path == "problem.k":  # k must stay below the cell count, which is at most 4096
+        with pytest.raises(ConfigError, match="problem.k: must be below the"):
+            validate(_raw_with(kind, path, bound))
+    else:
+        validate(_raw_with(kind, path, bound))
     for value in (bound + 1, 10**400):
         with pytest.raises(ConfigError, match=f"{path}: must be <= {bound}"):
             validate(_raw_with(kind, path, value))

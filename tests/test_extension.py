@@ -1,5 +1,5 @@
 """Extension solver: transforms, benchmarks against closed forms, maximum
-principle, reflection/rescaling, and the derivative-decay measurements."""
+principle, rescaling, and the derivative-decay measurements."""
 
 import dataclasses
 import math
@@ -22,8 +22,7 @@ from fracext import extension, obs, semigroup
 from fracext.benchmarks import (eigen_extension_problem, harmonic_combo_problem,
                                 x_derivative_scaling, z_decay_exponent)
 from fracext.extension import (ExtensionMesh, ExtensionProblem, ExtensionState, HarmonicCombo,
-                               harmonic_mode_profile, reflect_even,
-                               rescale_solution, solve_extension,
+                               harmonic_mode_profile, rescale_solution, solve_extension,
                                transform_to_y, transform_to_z)
 from fracext.config import validate
 from fracext.geometry import MAGeometry
@@ -128,45 +127,31 @@ def test_neumann_flux_readback_consistency():
                                          np.max(np.abs(neu.trace() - np.sin(k * xs))))
 
 
-def test_reflect_even():
-    s = 0.5
-    problem, _ = eigen_extension_problem(s, 1, Z=1.0)
-    st = solve_extension(problem, ExtensionMesh(nx=65, my=24))
-    refl = reflect_even(st)
-    xs, z, v = refl.node_points()
-    assert np.min(z) < 0 < np.max(z)
-    # definitional symmetry at all nodes
-    order = np.lexsort((z, xs[0]))
-    order_m = np.lexsort((-z, xs[0]))
-    assert np.allclose(v[order], v[order_m])
-    # interpolation uses |z|
-    q = refl.values_at(np.array([1.0, 1.0]), np.array([0.3, -0.3]))
-    assert q[0] == pytest.approx(q[1], abs=1e-14)
-    # reflecting twice changes nothing
-    again = reflect_even(refl)
-    assert np.array_equal(again.values, refl.values)
+def test_values_at_refuses_negative_heights():
+    st = _random_state("n1")
+    with pytest.raises(ValueError, match="half-space z >= 0; z must be nonnegative"):
+        st.values_at(np.array([0.0, 0.0]), np.array([0.1, -0.1]))
 
 
 def _random_state(kind, seed=0):
-    """A state with random values on graded axes: n = 1, n = 2 or reflected n = 1."""
+    """A state with random values on graded axes: n = 1 or n = 2."""
     rng = np.random.default_rng(seed)
     s = rng.uniform(0.1, 0.9)
     n = 2 if kind == "n2" else 1
     x_axes = [np.cumsum(rng.uniform(0.2, 1.0, m)) - 3.0 for m in (17, 9)[:n]]
     y = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.2, 12))])
     values = rng.standard_normal((len(y), *(len(a) for a in x_axes))) * 10.0 ** rng.uniform(-3, 3)
-    st = ExtensionState(s, x_axes, y, values, 0.0, 0.0)
-    return reflect_even(st) if kind == "reflected" else st
+    return ExtensionState(s, x_axes, y, values, 0.0, 0.0)
 
 
 def _queries(st, rng, count):
     zmax = st.z_nodes[-1]
-    z = rng.uniform(-zmax if st.reflected else 0.0, zmax, count)
+    z = rng.uniform(0.0, zmax, count)
     xs = [rng.uniform(a[0], a[-1], count) for a in st.x_axes]
     return (xs[0] if st.n == 1 else np.stack(xs, axis=-1)), z
 
 
-@pytest.mark.parametrize("kind", ["n1", "n2", "reflected"])
+@pytest.mark.parametrize("kind", ["n1", "n2"])
 @pytest.mark.parametrize("seed", range(4))
 def test_values_at_matches_scipy_regular_grid_interpolator(kind, seed):
     from scipy.interpolate import RegularGridInterpolator
@@ -182,11 +167,11 @@ def test_values_at_matches_scipy_regular_grid_interpolator(kind, seed):
     mesh = np.meshgrid(st.z_nodes, *st.x_axes, indexing="ij")
     xn = mesh[1] if st.n == 1 else np.stack(mesh[1:], axis=-1)
     assert np.array_equal(st.values_at(xn, mesh[0]), st.values)
-    if st.reflected:
-        assert np.array_equal(st.values_at(xn, -mesh[0]), st.values)
+    x, z, v = st.node_points()  # flat, x as (N, n) for n > 1
+    assert np.array_equal(st.values_at(x, z), v)
 
 
-@pytest.mark.parametrize("kind", ["n1", "n2", "reflected"])
+@pytest.mark.parametrize("kind", ["n1", "n2"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_values_at_refuses_nonfinite_queries(kind, bad):
     st = _random_state(kind)
@@ -387,6 +372,7 @@ def test_state_save_roundtrip(tmp_path):
     import json
     sidecar = json.loads(open(base + ".json").read())
     assert sidecar["s"] == 0.5 and "residual_interior" in sidecar
+    assert sorted(sidecar) == ["meta", "residual_bottom", "residual_interior", "s"]
 
 
 def _tridiagonal(diagonals):

@@ -113,9 +113,6 @@ API_ONLY = {
                              "the raw one from `default_raw`)",
     "config.ExperimentConfig.emit":
         "writes the validated config as JSON; tests/test_cli_io.py loads it back",
-    "extension.reflect_even":
-        "the even reflection across z = 0 that `harnack_quotient` asks for on symmetric "
-        "solutions",
     "extension.rescale_solution":
         "the exact pullback U(rho x, rho^{2s} z) as a state, with its rescaled trace flux; "
         "tests check its flux and the seminorm's scaling covariance on it",
@@ -295,8 +292,8 @@ def test_only_semigroup_imports_lapack():
     assert not found, "LAPACK imported outside semigroup.py: " + ", ".join(found)
 
 
-# scipy subpackages that no common experiment loads: only `sup_fit`'s fallback
-# LP and the tracer's `geometry.brentq` and `spla` lookups import them
+# scipy subpackages that no common experiment loads: only the tracer's
+# `fitting.linprog`, `geometry.brentq` and `spla` lookups import them
 LAZY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.sparse.linalg")
 
 
@@ -446,7 +443,7 @@ TRACER_HOOKS = {
         "module's `__getattr__` imports and binds on first lookup; no library call "
         "solves with it",
     "geometry.brentq": "patched to count root finds",
-    "fitting.linprog": "wrapped to count LP solves and their successes",
+    "fitting.linprog": "wrapped to count LP solves and their successes; no fit calls it",
     "geometry.MAGeometry.section_interval":
         "patched in `vars(MAGeometry)`; its span is the `geometry.section_interval` layer",
     "geometry.MAGeometry.delta_h": "patched in `vars(MAGeometry)` to count calls",

@@ -3,10 +3,10 @@ decay fitting and the inductive iteration."""
 
 import json
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
@@ -19,8 +19,8 @@ from fracext.extension import (ExtensionMesh, ExtensionState, HarmonicCombo,
                                harmonic_mode_profile, rescale_solution, solve_extension,
                                transform_to_y, transform_to_z)
 from fracext.fitting import sup_fit
-from fracext.geometry import MAGeometry
-from fracext.regularity import (_case_basis, _region, approximation_distance,
+from fracext.geometry import MAGeometry, SectionDescriptor
+from fracext.regularity import (_HarnackSections, _case_basis, _region, approximation_distance,
                                 campanato_iterate, harnack_family_report, harnack_quotient,
                                 holder_quotient, holder_seminorm,
                                 holder_seminorm_state, interior_norm_report,
@@ -93,88 +93,56 @@ def test_sup_fit_rank_deficient_basis():
     assert np.all(np.isfinite(coeffs))
 
 
-def _scaled_lp_fit(basis, values):
-    """One HiGHS solve over all 2m rows for the correction to the least-squares
-    fit, with unit-maximum columns and the residual scaled to 1e6."""
-    m, p = basis.shape
-    lsq, *_ = np.linalg.lstsq(basis, values, rcond=None)
-    r = values - basis @ lsq
-    col = np.max(np.abs(basis), axis=0)
-    unit = float(np.max(np.abs(r))) / 1e6
-    cost = np.zeros(p + 1)
-    cost[-1] = 1.0
-    ones = np.ones((m, 1))
-    B = basis / col
-    res = linprog(cost, A_ub=np.block([[B, -ones], [-B, -ones]]),
-                  b_ub=np.concatenate([r, -r]) / unit, bounds=[(None, None)] * (p + 1),
-                  method="highs")
-    assert res.success
-    return lsq + res.x[:p] * unit / col
+def _no_linprog(*args, **kwargs):
+    raise AssertionError("linprog called")
 
 
-def test_sup_fit_falls_back_to_the_full_lp_when_the_exchange_stalls(monkeypatch):
+def _stall_gap(monkeypatch, B, values, rows, stall):
+    """The gap and tol in the ValueError of sup_fit(B, values), which must
+    name the rows and how the exchange stalled; scipy's LP is patched to fail
+    the test if anything calls it."""
+    monkeypatch.setattr(scipy.optimize, "linprog", _no_linprog)
+    with pytest.raises(ValueError) as info:
+        sup_fit(B, values)
+    found = re.fullmatch(rf"sup-norm fit over {rows} rows: the exchange stalled {stall}, "
+                         r"gap (\S+) > tol (\S+)", str(info.value))
+    assert found, str(info.value)
+    return float(found[1]), float(found[2])
+
+
+def test_sup_fit_raises_when_the_exchange_stalls(monkeypatch):
+    # with no exchange allowed, the gap is the least-squares residual's max
     xs = np.linspace(-1, 1, 401)
-    B = np.stack([np.ones_like(xs), xs, xs**2], axis=1)
+    B = np.stack([np.ones_like(xs), xs], axis=1)
     monkeypatch.setattr(fitting, "_MAX_EXCHANGES", 0)
-    coeffs, err = sup_fit(B, np.abs(xs) ** 0.7)
-    ref = _scaled_lp_fit(B, np.abs(xs) ** 0.7)
-    assert np.array_equal(coeffs, ref)
-    assert err == float(np.max(np.abs(np.abs(xs) ** 0.7 - B @ ref)))
+    gap, tol = _stall_gap(monkeypatch, B, xs**2, 401, "after 0 exchanges")
+    lsq = np.linalg.lstsq(B, xs**2, rcond=None)[0]
+    assert gap == pytest.approx(np.max(np.abs(xs**2 - B @ lsq)), rel=1e-3) and gap > tol
 
 
-def test_sup_fit_answers_a_singular_reference_by_the_full_lp(monkeypatch):
+def test_sup_fit_raises_at_a_singular_reference(monkeypatch):
     # 33 rows on at most 8 distinct abscissae with a degree-7 basis: the
-    # exchange meets a singular reference [B_J, sigma], stalls there, and the
-    # full LP answers; the data are interpolated, so E is rounding
+    # data are interpolated, and the exchange meets a singular reference
+    # [B_J, sigma] with its gap at rounding level (8.3e-25), still above tol
     rng = np.random.default_rng(4)
     x = np.sort(rng.uniform(-1, 1, 33))
     X = x[rng.integers(0, 8, 33)]
-    B = np.vander(X, 8, increasing=True)
-    exchanges = []
-    exchange = fitting._exchange
-
-    def spy(*args):
-        exchanges.append(exchange(*args))
-        return exchanges[-1]
-
-    monkeypatch.setattr(fitting, "_exchange", spy)
-    coeffs, err = sup_fit(B, np.sin(5 * X))
-    assert exchanges == [None]
-    assert err <= 1e-12
-    assert err == float(np.max(np.abs(np.sin(5 * X) - B @ coeffs)))
+    gap, tol = _stall_gap(monkeypatch, np.vander(X, 8, increasing=True), np.sin(5 * X), 33,
+                          "at a singular reference")
+    assert tol < gap < 1e-20
 
 
-def test_sup_fit_answers_an_unforced_stall_by_the_full_lp(monkeypatch):
+def test_sup_fit_raises_on_an_unforced_stall(monkeypatch):
     # 30 rows on 7 distinct abscissae with a degree-6 basis and noisy data:
-    # the exchange stalls with nothing forced, and HiGHS answers, E = 0.16733
+    # the exchange runs out of steps with nothing forced, 3.5e-13 above its
+    # dual bound against a tol of 1.8e-13
     rng = np.random.default_rng(6)
     xs = np.sort(rng.uniform(-1, 1, 7))
     x = xs[rng.integers(0, 7, 30)]
     v = np.sin(5 * x) + 0.1 * rng.standard_normal(30)
-    B = np.vander(x, 7, increasing=True)
-    exchanges = []
-    exchange = fitting._exchange
-
-    def spy(*args):
-        exchanges.append(exchange(*args))
-        return exchanges[-1]
-
-    monkeypatch.setattr(fitting, "_exchange", spy)
-    coeffs, err = sup_fit(B, v)
-    assert exchanges == [None]
-    assert err == pytest.approx(0.16733, abs=1e-5)
-    assert err == float(np.max(np.abs(v - B @ coeffs)))
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
-    assert err <= _full_lp_error(B, v) + tol
-
-
-def test_sup_fit_raises_when_the_exchange_stalls_and_the_lp_fails(monkeypatch):
-    xs = np.linspace(-1, 1, 401)
-    B = np.stack([np.ones_like(xs), xs], axis=1)
-    monkeypatch.setattr(fitting, "_MAX_EXCHANGES", 0)
-    monkeypatch.setattr(fitting, "linprog", lambda *a, **k: SimpleNamespace(success=False))
-    with pytest.raises(ValueError, match="sup-norm fit over 401 rows"):
-        sup_fit(B, xs**2)
+    gap, tol = _stall_gap(monkeypatch, np.vander(x, 7, increasing=True), v, 30,
+                          "after 100 exchanges")
+    assert tol < gap < 1e-12
 
 
 @pytest.mark.parametrize("basis, values", [
@@ -197,10 +165,6 @@ def test_sup_fit_rejects_any_method_but_lp():
     xs = np.linspace(-1, 1, 21)
     with pytest.raises(ValueError, match="'lawson'"):
         sup_fit(np.stack([np.ones_like(xs), xs], axis=1), xs**2, method="lawson")
-
-
-def _no_linprog(*args, **kwargs):
-    raise AssertionError("linprog called")
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +196,40 @@ def test_exchange_certifies_degenerate_references(monkeypatch, kinked_state, cas
         tol = 1e-12 * max(1.0, float(np.max(np.abs(V))))
         assert err <= levels[-1] + tol
         assert err <= _full_lp_error(basis, V) + tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(0.05, 0.95), case=st.sampled_from([1, 2, 3]), nx=st.integers(7, 40),
+       nz=st.integers(4, 20), random_x=st.booleans(), grading=st.floats(1.0, 4.0),
+       stride=st.integers(1, 3), shape=st.sampled_from(["smooth", "kinked", "noisy"]),
+       scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_exchange_certifies_package_bases(s, case, nx, nz, random_x, grading, stride, shape,
+                                          scale, seed):
+    # the bases the decay fits and Campanato's iteration build, on tensor
+    # (x, z) node sets thinned by a stride as `_region` thins them: the
+    # exchange ends on its certificate h <= E_opt <= E <= h + tol, no stall
+    geom = MAGeometry(s)
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.uniform(-1.0, 1.0, nx)) if random_x else np.linspace(-1.0, 1.0, nx)
+    zs = (np.arange(nz) / (nz - 1)) ** grading
+    Z, X = (a.ravel()[::stride] for a in np.meshgrid(zs, xs, indexing="ij"))
+    V = np.abs(X) ** 0.6 + geom.h(Z) if shape == "kinked" else np.sin(3.0 * X) + np.cos(2.0 * Z)
+    if shape == "noisy":
+        V = V + 0.1 * rng.standard_normal(len(V))
+    V = scale * V
+    certified = []
+    exchange = fitting._exchange
+
+    def spy(B, r, tol, rows):
+        y, h = exchange(B, r, tol, rows)
+        certified.append((h, tol))
+        return y, h
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_exchange", spy)
+        coeffs, err = sup_fit(_case_basis(case, X, Z, geom), V)
+    for h, tol in certified:
+        assert h <= err + tol and err <= h + tol
 
 
 def _assert_fitter_matches_fresh_fits(basis, value_list):
@@ -401,8 +399,7 @@ def test_holder_seminorm_equals_dense_pairwise_max(n):
     if n == 1:
         g = MAGeometry(0.4)
         problem, mesh = kinked_trace_problem(0.4, 0.5, mx=40, my=24)
-        xs, z, v = solve_extension(problem, mesh).node_points()
-        x = xs[0]
+        x, z, v = solve_extension(problem, mesh).node_points()
     else:
         g = MAGeometry(0.7)
         rng = np.random.default_rng(3)
@@ -419,7 +416,7 @@ def test_harnack_report_refuses_nonfinite_node_values(bad):
     zs = np.concatenate([[0.0], np.geomspace(1e-3, 1.5, 30)])
     vals = np.ones((len(zs), len(xs)))
     vals[3, 20] = bad
-    state = ExtensionState(s, [xs], transform_to_y(zs, s), vals, 0.0, 0.0, reflected=True)
+    state = ExtensionState(s, [xs], transform_to_y(zs, s), vals, 0.0, 0.0)
     with pytest.raises(ValueError, match="finite node values"):
         harnack_quotient(MAGeometry(s), state, (0.0, 0.0), 0.5)
 
@@ -455,7 +452,7 @@ def test_harnack_quotient_constants_and_perturbation():
     zs = np.concatenate([[0.0], np.geomspace(1e-3, 1.5, 30)])
     y = transform_to_y(zs, s)
     ones = np.ones((len(zs), len(xs)))
-    state = ExtensionState(s, [xs], y, 2.0 * ones, 0.0, 0.0, reflected=True)
+    state = ExtensionState(s, [xs], y, 2.0 * ones, 0.0, 0.0)
     rep = harnack_quotient(g, state, (0.0, 0.0), 0.5)
     assert rep.quotient == 1.0
     # small harmonic perturbation: quotient tends to 1
@@ -464,12 +461,12 @@ def test_harnack_quotient_constants_and_perturbation():
         combo = HarmonicCombo(s, const=1.0, modes=[(amp, 1.0, 0.3)])
         vals = np.broadcast_to(combo(xs[None, :], zs[:, None] * np.ones_like(xs)),
                                ones.shape)
-        st = ExtensionState(s, [xs], y, vals, 0.0, 0.0, reflected=True)
+        st = ExtensionState(s, [xs], y, vals, 0.0, 0.0)
         quots.append(harnack_quotient(g, st, (0.0, 0.0), 0.5).quotient)
     assert quots[0] > quots[1] >= 1.0
     assert quots[1] < 1.05
     # negative inputs are rejected
-    bad = ExtensionState(s, [xs], y, ones - 2.0, 0.0, 0.0, reflected=True)
+    bad = ExtensionState(s, [xs], y, ones - 2.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         harnack_quotient(g, bad, (0.0, 0.0), 0.5)
 
@@ -511,11 +508,20 @@ def test_harmonic_family_profiles_once_per_wave_number(s, size, seed):
         assert np.array_equal(U, reference[0](xs[:, None], zs[None, :]))
 
 
+def _even_reflection(state):
+    """(x, z, v): the nodes of a 1-D state and, for z > 0, their mirrors
+    (x, -z) with the same values: the even reflection across z = 0."""
+    Z, X = (a.ravel() for a in np.meshgrid(state.z_nodes, state.x_axes[0], indexing="ij"))
+    V = state.values.ravel()
+    up = Z > 0.0
+    return np.concatenate([X, X[up]]), np.concatenate([Z, -Z[up]]), np.concatenate([V, V[up]])
+
+
 @pytest.mark.parametrize("s, R, kappa, refine", [(0.3, 0.5, 0.5, 1), (0.75, 0.3, 0.4, 2),
                                                  (0.5, 1.0, 0.6, 1)])
 def test_harnack_family_half_grid_equals_the_reflected_grid(s, R, kappa, refine):
-    # each member's report is harnack_quotient's over the reflected grid,
-    # levels -z and z, which the family report reduces on z >= 0 only
+    # each member's report is the quotient over the reflected grid, levels
+    # -z and z, which the family report reduces on z >= 0 only
     family = positive_harmonic_family(s, 8, seed=5)
     mesh = ExtensionMesh(nx=33, my=16)
     rep = harnack_family_report(s, family, mesh, kappa=kappa, R=R, refine=refine)
@@ -525,9 +531,50 @@ def test_harnack_family_half_grid_equals_the_reflected_grid(s, R, kappa, refine)
     zcap = geom.section_interval(0.0, R)[1] * 1.05
     ys = transform_to_y(np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)]), s)
     for combo, got in zip(family, rep["reports"]):
-        state = ExtensionState(s, [xs], ys, combo.at_y(xs[None, :], ys[:, None]), 0.0, 0.0,
-                               reflected=True)
-        assert got == harnack_quotient(geom, state, (0.0, 0.0), R, kappa)
+        state = ExtensionState(s, [xs], ys, combo.at_y(xs[None, :], ys[:, None]), 0.0, 0.0)
+        x, z, v = _even_reflection(state)
+        assert got == _HarnackSections(geom, x, z, (0.0, 0.0), R, kappa).report(v)
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(0.05, 0.95), x0=st.floats(-1.0, 1.0),
+       z0=st.one_of(st.just(0.0), st.floats(0.0, 1.0)), R=st.floats(0.03, 3.0),
+       kappa=st.floats(0.1, 0.9), beta=st.floats(0.1, 1.9), seed=st.integers(0, 2**32 - 1))
+def test_even_reflection_changes_no_harnack_or_holder_value(s, x0, z0, R, kappa, beta, seed):
+    # for z0 >= 0 and t > 0, delta_h(z0, -t) = delta_h(z0, t) + 2 h'(z0) t, so
+    # a mirrored node lies in a section only if its twin does; and no pair
+    # across z = 0 has a larger Hoelder quotient than its twin pair, so the
+    # half-space state gives the reflection's values bit for bit
+    geom = MAGeometry(s)
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-2.0, 2.0, 25)
+    zs = np.concatenate([[0.0], np.geomspace(1e-3, 2.0, 12)])
+    state = ExtensionState(s, [xs], transform_to_y(zs, s),
+                           rng.uniform(0.5, 2.0, (len(zs), len(xs))), 0.0, 0.0)
+    x, z, v = _even_reflection(state)
+    center = (x0, z0)
+    assert (_value_or_error(lambda: harnack_quotient(geom, state, center, R, kappa))
+            == _value_or_error(lambda: _HarnackSections(geom, x, z, center, R, kappa).report(v)))
+    member = SectionDescriptor(x0, z0, R).contains(geom, x, z)
+    half = _value_or_error(lambda: holder_seminorm_state(geom, state, center, R, beta))
+    assert half == (holder_seminorm(geom, x[member], z[member], v[member], beta)
+                    if member.any() else "section S_R contains no grid nodes")
+
+
+def test_holder_seminorm_state_refuses_a_section_without_nodes():
+    s = 0.5
+    xs = np.linspace(-1.0, 1.0, 9)
+    ys = transform_to_y(np.linspace(0.0, 1.0, 6), s)
+    state = ExtensionState(s, [xs], ys, np.ones((6, 9)), 0.0, 0.0)
+    with pytest.raises(ValueError, match="section S_R contains no grid nodes"):
+        holder_seminorm_state(MAGeometry(s), state, (5.0, 0.0), 0.01, 0.5)
 
 
 @pytest.mark.parametrize("kappa", [2.0, 1.0, 0.0, -0.5, np.nan])
@@ -539,8 +586,7 @@ def test_harnack_refuses_kappa_outside_the_unit_interval(kappa):
     mesh = ExtensionMesh(nx=21, my=10)
     xs = np.linspace(-1.2, 1.2, 21)
     ys = transform_to_y(np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 10)]), s)
-    state = ExtensionState(s, [xs], ys, family[0].at_y(xs[None, :], ys[:, None]), 0.0, 0.0,
-                           reflected=True)
+    state = ExtensionState(s, [xs], ys, family[0].at_y(xs[None, :], ys[:, None]), 0.0, 0.0)
     match = re.escape(f"Harnack kappa must lie in (0, 1), got {kappa!r}")
     with pytest.raises(ValueError, match=match):
         harnack_quotient(MAGeometry(s), state, (0.0, 0.0), R, kappa)
@@ -809,7 +855,7 @@ def test_end_to_end_holder_constants_equal_dense_maxima(tmp_path, s):
 @example(0.6, 0.5, 0.5, 11)
 def test_harnack_family_report_equals_full_grid_evaluation(refine, s, R, kappa, seed):
     # the family's shared sections give the quotients, bit for bit, of
-    # harnack_quotient on one reflected state per member
+    # harnack_quotient on one state per member
     family = positive_harmonic_family(s, 4, seed=seed)
     mesh = ExtensionMesh(nx=33, my=16)
     rep = harnack_family_report(s, family, mesh, kappa=kappa, R=R, refine=refine)
@@ -821,7 +867,7 @@ def test_harnack_family_report_equals_full_grid_evaluation(refine, s, R, kappa, 
     Zq, Xq = np.meshgrid(zs, xs, indexing="ij")
     for combo, got in zip(family, rep["reports"]):
         state = ExtensionState(s, [xs], transform_to_y(zs, s), combo(Xq, Zq),
-                               0.0, 0.0, reflected=True)
+                               0.0, 0.0)
         ref = harnack_quotient(geom, state, (0.0, 0.0), R, kappa)
         assert got == ref
 
