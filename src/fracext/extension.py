@@ -55,7 +55,7 @@ import numpy as np
 from . import obs
 from .geometry import MAGeometry, transform_to_y, transform_to_z
 from .gridfn import write_grid_binary, write_json
-from .semigroup import CoefficientField, _shifted_solver, x_operator
+from .semigroup import CoefficientField, _per_distinct, _shifted_solver, x_operator
 
 
 def __getattr__(name):
@@ -643,14 +643,15 @@ def harmonic_mode_profile(s, k, y):
     """
     from scipy.special import gamma, iv
 
-    scalar = np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty_like(y)
-    zero = y == 0.0
-    out[zero] = 1.0
-    w = k * y[~zero]
-    out[~zero] = gamma(1.0 - s) * (w / 2.0) ** s * iv(-s, w)
-    return float(out[0]) if scalar else out
+    def profile(y):
+        out, nonzero = np.ones_like(y), y != 0.0
+        w = k * y[nonzero]
+        out[nonzero] = gamma(1.0 - s) * (w / 2.0) ** s * iv(-s, w)
+        return out
+
+    y = np.asarray(y, dtype=float)
+    out, _ = _per_distinct(profile, np.atleast_1d(y))
+    return out if y.ndim else float(out[0])
 
 
 class HarmonicCombo:

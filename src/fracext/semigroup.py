@@ -179,7 +179,7 @@ def x_operator(coeff: CoefficientField, axes):
         return Ax, Bx
 
     xs, ys = (np.asarray(ax, dtype=float) for ax in axes)
-    if not all(np.allclose(np.diff(ax), ax[1] - ax[0], rtol=1e-12, atol=0.0) for ax in (xs, ys)):
+    if not all(np.max(np.abs(d - d[0])) <= 1e-12 * abs(d[0]) for d in map(np.diff, (xs, ys))):
         raise ValueError("2-D x-operator requires uniform axes")
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     m1, m2 = len(xs) - 2, len(ys) - 2
@@ -831,6 +831,8 @@ def bessel_extension_profile(lam, s, z):
 
     Here k = sqrt(lam) and y = `transform_to_y(z, s)`: 1 at z = 0, 0 where y
     overflows (lam > 0).  ValueError unless 0 < s < 1 and lam, z finite, >= 0.
+    A scalar lam takes K_s once per distinct height of an array z, with the
+    same bits (`_per_distinct`); obs counter semigroup.profile_points.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must be in (0,1)")
@@ -838,8 +840,20 @@ def bessel_extension_profile(lam, s, z):
     if not (np.all(np.isfinite(lam) & (np.asarray(lam) >= 0.0))
             and np.all(np.isfinite(z) & (z >= 0.0))):
         raise ValueError("the extension profile needs finite lam >= 0 and z >= 0")
-    out = _bessel_profile(np.sqrt(lam), s, z)
+    k = np.sqrt(lam)
+    if np.ndim(k) or not z.ndim:  # a 0-d z keeps numpy's scalar-power bits
+        out, points = _bessel_profile(k, s, z), np.broadcast(k, z).size
+    else:
+        out, points = _per_distinct(lambda heights: _bessel_profile(k, s, heights), z)
+    obs.count("semigroup.profile_points", points)
     return out if out.ndim else float(out)
+
+
+def _per_distinct(profile, z):
+    """(profile(z), number of distinct z) for an elementwise profile of an array z,
+    bit for bit, calling it once on z's distinct values (-0.0 is 0.0)."""
+    values, at = np.unique(z, return_inverse=True)
+    return profile(values)[at.reshape(z.shape)], values.size
 
 
 def _bessel_profile(k, s, z):

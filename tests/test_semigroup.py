@@ -14,7 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eig, expm, fractional_matrix_power, lapack
 
 from fracext import obs, semigroup
-from fracext.extension import ExtensionMesh, ExtensionProblem, solve_extension
+from fracext.extension import (ExtensionMesh, ExtensionProblem, harmonic_mode_profile,
+                               solve_extension)
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                                bessel_extension_profile, ds_constant,
@@ -669,6 +670,73 @@ def test_extension_profile_is_zero_where_y_overflows(s, z):
     assert np.array_equal(U.values, np.zeros_like(u.values)) and info["sup_error"] == 0.0
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_HEIGHTS = st.sampled_from([0.0, -0.0, 1e7, 1e8]) | st.floats(0.0, 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0.01]) | st.floats(0.02, 0.98), st.floats(0.0, 50.0),
+       st.lists(_HEIGHTS, min_size=1, max_size=6), st.integers(1, 4))
+@example(0.01, 2.0, [0.0, -0.0, 1e7, 0.5], 3)   # y overflows at 1e7: the profile is 0
+def test_profiles_on_repeated_heights_equal_the_per_element_evaluation(s, lam, heights, n):
+    # a (my + 1) x n x n meshgrid repeats every height n^2 times; both exact
+    # profiles evaluate once per distinct height and gather, which changes no
+    # bit: against one array call of the closed form on the whole grid and
+    # against a call per element
+    Z, _, _ = np.meshgrid(heights, np.arange(n), np.arange(n), indexing="ij")
+    prof = bessel_extension_profile(lam, s, Z)
+    assert _same_bits(prof, semigroup._bessel_profile(np.sqrt(lam), s, Z))
+    assert _same_bits(prof.ravel(),
+                      np.array([bessel_extension_profile(lam, s, [z])[0] for z in Z.flat]))
+    k = 1.0 + lam  # harmonic_mode_profile's wave number is positive
+    harm = harmonic_mode_profile(s, k, Z)
+    assert _same_bits(harm.ravel(),
+                      np.array([harmonic_mode_profile(s, k, [z])[0] for z in Z.flat]))
+    assert np.all(prof[Z == 0.0] == 1.0) and np.all(harm[Z == 0.0] == 1.0)
+    if lam > 0.0 and s == 0.01:
+        assert np.all(prof[Z >= 1e7] == 0.0)
+    # a scalar height keeps its own path and returns a float
+    for z in heights:
+        one = bessel_extension_profile(lam, s, z)
+        assert type(one) is float and _same_bits(
+            one, float(semigroup._bessel_profile(np.sqrt(lam), s, np.asarray(z))))
+        one = harmonic_mode_profile(s, k, z)
+        assert type(one) is float and _same_bits(one, harmonic_mode_profile(s, k, [z])[0])
+    # an array lam broadcasts against the heights, one evaluation per pair
+    lams = np.array([0.0, lam, 2.0 * lam + 1.0])
+    zs = np.array(heights)[:, None]
+    assert _same_bits(bessel_extension_profile(lams, s, zs),
+                      semigroup._bessel_profile(np.sqrt(lams), s, zs))
+    # the refusals are unchanged
+    for bad in (-0.5, np.nan, np.inf):
+        Zb = Z.copy()
+        Zb.flat[-1] = bad
+        with pytest.raises(ValueError, match="finite lam >= 0 and z >= 0"):
+            bessel_extension_profile(lam, s, Zb)
+    for bad_s in (0.0, 1.0, -s, np.nan):
+        with pytest.raises(ValueError, match=r"s must be in \(0,1\)"):
+            bessel_extension_profile(lam, bad_s, Z)
+
+
+@pytest.mark.parametrize("my, n", [(0, 1), (4, 5), (20, 25)])
+def test_profile_points_count_the_distinct_heights(my, n):
+    # the gain's guard: a (my + 1) x n x n meshgrid costs my + 1 evaluations
+    # of K_s, not (my + 1) n^2; a scalar height costs 1, an array lam one per pair
+    Z, _, _ = np.meshgrid(np.linspace(0.0, 1.0, my + 1), np.arange(n), np.arange(n),
+                          indexing="ij")
+    with obs.recording() as counts:
+        bessel_extension_profile(2.0, 0.4, Z)
+    assert counts == {"semigroup.profile_points": my + 1}
+    with obs.recording() as counts:
+        bessel_extension_profile(2.0, 0.4, 0.5)
+        bessel_extension_profile(np.array([1.0, 2.0, 3.0]), 0.4, Z[:, :1, 0])
+    assert counts == {"semigroup.profile_points": 1 + 3 * (my + 1)}
+
+
 def _variable_2d_field():
     """Variable a^{ij} with a mixed term: its L is nonsymmetric."""
     return CoefficientField.full_2d(lambda x, y: 1.0 + 0.2 * np.sin(x),
@@ -743,6 +811,42 @@ def test_selling_stencil_keeps_the_plane2d_operators(a12, n):
     # no stored zeros: the band half-width is m2 without a mixed term
     coo = Ax.tocoo()
     assert np.max(np.abs(coo.col - coo.row)) == n - 2 + (a12 != 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(7, 29), st.integers(0, 1), st.data(), st.floats(-13.5, -10.5),
+       st.sampled_from([-1.0, 1.0]))
+@example(13, 0, None, -11.0, 1.0)   # 1e-11 relative: ten times the tolerance
+@example(13, 1, None, -13.0, -1.0)  # 1e-13 relative: accepted
+def test_2d_x_operator_keeps_the_allclose_uniformity_rule(n, axis, data, log_rel, sign):
+    # one interior node moved by rel h: refused iff np.allclose(diff, h,
+    # rtol=1e-12, atol=0) refuses the steps; an accepted axis whose first step
+    # is kept gives Ax and Bx bit-identical to the uniform axis's (constant a^{ij})
+    j = 3 if data is None else data.draw(st.integers(2, n - 3))
+    coeff = _constant_2d(1.0, 0.3, 1.0)
+    axes = [np.linspace(0.0, np.pi, n)] * 2
+    moved = list(axes)
+    moved[axis] = axes[axis].copy()
+    moved[axis][j] += sign * 10.0**log_rel * (np.pi / (n - 1))
+    ax = moved[axis]
+    refused = not np.allclose(np.diff(ax), ax[1] - ax[0], rtol=1e-12, atol=0.0)
+    assert refused == (log_rel > -12.0) or abs(log_rel + 12.0) < 0.1
+    if refused:
+        with pytest.raises(ValueError, match="2-D x-operator requires uniform axes"):
+            x_operator(coeff, moved)
+        return
+    Ax, Bx = x_operator(coeff, axes)
+    Am, Bm = x_operator(coeff, moved)
+    for M, R in ((Am, Ax), (Bm, Bx)):
+        assert all(_same_bits(getattr(M, a), getattr(R, a)) for a in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_2d_x_operator_refuses_a_node_that_is_not_finite(bad):
+    xs = np.linspace(0.0, np.pi, 9)
+    for axes in ([np.where(np.arange(9) == 4, bad, xs), xs], [xs, np.append(xs[:-1], bad)]):
+        with pytest.raises(ValueError, match="2-D x-operator requires uniform axes"):
+            x_operator(_constant_2d(1.0, 0.3, 1.0), axes)
 
 
 @settings(max_examples=25, deadline=None)
