@@ -15,8 +15,8 @@ from .runner import run
 def _add_common(p):
     p.add_argument("--config", metavar="PATH", help="experiment config file (JSON)")
     p.add_argument("--out", metavar="DIR", default=None,
-                   help="output directory (default: config output_dir, or "
-                        "$FRACEXT_OUT, or '.')")
+                   help="output directory (default: $FRACEXT_OUT if set, else the "
+                        "config's output_dir, whose default is '.')")
     p.add_argument("--seed", type=int, default=None, help="sampling seed override")
     p.add_argument("--emit-plots", action="store_true", default=None,
                    help="emit SVG plots alongside the reports")

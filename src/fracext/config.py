@@ -298,6 +298,9 @@ def validate(raw: dict) -> ExperimentConfig:
         if kind == "end-to-end" and gamma == math.floor(gamma):
             errors.append(f"setup.alpha: end-to-end needs setup.alpha + 2 setup.s off the "
                           f"integers, where C^(2s+alpha) has no Hoelder part; got {gamma:g}")
+        if kind == "end-to-end" and prob["subdomain_fraction"] * prob["grid_points"] < 4:
+            errors.append(f"problem.subdomain_fraction: must span >= 4 grid cells for Hoelder "
+                          f"pairs; got {prob['subdomain_fraction']:g} of {prob['grid_points']}")
         if kind == "schauder-decay" and prob["benchmark"] == "kinked":
             case = prob["case"]
             if not case - 1 < gamma < case:

@@ -639,14 +639,17 @@ def harmonic_mode_profile(s, k, y):
 
     cos(k x) phi_k(y) solves the transformed equation with zero weighted flux
     at y = 0 and phi_k(0) = 1; in native coordinates it is harmonic for the
-    extension operator with d_z H(x, 0) = 0.
+    extension operator with d_z H(x, 0) = 0.  phi_k = 1 wherever k y == 0 (the
+    constant mode, y = 0, underflow); ValueError for a negative or non-finite k.
     """
+    if not (np.isfinite(k) and k >= 0.0):
+        raise ValueError(f"mode wave number must be finite and >= 0, got k = {k}")
     from scipy.special import gamma, iv
 
     def profile(y):
-        out, nonzero = np.ones_like(y), y != 0.0
-        w = k * y[nonzero]
-        out[nonzero] = gamma(1.0 - s) * (w / 2.0) ** s * iv(-s, w)
+        w = k * y
+        out, nonzero = np.ones_like(y), w != 0.0
+        out[nonzero] = gamma(1.0 - s) * (w[nonzero] / 2.0) ** s * iv(-s, w[nonzero])
         return out
 
     y = np.asarray(y, dtype=float)
@@ -682,4 +685,4 @@ class HarmonicCombo:
         return out
 
     def __call__(self, x, z):
-        return self.at_y(x, transform_to_y(np.abs(z), self.s))
+        return self.at_y(x, transform_to_y(z, self.s))

@@ -156,7 +156,12 @@ class MAGeometry:
         section_endpoint call, and scalar inputs give scalar endpoints.
         """
         if _scalar(z0) and _scalar(R) and z0 == 0.0:
-            half = self._centered_half(R)
+            # centered: q_s R^s, with the array path's refusals and power bits
+            if R <= 0:
+                raise ValueError("section radius must be positive")
+            if not math.isfinite(R):
+                raise ValueError("section center and radius must be finite")
+            half = self.q_s * np.power(float(R), self.s)
             return -half, half
         ends = self.section_endpoint(np.expand_dims(z0, -1), np.expand_dims(R, -1), (-1.0, 1.0))
         return ends[..., 0][()], ends[..., 1][()]
@@ -164,30 +169,24 @@ class MAGeometry:
     def section_endpoint(self, z0, R, side):
         """The z with delta_h(z0, z) = R on the given side (+1 or -1) of z0.
 
-        z0, R and side broadcast.  Centered at 0 the endpoint is side q_s R^s
-        (without array set-up for scalar arguments).  Elsewhere f =
-        delta_h(z0, .) - R is convex and monotone on each side of z0.  Each
-        lane starts from an outer end at the quadratic-regime half-width
-        sqrt(2R / h''(z0)) when that is below |z0|; a section reaching across
-        0 toward it starts at an upper bound on its reach past 0; at s <= 1/2
-        a lane away from 0 starts at the smaller of sqrt(2R / h''(z0)) and
-        q_s R^s, both upper bounds on its half-width; every other lane
-        starts at the reach q_s (R + |delta_h(z0, 0)|)^s + |z0|.  The
+        z0, R and side broadcast.  Centered at 0 the endpoint is side q_s R^s.
+        Elsewhere f = delta_h(z0, .) - R is convex and monotone on each side
+        of z0.  Each lane starts from an outer end at the quadratic-regime
+        half-width sqrt(2R / h''(z0)) when that is below |z0|; a section
+        reaching across 0 toward it starts at an upper bound on its reach past
+        0; at s <= 1/2 a lane away from 0 starts at the smaller of sqrt(2R /
+        h''(z0)) and q_s R^s, both upper bounds on its half-width; every other
+        lane starts at the reach q_s (R + |delta_h(z0, 0)|)^s + |z0|.  The
         outer end is doubled until f >= 0; then all lanes take Newton steps
         with the exact derivative h' - h'(z0), one power of |z| per step,
         bisecting their bracket whenever a step is not strictly inside it,
         until the step is a few ulp.  On engulfing_check's draws (z0 in [-2,
-        2], R = r t, r <= 1, t log-uniform in [1e-3, 10]) a call takes at
-        most 24 steps for s in [0.05, 0.948], a lane 4 to 8 on average
-        (obs counters geometry.endpoint_*).  A lane that does not
-        converge raises ValueError naming s, z0 and R; a zero slope (h' flat
-        to rounding for s within ~1e-16 of 1), one naming s.
+        2], R = r t, r <= 1, t log-uniform in [1e-3, 10]) a call takes at most
+        24 steps for s in [0.05, 0.948], a lane 4 to 8 on average (obs
+        counters geometry.endpoint_*).  A lane that does not converge raises
+        ValueError naming s, z0 and R; a zero slope (h' flat to rounding for s
+        within ~1e-16 of 1), one naming s.
         """
-        if _scalar(z0) and _scalar(R) and _scalar(side) and z0 == 0.0:
-            half = self._centered_half(R)
-            if abs(side) != 1.0:
-                raise ValueError("section side must be +1 or -1")
-            return side * half
         z0, R, side = np.broadcast_arrays(np.asarray(z0, dtype=float),
                                           np.asarray(R, dtype=float),
                                           np.asarray(side, dtype=float))
@@ -205,15 +204,6 @@ class MAGeometry:
             except FloatingPointError as exc:
                 raise ValueError(f"section endpoint at s = {self.s!r}: {exc}") from exc
         return out[()]
-
-    def _centered_half(self, R):
-        """q_s R^s for a scalar R, with section_endpoint's refusals; the power
-        is numpy's array power, whose bits the array path has."""
-        if R <= 0:
-            raise ValueError("section radius must be positive")
-        if not math.isfinite(R):
-            raise ValueError("section center and radius must be finite")
-        return self.q_s * np.power(float(R), self.s)
 
     # the bracket test reads only the sign of (new - inner) (new - outer), which
     # overflows to an infinity of the right sign on huge sections (R ~ 1e300);

@@ -471,7 +471,7 @@ def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
 
     ValueError for fewer than 3 nodes, a grid that is not uniform
     (np.diff(xs) within 1e-12 relative of xs[1] - xs[0] != 0, as
-    `semigroup.x_operator` asks) or an empty sub_mask.
+    `semigroup.x_operator` asks) or a sub_mask of fewer than 2 nodes.
     """
     xs = np.asarray(xs, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -484,8 +484,8 @@ def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
     h = xs[1] - xs[0]
     if not (h != 0 and np.allclose(np.diff(xs), h, rtol=1e-12, atol=0.0)):
         raise ValueError("interior_norm_report needs a uniform grid xs")
-    if not np.any(sub_mask):
-        raise ValueError("interior_norm_report: sub_mask selects no node")
+    if np.count_nonzero(sub_mask) < 2:
+        raise ValueError("interior_norm_report: sub_mask needs 2 nodes for a Hoelder pair")
     derivs = [u]
     cur = u
     for _ in range(m):

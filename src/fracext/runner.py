@@ -1,6 +1,8 @@
 """Experiment orchestration: dispatch a validated config to the module
 pipelines, persist reports/plots, and assemble a run manifest.
 
+A stage returns (ok, details, extra outputs); `run` writes the details as
+the stage's JSON report (the `_DISPATCH` file name) and into the manifest.
 Reports are plain data (dicts, or dataclasses taken apart by asdict) and
 every JSON and CSV file of a run is written by gridfn.write_json and
 gridfn.write_csv, which fix the format.  Reports never contain timestamps,
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .barriers import (BarrierCase1, BarrierNotFound, blocks, inf_convolution,
                        paraboloid_rows, search_case2_parameters, slide_paraboloids)
-from .benchmarks import (eigen_extension_problem, kinked_trace_problem,
+from .benchmarks import (eigen_extension_problem, harmonic_family_ycap, kinked_trace_problem,
                          positive_harmonic_family, sliding_fixture, vertex_lattice)
 from .config import ExperimentConfig
 from .extension import (ExtensionMesh, ExtensionState, HarmonicCombo, solve_extension,
@@ -83,11 +85,13 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     manifest = RunManifest(config=cfg.data, config_hash=cfg.config_hash(),
                            version=__version__,
                            started=time.strftime("%Y-%m-%dT%H:%M:%S"))
-    runner = _DISPATCH[cfg.experiment]
+    stage, report_name = _DISPATCH[cfg.experiment]
     try:
-        ok, details, outputs = runner(cfg, outdir)
+        ok, details, outputs = stage(cfg, outdir)
+        report = os.path.join(outdir, report_name)
+        write_json(report, details)
         manifest.add_stage(cfg.experiment, "pass" if ok else "fail", details,
-                           [os.path.relpath(o, outdir) for o in outputs])
+                           [os.path.relpath(o, outdir) for o in outputs + [report]])
     except Exception as exc:  # noqa: BLE001 - stage failures land in the manifest
         manifest.add_stage(cfg.experiment, "error",
                            {"exception": repr(exc), "traceback": traceback.format_exc()}, [])
@@ -123,26 +127,27 @@ def _run_geometry(cfg, outdir):
         q = quotient_check(geom, seed=seed)
         details["quotient"] = q
         ok = ok and q["passes"]
-    path = os.path.join(outdir, "geometry_report.json")
-    write_json(path, details)
-    return ok, details, [path]
+    return ok, details, []
+
+
+def _sine_problem(prob):
+    """k, the stepper of -d_xx on (0, pi) in grid_points cells, and sin(k x) on its grid."""
+    k = int(prob["k"])
+    grid = BoxGrid.interval(0.0, np.pi, int(prob["grid_points"]) + 1)
+    stepper = SemigroupStepper(CoefficientField.identity(1), grid)
+    return k, stepper, GridFunction.from_callable(grid, lambda x: np.sin(k * x))
 
 
 def _run_fractional(cfg, outdir):
     s = cfg.setup["s"]
-    prob = cfg.problem
-    N = int(prob["grid_points"])
-    k = int(prob["k"])
-    grid = BoxGrid.interval(0.0, np.pi, N + 1)
-    stepper = SemigroupStepper(CoefficientField.identity(1), grid)
-    u = GridFunction.from_callable(grid, lambda x: np.sin(k * x))
+    k, stepper, u = _sine_problem(cfg.problem)
     Lsu, info = fractional_apply(stepper, u, s)
     target = k ** (2.0 * s) * u.values
     rel = float(np.max(np.abs(Lsu.values - target)) / np.max(np.abs(target)))
     fits = {"apply": info}
     ok = rel < TOLERANCES["eigen_rel_error"]
     details = {"eigen_rel_error": rel, "k": k, "fit_info": fits}
-    if prob["inverse"]:
+    if cfg.problem["inverse"]:
         inv, fits["inverse"] = fractional_inverse(stepper, u, s)
         back, _ = fractional_apply(stepper, inv, s)
         rt = float(np.max(np.abs(back.values - u.values)) / np.max(np.abs(u.values)))
@@ -152,9 +157,7 @@ def _run_fractional(cfg, outdir):
     details["scalar_rel_errors"] = {str(lam): max(fit_rel_error(i, lam) for i in fits.values())
                                     for lam in (1.0, 4.0, 9.0)}
     ok = ok and max(details["scalar_rel_errors"].values()) < TOLERANCES["scalar_rel_error"]
-    path = os.path.join(outdir, "fractional_report.json")
-    write_json(path, details)
-    return ok, details, [path]
+    return ok, details, []
 
 
 def _run_solve_extension(cfg, outdir):
@@ -180,9 +183,7 @@ def _run_solve_extension(cfg, outdir):
         outputs.append(svg)
     ok = (field_err < TOLERANCES["field_error"]
           and state.residual_interior < TOLERANCES["residual_interior"])
-    path = os.path.join(outdir, "extension_report.json")
-    write_json(path, details)
-    return ok, details, outputs + [path]
+    return ok, details, outputs
 
 
 def _run_barrier(cfg, outdir):
@@ -205,9 +206,7 @@ def _run_barrier(cfg, outdir):
         else:
             details.update(eps=bar.eps, eps0=bar.profile.eps0, alpha=bar.alpha,
                            **bar.verify(samples=int(prob["samples"]), seed=cfg.seed))
-    path = os.path.join(outdir, "barrier_report.json")
-    write_json(path, details)
-    return details.get("passes", False), details, [path]
+    return details.get("passes", False), details, []
 
 
 def _touching_exact(geom, xs, zs, U, rep):
@@ -265,9 +264,7 @@ def _run_sliding(cfg, outdir):
     write_csv(csv, ["vertex_x", "vertex_z", "contact_x", "contact_z", "touching_value"],
               [(vx, vz, xs[i], zs[j], c)
                for (vx, vz), nodes, c in rep.contact_map for (i, j) in nodes])
-    path = os.path.join(outdir, "sliding_report.json")
-    write_json(path, details)
-    return ok, details, [path, csv]
+    return ok, details, [csv]
 
 
 def _run_harnack(cfg, outdir):
@@ -287,11 +284,9 @@ def _run_harnack(cfg, outdir):
         details["C_H_hat_refined"] = rep2["C_H_hat"]
         details["C_H_drift"] = drift
         ok = ok and drift <= TOLERANCES["harnack_drift"]
-    path = os.path.join(outdir, "harnack_report.json")
-    write_json(path, details)
     csv = os.path.join(outdir, "harnack_quotients.csv")
     write_csv(csv, ["index", "quotient"], enumerate(quotients))
-    return ok, details, [path, csv]
+    return ok, details, [csv]
 
 
 def _run_schauder(cfg, outdir):
@@ -323,15 +318,11 @@ def _run_schauder(cfg, outdir):
         errs = [row["E"] for row in report.scales]
         ok = max(errs) < TOLERANCES["polynomial_error"]
         reference = None
-    fields = asdict(report)
-    details = {**fields, "target": reference}
-    outputs = []
-    jsonp = os.path.join(outdir, "decay_report.json")
-    write_json(jsonp, fields)
+    details = {**asdict(report), "target": reference}
     csvp = os.path.join(outdir, "decay_report.csv")
     write_csv(csvp, ["j", "r", "nodes", "sup_error"],
               [(row["j"], row["r"], row["nodes"], row["E"]) for row in report.scales])
-    outputs += [jsonp, csvp]
+    outputs = [csvp]
     if cfg.emit_plots:
         svg = os.path.join(outdir, "decay.svg")
         svg_loglog(svg, [row["r"] for row in report.scales],
@@ -342,19 +333,19 @@ def _run_schauder(cfg, outdir):
     return ok, details, outputs
 
 
-def _synthetic_state(s, fn, mx=200, my=96):
+def _synthetic_state(s, fn, mx, my):
     """Exact-valued state on the kinked benchmark's graded grid over S_1 x
     (0, Z), h(Z) = 1 (noise floor ~ machine)."""
     mesh = ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0)
     xs, = mesh.x_axes((-np.sqrt(2.0), np.sqrt(2.0)), 1)
-    y = mesh.y_nodes(np.sqrt(2.0 / MAGeometry(s).c_s), s)
+    y = mesh.y_nodes(harmonic_family_ycap(s), s)
     zg = transform_to_z(y, s)
     vals = np.asarray(fn(xs[None, :], zg[:, None]), float)
     vals = np.broadcast_to(vals, (my + 1, len(xs))).copy()
     return ExtensionState(s, [xs], y, vals, 0.0, 0.0, meta={"synthetic": True})
 
 
-def _polynomial_state(s, case, mx=200, my=96):
+def _polynomial_state(s, case, mx, my):
     geom = MAGeometry(s)
 
     def fn(x, z):
@@ -371,12 +362,8 @@ def _polynomial_state(s, case, mx=200, my=96):
 def _run_end_to_end(cfg, outdir):
     s, alpha = cfg.setup["s"], cfg.setup["alpha"]
     prob = cfg.problem
-    N = int(prob["grid_points"])
-    k = int(prob["k"])
-    grid = BoxGrid.interval(0.0, np.pi, N + 1)
-    stepper = SemigroupStepper(CoefficientField.identity(1), grid)
-    x = grid.axes()[0]
-    f = GridFunction.from_callable(grid, lambda xx: np.sin(k * xx))
+    k, stepper, f = _sine_problem(prob)
+    x = stepper.grid.axes()[0]
     u, _ = fractional_inverse(stepper, f, s)
     rel = float(np.max(np.abs(u.values - k ** (-2.0 * s) * f.values))
                 / k ** (-2.0 * s))
@@ -391,18 +378,16 @@ def _run_end_to_end(cfg, outdir):
     details = {"eigen_rel_error": rel, "norm_report": asdict(rep),
                "f_holder_const": f_holder}
     ok = rel < TOLERANCES["eigen_rel_error"] and np.isfinite(rep.ratio)
-    path = os.path.join(outdir, "endtoend_report.json")
-    write_json(path, details)
-    return ok, details, [path]
+    return ok, details, []
 
 
 _DISPATCH = {
-    "geometry-check": _run_geometry,
-    "fractional-apply": _run_fractional,
-    "solve-extension": _run_solve_extension,
-    "barrier-check": _run_barrier,
-    "slide-paraboloids": _run_sliding,
-    "harnack": _run_harnack,
-    "schauder-decay": _run_schauder,
-    "end-to-end": _run_end_to_end,
+    "geometry-check": (_run_geometry, "geometry_report.json"),
+    "fractional-apply": (_run_fractional, "fractional_report.json"),
+    "solve-extension": (_run_solve_extension, "extension_report.json"),
+    "barrier-check": (_run_barrier, "barrier_report.json"),
+    "slide-paraboloids": (_run_sliding, "sliding_report.json"),
+    "harnack": (_run_harnack, "harnack_report.json"),
+    "schauder-decay": (_run_schauder, "decay_report.json"),
+    "end-to-end": (_run_end_to_end, "endtoend_report.json"),
 }

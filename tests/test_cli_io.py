@@ -605,6 +605,58 @@ def test_cli_env_output_root(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "manifest.json").exists()
 
 
+def test_cli_out_order_is_flag_then_env_then_config(tmp_path, monkeypatch, capsys):
+    # output_dir always has a value (default "."), so $FRACEXT_OUT must win over it
+    cfg = _small_geometry_cfg()
+    cfg.data["output_dir"] = str(tmp_path / "A")
+    p = tmp_path / "g.json"
+    cfg.emit(p)
+    monkeypatch.setenv("FRACEXT_OUT", str(tmp_path / "B"))
+    assert cli_main(["run", "--config", str(p)]) == 0
+    assert (tmp_path / "B" / "manifest.json").exists() and not (tmp_path / "A").exists()
+    assert cli_main(["run", "--config", str(p), "--out", str(tmp_path / "C")]) == 0
+    assert (tmp_path / "C" / "manifest.json").exists() and not (tmp_path / "A").exists()
+    monkeypatch.delenv("FRACEXT_OUT")
+    assert cli_main(["run", "--config", str(p)]) == 0
+    assert (tmp_path / "A" / "manifest.json").exists()
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli_main(["run", "--help"])
+    assert "(default: $FRACEXT_OUT if set, else the config's output_dir, whose default is " \
+        "'.')" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("frac, points, refused", [(1e-6, 512, True), (3.99 / 512, 512, True),
+                                                   (4 / 512, 512, False), (0.05, 64, True),
+                                                   (0.0625, 64, False)])
+def test_end_to_end_refuses_a_subdomain_below_4_cells(tmp_path, frac, points, refused):
+    # at 1e-6 of 512 cells only x = pi/2 is inside: no Hoelder pair to measure
+    raw = {"experiment": "end-to-end",
+           "problem": {"grid_points": points, "subdomain_fraction": frac}}
+    if refused:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"problem.subdomain_fraction: must span >= 4 grid cells for Hoelder pairs; "
+                f"got {frac:g} of {points}")):
+            validate(raw)
+        return
+    stage = run(validate(raw), str(tmp_path)).stages[0]
+    assert stage["status"] == "pass"
+    assert stage["details"]["norm_report"]["holder_seminorm"] > 0.0
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_stage_report_is_the_manifest_details(tmp_path, kind, s):
+    raw = default_raw(kind, s)
+    raw["emit_plots"] = True
+    run(validate(raw), str(tmp_path))
+    stage = json.loads((tmp_path / "manifest.json").read_text())["stages"][0]
+    assert stage["status"] == "pass"
+    reports = [o for o in stage["outputs"] if o.endswith("_report.json")]
+    assert len(reports) == 1
+    assert json.loads((tmp_path / reports[0]).read_text()) == stage["details"]
+
+
 @pytest.mark.parametrize("flags, key", [(["--s", "1.5"], "setup.s"),
                                         (["--seed", "-3"], "seed")])
 def test_cli_overrides_are_validated(tmp_path, capsys, flags, key):

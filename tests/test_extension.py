@@ -359,6 +359,47 @@ def test_harmonic_mode_profile_value_at_zero():
         assert prof[0] == 1.0 and np.all(np.diff(prof) > 0)
 
 
+@pytest.mark.parametrize("s", [0.05, 0.3, 0.7, 0.95])
+def test_harmonic_mode_profile_is_one_where_k_y_vanishes(s):
+    # k = 0 is the constant mode; a k y that underflows to 0 reads as y = 0.
+    # Elsewhere the closed form keeps its bits.
+    from scipy.special import gamma, iv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(harmonic_mode_profile(s, 0.0, np.array([0.0, 0.5, 1e300])),
+                              np.ones(3))
+        assert harmonic_mode_profile(s, 0, 0.5) == 1.0
+        assert harmonic_mode_profile(s, 1e-200, 1e-200) == 1.0
+        assert harmonic_mode_profile(s, -0.0, 0.5) == 1.0
+        combo = HarmonicCombo(s, 1.0, [(1.0, 0.0, 0.0)])
+        assert np.array_equal(combo(np.array([0.1, 2.0]), np.array([0.0, 0.4])), [2.0, 2.0])
+        y = np.array([1e-12, 0.5, 3.0, 0.0])
+        w = 2.0 * y[:3]
+        ref = gamma(1.0 - s) * (w / 2.0) ** s * iv(-s, w)
+        assert np.array_equal(harmonic_mode_profile(s, 2.0, y), np.append(ref, 1.0))
+
+
+@pytest.mark.parametrize("k", [-2.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_harmonic_mode_profile_refuses_a_negative_or_non_finite_k(k):
+    with pytest.raises(ValueError, match=re.escape(f"got k = {k}")):
+        harmonic_mode_profile(0.3, k, np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="wave number"):
+        HarmonicCombo(0.3, 1.0, [(1.0, k, 0.0)])(0.2, 0.5)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.75])
+def test_harmonic_combo_refuses_negative_heights(s):
+    # the combo is a half-space field, as ExtensionState is: z < 0 is refused,
+    # and -0.0 is the height 0.0
+    combo = HarmonicCombo(s, 0.3, [(0.5, 1.0, 0.4), (0.2, 2.0, 1.1)])
+    x = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="transform defined for z >= 0"):
+        combo(x, -0.4)
+    with pytest.raises(ValueError, match="transform defined for z >= 0"):
+        combo(x[None, :], np.array([0.1, -0.4])[:, None])
+    assert combo(x, -0.0).tobytes() == combo(x, 0.0).tobytes()
+
+
 def test_state_save_roundtrip(tmp_path):
     problem, _ = eigen_extension_problem(0.5, 1, Z=1.0)
     st = solve_extension(problem, ExtensionMesh(nx=33, my=12))

@@ -212,7 +212,8 @@ def test_section_endpoint_anisotropic_scaling(s, z0, R, side, rho):
 
 
 @settings(max_examples=50, deadline=None)
-@given(_s, st.lists(st.tuples(_z0, _R, _side), min_size=1, max_size=12))
+@given(_s, st.lists(st.tuples(st.one_of(_z0, st.sampled_from([0.0, -0.0])), _R, _side),
+                    min_size=1, max_size=12))
 def test_section_endpoint_array_equals_scalar_calls(s, lanes):
     g = MAGeometry(s)
     z0, R, side = (np.array(v) for v in zip(*lanes))

@@ -721,6 +721,16 @@ def test_interior_norm_report_refuses_grids_it_would_get_wrong():
         interior_norm_report(xs, u, 1.5, np.zeros_like(sub), data_norm=1.0)
 
 
+def test_interior_norm_report_refuses_a_subdomain_of_one_node():
+    # one node has no Hoelder pair: the ratio would have no Hoelder part
+    xs = np.linspace(0.0, 1.0, 41)
+    u, one = np.sin(xs), np.arange(41) == 20
+    with pytest.raises(ValueError, match="sub_mask needs 2 nodes"):
+        interior_norm_report(xs, u, 1.5, one, data_norm=1.0)
+    rep = interior_norm_report(xs, u, 1.5, one | (np.arange(41) == 21), data_norm=1.0)
+    assert rep.holder_seminorm > 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 700), gamma=st.floats(0.01, 0.99), seed=st.integers(0, 2**31),
        repeat=st.booleans())
