@@ -67,18 +67,16 @@ def _log_gap(a, b):
 class _ExponentialBarrier:
     """phi(x, z) = e^{-alpha E} - e^{-alpha R}, E = delta_Phi((x0,z0),(x,z)) - h_eps(z).
 
-    R = delta_h(z0, 0) puts (x0, 0) on the section boundary.  The operator
-    Delta_x phi + z^{2-1/s} d_zz phi is alpha e^{-alpha E} (alpha P - Q) with
-    the alpha-free terms of bracket_terms.  Here h_eps = psi = 0 (case 1).
+    z0 = geom.trace_center(R) puts (x0, 0) on the boundary: delta_h(z0, 0) = R.
+    Delta_x phi + z^{2-1/s} d_zz phi = alpha e^{-alpha E} (alpha P - Q), with the
+    alpha-free terms of bracket_terms.  Here h_eps = psi = 0 (case 1).
     """
 
-    def _annulus(self, geom, x0, z0, R, rho):
+    def _annulus(self, geom, x0, R, rho):
         if not 0 < rho < R:
             raise ValueError("need 0 < rho < R")
-        if abs(geom.delta_h(z0, 0.0) - R) > 1e-9 * max(1.0, R):
-            raise ValueError("R must equal delta_h(z0, 0)")
-        self.geom, self.x0, self.z0, self.R, self.rho = geom, x0, float(z0), float(R), float(rho)
-        self.n = geom.n
+        self.geom, self.x0, self.R, self.rho = geom, x0, float(R), float(rho)
+        self.z0, self.n = float(geom.trace_center(R)), geom.n
 
     def h_eps(self, z):
         return 0.0
@@ -132,10 +130,10 @@ class BarrierCase1(_ExponentialBarrier):
     """The exponential barrier for s <= 1/2, where the quotient bound keeps
     the operator positive on the annulus once alpha > (n+1)/rho."""
 
-    def __init__(self, geom: MAGeometry, x0, z0, R, rho, alpha):
+    def __init__(self, geom: MAGeometry, x0, R, rho, alpha):
         if geom.s > 0.5:
             raise ValueError("exponential barrier requires s <= 1/2")
-        self._annulus(geom, x0, z0, R, rho)
+        self._annulus(geom, x0, R, rho)
         if alpha <= (geom.n + 1) / rho:
             raise ValueError("alpha must exceed (n+1)/rho")
         self.alpha = float(alpha)
@@ -180,14 +178,14 @@ class BarrierCase2(_ExponentialBarrier):
     the smallest alpha whose scanned bracket clears SCAN_MARGIN (n+1).
     """
 
-    def __init__(self, geom: MAGeometry, x0, z0, R, rho, eps, alpha=None):
+    def __init__(self, geom: MAGeometry, x0, R, rho, eps, alpha=None):
         s = geom.s
         if not 0.5 < s < 1.0:
             raise ValueError("corrected barrier requires 1/2 < s < 1")
-        self._annulus(geom, x0, z0, R, rho)
+        self._annulus(geom, x0, R, rho)
         self.eps = float(eps)
 
-        z_hi = geom.section_endpoint(z0, R, 1.0)
+        z_hi = geom.section_endpoint(self.z0, R, 1.0)
         mu_S = float(geom.hp(z_hi))  # h'(z_hi) - h'(0)
         eps0 = eps
         while True:
@@ -222,7 +220,7 @@ class BarrierCase2(_ExponentialBarrier):
         # psi falls below 1/2, and alpha P > Q needs the largest alpha, is far
         # narrower than the uniform spacing, so the scan holds its nodes.
         z = np.union1d(np.linspace(z_hi * 1e-7, z_hi * (1 - 1e-9), 20_000), ztr)
-        dhz = geom.delta_h(z0, z)
+        dhz = geom.delta_h(self.z0, z)
         self._scan = self.bracket_terms(np.maximum(0.0, rho - dhz[dhz < R]), z[dhz < R])
         if alpha is None:
             if reason := self.profile_failure():
@@ -304,7 +302,7 @@ class BarrierCase2(_ExponentialBarrier):
         return rep
 
 
-def search_case2_parameters(geom: MAGeometry, x0, z0, R, rho):
+def search_case2_parameters(geom: MAGeometry, x0, R, rho):
     """The corrected barrier at the first eps of EPS_LADDER that admits one.
 
     Theory guarantees such parameters exist; the result is a reproducible
@@ -318,7 +316,7 @@ def search_case2_parameters(geom: MAGeometry, x0, z0, R, rho):
     reasons = []
     for eps in EPS_LADDER:
         try:
-            bar = BarrierCase2(geom, x0, z0, R, rho, eps)
+            bar = BarrierCase2(geom, x0, R, rho, eps)
         except BarrierNotFound as exc:
             reasons.append((eps, str(exc)))
             continue

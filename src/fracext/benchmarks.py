@@ -55,13 +55,13 @@ def kinked_trace_problem(s, alpha, mx=260, my=140):
     return problem, mesh
 
 
-def harmonic_combo_problem(s, combo: HarmonicCombo, domain=(-np.sqrt(2.0), np.sqrt(2.0)),
+def harmonic_combo_problem(combo: HarmonicCombo, domain=(-np.sqrt(2.0), np.sqrt(2.0)),
                            Z=None):
-    """Zero-Neumann problem whose exact solution is the given combination."""
-    geom = MAGeometry(s)
-    Z = Z if Z is not None else geom.q_s
+    """Zero-Neumann problem at s = combo.s whose exact solution is the
+    combination; Z defaults to the height with h(Z) = 1."""
+    Z = Z if Z is not None else MAGeometry(combo.s).q_s
     problem = ExtensionProblem(
-        s=s, coeff=CoefficientField.identity(1), domain=domain, Z=Z,
+        s=combo.s, coeff=CoefficientField.identity(1), domain=domain, Z=Z,
         bottom=("neumann", 0.0),
         g_lateral=lambda x, z: combo(x, z),
         g_top=lambda x: combo(x, Z))
@@ -138,17 +138,16 @@ def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
     the scaling-invariant variables; the interior derivative estimate is
     saturated by this family and the fitted exponent approaches -order/2.
     """
-    geom = MAGeometry(s)
     ratios, rs = [], []
     for kmode in kmodes:
         r = 2.0 / kmode**2
         combo = HarmonicCombo(s, const=0.0, modes=[(1.0, kmode, 0.0)])
         Zk = transform_to_z(3.0 / kmode, s)
-        prob = harmonic_combo_problem(s, combo, domain=(-4.0 / kmode, 4.0 / kmode), Z=Zk)
+        prob = harmonic_combo_problem(combo, domain=(-4.0 / kmode, 4.0 / kmode), Z=Zk)
         st = solve_extension(prob, ExtensionMesh(nx=nx, my=my))
         xs = st.x_axes[0]
-        inner, outer = (SectionDescriptor((0.0,), 0.0, R, "cylinder", geom.c_s * R).contains(
-            geom, xs[None, :], st.z_nodes[:, None]) for R in (r / 4.0, r))
+        inner, outer = (SectionDescriptor((0.0,), 0.0, R, "cylinder", st.geom.c_s * R).contains(
+            st.geom, xs[None, :], st.z_nodes[:, None]) for R in (r / 4.0, r))
         D = st.values
         for _ in range(order):
             D = np.gradient(D, xs, axis=1)
@@ -166,13 +165,12 @@ def z_decay_exponent(s, nx=129, my=128):
     The y-grading is chosen so the face ladder reaches z ~ 1e-3; the fit runs
     over faces with z in (2e-3, 0.08) and approaches 1/s - 1.
     """
-    geom = MAGeometry(s)
     Z = 1.0
     y_lo = transform_to_y(1e-3, s)
     Y = transform_to_y(Z, s)
     grading = max(1.0, np.log(y_lo / Y) / np.log(1.0 / my))
     combo = HarmonicCombo(s, const=0.0, modes=[(1.0, 1.0, 0.0)])
-    prob = harmonic_combo_problem(s, combo, domain=(-1.0, 1.0), Z=Z)
+    prob = harmonic_combo_problem(combo, domain=(-1.0, 1.0), Z=Z)
     st = solve_extension(prob, ExtensionMesh(nx=nx, my=my, grading=grading))
     zf, dz = st.z_derivative_faces()
     interior = slice(nx // 6, -nx // 6)

@@ -227,7 +227,8 @@ class ExtensionState:
     values has shape (my+1, *x_shape) and is indexed [z-level, x...]; the
     z-levels are transform_to_z(y_nodes).  Interpolation is bilinear in
     (x, h-coordinate), i.e. linear in delta_h along the z-axis, which respects
-    the geometry near the degenerate boundary.
+    the geometry near the degenerate boundary.  geom is that geometry:
+    MAGeometry(s, n) in the state's x-dimension n.
     """
 
     def __init__(self, s, x_axes, y_nodes, values, residual_interior, residual_bottom,
@@ -240,8 +241,8 @@ class ExtensionState:
         self.residual_interior = float(residual_interior)
         self.residual_bottom = float(residual_bottom)
         self.meta = dict(meta or {})
-        self._geom = MAGeometry(s)
-        self._eta = self._geom.h(self.z_nodes)
+        self.geom = MAGeometry(s, n=len(self.x_axes))
+        self._eta = self.geom.h(self.z_nodes)
 
     @property
     def n(self):
@@ -266,7 +267,7 @@ class ExtensionState:
             raise ValueError("the state lives on the half-space z >= 0; z must be nonnegative")
         x = np.asarray(x, dtype=float)
         axes = (self._eta, *self.x_axes)
-        qs = (self._geom.h(z), *([x] if self.n == 1 else [x[..., i] for i in range(self.n)]))
+        qs = (self.geom.h(z), *([x] if self.n == 1 else [x[..., i] for i in range(self.n)]))
         qs = np.broadcast_arrays(*(_clip_to(q, ax[0], ax[-1]) for q, ax in zip(qs, axes)))
         # multilinear on the grid cell holding each point: per axis its cell
         # and the offset in it, then a sum over the cell's 2^(n+1) corners

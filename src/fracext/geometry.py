@@ -166,6 +166,10 @@ class MAGeometry:
         ends = self.section_endpoint(np.expand_dims(z0, -1), np.expand_dims(R, -1), (-1.0, 1.0))
         return ends[..., 0][()], ends[..., 1][()]
 
+    def trace_center(self, R):
+        """The z0 > 0 with delta_h(z0, 0) = s z0^(1/s) = R: S_R(z0) = (0, z_hi)."""
+        return (R / self.s) ** self.s
+
     def section_endpoint(self, z0, R, side):
         """The z with delta_h(z0, z) = R on the given side (+1 or -1) of z0.
 

@@ -16,7 +16,7 @@ from .extension import (ExtensionMesh, ExtensionProblem, ExtensionState,
                         transform_to_y, transform_to_z)
 from .fitting import sup_fit, sup_fitter
 from .geometry import MAGeometry, SectionDescriptor, _names_s
-from .semigroup import CoefficientField
+from .semigroup import CoefficientField, _uniform_step
 
 
 # -- Hoelder seminorm in the quasi-metric ---------------------------------------------------
@@ -53,16 +53,16 @@ def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta):
     return float(np.max(maxima))
 
 
-def holder_seminorm_state(geom, state: ExtensionState, center, R, beta):
-    """Seminorm of a solved state restricted to the section S_R(center), a
-    ValueError if it holds no node.  It is its even reflection's too: with
-    t > 0, delta_h(-z, t) = delta_h(z, t) + 2 h'(z) t and delta_h(-z, -t) =
+def holder_seminorm_state(state: ExtensionState, center, R, beta):
+    """Seminorm of a solved state on S_R(center) in `state.geom`, a ValueError
+    if it holds no node.  It is its even reflection's too: with t > 0,
+    delta_h(-z, t) = delta_h(z, t) + 2 h'(z) t and delta_h(-z, -t) =
     delta_h(z, t), so no pair across z = 0 beats its twin pair."""
     x, z, v = state.node_points()
-    member = SectionDescriptor(center[0], center[1], R).contains(geom, x, z)
+    member = SectionDescriptor(center[0], center[1], R).contains(state.geom, x, z)
     if not member.any():
         raise ValueError("section S_R contains no grid nodes")
-    return holder_seminorm(geom, x[member], z[member], v[member], beta)
+    return holder_seminorm(state.geom, x[member], z[member], v[member], beta)
 
 
 # -- Harnack quotient -------------------------------------------------------------------------
@@ -79,9 +79,8 @@ class HarnackReport:
     quotient: float
 
 
-def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R,
-                     kappa=0.5) -> HarnackReport:
-    """sup / inf over the shrunken section S_{kappa R}, 0 < kappa < 1.
+def harnack_quotient(state: ExtensionState, center, R, kappa=0.5) -> HarnackReport:
+    """sup / inf over the shrunken section S_{kappa R} in `state.geom`, 0 < kappa < 1.
 
     The state must be nonnegative on S_R and solve a problem with f = F = 0,
     so the data terms ||f|| R^s + ||F|| R of the denominator vanish.  It is
@@ -90,7 +89,7 @@ def harnack_quotient(geom: MAGeometry, state: ExtensionState, center, R,
     mirrored node lies in a section only if its twin does.
     """
     x, z, v = state.node_points()
-    return _HarnackSections(geom, x, z, center, R, kappa).report(v)
+    return _HarnackSections(state.geom, x, z, center, R, kappa).report(v)
 
 
 class _HarnackSections:
@@ -125,20 +124,19 @@ class _HarnackSections:
 
 
 @_names_s
-def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
+def harnack_family_report(s, family, nx=97, my=48, kappa=0.5, R=0.5, refine=1):
     """Max quotient over a family of exact nonnegative harmonic combinations.
 
-    family: list of HarmonicCombo (f = F = 0, so the data terms vanish).  Each
-    is sampled, not solved, on a grid of its own: (mesh.nx - 1) refine + 1
-    x-nodes and mesh.my refine geometric z-levels plus the trace z = 0, over
-    S_R(0) x S_R(0)^+ widened by 5%; `refine` is what the stability check
-    varies.  The sections are found once for the family; by the inequality in
-    `harnack_quotient` the quotients are also those of the even reflection.
+    family: list of HarmonicCombo at this s, else a ValueError naming the
+    member (f = F = 0, so the data terms vanish).  Each is sampled, not
+    solved, on a grid of its own: (nx - 1) refine + 1 x-nodes and my refine
+    geometric z-levels plus the trace z = 0, over S_R(0) x S_R(0)^+ widened
+    by 5%; `refine` is what the stability check varies.  The sections are
+    found once for the family; by the inequality in `harnack_quotient` the
+    quotients are also those of the even reflection.
     """
     geom = MAGeometry(s)
-    mesh = mesh or ExtensionMesh(nx=97, my=48)
-    nx = (mesh.nx - 1) * refine + 1
-    my = mesh.my * refine
+    nx, my = (nx - 1) * refine + 1, my * refine
     xlim = np.sqrt(2.0 * R) * 1.05
     zcap = geom.section_interval(0.0, R)[1] * 1.05
     xs = np.linspace(-xlim, xlim, nx)
@@ -149,6 +147,8 @@ def harnack_family_report(s, family, mesh=None, kappa=0.5, R=0.5, refine=1):
     profiles = {}  # each wave number's mode profile on this grid, for the whole family
     reports = []
     for i, combo in enumerate(family):
+        if combo.s != s:
+            raise ValueError(f"family member {i} has s = {combo.s!r}, not the report's {s!r}")
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             vals = combo.at_y(xs[None, :], ys[:, None], profiles)
         if not np.all(np.isfinite(vals)):
@@ -180,10 +180,9 @@ def approximation_distance(s, eps0, mesh=None):
     1 + 0.4 cos(x + 0.2) (times its mode profile) and one mesh, so the
     distance tends to 0 with eps0.
     """
-    geom = MAGeometry(s)
     mesh = mesh or ExtensionMesh(nx=129, my=48)
     # on S_1 x (0, Z), h(Z) = 1
-    prob_h = harmonic_combo_problem(s, HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)]))
+    prob_h = harmonic_combo_problem(HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)]))
     lam = max(1e-6, 1.0 - 0.45 * eps0)
     coeff_p = CoefficientField.scalar_1d(lambda x: 1.0 + 0.45 * eps0 * np.cos(2.0 * x),
                                          lam, 1.0 + 0.45 * eps0)
@@ -195,7 +194,7 @@ def approximation_distance(s, eps0, mesh=None):
     U = solve_extension(prob_p, mesh)
     H = solve_extension(prob_h, mesh)
     member = SectionDescriptor((0.0,), 0.0, 0.75, "cylinder").contains(
-        geom, U.x_axes[0][None, :], U.z_nodes[:, None])
+        U.geom, U.x_axes[0][None, :], U.z_nodes[:, None])
     return float(np.max(np.abs(U.values - H.values)[member]))
 
 
@@ -265,7 +264,7 @@ def schauder_decay(state: ExtensionState, case, rho=0.5, depth=9, noise_floor=0.
         raise ValueError("case must be 1, 2 or 3")
     if state.n != 1:
         raise ValueError("decay fitting implemented for 1-D x")
-    geom = MAGeometry(state.s)
+    geom = state.geom
     scales = []
     truncated = False
     for j in range(depth + 1):
@@ -333,8 +332,7 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> C
     """
     if state.n != 1:
         raise ValueError("iteration implemented for 1-D x")
-    s = state.s
-    geom = MAGeometry(s)
+    s, geom = state.s, state.geom
     gam = alpha + 2.0 * s
     cylinder = _decay_cylinder(rho, case)
     xw = np.sqrt(2.0) * rho * 1.02
@@ -469,9 +467,9 @@ def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
     O(_HOLDER_BLOCK N) memory.  The ratio is
     (sup |u| + sup |D^m u| + [D^m u]_gamma) / data_norm.
 
-    ValueError for fewer than 3 nodes, a grid that is not uniform
-    (np.diff(xs) within 1e-12 relative of xs[1] - xs[0] != 0, as
-    `semigroup.x_operator` asks) or a sub_mask of fewer than 2 nodes.
+    ValueError for fewer than 3 nodes, a grid that is not uniform (the rule
+    of `semigroup.x_operator` in 2-D, `_uniform_step`) or a sub_mask of
+    fewer than 2 nodes.
     """
     xs = np.asarray(xs, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -481,9 +479,7 @@ def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
         raise ValueError("gamma_total must have fractional part in (0,1)")
     if len(xs) < 3:
         raise ValueError(f"interior_norm_report needs at least 3 nodes, got {len(xs)}")
-    h = xs[1] - xs[0]
-    if not (h != 0 and np.allclose(np.diff(xs), h, rtol=1e-12, atol=0.0)):
-        raise ValueError("interior_norm_report needs a uniform grid xs")
+    h = _uniform_step(xs, "xs", "interior_norm_report")
     if np.count_nonzero(sub_mask) < 2:
         raise ValueError("interior_norm_report: sub_mask needs 2 nodes for a Hoelder pair")
     derivs = [u]

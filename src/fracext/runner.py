@@ -43,7 +43,7 @@ from .semigroup import (CoefficientField, SemigroupStepper, fit_rel_error,
 TOLERANCES = {
     "scaling_rel_error": 1e-12,         # geometry: exact scaling of h and h'
     "scalar_rel_error": 1e-6,           # fractional: the fits at lam = 1, 4, 9
-    "eigen_rel_error": 1e-3,            # fractional, end-to-end: eigenfunction
+    "eigen_rel_error": 1e-3,            # fractional, end-to-end: against lam_h^{+-s} sin(kx)
     "roundtrip_rel_error": 1e-3,        # fractional: L^s L^{-s} u against u
     "field_error": 1e-2,                # solve-extension: Bessel-profile oracle
     "residual_interior": 1e-8,          # solve-extension: interior residual
@@ -131,22 +131,26 @@ def _run_geometry(cfg, outdir):
 
 
 def _sine_problem(prob):
-    """k, the stepper of -d_xx on (0, pi) in grid_points cells, and sin(k x) on its grid."""
-    k = int(prob["k"])
-    grid = BoxGrid.interval(0.0, np.pi, int(prob["grid_points"]) + 1)
+    """k, its eigenvalue 4 sin^2(k h / 2) / h^2 on h = pi / grid_points, the
+    stepper of -d_xx on (0, pi) in grid_points cells and sin(k x) on its grid."""
+    k, cells = int(prob["k"]), int(prob["grid_points"])
+    grid = BoxGrid.interval(0.0, np.pi, cells + 1)
     stepper = SemigroupStepper(CoefficientField.identity(1), grid)
-    return k, stepper, GridFunction.from_callable(grid, lambda x: np.sin(k * x))
+    h = np.pi / cells
+    lam = 4.0 * np.sin(0.5 * k * h) ** 2 / h**2
+    return k, lam, stepper, GridFunction.from_callable(grid, lambda x: np.sin(k * x))
 
 
 def _run_fractional(cfg, outdir):
     s = cfg.setup["s"]
-    k, stepper, u = _sine_problem(cfg.problem)
+    k, lam, stepper, u = _sine_problem(cfg.problem)
     Lsu, info = fractional_apply(stepper, u, s)
-    target = k ** (2.0 * s) * u.values
+    target = lam**s * u.values
     rel = float(np.max(np.abs(Lsu.values - target)) / np.max(np.abs(target)))
     fits = {"apply": info}
     ok = rel < TOLERANCES["eigen_rel_error"]
-    details = {"eigen_rel_error": rel, "k": k, "fit_info": fits}
+    details = {"eigen_rel_error": rel, "k": k, "fit_info": fits,
+               "continuum_rel_error": float(abs((lam / k**2) ** s - 1.0))}
     if cfg.problem["inverse"]:
         inv, fits["inverse"] = fractional_inverse(stepper, u, s)
         back, _ = fractional_apply(stepper, inv, s)
@@ -187,20 +191,18 @@ def _run_solve_extension(cfg, outdir):
 
 
 def _run_barrier(cfg, outdir):
-    s = cfg.setup["s"]
     prob = cfg.problem
-    geom = MAGeometry(s)
+    geom = MAGeometry(cfg.setup["s"])
     R = float(prob["R"])
     rho = R * float(prob["rho_fraction"])
-    z0 = (R / s) ** s  # delta_h(z0, 0) = s z0^{1/s} = R
-    details = {"case": int(prob["case"]), "z0": z0, "R": R, "rho": rho}
+    details = {"case": int(prob["case"]), "z0": geom.trace_center(R), "R": R, "rho": rho}
     if prob["case"] == 1:
-        bar = BarrierCase1(geom, 0.0, z0, R, rho, float(prob["alpha"]))
+        bar = BarrierCase1(geom, 0.0, R, rho, float(prob["alpha"]))
         details.update(alpha=bar.alpha,
                        **bar.verify(samples=int(prob["samples"]), seed=cfg.seed))
     else:
         try:
-            bar = search_case2_parameters(geom, 0.0, z0, R, rho)
+            bar = search_case2_parameters(geom, 0.0, R, rho)
         except BarrierNotFound as exc:
             details["search_failures"] = exc.reasons
         else:
@@ -271,14 +273,14 @@ def _run_harnack(cfg, outdir):
     s = cfg.setup["s"]
     prob = cfg.problem
     family = positive_harmonic_family(s, int(prob["family_size"]), seed=cfg.seed)
-    mesh = ExtensionMesh(nx=int(prob["nx"]), my=int(prob["my"]))
-    rep = harnack_family_report(s, family, mesh, kappa=prob["kappa"], R=prob["R"])
+    nx, my = int(prob["nx"]), int(prob["my"])
+    rep = harnack_family_report(s, family, nx, my, kappa=prob["kappa"], R=prob["R"])
     quotients = [r.quotient for r in rep["reports"]]
     details = {"C_H_hat": rep["C_H_hat"], "min_quotient": rep["min_quotient"],
                "quotients": quotients}
     ok = rep["min_quotient"] >= TOLERANCES["harnack_min_quotient"]
     if prob["check_refinement"]:
-        rep2 = harnack_family_report(s, family, mesh, kappa=prob["kappa"], R=prob["R"],
+        rep2 = harnack_family_report(s, family, nx, my, kappa=prob["kappa"], R=prob["R"],
                                      refine=2)
         drift = abs(rep2["C_H_hat"] - rep["C_H_hat"]) / rep["C_H_hat"]
         details["C_H_hat_refined"] = rep2["C_H_hat"]
@@ -362,11 +364,10 @@ def _polynomial_state(s, case, mx, my):
 def _run_end_to_end(cfg, outdir):
     s, alpha = cfg.setup["s"], cfg.setup["alpha"]
     prob = cfg.problem
-    k, stepper, f = _sine_problem(prob)
+    k, lam, stepper, f = _sine_problem(prob)
     x = stepper.grid.axes()[0]
     u, _ = fractional_inverse(stepper, f, s)
-    rel = float(np.max(np.abs(u.values - k ** (-2.0 * s) * f.values))
-                / k ** (-2.0 * s))
+    rel = float(np.max(np.abs(u.values - lam ** -s * f.values)) / lam ** -s)
     gamma_total = alpha + 2.0 * s  # off the integers: `validate` refuses them
     frac = float(prob["subdomain_fraction"])
     lo, hi = 0.5 * (1 - frac) * np.pi, (0.5 + 0.5 * frac) * np.pi
@@ -375,8 +376,8 @@ def _run_end_to_end(cfg, outdir):
     f_holder = holder_quotient(x, f.values, alpha)
     data_norm = float(np.max(np.abs(f.values))) + f_holder
     rep = interior_norm_report(x, u.values, gamma_total, sub, data_norm)
-    details = {"eigen_rel_error": rel, "norm_report": asdict(rep),
-               "f_holder_const": f_holder}
+    details = {"eigen_rel_error": rel, "norm_report": asdict(rep), "f_holder_const": f_holder,
+               "continuum_rel_error": float(abs((lam / k**2) ** -s - 1.0))}
     ok = rel < TOLERANCES["eigen_rel_error"] and np.isfinite(rep.ratio)
     return ok, details, []
 

@@ -110,6 +110,19 @@ class CoefficientField:
 # -- operator assembly ---------------------------------------------------------------
 
 
+def _uniform_step(axis, name, owner):
+    """The step of a uniform axis, every step within 1e-12 relative of the first;
+    ValueError naming the owner and the axis for a zero or non-finite step."""
+    steps = np.diff(np.asarray(axis, dtype=float))
+    h = steps[0]
+    if not (np.all(np.isfinite(steps)) and h != 0.0):
+        raise ValueError(f"{owner} requires uniform axes: axis {name} has a zero or "
+                         f"non-finite step")
+    if np.max(np.abs(steps - h)) > 1e-12 * abs(h):
+        raise ValueError(f"{owner} requires uniform axes: axis {name} is not uniform")
+    return h
+
+
 def x_operator(coeff: CoefficientField, axes):
     """Discrete a^{ij} d_ij over the interior nodes of a tensor grid, monotone
     (off-diagonals >= 0, row sums <= 0: -Ax is an M-matrix).
@@ -179,9 +192,7 @@ def x_operator(coeff: CoefficientField, axes):
         return Ax, Bx
 
     xs, ys = (np.asarray(ax, dtype=float) for ax in axes)
-    if not all(np.max(np.abs(d - d[0])) <= 1e-12 * abs(d[0]) for d in map(np.diff, (xs, ys))):
-        raise ValueError("2-D x-operator requires uniform axes")
-    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    hx, hy = (_uniform_step(ax, name, "2-D x-operator") for ax, name in ((xs, "x"), (ys, "y")))
     m1, m2 = len(xs) - 2, len(ys) - 2
     X, Y = np.meshgrid(xs[1:-1], ys[1:-1], indexing="ij")
     a11, a12, a22 = (np.broadcast_to(c, X.shape).ravel() for c in coeff.components(X, Y))
@@ -723,15 +734,22 @@ def fit_rel_error(info, lam):
 # -- fractional operators ----------------------------------------------------------------
 
 
+def _interior_on(stepper: SemigroupStepper, u: GridFunction):
+    """u's interior values; ValueError naming both grids unless u lives on the stepper's."""
+    if u.grid != stepper.grid:
+        raise ValueError(f"the grid function is on {u.grid}, the stepper's on {stepper.grid}")
+    return u.interior()
+
+
 def fractional_apply(stepper: SemigroupStepper, u: GridFunction, s, quad=QuadratureSpec()):
     """L^s u = r_{1-s}(L)(L u); returns (grid function, info dict).
 
     r_{1-s} is the certified rational fit of x^{s-1} (`_power_fit`); the form
     L r_{1-s}(L) u would multiply the fit's error by the top of the spectrum.
     info as in `_rational_power`.  `quad` is accepted for compatibility; it
-    has no effect.
+    has no effect.  ValueError unless u lives on the stepper's grid.
     """
-    out, info = _rational_power(stepper, stepper.L @ u.interior(), 1.0 - s)
+    out, info = _rational_power(stepper, stepper.L @ _interior_on(stepper, u), 1.0 - s)
     return stepper.wrap_interior(out), info
 
 
@@ -740,9 +758,9 @@ def fractional_inverse(stepper: SemigroupStepper, f: GridFunction, s, quad=Quadr
 
     r_s is the certified rational fit of x^{-s} (`_power_fit`); info as in
     `_rational_power`.  `quad` is accepted for compatibility; it has no
-    effect.
+    effect.  ValueError unless f lives on the stepper's grid.
     """
-    out, info = _rational_power(stepper, f.interior(), s)
+    out, info = _rational_power(stepper, _interior_on(stepper, f), s)
     return stepper.wrap_interior(out), info
 
 
@@ -760,8 +778,8 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     semigroup.extension_nodes), `interval` and `sup_error`, the scalar
     rule's largest sampled error on [lo, hi] over the heights: the field's
     2-norm error is at most cond(V) sup_error |u|, V the eigenvectors of L.
-    ValueError in 2-D, unless 0 < s < 1 and every height is finite and
-    positive, and for a sup_error above _EXTENSION_TOL (naming s and z).
+    ValueError in 2-D, off the stepper's grid, unless 0 < s < 1 and every height
+    is finite and positive, and for a sup_error above _EXTENSION_TOL (naming s, z).
     `quad` is accepted for compatibility; it has no effect.
     """
     zs = np.asarray(zs, dtype=float).reshape(-1)
@@ -771,11 +789,12 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
         raise ValueError("the semigroup extension is computed on 1-D grids only")
     if not 0.0 < s < 1.0:
         raise ValueError("s must be in (0,1)")
+    v = _interior_on(stepper, u)
     (lo, hi), _ = stepper._fit_interval
     zeta, c, lam = _profile_contour(lo, hi)
     obs.count("semigroup.extension_nodes", 2 * len(zeta))
     x = _shifted_solver(stepper.L, -zeta, "L - ({p:g}) I is singular")(
-        np.broadcast_to(u.interior(), (len(zeta), stepper.L.shape[0])))
+        np.broadcast_to(v, (len(zeta), len(v))))
     weights = c * _bessel_profile(np.sqrt(zeta), s, zs[:, None])
     rows = (weights @ x).real
     d, im = lam - zeta.real[:, None], zeta.imag[:, None]  # Re sum_k weights_k / (lam - zeta_k)

@@ -139,11 +139,10 @@ def test_criterion_05_geometry_property_suite():
 def test_criterion_06_barrier_verification():
     """Case 1 fixture positivity at 1e4 samples; case 2 search passes all predicates."""
     g1 = MAGeometry(0.5)
-    bar1 = BarrierCase1(g1, 0.0, 1.0, 0.5, 0.25, 9.0)
+    bar1 = BarrierCase1(g1, 0.0, 0.5, 0.25, 9.0)
     rep1 = bar1.verify(samples=10_000, seed=21)
     g2 = MAGeometry(0.75)
-    z0 = (0.5 / 0.75) ** 0.75
-    bar2 = search_case2_parameters(g2, 0.0, z0, 0.5, 1.0 / 8.0)
+    bar2 = search_case2_parameters(g2, 0.0, 0.5, 1.0 / 8.0)
     rep2 = bar2.verify(samples=10_000, seed=22)
     ok = rep1["passes"] and rep2["passes"]
     _report(6, ok, f"case1 min operator {rep1['operator_min']:.3f} > 0; case2 at "
@@ -265,16 +264,15 @@ def test_criterion_12_harnack_quotients():
     for s in S_VALUES:
         family = positive_harmonic_family(s, 7, seed=41)
         total += len(family)
-        mesh = ExtensionMesh(nx=97, my=48)
-        rep1 = harnack_family_report(s, family, mesh)
-        rep2 = harnack_family_report(s, family, mesh, refine=2)
+        rep1 = harnack_family_report(s, family, 97, 48)
+        rep2 = harnack_family_report(s, family, 97, 48, refine=2)
         ok &= rep1["min_quotient"] >= 1.0 - 1e-9
         drift = abs(rep2["C_H_hat"] - rep1["C_H_hat"]) / rep1["C_H_hat"]
         ok &= drift <= 0.20
         details.append(f"s={s}: C_H^={rep1['C_H_hat']:.2f} drift {drift:.1%}")
         # constants give exactly 1
         const = [HarmonicCombo(s, const=2.0, modes=[])]
-        repc = harnack_family_report(s, const, mesh)
+        repc = harnack_family_report(s, const, 97, 48)
         ok &= repc["C_H_hat"] == 1.0
     _report(12, ok, f"{total}-solution family; " + "; ".join(details))
 

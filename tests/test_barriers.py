@@ -47,9 +47,10 @@ def test_sample_annulus_points_in_annulus(s, n):
 
 
 def test_barrier_case1_fixture():
-    # s = 1/2, z0 = 1 forces R = delta_h(z0, 0) = 1/2; alpha = 9 > (n+1)/rho = 8
+    # s = 1/2, R = 1/2 = delta_h(z0, 0) puts z0 at 1; alpha = 9 > (n+1)/rho = 8
     g = MAGeometry(0.5)
-    bar = BarrierCase1(g, 0.0, 1.0, 0.5, 0.25, 9.0)
+    bar = BarrierCase1(g, 0.0, 0.5, 0.25, 9.0)
+    assert bar.z0 == 1.0
     assert bar(0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
     rep = bar.verify(samples=10_000, seed=0)
     assert rep["passes"] and rep["operator_min"] > 0.0
@@ -63,23 +64,22 @@ def test_barrier_case1_fixture():
 
 def test_barrier_case1_other_s_and_validation():
     g = MAGeometry(0.25)
-    z0 = (0.5 / 0.25) ** 0.25  # delta_h(z0, 0) = s z0^{1/s} = 0.5
-    bar = BarrierCase1(g, 0.0, z0, 0.5, 0.2, 11.0)
+    bar = BarrierCase1(g, 0.0, 0.5, 0.2, 11.0)
+    assert bar.z0 == (0.5 / 0.25) ** 0.25  # delta_h(z0, 0) = s z0^{1/s} = 0.5
     assert bar.verify(samples=4000)["passes"]
     with pytest.raises(ValueError):
-        BarrierCase1(g, 0.0, z0, 0.5, 0.2, 5.0)   # alpha too small
+        BarrierCase1(g, 0.0, 0.5, 0.2, 5.0)   # alpha too small
+    # R and z0 can no longer disagree: the center comes from R
+    assert g.delta_h(BarrierCase1(g, 0.0, 0.4, 0.2, 11.0).z0, 0.0) == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        BarrierCase1(g, 0.0, z0, 0.4, 0.2, 11.0)  # R inconsistent with z0
-    with pytest.raises(ValueError):
-        BarrierCase1(MAGeometry(0.75), 0.0, 1.0, 0.75 * 1.0, 0.2, 11.0)  # wrong regime
+        BarrierCase1(MAGeometry(0.75), 0.0, 0.75, 0.2, 11.0)  # wrong regime
 
 
 def test_barrier_case2_fixture():
     s = 0.75
     g = MAGeometry(s)
     R, rho = 0.5, 1.0 / 8.0
-    z0 = (R / s) ** s
-    bar = search_case2_parameters(g, 0.0, z0, R, rho)
+    bar = search_case2_parameters(g, 0.0, R, rho)
     rep = bar.verify(samples=10_000, seed=1)
     assert rep["passes"]
     assert rep["operator_min"] > 0 and rep["bracket_scan_min"] > 0
@@ -102,8 +102,7 @@ def test_barrier_case2_bvp_oracle():
     # h_eps'' = 2(n+1) psi h'' checked by second differences off the endpoints
     s = 0.75
     g = MAGeometry(s)
-    z0 = (0.5 / s) ** s
-    bar = BarrierCase2(g, 0.0, z0, 0.5, 0.125, 0.1, 40.0)
+    bar = BarrierCase2(g, 0.0, 0.5, 0.125, 0.1, 40.0)
     zs = np.linspace(0.05 * bar.profile.z_hi, 0.95 * bar.profile.z_hi, 40)
     h = 1e-6
     dzz = (bar.h_eps(zs + h) - 2 * bar.h_eps(zs) + bar.h_eps(zs - h)) / h**2
@@ -115,16 +114,15 @@ def test_barrier_case2_bvp_oracle():
 def test_barrier_case2_eps_too_large():
     s = 0.75
     g = MAGeometry(s)
-    z0 = (0.5 / s) ** s
     with pytest.raises(ValueError, match="reduce eps"):
-        BarrierCase2(g, 0.0, z0, 0.5, 0.125, 0.9)
+        BarrierCase2(g, 0.0, 0.5, 0.125, 0.9)
 
 
 @pytest.mark.parametrize("alpha", [9.0, 800.0, 2000.0])
 def test_barrier_case1_large_alpha_decided_by_sign(alpha):
     # e^{-alpha E} with E in [rho, R) = [1/4, 1/2) underflows at alpha = 2000
     g = MAGeometry(0.5)
-    bar = BarrierCase1(g, 0.0, 1.0, 0.5, 0.25, alpha)
+    bar = BarrierCase1(g, 0.0, 0.5, 0.25, alpha)
     rep = bar.verify(samples=10_000, seed=3)
     assert rep["passes"] and rep["bracket_min"] > 0.0
     assert rep["log_dz_trace"] == pytest.approx(np.log(alpha) - 0.5 * alpha
@@ -148,17 +146,16 @@ def test_barrier_check_passes_at_small_s(tmp_path, s):
 
 
 def _case2_args(s, R=0.5, rho_fraction=0.5):
-    g = MAGeometry(s)
-    return g, 0.0, (R / s) ** s, R, R * rho_fraction
+    return MAGeometry(s), 0.0, R, R * rho_fraction
 
 
 def test_case2_search_builds_one_profile_per_eps(monkeypatch):
     built = []
     init = BarrierCase2.__init__
 
-    def counting(self, geom, x0, z0, R, rho, eps, alpha=None):
+    def counting(self, geom, x0, R, rho, eps, alpha=None):
         built.append(eps)
-        init(self, geom, x0, z0, R, rho, eps, alpha)
+        init(self, geom, x0, R, rho, eps, alpha)
 
     monkeypatch.setattr(BarrierCase2, "__init__", counting)
     for s in (0.6, 0.7, 0.9):
@@ -177,10 +174,10 @@ def test_case2_search_builds_one_profile_per_eps(monkeypatch):
 def test_case2_bracket_holds_inside_the_transition_window(s):
     # near s = 1 the window where psi falls is narrower than the uniform scan
     # spacing; a dense check of the worst-case bracket there
-    g, x0, z0, R, rho = _case2_args(s)
-    bar = search_case2_parameters(g, x0, z0, R, rho)
+    g, x0, R, rho = _case2_args(s)
+    bar = search_case2_parameters(g, x0, R, rho)
     z = np.linspace(bar.profile.z_eps, bar.profile.z_tilde, 200_001)
-    P, Q = bar.bracket_terms(np.maximum(0.0, rho - g.delta_h(z0, z)), z)
+    P, Q = bar.bracket_terms(np.maximum(0.0, rho - g.delta_h(bar.z0, z)), z)
     assert np.min(bar.alpha * P - Q) > 0.99 * SCAN_MARGIN * (g.n + 1)
 
 
@@ -188,9 +185,9 @@ def test_case2_bracket_holds_inside_the_transition_window(s):
 @given(st.floats(0.55, 0.93), st.floats(0.3, 1.0), st.floats(0.3, 0.7),
        st.integers(1, 2**31))
 def test_case2_search_minimal_alpha_or_reasons(s, R, rho_fraction, seed):
-    g, x0, z0, R, rho = _case2_args(s, R, rho_fraction)
+    g, x0, R, rho = _case2_args(s, R, rho_fraction)
     try:
-        bar = search_case2_parameters(g, x0, z0, R, rho)
+        bar = search_case2_parameters(g, x0, R, rho)
     except BarrierNotFound as exc:
         assert [eps for eps, _ in exc.reasons] == list(EPS_LADDER)
         assert all(reason for _, reason in exc.reasons)
@@ -198,7 +195,7 @@ def test_case2_search_minimal_alpha_or_reasons(s, R, rho_fraction, seed):
     assert bar.verify(samples=4000, seed=seed)["passes"]
     margin = SCAN_MARGIN * (g.n + 1)
     assert bar.bracket_scan_min() >= margin - 1e-12
-    lower = BarrierCase2(g, x0, z0, R, rho, bar.eps, bar.alpha / (1.0 + 1e-3))
+    lower = BarrierCase2(g, x0, R, rho, bar.eps, bar.alpha / (1.0 + 1e-3))
     assert lower.bracket_scan_min() < margin
 
 

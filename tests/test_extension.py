@@ -94,13 +94,32 @@ def test_eigen_benchmark_all_s():
 def test_grid_convergence_monotone():
     s = 0.6
     combo = HarmonicCombo(s, const=1.0, modes=[(0.5, 1.0, 0.3)])
-    prob = harmonic_combo_problem(s, combo, domain=(-1.0, 1.0), Z=1.0)
+    prob = harmonic_combo_problem(combo, domain=(-1.0, 1.0), Z=1.0)
     errs = []
     for nx, my in ((33, 16), (65, 32), (129, 64)):
         st = solve_extension(prob, ExtensionMesh(nx=nx, my=my))
         Zq, Xq = np.meshgrid(st.z_nodes, st.x_axes[0], indexing="ij")
         errs.append(np.max(np.abs(st.values - combo(Xq, Zq))))
     assert errs[0] > errs[1] > errs[2]
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_harmonic_combo_problem_takes_s_from_the_combination(s):
+    # the problem is the zero-Neumann one of the combination at its own s, so
+    # the solve gives the field of that problem written out, bit for bit, and
+    # stays close to the combination (it missed by 0.84 at a foreign s)
+    combo = HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)])
+    Z = MAGeometry(s).q_s
+    explicit = ExtensionProblem(
+        s=s, coeff=CoefficientField.identity(1), domain=(-np.sqrt(2.0), np.sqrt(2.0)), Z=Z,
+        bottom=("neumann", 0.0), g_lateral=lambda x, z: combo(x, z),
+        g_top=lambda x: combo(x, Z))
+    mesh = ExtensionMesh(nx=129, my=48)
+    st = solve_extension(harmonic_combo_problem(combo), mesh)
+    assert st.s == s and st.geom.s == s
+    assert np.array_equal(st.values, solve_extension(explicit, mesh).values)
+    Zq, Xq = np.meshgrid(st.z_nodes, st.x_axes[0], indexing="ij")
+    assert np.max(np.abs(st.values - combo(Xq, Zq))) < 1e-3
 
 
 def test_neumann_flux_readback_consistency():
@@ -156,12 +175,12 @@ def _queries(st, rng, count):
 def test_values_at_matches_scipy_regular_grid_interpolator(kind, seed):
     from scipy.interpolate import RegularGridInterpolator
     st = _random_state(kind, seed)
-    ref = RegularGridInterpolator((st._geom.h(st.z_nodes), *st.x_axes), st.values,
+    ref = RegularGridInterpolator((st.geom.h(st.z_nodes), *st.x_axes), st.values,
                                   method="linear", bounds_error=True)
     tol = 4 * np.spacing(np.max(np.abs(st.values)))
     rng = np.random.default_rng(100 + seed)
     x, z = _queries(st, rng, 500)
-    pts = np.column_stack([st._geom.h(z), x])
+    pts = np.column_stack([st.geom.h(z), x])
     assert np.max(np.abs(st.values_at(x, z) - ref(pts))) <= tol
     # on the nodes, including the last ones, the node values come back exactly
     mesh = np.meshgrid(st.z_nodes, *st.x_axes, indexing="ij")
@@ -188,7 +207,7 @@ def test_values_at_refuses_nonfinite_queries(kind, bad):
 def test_rescale_identity_and_oracle():
     s = 0.75
     combo = HarmonicCombo(s, const=1.0, modes=[(0.3, 1.0, 0.5)])
-    prob = harmonic_combo_problem(s, combo)
+    prob = harmonic_combo_problem(combo)
     st = solve_extension(prob, ExtensionMesh(nx=129, my=48))
     r1 = rescale_solution(st, 1.0)
     assert np.array_equal(r1.values, st.values)

@@ -192,6 +192,17 @@ def _close(a, b, z0, tol=1e-11):
 
 
 @settings(max_examples=300, deadline=None)
+@given(_s, _R)
+def test_trace_center_puts_the_trace_on_the_section_boundary(s, R):
+    # z0 = (R / s)^s has delta_h(z0, 0) = s z0^{1/s} = R, so S_R(z0) = (0, z_hi)
+    g = MAGeometry(s)
+    z0 = g.trace_center(R)
+    assert z0 > 0.0 and z0 == (R / g.s) ** g.s
+    assert abs(g.delta_h(z0, 0.0) - R) <= 1e-13 * R
+    assert abs(g.section_interval(z0, R)[0]) <= 1e-14 * z0
+
+
+@settings(max_examples=300, deadline=None)
 @given(_s, _z0, _R, _side)
 def test_section_endpoint_matches_tight_brentq(s, z0, R, side):
     g = MAGeometry(s)

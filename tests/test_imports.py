@@ -347,8 +347,7 @@ def test_geometry_barriers_and_sliding_run_without_scipy(tmp_path):
         "raw = default_raw('barrier-check', 0.3)\n"
         "assert raw['problem'].get('case', 1) == 1\n"
         "run(raw, 'barrier1')\n"
-        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.0, (0.5 / 0.75) ** 0.75, 0.5, 0.125,"
-        " 0.1)\n"
+        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.0, 0.5, 0.125, 0.1)\n"
         "for fixture in ('convex', 'paraboloid'):\n"
         "    raw = default_raw('slide-paraboloids')\n"
         "    raw['problem']['fixture'] = fixture\n"
@@ -403,8 +402,7 @@ def test_common_experiments_run_without_lazy_scipy_packages(tmp_path):
         "st = semigroup.SemigroupStepper(semigroup.CoefficientField.identity(1), grid)\n"
         "u = GridFunction.from_callable(grid, np.sin)\n"
         "semigroup.extension_via_semigroup_multi(st, u, 0.3, [0.1, 0.5])\n"
-        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.0, (0.5 / 0.75) ** 0.75, 0.5, 0.125,"
-        " 0.1)\n"
+        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.0, 0.5, 0.125, 0.1)\n"
         "mesh = extension.ExtensionMesh(nx=33, my=16)\n"
         "state = extension.solve_extension(eigen_extension_problem(0.5, 1)[0], mesh)\n"
         "assert np.isfinite(state.values_at(np.array([1.0]), np.array([0.2]))).all()\n"

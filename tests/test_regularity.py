@@ -418,7 +418,7 @@ def test_harnack_report_refuses_nonfinite_node_values(bad):
     vals[3, 20] = bad
     state = ExtensionState(s, [xs], transform_to_y(zs, s), vals, 0.0, 0.0)
     with pytest.raises(ValueError, match="finite node values"):
-        harnack_quotient(MAGeometry(s), state, (0.0, 0.0), 0.5)
+        harnack_quotient(state, (0.0, 0.0), 0.5)
 
 
 def test_harnack_run_with_overflowing_modes_errors_instead_of_reporting_nan(tmp_path):
@@ -447,13 +447,12 @@ def test_harnack_run_with_a_section_beyond_the_family_box_names_R(tmp_path, R):
 
 def test_harnack_quotient_constants_and_perturbation():
     s = 0.5
-    g = MAGeometry(s)
     xs = np.linspace(-1.5, 1.5, 41)
     zs = np.concatenate([[0.0], np.geomspace(1e-3, 1.5, 30)])
     y = transform_to_y(zs, s)
     ones = np.ones((len(zs), len(xs)))
     state = ExtensionState(s, [xs], y, 2.0 * ones, 0.0, 0.0)
-    rep = harnack_quotient(g, state, (0.0, 0.0), 0.5)
+    rep = harnack_quotient(state, (0.0, 0.0), 0.5)
     assert rep.quotient == 1.0
     # small harmonic perturbation: quotient tends to 1
     quots = []
@@ -462,22 +461,67 @@ def test_harnack_quotient_constants_and_perturbation():
         vals = np.broadcast_to(combo(xs[None, :], zs[:, None] * np.ones_like(xs)),
                                ones.shape)
         st = ExtensionState(s, [xs], y, vals, 0.0, 0.0)
-        quots.append(harnack_quotient(g, st, (0.0, 0.0), 0.5).quotient)
+        quots.append(harnack_quotient(st, (0.0, 0.0), 0.5).quotient)
     assert quots[0] > quots[1] >= 1.0
     assert quots[1] < 1.05
     # negative inputs are rejected
     bad = ExtensionState(s, [xs], y, ones - 2.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        harnack_quotient(g, bad, (0.0, 0.0), 0.5)
+        harnack_quotient(bad, (0.0, 0.0), 0.5)
 
 
 def test_harnack_family_stability():
     s = 0.75
     family = positive_harmonic_family(s, 6, seed=3)
-    rep1 = harnack_family_report(s, family, ExtensionMesh(nx=65, my=32))
-    rep2 = harnack_family_report(s, family, ExtensionMesh(nx=65, my=32), refine=2)
+    rep1 = harnack_family_report(s, family, 65, 32)
+    rep2 = harnack_family_report(s, family, 65, 32, refine=2)
     assert rep1["min_quotient"] >= 1.0 - 1e-9
     assert abs(rep2["C_H_hat"] - rep1["C_H_hat"]) <= 0.2 * rep1["C_H_hat"]
+
+
+def test_harnack_family_report_takes_the_two_counts_it_samples():
+    # the C_H_hat and min_quotient that an ExtensionMesh(nx=65, my=32), of
+    # which the report read only nx and my, gave at s = 0.3 and 0.75
+    expected = {(0.3, 1): (1.2530125147621212, 1.0629800683369175),
+                (0.3, 2): (1.25684322872563, 1.0824460126387971),
+                (0.75, 1): (1.271087761737256, 1.1574778985747753),
+                (0.75, 2): (1.2739467245118539, 1.1607919199980483)}
+    for (s, refine), values in expected.items():
+        family = positive_harmonic_family(s, 6, seed=3)
+        rep = harnack_family_report(s, family, 65, 32, refine=refine)
+        assert (rep["C_H_hat"], rep["min_quotient"]) == values
+
+
+def test_harnack_family_report_refuses_a_member_at_another_s():
+    # a family built at s = 0.7 and reported at s = 0.3 mixed the two
+    # geometries and gave a C_H_hat without an error
+    family = positive_harmonic_family(0.3, 3, seed=1)
+    family[2] = positive_harmonic_family(0.7, 1, seed=1)[0]
+    with pytest.raises(ValueError, match=re.escape(
+            "family member 2 has s = 0.7, not the report's 0.3")):
+        harnack_family_report(0.3, family, 33, 16)
+    harnack_family_report(0.3, family[:2], 33, 16)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_state_entry_points_read_the_state_geometry_in_2d(s):
+    # a 2-D state's geometry has n = 2: harnack_quotient and
+    # holder_seminorm_state give the bits of the n = 2 sections on its nodes
+    rng = np.random.default_rng(7)
+    xs, ys = np.linspace(-1.0, 1.0, 9), np.linspace(-0.8, 0.8, 7)
+    zs = np.concatenate([[0.0], np.geomspace(1e-2, 1.0, 5)])
+    state = ExtensionState(s, [xs, ys], transform_to_y(zs, s),
+                           rng.uniform(0.5, 2.0, (6, 9, 7)), 0.0, 0.0)
+    geom = MAGeometry(s, n=2)
+    assert (state.geom.s, state.geom.n) == (s, 2)
+    x, z, v = state.node_points()
+    center, R = ((0.1, -0.2), 0.2), 0.8
+    assert (harnack_quotient(state, center, R)
+            == _HarnackSections(geom, x, z, center, R, 0.5).report(v))
+    member = SectionDescriptor(*center, R).contains(geom, x, z)
+    assert 1 < member.sum() < len(v)
+    assert (holder_seminorm_state(state, center, R, 0.5)
+            == holder_seminorm(geom, x[member], z[member], v[member], 0.5))
 
 
 def _family_profile_per_mode(s, size, seed):
@@ -523,10 +567,9 @@ def test_harnack_family_half_grid_equals_the_reflected_grid(s, R, kappa, refine)
     # each member's report is the quotient over the reflected grid, levels
     # -z and z, which the family report reduces on z >= 0 only
     family = positive_harmonic_family(s, 8, seed=5)
-    mesh = ExtensionMesh(nx=33, my=16)
-    rep = harnack_family_report(s, family, mesh, kappa=kappa, R=R, refine=refine)
+    rep = harnack_family_report(s, family, 33, 16, kappa=kappa, R=R, refine=refine)
     geom = MAGeometry(s)
-    nx, my = (mesh.nx - 1) * refine + 1, mesh.my * refine
+    nx, my = 32 * refine + 1, 16 * refine
     xs = np.linspace(-np.sqrt(2.0 * R) * 1.05, np.sqrt(2.0 * R) * 1.05, nx)
     zcap = geom.section_interval(0.0, R)[1] * 1.05
     ys = transform_to_y(np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)]), s)
@@ -560,10 +603,10 @@ def test_even_reflection_changes_no_harnack_or_holder_value(s, x0, z0, R, kappa,
                            rng.uniform(0.5, 2.0, (len(zs), len(xs))), 0.0, 0.0)
     x, z, v = _even_reflection(state)
     center = (x0, z0)
-    assert (_value_or_error(lambda: harnack_quotient(geom, state, center, R, kappa))
+    assert (_value_or_error(lambda: harnack_quotient(state, center, R, kappa))
             == _value_or_error(lambda: _HarnackSections(geom, x, z, center, R, kappa).report(v)))
     member = SectionDescriptor(x0, z0, R).contains(geom, x, z)
-    half = _value_or_error(lambda: holder_seminorm_state(geom, state, center, R, beta))
+    half = _value_or_error(lambda: holder_seminorm_state(state, center, R, beta))
     assert half == (holder_seminorm(geom, x[member], z[member], v[member], beta)
                     if member.any() else "section S_R contains no grid nodes")
 
@@ -574,7 +617,7 @@ def test_holder_seminorm_state_refuses_a_section_without_nodes():
     ys = transform_to_y(np.linspace(0.0, 1.0, 6), s)
     state = ExtensionState(s, [xs], ys, np.ones((6, 9)), 0.0, 0.0)
     with pytest.raises(ValueError, match="section S_R contains no grid nodes"):
-        holder_seminorm_state(MAGeometry(s), state, (5.0, 0.0), 0.01, 0.5)
+        holder_seminorm_state(state, (5.0, 0.0), 0.01, 0.5)
 
 
 @pytest.mark.parametrize("kappa", [2.0, 1.0, 0.0, -0.5, np.nan])
@@ -583,15 +626,14 @@ def test_harnack_refuses_kappa_outside_the_unit_interval(kappa):
     # never checked, and kappa = nan to report an S_{kappa R} without nodes
     s, R = 0.4, 0.5
     family = positive_harmonic_family(s, 2, seed=5)
-    mesh = ExtensionMesh(nx=21, my=10)
     xs = np.linspace(-1.2, 1.2, 21)
     ys = transform_to_y(np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 10)]), s)
     state = ExtensionState(s, [xs], ys, family[0].at_y(xs[None, :], ys[:, None]), 0.0, 0.0)
     match = re.escape(f"Harnack kappa must lie in (0, 1), got {kappa!r}")
     with pytest.raises(ValueError, match=match):
-        harnack_quotient(MAGeometry(s), state, (0.0, 0.0), R, kappa)
+        harnack_quotient(state, (0.0, 0.0), R, kappa)
     with pytest.raises(ValueError, match=match):
-        harnack_family_report(s, family, mesh, kappa=kappa, R=R)
+        harnack_family_report(s, family, 21, 10, kappa=kappa, R=R)
 
 
 def test_approximation_distance_monotone():
@@ -670,15 +712,13 @@ def test_seminorm_scaling_covariance():
     # rescaling multiplies the geometry-adapted seminorm by rho^beta
     s, beta, rho = 0.6, 0.8, 0.5
     combo = HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)])
-    prob = harmonic_combo_problem(s, combo)
+    prob = harmonic_combo_problem(combo)
     st = solve_extension(prob, ExtensionMesh(nx=129, my=48))
-    g = MAGeometry(s)
     V = rescale_solution(st, rho)
-    semi_V = holder_seminorm_state(g, V, (0.0, 0.1), 0.3, beta)
+    semi_V = holder_seminorm_state(V, (0.0, 0.1), 0.3, beta)
     # the same point pairs on the source live in the rho^2-scaled section;
     # the pullback keeps the values, so both seminorms see the same pairs
-    semi_U_scaled = holder_seminorm_state(
-        g, st, (0.0, rho ** (2 * s) * 0.1), rho**2 * 0.3, beta)
+    semi_U_scaled = holder_seminorm_state(st, (0.0, rho ** (2 * s) * 0.1), rho**2 * 0.3, beta)
     assert semi_V > 0.0
     assert semi_V == rho**beta * semi_U_scaled
 
@@ -867,18 +907,17 @@ def test_harnack_family_report_equals_full_grid_evaluation(refine, s, R, kappa, 
     # the family's shared sections give the quotients, bit for bit, of
     # harnack_quotient on one state per member
     family = positive_harmonic_family(s, 4, seed=seed)
-    mesh = ExtensionMesh(nx=33, my=16)
-    rep = harnack_family_report(s, family, mesh, kappa=kappa, R=R, refine=refine)
+    rep = harnack_family_report(s, family, 33, 16, kappa=kappa, R=R, refine=refine)
     geom = MAGeometry(s)
     xlim = np.sqrt(2.0 * R) * 1.05
     zcap = geom.section_interval(0.0, R)[1] * 1.05
-    xs = np.linspace(-xlim, xlim, (mesh.nx - 1) * refine + 1)
-    zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, mesh.my * refine)])
+    xs = np.linspace(-xlim, xlim, 32 * refine + 1)
+    zs = np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, 16 * refine)])
     Zq, Xq = np.meshgrid(zs, xs, indexing="ij")
     for combo, got in zip(family, rep["reports"]):
         state = ExtensionState(s, [xs], transform_to_y(zs, s), combo(Xq, Zq),
                                0.0, 0.0)
-        ref = harnack_quotient(geom, state, (0.0, 0.0), R, kappa)
+        ref = harnack_quotient(state, (0.0, 0.0), R, kappa)
         assert got == ref
 
 

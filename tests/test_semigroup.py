@@ -461,6 +461,42 @@ def test_fractional_inverse_and_roundtrip():
         assert np.max(np.abs(back.values - f.values)) < 1e-3
 
 
+@pytest.mark.parametrize("kind", ["fractional-apply", "end-to-end"])
+@pytest.mark.parametrize("cells", [16, 32, 48])
+@pytest.mark.parametrize("s", [0.1, 0.4, 0.9])
+def test_sine_stages_compare_with_the_mesh_eigenvalue(tmp_path, kind, cells, s):
+    # the stages compare L^{+-s} sin(kx) with lam_h^{+-s} sin(kx); the
+    # continuum k^{+-2s} misses lam_h^{+-s} by more than the 1e-3 tolerance
+    # at 16 cells, so the stage failed there on correct powers
+    from fracext.config import default_raw, validate
+    from fracext.runner import run
+
+    raw = default_raw(kind, s)
+    raw["problem"]["grid_points"] = cells
+    cfg = validate(raw)
+    stage = run(cfg, str(tmp_path)).stages[0]
+    assert stage["status"] == "pass", stage["details"]
+    details, k = stage["details"], cfg.problem["k"]
+    assert details["eigen_rel_error"] < 1e-6  # the rational fits' certified accuracy
+    ratio = discrete_eigenvalue(k, cells) / k**2
+    assert details["continuum_rel_error"] == abs(ratio ** (s if kind == "fractional-apply"
+                                                           else -s) - 1.0)
+
+
+@pytest.mark.parametrize("op", [fractional_apply, fractional_inverse,
+                                lambda st, u, s: extension_via_semigroup_multi(st, u, s, [0.5])])
+def test_fractional_powers_refuse_a_grid_function_from_another_grid(op):
+    # the operator is the stepper's: a function on another grid with as many
+    # nodes was mapped onto (0, pi), and one with fewer leaked a matmul error
+    st = _stepper_1d(N=64)
+    for grid in (BoxGrid.interval(0.0, 1.0, 65), BoxGrid.interval(0.0, np.pi, 33)):
+        u = GridFunction.from_callable(grid, np.sin)
+        with pytest.raises(ValueError, match=re.escape(f"the grid function is on {grid}, the "
+                                                       f"stepper's on {st.grid}")):
+            op(st, u, 0.4)
+    op(st, GridFunction.from_callable(BoxGrid.interval(0.0, np.pi, 65), np.sin), 0.4)
+
+
 @pytest.mark.parametrize("make", [lambda: _stepper_1d(N=64),
                                   lambda: _stepper_2d(CoefficientField.identity(2), 9)])
 def test_a_second_power_at_the_same_beta_reuses_the_pole_factors(monkeypatch, make):
@@ -847,6 +883,20 @@ def test_2d_x_operator_refuses_a_node_that_is_not_finite(bad):
     for axes in ([np.where(np.arange(9) == 4, bad, xs), xs], [xs, np.append(xs[:-1], bad)]):
         with pytest.raises(ValueError, match="2-D x-operator requires uniform axes"):
             x_operator(_constant_2d(1.0, 0.3, 1.0), axes)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_2d_x_operator_refuses_a_zero_or_nonfinite_step_by_axis(bad, axis):
+    # a constant axis passed the max-deviation rule, warned of a division by
+    # zero and leaked a sparse index error; one rule with interior_norm_report
+    xs = np.linspace(0.0, np.pi, 9)
+    axes = [xs, xs]
+    axes[axis] = np.full(9, bad) if bad == 0.0 else np.where(np.arange(9) == 4, bad, xs)
+    name = "xy"[axis]
+    with pytest.raises(ValueError, match=re.escape(
+            f"2-D x-operator requires uniform axes: axis {name} has a zero or non-finite step")):
+        x_operator(_constant_2d(1.0, 0.3, 1.0), axes)
 
 
 @settings(max_examples=25, deadline=None)
