@@ -260,23 +260,37 @@ class ExtensionState:
 
     def values_at(self, x, z):
         """Interpolated U, bilinear in (x, h-coordinate); x shape (...,) for
-        n=1 or (..., 2).  Queries must be finite and stay inside the grid
-        (1e-12 relative slack at the edges), z >= 0."""
+        n = 1 or (..., n), broadcasting against z.  Queries must be finite and
+        stay inside the grid (1e-12 relative slack at the edges), z >= 0.
+
+        Cells are found per operand: each axis's cell and weights come from
+        that axis's query alone, before the operands broadcast, so a tensor
+        grid given as (1, nx) x and (nz, 1) z searches nx + nz cells, not
+        nx nz; every value equals that of a flat point-by-point query."""
         z = np.asarray(z, dtype=float)
         if np.any(z < -1e-300):
             raise ValueError("the state lives on the half-space z >= 0; z must be nonnegative")
         x = np.asarray(x, dtype=float)
+        if self.n > 1 and x.shape[-1:] != (self.n,):
+            raise ValueError(f"an n = {self.n} state takes x of shape (..., {self.n}), "
+                             f"got {x.shape}")
         axes = (self._eta, *self.x_axes)
         qs = (self.geom.h(z), *([x] if self.n == 1 else [x[..., i] for i in range(self.n)]))
-        qs = np.broadcast_arrays(*(_clip_to(q, ax[0], ax[-1]) for q, ax in zip(qs, axes)))
         # multilinear on the grid cell holding each point: per axis its cell
-        # and the offset in it, then a sum over the cell's 2^(n+1) corners
-        cells = [np.clip(np.searchsorted(ax, q, side="right") - 1, 0, len(ax) - 2)
-                 for ax, q in zip(axes, qs)]
-        ts = [(q - ax[i]) / (ax[i + 1] - ax[i]) for ax, q, i in zip(axes, qs, cells)]
+        # and the weights (1 - t, t) of the cell's two nodes, t the offset in
+        # it, then a sum over the cell's 2^(n+1) corners
+        cells, weights = [], []
+        for q, ax in zip(qs, axes):
+            q = _clip_to(q, ax[0], ax[-1])
+            i = np.clip(np.searchsorted(ax, q, side="right") - 1, 0, len(ax) - 2)
+            t = (q - ax[i]) / (ax[i + 1] - ax[i])
+            cells.append(i)
+            weights.append((1.0 - t, t))
         out = 0.0
         for corner in product((0, 1), repeat=len(axes)):
-            w = np.prod([t if c else 1.0 - t for c, t in zip(corner, ts)], axis=0)
+            w = weights[0][corner[0]]
+            for pair, c in zip(weights[1:], corner[1:]):
+                w = w * pair[c]
             out = out + self.values[tuple(i + c for i, c in zip(cells, corner))] * w
         return out
 

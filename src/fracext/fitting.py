@@ -27,11 +27,18 @@ Vandermonde bases on repeated abscissae can.
 `sup_fitter(basis)` is that fit as a function of the values: the basis checks,
 the column scaling and both pivoted QRs depend on the basis alone and run once
 for all the value vectors it fits.  `sup_fit` is `sup_fitter(basis)(values)`.
+The basis work runs on a column-major copy of the basis, so column maxima and
+scaling run along memory and LAPACK factors a Fortran-ordered copy in place;
+the exchange's B is column-major, as the products B y read it.  Counts obs
+fitting.bases per `sup_fitter` call and fitting.fits, fitting.fit_rows and
+fitting.exchange_steps (reference exchanges made) per fit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import obs
 
 _MAX_EXCHANGES = 100
 
@@ -66,24 +73,26 @@ def sup_fitter(basis):
     fit is given: its checks, the column scaling, the rank-revealing pivoted
     QR and the exchange's starting rows.
     """
-    from scipy.linalg import qr
-
     basis = np.asarray(basis, dtype=float)
     if basis.ndim != 2:
         raise ValueError("basis must be a 2-D (m, p) array")
     if not np.all(np.isfinite(basis)):
         raise ValueError("basis and values must be finite")
+    obs.count("fitting.bases")
     m = basis.shape[0]
-    col = np.max(np.abs(basis), axis=0)
+    # row j of Bt is column j of the basis: a copy even where basis.T is
+    # contiguous already, so the scaling never writes to the caller's basis
+    Bt = basis.T.copy()
+    col = np.max(np.abs(Bt), axis=1)
     col[col == 0.0] = 1.0
-    B = basis / col
-    R, perm = qr(B, mode="r", pivoting=True)
+    Bt /= col[:, None]
+    _, R, perm = _pivoted_qr(Bt.T)
     diag = np.abs(np.diag(R))
-    rank = np.sum(diag > np.finfo(float).eps * max(B.shape) * np.max(diag, initial=0.0))
+    rank = np.sum(diag > np.finfo(float).eps * max(Bt.shape) * np.max(diag, initial=0.0))
     keep = np.sort(perm[:rank])
-    B = B[:, keep]
+    B = Bt[keep].T
     # the exchange starts from the rows a pivoted QR of B^T ranks first
-    rows = qr(B.T, mode="r", pivoting=True)[1][:rank] if 0 < rank < m else None
+    rows = _pivoted_qr(B.T)[2][:rank] if 0 < rank < m else None
 
     def fit(values):
         values = np.asarray(values, dtype=float)
@@ -91,6 +100,8 @@ def sup_fitter(basis):
             raise ValueError(f"values must have shape ({m},), got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("basis and values must be finite")
+        obs.count("fitting.fits")
+        obs.count("fitting.fit_rows", m)
         coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
         r = values - basis @ coeffs
         if np.max(np.abs(r)) > 0.0 and rows is not None:
@@ -99,6 +110,15 @@ def sup_fitter(basis):
         return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
 
     return fit
+
+
+def _pivoted_qr(a):
+    """scipy's ((qr, tau), R, jpvt) for a, from LAPACK's pivoted QR of a
+    Fortran-ordered copy of a, which it overwrites (a is finite)."""
+    from scipy.linalg import qr
+
+    return qr(np.array(a, order="F"), mode="raw", pivoting=True, check_finite=False,
+              overwrite_a=True)
 
 
 def _exchange(B, r, tol, rows):
@@ -117,7 +137,7 @@ def _exchange(B, r, tol, rows):
         u = -u
     sigma = np.where(u >= 0.0, 1.0, -1.0)
     stall = f"after {_MAX_EXCHANGES} exchanges"
-    for _ in range(_MAX_EXCHANGES):
+    for step in range(_MAX_EXCHANGES):
         try:
             Minv = np.linalg.inv(np.column_stack([B[J], sigma]))
         except np.linalg.LinAlgError:
@@ -127,6 +147,7 @@ def _exchange(B, r, tol, rows):
         e = r - B @ yh[:q]
         k = np.argmax(np.abs(e))
         if abs(e[k]) <= yh[q] + tol:
+            obs.count("fitting.exchange_steps", step)
             return yh[:q], yh[q]
         gap = float(abs(e[k]) - yh[q])
         sk = 1.0 if e[k] > 0.0 else -1.0
@@ -136,5 +157,8 @@ def _exchange(B, r, tol, rows):
         ratio = np.where(d > 1e-12, lam / np.where(d > 1e-12, d, 1.0), np.inf)
         leave = np.argmax(np.where(ratio <= ratio.min(), d, -np.inf))
         J[leave], sigma[leave] = k, sk
+    else:
+        step = _MAX_EXCHANGES
+    obs.count("fitting.exchange_steps", step)
     raise ValueError(f"sup-norm fit over {len(r)} rows: the exchange stalled {stall}, "
                      f"gap {gap:.3g} > tol {tol:.3g}")

@@ -70,7 +70,7 @@ def holder_seminorm_state(state: ExtensionState, center, R, beta):
 
 @dataclass
 class HarnackReport:
-    center_x: float
+    center_x: float | tuple  # a float in 1-D, the whole x-center otherwise
     center_z: float
     R: float
     kappa: float
@@ -119,7 +119,8 @@ class _HarnackSections:
         inf = float(max(np.min(v_kR), 0.0))
         Q = 1.0 if sup == 0.0 else (np.inf if inf == 0.0 else sup / inf)
         cx, cz = self.center
-        return HarnackReport(float(np.atleast_1d(cx)[0]), float(cz), float(self.R),
+        cx = np.asarray(cx, dtype=float).ravel().tolist()
+        return HarnackReport(cx[0] if len(cx) == 1 else tuple(cx), float(cz), float(self.R),
                              float(self.kappa), sup, inf, float(Q))
 
 
@@ -223,18 +224,18 @@ def _decay_cylinder(r, case):
 
 
 def _region(state: ExtensionState, geom: MAGeometry, r, case):
-    """Nodes of the decay cylinder of radius r, thinned by a fixed stride to
-    at most 6000."""
+    """Nodes of the decay cylinder of radius r in row-major (z, x) order,
+    thinned by a fixed stride to at most 6000.  The cylinder is the product
+    of its x- and z-sets, so only the kept nodes are gathered."""
     xs, zs = state.x_axes[0], state.z_nodes
     inside = _decay_cylinder(r, case).contains(geom, xs[None, :], zs[:, None])
-    if inside.any(axis=0).sum() < 7 or inside.any(axis=1).sum() < 4:
+    ix, iz = np.flatnonzero(inside.any(axis=0)), np.flatnonzero(inside.any(axis=1))
+    if len(ix) < 7 or len(iz) < 4:
         return None
-    iz, ix = np.nonzero(inside)
-    X, Z, V = xs[ix], zs[iz], state.values[iz, ix]
-    if len(V) > 6000:
-        stride = int(np.ceil(len(V) / 6000))
-        X, Z, V = X[::stride], Z[::stride], V[::stride]
-    return X, Z, V
+    nodes = len(iz) * len(ix)
+    rows, cols = np.divmod(np.arange(0, nodes, -(-nodes // 6000)), len(ix))
+    rows, cols = iz[rows], ix[cols]
+    return xs[cols], zs[rows], state.values[rows, cols]
 
 
 @dataclass
@@ -315,10 +316,11 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> C
     """Inductive zoom: sample the zoomed state, fit a unit-scale corrector,
     accumulate.
 
-    The fit nodes are those of a fixed 97 x 40 grid (grading 3) on
+    The fit nodes are those of a fixed 97 x 41 grid (my = 40, grading 3) on
     [-xw, xw] x [0, Zfit] that lie in the decay cylinder of radius rho.  At
     step k, rho^{-k(alpha+2s)} (U(rho^k x, rho^{2sk} z) - P_k(...)) is sampled
-    there with `values_at` and sup-fitted by the case polynomial, and the
+    there, `values_at` taking the grid as its (1, 97) x- and (41, 1) z-axes,
+    and sup-fitted by the case polynomial, and the
     accumulated polynomial is updated by
     P_{k+1} = P_k + rho^{k(alpha+2s)} P(rho^{-k} x, rho^{-2ks} z), i.e.
 
@@ -339,10 +341,10 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> C
     Zfit = geom.section_interval(0.0, cylinder.r)[1] * 1.02
     dx0 = float(np.min(np.diff(state.x_axes[0])))
     grid = ExtensionMesh(nx=97, my=40, grading=3.0)
-    Zg, Xg = np.meshgrid(transform_to_z(grid.y_nodes(transform_to_y(Zfit, s), s), s),
-                         grid.x_axes((-xw, xw), 1)[0], indexing="ij")
-    member = cylinder.contains(geom, Xg.ravel(), Zg.ravel())
-    X, Z = Xg.ravel()[member], Zg.ravel()[member]
+    xs = grid.x_axes((-xw, xw), 1)[0][None, :]
+    zs = transform_to_z(grid.y_nodes(transform_to_y(Zfit, s), s), s)[:, None]
+    member = cylinder.contains(geom, xs, zs)
+    X, Z = (np.broadcast_to(a, member.shape)[member] for a in (xs, zs))
     fit = sup_fitter(_case_basis(case, X, Z, geom))
 
     acc = dict.fromkeys(_DEGREE, 0.0)
@@ -354,7 +356,7 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> C
             truncated = True
             break
         Xo = rho**k * X
-        W = state.values_at(Xo, (rho**k) ** (2 * s) * Z)
+        W = state.values_at(rho**k * xs, (rho**k) ** (2 * s) * zs)[member]
         # subtract the accumulated polynomial in original coordinates
         Pk = acc["c"] + acc["b"] * Xo + 0.5 * acc["A"] * Xo**2 + acc["d"] * geom.h(
             rho ** (2 * s * k) * Z)

@@ -204,6 +204,38 @@ def test_values_at_refuses_nonfinite_queries(kind, bad):
         st.values_at(x, zq)
 
 
+@pytest.mark.parametrize("kind", ["n1", "n2"])
+@pytest.mark.parametrize("seed", range(3))
+def test_values_at_broadcast_operands_equal_pointwise_queries(kind, seed):
+    # cells are found per operand before the operands broadcast: a (1, nx)
+    # x against an (nz, 1) z, a scalar z and a flat query give every point
+    # the bits of its own one-point query, grid edges included
+    st = _random_state(kind, seed)
+    rng = np.random.default_rng(200 + seed)
+    x, _ = _queries(st, rng, 7)
+    x[0] = st.x_axes[0][0] if st.n == 1 else [a[0] for a in st.x_axes]
+    x[-1] = st.x_axes[0][-1] if st.n == 1 else [a[-1] for a in st.x_axes]
+    z = np.concatenate([[0.0], rng.uniform(0.0, st.z_nodes[-1], 3), [st.z_nodes[-1]]])
+    grid = st.values_at(x[None], z[:, None])
+    point = np.array([[st.values_at(xj, zi) for xj in x] for zi in z])
+    assert grid.shape == point.shape == (5, 7) and np.array_equal(grid, point)
+    flat_x = np.broadcast_to(x[None], (5, *x.shape)).reshape(35, *x.shape[1:])
+    flat_z = np.broadcast_to(z[:, None], (5, 7)).ravel()
+    assert np.array_equal(st.values_at(flat_x, flat_z), grid.ravel())
+    for zi, row in zip(z, grid):
+        assert np.array_equal(st.values_at(x, zi), row)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (3, 3), (3,), ()])
+def test_values_at_refuses_an_x_without_n_coordinates(shape):
+    # an n = 2 state reads the last axis of x as the point's coordinates: a
+    # (3, 1) x leaked an IndexError, a (3, 3) or (3,) x dropped a coordinate
+    st = _random_state("n2")
+    with pytest.raises(ValueError, match=re.escape(
+            f"an n = 2 state takes x of shape (..., 2), got {shape}")):
+        st.values_at(np.zeros(shape), 0.1)
+
+
 def test_rescale_identity_and_oracle():
     s = 0.75
     combo = HarmonicCombo(s, const=1.0, modes=[(0.3, 1.0, 0.5)])

@@ -10,7 +10,7 @@ import scipy.optimize
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from fracext import fitting
+from fracext import fitting, obs
 from fracext.benchmarks import (harmonic_combo_problem, harmonic_family_ycap,
                                 kinked_trace_problem, positive_harmonic_family,
                                 sliding_fixture)
@@ -20,8 +20,9 @@ from fracext.extension import (ExtensionMesh, ExtensionState, HarmonicCombo,
                                transform_to_y, transform_to_z)
 from fracext.fitting import sup_fit
 from fracext.geometry import MAGeometry, SectionDescriptor
-from fracext.regularity import (_HarnackSections, _case_basis, _region, approximation_distance,
-                                campanato_iterate, harnack_family_report, harnack_quotient,
+from fracext.regularity import (_HarnackSections, _case_basis, _decay_cylinder, _region,
+                                approximation_distance, campanato_iterate,
+                                harnack_family_report, harnack_quotient,
                                 holder_quotient, holder_seminorm,
                                 holder_seminorm_state, interior_norm_report,
                                 schauder_decay)
@@ -262,6 +263,133 @@ def test_sup_fitter_reused_equals_fresh_sup_fits(m, p, seed, shape):
     value_list = [np.sin(3.0 * x) + 0.5 * rng.standard_normal(m), np.zeros(m),
                   np.abs(x) ** 0.7, 1e-6 * rng.standard_normal(m)]
     _assert_fitter_matches_fresh_fits(basis, value_list)
+
+
+def _sup_fitter_reference(basis):
+    """sup_fitter as scipy.linalg.qr's default mode ran it: the basis scaled
+    in its own memory order, both pivoted QRs in mode "r" on copies LAPACK
+    may not overwrite, with finiteness checks, and B = B[:, keep]."""
+    from scipy.linalg import qr
+
+    basis = np.asarray(basis, dtype=float)
+    m = basis.shape[0]
+    col = np.max(np.abs(basis), axis=0)
+    col[col == 0.0] = 1.0
+    B = basis / col
+    R, perm = qr(B, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = np.sum(diag > np.finfo(float).eps * max(B.shape) * np.max(diag, initial=0.0))
+    keep = np.sort(perm[:rank])
+    B = B[:, keep]
+    rows = qr(B.T, mode="r", pivoting=True)[1][:rank] if 0 < rank < m else None
+
+    def fit(values):
+        coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
+        r = values - basis @ coeffs
+        if np.max(np.abs(r)) > 0.0 and rows is not None:
+            tol = 1e-12 * min(max(1.0, float(np.max(np.abs(values)))), float(np.max(np.abs(r))))
+            coeffs[keep] += fitting._exchange(B, r, tol, rows)[0] / col[keep]
+        return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
+
+    return fit
+
+
+def _fit_or_message(fit, values):
+    try:
+        return fit(values)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 300), q=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["gaussian", "vandermonde", "repeated rows", "dependent column",
+                             "zero column"]),
+       order=st.sampled_from(["C", "F"]))
+@example(m=30, q=6, seed=25, kind="repeated rows", order="C")  # stalls after 100 exchanges
+@example(m=33, q=6, seed=25, kind="repeated rows", order="F")  # stalls at a singular reference
+@example(m=60, q=6, seed=12, kind="repeated rows", order="C")  # a C-ordered B moves its bits
+@example(m=40, q=1, seed=0, kind="gaussian", order="C")
+def test_sup_fitter_equals_the_default_mode_qr_path(m, q, seed, kind, order):
+    # the column-major basis work and raw-mode QRs move no bit: coefficients,
+    # errors and stall messages equal the default-mode path's, for C- and
+    # F-ordered bases, and the caller's basis is left as it was (for q = 1
+    # basis.T is contiguous already, and scaling it in place would write
+    # through to the caller)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, m)
+    if kind == "repeated rows":  # on q abscissae, where the exchange can stall
+        x = x[rng.integers(0, min(q, m), m)]
+    basis = (rng.standard_normal((m, q)) if kind == "gaussian"
+             else np.vander(x, q, increasing=True))
+    if kind == "dependent column" and q > 1:
+        basis[:, -1] = 2.0 * basis[:, 0] - basis[:, q // 2]
+    elif kind == "zero column":
+        basis[:, rng.integers(q)] = 0.0
+    basis = np.array(basis, order=order)
+    before = basis.copy(order="K")  # the layout sets the bits of basis @ coeffs
+    values = np.sin(5.0 * x) + 0.1 * rng.standard_normal(m)
+    found = _fit_or_message(fitting.sup_fitter(basis), values)
+    expected = _fit_or_message(_sup_fitter_reference(before), values)
+    if isinstance(expected, str):
+        assert found == expected
+    else:
+        assert np.array_equal(found[0], expected[0]) and found[1] == expected[1]
+    assert np.array_equal(basis, before)
+
+
+def test_fit_counts_of_a_decay_ladder_and_a_campanato_run(kinked_state):
+    # the fit work of the degenerate case-3 ladder and zoom, counted inside
+    # the fit sup_fitter returns: one basis per decay scale, one for the
+    # whole Campanato run
+    def fit_counts(measure):
+        with obs.recording() as counts:
+            measure()
+        return {k: v for k, v in counts.items() if k.startswith("fitting.")}
+
+    assert fit_counts(lambda: schauder_decay(kinked_state, 3)) == {
+        "fitting.bases": 8, "fitting.fits": 8, "fitting.fit_rows": 9748,
+        "fitting.exchange_steps": 62}
+    assert fit_counts(lambda: campanato_iterate(kinked_state, 3, alpha=0.5)) == {
+        "fitting.bases": 1, "fitting.fits": 8, "fitting.fit_rows": 30400,
+        "fitting.exchange_steps": 70}
+
+
+def _region_reference(state, geom, r, case):
+    """_region as a selection from the whole grid: np.nonzero of the
+    cylinder's node mask, then every stride-th node."""
+    xs, zs = state.x_axes[0], state.z_nodes
+    inside = _decay_cylinder(r, case).contains(geom, xs[None, :], zs[:, None])
+    if inside.any(axis=0).sum() < 7 or inside.any(axis=1).sum() < 4:
+        return None
+    iz, ix = np.nonzero(inside)
+    X, Z, V = xs[ix], zs[iz], state.values[iz, ix]
+    if len(V) > 6000:
+        stride = int(np.ceil(len(V) / 6000))
+        X, Z, V = X[::stride], Z[::stride], V[::stride]
+    return X, Z, V
+
+
+@pytest.mark.parametrize("nx, my", [(81, 40), (201, 60), (401, 120)])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_region_equals_the_full_grid_selection(nx, my, case):
+    # the larger grids put more than 6000 nodes in the widest cylinders,
+    # so the stride thins them
+    s = 0.45
+    rng = np.random.default_rng(nx + case)
+    zs = MAGeometry(s).section_interval(0.0, 1.0)[1] * (np.arange(my + 1) / my) ** 3
+    state = ExtensionState(s, [np.linspace(-1.5, 1.5, nx)], transform_to_y(zs, s),
+                           rng.standard_normal((my + 1, nx)), 0.0, 0.0)
+    scales = 0
+    for j in range(10):
+        found = _region(state, state.geom, 0.5**j, case)
+        expected = _region_reference(state, state.geom, 0.5**j, case)
+        if expected is None:
+            assert found is None
+            break
+        assert all(np.array_equal(a, b) for a, b in zip(found, expected))
+        scales += 1
+    assert scales >= 3
 
 
 @settings(max_examples=12, deadline=None)
@@ -522,6 +650,21 @@ def test_state_entry_points_read_the_state_geometry_in_2d(s):
     assert 1 < member.sum() < len(v)
     assert (holder_seminorm_state(state, center, R, 0.5)
             == holder_seminorm(geom, x[member], z[member], v[member], 0.5))
+
+
+def test_harnack_report_keeps_the_whole_x_center():
+    # a 2-D report names its section's x-center; a 1-D one keeps its float
+    s = 0.5
+    xs, ys = np.linspace(-1.0, 1.0, 9), np.linspace(-0.8, 0.8, 7)
+    zs = np.concatenate([[0.0], np.geomspace(1e-2, 1.0, 5)])
+    values = np.random.default_rng(3).uniform(0.5, 2.0, (6, 9, 7))
+    state = ExtensionState(s, [xs, ys], transform_to_y(zs, s), values, 0.0, 0.0)
+    rep = harnack_quotient(state, ((0.1, -0.2), 0.2), 0.8)
+    assert rep.center_x == (0.1, -0.2) and rep.center_z == 0.2
+    line = ExtensionState(s, [xs], transform_to_y(zs, s), values[:, :, 3], 0.0, 0.0)
+    for cx in (0.1, (0.1,), np.array([0.1])):
+        rep = harnack_quotient(line, (cx, 0.2), 0.8)
+        assert type(rep.center_x) is float and rep.center_x == 0.1
 
 
 def _family_profile_per_mode(s, size, seed):
