@@ -65,17 +65,18 @@ def _log_gap(a, b):
 
 
 class _ExponentialBarrier:
-    """phi(x, z) = e^{-alpha E} - e^{-alpha R}, E = delta_Phi((x0,z0),(x,z)) - h_eps(z).
+    """phi(x, z) = e^{-alpha E} - e^{-alpha R}, E = delta_Phi((0,z0),(x,z)) - h_eps(z).
 
-    z0 = geom.trace_center(R) puts (x0, 0) on the boundary: delta_h(z0, 0) = R.
+    z0 = geom.trace_center(R) puts (0, 0) on the boundary: delta_h(z0, 0) = R
+    (the construction is translation-invariant in x, so x = 0 stands for any x).
     Delta_x phi + z^{2-1/s} d_zz phi = alpha e^{-alpha E} (alpha P - Q), with the
     alpha-free terms of bracket_terms.  Here h_eps = psi = 0 (case 1).
     """
 
-    def _annulus(self, geom, x0, R, rho):
+    def _annulus(self, geom, R, rho):
         if not 0 < rho < R:
             raise ValueError("need 0 < rho < R")
-        self.geom, self.x0, self.R, self.rho = geom, x0, float(R), float(rho)
+        self.geom, self.R, self.rho = geom, float(R), float(rho)
         self.z0, self.n = float(geom.trace_center(R)), geom.n
 
     def h_eps(self, z):
@@ -94,7 +95,7 @@ class _ExponentialBarrier:
                     (self.n + 1) * (1.0 - 2.0 * self.psi(z)))
 
     def _exponent(self, x, z):
-        return self.geom.delta_phi(self.x0, x) + self.geom.delta_h(self.z0, z) - self.h_eps(z)
+        return self.geom.delta_phi(0.0, x) + self.geom.delta_h(self.z0, z) - self.h_eps(z)
 
     def __call__(self, x, z):
         a = self.alpha
@@ -102,7 +103,7 @@ class _ExponentialBarrier:
 
     @property
     def slope_coefficient(self):
-        """h'(z0) + h_eps'(0) = d_z phi(x0, 0) / (alpha e^{-alpha R})."""
+        """h'(z0) + h_eps'(0) = d_z phi(0, 0) / (alpha e^{-alpha R})."""
         return float(self.geom.hp(self.z0) + self.h_eps_prime(0.0))
 
     def verify(self, samples=10_000, seed=0):
@@ -111,8 +112,8 @@ class _ExponentialBarrier:
         once alpha is large; their natural logs (None unless positive) and
         the bracket minimum do not."""
         a, slope = self.alpha, self.slope_coefficient
-        xs, zs = sample_annulus(self.geom, self.x0, self.z0, self.R, self.rho, samples, seed)
-        P, Q = self.bracket_terms(self.geom.delta_phi(self.x0, xs), zs)
+        xs, zs = sample_annulus(self.geom, 0.0, self.z0, self.R, self.rho, samples, seed)
+        P, Q = self.bracket_terms(self.geom.delta_phi(0.0, xs), zs)
         with np.errstate(over="ignore"):  # a P = +inf where P is, or overflows
             bracket = a * P - Q
         log_weight = np.log(a) - a * self._exponent(xs, zs)
@@ -122,7 +123,7 @@ class _ExponentialBarrier:
                 if np.all(bracket > 0.0) else None,
                 "dz_trace": float(a * np.exp(-a * self.R) * slope),
                 "log_dz_trace": float(np.log(a * slope) - a * self.R) if slope > 0.0 else None,
-                "value_at_base": float(self(self.x0, 0.0)),
+                "value_at_base": float(self(0.0, 0.0)),
                 "passes": bool(np.min(bracket) > 0.0 and slope > 0.0)}
 
 
@@ -130,10 +131,10 @@ class BarrierCase1(_ExponentialBarrier):
     """The exponential barrier for s <= 1/2, where the quotient bound keeps
     the operator positive on the annulus once alpha > (n+1)/rho."""
 
-    def __init__(self, geom: MAGeometry, x0, R, rho, alpha):
+    def __init__(self, geom: MAGeometry, R, rho, alpha):
         if geom.s > 0.5:
             raise ValueError("exponential barrier requires s <= 1/2")
-        self._annulus(geom, x0, R, rho)
+        self._annulus(geom, R, rho)
         if alpha <= (geom.n + 1) / rho:
             raise ValueError("alpha must exceed (n+1)/rho")
         self.alpha = float(alpha)
@@ -178,11 +179,11 @@ class BarrierCase2(_ExponentialBarrier):
     the smallest alpha whose scanned bracket clears SCAN_MARGIN (n+1).
     """
 
-    def __init__(self, geom: MAGeometry, x0, R, rho, eps, alpha=None):
+    def __init__(self, geom: MAGeometry, R, rho, eps, alpha=None):
         s = geom.s
         if not 0.5 < s < 1.0:
             raise ValueError("corrected barrier requires 1/2 < s < 1")
-        self._annulus(geom, x0, R, rho)
+        self._annulus(geom, R, rho)
         self.eps = float(eps)
 
         z_hi = geom.section_endpoint(self.z0, R, 1.0)
@@ -302,7 +303,7 @@ class BarrierCase2(_ExponentialBarrier):
         return rep
 
 
-def search_case2_parameters(geom: MAGeometry, x0, R, rho):
+def search_case2_parameters(geom: MAGeometry, R, rho):
     """The corrected barrier at the first eps of EPS_LADDER that admits one.
 
     Theory guarantees such parameters exist; the result is a reproducible
@@ -316,7 +317,7 @@ def search_case2_parameters(geom: MAGeometry, x0, R, rho):
     reasons = []
     for eps in EPS_LADDER:
         try:
-            bar = BarrierCase2(geom, x0, R, rho, eps)
+            bar = BarrierCase2(geom, R, rho, eps)
         except BarrierNotFound as exc:
             reasons.append((eps, str(exc)))
             continue
@@ -567,7 +568,7 @@ class TouchReport:
     exact_min_slope: float | None
 
 
-def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius):
+def touch_test(state, ix0, section_radius):
     """Search test functions P(x) + a z touching U from above at (x0, 0).
 
     P runs over the quadratics u0 + g (x - x0) + q (x - x0)^2 / 2 of a 33 x 17
@@ -578,15 +579,14 @@ def touch_test(geom: MAGeometry, xs, zs, U, ix0, section_radius):
     multiple of 1e-3, a discrete upper bound for d_z U(x0, 0).  An empty
     feasible set is reported, not raised.
 
-    Raises ValueError for a U not of shape (len(xs), len(zs)), a non-finite
-    U, no trace row zs[0] = 0 and an ix0 that is not a node index of xs.
+    Raises ValueError for a state that is not 1-D in x or has no trace row
+    z_nodes[0] = 0, and an ix0 that is not a node index of x_axes[0].
     """
-    xs = np.asarray(xs, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    U = np.asarray(U, dtype=float)
-    _check_grid_values(xs, zs, U)
+    if state.n != 1:
+        raise ValueError("touch test implemented for 1-D x")
+    geom, xs, zs, U = state.geom, state.x_axes[0], state.z_nodes, state.values.T
     if not len(zs) or zs[0] != 0.0:
-        raise ValueError("touch test expects the trace row zs[0] = 0")
+        raise ValueError("touch test expects the trace row z_nodes[0] = 0")
     if not (isinstance(ix0, (int, np.integer)) and 0 <= ix0 < len(xs)):
         raise ValueError(f"ix0 must be a node index in [0, {len(xs)}), got {ix0!r}")
     x0 = xs[ix0]

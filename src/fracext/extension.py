@@ -228,7 +228,8 @@ class ExtensionState:
     z-levels are transform_to_z(y_nodes).  Interpolation is bilinear in
     (x, h-coordinate), i.e. linear in delta_h along the z-axis, which respects
     the geometry near the degenerate boundary.  geom is that geometry:
-    MAGeometry(s, n) in the state's x-dimension n.
+    MAGeometry(s, n) in the state's x-dimension n.  ValueError unless values
+    holds one finite value per node.
     """
 
     def __init__(self, s, x_axes, y_nodes, values, residual_interior, residual_bottom,
@@ -238,6 +239,12 @@ class ExtensionState:
         self.y_nodes = np.asarray(y_nodes, dtype=float)
         self.z_nodes = transform_to_z(self.y_nodes, s)
         self.values = np.asarray(values, dtype=float)
+        shape = (len(self.y_nodes), *map(len, self.x_axes))
+        if self.values.shape != shape:
+            raise ValueError(f"values must have shape (len(y_nodes), *map(len, x_axes)) = "
+                             f"{shape}, got {self.values.shape}")
+        if bad := np.count_nonzero(~np.isfinite(self.values)):
+            raise ValueError(f"values must be finite, got {bad} non-finite values")
         self.residual_interior = float(residual_interior)
         self.residual_bottom = float(residual_bottom)
         self.meta = dict(meta or {})
@@ -632,8 +639,8 @@ def rescale_solution(state: ExtensionState, rho) -> ExtensionState:
     (a(rho x), rho^{2s} f(rho x)) are recorded in the metadata; the trace
     flux is rho^{2s} times U's.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and positive, got {rho!r}")
     s = state.s
     meta = dict(state.meta)
     fv = meta.pop("flux_trace_fv", None)

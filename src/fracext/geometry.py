@@ -50,6 +50,14 @@ def _scalar(v):
     return isinstance(v, (float, int))
 
 
+def _check_radius(R):
+    """The refusals of a scalar section radius, in section_endpoint's words."""
+    if R <= 0:
+        raise ValueError("section radius must be positive")
+    if not math.isfinite(R):
+        raise ValueError("section center and radius must be finite")
+
+
 def transform_to_y(z, s):
     """y = 2s z^{1/(2s)}; turns h(z) into c_s y^2 / 2.  Identity at s = 1/2."""
     z = np.asarray(z, dtype=float)
@@ -156,18 +164,16 @@ class MAGeometry:
         section_endpoint call, and scalar inputs give scalar endpoints.
         """
         if _scalar(z0) and _scalar(R) and z0 == 0.0:
-            # centered: q_s R^s, with the array path's refusals and power bits
-            if R <= 0:
-                raise ValueError("section radius must be positive")
-            if not math.isfinite(R):
-                raise ValueError("section center and radius must be finite")
+            _check_radius(R)  # centered: q_s R^s, with the array path's power bits
             half = self.q_s * np.power(float(R), self.s)
             return -half, half
         ends = self.section_endpoint(np.expand_dims(z0, -1), np.expand_dims(R, -1), (-1.0, 1.0))
         return ends[..., 0][()], ends[..., 1][()]
 
     def trace_center(self, R):
-        """The z0 > 0 with delta_h(z0, 0) = s z0^(1/s) = R: S_R(z0) = (0, z_hi)."""
+        """The z0 > 0 with delta_h(z0, 0) = s z0^(1/s) = R: S_R(z0) = (0, z_hi).
+        ValueError unless R is finite and positive."""
+        _check_radius(R)
         return (R / self.s) ** self.s
 
     def section_endpoint(self, z0, R, side):

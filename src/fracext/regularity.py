@@ -34,13 +34,20 @@ def holder_seminorm(geom: MAGeometry, x_pts, z_pts, vals, beta):
 
     Every pair counts: row blocks of _HOLDER_BLOCK points p against all
     points q, both orders as delta_Phi is not symmetric, O(_HOLDER_BLOCK N)
-    memory.  0 if no pair is apart.
+    memory.  0 if no pair is apart.  ValueError unless the points and vals
+    are finite and of one length N, as holder_quotient's.
     """
     if not 0.0 < beta < 2.0:
         raise ValueError("exponent must be in (0, 2)")
     vals = np.asarray(vals, dtype=float)
-    x_pts = np.asarray(x_pts, dtype=float).reshape(len(vals), -1)  # (N, n)
-    z_pts = np.asarray(z_pts, dtype=float)
+    x_pts, z_pts = np.asarray(x_pts, dtype=float), np.asarray(z_pts, dtype=float)
+    if vals.ndim != 1 or z_pts.shape != vals.shape or x_pts.shape[:1] != vals.shape:
+        raise ValueError("holder_seminorm: x_pts, z_pts and vals must hold one entry per point")
+    if not (np.all(np.isfinite(x_pts)) and np.all(np.isfinite(z_pts))):
+        raise ValueError("holder_seminorm: x_pts and z_pts must be finite")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("holder_seminorm: vals must be finite")
+    x_pts = x_pts.reshape(len(vals), -1)  # (N, n)
     h, hp = geom.h(z_pts), geom.hp(z_pts)
     maxima = [0.0]
     for i in range(0, len(vals), _HOLDER_BLOCK):
@@ -110,8 +117,6 @@ class _HarnackSections:
 
     def report(self, v) -> HarnackReport:
         """The quotient of the node values v (one per node, all finite)."""
-        if not np.all(np.isfinite(v)):
-            raise ValueError("Harnack quotient requires finite node values")
         v_R, v_kR = v[self.in_R], v[self.in_kR]
         if np.min(v_R) < -1e-10 * max(1.0, np.max(np.abs(v_R))):
             raise ValueError("Harnack quotient requires a nonnegative solution on S_R")
@@ -128,14 +133,16 @@ class _HarnackSections:
 def harnack_family_report(s, family, nx=97, my=48, kappa=0.5, R=0.5, refine=1):
     """Max quotient over a family of exact nonnegative harmonic combinations.
 
-    family: list of HarmonicCombo at this s, else a ValueError naming the
-    member (f = F = 0, so the data terms vanish).  Each is sampled, not
-    solved, on a grid of its own: (nx - 1) refine + 1 x-nodes and my refine
-    geometric z-levels plus the trace z = 0, over S_R(0) x S_R(0)^+ widened
-    by 5%; `refine` is what the stability check varies.  The sections are
-    found once for the family; by the inequality in `harnack_quotient` the
-    quotients are also those of the even reflection.
+    family: a nonempty list of HarmonicCombo at this s, else a ValueError
+    (naming the member; f = F = 0, so the data terms vanish).  Each is
+    sampled, not solved, on a grid of its own: (nx - 1) refine + 1 x-nodes
+    and my refine geometric z-levels plus the trace z = 0, over S_R(0) x
+    S_R(0)^+ widened by 5%; `refine` is what the stability check varies.
+    The sections are found once for the family; by the inequality in
+    `harnack_quotient` the quotients are also those of the even reflection.
     """
+    if not len(family):
+        raise ValueError("harnack_family_report: family must hold at least one member")
     geom = MAGeometry(s)
     nx, my = (nx - 1) * refine + 1, my * refine
     xlim = np.sqrt(2.0 * R) * 1.05
@@ -185,8 +192,8 @@ def approximation_distance(s, eps0, mesh=None):
     # on S_1 x (0, Z), h(Z) = 1
     prob_h = harmonic_combo_problem(HarmonicCombo(s, const=1.0, modes=[(0.4, 1.0, 0.2)]))
     lam = max(1e-6, 1.0 - 0.45 * eps0)
-    coeff_p = CoefficientField.scalar_1d(lambda x: 1.0 + 0.45 * eps0 * np.cos(2.0 * x),
-                                         lam, 1.0 + 0.45 * eps0)
+    coeff_p = CoefficientField(1, lambda x: 1.0 + 0.45 * eps0 * np.cos(2.0 * x),
+                               lam, 1.0 + 0.45 * eps0)
     prob_p = ExtensionProblem(
         s=s, coeff=coeff_p, domain=prob_h.domain, Z=prob_h.Z,
         bottom=("neumann", lambda x: 0.3 * eps0 * np.sin(3.0 * x)),
@@ -208,6 +215,12 @@ _CASE_COEFFS = {1: ("c",), 2: ("c", "b"), 3: ("c", "b", "A", "d")}
 _DEGREE = {"c": 0, "b": 1, "A": 2, "d": 2}
 
 
+def _case_polynomial(coeffs, x, z, geom: MAGeometry):
+    """c + b x + 1/2 A x^2 + d h(z); a coefficient the dict lacks is 0."""
+    c, b, A, d = (coeffs.get(name, 0.0) for name in _DEGREE)
+    return c + b * x + 0.5 * A * x**2 + d * geom.h(z)
+
+
 def _case_basis(case, X, Z, geom: MAGeometry):
     ones = np.ones_like(X)
     if case == 1:
@@ -217,18 +230,26 @@ def _case_basis(case, X, Z, geom: MAGeometry):
     return np.stack([ones, X, 0.5 * X**2, geom.h(Z)], axis=1)
 
 
+def _check_ladder(case, rho):
+    """ValueError unless case is 1, 2 or 3 and the scales rho^j shrink, 0 < rho < 1."""
+    if case not in (1, 2, 3):
+        raise ValueError(f"case must be 1, 2 or 3, got {case!r}")
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
+
+
 def _decay_cylinder(r, case):
     """S_{r^2} x S_{zcap}^+ about the origin: zcap = r^2 in cases 1-2 and r^3
     in the degenerate case 3."""
     return SectionDescriptor((0.0,), 0.0, r**2, "cylinder", r**2 if case in (1, 2) else r**3)
 
 
-def _region(state: ExtensionState, geom: MAGeometry, r, case):
+def _region(state: ExtensionState, r, case):
     """Nodes of the decay cylinder of radius r in row-major (z, x) order,
     thinned by a fixed stride to at most 6000.  The cylinder is the product
     of its x- and z-sets, so only the kept nodes are gathered."""
     xs, zs = state.x_axes[0], state.z_nodes
-    inside = _decay_cylinder(r, case).contains(geom, xs[None, :], zs[:, None])
+    inside = _decay_cylinder(r, case).contains(state.geom, xs[None, :], zs[:, None])
     ix, iz = np.flatnonzero(inside.any(axis=0)), np.flatnonzero(inside.any(axis=1))
     if len(ix) < 7 or len(iz) < 4:
         return None
@@ -261,8 +282,7 @@ def schauder_decay(state: ExtensionState, case, rho=0.5, depth=9, noise_floor=0.
     from the exponent fit; fit_window keeps only the last k surviving scales
     ("r sufficiently small").
     """
-    if case not in (1, 2, 3):
-        raise ValueError("case must be 1, 2 or 3")
+    _check_ladder(case, rho)
     if state.n != 1:
         raise ValueError("decay fitting implemented for 1-D x")
     geom = state.geom
@@ -270,7 +290,7 @@ def schauder_decay(state: ExtensionState, case, rho=0.5, depth=9, noise_floor=0.
     truncated = False
     for j in range(depth + 1):
         r = rho**j
-        nodes = _region(state, geom, r, case)
+        nodes = _region(state, r, case)
         if nodes is None:
             truncated = True
             break
@@ -332,6 +352,7 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> C
     work on that basis alone (`fitting.sup_fitter`) are set up once, before
     the loop.
     """
+    _check_ladder(case, rho)
     if state.n != 1:
         raise ValueError("iteration implemented for 1-D x")
     s, geom = state.s, state.geom
@@ -355,11 +376,9 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> C
         if rho**k * xw < 4.0 * dx0 / np.sqrt(2.0):
             truncated = True
             break
-        Xo = rho**k * X
         W = state.values_at(rho**k * xs, (rho**k) ** (2 * s) * zs)[member]
         # subtract the accumulated polynomial in original coordinates
-        Pk = acc["c"] + acc["b"] * Xo + 0.5 * acc["A"] * Xo**2 + acc["d"] * geom.h(
-            rho ** (2 * s * k) * Z)
+        Pk = _case_polynomial(acc, rho**k * X, rho ** (2 * s * k) * Z, geom)
         theta, err = fit((W - Pk) / rho ** (k * gam))
         step_errors.append(float(err))
         step = dict.fromkeys(_DEGREE, 0.0)
@@ -462,16 +481,16 @@ class NormReport:
 def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
     """C^{m, gamma} norms by divided differences on a uniform 1-D grid.
 
-    m = floor(gamma_total), gamma = gamma_total - m; derivatives use centered
-    second-order stencils with spacing xs[1] - xs[0], one-sided at the grid
-    ends.  [D^m u]_gamma is holder_quotient over the nodes of sub_mask: the
-    exact all-pairs max, pruned by block bounds, O(N^2) time at worst and
-    O(_HOLDER_BLOCK N) memory.  The ratio is
+    m = floor(gamma_total), gamma = gamma_total - m; derivatives are
+    np.gradient(., h, edge_order=2), h the grid step.  [D^m u]_gamma is
+    holder_quotient over the nodes of sub_mask: the exact all-pairs max,
+    pruned by block bounds, O(N^2) time at worst and O(_HOLDER_BLOCK N)
+    memory.  The ratio is
     (sup |u| + sup |D^m u| + [D^m u]_gamma) / data_norm.
 
-    ValueError for fewer than 3 nodes, a grid that is not uniform (the rule
-    of `semigroup.x_operator` in 2-D, `_uniform_step`) or a sub_mask of
-    fewer than 2 nodes.
+    ValueError for fewer than 3 nodes, a u or sub_mask not of the shape of
+    xs, a grid that is not uniform (the rule of `semigroup.x_operator` in
+    2-D, `_uniform_step`) or a sub_mask of fewer than 2 nodes.
     """
     xs = np.asarray(xs, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -481,19 +500,17 @@ def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
         raise ValueError("gamma_total must have fractional part in (0,1)")
     if len(xs) < 3:
         raise ValueError(f"interior_norm_report needs at least 3 nodes, got {len(xs)}")
+    for name, a in (("u", u), ("sub_mask", np.asarray(sub_mask))):
+        if a.shape != xs.shape:
+            raise ValueError(f"interior_norm_report: {name} must have the shape of xs, "
+                             f"{xs.shape}, got {a.shape}")
     h = _uniform_step(xs, "xs", "interior_norm_report")
     if np.count_nonzero(sub_mask) < 2:
         raise ValueError("interior_norm_report: sub_mask needs 2 nodes for a Hoelder pair")
     derivs = [u]
-    cur = u
     for _ in range(m):
-        nxt = np.empty_like(cur)
-        nxt[1:-1] = (cur[2:] - cur[:-2]) / (2 * h)
-        nxt[0] = (-3 * cur[0] + 4 * cur[1] - cur[2]) / (2 * h)
-        nxt[-1] = (3 * cur[-1] - 4 * cur[-2] + cur[-3]) / (2 * h)
-        derivs.append(nxt)
-        cur = nxt
-    semi = holder_quotient(xs[sub_mask], cur[sub_mask], gam)
+        derivs.append(np.gradient(derivs[-1], h, edge_order=2))
+    semi = holder_quotient(xs[sub_mask], derivs[-1][sub_mask], gam)
     sup_u = float(np.max(np.abs(u[sub_mask])))
     sups = [float(np.max(np.abs(dv[sub_mask]))) for dv in derivs[1:]]
     total = sup_u + sum(sups) + semi

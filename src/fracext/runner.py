@@ -32,8 +32,8 @@ from .geometry import (MAGeometry, a_infinity_check, doubling_check, engulfing_c
                        quasi_triangle_check, quotient_check, scaling_identity_check)
 from .gridfn import BoxGrid, GridFunction, write_csv, write_json
 from .plots import svg_heatmap, svg_loglog
-from .regularity import (harnack_family_report, holder_quotient, interior_norm_report,
-                         schauder_decay)
+from .regularity import (_CASE_COEFFS, _case_polynomial, harnack_family_report,
+                         holder_quotient, interior_norm_report, schauder_decay)
 from .semigroup import (CoefficientField, SemigroupStepper, fit_rel_error,
                         fractional_apply, fractional_inverse)
 
@@ -197,12 +197,12 @@ def _run_barrier(cfg, outdir):
     rho = R * float(prob["rho_fraction"])
     details = {"case": int(prob["case"]), "z0": geom.trace_center(R), "R": R, "rho": rho}
     if prob["case"] == 1:
-        bar = BarrierCase1(geom, 0.0, R, rho, float(prob["alpha"]))
+        bar = BarrierCase1(geom, R, rho, float(prob["alpha"]))
         details.update(alpha=bar.alpha,
                        **bar.verify(samples=int(prob["samples"]), seed=cfg.seed))
     else:
         try:
-            bar = search_case2_parameters(geom, 0.0, R, rho)
+            bar = search_case2_parameters(geom, R, rho)
         except BarrierNotFound as exc:
             details["search_failures"] = exc.reasons
         else:
@@ -341,24 +341,14 @@ def _synthetic_state(s, fn, mx, my):
     mesh = ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0)
     xs, = mesh.x_axes((-np.sqrt(2.0), np.sqrt(2.0)), 1)
     y = mesh.y_nodes(harmonic_family_ycap(s), s)
-    zg = transform_to_z(y, s)
-    vals = np.asarray(fn(xs[None, :], zg[:, None]), float)
-    vals = np.broadcast_to(vals, (my + 1, len(xs))).copy()
+    vals = fn(xs[None, :], transform_to_z(y, s)[:, None])  # one value per node
     return ExtensionState(s, [xs], y, vals, 0.0, 0.0, meta={"synthetic": True})
 
 
 def _polynomial_state(s, case, mx, my):
+    coeffs = dict(zip(_CASE_COEFFS[case], (0.37, 0.21, 0.4, -0.15)))
     geom = MAGeometry(s)
-
-    def fn(x, z):
-        hz = geom.h(z)
-        if case == 1:
-            return 0.37 + 0.0 * x
-        if case == 2:
-            return 0.37 + 0.21 * x + 0.0 * hz
-        return 0.37 + 0.21 * x + 0.5 * 0.4 * x**2 - 0.15 * hz
-
-    return _synthetic_state(s, fn, mx, my)
+    return _synthetic_state(s, lambda x, z: _case_polynomial(coeffs, x, z, geom), mx, my)
 
 
 def _run_end_to_end(cfg, outdir):

@@ -90,10 +90,6 @@ class CoefficientField:
         return CoefficientField(2, fn, 1.0, 1.0)
 
     @staticmethod
-    def scalar_1d(fn, lam, Lam):
-        return CoefficientField(1, fn, lam, Lam)
-
-    @staticmethod
     def full_2d(a11, a12, a22, lam, Lam):
         """a^{ij} given by three callables of (x, y)."""
         return CoefficientField(2, lambda x, y: (a11(x, y), a12(x, y), a22(x, y)),

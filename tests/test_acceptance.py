@@ -139,10 +139,10 @@ def test_criterion_05_geometry_property_suite():
 def test_criterion_06_barrier_verification():
     """Case 1 fixture positivity at 1e4 samples; case 2 search passes all predicates."""
     g1 = MAGeometry(0.5)
-    bar1 = BarrierCase1(g1, 0.0, 0.5, 0.25, 9.0)
+    bar1 = BarrierCase1(g1, 0.5, 0.25, 9.0)
     rep1 = bar1.verify(samples=10_000, seed=21)
     g2 = MAGeometry(0.75)
-    bar2 = search_case2_parameters(g2, 0.0, 0.5, 1.0 / 8.0)
+    bar2 = search_case2_parameters(g2, 0.5, 1.0 / 8.0)
     rep2 = bar2.verify(samples=10_000, seed=22)
     ok = rep1["passes"] and rep2["passes"]
     _report(6, ok, f"case1 min operator {rep1['operator_min']:.3f} > 0; case2 at "

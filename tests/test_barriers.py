@@ -1,5 +1,6 @@
 """Barriers, inf-convolutions, sliding paraboloids and contact sets, touch test."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from fracext import barriers
 from fracext.barriers import (EPS_LADDER, SCAN_MARGIN, BarrierCase1, BarrierCase2,
-                              BarrierNotFound, ContactReport, cell_measures, inf_convolution,
-                              sample_annulus, search_case2_parameters, slide_paraboloids,
-                              touch_test)
+                              BarrierNotFound, ContactReport, TouchReport, cell_measures,
+                              inf_convolution, sample_annulus, search_case2_parameters,
+                              slide_paraboloids, touch_test)
 from fracext.benchmarks import eigen_extension_problem, sliding_fixture, vertex_lattice
 from fracext.config import default_config, validate
-from fracext.extension import ExtensionMesh, solve_extension
-from fracext.geometry import MAGeometry
+from fracext.extension import ExtensionMesh, ExtensionState, solve_extension
+from fracext.geometry import MAGeometry, SectionDescriptor, transform_to_y, transform_to_z
 from fracext.runner import _touching_exact, run
 from fracext.semigroup import ds_constant
 
@@ -49,7 +50,7 @@ def test_sample_annulus_points_in_annulus(s, n):
 def test_barrier_case1_fixture():
     # s = 1/2, R = 1/2 = delta_h(z0, 0) puts z0 at 1; alpha = 9 > (n+1)/rho = 8
     g = MAGeometry(0.5)
-    bar = BarrierCase1(g, 0.0, 0.5, 0.25, 9.0)
+    bar = BarrierCase1(g, 0.5, 0.25, 9.0)
     assert bar.z0 == 1.0
     assert bar(0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
     rep = bar.verify(samples=10_000, seed=0)
@@ -64,22 +65,22 @@ def test_barrier_case1_fixture():
 
 def test_barrier_case1_other_s_and_validation():
     g = MAGeometry(0.25)
-    bar = BarrierCase1(g, 0.0, 0.5, 0.2, 11.0)
+    bar = BarrierCase1(g, 0.5, 0.2, 11.0)
     assert bar.z0 == (0.5 / 0.25) ** 0.25  # delta_h(z0, 0) = s z0^{1/s} = 0.5
     assert bar.verify(samples=4000)["passes"]
     with pytest.raises(ValueError):
-        BarrierCase1(g, 0.0, 0.5, 0.2, 5.0)   # alpha too small
+        BarrierCase1(g, 0.5, 0.2, 5.0)   # alpha too small
     # R and z0 can no longer disagree: the center comes from R
-    assert g.delta_h(BarrierCase1(g, 0.0, 0.4, 0.2, 11.0).z0, 0.0) == pytest.approx(0.4)
+    assert g.delta_h(BarrierCase1(g, 0.4, 0.2, 11.0).z0, 0.0) == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        BarrierCase1(MAGeometry(0.75), 0.0, 0.75, 0.2, 11.0)  # wrong regime
+        BarrierCase1(MAGeometry(0.75), 0.75, 0.2, 11.0)  # wrong regime
 
 
 def test_barrier_case2_fixture():
     s = 0.75
     g = MAGeometry(s)
     R, rho = 0.5, 1.0 / 8.0
-    bar = search_case2_parameters(g, 0.0, R, rho)
+    bar = search_case2_parameters(g, R, rho)
     rep = bar.verify(samples=10_000, seed=1)
     assert rep["passes"]
     assert rep["operator_min"] > 0 and rep["bracket_scan_min"] > 0
@@ -102,7 +103,7 @@ def test_barrier_case2_bvp_oracle():
     # h_eps'' = 2(n+1) psi h'' checked by second differences off the endpoints
     s = 0.75
     g = MAGeometry(s)
-    bar = BarrierCase2(g, 0.0, 0.5, 0.125, 0.1, 40.0)
+    bar = BarrierCase2(g, 0.5, 0.125, 0.1, 40.0)
     zs = np.linspace(0.05 * bar.profile.z_hi, 0.95 * bar.profile.z_hi, 40)
     h = 1e-6
     dzz = (bar.h_eps(zs + h) - 2 * bar.h_eps(zs) + bar.h_eps(zs - h)) / h**2
@@ -115,14 +116,14 @@ def test_barrier_case2_eps_too_large():
     s = 0.75
     g = MAGeometry(s)
     with pytest.raises(ValueError, match="reduce eps"):
-        BarrierCase2(g, 0.0, 0.5, 0.125, 0.9)
+        BarrierCase2(g, 0.5, 0.125, 0.9)
 
 
 @pytest.mark.parametrize("alpha", [9.0, 800.0, 2000.0])
 def test_barrier_case1_large_alpha_decided_by_sign(alpha):
     # e^{-alpha E} with E in [rho, R) = [1/4, 1/2) underflows at alpha = 2000
     g = MAGeometry(0.5)
-    bar = BarrierCase1(g, 0.0, 0.5, 0.25, alpha)
+    bar = BarrierCase1(g, 0.5, 0.25, alpha)
     rep = bar.verify(samples=10_000, seed=3)
     assert rep["passes"] and rep["bracket_min"] > 0.0
     assert rep["log_dz_trace"] == pytest.approx(np.log(alpha) - 0.5 * alpha
@@ -146,16 +147,16 @@ def test_barrier_check_passes_at_small_s(tmp_path, s):
 
 
 def _case2_args(s, R=0.5, rho_fraction=0.5):
-    return MAGeometry(s), 0.0, R, R * rho_fraction
+    return MAGeometry(s), R, R * rho_fraction
 
 
 def test_case2_search_builds_one_profile_per_eps(monkeypatch):
     built = []
     init = BarrierCase2.__init__
 
-    def counting(self, geom, x0, R, rho, eps, alpha=None):
+    def counting(self, geom, R, rho, eps, alpha=None):
         built.append(eps)
-        init(self, geom, x0, R, rho, eps, alpha)
+        init(self, geom, R, rho, eps, alpha)
 
     monkeypatch.setattr(BarrierCase2, "__init__", counting)
     for s in (0.6, 0.7, 0.9):
@@ -174,8 +175,8 @@ def test_case2_search_builds_one_profile_per_eps(monkeypatch):
 def test_case2_bracket_holds_inside_the_transition_window(s):
     # near s = 1 the window where psi falls is narrower than the uniform scan
     # spacing; a dense check of the worst-case bracket there
-    g, x0, R, rho = _case2_args(s)
-    bar = search_case2_parameters(g, x0, R, rho)
+    g, R, rho = _case2_args(s)
+    bar = search_case2_parameters(g, R, rho)
     z = np.linspace(bar.profile.z_eps, bar.profile.z_tilde, 200_001)
     P, Q = bar.bracket_terms(np.maximum(0.0, rho - g.delta_h(bar.z0, z)), z)
     assert np.min(bar.alpha * P - Q) > 0.99 * SCAN_MARGIN * (g.n + 1)
@@ -185,9 +186,9 @@ def test_case2_bracket_holds_inside_the_transition_window(s):
 @given(st.floats(0.55, 0.93), st.floats(0.3, 1.0), st.floats(0.3, 0.7),
        st.integers(1, 2**31))
 def test_case2_search_minimal_alpha_or_reasons(s, R, rho_fraction, seed):
-    g, x0, R, rho = _case2_args(s, R, rho_fraction)
+    g, R, rho = _case2_args(s, R, rho_fraction)
     try:
-        bar = search_case2_parameters(g, x0, R, rho)
+        bar = search_case2_parameters(g, R, rho)
     except BarrierNotFound as exc:
         assert [eps for eps, _ in exc.reasons] == list(EPS_LADDER)
         assert all(reason for _, reason in exc.reasons)
@@ -195,7 +196,7 @@ def test_case2_search_minimal_alpha_or_reasons(s, R, rho_fraction, seed):
     assert bar.verify(samples=4000, seed=seed)["passes"]
     margin = SCAN_MARGIN * (g.n + 1)
     assert bar.bracket_scan_min() >= margin - 1e-12
-    lower = BarrierCase2(g, x0, R, rho, bar.eps, bar.alpha / (1.0 + 1e-3))
+    lower = BarrierCase2(g, R, rho, bar.eps, bar.alpha / (1.0 + 1e-3))
     assert lower.bracket_scan_min() < margin
 
 
@@ -477,33 +478,54 @@ def test_sliding_report_counts_contact_cells(tmp_path):
 # -- touch test ----------------------------------------------------------------------------
 
 
-def _touch_grid(s, fn, nx=41, nz=40):
-    g = MAGeometry(s)
+def _touch_state(s, fn, nx=41, nz=40, zmin=1e-3, values=lambda v: v):
+    """A 1-D state on [-1, 1] x {0, geomspace(zmin, 1, nz)} holding fn(x, z)
+    at its nodes, passed through `values` first."""
     xs = np.linspace(-1.0, 1.0, nx)
-    zs = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, nz)])
-    U = np.asarray(fn(xs[:, None], zs[None, :]), dtype=float)
-    return g, xs, zs, np.broadcast_to(U, (nx, nz + 1)).copy()
+    y = transform_to_y(np.concatenate([[0.0], np.geomspace(zmin, 1.0, nz)]), s)
+    U = np.broadcast_to(fn(xs[None, :], transform_to_z(y, s)[:, None]), (nz + 1, nx))
+    return ExtensionState(s, [xs], y, values(U.copy()), 0.0, 0.0)
+
+
+def _touch_reference(geom, xs, zs, U, ix0, section_radius):
+    """The touch test written on plain (x, z) arrays and U[x, z], for the
+    state form to equal bit for bit."""
+    x0, u0 = xs[ix0], U[ix0, 0]
+    sect = SectionDescriptor((x0,), 0.0, section_radius).contains(geom, xs[:, None], zs[None, :])
+    osc = max(1e-12, np.max(np.abs(U[sect] - u0)))
+    span = 4.0 * osc / max(1e-12, np.sqrt(2.0 * section_radius))
+    dx = xs - x0
+    m = sect & (zs > 0)[None, :]
+    best = None
+    for g in np.linspace(-span, span, 33):
+        for q in np.linspace(0.0, 8.0 * osc / max(1e-12, section_radius), 17):
+            P = u0 + g * dx[:, None] + 0.5 * q * dx[:, None] ** 2
+            if np.all(P[:, 0][sect[:, 0]] >= U[:, 0][sect[:, 0]] - 1e-12) and np.any(m):
+                a_min = float(np.max((U - P)[m] / np.broadcast_to(zs[None, :], U.shape)[m]))
+                best = a_min if best is None or a_min < best else best
+    if best is None:
+        return TouchReport(False, None, None)
+    return TouchReport(True, float(np.ceil(best / 1e-3) * 1e-3), float(best))
 
 
 def test_touch_linear_in_z():
-    g, xs, zs, U = _touch_grid(0.5, lambda x, z: z + 0.0 * x)
-    rep = touch_test(g, xs, zs, U, len(xs) // 2, 0.3)
+    st = _touch_state(0.5, lambda x, z: z + 0.0 * x)
+    rep = touch_test(st, len(st.x_axes[0]) // 2, 0.3)
     assert rep.feasible
     assert rep.exact_min_slope == pytest.approx(1.0, abs=1e-10)
 
 
 def test_touch_concave_h_profile():
     # U = -h(z): h'(0) = 0, so the minimal slope tends to 0 from below as the
-    # grid's first z-level shrinks (the lattice floor is -h(z_min)/z_min)
+    # grid's first z-level shrinks (the lattice floor is -h(z_1)/z_1)
     g = MAGeometry(0.75)
-    xs = np.linspace(-1.0, 1.0, 41)
     slopes = []
     for zmin in (1e-3, 1e-5):
-        zs = np.concatenate([[0.0], np.geomspace(zmin, 1.0, 40)])
-        U = np.broadcast_to(-g.h(zs)[None, :] + 0.0 * xs[:, None], (41, 41)).copy()
-        rep = touch_test(g, xs, zs, U, 20, 0.3)
+        st = _touch_state(0.75, lambda x, z: -g.h(z) + 0.0 * x, zmin=zmin)
+        z1 = st.z_nodes[1]
+        rep = touch_test(st, 20, 0.3)
         assert rep.feasible and rep.exact_min_slope <= 0.0
-        assert abs(rep.exact_min_slope) <= g.h(zmin) / zmin + 1e-12
+        assert abs(rep.exact_min_slope) <= g.h(z1) / z1 + 1e-12
         slopes.append(rep.exact_min_slope)
     assert abs(slopes[1]) < abs(slopes[0])
 
@@ -515,32 +537,52 @@ def test_touch_solved_extension_slope_bound():
     problem, _ = eigen_extension_problem(s, k, Z=1.0)
     st = solve_extension(problem, ExtensionMesh(nx=257, my=128, grading=2.0))
     xs = st.x_axes[0]
-    zs = st.z_nodes
-    U = st.values.T.copy()
     ix0 = int(np.argmin(np.abs(xs - np.pi / 2)))  # sin(kx) = 1 there
-    rep = touch_test(MAGeometry(s), xs, zs, U, ix0, 0.002)
+    rep = touch_test(st, ix0, 0.002)
     target = -ds_constant(s) * k ** (2 * s) * np.sin(k * xs[ix0])
     assert rep.feasible
     assert abs(rep.exact_min_slope - target) <= 0.05 * abs(target)
 
 
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_touch_on_a_solved_state_equals_the_array_form(s):
+    # the state form reads its geometry, axes and U[x, z] = values.T from the
+    # state and must equal the touch test on those arrays, bit for bit
+    problem, _ = eigen_extension_problem(s, 1, Z=1.0)
+    st = solve_extension(problem, ExtensionMesh(nx=129, my=48))
+    reports = []
+    for ix0, radius in ((64, 0.01), (20, 0.05), (100, 0.002), (0, 0.01)):
+        reports.append(touch_test(st, ix0, radius))
+        assert reports[-1] == _touch_reference(st.geom, st.x_axes[0], st.z_nodes,
+                                               st.values.T.copy(), ix0, radius)
+    assert sum(rep.feasible for rep in reports) >= 3
+
+
 def test_touch_requires_trace_row():
-    g = MAGeometry(0.5)
     xs = np.linspace(-1, 1, 11)
-    zs = np.linspace(0.1, 1.0, 9)
-    with pytest.raises(ValueError):
-        touch_test(g, xs, zs, np.zeros((11, 9)), 5, 0.2)
+    st = ExtensionState(0.5, [xs], np.linspace(0.1, 1.0, 9), np.zeros((9, 11)), 0.0, 0.0)
+    with pytest.raises(ValueError, match="trace row z_nodes"):
+        touch_test(st, 5, 0.2)
 
 
-@pytest.mark.parametrize("bad_U, ix0, match", [
-    (lambda U: U[:, :-1], 10, r"U must have shape \(len\(xs\), len\(zs\)\) = \(21, 11\)"),
-    (lambda U: np.where(U > 1.5, np.nan, U), 10, "U must be finite, got 6 non-finite values"),
-    (None, 30, r"ix0 must be a node index in \[0, 21\), got 30"),
-    (None, 2.0, "ix0 must be a node index"),
+def test_touch_refuses_a_2d_state():
+    xs = np.linspace(-1, 1, 11)
+    st = ExtensionState(0.5, [xs, xs], np.linspace(0.0, 1.0, 9), np.zeros((9, 11, 11)), 0.0, 0.0)
+    with pytest.raises(ValueError, match="touch test implemented for 1-D x"):
+        touch_test(st, 5, 0.2)
+
+
+@pytest.mark.parametrize("values, ix0, match", [
+    (lambda U: U[:-1], 10, re.escape("values must have shape (len(y_nodes), *map(len, x_axes)) "
+                                     "= (11, 21), got (10, 21)")),
+    (lambda U: np.where(U > 1.5, np.nan, U), 10, "values must be finite, got 6 non-finite values"),
+    (lambda U: U, 30, r"ix0 must be a node index in \[0, 21\), got 30"),
+    (lambda U: U, 2.0, "ix0 must be a node index"),
 ], ids=["shape", "nan-values", "ix0-past-the-grid", "ix0-float"])
-def test_touch_refuses_malformed_input(bad_U, ix0, match):
+def test_touch_refuses_malformed_input(values, ix0, match):
     # each of these used to leak an IndexError, or (NaN where U > 1.5) to
-    # report a feasible touch with slope 1 read off the finite nodes alone
-    g, xs, zs, U = _touch_grid(0.5, lambda x, z: x * x + z, nx=21, nz=10)
+    # report a feasible touch with slope 1 read off the finite nodes alone;
+    # a field of the wrong shape or with a NaN is refused by the state itself
     with pytest.raises(ValueError, match=match):
-        touch_test(g, xs, zs, U if bad_U is None else bad_U(U), ix0, 0.3)
+        touch_test(_touch_state(0.5, lambda x, z: x * x + z, nx=21, nz=10, values=values),
+                   ix0, 0.3)

@@ -163,6 +163,27 @@ def _random_state(kind, seed=0):
     return ExtensionState(s, x_axes, y, values, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("kind, bad, match", [
+    ("n1", np.nan, "values must be finite, got 1 non-finite values"),
+    ("n1", np.inf, "values must be finite, got 1 non-finite values"),
+    ("n1", "shape", re.escape("values must have shape (len(y_nodes), *map(len, x_axes)) = "
+                              "(13, 17), got (13, 16)")),
+    ("n2", "shape", re.escape("values must have shape (len(y_nodes), *map(len, x_axes)) = "
+                              "(13, 17, 9), got (13, 9, 17)")),
+], ids=["nan", "inf", "shape-n1", "shape-n2"])
+def test_extension_state_refuses_a_wrong_shape_and_nonfinite_values(kind, bad, match):
+    # one finite value per node, or the constructor refuses the field: every
+    # measurement that takes a state reads its values unchecked
+    st = _random_state(kind)
+    if bad == "shape":
+        values = st.values[..., :-1] if kind == "n1" else st.values.transpose(0, 2, 1)
+    else:
+        values = st.values.copy()
+        values.flat[40] = bad
+    with pytest.raises(ValueError, match=match):
+        ExtensionState(st.s, st.x_axes, st.y_nodes, values, 0.0, 0.0)
+
+
 def _queries(st, rng, count):
     zmax = st.z_nodes[-1]
     z = rng.uniform(0.0, zmax, count)
@@ -373,7 +394,7 @@ def test_2d_solver_constant_and_max_principle():
 
 def _constant_field(n, comps, lam, Lam):
     if n == 1:
-        return CoefficientField.scalar_1d(lambda x: np.full(np.shape(x), comps[0]), lam, Lam)
+        return CoefficientField(1, lambda x: np.full(np.shape(x), comps[0]), lam, Lam)
     return CoefficientField.full_2d(*(lambda x, y, v=v: np.full(np.broadcast(x, y).shape, v)
                                       for v in comps), lam, Lam)
 
@@ -494,8 +515,8 @@ def _solve_capturing_system(problem, mesh, assemble=True):
 
 
 def _variable_1d_problem(s, lam, Lam, freq, bottom):
-    coeff = CoefficientField.scalar_1d(
-        lambda x: lam + (Lam - lam) * (0.5 + 0.5 * np.sin(freq * x)), lam, Lam)
+    coeff = CoefficientField(
+        1, lambda x: lam + (Lam - lam) * (0.5 + 0.5 * np.sin(freq * x)), lam, Lam)
     return ExtensionProblem(s=s, coeff=coeff, domain=(-1.0, 1.0), Z=1.0,
                             bottom=(bottom, lambda x: np.cos(2.0 * x)),
                             F=lambda x, z: x * z,
@@ -905,7 +926,7 @@ def test_1d_variable_coefficient_source_converges_at_order_two(s):
     def a(x):
         return 1.0 + 0.5 * np.sin(x) ** 2
 
-    prob = ExtensionProblem(s=s, coeff=CoefficientField.scalar_1d(a, 1.0, 1.5),
+    prob = ExtensionProblem(s=s, coeff=CoefficientField(1, a, 1.0, 1.5),
                             domain=(-1.0, 1.0), Z=1.0, bottom=("neumann", np.sin),
                             F=lambda x, z: -a(x) * (1.0 + z) * np.sin(x),
                             g_lateral=exact, g_top=lambda x: exact(x, 1.0))
@@ -1199,9 +1220,9 @@ _ROUGH_PIECES = np.exp(np.random.default_rng(0).uniform(0.0, np.log(256.0), 40))
 
 _LADDER_COEFFS = {
     "a=1": CoefficientField.identity(1),
-    "smooth": CoefficientField.scalar_1d(lambda x: 1.0 + 3.0 * np.sin(3.0 * x) ** 2, 1.0, 4.0),
-    "rough": CoefficientField.scalar_1d(
-        lambda x: _ROUGH_PIECES[np.clip((x / np.pi * 40).astype(int), 0, 39)], 1.0, 256.0),
+    "smooth": CoefficientField(1, lambda x: 1.0 + 3.0 * np.sin(3.0 * x) ** 2, 1.0, 4.0),
+    "rough": CoefficientField(
+        1, lambda x: _ROUGH_PIECES[np.clip((x / np.pi * 40).astype(int), 0, 39)], 1.0, 256.0),
 }
 
 

@@ -3,10 +3,12 @@ used, every private helper of the package is referenced by the package,
 every public function, class or method is used by a package module, listed
 in API_ONLY with its reason or read by the benchmark, every defaulted
 parameter is set by a package or benchmark call or listed in DEFAULT_ONLY
-with its reason, only `semigroup`
-imports LAPACK, importing the package loads no scipy module (each is
-imported in the function that calls it), and every name the benchmark
-tracer hooks or the benchmark's tests read by name still resolves."""
+with its reason, no required parameter takes one literal from every package
+and benchmark call unless listed in ONE_LITERAL with its reason, only
+`semigroup` imports LAPACK, importing the package loads no scipy module
+(each is imported in the function that calls it), and every name the
+benchmark tracer hooks or the benchmark's tests read by name still
+resolves."""
 
 import ast
 import importlib
@@ -167,19 +169,38 @@ DEFAULT_ONLY = {
 }
 
 
-def _defaulted_parameters(path):
+# required parameter below fracext -> why it stays although every call in a
+# package module or under perfbench/ passes it one and the same literal (an
+# input every caller fixes is a constant of the callee, not an input)
+ONE_LITERAL = {
+    "gridfn.BoxGrid.interval.lo":
+        "a benchmark-read constructor: `perfbench/fxbench/cases.py` builds its 1-D grids on "
+        "(0, pi) with it, and tests build grids on other intervals",
+    "gridfn.BoxGrid.rectangle.los":
+        "a benchmark-read constructor: `perfbench/fxbench/cases.py` builds its 2-D grids on "
+        "(0, pi)^2 with it, and tests build grids on other boxes",
+    "barriers.sample_annulus.x0":
+        "the barriers sample about their base point x = 0, and tests/test_barriers.py checks "
+        "the sampler about other centers, in 1-D and 2-D",
+}
+
+
+def _parameters(path, defaulted):
     """`module.function.param` (`module.Class.method.param` for a method of a
     module-level class) -> (the name a call uses, the class for `__init__`;
-    the index of the positional argument that sets it, None if keyword-only)."""
+    the index of the positional argument that sets it, None if keyword-only),
+    for the parameters with a default or for the required ones.  A method's
+    positions skip `self` or `cls`; a static method's do not."""
     found = {}
 
     def add(fn, qualname, callee, bound):
         args = fn.args.posonlyargs + fn.args.args
         first = len(args) - len(fn.args.defaults)
-        for i, arg in enumerate(args[first:], first):
-            found[f"{path.stem}.{qualname}.{arg.arg}"] = (callee, i - bound)
+        for i, arg in enumerate(args[bound:], bound):
+            if (i >= first) == defaulted:
+                found[f"{path.stem}.{qualname}.{arg.arg}"] = (callee, i - bound)
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
-            if default is not None:
+            if (default is not None) == defaulted:
                 found[f"{path.stem}.{qualname}.{arg.arg}"] = (callee, None)
 
     for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -195,28 +216,39 @@ def _defaulted_parameters(path):
     return found
 
 
+def _package_parameters(defaulted):
+    return {key: value for path in sorted((ROOT / "src" / "fracext").glob("*.py"))
+            for key, value in _parameters(path, defaulted).items()}
+
+
+def _calls(tests=True):
+    """Every call in a package module or under perfbench/ (its tests too, or
+    not), by the callee's name (a function's, or the attribute's for
+    `obj.name(...)`)."""
+    calls = {}
+    for path in sorted((ROOT / "src" / "fracext").glob("*.py")) + sorted(
+            path for path in (ROOT / "perfbench").rglob("*.py")
+            if tests or "tests" not in path.relative_to(ROOT).parts):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
 def _unset_defaulted_parameters():
     """The defaulted parameters that no call in a package module or under
     perfbench/ sets, by keyword or position (a call with *args or **kwargs
     may set any), matching calls by the callee's name as the public
     definitions are matched."""
-    calls = {}
-    for path in sorted((ROOT / "src" / "fracext").glob("*.py")) + sorted(
-            (ROOT / "perfbench").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                calls.setdefault(name, []).append(node)
+    calls = _calls()
 
     def sets(call, param, position):
         return (any(isinstance(a, ast.Starred) for a in call.args)
                 or any(k.arg in (None, param) for k in call.keywords)
                 or position is not None and len(call.args) > position)
 
-    params = {}
-    for path in sorted((ROOT / "src" / "fracext").glob("*.py")):
-        params.update(_defaulted_parameters(path))
-    return {key for key, (callee, position) in params.items()
+    return {key for key, (callee, position) in _package_parameters(True).items()
             if not any(sets(call, key.rsplit(".", 1)[1], position)
                        for call in calls.get(callee, []))}
 
@@ -227,12 +259,54 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
 
 
 def test_default_only_entries_are_defined_and_still_unset():
-    params = set().union(*(_defaulted_parameters(path)
-                           for path in sorted((ROOT / "src" / "fracext").glob("*.py"))))
+    params = _package_parameters(True).keys()
     unset = _unset_defaulted_parameters()
     for entry in DEFAULT_ONLY:
         assert entry in params, f"{entry} is not a defaulted parameter; drop it"
         assert entry in unset, f"{entry} is set by the package or the benchmark now; drop it"
+
+
+def _one_literal_parameters():
+    """The required parameters to which every call in a package module or
+    under perfbench/ but its tests (at least one call) passes the same
+    literal, by position or keyword; a call with *args or **kwargs, or that
+    passes anything else, clears the parameter.  Calls are matched by the
+    callee's name."""
+    calls = _calls(tests=False)
+
+    def passed(call, param, position):
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords):
+            return None
+        node = next((k.value for k in call.keywords if k.arg == param), None)
+        if node is None and position is not None and len(call.args) > position:
+            node = call.args[position]
+        try:
+            ast.literal_eval(node)
+        except (ValueError, TypeError):  # not a literal, or not passed
+            return None
+        return ast.dump(node)
+
+    found = set()
+    for key, (callee, position) in _package_parameters(False).items():
+        values = {passed(call, key.rsplit(".", 1)[1], position) for call in calls.get(callee, [])}
+        if len(values) == 1 and None not in values:
+            found.add(key)
+    return found
+
+
+def test_no_required_parameter_takes_one_literal_from_every_caller():
+    found = sorted(_one_literal_parameters() - ONE_LITERAL.keys())
+    assert not found, ("required parameters every package and benchmark call passes one "
+                       "literal: " + ", ".join(found))
+
+
+def test_one_literal_entries_are_defined_and_still_take_one_literal():
+    params = _package_parameters(False).keys()
+    flagged = _one_literal_parameters()
+    for entry in ONE_LITERAL:
+        assert entry in params, f"{entry} is not a required parameter; drop it"
+        assert entry in flagged, f"{entry} takes other values now; drop it"
 
 
 def _public_definitions(path):
@@ -347,7 +421,7 @@ def test_geometry_barriers_and_sliding_run_without_scipy(tmp_path):
         "raw = default_raw('barrier-check', 0.3)\n"
         "assert raw['problem'].get('case', 1) == 1\n"
         "run(raw, 'barrier1')\n"
-        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.0, 0.5, 0.125, 0.1)\n"
+        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.5, 0.125, 0.1)\n"
         "for fixture in ('convex', 'paraboloid'):\n"
         "    raw = default_raw('slide-paraboloids')\n"
         "    raw['problem']['fixture'] = fixture\n"
@@ -402,7 +476,7 @@ def test_common_experiments_run_without_lazy_scipy_packages(tmp_path):
         "st = semigroup.SemigroupStepper(semigroup.CoefficientField.identity(1), grid)\n"
         "u = GridFunction.from_callable(grid, np.sin)\n"
         "semigroup.extension_via_semigroup_multi(st, u, 0.3, [0.1, 0.5])\n"
-        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.0, 0.5, 0.125, 0.1)\n"
+        "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.5, 0.125, 0.1)\n"
         "mesh = extension.ExtensionMesh(nx=33, my=16)\n"
         "state = extension.solve_extension(eigen_extension_problem(0.5, 1)[0], mesh)\n"
         "assert np.isfinite(state.values_at(np.array([1.0]), np.array([0.2]))).all()\n"

@@ -191,7 +191,7 @@ def test_exchange_certifies_degenerate_references(monkeypatch, kinked_state, cas
     monkeypatch.setattr(fitting, "_exchange", spy)
     geom = MAGeometry(kinked_state.s)
     for j in range(6):
-        X, Z, V = _region(kinked_state, geom, 0.5**j, case)
+        X, Z, V = _region(kinked_state, 0.5**j, case)
         basis = _case_basis(case, X, Z, geom)
         coeffs, err = sup_fit(basis, V)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(V))))
@@ -382,7 +382,7 @@ def test_region_equals_the_full_grid_selection(nx, my, case):
                            rng.standard_normal((my + 1, nx)), 0.0, 0.0)
     scales = 0
     for j in range(10):
-        found = _region(state, state.geom, 0.5**j, case)
+        found = _region(state, 0.5**j, case)
         expected = _region_reference(state, state.geom, 0.5**j, case)
         if expected is None:
             assert found is None
@@ -398,7 +398,7 @@ def test_sup_fitter_on_decay_regions_equals_fresh_sup_fits(kinked_state, case, j
     # the degenerate bases of the decay fits: rows of [1, x] repeat on every
     # z level, and case 3 adds x^2 / 2 and h(z)
     geom = MAGeometry(kinked_state.s)
-    X, Z, V = _region(kinked_state, geom, 0.5**j, case)
+    X, Z, V = _region(kinked_state, 0.5**j, case)
     noise = np.random.default_rng(seed).standard_normal(len(V))
     _assert_fitter_matches_fresh_fits(_case_basis(case, X, Z, geom),
                                       [V, V - V.mean(), V + 1e-3 * noise, np.sin(5.0 * X) * V])
@@ -419,7 +419,7 @@ def test_decay_region_excludes_the_mesh_row_on_the_section_boundary():
     geom = MAGeometry(s)
     zs = state.z_nodes
     assert zs[70] == geom.section_interval(0.0, 4.0**-3)[1]
-    X, Z, V = _region(state, geom, 0.5**3, 2)
+    X, Z, V = _region(state, 0.5**3, 2)
     assert np.array_equal(np.unique(Z), zs[:70])
 
 
@@ -535,18 +535,6 @@ def test_holder_seminorm_equals_dense_pairwise_max(n):
         v = np.abs(x[:, 0]) ** 0.5 + np.sin(3.0 * x[:, 1]) * z
     assert len(v) > 1414
     assert holder_seminorm(g, x, z, v, 0.5) == _dense_holder_seminorm(g, x, z, v, 0.5)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_harnack_report_refuses_nonfinite_node_values(bad):
-    s = 0.5
-    xs = np.linspace(-1.5, 1.5, 41)
-    zs = np.concatenate([[0.0], np.geomspace(1e-3, 1.5, 30)])
-    vals = np.ones((len(zs), len(xs)))
-    vals[3, 20] = bad
-    state = ExtensionState(s, [xs], transform_to_y(zs, s), vals, 0.0, 0.0)
-    with pytest.raises(ValueError, match="finite node values"):
-        harnack_quotient(state, (0.0, 0.0), 0.5)
 
 
 def test_harnack_run_with_overflowing_modes_errors_instead_of_reporting_nan(tmp_path):
@@ -1093,3 +1081,48 @@ def test_synthetic_state_equals_full_grid_evaluation(case):
               lambda x, z: 0.37 + 0.21 * x + 0.5 * 0.4 * x**2 - 0.15 * geom.h(z)][case]
     Zq, Xq = np.meshgrid(st.z_nodes, st.x_axes[0], indexing="ij")
     assert np.array_equal(st.values, fn(Xq, Zq))
+
+
+_X12 = np.linspace(0.0, 1.0, 12)
+_PTS = (np.linspace(-1.0, 1.0, 8), np.linspace(0.0, 1.0, 8))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, match", [
+    (lambda st: schauder_decay(st, 2, rho=2.0), r"rho must lie in \(0, 1\), got 2.0"),
+    (lambda st: schauder_decay(st, 2, rho=1.0), r"rho must lie in \(0, 1\), got 1.0"),
+    (lambda st: schauder_decay(st, 5), "case must be 1, 2 or 3, got 5"),
+    (lambda st: campanato_iterate(st, 5, 0.5), "case must be 1, 2 or 3, got 5"),
+    (lambda st: campanato_iterate(st, 2, 0.5, rho=1.5), r"rho must lie in \(0, 1\), got 1.5"),
+    (lambda st: campanato_iterate(st, 2, 0.5, rho=0.0), r"rho must lie in \(0, 1\), got 0.0"),
+    (lambda st: rescale_solution(st, np.nan), "rho must be finite and positive, got nan"),
+    (lambda st: rescale_solution(st, np.inf), "rho must be finite and positive, got inf"),
+    (lambda st: st.geom.trace_center(-1.0), "section radius must be positive"),
+    (lambda st: st.geom.trace_center(0.0), "section radius must be positive"),
+    (lambda st: st.geom.trace_center(np.nan), "section center and radius must be finite"),
+    (lambda st: st.geom.trace_center(np.inf), "section center and radius must be finite"),
+    (lambda st: interior_norm_report(_X12, np.sin(_X12)[:-1], 1.5, _X12 > 0.2, 1.0),
+     r"interior_norm_report: u must have the shape of xs, \(12,\), got \(11,\)"),
+    (lambda st: interior_norm_report(_X12, np.sin(_X12), 1.5, (_X12 > 0.2)[1:], 1.0),
+     r"interior_norm_report: sub_mask must have the shape of xs, \(12,\), got \(11,\)"),
+    (lambda st: holder_seminorm(st.geom, *_PTS, np.where(_PTS[0] > 0.5, np.nan, 1.0), 0.5),
+     "holder_seminorm: vals must be finite"),
+    (lambda st: holder_seminorm(st.geom, _PTS[0], _PTS[1] + np.inf, np.ones(8), 0.5),
+     "holder_seminorm: x_pts and z_pts must be finite"),
+    (lambda st: holder_seminorm(st.geom, *_PTS, np.ones(7), 0.5),
+     "holder_seminorm: x_pts, z_pts and vals must hold one entry per point"),
+    (lambda st: holder_seminorm(st.geom, _PTS[0], _PTS[1][:-1], np.ones(8), 0.5),
+     "holder_seminorm: x_pts, z_pts and vals must hold one entry per point"),
+    (lambda st: harnack_family_report(st.s, []),
+     "harnack_family_report: family must hold at least one member"),
+], ids=["decay-rho-2", "decay-rho-1", "decay-case-5", "campanato-case-5", "campanato-rho-1.5",
+        "campanato-rho-0", "rescale-nan", "rescale-inf", "trace-center-negative",
+        "trace-center-zero", "trace-center-nan", "trace-center-inf", "norm-u-length",
+        "norm-mask-length", "seminorm-nan-values", "seminorm-inf-points", "seminorm-short-vals",
+        "seminorm-short-z", "harnack-empty-family"])
+def test_measurements_refuse_inputs_they_would_get_wrong(call, match):
+    # each of these returned a number from meaningless input (a fitted
+    # exponent from growing scales, NaN or complex axes and centers, a NaN
+    # seminorm) or leaked a numpy error that names no argument
+    with pytest.raises(ValueError, match=match):
+        call(_polynomial_state(0.4, 3, mx=20, my=12))

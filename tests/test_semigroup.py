@@ -72,8 +72,8 @@ def test_quadrature_spec_validation():
 
 def _variable_heat_stepper(N, lam, ratio, freq, length):
     Lam = lam * ratio
-    coeff = CoefficientField.scalar_1d(
-        lambda x: lam + (Lam - lam) * np.sin(freq * x) ** 2, lam, Lam)
+    coeff = CoefficientField(
+        1, lambda x: lam + (Lam - lam) * np.sin(freq * x) ** 2, lam, Lam)
     return SemigroupStepper(coeff, BoxGrid.interval(0.0, length, N + 1))
 
 
@@ -180,7 +180,7 @@ def test_declared_ellipticity_bounds_are_checked(n):
     # lam = Lam = 30 put L^{-1/2} 3.9% off on 17^2 nodes while its
     # certificate read 4.7e-13
     if n == 1:
-        coeff = CoefficientField.scalar_1d(lambda x: np.ones_like(x), 30.0, 30.0)
+        coeff = CoefficientField(1, lambda x: np.ones_like(x), 30.0, 30.0)
         grid = BoxGrid.interval(0.0, np.pi, 17)
     else:
         coeff = CoefficientField.full_2d(*(lambda x, y, v=v: np.full(np.broadcast(x, y).shape, v)
@@ -199,7 +199,7 @@ def test_declared_ellipticity_bounds_are_checked(n):
 def test_coefficient_field_needs_finite_ordered_bounds(lam, Lam):
     # with Lam = inf an inf coefficient would pass x_operator's check
     with pytest.raises(ValueError, match=re.escape("need 0 < lambda <= Lambda < inf")):
-        CoefficientField.scalar_1d(lambda x: np.ones_like(x), lam, Lam)
+        CoefficientField(1, lambda x: np.ones_like(x), lam, Lam)
 
 
 def test_fractional_apply_eigen_mapping():
@@ -216,7 +216,7 @@ def test_fractional_apply_eigen_mapping():
 
 
 def _variable_1d_field():
-    return CoefficientField.scalar_1d(lambda x: 1.0 + 0.3 * np.sin(3.0 * x), 0.7, 1.3)
+    return CoefficientField(1, lambda x: 1.0 + 0.3 * np.sin(3.0 * x), 0.7, 1.3)
 
 
 def _dense_power_1d(st_, power, v):
@@ -939,7 +939,7 @@ def test_x_operator_rejects_constant_fields_that_are_not_elliptic(n1, n2, a11, a
         x_operator(_constant_2d(a11, a12, a22), [xs, ys])
     if a11 <= 0.0:
         with pytest.raises(ValueError, match=re.escape(f"at node ({xs[1]:g}): a11 = {a11:g}")):
-            x_operator(CoefficientField.scalar_1d(lambda x: np.full_like(x, a11), 1.0, 1.0),
+            x_operator(CoefficientField(1, lambda x: np.full_like(x, a11), 1.0, 1.0),
                        [xs])
 
 
@@ -960,7 +960,7 @@ def test_x_operator_names_the_one_node_where_a_field_fails(n1, n2, data, bad):
                                                    f"a11 = {bad[0]:g}, a12 = {bad[1]:g}")):
         x_operator(coeff, [xs, ys])
     if not bad[0] > 0.0:
-        one = CoefficientField.scalar_1d(lambda x: np.where(x == xs[i], bad[0], 1.0), 1.0, 1.0)
+        one = CoefficientField(1, lambda x: np.where(x == xs[i], bad[0], 1.0), 1.0, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"at node ({xs[i]:g}): a11 = {bad[0]:g}")):
             x_operator(one, [xs])
 
@@ -1135,8 +1135,9 @@ def test_shifted_solver_on_1d_operators_takes_the_symmetric_tridiagonal_factoriz
     # tridiagonal with negative off-diagonals, and every L + shift I with
     # shift >= 0 is positive definite after the symmetrizing similarity
     xs = np.concatenate([[0.0], np.cumsum(steps)])
-    coeff = CoefficientField.scalar_1d(
-        lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)), lam, lam * ratio)
+    coeff = CoefficientField(
+        1, lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)),
+        lam, lam * ratio)
     L = -x_operator(coeff, [xs])[0]
     x, ref, calls = _engine_solves(L, shifts, seed)
     assert calls == ({"pttrf": 1, "gbtrf": 0} if L.shape[0] > 1 else {"pttrf": 0, "gbtrf": 1})
@@ -1241,8 +1242,9 @@ def test_shifted_solver_takes_complex_shifts_through_the_tridiagonal_lu(
     # the contour nodes of the semigroup extension: L + shift I is complex,
     # and LAPACK's tridiagonal LU factors every block of the stack at once
     xs = np.concatenate([[0.0], np.cumsum(steps)])
-    coeff = CoefficientField.scalar_1d(
-        lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)), lam, lam * ratio)
+    coeff = CoefficientField(
+        1, lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)),
+        lam, lam * ratio)
     L = -x_operator(coeff, [xs])[0]
     b = np.random.default_rng(seed).standard_normal((len(shifts), L.shape[0]))
     with mock.patch.object(lapack, "zgttrf", wraps=lapack.zgttrf) as gt, \
@@ -1326,8 +1328,9 @@ def test_1d_x_operator_writes_the_arrays_of_the_diags_build(steps, start, lam, r
     xs = start + np.concatenate([[0.0], np.cumsum(steps)])
     if reverse:
         xs = xs[::-1].copy()
-    coeff = CoefficientField.scalar_1d(
-        lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)), lam, lam * ratio)
+    coeff = CoefficientField(
+        1, lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)),
+        lam, lam * ratio)
     for got, ref in zip(x_operator(coeff, [xs]), _diags_1d_x_operator(coeff, xs)):
         assert got.format == ref.format == "csr" and got.shape == ref.shape
         for name in ("data", "indices", "indptr"):
@@ -1360,7 +1363,7 @@ def test_1d_x_operator_refuses_weights_that_overflow_or_a_diagonal_that_underflo
     # the second (a = lam = Lam = 1e-300) an Ax with no entries; no warning
     # may escape the refusal
     xs = np.array(xs)
-    coeff = CoefficientField.scalar_1d(lambda x: np.full_like(x, a), a, a)
+    coeff = CoefficientField(1, lambda x: np.full_like(x, a), a, a)
     with pytest.raises(ValueError, match=re.escape(
             f"1-D x-axis {np.array2string(xs, threshold=12)} gives stencil weights that "
             "overflow or a diagonal that underflows to 0")):
@@ -1369,7 +1372,7 @@ def test_1d_x_operator_refuses_weights_that_overflow_or_a_diagonal_that_underflo
 
 def test_1d_x_operator_on_a_decreasing_axis_gives_the_mirrored_m_matrix():
     xs = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
-    coeff = CoefficientField.scalar_1d(lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
+    coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
     Ax, Bx = (M.toarray() for M in x_operator(coeff, [xs]))
     Rx, Rb = (M.toarray() for M in x_operator(coeff, [xs[::-1].copy()]))
     assert np.array_equal(Rx, Ax[::-1, ::-1]) and np.array_equal(Rb, Bx[::-1, ::-1])
@@ -1395,8 +1398,8 @@ def _sparse_fit_interval(stepper):
 def test_1d_stepper_fit_interval_is_the_sparse_expressions_bit_for_bit(m, lo, length, field,
                                                                        ratio, freq):
     coeff = (CoefficientField.identity(1) if field == "identity" else
-             CoefficientField.scalar_1d(lambda x: 1.0 + (ratio - 1.0) * np.sin(freq * x) ** 2,
-                                        1.0, ratio))
+             CoefficientField(1, lambda x: 1.0 + (ratio - 1.0) * np.sin(freq * x) ** 2,
+                              1.0, ratio))
     stepper = SemigroupStepper(coeff, BoxGrid.interval(lo, lo + length, m))
     got = stepper._fit_interval
     assert got == _sparse_fit_interval(stepper)
@@ -1425,7 +1428,7 @@ def test_powers_on_one_stepper_derive_the_fit_interval_once(monkeypatch, dim, fi
     monkeypatch.setattr(SemigroupStepper, "_fit_interval", prop)
     if dim == 1:
         coeff = (CoefficientField.identity(1) if field == "identity" else
-                 CoefficientField.scalar_1d(lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5))
+                 CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5))
         stepper = SemigroupStepper(coeff, BoxGrid.interval(0.0, np.pi, 65))
         u = GridFunction.from_callable(stepper.grid, lambda x: np.sin(x) * (1.0 + x))
     else:
