@@ -369,11 +369,11 @@ def inf_convolution(xs, zs, U, eps):
 
     Exact separable two-pass minimization (the squared Euclidean penalty
     splits over coordinates), each pass a blocked _min_plus, so memory stays
-    bounded on any grid.  Raises ValueError unless eps > 0 and U holds one
-    finite value per node.
+    bounded on any grid.  Raises ValueError unless eps is finite and
+    positive and U holds one finite value per node.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
     U = np.asarray(U, dtype=float)

@@ -17,11 +17,6 @@ from .gridfn import write_json
 
 SCHEMA_VERSION = 1
 
-EXPERIMENT_KINDS = (
-    "geometry-check", "fractional-apply", "solve-extension", "barrier-check",
-    "slide-paraboloids", "harnack", "schauder-decay", "end-to-end",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -153,6 +148,8 @@ _PROBLEM_SCHEMAS = {
         "subdomain_fraction": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
     },
 }
+
+EXPERIMENT_KINDS = tuple(_PROBLEM_SCHEMAS)
 
 _TOP_SCHEMA = {
     "schema_version": (SCHEMA_VERSION, _choice(SCHEMA_VERSION)),

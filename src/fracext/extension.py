@@ -40,7 +40,8 @@ heights against the interior x-nodes and the lateral data on the boundary
 nodes alone, and the right-hand side is formed in whole-array passes.  The
 backward error is reduced to its maximum per level a block of levels at a
 time, in the fewest equal blocks of at most 128 KiB of solution each, and
-the value array is allocated once the right-hand side is gone.
+the value array is allocated once the right-hand side is gone.  The trace
+row's flux, the discrete d_z U(x, 0), is the state's `flux_fv`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import numpy as np
 from . import obs
 from .geometry import MAGeometry, transform_to_y, transform_to_z
 from .gridfn import write_grid_binary, write_json
-from .semigroup import CoefficientField, _per_distinct, _shifted_solver, x_operator
+from .semigroup import CoefficientField, _shifted_solver, x_operator
 
 
 def __getattr__(name):
@@ -228,12 +229,14 @@ class ExtensionState:
     z-levels are transform_to_z(y_nodes).  Interpolation is bilinear in
     (x, h-coordinate), i.e. linear in delta_h along the z-axis, which respects
     the geometry near the degenerate boundary.  geom is that geometry:
-    MAGeometry(s, n) in the state's x-dimension n.  ValueError unless values
-    holds one finite value per node.
+    MAGeometry(s, n) in the state's x-dimension n.  flux_fv: see `flux_trace`.
+    ValueError unless values holds one finite value per node and every meta
+    value is a str, number, bool, None, list or tuple (`save` writes meta
+    whole), else naming its key.
     """
 
     def __init__(self, s, x_axes, y_nodes, values, residual_interior, residual_bottom,
-                 meta=None):
+                 meta=None, flux_fv=None):
         self.s = s
         self.x_axes = [np.asarray(a, dtype=float) for a in x_axes]
         self.y_nodes = np.asarray(y_nodes, dtype=float)
@@ -248,6 +251,10 @@ class ExtensionState:
         self.residual_interior = float(residual_interior)
         self.residual_bottom = float(residual_bottom)
         self.meta = dict(meta or {})
+        for key, v in self.meta.items():
+            if not isinstance(v, (str, int, float, bool, type(None), list, tuple)):
+                raise ValueError(f"meta[{key!r}] must be a JSON value, got {type(v).__name__}")
+        self.flux_fv = None if flux_fv is None else np.asarray(flux_fv, dtype=float)
         self.geom = MAGeometry(s, n=len(self.x_axes))
         self._eta = self.geom.h(self.z_nodes)
 
@@ -306,13 +313,12 @@ class ExtensionState:
 
         Solver-produced states and their pullbacks (`rescale_solution`)
         carry the full finite-volume trace-row flux (two-point flux plus the
-        first-cell source and tangential terms) on the interior x-nodes; any
-        other state, one built from sampled values for instance, returns the
-        two-point flux of the first face on every x-node.
+        first-cell source and tangential terms) on the interior x-nodes in
+        `flux_fv`; any other state (one from sampled values, flux_fv None)
+        returns the two-point flux of the first face on every x-node.
         """
-        fv = self.meta.get("flux_trace_fv")
-        if fv is not None:
-            return np.asarray(fv, dtype=float)
+        if self.flux_fv is not None:
+            return self.flux_fv
         return self.z_derivative_faces()[1][0]
 
     def z_derivative_faces(self):
@@ -334,13 +340,9 @@ class ExtensionState:
             "s": self.s,
             "residual_interior": self.residual_interior,
             "residual_bottom": self.residual_bottom,
-            "meta": {k: v for k, v in self.meta.items() if _json_ok(v)},
+            "meta": self.meta,
         }
         write_json(path_prefix + ".json", sidecar)
-
-
-def _json_ok(v):
-    return isinstance(v, (str, int, float, bool, type(None), list, tuple))
 
 
 def _clip_to(vals, lo, hi):
@@ -447,7 +449,6 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         "Y": float(Y),
         "Z": float(problem.Z),
         "trace_flux_factor": to_flux,
-        "flux_trace_fv": flux_fv,
         "refinement_kept": refined,
     }
     obs.count("extension.solves")
@@ -455,7 +456,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     obs.count("extension.y_modes", nl)
     obs.count("extension.level_blocks", len(A._blocks))
     obs.count("extension.refinements_kept", int(refined))
-    return ExtensionState(s, axes, y, W, res_int, res_bottom, meta)
+    return ExtensionState(s, axes, y, W, res_int, res_bottom, meta, flux_fv=flux_fv)
 
 
 def _y_cells(Z, s, mesh):
@@ -642,15 +643,13 @@ def rescale_solution(state: ExtensionState, rho) -> ExtensionState:
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho!r}")
     s = state.s
-    meta = dict(state.meta)
-    fv = meta.pop("flux_trace_fv", None)
-    if fv is not None:  # d_z V(x, 0) = rho^{2s} d_z U(rho x, 0)
-        meta["flux_trace_fv"] = rho ** (2.0 * s) * np.asarray(fv, dtype=float)
-    meta["rescaled_by"] = meta.get("rescaled_by", 1.0) * rho
-    meta["data_transform"] = "a(rho x), rho^{2s} f(rho x), rho^2 F(rho x, rho^{2s} z)"
+    meta = {**state.meta, "rescaled_by": state.meta.get("rescaled_by", 1.0) * rho,
+            "data_transform": "a(rho x), rho^{2s} f(rho x), rho^2 F(rho x, rho^{2s} z)"}
+    fv = state.flux_fv  # d_z V(x, 0) = rho^{2s} d_z U(rho x, 0)
     return ExtensionState(s, [ax / rho for ax in state.x_axes], state.y_nodes / rho,
                           state.values.copy(), state.residual_interior,
-                          state.residual_bottom, meta)
+                          state.residual_bottom, meta,
+                          flux_fv=None if fv is None else rho ** (2.0 * s) * fv)
 
 
 # -- exact solutions used as oracles -----------------------------------------------------
@@ -668,14 +667,10 @@ def harmonic_mode_profile(s, k, y):
         raise ValueError(f"mode wave number must be finite and >= 0, got k = {k}")
     from scipy.special import gamma, iv
 
-    def profile(y):
-        w = k * y
-        out, nonzero = np.ones_like(y), w != 0.0
-        out[nonzero] = gamma(1.0 - s) * (w[nonzero] / 2.0) ** s * iv(-s, w[nonzero])
-        return out
-
     y = np.asarray(y, dtype=float)
-    out, _ = _per_distinct(profile, np.atleast_1d(y))
+    w = k * np.atleast_1d(y)
+    out, nonzero = np.ones_like(w), w != 0.0
+    out[nonzero] = gamma(1.0 - s) * (w[nonzero] / 2.0) ** s * iv(-s, w[nonzero])
     return out if y.ndim else float(out[0])
 
 

@@ -74,8 +74,9 @@ def sup_fitter(basis):
     QR and the exchange's starting rows.
     """
     basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2:
-        raise ValueError("basis must be a 2-D (m, p) array")
+    if basis.ndim != 2 or not basis.shape[0]:
+        raise ValueError(f"basis must be a 2-D (m, p) array with m >= 1 rows, "
+                         f"got shape {basis.shape}")
     if not np.all(np.isfinite(basis)):
         raise ValueError("basis and values must be finite")
     obs.count("fitting.bases")

@@ -23,6 +23,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -40,8 +41,9 @@ class BoxGrid:
         if not (len(self.los) == len(self.his) == len(self.shape)):
             raise ValueError("los/his/shape must have equal length")
         for lo, hi, m in zip(self.los, self.his, self.shape):
-            if not (hi > lo and m >= 3):
-                raise ValueError("need hi > lo and at least 3 nodes per axis")
+            if not (hi > lo and isinstance(m, Integral) and m >= 3):
+                raise ValueError(f"need hi > lo and an integer count of at least 3 nodes per "
+                                 f"axis, got ({lo}, {hi}) with {m!r} nodes")
 
     @property
     def ndim(self):

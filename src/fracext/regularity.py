@@ -489,8 +489,9 @@ def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
     (sup |u| + sup |D^m u| + [D^m u]_gamma) / data_norm.
 
     ValueError for fewer than 3 nodes, a u or sub_mask not of the shape of
-    xs, a grid that is not uniform (the rule of `semigroup.x_operator` in
-    2-D, `_uniform_step`) or a sub_mask of fewer than 2 nodes.
+    xs, a sub_mask that is not boolean (an integer array would index
+    nodes), a grid that is not uniform (the rule of `semigroup.x_operator`
+    in 2-D, `_uniform_step`) or a sub_mask of fewer than 2 nodes.
     """
     xs = np.asarray(xs, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -500,10 +501,14 @@ def interior_norm_report(xs, u, gamma_total, sub_mask, data_norm) -> NormReport:
         raise ValueError("gamma_total must have fractional part in (0,1)")
     if len(xs) < 3:
         raise ValueError(f"interior_norm_report needs at least 3 nodes, got {len(xs)}")
-    for name, a in (("u", u), ("sub_mask", np.asarray(sub_mask))):
+    sub_mask = np.asarray(sub_mask)
+    for name, a in (("u", u), ("sub_mask", sub_mask)):
         if a.shape != xs.shape:
             raise ValueError(f"interior_norm_report: {name} must have the shape of xs, "
                              f"{xs.shape}, got {a.shape}")
+    if sub_mask.dtype != bool:
+        raise ValueError(f"interior_norm_report: sub_mask must be a boolean mask, "
+                         f"got dtype {sub_mask.dtype}")
     h = _uniform_step(xs, "xs", "interior_norm_report")
     if np.count_nonzero(sub_mask) < 2:
         raise ValueError("interior_norm_report: sub_mask needs 2 nodes for a Hoelder pair")

@@ -22,7 +22,7 @@ LAPACK).
 The 1-D semigroup extension phi(L, z) u (`bessel_extension_profile`) is a
 trapezoid rule on a contour around that interval (`_profile_contour`):
 complex shifted solves of L, shared by every height.  Only e^{-tL} is exact
-in the modes of the 1-D L (`tridiagonal_modes`, once per stepper).
+in the modes of the 1-D L (`SemigroupStepper._modes`, once per stepper).
 """
 
 from __future__ import annotations
@@ -394,22 +394,6 @@ def _tridiagonal_symmetrizer(A):
     return np.concatenate([[1.0], np.cumprod(np.sqrt(lo / up))]), np.sign(up) * np.sqrt(lo * up)
 
 
-def tridiagonal_modes(A):
-    """Eigen-decomposition A = D Q diag(lam) Q^T D^{-1} of a tridiagonal
-    matrix whose off-diagonal pairs have positive products (the 1-D
-    `x_operator` and its negation L).
-
-    S = D^{-1} A D is symmetric (`_tridiagonal_symmetrizer`); one
-    eigh_tridiagonal gives S = Q diag(lam) Q^T with Q orthogonal.  Returns
-    (lam, Q, d).
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    d, e = _tridiagonal_symmetrizer(A)
-    lam, Q = eigh_tridiagonal(A.diagonal(), e)
-    return lam, Q, d
-
-
 # -- semigroup stepper ----------------------------------------------------------------
 
 
@@ -417,8 +401,9 @@ class SemigroupStepper:
     """The Dirichlet operator L = -a^{ij} d_ij of a coefficient field on a
     grid, and its heat semigroup e^{-tL} in 1-D.
 
-    The 1-D L = D Q diag(lam) Q^T D^{-1} (`tridiagonal_modes`, computed on
-    first use), and e^{-tL} alone is applied in those modes.  Fractional
+    The 1-D L = D Q diag(lam) Q^T D^{-1} (`_modes`, on first use: one
+    eigh_tridiagonal of the symmetric D^{-1} L D, `_tridiagonal_symmetrizer`),
+    and e^{-tL} alone is applied in those modes.  Fractional
     powers (info: beta, poles, interval, sup_rel_error, symmetric) take one
     shifted solve per pole in every dimension, the 1-D semigroup extension
     (info: nodes, interval, sup_error) one complex solve per node pair; 2-D
@@ -449,7 +434,10 @@ class SemigroupStepper:
 
     @cached_property
     def _modes(self):
-        return tridiagonal_modes(self.L)
+        from scipy.linalg import eigh_tridiagonal
+
+        d, e = _tridiagonal_symmetrizer(self.L)
+        return (*eigh_tridiagonal(self.L.diagonal(), e), d)  # (lam, Q, d = diag D)
 
     @cached_property
     def _fit_interval(self):
@@ -491,25 +479,17 @@ class SemigroupStepper:
         return solve
 
     def heat_interior(self, v, t):
-        """e^{-tL} applied to an interior-node vector."""
-        return self.heat_many(v, [t])[0]
-
-    def heat_many(self, v, ts):
-        """e^{-tL} v for every t in ts, one row per time: shape (len(ts), N).
-
-        Rows with t = 0 are v itself, rows past the decay cut-off are zero.
-        ValueError on a 2-D grid and for negative or NaN times.
-        """
-        ts = np.asarray(ts, dtype=float)
-        if not np.all(ts >= 0.0):
+        """e^{-tL} v for an interior-node vector v: v itself at t = 0, zero
+        past the decay cut-off.  ValueError on a 2-D grid and for a negative
+        or NaN t."""
+        if not t >= 0.0:
             raise ValueError("time must be nonnegative")
         if self.grid.ndim != 1:
             raise ValueError("the heat semigroup is computed on 1-D grids only")
+        if t == 0.0:
+            return np.array(v, dtype=float)
         lam, Q, d = self._modes  # D Q e^{-t lam} Q^T D^{-1} v
-        out = ((np.exp(-ts[:, None] * lam) * (ts <= self._t_cutoff)[:, None]
-                * ((v / d) @ Q)) @ Q.T) * d
-        out[ts == 0.0] = v
-        return out
+        return ((np.exp(-t * lam) * (t <= self._t_cutoff) * ((v / d) @ Q)) @ Q.T) * d
 
     def wrap_interior(self, v):
         vals = np.zeros(self.grid.shape)
@@ -704,7 +684,7 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     to the rounding its node coordinates (errors of eps max|x|, relative to
     the smallest spacing) leave in the stencil weights; then the certificate
     bounds the relative matrix error in the 2-norm.  The 1-D L = -a(x) d_xx is D S D^{-1} with S
-    symmetric (`tridiagonal_modes`): cond(D) times the bound, <= sqrt(Lambda
+    symmetric (`_tridiagonal_symmetrizer`): cond(D) times the bound, <= sqrt(Lambda
     / lambda) times on a uniform grid.  A nonsymmetric 2-D L is not normal
     and the scalar error bounds nothing.
     """
@@ -774,11 +754,14 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     semigroup.extension_nodes), `interval` and `sup_error`, the scalar
     rule's largest sampled error on [lo, hi] over the heights: the field's
     2-norm error is at most cond(V) sup_error |u|, V the eigenvectors of L.
-    ValueError in 2-D, off the stepper's grid, unless 0 < s < 1 and every height
-    is finite and positive, and for a sup_error above _EXTENSION_TOL (naming s, z).
+    ValueError in 2-D, off the stepper's grid, unless 0 < s < 1 and zs holds at least
+    one height, each finite and positive, and for a sup_error above _EXTENSION_TOL
+    (naming s, z).
     `quad` is accepted for compatibility; it has no effect.
     """
     zs = np.asarray(zs, dtype=float).reshape(-1)
+    if not zs.size:
+        raise ValueError("the semigroup extension needs at least one height z")
     if not np.all(np.isfinite(zs) & (zs > 0.0)):
         raise ValueError("extension height z must be finite and positive")
     if stepper.grid.ndim != 1:
@@ -847,7 +830,8 @@ def bessel_extension_profile(lam, s, z):
     Here k = sqrt(lam) and y = `transform_to_y(z, s)`: 1 at z = 0, 0 where y
     overflows (lam > 0).  ValueError unless 0 < s < 1 and lam, z finite, >= 0.
     A scalar lam takes K_s once per distinct height of an array z, with the
-    same bits (`_per_distinct`); obs counter semigroup.profile_points.
+    same bits (a 2-D oracle repeats each height n^2 times); obs counter
+    semigroup.profile_points.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must be in (0,1)")
@@ -858,17 +842,11 @@ def bessel_extension_profile(lam, s, z):
     k = np.sqrt(lam)
     if np.ndim(k) or not z.ndim:  # a 0-d z keeps numpy's scalar-power bits
         out, points = _bessel_profile(k, s, z), np.broadcast(k, z).size
-    else:
-        out, points = _per_distinct(lambda heights: _bessel_profile(k, s, heights), z)
+    else:  # elementwise, so the distinct heights (-0.0 is 0.0) give the same bits
+        heights, at = np.unique(z, return_inverse=True)
+        out, points = _bessel_profile(k, s, heights)[at.reshape(z.shape)], heights.size
     obs.count("semigroup.profile_points", points)
     return out if out.ndim else float(out)
-
-
-def _per_distinct(profile, z):
-    """(profile(z), number of distinct z) for an elementwise profile of an array z,
-    bit for bit, calling it once on z's distinct values (-0.0 is 0.0)."""
-    values, at = np.unique(z, return_inverse=True)
-    return profile(values)[at.reshape(z.shape)], values.size
 
 
 def _bessel_profile(k, s, z):

@@ -248,8 +248,9 @@ def test_infconv_ordering_monotonicity_lipschitz():
     assert np.all(U2 <= U1 + 1e-13)
     assert np.max(np.abs(U1 - U)) <= 1.0**2 * e1 / 4.0 + 1e-12
     assert np.max(np.abs(U2 - U)) <= 1.0**2 * e2 / 4.0 + 1e-12
-    with pytest.raises(ValueError):
-        inf_convolution(xs, zs, U, 0.0)
+    for eps in (0.0, np.nan, np.inf):  # a NaN eps gave an all-NaN field
+        with pytest.raises(ValueError, match=f"eps must be finite and positive, got {eps}"):
+            inf_convolution(xs, zs, U, eps)
 
 
 def test_infconv_semiconcavity():

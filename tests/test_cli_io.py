@@ -13,7 +13,7 @@ from fracext.config import (_PROBLEM_SCHEMAS, _TOP_SCHEMA, EXPERIMENT_KINDS, MAX
                             MAX_MESH_POINTS, MAX_THREADS, ConfigError, _boolean, _num,
                             _Optional, default_config, default_raw, load_config, validate)
 from fracext.plots import svg_heatmap, svg_loglog
-from fracext.runner import run
+from fracext.runner import _DISPATCH, run
 
 
 def test_minimal_config_defaults():
@@ -144,6 +144,13 @@ def test_benchmark_counts_stay_valid(kind, path, value):
 @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
 def test_defaults_are_within_the_bounds(kind):
     assert default_config(kind)
+
+
+def test_runner_dispatches_exactly_the_experiment_kinds():
+    # the kinds are spelled once, as the problem schemas' keys; the runner has
+    # one stage per kind, in the same order
+    assert EXPERIMENT_KINDS == tuple(_PROBLEM_SCHEMAS)
+    assert tuple(_DISPATCH) == EXPERIMENT_KINDS
 
 
 def test_cli_rejects_huge_sample_count(tmp_path, capsys):

@@ -486,6 +486,21 @@ def test_state_save_roundtrip(tmp_path):
     sidecar = json.loads(open(base + ".json").read())
     assert sidecar["s"] == 0.5 and "residual_interior" in sidecar
     assert sorted(sidecar) == ["meta", "residual_bottom", "residual_interior", "s"]
+    # the trace flux is a field of the state, and meta goes to the sidecar whole
+    assert sidecar["meta"] == st.meta
+    assert st.flux_fv.shape == (31,) and st.flux_trace() is st.flux_fv
+
+
+@pytest.mark.parametrize("value, name", [(np.zeros(3), "ndarray"), (np.int64(2), "int64"),
+                                         ({0.5}, "set"), (1j, "complex")],
+                         ids=["array", "numpy-int", "set", "complex"])
+def test_extension_state_refuses_a_meta_value_that_is_not_json(value, name):
+    # `save` writes meta whole: a value JSON cannot hold is refused when the
+    # state is made, by its key, not dropped from the sidecar
+    st = _random_state("n1")
+    meta = {"kept": [1, 2.5, None, "a"], "also": np.float64(0.5), "bad": value}
+    with pytest.raises(ValueError, match=rf"meta\['bad'\] must be a JSON value, got {name}$"):
+        ExtensionState(st.s, st.x_axes, st.y_nodes, st.values, 0.0, 0.0, meta)
 
 
 def _tridiagonal(diagonals):
@@ -679,7 +694,7 @@ def test_one_call_per_datum_matches_the_per_level_reference(n, bottom, data):
     values, res_int, res_bottom, flux, ref_rhs = _per_level_solve(prob, mesh)
     if data != "array-powers":
         for got, ref in zip((state.values, state.residual_interior, state.residual_bottom,
-                             state.meta["flux_trace_fv"], rhs),
+                             state.flux_fv, rhs),
                             (values, res_int, res_bottom, flux, ref_rhs)):
             assert np.array_equal(got, ref)
         return
@@ -791,7 +806,7 @@ def test_solves_on_one_y_mesh_share_one_pencil_factorization(n, bottom):
     for got, ref in ((reused.values, fresh.values),
                      (reused.residual_interior, fresh.residual_interior),
                      (reused.residual_bottom, fresh.residual_bottom),
-                     (reused.meta["flux_trace_fv"], fresh.meta["flux_trace_fv"])):
+                     (reused.flux_fv, fresh.flux_fv)):
         assert np.array_equal(got, ref)
 
 

@@ -1105,6 +1105,8 @@ _PTS = (np.linspace(-1.0, 1.0, 8), np.linspace(0.0, 1.0, 8))
      r"interior_norm_report: u must have the shape of xs, \(12,\), got \(11,\)"),
     (lambda st: interior_norm_report(_X12, np.sin(_X12), 1.5, (_X12 > 0.2)[1:], 1.0),
      r"interior_norm_report: sub_mask must have the shape of xs, \(12,\), got \(11,\)"),
+    (lambda st: interior_norm_report(_X12, np.sin(_X12), 1.5, (_X12 > 0.2).astype(int), 1.0),
+     "interior_norm_report: sub_mask must be a boolean mask, got dtype int"),
     (lambda st: holder_seminorm(st.geom, *_PTS, np.where(_PTS[0] > 0.5, np.nan, 1.0), 0.5),
      "holder_seminorm: vals must be finite"),
     (lambda st: holder_seminorm(st.geom, _PTS[0], _PTS[1] + np.inf, np.ones(8), 0.5),
@@ -1118,11 +1120,12 @@ _PTS = (np.linspace(-1.0, 1.0, 8), np.linspace(0.0, 1.0, 8))
 ], ids=["decay-rho-2", "decay-rho-1", "decay-case-5", "campanato-case-5", "campanato-rho-1.5",
         "campanato-rho-0", "rescale-nan", "rescale-inf", "trace-center-negative",
         "trace-center-zero", "trace-center-nan", "trace-center-inf", "norm-u-length",
-        "norm-mask-length", "seminorm-nan-values", "seminorm-inf-points", "seminorm-short-vals",
-        "seminorm-short-z", "harnack-empty-family"])
+        "norm-mask-length", "norm-mask-int", "seminorm-nan-values", "seminorm-inf-points",
+        "seminorm-short-vals", "seminorm-short-z", "harnack-empty-family"])
 def test_measurements_refuse_inputs_they_would_get_wrong(call, match):
     # each of these returned a number from meaningless input (a fitted
     # exponent from growing scales, NaN or complex axes and centers, a NaN
-    # seminorm) or leaked a numpy error that names no argument
+    # seminorm, norms over the nodes an integer mask indexes) or leaked a
+    # numpy error that names no argument
     with pytest.raises(ValueError, match=match):
         call(_polynomial_state(0.4, 3, mx=20, my=12))

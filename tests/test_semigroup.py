@@ -16,6 +16,7 @@ from scipy.linalg import eig, expm, fractional_matrix_power, lapack
 from fracext import obs, semigroup
 from fracext.extension import (ExtensionMesh, ExtensionProblem, harmonic_mode_profile,
                                solve_extension)
+from fracext.fitting import sup_fit
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                                bessel_extension_profile, ds_constant,
@@ -83,9 +84,8 @@ def test_heat_identity_and_eigen_decay():
     v = np.sin(k * st.grid.axes()[0][1:-1])
     assert np.array_equal(st.heat_interior(v, 0.0), v)
     lam_h = discrete_eigenvalue(k, 128)
-    ts = [0.01, 0.1, 0.5]
-    for t, row in zip(ts, st.heat_many(v, ts)):
-        assert np.max(np.abs(row - np.exp(-lam_h * t) * v)) < 1e-13
+    for t in (0.01, 0.1, 0.5):
+        assert np.max(np.abs(st.heat_interior(v, t) - np.exp(-lam_h * t) * v)) < 1e-13
 
 
 @settings(max_examples=30, deadline=None)
@@ -97,7 +97,7 @@ def test_heat_positivity_and_sup_contraction(N, lam, ratio, freq, length, seed):
     stepper = _variable_heat_stepper(N, lam, ratio, freq, length)
     v = np.random.default_rng(seed).uniform(0.0, 1.0, N - 1)
     ts = np.geomspace(1e-6, 1.0, 13) * stepper._t_cutoff
-    rows = stepper.heat_many(v, ts)
+    rows = np.array([stepper.heat_interior(v, t) for t in ts])
     tol = 1e-12 * np.max(v)
     assert np.min(rows) >= -tol
     sups = np.max(rows, axis=1)
@@ -131,7 +131,7 @@ def test_heat_matches_dense_expm(N, lam, ratio, freq, length, t, seed):
     tol = 1e-12 * np.max(np.abs(v))
     L = stepper.L.toarray()
     ts = [t, 0.5 * t, 0.0, 2.0 * t]
-    rows = stepper.heat_many(v, ts)
+    rows = np.array([stepper.heat_interior(v, tj) for tj in ts])
     assert rows.shape == (len(ts), N - 1)
     for tj, row in zip(ts, rows):
         assert np.max(np.abs(row - expm(-tj * L) @ v)) <= tol
@@ -142,11 +142,11 @@ def test_mode_space_heat_edges():
     st_ = _stepper_1d(N=64)
     v = np.random.default_rng(3).uniform(-1.0, 1.0, 63)
     assert np.array_equal(st_.heat_interior(v, 0.0), v)
-    past = [st_._t_cutoff * (1.0 + 1e-12), 1e4, np.inf]
-    assert np.array_equal(st_.heat_many(v, past), np.zeros((3, 63)))
+    for past in (st_._t_cutoff * (1.0 + 1e-12), 1e4, np.inf):
+        assert np.array_equal(st_.heat_interior(v, past), np.zeros(63))
     for bad in (-1e-3, np.nan):
         with pytest.raises(ValueError):
-            st_.heat_many(v, [0.1, bad])
+            st_.heat_interior(v, bad)
 
 
 def test_2d_heat_is_refused():
@@ -154,10 +154,26 @@ def test_2d_heat_is_refused():
     st_ = SemigroupStepper(CoefficientField.identity(2), grid)
     u = GridFunction.from_callable(grid, lambda x, y: np.sin(x) * np.sin(2 * y))
     for call in (lambda: st_.heat_interior(u.interior(), 0.1),
-                 lambda: st_.heat_many(u.interior(), [0.0, 0.1]),
+                 lambda: st_.heat_interior(u.interior(), 0.0),
                  lambda: extension_via_semigroup_multi(st_, u, 0.5, [0.3])):
         with pytest.raises(ValueError, match="1-D grids only"):
             call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: BoxGrid.interval(0.0, 1.0, 5.5).axes(),
+     r"integer count of at least 3 nodes per axis, got \(0.0, 1.0\) with 5.5 nodes"),
+    (lambda: extension_via_semigroup_multi(
+        _stepper_1d(N=16), GridFunction(BoxGrid.interval(0.0, np.pi, 17), np.zeros(17)), 0.5, []),
+     "the semigroup extension needs at least one height z"),
+    (lambda: sup_fit(np.zeros((0, 2)), np.zeros(0)),
+     r"basis must be a 2-D \(m, p\) array with m >= 1 rows, got shape \(0, 2\)"),
+], ids=["grid-node-count", "extension-no-heights", "fit-no-rows"])
+def test_inputs_that_leaked_numpy_errors_are_named(call, match):
+    # each raised a numpy error naming no input: a TypeError from linspace,
+    # the argmax and the max of an empty sequence
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_1d_stepper_never_factorizes(monkeypatch):
@@ -170,7 +186,8 @@ def test_1d_stepper_never_factorizes(monkeypatch):
     f, _ = fractional_inverse(st_, u, 0.5)
     fractional_apply(st_, f, 0.5)
     extension_via_semigroup_multi(st_, u, 0.5, [0.3])
-    st_.heat_many(u.interior(), [0.1, 0.2])
+    for t in (0.1, 0.2):
+        st_.heat_interior(u.interior(), t)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -432,8 +449,8 @@ def test_1d_fractional_powers_never_diagonalize(monkeypatch):
     def no_modes(*args, **kwargs):
         raise AssertionError("eigendecomposition computed by a 1-D fractional power")
 
-    monkeypatch.setattr(semigroup, "tridiagonal_modes", no_modes)
-    monkeypatch.setattr(SemigroupStepper, "heat_many", no_modes)
+    monkeypatch.setattr(SemigroupStepper, "_modes", property(no_modes))
+    monkeypatch.setattr(SemigroupStepper, "heat_interior", no_modes)
     for coeff in (CoefficientField.identity(1), _variable_1d_field()):
         st_ = SemigroupStepper(coeff, BoxGrid.interval(0.0, np.pi, 65))
         u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
@@ -635,7 +652,7 @@ def test_semigroup_extension_node_count_grows_slowly_and_never_diagonalizes(monk
     def no_modes(*args, **kwargs):
         raise AssertionError("eigendecomposition computed by the semigroup extension")
 
-    monkeypatch.setattr(semigroup, "tridiagonal_modes", no_modes)
+    monkeypatch.setattr(SemigroupStepper, "_modes", property(no_modes))
     nodes = {}
     for N in (256, 4096):
         st_ = _stepper_1d(N=N)
@@ -1072,7 +1089,7 @@ def test_2d_fractional_powers_never_step_the_heat_semigroup(monkeypatch):
         raise AssertionError("heat semigroup stepped by a 2-D fractional power")
 
     monkeypatch.setattr(SemigroupStepper, "heat_interior", no_heat)
-    monkeypatch.setattr(SemigroupStepper, "heat_many", no_heat)
+    monkeypatch.setattr(SemigroupStepper, "_modes", property(no_heat))
     st_ = _stepper_2d(_variable_2d_field(), 9)
     u = _random_2d(st_.grid, 1)
     f, _ = fractional_inverse(st_, u, 0.5)
