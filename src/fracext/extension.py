@@ -55,7 +55,7 @@ import numpy as np
 
 from . import obs
 from .geometry import MAGeometry, transform_to_y, transform_to_z
-from .gridfn import write_grid_binary, write_json
+from .gridfn import non_json, write_grid_binary, write_json
 from .semigroup import CoefficientField, _shifted_solver, x_operator
 
 
@@ -230,9 +230,9 @@ class ExtensionState:
     (x, h-coordinate), i.e. linear in delta_h along the z-axis, which respects
     the geometry near the degenerate boundary.  geom is that geometry:
     MAGeometry(s, n) in the state's x-dimension n.  flux_fv: see `flux_trace`.
-    ValueError unless values holds one finite value per node and every meta
-    value is a str, number, bool, None, list or tuple (`save` writes meta
-    whole), else naming its key.
+    ValueError unless values holds one finite value per node and meta is
+    JSON to any depth (`gridfn.non_json`: `save` writes it whole), else
+    naming the key path of the first value that is not.
     """
 
     def __init__(self, s, x_axes, y_nodes, values, residual_interior, residual_bottom,
@@ -251,9 +251,8 @@ class ExtensionState:
         self.residual_interior = float(residual_interior)
         self.residual_bottom = float(residual_bottom)
         self.meta = dict(meta or {})
-        for key, v in self.meta.items():
-            if not isinstance(v, (str, int, float, bool, type(None), list, tuple)):
-                raise ValueError(f"meta[{key!r}] must be a JSON value, got {type(v).__name__}")
+        if bad := non_json(self.meta, "meta"):
+            raise ValueError("{} must be a JSON value, got {}".format(*bad))
         self.flux_fv = None if flux_fv is None else np.asarray(flux_fv, dtype=float)
         self.geom = MAGeometry(s, n=len(self.x_axes))
         self._eta = self.geom.h(self.z_nodes)

@@ -97,6 +97,29 @@ class GridFunction:
         return self.values[self.grid.interior_mask()]
 
 
+def non_json(value, path):
+    """None when value is JSON that `write_json` writes and reads back as
+    it is (tuples as lists): dicts with str keys, lists, tuples, str, int,
+    float, bool and None, nested to any depth.  Else (where, what) for the
+    first value that is not: its path, path extended by [key] or [index]
+    per level, and its type name (or the dict's non-str key)."""
+    if value is None or isinstance(value, (str, int, float)):  # bool is an int
+        return None
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                return path, f"a dict with the {type(key).__name__} key {key!r}"
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return path, type(value).__name__
+    for key, item in items:
+        if bad := non_json(item, f"{path}[{key!r}]"):
+            return bad
+    return None
+
+
 def write_json(path, payload):
     """Write a JSON-native payload in the report format."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -9,11 +9,13 @@ The fractional powers are rational in every dimension: L^{-s} f = r_s(L) f
 and L^s u = r_{1-s}(L)(L u), where r_beta(x) = c0 + sum_j w_j / (x - p_j) is
 a certified fit of x^{-beta} on [lam_floor, Gershgorin bound] (real poles
 p_j <= 0, nonnegative weights; see `_power_fit`).  The stepper owns that
-interval and L's symmetry flag: it derives both once, on first use
-(`SemigroupStepper._fit_interval`; in 1-D from L's three diagonals), and
-every power reads them.  The fit needs numpy and scipy.linalg only: AAA
-poles from a port of scipy's (`_aaa_poles`), weights by least squares that
-eliminates negative ones, no scipy.optimize or scipy.interpolate to load.
+interval and L's symmetry flag (`SemigroupStepper._fit_interval`), and every
+power reads them.  L, its Gershgorin bound and its symmetry flag come with
+the x-operator, which is memoized on the coefficient values and the mesh
+(`_assembled`), so a sweep over s assembles and scans it once.  The fit
+needs numpy and scipy.linalg only: AAA poles from a port of scipy's
+(`_aaa_poles`), weights by least squares that eliminates negative ones, no
+scipy.optimize or scipy.interpolate to load.
 The systems L - p_j I of the poles (23-32 in 1-D for N = 256-4096, about a
 dozen in 2-D) and the extension's y-modes are stacks of shifted x-operator
 systems, which `_shifted_solver` alone factors (no other module imports
@@ -141,60 +143,116 @@ def x_operator(coeff: CoefficientField, axes):
     ValueError names the bounds and the first node, with its a^{ij}; NaN and
     inf fail.  Inside the bounds a11 > 0 and det a > 0, as `_selling` needs.
 
+    The x-part of the extension problem does not depend on s, so a sweep
+    over s meets the same operator again and again: the axes are checked
+    and a^{ij} is evaluated at the interior nodes on every call, and the
+    rest is memoized on those values and the declared bounds (`_assembled`).
+    Two fields with equal values share one operator, and a field whose
+    values changed builds a new one.  Every caller is handed the same
+    matrices, so their data, indices and indptr arrays are read-only.
+
     Returns (Ax, Bx): Ax csr over raveled interior nodes, Bx csr mapping
     values on the full raveled grid (only boundary columns are nonzero) to
     the stencil contribution of Dirichlet neighbours.
     """
-    import scipy.sparse as sp
+    op = _operator_of(coeff, axes)
+    return op.Ax, op.Bx
 
+
+def _operator_of(coeff, axes):
+    """The memoized `_XOperator` of `x_operator`: the axes checked and the
+    coefficient evaluated here, on every call, the assembly keyed on their
+    bytes and the declared bounds."""
     n = len(axes)
     if coeff.n != n:
         raise ValueError("coefficient dimension does not match grid")
+    xs = [np.asarray(ax, dtype=float) for ax in axes]
     if n == 1:
-        xs = np.asarray(axes[0], dtype=float)
-        nx = len(xs)
-        steps = np.diff(xs)
-        if not (nx >= 3 and np.all(np.isfinite(steps))
+        steps = np.diff(xs[0])
+        if not (len(xs[0]) >= 3 and np.all(np.isfinite(steps))
                 and (np.all(steps > 0.0) or np.all(steps < 0.0))):
-            raise ValueError(f"the 1-D x-axis {np.array2string(xs, threshold=12)} must be "
+            raise ValueError(f"the 1-D x-axis {np.array2string(xs[0], threshold=12)} must be "
                              "finite and strictly monotone, with at least 3 nodes")
-        xi = xs[1:-1]
-        a = np.broadcast_to(coeff.components(xi), xi.shape).astype(float)
-        _require_elliptic(coeff, a, a, (xi,), {"a11": a})
-        hm = xi - xs[:-2]
-        hp = xs[2:] - xi
-        # |W|, |E| <= |C| in floating point too: a finite nonzero diagonal
-        # rules out both overflow and a singular (or empty) Ax
-        with np.errstate(over="ignore"):
-            cW = 2.0 / (hm * (hm + hp))
-            cE = 2.0 / (hp * (hm + hp))
-            cC = -2.0 / (hm * hp)
-            # row i holds (W, C, E) at columns (i - 1, i, i + 1); row 0's W and
-            # the last row's E are the Dirichlet neighbours, Bx's two entries
-            stencil = np.column_stack([a * cW, a * cC, a * cE]).ravel()
-        if not np.all(np.isfinite(stencil[1::3]) & (stencil[1::3] != 0.0)):
-            raise ValueError(f"the 1-D x-axis {np.array2string(xs, threshold=12)} gives "
-                             "stencil weights that overflow or a diagonal that underflows to 0")
-        m = nx - 2
-        cols = (np.arange(m, dtype=np.int32)[:, None] + np.array([-1, 0, 1], np.int32)).ravel()
-        ptr = 3 * np.arange(m + 1, dtype=np.int32) - 1
-        ptr[0], ptr[-1] = 0, 3 * m - 2
-        Ax = sp.csr_matrix((stencil[1:-1], cols[1:-1], ptr), shape=(m, m))
-        Ax.eliminate_zeros()
-        ptr = np.ones(m + 1, dtype=np.int32)
-        ptr[0], ptr[-1] = 0, 2
-        Bx = sp.csr_matrix((stencil[[0, -1]], np.array([0, nx - 1], np.int32), ptr),
-                           shape=(m, nx))
-        return Ax, Bx
+    else:
+        for ax, name in zip(xs, "xy"):
+            _uniform_step(ax, name, "2-D x-operator")
+    nodes = np.meshgrid(*(ax[1:-1] for ax in xs), indexing="ij")
+    comps = coeff.components(*nodes)
+    return _assembled(tuple(ax.tobytes() for ax in xs),
+                      tuple(np.broadcast_to(c, nodes[0].shape).tobytes()
+                            for c in (comps if n == 2 else (comps,))),
+                      (coeff.lam, coeff.Lam))
 
-    xs, ys = (np.asarray(ax, dtype=float) for ax in axes)
-    hx, hy = (_uniform_step(ax, name, "2-D x-operator") for ax, name in ((xs, "x"), (ys, "y")))
+
+@lru_cache(maxsize=16)
+def _assembled(axes, comps, bounds):
+    """The `_XOperator` on the float64 bytes of the axes and of the
+    coefficient components at the interior nodes (a11 in 1-D; a11, a12, a22
+    raveled in 2-D), with the declared bounds (lam, Lam).
+
+    One entry holds its key, Ax and Bx and, once a stepper took them, L and
+    its spectrum.  Per node in 1-D: the key's 2 doubles and Ax's 3 stored
+    entries (a double and an int32 each), about 60 bytes, 100 with L.  Per
+    interior node in 2-D: the key's 3 doubles and Ax's 5 (identity) to 7
+    (mixed term) stored entries, at most about 115 bytes, 200 with L.  A
+    pass of any benchmark workload meets at most 7 distinct operators, so
+    16 entries keep every one of them while bounding what a long session
+    holds.  Counts obs semigroup.operators per operator built (a hit counts
+    none); a refusal raises and is neither counted nor memoized.
+    """
+    axes = [np.frombuffer(ax) for ax in axes]
+    comps = [np.frombuffer(c) for c in comps]
+    Ax, Bx = (_stencil_1d if len(axes) == 1 else _stencil_2d)(axes, comps, bounds)
+    obs.count("semigroup.operators")
+    return _XOperator(axes, Ax, Bx)
+
+
+def _stencil_1d(axes, comps, bounds):
+    """(Ax, Bx) of the 3-point stencil on the checked 1-D axis."""
+    import scipy.sparse as sp
+
+    (xs,), (a,) = axes, comps
+    nx = len(xs)
+    xi = xs[1:-1]
+    _require_elliptic(*bounds, a, a, (xi,), {"a11": a})
+    hm = xi - xs[:-2]
+    hp = xs[2:] - xi
+    # |W|, |E| <= |C| in floating point too: a finite nonzero diagonal
+    # rules out both overflow and a singular (or empty) Ax
+    with np.errstate(over="ignore"):
+        cW = 2.0 / (hm * (hm + hp))
+        cE = 2.0 / (hp * (hm + hp))
+        cC = -2.0 / (hm * hp)
+        # row i holds (W, C, E) at columns (i - 1, i, i + 1); row 0's W and
+        # the last row's E are the Dirichlet neighbours, Bx's two entries
+        stencil = np.column_stack([a * cW, a * cC, a * cE]).ravel()
+    if not np.all(np.isfinite(stencil[1::3]) & (stencil[1::3] != 0.0)):
+        raise ValueError(f"the 1-D x-axis {np.array2string(xs, threshold=12)} gives "
+                         "stencil weights that overflow or a diagonal that underflows to 0")
+    m = nx - 2
+    cols = (np.arange(m, dtype=np.int32)[:, None] + np.array([-1, 0, 1], np.int32)).ravel()
+    ptr = 3 * np.arange(m + 1, dtype=np.int32) - 1
+    ptr[0], ptr[-1] = 0, 3 * m - 2
+    Ax = sp.csr_matrix((stencil[1:-1], cols[1:-1], ptr), shape=(m, m))
+    Ax.eliminate_zeros()
+    ptr = np.ones(m + 1, dtype=np.int32)
+    ptr[0], ptr[-1] = 0, 2
+    Bx = sp.csr_matrix((stencil[[0, -1]], np.array([0, nx - 1], np.int32), ptr),
+                       shape=(m, nx))
+    return Ax, Bx
+
+
+def _stencil_2d(axes, comps, bounds):
+    """(Ax, Bx) of Selling's stencil on the checked uniform 2-D axes."""
+    import scipy.sparse as sp
+
+    (xs, ys), (a11, a12, a22) = axes, comps
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     m1, m2 = len(xs) - 2, len(ys) - 2
     X, Y = np.meshgrid(xs[1:-1], ys[1:-1], indexing="ij")
-    a11, a12, a22 = (np.broadcast_to(c, X.shape).ravel() for c in coeff.components(X, Y))
     with np.errstate(invalid="ignore", over="ignore"):  # NaN, inf: out of bounds
         mid, rad = 0.5 * (a11 + a22), np.hypot(0.5 * (a11 - a22), a12)
-        _require_elliptic(coeff, mid - rad, mid + rad, (X, Y),
+        _require_elliptic(*bounds, mid - rad, mid + rad, (X, Y),
                           {"a11": a11, "a12": a12, "a22": a22})
     lam, ex, ey = _selling(a11 / hx**2, a12 / (hx * hy), a22 / hy**2, (X, Y))
 
@@ -225,16 +283,16 @@ def x_operator(coeff: CoefficientField, axes):
     return Ax, Bx
 
 
-def _require_elliptic(coeff, emin, emax, coords, comps):
+def _require_elliptic(lam, Lam, emin, emax, coords, comps):
     """ValueError naming the first node where the eigenvalues emin <= emax of
-    a^{ij} leave [coeff.lam, coeff.Lam], and its a^{ij}."""
-    ok = (emin >= coeff.lam * (1.0 - 1e-12)) & (emax <= coeff.Lam * (1.0 + 1e-12))
+    a^{ij} leave the declared [lam, Lam], and its a^{ij}."""
+    ok = (emin >= lam * (1.0 - 1e-12)) & (emax <= Lam * (1.0 + 1e-12))
     if not np.all(ok):
         i = np.flatnonzero(~np.ravel(ok))[0]
         at = ", ".join(f"{np.ravel(c)[i]:g}" for c in coords)
         vals = ", ".join(f"{name} = {np.ravel(v)[i]:g}" for name, v in comps.items())
         raise ValueError(f"coefficients leave their declared ellipticity bounds "
-                         f"[{coeff.lam:g}, {coeff.Lam:g}] at node ({at}): {vals}")
+                         f"[{lam:g}, {Lam:g}] at node ({at}): {vals}")
 
 
 def _selling(d11, d12, d22, coords):
@@ -272,6 +330,54 @@ def _selling(d11, d12, d22, coords):
         raise ValueError(f"a^{{ij}} too anisotropic at node ({np.ravel(coords[0])[n]:g}, "
                          f"{np.ravel(coords[1])[n]:g}): no obtuse superbase after 256 flips")
     return -p, -by[:, K], bx[:, K]
+
+
+class _XOperator:
+    """Ax and Bx of `x_operator` on its axes (read-only float64 views of the
+    key's bytes), and what every stepper on them derives, on first use: the
+    Dirichlet L = -Ax and its `spectrum`.  All of it is shared by whoever
+    meets the same field and mesh, so every array is read-only."""
+
+    def __init__(self, axes, Ax, Bx):
+        self.axes, self.Ax, self.Bx = axes, _read_only(Ax), _read_only(Bx)
+
+    @cached_property
+    def L(self):
+        return _read_only(-self.Ax)
+
+    @cached_property
+    def spectrum(self):
+        """(top, symmetric) of L.
+
+        top is the Gershgorin bound max_i sum_j |L_ij|.  symmetric: max |L -
+        L^T| <= 8 eps rounding max |L|, where rounding = max|x| / min spacing
+        over the axes bounds the relative error that node coordinates leave
+        in the stencil weights.  The 1-D L is tridiagonal: the row sums |lo|
+        + (|d| + |up|), in the order of scipy's CSR row sum, and the defect
+        max |up - lo| of its diagonals give the bits of the sparse
+        expressions, which 2-D evaluates.
+        """
+        L = self.L
+        if len(self.axes) == 1:
+            lo, d, up = L.diagonal(-1), L.diagonal(), L.diagonal(1)
+            rows = np.abs(d)
+            rows[:-1] += np.abs(up)
+            rows[1:] += np.abs(lo)
+            top = np.max(rows)
+            defect = np.max(np.abs(up - lo), initial=0.0)
+            scale = np.max(np.abs(L.data), initial=0.0)
+        else:
+            top = np.max(abs(L).sum(axis=1))
+            defect, scale = abs(L - L.T).max(), abs(L).max()
+        rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in self.axes)
+        return float(top), bool(defect <= 8 * np.finfo(float).eps * rounding * scale)
+
+
+def _read_only(M):
+    """The sparse matrix M, its data, indices and indptr made read-only."""
+    for arr in (M.data, M.indices, M.indptr):
+        arr.flags.writeable = False
+    return M
 
 
 _BAND_BUDGET = 256 * 2**20  # bytes of band LU that `_shifted_solver` holds at once
@@ -411,9 +517,15 @@ class SemigroupStepper:
     from below; the decay cut-off, the fits and the contour use it.  It
     rests on the declared lam of `coeff`, which `x_operator` checks on the
     interior nodes.  The top of that interval and the symmetry flag are the
-    stepper's too (`_fit_interval`, derived on first use like the modes),
-    and so are the factored pole systems of every power x^-beta it has
-    applied (`_pole_solver`).
+    stepper's too (`_fit_interval`), and so are the factored pole systems
+    of every power x^-beta it has applied (`_pole_solver`).
+
+    L, its Gershgorin bound and its symmetry flag do not depend on s: they
+    are those of the memoized x-operator (`_XOperator`), so a stepper on a
+    field and grid already seen assembles, negates and scans nothing, and
+    its L is read-only, the same matrix every such stepper holds.  What
+    depends on s or on the data stays the stepper's or the call's: the
+    pole factorizations, the modes and the rational fits.
 
     Its operator and grid do not change after construction; solves at
     distinct times are independent.
@@ -422,7 +534,8 @@ class SemigroupStepper:
     def __init__(self, coeff: CoefficientField, grid: BoxGrid):
         self.coeff = coeff
         self.grid = grid
-        self.L = (-x_operator(coeff, grid.axes())[0]).tocsr()  # Dirichlet L = -a^{ij} d_ij
+        self._op = _operator_of(coeff, grid.axes())
+        self.L = self._op.L  # Dirichlet L = -a^{ij} d_ij, shared: read-only
         # provable spectral floor: the 3-point Dirichlet eigenvalue on (lo, hi)
         # is at least 8/L^2 for any spacing, so ||e^{-tL}u|| <= e^{-lam_floor t}||u||;
         # beyond 30 e-folds the heat is zero to machine precision.  The
@@ -441,32 +554,12 @@ class SemigroupStepper:
 
     @cached_property
     def _fit_interval(self):
-        """((lam_floor, hi), symmetric) for every rational power of L.
-
-        hi is the Gershgorin bound max_i sum_j |L_ij|, raised to 2 lam_floor
-        when below it (a single interior node puts the bound on the floor
-        itself).  symmetric: max |L - L^T| <= 8 eps rounding max |L|, where
-        rounding = max|x| / min spacing over the axes bounds the relative
-        error that node coordinates leave in the stencil weights.  The 1-D L
-        is tridiagonal: the row sums |lo| + (|d| + |up|), in the order of
-        scipy's CSR row sum, and the defect max |up - lo| of its diagonals
-        give the bits of the sparse expressions, which 2-D evaluates.
-        """
-        L = self.L
-        if self.grid.ndim == 1:
-            lo, d, up = L.diagonal(-1), L.diagonal(), L.diagonal(1)
-            rows = np.abs(d)
-            rows[:-1] += np.abs(up)
-            rows[1:] += np.abs(lo)
-            top = np.max(rows)
-            defect = np.max(np.abs(up - lo), initial=0.0)
-            scale = np.max(np.abs(L.data), initial=0.0)
-        else:
-            top = np.max(abs(L).sum(axis=1))
-            defect, scale = abs(L - L.T).max(), abs(L).max()
-        rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in self.grid.axes())
-        hi = max(float(top), 2.0 * self.lam_floor)
-        return (self.lam_floor, hi), bool(defect <= 8 * np.finfo(float).eps * rounding * scale)
+        """((lam_floor, hi), symmetric) for every rational power of L: hi is
+        the Gershgorin bound of L (`_XOperator.spectrum`), raised to 2
+        lam_floor when below it (a single interior node puts the bound on
+        the floor itself), and symmetric is L's symmetry flag."""
+        top, symmetric = self._op.spectrum
+        return (self.lam_floor, max(top, 2.0 * self.lam_floor)), symmetric
 
     def _pole_solver(self, beta, poles):
         """The `_shifted_solver` of every L - p I over the poles of the fit

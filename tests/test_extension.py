@@ -503,6 +503,34 @@ def test_extension_state_refuses_a_meta_value_that_is_not_json(value, name):
         ExtensionState(st.s, st.x_axes, st.y_nodes, st.values, 0.0, 0.0, meta)
 
 
+@pytest.mark.parametrize("meta, where, what", [
+    ({"nested": [np.zeros(2)]}, r"meta\['nested'\]\[0\]", "ndarray"),
+    ({"deep": {"a": (1, {"b": np.int64(1)})}}, r"meta\['deep'\]\['a'\]\[1\]\['b'\]", "int64"),
+    ({"keys": {"ok": 1, 3: 2.0}}, r"meta\['keys'\]", "a dict with the int key 3"),
+    ({1.5: "x"}, "meta", "a dict with the float key 1.5")],
+    ids=["array-in-list", "numpy-int-deep", "int-key", "top-level-key"])
+def test_extension_state_refuses_a_nested_value_that_is_not_json(meta, where, what):
+    # a list holding an array passed the top-level check, and `save` wrote the
+    # .bin, then failed in write_json and left it without its sidecar
+    st = _random_state("n1")
+    with pytest.raises(ValueError, match=rf"^{where} must be a JSON value, got {what}$"):
+        ExtensionState(st.s, st.x_axes, st.y_nodes, st.values, 0.0, 0.0, meta)
+
+
+def test_nested_json_meta_round_trips_through_save(tmp_path):
+    st = _random_state("n2")
+    meta = {"nested": {"a": [1, 2.5, None, "x", True, np.float64(0.25)], "b": (1, (2, "c"))},
+            "empty": {}, "level": [[{"k": False}]]}
+    state = ExtensionState(st.s, st.x_axes, st.y_nodes, st.values, 0.0, 0.0, meta)
+    state.save(str(tmp_path / "state"))
+    import json
+    sidecar = json.loads((tmp_path / "state.json").read_text())
+    assert sidecar["meta"] == {"nested": {"a": [1, 2.5, None, "x", True, 0.25],
+                                          "b": [1, [2, "c"]]},
+                               "empty": {}, "level": [[{"k": False}]]}
+    assert (tmp_path / "state.bin").exists()
+
+
 def _tridiagonal(diagonals):
     """The CSR matrix of (lower, main, upper) diagonals."""
     return sp.diags(diagonals, [-1, 0, 1], format="csr")
@@ -808,6 +836,24 @@ def test_solves_on_one_y_mesh_share_one_pencil_factorization(n, bottom):
                      (reused.residual_bottom, fresh.residual_bottom),
                      (reused.flux_fv, fresh.flux_fv)):
         assert np.array_equal(got, ref)
+
+
+def test_a_sweep_over_s_builds_one_x_operator():
+    # the x-part of the extension problem does not depend on s: three solves
+    # on one mesh build it once, with the bits of solves that build it afresh
+    mesh = ExtensionMesh(nx=65, my=24)
+    problems = [eigen_extension_problem(s, 2)[0] for s in (0.2, 0.5, 0.8)]
+    semigroup._assembled.cache_clear()
+    with obs.recording() as counts:
+        swept = [solve_extension(p, mesh) for p in problems]
+    assert counts["semigroup.operators"] == 1
+    for got, p in zip(swept, problems):
+        semigroup._assembled.cache_clear()
+        ref = solve_extension(p, mesh)
+        for a, b in ((got.values, ref.values), (got.flux_fv, ref.flux_fv),
+                     (got.residual_interior, ref.residual_interior),
+                     (got.residual_bottom, ref.residual_bottom)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_pencil_modes_are_read_only():

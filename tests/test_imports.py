@@ -366,6 +366,40 @@ def test_only_semigroup_imports_lapack():
     assert not found, "LAPACK imported outside semigroup.py: " + ", ".join(found)
 
 
+def _memo_bounds():
+    """{"file:function": maxsize} for every function under src/ decorated with
+    functools' cache or lru_cache: None for cache and maxsize=None, 128 for
+    a bare lru_cache, the literal otherwise, and "not a literal" else."""
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name not in ("cache", "lru_cache"):
+                    continue
+                args = ([kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
+                        if isinstance(dec, ast.Call) else [])
+                try:
+                    size = None if name == "cache" else ast.literal_eval(args[0]) if args else 128
+                except ValueError:
+                    size = "not a literal"
+                found[f"{rel}:{node.name}"] = size
+    return found
+
+
+def test_every_memo_under_src_has_a_finite_bound():
+    # a memo without a bound keeps every distinct key a session meets
+    found = _memo_bounds()
+    assert {name.split(":")[1] for name in found} >= {"_pencil_modes", "_power_fit", "_assembled"}
+    unbounded = {name: size for name, size in found.items()
+                 if not (type(size) is int and size > 0)}
+    assert not unbounded, f"memos without a finite positive maxsize: {unbounded}"
+
+
 # scipy subpackages that no common experiment loads: only the tracer's
 # `fitting.linprog`, `geometry.brentq` and `spla` lookups import them
 LAZY_SCIPY = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.sparse.linalg")

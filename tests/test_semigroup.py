@@ -1459,3 +1459,122 @@ def test_powers_on_one_stepper_derive_the_fit_interval_once(monkeypatch, dim, fi
     (lo, hi), flag = _sparse_fit_interval(stepper)
     for info in (apply_info, inverse_info, back_info):
         assert info["interval"] == [lo, hi] and info["symmetric"] is flag is symmetric
+
+
+def _bounded(coeff, lam, Lam):
+    """coeff's values with the declared bounds [lam, Lam]."""
+    return CoefficientField(coeff.n, coeff._fn, lam, Lam)
+
+
+def _rotated(theta, kappa):
+    """R(theta) diag(1, kappa) R(theta)^T: Selling's offsets reach past the
+    nearest nodes, so steps from nodes near the edge end on it."""
+    c, s = np.cos(theta), np.sin(theta)
+    return _constant_2d(c * c + kappa * s * s, (1.0 - kappa) * c * s, s * s + kappa * c * c,
+                        0.5, 2.0 * kappa)
+
+
+def _nudged(coeff, node, factor):
+    """coeff with a11 at the `node`-th interior node (raveled) times factor."""
+    def fn(*xy):
+        comps = coeff.components(*xy)
+        a11 = np.array(np.broadcast_to(comps if coeff.n == 1 else comps[0], xy[0].shape))
+        a11.flat[node] *= factor
+        return a11 if coeff.n == 1 else (a11, *comps[1:])
+
+    return CoefficientField(coeff.n, fn, coeff.lam, coeff.Lam)
+
+
+def _memo_case(kind, data):
+    """(coeff, axes, moved axes) drawn for `kind`; the bounds leave room to
+    nudge a value, and the moved axes differ from the axes in their nodes."""
+    if kind == "1d":  # nonuniform, maybe decreasing, with a variable a(x)
+        steps = data.draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=30))
+        xs = data.draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+        xs = xs[::-1].copy() if data.draw(st.booleans()) else xs
+        ratio, freq = data.draw(st.floats(1.0, 1e3)), data.draw(st.floats(0.5, 20.0))
+        coeff = CoefficientField(
+            1, lambda x: 1.0 + (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)), 0.5, 2.0 * ratio)
+        moved = xs.copy()
+        moved[-1] += moved[-1] - moved[-2]  # one node, the axis stays monotone
+        return coeff, [xs], [moved]
+    n1, n2 = data.draw(st.integers(4, 20)), data.draw(st.integers(4, 20))
+    axes = [np.linspace(0.0, data.draw(st.floats(0.5, 3.0)), n1), np.linspace(-1.0, 1.0, n2)]
+    if kind == "2d-identity":
+        coeff = _bounded(CoefficientField.identity(2), 0.5, 2.0)
+    elif kind == "2d-a12":
+        a12 = data.draw(st.floats(-0.9, 0.9))
+        coeff = _constant_2d(1.0, a12, 1.0, 0.5 * (1.0 - abs(a12)), 2.0 * (1.0 + abs(a12)))
+    else:
+        coeff = _rotated(data.draw(st.floats(0.0, np.pi)), data.draw(st.floats(2.0, 100.0)))
+    return coeff, axes, [axes[0] + (axes[0][1] - axes[0][0]), axes[1]]
+
+
+def _built(coeff, axes):
+    """x_operator(coeff, axes) and the count of operators it built."""
+    with obs.recording() as counts:
+        out = x_operator(coeff, axes)
+    return out, counts["semigroup.operators"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["1d", "2d-identity", "2d-a12", "2d-rotated"]), st.data())
+@example("2d-rotated", None)  # theta = 0.4, kappa = 100 on 17^2: steps end on the edge
+def test_x_operator_memo_hit_has_the_bits_of_a_fresh_build(kind, data):
+    if data is None:
+        coeff, axes = _rotated(0.4, 100.0), [np.linspace(0.0, 1.0, 17)] * 2
+        moved = [axes[0] + 1.0 / 16, axes[1]]
+    else:
+        coeff, axes, moved = _memo_case(kind, data)
+    semigroup._assembled.cache_clear()
+    built, made = _built(coeff, axes)
+    hit, again = _built(coeff, axes)
+    assert (made, again) == (1, 0) and hit[0] is built[0] and hit[1] is built[1]
+    semigroup._assembled.cache_clear()
+    fresh, remade = _built(coeff, axes)
+    assert remade == 1
+    for got, ref in zip(hit, fresh):
+        assert got is not ref and got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            g, r = getattr(got, name), getattr(ref, name)
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes(), name
+            assert not g.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g[0] = g[0]
+    # equal values share the operator; a node, a value or a bound changed builds anew
+    assert _built(_bounded(coeff, coeff.lam, coeff.Lam), axes)[1] == 0
+    assert _built(_nudged(coeff, 0, 1.0), axes)[1] == 0
+    for other, at in ((coeff, moved), (_nudged(coeff, 0, 1.0 + 1e-9), axes),
+                      (_bounded(coeff, 0.5 * coeff.lam, coeff.Lam), axes),
+                      (_bounded(coeff, coeff.lam, 2.0 * coeff.Lam), axes)):
+        assert _built(other, at)[1] == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_sweep_over_s_builds_one_operator(dim):
+    # every s meets the same -a^{ij} d_ij: one build, then hits whose fields
+    # have the bits of a build made afresh for each call
+    if dim == 1:
+        coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
+        grid = BoxGrid.interval(0.0, np.pi, 65)
+        u = GridFunction.from_callable(grid, lambda x: np.sin(x) * (1.0 + x))
+    else:
+        coeff = _variable_2d_field()
+        grid = BoxGrid.rectangle((0.0, 0.0), (1.0, 1.0), (11, 11))
+        u = _random_2d(grid, 3)
+
+    def sweep(fresh):
+        fields = []
+        for s in (0.2, 0.5, 0.8):
+            for power in (fractional_apply, fractional_inverse):
+                if fresh:
+                    semigroup._assembled.cache_clear()
+                fields.append(power(SemigroupStepper(coeff, grid), u, s)[0].values)
+        return fields
+
+    semigroup._assembled.cache_clear()
+    with obs.recording() as counts:
+        swept = sweep(fresh=False)
+    assert counts["semigroup.operators"] == 1
+    for got, ref in zip(swept, sweep(fresh=True)):
+        assert got.tobytes() == ref.tobytes()
