@@ -149,20 +149,15 @@ def x_operator(coeff: CoefficientField, axes):
     rest is memoized on those values and the declared bounds (`_assembled`).
     Two fields with equal values share one operator, and a field whose
     values changed builds a new one.  Every caller is handed the same
-    matrices, so their data, indices and indptr arrays are read-only.
+    matrices, so their data, indices and indptr arrays are read-only.  An
+    operator over more than _MEMO_NODES interior nodes is built afresh on
+    every call and not kept, so the memo holds at most 16 small entries.
 
-    Returns (Ax, Bx): Ax csr over raveled interior nodes, Bx csr mapping
-    values on the full raveled grid (only boundary columns are nonzero) to
-    the stencil contribution of Dirichlet neighbours.
+    Returns the `_XOperator`, the pair (Ax, Bx): Ax csr over raveled
+    interior nodes, Bx csr mapping values on the full raveled grid (only
+    boundary columns are nonzero) to the stencil contribution of Dirichlet
+    neighbours.  `SemigroupStepper` also reads its L and spectrum.
     """
-    op = _operator_of(coeff, axes)
-    return op.Ax, op.Bx
-
-
-def _operator_of(coeff, axes):
-    """The memoized `_XOperator` of `x_operator`: the axes checked and the
-    coefficient evaluated here, on every call, the assembly keyed on their
-    bytes and the declared bounds."""
     n = len(axes)
     if coeff.n != n:
         raise ValueError("coefficient dimension does not match grid")
@@ -178,10 +173,14 @@ def _operator_of(coeff, axes):
             _uniform_step(ax, name, "2-D x-operator")
     nodes = np.meshgrid(*(ax[1:-1] for ax in xs), indexing="ij")
     comps = coeff.components(*nodes)
-    return _assembled(tuple(ax.tobytes() for ax in xs),
-                      tuple(np.broadcast_to(c, nodes[0].shape).tobytes()
-                            for c in (comps if n == 2 else (comps,))),
-                      (coeff.lam, coeff.Lam))
+    build = _assembled if nodes[0].size <= _MEMO_NODES else _assembled.__wrapped__
+    return build(tuple(ax.tobytes() for ax in xs),
+                 tuple(np.broadcast_to(c, nodes[0].shape).tobytes()
+                       for c in (comps if n == 2 else (comps,))),
+                 (coeff.lam, coeff.Lam))
+
+
+_MEMO_NODES = 2**14  # interior nodes of the largest operator `_assembled` keeps
 
 
 @lru_cache(maxsize=16)
@@ -194,11 +193,12 @@ def _assembled(axes, comps, bounds):
     its spectrum.  Per node in 1-D: the key's 2 doubles and Ax's 3 stored
     entries (a double and an int32 each), about 60 bytes, 100 with L.  Per
     interior node in 2-D: the key's 3 doubles and Ax's 5 (identity) to 7
-    (mixed term) stored entries, at most about 115 bytes, 200 with L.  A
-    pass of any benchmark workload meets at most 7 distinct operators, so
-    16 entries keep every one of them while bounding what a long session
-    holds.  Counts obs semigroup.operators per operator built (a hit counts
-    none); a refusal raises and is neither counted nor memoized.
+    (mixed term) stored entries, at most about 115 bytes, 200 with L.
+    `x_operator` keeps no operator over _MEMO_NODES interior nodes (it
+    calls the builder unmemoized), so an entry holds at most about 3.3 MB
+    and the 16 entries at most about 52 MB.  Counts obs
+    semigroup.operators per operator built (a hit counts none); a refusal
+    raises and is neither counted nor memoized.
     """
     axes = [np.frombuffer(ax) for ax in axes]
     comps = [np.frombuffer(c) for c in comps]
@@ -332,14 +332,19 @@ def _selling(d11, d12, d22, coords):
     return -p, -by[:, K], bx[:, K]
 
 
-class _XOperator:
-    """Ax and Bx of `x_operator` on its axes (read-only float64 views of the
-    key's bytes), and what every stepper on them derives, on first use: the
-    Dirichlet L = -Ax and its `spectrum`.  All of it is shared by whoever
-    meets the same field and mesh, so every array is read-only."""
+class _XOperator(tuple):
+    """The pair (Ax, Bx) of `x_operator` on its axes (read-only float64 views
+    of the key's bytes), and what every stepper on them derives, on first
+    use: the Dirichlet L = -Ax and its `spectrum`.  All of it is shared by
+    whoever meets the same field and mesh, so every array is read-only."""
 
-    def __init__(self, axes, Ax, Bx):
-        self.axes, self.Ax, self.Bx = axes, _read_only(Ax), _read_only(Bx)
+    def __new__(cls, axes, Ax, Bx):
+        op = super().__new__(cls, (_read_only(Ax), _read_only(Bx)))
+        op.axes = axes
+        return op
+
+    Ax = property(lambda self: self[0])
+    Bx = property(lambda self: self[1])
 
     @cached_property
     def L(self):
@@ -534,7 +539,7 @@ class SemigroupStepper:
     def __init__(self, coeff: CoefficientField, grid: BoxGrid):
         self.coeff = coeff
         self.grid = grid
-        self._op = _operator_of(coeff, grid.axes())
+        self._op = x_operator(coeff, grid.axes())
         self.L = self._op.L  # Dirichlet L = -a^{ij} d_ij, shared: read-only
         # provable spectral floor: the 3-point Dirichlet eigenvalue on (lo, hi)
         # is at least 8/L^2 for any spacing, so ||e^{-tL}u|| <= e^{-lam_floor t}||u||;

@@ -1578,3 +1578,20 @@ def test_a_sweep_over_s_builds_one_operator(dim):
     assert counts["semigroup.operators"] == 1
     for got, ref in zip(swept, sweep(fresh=True)):
         assert got.tobytes() == ref.tobytes()
+
+
+def test_an_operator_over_the_node_bound_is_built_afresh_and_not_kept():
+    # the memo's entries stay small: past _MEMO_NODES interior nodes every
+    # call builds, nothing is held, and the build has the bits of the last
+    coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
+    semigroup._assembled.cache_clear()
+    for interior, made in ((semigroup._MEMO_NODES, (1, 0)), (semigroup._MEMO_NODES + 1, (1, 1))):
+        axes = [np.linspace(0.0, 1.0, interior + 2)]
+        (first, made_first), (second, made_second) = _built(coeff, axes), _built(coeff, axes)
+        assert (made_first, made_second) == made
+        assert first.Ax.shape == (interior, interior) and first.Bx.shape == (interior, interior + 2)
+        for got, ref in zip(first, second):
+            assert got.shape == ref.shape
+            assert all(getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+                       for name in ("data", "indices", "indptr"))
+    assert semigroup._assembled.cache_info().currsize == 1
