@@ -369,7 +369,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     two_s = 2.0 * s
     to_flux = two_s ** (1.0 - two_s)
 
-    Ax, Bx = x_operator(problem.coeff, axes)
+    Ax, Bx = op = x_operator(problem.coeff, axes)
     nxi = Ax.shape[0]
     x_int = [ax[1:-1] for ax in axes]
     Xint = np.meshgrid(*x_int, indexing="ij")
@@ -417,7 +417,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         rhs[0] -= K[0] * u_bottom.ravel()
     rhs[-1] -= K[my - 1] * g_top.ravel()
 
-    sol, err, refined = _checked_solve(A, rhs.ravel(), _y_mode_solver(Ay, Vw[levels], Ax))
+    sol, err, refined = _checked_solve(A, rhs.ravel(), _y_mode_solver(Ay, Vw[levels], op.L))
     del rhs
     if kind == "neumann":
         res_bottom = float(err[0])
@@ -480,28 +480,29 @@ def _y_cells(Z, s, mesh):
     return Y, y, K, V
 
 
-def _y_mode_solver(Ay, V, Ax):
-    """Solve function for (Ay (x) I + diag(V) (x) Ax) u = r by fast
+def _y_mode_solver(Ay, V, L):
+    """Solve function for (Ay (x) I - diag(V) (x) L) u = r by fast
     diagonalization in the degenerate direction (Lynch, Rice & Thomas,
     Numer. Math. 6 (1964) 185-199).
 
     With S = diag(V)^{1/2}, the symmetric tridiagonal pencil is factored once,
     S^{-1} Ay S^{-1} = P diag(mu) P^T (P orthogonal), so that
-    A = (S P (x) I) (diag(mu) (x) I + I (x) Ax) (P^T S (x) I).  Hence
-    u = (S^{-1} P (x) I) w with (Ax + mu_k I) w_k = (P^T S^{-1} r)_k, one
+    A = (S P (x) I) (diag(mu) (x) I - I (x) L) (P^T S (x) I).  Hence
+    u = (S^{-1} P (x) I) w with (L - mu_k I) w_k = -(P^T S^{-1} r)_k, one
     system of the interior x-size per y-mode.  Ay is negative definite, so
-    every shift mu_k < 0 strengthens the diagonal of Ax; -Ax has nonnegative
-    row sums, so Ax + mu_k I is strictly diagonally dominant.  No coefficient
-    or datum enters the pencil, so `_pencil_modes` factors each one once per
-    process.  Vectors are raveled level-major.
+    every shift mu_k < 0 strengthens the diagonal of L, whose row sums are
+    >= 0: L - mu_k I is strictly diagonally dominant.  No coefficient or
+    datum enters the pencil, so `_pencil_modes` factors each one (up to
+    _MEMO_LEVELS levels) once per process.  Vectors are raveled level-major.
 
-    `semigroup._shifted_solver` solves the stacked -Ax - mu_k I (the sign is
-    in the input scaling, exactly); a shift mu_k >= 0, left by rounding in
-    a pencil graded beyond double precision, raises LinAlgError.
+    `semigroup._shifted_solver` factors the stacked L - mu_k I, L = -Ax the
+    memoized x-operator's own; a shift mu_k >= 0, left by rounding in a
+    pencil graded beyond double precision, raises LinAlgError.
     """
     rs = 1.0 / np.sqrt(V)
-    mu, P = _pencil_modes((Ay[1] * rs * rs).tobytes(), (Ay[2] * rs[:-1] * rs[1:]).tobytes())
-    mode_solve = _shifted_solver(-Ax, -mu, "y-mode system {k} is singular or indefinite: its "
+    pencil = _pencil_modes if len(V) <= _MEMO_LEVELS else _pencil_modes.__wrapped__
+    mu, P = pencil((Ay[1] * rs * rs).tobytes(), (Ay[2] * rs[:-1] * rs[1:]).tobytes())
+    mode_solve = _shifted_solver(L, -mu, "y-mode system {k} is singular or indefinite: its "
                                  "shift mu = {p:g} lost its sign to rounding")
 
     def solve(r, overwrite=False):
@@ -516,6 +517,9 @@ def _y_mode_solver(Ay, V, Ax):
     return solve
 
 
+_MEMO_LEVELS = 256  # levels of the largest y-pencil `_pencil_modes` keeps
+
+
 @lru_cache(maxsize=64)
 def _pencil_modes(diag, off):
     """(mu, P) with P diag(mu) P^T the symmetric tridiagonal matrix of the
@@ -528,9 +532,10 @@ def _pencil_modes(diag, off):
     and 0.48), too much to trade for a factorization made once per pencil.
 
     Memoized on the bytes, arrays read-only: the solves on one y-mesh (s, Z,
-    my, grading, bottom) share its modes bit for bit.  P holds my^2 doubles:
-    295 KB at my = 192, 128 MiB at the config's cap my = 4096.  Counts obs
-    extension.pencil_factorizations per factorization made (a hit counts none).
+    my, grading, bottom) share its modes bit for bit.  P holds my^2 doubles,
+    128 MiB at the config's cap my = 4096, so `_y_mode_solver` keeps no pencil
+    over _MEMO_LEVELS levels: the 64 entries hold at most about 34 MB.  Counts
+    obs extension.pencil_factorizations per factorization made (a hit counts none).
     """
     from scipy.linalg import eigh_tridiagonal
 

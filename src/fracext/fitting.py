@@ -17,10 +17,12 @@ carried, not read back from u, whose zero weights on degenerate references
 
 Every reference is dual feasible, so h <= E_opt by weak duality; the exchange
 stops once max|r - B y| <= h + tol, tol = 1e-12 max(1, max|values|) (or
-1e-12 max|r| when smaller), and the returned error is a certificate:
-h <= E_opt <= E <= h + tol.  After _MAX_EXCHANGES steps, or at a reference
-whose M is singular, the fit raises a ValueError naming the row count and the
-gap E - h it reached: a fit that is not the minimax fit is never returned.
+1e-12 max|r| when smaller) but at least 8 (p + 1) eps max|values| for p
+columns, a bound of the returned residual's rounding, so the returned error
+is a certificate at every scale: h <= E_opt <= E <= h + tol.  After
+_MAX_EXCHANGES steps, or at a reference whose M is singular, the fit raises
+a ValueError naming the row count and the gap E - h it reached: a fit that
+is not the minimax fit is never returned.
 The bases the package builds have not been seen to stall; high-degree
 Vandermonde bases on repeated abscissae can.
 
@@ -80,7 +82,7 @@ def sup_fitter(basis):
     if not np.all(np.isfinite(basis)):
         raise ValueError("basis and values must be finite")
     obs.count("fitting.bases")
-    m = basis.shape[0]
+    m, p = basis.shape
     # row j of Bt is column j of the basis: a copy even where basis.T is
     # contiguous already, so the scaling never writes to the caller's basis
     Bt = basis.T.copy()
@@ -106,7 +108,9 @@ def sup_fitter(basis):
         coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
         r = values - basis @ coeffs
         if np.max(np.abs(r)) > 0.0 and rows is not None:
-            tol = 1e-12 * min(max(1.0, float(np.max(np.abs(values)))), float(np.max(np.abs(r))))
+            top = float(np.max(np.abs(values)))
+            tol = max(1e-12 * min(max(1.0, top), float(np.max(np.abs(r)))),
+                      8 * (p + 1) * np.finfo(float).eps * top)
             coeffs[keep] += _exchange(B, r, tol, rows)[0] / col[keep]
         return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
 

@@ -455,29 +455,25 @@ def doubling_check(geom: MAGeometry, sections):
 
 
 @_names_s
-def a_infinity_check(geom: MAGeometry, z0=0.3, R=1.0, levels=8):
-    """Lebesgue-ratio vs weight-ratio trend for shrinking subsets of a section.
+def a_infinity_check(geom: MAGeometry):
+    """Lebesgue-ratio vs weight-ratio trend for shrinking subsets E_k of S_1(0.3).
 
-    E_k is an interval of length |S| 2^-k anchored at the endpoint where the
-    weight is largest, the adversarial placement.  Both ratios must decrease
-    to 0; the implication |E|/|S| small => mu_h(E)/mu_h(S) small is the
-    A_infinity behaviour being probed.
+    E_k (k = 1..8) is an interval of length |S| 2^-k anchored at the endpoint
+    where the weight is largest, the adversarial placement.  Both ratios must
+    decrease to 0; |E|/|S| small => mu_h(E)/mu_h(S) small is the A_infinity
+    behaviour being probed.
     """
+    z0, R = 0.3, 1.0
     zlo, zhi = geom.section_interval(z0, R)
     length = zhi - zlo
     mu_S = geom.mu_h_interval(zlo, zhi)
     # h'' is monotone in |z|: largest near 0 for s > 1/2, away from 0 otherwise
     anchor_lo = (geom.s > 0.5) == (abs(zlo) < abs(zhi))
-    leb, wgt = [], []
-    for k in range(1, levels + 1):
-        ell = length * 2.0**-k
-        a, b = (zlo, zlo + ell) if anchor_lo else (zhi - ell, zhi)
-        leb.append(ell / length)
-        wgt.append(geom.mu_h_interval(a, b) / mu_S)
-    return {"kind": "a-infinity", "s": geom.s,
-            "z0": z0, "R": R,
-            "lebesgue_ratios": [float(v) for v in leb],
-            "weight_ratios": [float(v) for v in wgt]}
+    leb = [2.0**-k for k in range(1, 9)]  # |E_k| / |S|: scaling by 2^-k is exact
+    ends = [(zlo, zlo + length * r) if anchor_lo else (zhi - length * r, zhi) for r in leb]
+    wgt = [float(geom.mu_h_interval(a, b) / mu_S) for a, b in ends]
+    return {"kind": "a-infinity", "s": geom.s, "z0": z0, "R": R,
+            "lebesgue_ratios": leb, "weight_ratios": wgt}
 
 
 @_names_s

@@ -112,12 +112,12 @@ def svg_loglog(path, xs, ys, ref_slope=None, title="decay", meta_comment=""):
     _write(path, parts)
 
 
-def svg_heatmap(path, x_axis, z_axis, values, title="extension state", meta_comment=""):
-    """Cell raster of values over a (possibly nonuniform) tensor grid, with colorbar."""
+def svg_heatmap(path, x_axis, z_axis, values, meta_comment=""):
+    """Cell raster of an extension state over its tensor grid, with colorbar."""
     x_axis = np.asarray(x_axis, dtype=float)
     z_axis = np.asarray(z_axis, dtype=float)
     values = np.asarray(values, dtype=float)  # shape (len(z_axis), len(x_axis))
-    parts = _header(title, meta_comment)
+    parts = _header("extension state", meta_comment)
     _axes_box(parts, "x", "z")
     vmin, vmax = float(values.min()), float(values.max())
     if vmax == vmin:

@@ -113,7 +113,7 @@ def _run_geometry(cfg, outdir):
     radii = [10.0**e for e in (-3, -2, -1, 0, 1)]
     sections = [(z0, R) for z0 in (0.0, 0.5, 2.0) for R in radii]
     db = doubling_check(geom, sections)
-    ai = a_infinity_check(geom, z0=0.3, R=1.0)
+    ai = a_infinity_check(geom)
     en = engulfing_check(geom, prob["engulfing_samples"], seed=seed)
     details = {"quasi_triangle": qt, "exact_scaling": sc, "doubling": db,
                "a_infinity": ai, "engulfing": en}
@@ -183,7 +183,7 @@ def _run_solve_extension(cfg, outdir):
     if cfg.emit_plots:
         svg = os.path.join(outdir, "extension_state.svg")
         svg_heatmap(svg, state.x_axes[0], state.z_nodes, state.values,
-                    title="extension state", meta_comment=f"config {cfg.config_hash()}")
+                    meta_comment=f"config {cfg.config_hash()}")
         outputs.append(svg)
     ok = (field_err < TOLERANCES["field_error"]
           and state.residual_interior < TOLERANCES["residual_interior"])

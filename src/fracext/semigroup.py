@@ -149,14 +149,13 @@ def x_operator(coeff: CoefficientField, axes):
     rest is memoized on those values and the declared bounds (`_assembled`).
     Two fields with equal values share one operator, and a field whose
     values changed builds a new one.  Every caller is handed the same
-    matrices, so their data, indices and indptr arrays are read-only.  An
-    operator over more than _MEMO_NODES interior nodes is built afresh on
-    every call and not kept, so the memo holds at most 16 small entries.
+    matrices, so their data, indices and indptr arrays are read-only; the
+    memo keeps no operator over _MEMO_NODES interior nodes.
 
     Returns the `_XOperator`, the pair (Ax, Bx): Ax csr over raveled
     interior nodes, Bx csr mapping values on the full raveled grid (only
     boundary columns are nonzero) to the stencil contribution of Dirichlet
-    neighbours.  `SemigroupStepper` also reads its L and spectrum.
+    neighbours.  Its L = -Ax is what the steppers and `solve_extension` factor.
     """
     n = len(axes)
     if coeff.n != n:
@@ -189,11 +188,11 @@ def _assembled(axes, comps, bounds):
     coefficient components at the interior nodes (a11 in 1-D; a11, a12, a22
     raveled in 2-D), with the declared bounds (lam, Lam).
 
-    One entry holds its key, Ax and Bx and, once a stepper took them, L and
-    its spectrum.  Per node in 1-D: the key's 2 doubles and Ax's 3 stored
-    entries (a double and an int32 each), about 60 bytes, 100 with L.  Per
-    interior node in 2-D: the key's 3 doubles and Ax's 5 (identity) to 7
-    (mixed term) stored entries, at most about 115 bytes, 200 with L.
+    One entry holds its key, Ax, Bx and L (and, once a stepper read it, the
+    spectrum).  Per node in 1-D: the key's 2 doubles and the 3 stored
+    entries of Ax and of L (a double and an int32 each), about 100 bytes.
+    Per interior node in 2-D: the key's 3 doubles and 5 (identity) to 7
+    (mixed term) stored entries of Ax and of L, at most about 200 bytes.
     `x_operator` keeps no operator over _MEMO_NODES interior nodes (it
     calls the builder unmemoized), so an entry holds at most about 3.3 MB
     and the 16 entries at most about 52 MB.  Counts obs
@@ -334,21 +333,15 @@ def _selling(d11, d12, d22, coords):
 
 class _XOperator(tuple):
     """The pair (Ax, Bx) of `x_operator` on its axes (read-only float64 views
-    of the key's bytes), and what every stepper on them derives, on first
-    use: the Dirichlet L = -Ax and its `spectrum`.  All of it is shared by
-    whoever meets the same field and mesh, so every array is read-only."""
+    of the key's bytes), the Dirichlet L = -Ax and, on first use, its
+    `spectrum`.  All of it is shared by whoever meets the same field and
+    mesh, so every array is read-only."""
 
     def __new__(cls, axes, Ax, Bx):
         op = super().__new__(cls, (_read_only(Ax), _read_only(Bx)))
         op.axes = axes
+        op.L = _read_only(-Ax)
         return op
-
-    Ax = property(lambda self: self[0])
-    Bx = property(lambda self: self[1])
-
-    @cached_property
-    def L(self):
-        return _read_only(-self.Ax)
 
     @cached_property
     def spectrum(self):

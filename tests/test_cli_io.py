@@ -13,7 +13,7 @@ from fracext.config import (_PROBLEM_SCHEMAS, _TOP_SCHEMA, EXPERIMENT_KINDS, MAX
                             MAX_MESH_POINTS, MAX_THREADS, ConfigError, _boolean, _num,
                             _Optional, default_config, default_raw, load_config, validate)
 from fracext.plots import svg_heatmap, svg_loglog
-from fracext.runner import _DISPATCH, run
+from fracext.runner import _DISPATCH, TOLERANCES, run
 
 
 def test_minimal_config_defaults():
@@ -562,12 +562,13 @@ def test_svg_heatmap(tmp_path):
     p = tmp_path / "heat.svg"
     xs = np.linspace(0, 1, 8)
     zs = np.geomspace(1e-2, 1.0, 6)
-    svg_heatmap(p, xs, zs, np.outer(zs, xs), title="state")
+    svg_heatmap(p, xs, zs, np.outer(zs, xs))
     text = p.read_text()
+    assert ">extension state</text>" in text
     assert text.count("<rect") > 40  # cells plus colorbar
     # determinism of plot bytes
     p2 = tmp_path / "heat2.svg"
-    svg_heatmap(p2, xs, zs, np.outer(zs, xs), title="state")
+    svg_heatmap(p2, xs, zs, np.outer(zs, xs))
     assert p.read_bytes() == p2.read_bytes()
 
 
@@ -580,6 +581,40 @@ def test_cli_subcommand_and_overrides(tmp_path, capsys):
     data = json.loads((tmp_path / "manifest.json").read_text())
     assert data["config"]["seed"] == 3
     assert data["config"]["setup"]["s"] == 0.25
+
+
+def test_cli_emit_plots_flag_adds_the_state_plot(tmp_path, capsys):
+    # --emit-plots overrides the config's emit_plots = false; the plot's bytes
+    # repeat from run to run, and without the flag no plot is written
+    raw = default_raw("solve-extension")
+    raw["problem"].update(nx=17, my=8)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    for name, flags in (("a", ["--emit-plots"]), ("b", ["--emit-plots"]), ("c", [])):
+        assert cli_main(["solve-extension", "--config", str(cfg),
+                         "--out", str(tmp_path / name), *flags]) == 0
+    assert "[pass] solve-extension" in capsys.readouterr().out
+    svg = tmp_path / "a" / "extension_state.svg"
+    assert svg.read_bytes() == (tmp_path / "b" / "extension_state.svg").read_bytes()
+    assert ">extension state</text>" in svg.read_text()
+    assert not (tmp_path / "c" / "extension_state.svg").exists()
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["config"]["emit_plots"] is True
+
+
+def test_harmonic_schauder_decay_runs_and_repeats_its_bytes(tmp_path):
+    # the harmonic benchmark of the decay stage: an exact combination of
+    # harmonic modes whose fitted exponent reaches the case
+    for name in ("a", "b"):
+        raw = default_raw("schauder-decay")
+        raw["problem"].update(benchmark="harmonic", case=2, mx=40, my=24)
+        raw["output_dir"] = str(tmp_path / name)
+        stage = run(validate(raw)).stages[0]
+        assert stage["status"] == "pass"
+        assert stage["details"]["target"] == 2.0
+        assert stage["details"]["fitted_exponent"] >= 2.0 - TOLERANCES["harmonic_exponent_slack"]
+    for report in ("decay_report.json", "decay_report.csv"):
+        assert (tmp_path / "a" / report).read_bytes() == (tmp_path / "b" / report).read_bytes()
 
 
 def test_cli_has_no_threads_flag(tmp_path, capsys):

@@ -619,7 +619,8 @@ def _per_level_solve(problem, mesh):
     s, n, my = problem.s, problem.coeff.n, mesh.my
     axes = mesh.x_axes(problem.domain, n)
     _, y, K, Vw = extension._y_cells(problem.Z, s, mesh)
-    Ax, Bx = semigroup.x_operator(problem.coeff, axes)
+    op = semigroup.x_operator(problem.coeff, axes)
+    Ax, Bx = op
     Xint = np.meshgrid(*[ax[1:-1] for ax in axes], indexing="ij")
     Xfull = np.meshgrid(*axes, indexing="ij")
     kind, bdata = problem.bottom
@@ -652,7 +653,7 @@ def _per_level_solve(problem, mesh):
     diags = (off, -(K[j0:my] + np.concatenate([[0.0], K])[j0:my]), off)
     sol, err, _ = extension._checked_solve(extension._LevelOperator(diags, Vw[j0:my], Ax),
                                            rhs.ravel(),
-                                           extension._y_mode_solver(diags, Vw[j0:my], Ax))
+                                           extension._y_mode_solver(diags, Vw[j0:my], op.L))
     W = np.empty((my + 1,) + edge.shape)
     W[:, edge] = lateral
     W[(my,) + inner] = g_top
@@ -854,6 +855,50 @@ def test_a_sweep_over_s_builds_one_x_operator():
                      (got.residual_interior, ref.residual_interior),
                      (got.residual_bottom, ref.residual_bottom)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_solves_factor_the_memoized_operators_own_L(monkeypatch, n):
+    # the y-mode solves factor L - mu_k I with the L the x-operator record
+    # holds, the same object the steppers factor: no solve negates Ax
+    if n == 1:
+        problem, mesh = eigen_extension_problem(0.5, 2)[0], ExtensionMesh(nx=33, my=12)
+    else:
+        problem = _variable_2d_problem(0.5, 13, 11, 0.3, 2.0, "neumann")
+        mesh = ExtensionMesh(nx=(13, 11), my=8)
+    handed = []
+    shifted = extension._shifted_solver
+
+    def spy(A, shifts, message):
+        handed.append(A)
+        return shifted(A, shifts, message)
+
+    monkeypatch.setattr(extension, "_shifted_solver", spy)
+    solve_extension(problem, mesh)
+    op = semigroup.x_operator(problem.coeff, mesh.x_axes(problem.domain, n))
+    assert len(handed) == 1 and handed[0] is op.L
+
+
+def test_a_pencil_over_the_level_bound_is_factored_afresh_and_not_kept():
+    # the pencil memo's entries stay small: past _MEMO_LEVELS levels every
+    # solve factors its pencil, nothing is held, and a second solve has the
+    # bits of the first on both sides of the bound
+    problem = eigen_extension_problem(0.5, 2)[0]  # Neumann: my levels
+    extension._pencil_modes.cache_clear()
+    for my, made in ((extension._MEMO_LEVELS, [1, 0]), (extension._MEMO_LEVELS + 1, [1, 1])):
+        mesh = ExtensionMesh(nx=9, my=my)
+        states, counts = [], []
+        for _ in range(2):
+            with obs.recording() as count:
+                states.append(solve_extension(problem, mesh))
+            counts.append(count["extension.pencil_factorizations"])
+        assert counts == made and states[0].values.shape[0] == my + 1
+        first, second = states
+        for a, b in ((first.values, second.values), (first.flux_fv, second.flux_fv),
+                     (first.residual_interior, second.residual_interior),
+                     (first.residual_bottom, second.residual_bottom)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert extension._pencil_modes.cache_info().currsize == 1
 
 
 def test_pencil_modes_are_read_only():

@@ -344,7 +344,8 @@ def test_doubling_off_center_bounded():
 
 def test_a_infinity_trend():
     for s in (0.25, 0.75):
-        rep = a_infinity_check(MAGeometry(s), z0=0.3, R=1.0, levels=8)
+        rep = a_infinity_check(MAGeometry(s))
+        assert (rep["z0"], rep["R"], len(rep["lebesgue_ratios"])) == (0.3, 1.0, 8)
         w = rep["weight_ratios"]
         assert all(a > b for a, b in zip(w[:-1], w[1:]))
         assert w[-1] < 0.05

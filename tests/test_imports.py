@@ -2,9 +2,10 @@
 used, every private helper of the package is referenced by the package,
 every public function, class or method is used by a package module, listed
 in API_ONLY with its reason or read by the benchmark, every defaulted
-parameter is set by a package or benchmark call or listed in DEFAULT_ONLY
-with its reason, no required parameter takes one literal from every package
-and benchmark call unless listed in ONE_LITERAL with its reason, only
+parameter is set to something other than its default by a package or
+benchmark call or listed in DEFAULT_ONLY with its reason, no required
+parameter takes one literal from every package and benchmark call unless
+listed in ONE_LITERAL with its reason, only
 `semigroup` imports LAPACK, importing the package loads no scipy module
 (each is imported in the function that calls it), and every name the
 benchmark tracer hooks or the benchmark's tests read by name still
@@ -138,8 +139,9 @@ API_ONLY = {
 
 
 # defaulted parameter below fracext -> why it stays although no call in a
-# package module or under perfbench/ sets it (a default no caller changes is a
-# constant, and a knob only a test turns is kept only for a reason)
+# package module or under perfbench/ sets it to anything but its default
+# literal (a default no caller changes is a constant, and a knob only a test
+# turns is kept only for a reason)
 DEFAULT_ONLY = {
     "semigroup.fractional_apply.quad":
         "read by name by the benchmark tracer (TRACER_HOOKS); ROADMAP item 3 deletes it",
@@ -151,7 +153,6 @@ DEFAULT_ONLY = {
         "read by name by the benchmark tracer (TRACER_HOOKS); ROADMAP item 12 deletes it",
     "barriers.BarrierCase2.__init__.alpha":
         "tests build a barrier at a given alpha to check the search's smallest one",
-    "geometry.a_infinity_check.levels": "tests pass the depth of the shrinking subsets",
     "geometry.quotient_check.samples": "the acceptance test samples twice as many points",
     "regularity.campanato_iterate.depth": "tests run shorter zooms",
     "regularity.harnack_quotient.kappa":
@@ -188,9 +189,10 @@ ONE_LITERAL = {
 def _parameters(path, defaulted):
     """`module.function.param` (`module.Class.method.param` for a method of a
     module-level class) -> (the name a call uses, the class for `__init__`;
-    the index of the positional argument that sets it, None if keyword-only),
-    for the parameters with a default or for the required ones.  A method's
-    positions skip `self` or `cls`; a static method's do not."""
+    the index of the positional argument that sets it, None if keyword-only;
+    the default's expression, None if required), for the parameters with a
+    default or for the required ones.  A method's positions skip `self` or
+    `cls`; a static method's do not."""
     found = {}
 
     def add(fn, qualname, callee, bound):
@@ -198,10 +200,11 @@ def _parameters(path, defaulted):
         first = len(args) - len(fn.args.defaults)
         for i, arg in enumerate(args[bound:], bound):
             if (i >= first) == defaulted:
-                found[f"{path.stem}.{qualname}.{arg.arg}"] = (callee, i - bound)
+                found[f"{path.stem}.{qualname}.{arg.arg}"] = (
+                    callee, i - bound, fn.args.defaults[i - first] if defaulted else None)
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
             if (default is not None) == defaulted:
-                found[f"{path.stem}.{qualname}.{arg.arg}"] = (callee, None)
+                found[f"{path.stem}.{qualname}.{arg.arg}"] = (callee, None, default)
 
     for node in ast.parse(path.read_text(), filename=str(path)).body:
         if isinstance(node, ast.FunctionDef):
@@ -236,20 +239,41 @@ def _calls(tests=True):
     return calls
 
 
+def _argument(call, param, position):
+    """The expression `call` passes to a parameter by keyword or position,
+    None if it passes none, and ... if it has *args or **kwargs, which may
+    pass anything."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return ...
+    node = next((k.value for k in call.keywords if k.arg == param), None)
+    if node is None and position is not None and len(call.args) > position:
+        node = call.args[position]
+    return node
+
+
+def _literal(node):
+    """The value of a literal expression node, else the node itself (equal to
+    no literal's value)."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return node
+
+
 def _unset_defaulted_parameters():
     """The defaulted parameters that no call in a package module or under
-    perfbench/ sets, by keyword or position (a call with *args or **kwargs
-    may set any), matching calls by the callee's name as the public
-    definitions are matched."""
+    perfbench/ sets, by keyword or position, to anything but the default's
+    literal (a call with *args or **kwargs may set any), matching calls by
+    the callee's name as the public definitions are matched."""
     calls = _calls()
 
-    def sets(call, param, position):
-        return (any(isinstance(a, ast.Starred) for a in call.args)
-                or any(k.arg in (None, param) for k in call.keywords)
-                or position is not None and len(call.args) > position)
+    def sets(call, param, position, default):
+        node = _argument(call, param, position)
+        return node is ... or node is not None and not _literal(node) == _literal(default)
 
-    return {key for key, (callee, position) in _package_parameters(True).items()
-            if not any(sets(call, key.rsplit(".", 1)[1], position)
+    return {key for key, (callee, position, default) in _package_parameters(True).items()
+            if not any(sets(call, key.rsplit(".", 1)[1], position, default)
                        for call in calls.get(callee, []))}
 
 
@@ -275,12 +299,9 @@ def _one_literal_parameters():
     calls = _calls(tests=False)
 
     def passed(call, param, position):
-        if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                k.arg is None for k in call.keywords):
+        node = _argument(call, param, position)
+        if node is ...:
             return None
-        node = next((k.value for k in call.keywords if k.arg == param), None)
-        if node is None and position is not None and len(call.args) > position:
-            node = call.args[position]
         try:
             ast.literal_eval(node)
         except (ValueError, TypeError):  # not a literal, or not passed
@@ -288,7 +309,7 @@ def _one_literal_parameters():
         return ast.dump(node)
 
     found = set()
-    for key, (callee, position) in _package_parameters(False).items():
+    for key, (callee, position, _) in _package_parameters(False).items():
         values = {passed(call, key.rsplit(".", 1)[1], position) for call in calls.get(callee, [])}
         if len(values) == 1 and None not in values:
             found.add(key)

@@ -122,15 +122,28 @@ def test_sup_fit_raises_when_the_exchange_stalls(monkeypatch):
 
 
 def test_sup_fit_raises_at_a_singular_reference(monkeypatch):
-    # 33 rows on at most 8 distinct abscissae with a degree-7 basis: the
-    # data are interpolated, and the exchange meets a singular reference
-    # [B_J, sigma] with its gap at rounding level (8.3e-25), still above tol
+    # 33 rows on at most 8 distinct abscissae with a degree-7 basis and noisy
+    # data: the exchange meets a singular reference [B_J, sigma] 0.27 above
+    # its dual bound
+    rng = np.random.default_rng(8)
+    x = np.sort(rng.uniform(-1, 1, 8))
+    X = x[rng.integers(0, 8, 33)]
+    v = np.sin(5 * X) + 0.1 * rng.standard_normal(33)
+    gap, tol = _stall_gap(monkeypatch, np.vander(X, 8, increasing=True), v, 33,
+                          "at a singular reference")
+    assert tol < 1e-12 and gap > 0.1
+
+
+def test_sup_fit_certifies_interpolated_data_at_rounding_level(monkeypatch):
+    # the same basis on data it interpolates: the exchange reaches a gap at
+    # rounding level (8.3e-25) before any singular reference, which the
+    # tolerance's rounding floor 8 (p + 1) eps max|values| accepts
+    monkeypatch.setattr(scipy.optimize, "linprog", _no_linprog)
     rng = np.random.default_rng(4)
     x = np.sort(rng.uniform(-1, 1, 33))
     X = x[rng.integers(0, 8, 33)]
-    gap, tol = _stall_gap(monkeypatch, np.vander(X, 8, increasing=True), np.sin(5 * X), 33,
-                          "at a singular reference")
-    assert tol < gap < 1e-20
+    coeffs, err = sup_fit(np.vander(X, 8, increasing=True), np.sin(5 * X))
+    assert err <= 8 * 9 * np.finfo(float).eps
 
 
 def test_sup_fit_raises_on_an_unforced_stall(monkeypatch):
@@ -204,6 +217,10 @@ def test_exchange_certifies_degenerate_references(monkeypatch, kinked_state, cas
        nz=st.integers(4, 20), random_x=st.booleans(), grading=st.floats(1.0, 4.0),
        stride=st.integers(1, 3), shape=st.sampled_from(["smooth", "kinked", "noisy"]),
        scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+# tiny values: a tolerance relative to max|r| alone fell below the rounding of
+# the returned residual (h = 1.09e-24, E = 3.31e-24, tol = 4.96e-36)
+@example(s=0.5, case=3, nx=9, nz=4, random_x=False, grading=1.0, stride=3, shape="kinked",
+         scale=1e-8, seed=0)
 def test_exchange_certifies_package_bases(s, case, nx, nz, random_x, grading, stride, shape,
                                           scale, seed):
     # the bases the decay fits and Campanato's iteration build, on tensor
@@ -349,7 +366,7 @@ def test_fit_counts_of_a_decay_ladder_and_a_campanato_run(kinked_state):
 
     assert fit_counts(lambda: schauder_decay(kinked_state, 3)) == {
         "fitting.bases": 8, "fitting.fits": 8, "fitting.fit_rows": 9748,
-        "fitting.exchange_steps": 62}
+        "fitting.exchange_steps": 61}
     assert fit_counts(lambda: campanato_iterate(kinked_state, 3, alpha=0.5)) == {
         "fitting.bases": 1, "fitting.fits": 8, "fitting.fit_rows": 30400,
         "fitting.exchange_steps": 70}
@@ -822,6 +839,20 @@ def test_campanato_polynomial_correctors_vanish():
     assert rep.limit["d"] == pytest.approx(-0.15, abs=1e-3)
 
 
+def test_campanato_stops_when_the_zoom_reaches_the_source_grid():
+    # on a coarse state the zoomed fit region falls below a few source cells
+    # before the depth: the report is truncated at that step and its
+    # accumulated constant is already exact
+    st = _polynomial_state(0.25, 1, mx=10, my=24)
+    dx0 = float(np.min(np.diff(st.x_axes[0])))
+    xw = np.sqrt(2.0) * 0.5 * 1.02
+    steps = next(k for k in range(8) if 0.5**k * xw < 4.0 * dx0 / np.sqrt(2.0))
+    rep = campanato_iterate(st, 1, alpha=0.3, rho=0.5, depth=8)
+    assert rep.truncated and rep.steps == steps == 5
+    assert len(rep.coefficients) == len(rep.step_errors) == steps
+    assert rep.limit["c"] == pytest.approx(0.37, abs=1e-12)
+
+
 def test_campanato_matches_direct_fit():
     s, case, alpha = 0.25, 1, 0.3
     combo = HarmonicCombo(s, const=0.3, modes=[(0.5, 1.0, 0.4)])
@@ -981,6 +1012,12 @@ def test_holder_quotient_prunes_smooth_data(monkeypatch):
 def test_holder_quotient_rejects_inputs_it_would_get_wrong(values):
     with pytest.raises(ValueError, match=values["name"]):
         holder_quotient(values["xs"], values["g"], values["gamma"])
+
+
+def test_holder_quotient_of_fewer_than_two_points_is_zero():
+    # no pair, no quotient: the max over an empty set of pairs is 0
+    for xs in ([], [0.7]):
+        assert holder_quotient(xs, np.sin(xs), 0.5) == 0.0
 
 
 def test_holder_quotient_memory_at_4097_points():

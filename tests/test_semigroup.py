@@ -1530,10 +1530,12 @@ def test_x_operator_memo_hit_has_the_bits_of_a_fresh_build(kind, data):
     built, made = _built(coeff, axes)
     hit, again = _built(coeff, axes)
     assert (made, again) == (1, 0) and hit[0] is built[0] and hit[1] is built[1]
+    assert hit.L is built.L
     semigroup._assembled.cache_clear()
     fresh, remade = _built(coeff, axes)
     assert remade == 1
-    for got, ref in zip(hit, fresh):
+    # Ax, Bx and L = -Ax, which is built with them
+    for got, ref in zip((*hit, hit.L), (*fresh, fresh.L)):
         assert got is not ref and got.shape == ref.shape
         for name in ("data", "indices", "indptr"):
             g, r = getattr(got, name), getattr(ref, name)
@@ -1589,8 +1591,8 @@ def test_an_operator_over_the_node_bound_is_built_afresh_and_not_kept():
         axes = [np.linspace(0.0, 1.0, interior + 2)]
         (first, made_first), (second, made_second) = _built(coeff, axes), _built(coeff, axes)
         assert (made_first, made_second) == made
-        assert first.Ax.shape == (interior, interior) and first.Bx.shape == (interior, interior + 2)
-        for got, ref in zip(first, second):
+        assert first[0].shape == (interior, interior) and first[1].shape == (interior, interior + 2)
+        for got, ref in zip((*first, first.L), (*second, second.L)):
             assert got.shape == ref.shape
             assert all(getattr(got, name).tobytes() == getattr(ref, name).tobytes()
                        for name in ("data", "indices", "indptr"))
