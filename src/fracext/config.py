@@ -77,6 +77,10 @@ def _choice(*options):
     return check
 
 
+# the default of a key that other keys fix (`_derived_case`): absent, the
+# key takes the derived value in the validated data; sent, it must equal it
+_DERIVED = object()
+
 _SETUP_SCHEMA = {
     "s": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
     "lambda": (1.0, _num(0.0, lo_open=True)),
@@ -110,7 +114,7 @@ _PROBLEM_SCHEMAS = {
         "Z": (1.0, _num(0.0, lo_open=True)),
     },
     "barrier-check": {
-        "case": (1, _choice(1, 2)),
+        "case": (_DERIVED, _choice(1, 2)),
         "R": (0.5, _num(0.0, lo_open=True)),
         "rho_fraction": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
         "alpha": (9.0, _num(0.0, lo_open=True)),
@@ -134,7 +138,7 @@ _PROBLEM_SCHEMAS = {
         "check_refinement": (True, _boolean),
     },
     "schauder-decay": {
-        "case": (2, _choice(1, 2, 3)),
+        "case": (_DERIVED, _choice(1, 2, 3)),
         "benchmark": ("kinked", _choice("kinked", "harmonic", "polynomial")),
         "rho": (0.5, _num(0.0, 1.0, lo_open=True, hi_open=True)),
         "depth": (9, _count(2)),
@@ -206,6 +210,18 @@ def _apply_schema(data, schema, path, errors):
     return out
 
 
+def _derived_case(kind, setup, prob):
+    """The case other keys fix: barrier-check's by s (1 for s <= 1/2, else 2),
+    a kinked schauder-decay's by alpha + 2s (floor(alpha + 2s) + 1, the case
+    whose interval holds it); the other decay benchmarks take case 2 unless
+    another is sent."""
+    if kind == "barrier-check":
+        return 1 if setup["s"] <= 0.5 else 2
+    if prob["benchmark"] == "kinked":
+        return math.floor(setup["alpha"] + 2.0 * setup["s"]) + 1
+    return 2
+
+
 def _barrier_errors(s, prob):
     """Case 1 needs s <= 1/2 and alpha > (n+1)/rho, n = 1; case 2 needs s > 1/2."""
     case, rho = prob["case"], prob["R"] * prob["rho_fraction"]
@@ -275,6 +291,8 @@ def validate(raw: dict) -> ExperimentConfig:
     top = _apply_schema(raw, {**_TOP_SCHEMA, "problem": _PROBLEM_SCHEMAS[kind] if known else {}},
                         "", errors)
     setup, prob = top["setup"], top["problem"]
+    if not errors and prob.get("case") is _DERIVED:
+        prob["case"] = _derived_case(kind, setup, prob)
     if not errors:  # the rules across fields, once every field passed its own check
         if setup["lambda"] > setup["Lambda"]:
             errors.append("setup.Lambda: must be >= setup.lambda")
@@ -292,17 +310,17 @@ def validate(raw: dict) -> ExperimentConfig:
                           f"where sin(k x) vanishes on every node or aliases to a lower mode; "
                           f"got {prob['k']}")
         gamma = setup["alpha"] + 2.0 * setup["s"]
-        if kind == "end-to-end" and gamma == math.floor(gamma):
-            errors.append(f"setup.alpha: end-to-end needs setup.alpha + 2 setup.s off the "
+        kinked = kind == "schauder-decay" and prob["benchmark"] == "kinked"
+        if (kind == "end-to-end" or kinked) and gamma == math.floor(gamma):
+            errors.append(f"setup.alpha: {kind} needs setup.alpha + 2 setup.s off the "
                           f"integers, where C^(2s+alpha) has no Hoelder part; got {gamma:g}")
+        elif kinked and not prob["case"] - 1 < gamma < prob["case"]:
+            case = prob["case"]
+            errors.append(f"setup.alpha: kinked schauder-decay case {case} needs "
+                          f"{case - 1} < setup.alpha + 2 setup.s < {case}; got {gamma:g}")
         if kind == "end-to-end" and prob["subdomain_fraction"] * prob["grid_points"] < 4:
             errors.append(f"problem.subdomain_fraction: must span >= 4 grid cells for Hoelder "
                           f"pairs; got {prob['subdomain_fraction']:g} of {prob['grid_points']}")
-        if kind == "schauder-decay" and prob["benchmark"] == "kinked":
-            case = prob["case"]
-            if not case - 1 < gamma < case:
-                errors.append(f"setup.alpha: kinked schauder-decay case {case} needs "
-                              f"{case - 1} < setup.alpha + 2 setup.s < {case}; got {gamma:g}")
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(sorted(errors)))
     return ExperimentConfig(top)
@@ -334,8 +352,6 @@ def default_raw(kind, s=None) -> dict:
     raw = {"experiment": kind, "setup": {}, "problem": {}}
     if s is not None:
         raw["setup"]["s"] = s
-    if kind == "barrier-check" and (s or 0.5) > 0.5:
-        raw["problem"] = {"case": 2}
     return raw
 
 

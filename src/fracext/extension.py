@@ -19,12 +19,14 @@ evaluates the weight at y = 0 and reproduces the homogeneous solutions 1 and
 y^{2s} exactly.  All off-diagonal couplings, those of the monotone x-stencil
 included, are nonnegative, which gives the discrete maximum principle.
 
-The system is A = A_y (x) I + diag(V) (x) A_x.  It is never assembled: A and
-|A| are applied through their factors, level by level, and it is solved in
-every dimension by fast diagonalization in the degenerate direction: the
-symmetric tridiagonal A_y and the cell weights V > 0 form a pencil whose
-eigenvectors split A into one system A_x + mu_k I (mu_k < 0) per y-mode.
-A_x need not separate, so a mixed a12 term in 2-D is no obstacle.  The
+The system is A = A_y (x) I - diag(V) (x) L, L = -a^{ij} d_ij and the
+lateral weights from the memoized x-operator record (`x_operator`).  It is
+never assembled: A and |A| are applied through their factors, level by
+level, and solved in every dimension by fast diagonalization in the
+degenerate direction: the symmetric tridiagonal A_y and the cell weights V
+> 0 form a pencil whose eigenvectors split A into one system L - mu_k I
+(mu_k < 0) per y-mode.  L need not separate, so a mixed a12 term in 2-D is
+no obstacle.  The
 mode systems are factored by `semigroup._shifted_solver`, as the poles of
 the fractional powers are: symmetric tridiagonal LDL^T in 1-D, band LU in
 2-D, at most a fixed byte budget of bands at once (beyond it, batch by
@@ -365,12 +367,13 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     n = problem.coeff.n
     axes = mesh.x_axes(problem.domain, n)
     Y, y, K, Vw = _y_cells(problem.Z, s, mesh)
+    _require_trace_digits(s, mesh)
     my = mesh.my
     two_s = 2.0 * s
     to_flux = two_s ** (1.0 - two_s)
 
-    Ax, Bx = op = x_operator(problem.coeff, axes)
-    nxi = Ax.shape[0]
+    op = x_operator(problem.coeff, axes)
+    nxi = op.L.shape[0]
     x_int = [ax[1:-1] for ax in axes]
     Xint = np.meshgrid(*x_int, indexing="ij")
     Xfull = np.meshgrid(*axes, indexing="ij")
@@ -385,11 +388,11 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     # row j = 0 has no lower face
     off = K[j0:my - 1]
     Ay = (off, -(K[levels] + np.concatenate([[0.0], K])[levels]), off)
-    A = _LevelOperator(Ay, Vw[levels], Ax)
+    A = _LevelOperator(Ay, Vw[levels], op.L)
 
     # every datum called once for all levels: the lateral data on the
-    # boundary nodes only, whose Dirichlet-neighbour terms the boundary
-    # columns of Bx give on the few rows that have entries, and F below the
+    # boundary nodes only, whose Dirichlet-neighbour terms the record's
+    # lateral coupling gives on the few rows that have them, and F below the
     # top; level 0's terms are kept for the flux below
     zlev = transform_to_z(y, s)
     inner = (slice(1, -1),) * n
@@ -400,9 +403,8 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
                      *X_edge, zlev[:, None])
     Fz = _datum(problem.F, "F", (my,) + Xint[0].shape, *Xint,
                 zlev[:my].reshape((my,) + (1,) * n)).reshape(my, nxi)
-    B_edge = Bx[:, edge.ravel()]
-    by_edge = np.flatnonzero(np.diff(B_edge.indptr))
-    BG = (B_edge[by_edge] @ lateral[:my].T).T
+    by_edge, B = op.lateral
+    BG = (B @ lateral[:my].T).T
     F0, BG0 = Fz[0].copy(), np.zeros(nxi)
     BG0[by_edge] = BG[0]
     Vl = Vw[levels, None]
@@ -438,7 +440,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
     # converted to native d_z U by the (2s)^{2s-1} factor
     w0 = W[(0,) + inner].ravel()
     w1 = W[(1,) + inner].ravel()
-    ft_read = K[0] * (w1 - w0) + Vw[0] * (Ax @ w0 + BG0 - F0)
+    ft_read = K[0] * (w1 - w0) + Vw[0] * (-(op.L @ w0) + BG0 - F0)
     flux_fv = (_dz_factor(s) * ft_read).reshape(Xint[0].shape)
 
     meta = {
@@ -480,6 +482,26 @@ def _y_cells(Z, s, mesh):
     return Y, y, K, V
 
 
+# largest rounding product P = eps my^{2 s grading} of a solve: on the eigen
+# benchmark the trace error is the discretization's up to P = 2e-3 and 4.8e-3
+# at P = 7.6e-2; from P ~ 4 the trace is 47-100% wrong, backward errors 1e-15
+_TRACE_ROUNDING_MAX = 1e-2
+
+
+def _require_trace_digits(s, mesh):
+    """ValueError naming s, my, the grading and P unless P = eps (Y /
+    y_1)^{2s} = eps my^{2 s grading} <= _TRACE_ROUNDING_MAX: the first face's
+    flux K_{1/2} (W_1 - W_0), which carries the trace, loses the digits of
+    W_1 - W_0 as K_{1/2} grows like y_1^{-2s}."""
+    g = mesh.y_grading(s)
+    with np.errstate(over="ignore"):
+        P = np.finfo(float).eps * np.float64(mesh.my) ** (2.0 * s * g)
+    if not P <= _TRACE_ROUNDING_MAX:
+        raise ValueError(f"the y-mesh loses the trace to rounding at s = {s:g}: grading "
+                         f"{g:.6g} with my = {mesh.my} gives P = eps my^(2 s grading) = {P:.3g} "
+                         f"> {_TRACE_ROUNDING_MAX:g}; choose a grading nearer 1 or a smaller my")
+
+
 def _y_mode_solver(Ay, V, L):
     """Solve function for (Ay (x) I - diag(V) (x) L) u = r by fast
     diagonalization in the degenerate direction (Lynch, Rice & Thomas,
@@ -495,9 +517,9 @@ def _y_mode_solver(Ay, V, L):
     datum enters the pencil, so `_pencil_modes` factors each one (up to
     _MEMO_LEVELS levels) once per process.  Vectors are raveled level-major.
 
-    `semigroup._shifted_solver` factors the stacked L - mu_k I, L = -Ax the
-    memoized x-operator's own; a shift mu_k >= 0, left by rounding in a
-    pencil graded beyond double precision, raises LinAlgError.
+    `semigroup._shifted_solver` factors the stacked L - mu_k I, L the
+    memoized x-operator record's own; a shift mu_k >= 0, left by rounding in
+    a pencil graded beyond double precision, raises LinAlgError.
     """
     rs = 1.0 / np.sqrt(V)
     pencil = _pencil_modes if len(V) <= _MEMO_LEVELS else _pencil_modes.__wrapped__
@@ -552,20 +574,20 @@ _BLOCK_BYTES = 2**17
 
 
 class _LevelOperator:
-    """A = Ay (x) I + diag(V) (x) Ax on level-major vectors, applied through its
+    """A = Ay (x) I - diag(V) (x) L on level-major vectors, applied through its
     factors a block of levels at a time: with X the vector as (levels,
-    x-nodes), the rows of A x on the levels b are (Ay X)_b + V_b o (Ax
+    x-nodes), the rows of A x on the levels b are (Ay X)_b - V_b o (L
     X_b^T)^T.  Ay is its three diagonals (lower, main, upper); Ay X is summed
     from them, from 0 and in column order as a CSR product sums, so bit for
     bit as `Ay @ X` with Ay assembled.  `_blocks` pairs each block b with
     the levels near it reads (b and its two neighbours): the fewest equal
     blocks of at most _BLOCK_BYTES of solution each.  abs() gives |A| =
-    |Ay| (x) I + diag(V) (x) |Ax| the same way."""
+    |Ay| (x) I + diag(V) (x) |L| as the operator (|Ay|, -V, |L|)."""
 
-    def __init__(self, Ay, V, Ax):
-        self.Ay, self.V, self.Ax = Ay, V, Ax
+    def __init__(self, Ay, V, L):
+        self.Ay, self.V, self.L = Ay, V, L
         nl = len(V)
-        blocks = -(-nl * Ax.shape[0] * 8 // _BLOCK_BYTES)  # the fewest that fit the bytes
+        blocks = -(-nl * L.shape[0] * 8 // _BLOCK_BYTES)  # the fewest that fit the bytes
         step = -(-nl // blocks)  # of equal size
         self._blocks = [(slice(i, min(i + step, nl)), slice(max(i - 1, 0), min(i + step + 1, nl)))
                         for i in range(0, nl, step)]
@@ -580,15 +602,15 @@ class _LevelOperator:
         out += d[b, None] * Xn[i - o:j - o]
         k = min(j, len(d) - 1)  # levels ..k-1 have an upper neighbour
         out[:k - i] += up[i:k, None] * Xn[i + 1 - o:k + 1 - o]
-        out += self.V[b, None] * (self.Ax @ Xn[i - o:j - o].T).T
+        out -= self.V[b, None] * (self.L @ Xn[i - o:j - o].T).T
         return out
 
     def __abs__(self):
         # the two terms meet only on the diagonal, where no cancellation
-        # happens while both diagonals are <= 0; then |A| splits as above
-        if np.any(self.Ay[1] > 0.0) or np.any(self.Ax.diagonal() > 0.0):
+        # happens while those of Ay and -V L are <= 0; then |A| splits
+        if np.any(self.Ay[1] > 0.0) or np.any(self.L.diagonal() < 0.0):
             raise ValueError("|A| splits over the factors only for nonpositive diagonals")
-        return _LevelOperator(tuple(map(np.abs, self.Ay)), self.V, abs(self.Ax))
+        return _LevelOperator(tuple(map(np.abs, self.Ay)), -self.V, abs(self.L))
 
 
 def _checked_solve(A, rhs, solve):
@@ -600,7 +622,7 @@ def _checked_solve(A, rhs, solve):
     overwrite=True) turning the residual's buffer into the correction, and
     kept only if it lowers the largest backward error.  Returns (x,
     per-level maxima, refinement kept).  |A| lives only through one
-    backward-error pass, so no copy of |Ay| and |Ax| is held while solve
+    backward-error pass, so no copy of |Ay| and |L| is held while solve
     runs.
     """
     B = rhs.reshape(len(A.V), -1)

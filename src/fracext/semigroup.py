@@ -7,12 +7,11 @@ decomposition of the coefficients at every node in 2-D).
 
 The fractional powers are rational in every dimension: L^{-s} f = r_s(L) f
 and L^s u = r_{1-s}(L)(L u), where r_beta(x) = c0 + sum_j w_j / (x - p_j) is
-a certified fit of x^{-beta} on [lam_floor, Gershgorin bound] (real poles
-p_j <= 0, nonnegative weights; see `_power_fit`).  The stepper owns that
-interval and L's symmetry flag (`SemigroupStepper._fit_interval`), and every
-power reads them.  L, its Gershgorin bound and its symmetry flag come with
-the x-operator, which is memoized on the coefficient values and the mesh
-(`_assembled`), so a sweep over s assembles and scans it once.  The fit
+a certified fit of x^{-beta} on [spectral floor, Gershgorin bound] (real
+poles p_j <= 0, nonnegative weights; see `_power_fit`).  L, that interval,
+L's symmetry flag and the lateral weights a solve takes are one record per
+coefficient field and mesh (`_XOperator`, memoized by `_assembled`), so a
+sweep over s assembles and scans it once.  The fit
 needs numpy and scipy.linalg only: AAA poles from a port of scipy's
 (`_aaa_poles`), weights by least squares that eliminates negative ones, no
 scipy.optimize or scipy.interpolate to load.
@@ -122,16 +121,17 @@ def _uniform_step(axis, name, owner):
 
 
 def x_operator(coeff: CoefficientField, axes):
-    """Discrete a^{ij} d_ij over the interior nodes of a tensor grid, monotone
-    (off-diagonals >= 0, row sums <= 0: -Ax is an M-matrix).
+    """The `_XOperator` of the discrete -a^{ij} d_ij over the interior nodes
+    of a tensor grid: L, monotone (off-diagonals <= 0, row sums >= 0: an
+    M-matrix), and the weights of its Dirichlet neighbours.
 
     1-D axes may be nonuniform (3-point stencil, exact nonuniform weights)
     and decreasing (the mirrored matrices); an axis with fewer than 3
     nodes, a non-finite node, a step that is zero or changes sign, or steps
     whose weights overflow or whose diagonal underflows to 0 raises
-    ValueError naming it.  Ax and Bx are written in CSR directly, with the
-    arrays sp.diags and a COO build would give: zero weights are dropped
-    from Ax and kept in Bx.
+    ValueError naming it.  L and the lateral coupling are written in CSR
+    directly, with the arrays sp.diags and a COO build would give: zero
+    weights are dropped from L and kept in the coupling.
     2-D axes must be uniform; at each node `_selling` writes diag(h)^{-1} a
     diag(h)^{-1} = sum_k lam_k e_k e_k^T (lam_k >= 0, integer e_k), and the
     stencil is sum_k lam_k (u(x + h e_k) - 2u + u(x - h e_k)): 7-point upwind
@@ -147,15 +147,10 @@ def x_operator(coeff: CoefficientField, axes):
     over s meets the same operator again and again: the axes are checked
     and a^{ij} is evaluated at the interior nodes on every call, and the
     rest is memoized on those values and the declared bounds (`_assembled`).
-    Two fields with equal values share one operator, and a field whose
+    Two fields with equal values share one record, and a field whose
     values changed builds a new one.  Every caller is handed the same
-    matrices, so their data, indices and indptr arrays are read-only; the
-    memo keeps no operator over _MEMO_NODES interior nodes.
-
-    Returns the `_XOperator`, the pair (Ax, Bx): Ax csr over raveled
-    interior nodes, Bx csr mapping values on the full raveled grid (only
-    boundary columns are nonzero) to the stencil contribution of Dirichlet
-    neighbours.  Its L = -Ax is what the steppers and `solve_extension` factor.
+    record, so its arrays are read-only; the memo keeps no operator over
+    _MEMO_NODES interior nodes.
     """
     n = len(axes)
     if coeff.n != n:
@@ -188,26 +183,27 @@ def _assembled(axes, comps, bounds):
     coefficient components at the interior nodes (a11 in 1-D; a11, a12, a22
     raveled in 2-D), with the declared bounds (lam, Lam).
 
-    One entry holds its key, Ax, Bx and L (and, once a stepper read it, the
-    spectrum).  Per node in 1-D: the key's 2 doubles and the 3 stored
-    entries of Ax and of L (a double and an int32 each), about 100 bytes.
-    Per interior node in 2-D: the key's 3 doubles and 5 (identity) to 7
-    (mixed term) stored entries of Ax and of L, at most about 200 bytes.
-    `x_operator` keeps no operator over _MEMO_NODES interior nodes (it
-    calls the builder unmemoized), so an entry holds at most about 3.3 MB
-    and the 16 entries at most about 52 MB.  Counts obs
+    One entry holds its key, L and the lateral coupling (and scalars).  Per
+    interior node in 1-D: the key's 2 doubles and L's 3 stored entries (a
+    double and an int32 each) with its row pointer, 56 bytes; in 2-D the
+    key's 3 doubles and 5 (identity) to 7 (mixed term) stored entries of L
+    and the coupling, at most 112 bytes.  The axes and the coupling's rows
+    add at most 24 bytes per boundary node.  `x_operator` keeps no operator
+    over _MEMO_NODES interior nodes (it calls the builder unmemoized), so an
+    entry holds at most about 2.6 MB (2-D, 1 x 2^14 interior nodes; 1.8 MB
+    on a square grid) and the 16 entries at most about 42 MB.  Counts obs
     semigroup.operators per operator built (a hit counts none); a refusal
     raises and is neither counted nor memoized.
     """
     axes = [np.frombuffer(ax) for ax in axes]
     comps = [np.frombuffer(c) for c in comps]
-    Ax, Bx = (_stencil_1d if len(axes) == 1 else _stencil_2d)(axes, comps, bounds)
+    L, lateral = (_stencil_1d if len(axes) == 1 else _stencil_2d)(axes, comps, bounds)
     obs.count("semigroup.operators")
-    return _XOperator(axes, Ax, Bx)
+    return _XOperator(axes, bounds[0], L, lateral)
 
 
 def _stencil_1d(axes, comps, bounds):
-    """(Ax, Bx) of the 3-point stencil on the checked 1-D axis."""
+    """(L, lateral coupling) of the 3-point stencil on the checked 1-D axis."""
     import scipy.sparse as sp
 
     (xs,), (a,) = axes, comps
@@ -217,13 +213,13 @@ def _stencil_1d(axes, comps, bounds):
     hm = xi - xs[:-2]
     hp = xs[2:] - xi
     # |W|, |E| <= |C| in floating point too: a finite nonzero diagonal
-    # rules out both overflow and a singular (or empty) Ax
+    # rules out both overflow and a singular (or empty) L
     with np.errstate(over="ignore"):
         cW = 2.0 / (hm * (hm + hp))
         cE = 2.0 / (hp * (hm + hp))
         cC = -2.0 / (hm * hp)
         # row i holds (W, C, E) at columns (i - 1, i, i + 1); row 0's W and
-        # the last row's E are the Dirichlet neighbours, Bx's two entries
+        # the last row's E weigh the Dirichlet neighbours, the coupling's two
         stencil = np.column_stack([a * cW, a * cC, a * cE]).ravel()
     if not np.all(np.isfinite(stencil[1::3]) & (stencil[1::3] != 0.0)):
         raise ValueError(f"the 1-D x-axis {np.array2string(xs, threshold=12)} gives "
@@ -232,17 +228,16 @@ def _stencil_1d(axes, comps, bounds):
     cols = (np.arange(m, dtype=np.int32)[:, None] + np.array([-1, 0, 1], np.int32)).ravel()
     ptr = 3 * np.arange(m + 1, dtype=np.int32) - 1
     ptr[0], ptr[-1] = 0, 3 * m - 2
-    Ax = sp.csr_matrix((stencil[1:-1], cols[1:-1], ptr), shape=(m, m))
-    Ax.eliminate_zeros()
-    ptr = np.ones(m + 1, dtype=np.int32)
-    ptr[0], ptr[-1] = 0, 2
-    Bx = sp.csr_matrix((stencil[[0, -1]], np.array([0, nx - 1], np.int32), ptr),
-                       shape=(m, nx))
-    return Ax, Bx
+    L = sp.csr_matrix((-stencil[1:-1], cols[1:-1], ptr), shape=(m, m))
+    L.eliminate_zeros()
+    rows, ptr = ([0, m - 1], [0, 1, 2]) if m > 1 else ([0], [0, 2])  # one row when m = 1
+    B = sp.csr_matrix((stencil[[0, -1]], np.array([0, 1], np.int32), np.array(ptr, np.int32)),
+                      shape=(len(rows), 2))
+    return L, (np.array(rows), B)
 
 
 def _stencil_2d(axes, comps, bounds):
-    """(Ax, Bx) of Selling's stencil on the checked uniform 2-D axes."""
+    """(L, lateral coupling) of Selling's stencil on the checked uniform 2-D axes."""
     import scipy.sparse as sp
 
     (xs, ys), (a11, a12, a22) = axes, comps
@@ -276,10 +271,13 @@ def _stencil_2d(axes, comps, bounds):
                         (w * fy).ravel(), -np.sum(2.0 * lam / (tp * tm), axis=1)])
     inner = (I >= 1) & (I <= m1) & (J >= 1) & (J <= m2)
     a, b = (V != 0) & inner, (V != 0) & ~inner
-    Ax = sp.csr_matrix((V[a], (R[a], (I[a] - 1) * m2 + J[a] - 1)), shape=(m1 * m2, m1 * m2))
-    Bx = sp.csr_matrix((V[b], (R[b], I[b] * (m2 + 2) + J[b])),
-                       shape=(m1 * m2, len(xs) * len(ys)))
-    return Ax, Bx
+    L = sp.csr_matrix((-V[a], (R[a], (I[a] - 1) * m2 + J[a] - 1)), shape=(m1 * m2, m1 * m2))
+    # a boundary node's column is its place among them in raveled edge order
+    place = np.cumsum(~np.pad(np.ones((m1, m2), bool), 1).ravel()) - 1
+    B = sp.csr_matrix((V[b], (R[b], place[I[b] * (m2 + 2) + J[b]])),
+                      shape=(m1 * m2, place[-1] + 1))
+    rows = np.flatnonzero(np.diff(B.indptr))
+    return L, (rows, B[rows])
 
 
 def _require_elliptic(lam, Lam, emin, emax, coords, comps):
@@ -331,29 +329,37 @@ def _selling(d11, d12, d22, coords):
     return -p, -by[:, K], bx[:, K]
 
 
-class _XOperator(tuple):
-    """The pair (Ax, Bx) of `x_operator` on its axes (read-only float64 views
-    of the key's bytes), the Dirichlet L = -Ax and, on first use, its
-    `spectrum`.  All of it is shared by whoever meets the same field and
-    mesh, so every array is read-only."""
+class _XOperator:
+    """What the powers and the extension solves read on one coefficient field
+    and mesh and that does not depend on s, shared by whoever meets them
+    (`_assembled`), so every array is read-only.  axes: read-only float64
+    views of the key's bytes.  L: the Dirichlet L = -a^{ij} d_ij, CSR over
+    the raveled interior nodes.  lateral: (rows, B), the interior rows with
+    Dirichlet neighbours and B, CSR (rows, boundary nodes), their a^{ij} d_ij
+    weights on the boundary nodes in raveled edge order (the nodes off the
+    interior, C order).  floor: lam sum 8 / (hi - lo)^2, the declared lam
+    times the least 3-point Dirichlet eigenvalue on the axes' (lo, hi) for
+    any spacing, a lower bound of L's spectrum.  `fit_interval` on first use.
+    """
 
-    def __new__(cls, axes, Ax, Bx):
-        op = super().__new__(cls, (_read_only(Ax), _read_only(Bx)))
-        op.axes = axes
-        op.L = _read_only(-Ax)
-        return op
+    def __init__(self, axes, lam, L, lateral):
+        self.axes, self.L = axes, _read_only(L)
+        lateral[0].flags.writeable = False
+        self.lateral = lateral[0], _read_only(lateral[1])
+        self.floor = lam * sum(8.0 / (float(ax[-1]) - float(ax[0])) ** 2 for ax in axes)
 
     @cached_property
-    def spectrum(self):
-        """(top, symmetric) of L.
+    def fit_interval(self):
+        """((floor, hi), symmetric) for every rational power of L.
 
-        top is the Gershgorin bound max_i sum_j |L_ij|.  symmetric: max |L -
-        L^T| <= 8 eps rounding max |L|, where rounding = max|x| / min spacing
-        over the axes bounds the relative error that node coordinates leave
-        in the stencil weights.  The 1-D L is tridiagonal: the row sums |lo|
-        + (|d| + |up|), in the order of scipy's CSR row sum, and the defect
-        max |up - lo| of its diagonals give the bits of the sparse
-        expressions, which 2-D evaluates.
+        hi is the Gershgorin bound max_i sum_j |L_ij|, raised to 2 floor when
+        below it (a single interior node puts the bound on the floor
+        itself).  symmetric: max |L - L^T| <= 8 eps rounding max |L|, where
+        rounding = max|x| / min spacing over the axes bounds the relative
+        error that node coordinates leave in the stencil weights.  The 1-D L
+        is tridiagonal: the row sums |lo| + (|d| + |up|), in the order of
+        scipy's CSR row sum, and the defect max |up - lo| of its diagonals
+        give the bits of the sparse expressions, which 2-D evaluates.
         """
         L = self.L
         if len(self.axes) == 1:
@@ -368,7 +374,8 @@ class _XOperator(tuple):
             top = np.max(abs(L).sum(axis=1))
             defect, scale = abs(L - L.T).max(), abs(L).max()
         rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in self.axes)
-        return float(top), bool(defect <= 8 * np.finfo(float).eps * rounding * scale)
+        symmetric = bool(defect <= 8 * np.finfo(float).eps * rounding * scale)
+        return (self.floor, max(float(top), 2.0 * self.floor)), symmetric
 
 
 def _read_only(M):
@@ -505,25 +512,19 @@ class SemigroupStepper:
     """The Dirichlet operator L = -a^{ij} d_ij of a coefficient field on a
     grid, and its heat semigroup e^{-tL} in 1-D.
 
-    The 1-D L = D Q diag(lam) Q^T D^{-1} (`_modes`, on first use: one
+    What does not depend on s is the memoized x-operator record
+    (`_XOperator`): L, read-only and shared by every stepper on the field
+    and grid, the spectral floor (resting on the declared lam of `coeff`,
+    which `x_operator` checks) and the fit interval with L's symmetry flag,
+    derived once per record.  The stepper keeps its own: the factored pole
+    systems of every power x^-beta it has applied (`_pole_solver`), the 1-D
+    modes L = D Q diag(lam) Q^T D^{-1} (`_modes`, on first use: one
     eigh_tridiagonal of the symmetric D^{-1} L D, `_tridiagonal_symmetrizer`),
-    and e^{-tL} alone is applied in those modes.  Fractional
-    powers (info: beta, poles, interval, sup_rel_error, symmetric) take one
+    in which e^{-tL} alone is applied, and the decay cut-off.  Fractional powers
+    (info: beta, poles, interval, sup_rel_error, symmetric) take one
     shifted solve per pole in every dimension, the 1-D semigroup extension
     (info: nodes, interval, sup_error) one complex solve per node pair; 2-D
-    heat and extension raise ValueError.  `lam_floor` bounds the spectrum
-    from below; the decay cut-off, the fits and the contour use it.  It
-    rests on the declared lam of `coeff`, which `x_operator` checks on the
-    interior nodes.  The top of that interval and the symmetry flag are the
-    stepper's too (`_fit_interval`), and so are the factored pole systems
-    of every power x^-beta it has applied (`_pole_solver`).
-
-    L, its Gershgorin bound and its symmetry flag do not depend on s: they
-    are those of the memoized x-operator (`_XOperator`), so a stepper on a
-    field and grid already seen assembles, negates and scans nothing, and
-    its L is read-only, the same matrix every such stepper holds.  What
-    depends on s or on the data stays the stepper's or the call's: the
-    pole factorizations, the modes and the rational fits.
+    heat and extension raise ValueError.
 
     Its operator and grid do not change after construction; solves at
     distinct times are independent.
@@ -533,14 +534,9 @@ class SemigroupStepper:
         self.coeff = coeff
         self.grid = grid
         self._op = x_operator(coeff, grid.axes())
-        self.L = self._op.L  # Dirichlet L = -a^{ij} d_ij, shared: read-only
-        # provable spectral floor: the 3-point Dirichlet eigenvalue on (lo, hi)
-        # is at least 8/L^2 for any spacing, so ||e^{-tL}u|| <= e^{-lam_floor t}||u||;
-        # beyond 30 e-folds the heat is zero to machine precision.  The
-        # floor is also the lower end of the rational fits.
-        self.lam_floor = coeff.lam * sum(8.0 / (hi - lo) ** 2
-                                         for lo, hi in zip(grid.los, grid.his))
-        self._t_cutoff = 30.0 / self.lam_floor
+        self.L = self._op.L  # the record's Dirichlet L = -a^{ij} d_ij, shared: read-only
+        # ||e^{-tL}u|| <= e^{-floor t}||u||: past 30 e-folds the heat is 0 to machine precision
+        self._t_cutoff = 30.0 / self._op.floor
         self._pole_solvers = {}
 
     @cached_property
@@ -550,19 +546,10 @@ class SemigroupStepper:
         d, e = _tridiagonal_symmetrizer(self.L)
         return (*eigh_tridiagonal(self.L.diagonal(), e), d)  # (lam, Q, d = diag D)
 
-    @cached_property
-    def _fit_interval(self):
-        """((lam_floor, hi), symmetric) for every rational power of L: hi is
-        the Gershgorin bound of L (`_XOperator.spectrum`), raised to 2
-        lam_floor when below it (a single interior node puts the bound on
-        the floor itself), and symmetric is L's symmetry flag."""
-        top, symmetric = self._op.spectrum
-        return (self.lam_floor, max(top, 2.0 * self.lam_floor)), symmetric
-
     def _pole_solver(self, beta, poles):
         """The `_shifted_solver` of every L - p I over the poles of the fit
         of x^-beta, factored on the first call for beta and kept: the poles
-        depend only on beta and `_fit_interval`."""
+        depend only on beta and the record's `fit_interval`."""
         solve = self._pole_solvers.get(beta)
         if solve is None:
             solve = self._pole_solvers[beta] = _shifted_solver(self.L, -poles,
@@ -764,10 +751,10 @@ def _power_fit(lo, hi, beta):
 
 
 def _rational_power(stepper: SemigroupStepper, v, beta):
-    """r(L) v for the fit r of x^{-beta} on [lam_floor, Gershgorin bound of L].
+    """r(L) v for the fit r of x^{-beta} on [spectral floor, Gershgorin bound of L].
 
-    The interval and the symmetry flag are read from the stepper, which
-    derives them once (`SemigroupStepper._fit_interval`).  Every pole's
+    The interval and the symmetry flag are read from the x-operator record,
+    which derives them once (`_XOperator.fit_interval`).  Every pole's
     L - p I is factored in one `_shifted_solver` call (LinAlgError naming p
     if one is singular), which the stepper keeps for later calls at the same
     beta (`SemigroupStepper._pole_solver`).  info gives beta, the pole
@@ -779,7 +766,7 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     / lambda) times on a uniform grid.  A nonsymmetric 2-D L is not normal
     and the scalar error bounds nothing.
     """
-    (lo, hi), symmetric = stepper._fit_interval
+    (lo, hi), symmetric = stepper._op.fit_interval
     c0, poles, w, err = _power_fit(lo, hi, beta)
     out = c0 * v
     if len(poles):  # beta ~ 1e-16 on a narrow interval: the fit is c0 alone, r(L) = c0 I
@@ -839,8 +826,8 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     phi(lam, z) = `bessel_extension_profile`, the semigroup formula
     (s^{2s} z / Gamma(s)) int_0^inf e^{-s^2 z^{1/s}/t} e^{-t lam} dt/t^{1+s} in
     closed form (Stinga & Torrea, Comm. PDE 35 (2010) 2092-2122), by the
-    contour rule of `_profile_contour` around [lo, hi] =
-    `SemigroupStepper._fit_interval`: one `_shifted_solver` call, then the
+    contour rule of `_profile_contour` around [lo, hi], the x-operator
+    record's `fit_interval`: one `_shifted_solver` call, then the
     weights c_k phi(zeta_k, z) per height.  info: `nodes` (obs counter
     semigroup.extension_nodes), `interval` and `sup_error`, the scalar
     rule's largest sampled error on [lo, hi] over the heights: the field's
@@ -860,7 +847,7 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     if not 0.0 < s < 1.0:
         raise ValueError("s must be in (0,1)")
     v = _interior_on(stepper, u)
-    (lo, hi), _ = stepper._fit_interval
+    (lo, hi), _ = stepper._op.fit_interval
     zeta, c, lam = _profile_contour(lo, hi)
     obs.count("semigroup.extension_nodes", 2 * len(zeta))
     x = _shifted_solver(stepper.L, -zeta, "L - ({p:g}) I is singular")(

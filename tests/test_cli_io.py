@@ -1,12 +1,13 @@
 """Config schema, orchestration, determinism, plots, CLI."""
 
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracext.cli import main as cli_main
 from fracext.config import (_PROBLEM_SCHEMAS, _TOP_SCHEMA, EXPERIMENT_KINDS, MAX_COUNT,
@@ -515,16 +516,61 @@ def test_end_to_end_refuses_an_integer_alpha_plus_2s(s, refused):
 
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.75, 0.9])
 def test_kinked_decay_refuses_alpha_plus_2s_outside_its_case(s):
-    # the default case 2 at alpha = 0.5 measures a decay exponent in (1, 2);
-    # the other benchmarks fit no alpha + 2s and take any case
-    raw = default_raw("schauder-decay", s)
-    assert (raw["setup"].get("alpha", 0.5), raw["problem"].get("case", 2)) == (0.5, 2)
-    with pytest.raises(ConfigError, match=re.escape(
-            f"setup.alpha: kinked schauder-decay case 2 needs 1 < setup.alpha + 2 setup.s "
-            f"< 2; got {0.5 + 2 * s:g}")):
+    # the case is floor(alpha + 2s) + 1, derived when absent: a sent case must
+    # be that one (case 2 at s = 0.1 and 0.9), and an integer alpha + 2s (no
+    # Hoelder part, s = 0.25 and 0.75) is refused; the other benchmarks fit
+    # no alpha + 2s and take any case
+    raw, gamma = default_raw("schauder-decay", s), 0.5 + 2 * s
+    case = None if gamma == math.floor(gamma) else 2
+    if case is None:
+        message = (f"setup.alpha: schauder-decay needs setup.alpha + 2 setup.s off the "
+                   f"integers, where C^(2s+alpha) has no Hoelder part; got {gamma:g}")
+    else:
+        raw["problem"]["case"] = case
+        message = (f"setup.alpha: kinked schauder-decay case {case} needs {case - 1} < "
+                   f"setup.alpha + 2 setup.s < {case}; got {gamma:g}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
         validate(raw)
     raw["problem"]["benchmark"] = "harmonic"
     assert validate(raw).setup["s"] == s
+
+
+@pytest.mark.parametrize("kind, s, case", [("schauder-decay", 0.1, 1), ("schauder-decay", 0.5, 2),
+                                           ("schauder-decay", 0.9, 3), ("barrier-check", 0.5, 1),
+                                           ("barrier-check", 0.8, 2)])
+def test_a_case_other_keys_fix_is_derived_into_the_validated_data(kind, s, case):
+    # the bare `fracext schauder-decay --s 0.2` and a barrier config at s > 1/2
+    # without a case validate; the derived case enters the data and the hash
+    # as if it had been sent, and a sent case that disagrees is refused
+    cfg = default_config(kind, s)
+    assert cfg.problem["case"] == case
+    raw = default_raw(kind, s)
+    raw["problem"]["case"] = case
+    assert validate(raw).config_hash() == cfg.config_hash()
+    raw["problem"]["case"] = 3 - case if kind == "barrier-check" else case % 3 + 1
+    with pytest.raises(ConfigError, match=re.escape("problem.case: case" if kind == "barrier-check"
+                                                    else "kinked schauder-decay case")):
+        validate(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(EXPERIMENT_KINDS), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example("schauder-decay", 0.1)
+@example("barrier-check", 0.7)
+@example("schauder-decay", 0.25)  # alpha + 2s = 1
+def test_every_default_config_validates_or_names_an_integer_alpha_plus_2s(kind, s):
+    # the advertised config space: each kind's built-in config at any s in
+    # (0, 1) validates, or is refused by the one cross-field rule a default
+    # can meet, an integer alpha + 2s (end-to-end and kinked decay)
+    try:
+        cfg = default_config(kind, s)
+    except ConfigError as exc:
+        assert str(exc) == (f"invalid config:\n  setup.alpha: {kind} needs setup.alpha + 2 "
+                            f"setup.s off the integers, where C^(2s+alpha) has no Hoelder part; "
+                            f"got {0.5 + 2.0 * s:g}")
+        assert 0.5 + 2.0 * s == math.floor(0.5 + 2.0 * s)
+        return
+    assert cfg.setup["s"] == s
 
 
 def test_config_hash_leaves_out_the_output_dir(tmp_path):

@@ -627,3 +627,19 @@ def _resolve_tracer_hook(path):
 @pytest.mark.parametrize("path", sorted({**TRACER_HOOKS, **BENCHMARK_READS}))
 def test_tracer_hook_points_resolve(path):
     assert _resolve_tracer_hook(path) is not None
+
+
+def test_the_benchmark_mirrors_the_runner_tolerances():
+    # `perfbench/fxbench/cases.py` reports error / tolerance with its own copy
+    # of the runner's tolerances: a runner change that left the copy behind
+    # would rescale `err_ratio_max` silently
+    from fracext.runner import TOLERANCES
+
+    path = ROOT / "perfbench" / "fxbench" / "cases.py"
+    mirrored = [ast.literal_eval(node.value)
+                for node in ast.parse(path.read_text(), filename=str(path)).body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "RUNNER_TOLERANCES" for t in node.targets)]
+    assert len(mirrored) == 1 and mirrored[0], "RUNNER_TOLERANCES is not one literal dict"
+    shared = mirrored[0].keys() & TOLERANCES.keys()
+    assert shared and {k: mirrored[0][k] for k in shared} == {k: TOLERANCES[k] for k in shared}

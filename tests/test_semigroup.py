@@ -192,7 +192,7 @@ def test_1d_stepper_never_factorizes(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_declared_ellipticity_bounds_are_checked(n):
-    # lam_floor, and with it the decay cut-off and the rational fits' interval,
+    # the spectral floor, and with it the decay cut-off and the rational fits' interval,
     # rests on the declared lam: identity coefficients declared with
     # lam = Lam = 30 put L^{-1/2} 3.9% off on 17^2 nodes while its
     # certificate read 4.7e-13
@@ -209,7 +209,7 @@ def test_declared_ellipticity_bounds_are_checked(n):
             f"declared ellipticity bounds [30, 30] at node ({at}): {comps}")):
         SemigroupStepper(coeff, grid)
     # bounds that hold are accepted
-    assert SemigroupStepper(CoefficientField.identity(n), grid).lam_floor > 0.0
+    assert SemigroupStepper(CoefficientField.identity(n), grid)._op.floor > 0.0
 
 
 @pytest.mark.parametrize("lam, Lam", [(0.0, 1.0), (2.0, 1.0), (1.0, np.inf), (np.nan, 1.0)])
@@ -228,7 +228,7 @@ def test_fractional_apply_eigen_mapping():
             target = k ** (2.0 * s) * u.values
             rel = np.max(np.abs(out.values - target)) / np.max(np.abs(target))
             assert rel < 1e-3
-    assert info["beta"] == 1.0 - s and info["interval"][0] == st.lam_floor
+    assert info["beta"] == 1.0 - s and info["interval"][0] == st._op.floor
     assert 1 <= info["poles"] and info["sup_rel_error"] <= 1e-6
 
 
@@ -267,7 +267,7 @@ def test_1d_fractional_powers_match_dense_eigendecomposition(field, N):
         for i in (info, inv_info):
             # a = 1 gives a symmetric L up to the rounding of its stencil weights
             assert i["symmetric"] == (field == "identity")
-            assert i["interval"][0] == st_.lam_floor and i["sup_rel_error"] <= 1e-6
+            assert i["interval"][0] == st_._op.floor and i["sup_rel_error"] <= 1e-6
 
 
 def test_1d_fractional_powers_on_4096_points():
@@ -640,7 +640,7 @@ def test_semigroup_extension_at_4096_nodes_matches_the_bessel_profile(s):
     for U, z in zip(outs, heights):
         bessel = bessel_extension_profile(lam, s, z) * u.values
         assert np.max(np.abs(U.values - bessel)) <= 1e-11 * np.max(np.abs(u.values))
-    assert info["interval"] == list(st_._fit_interval[0])
+    assert info["interval"] == list(st_._op.fit_interval[0])
     assert info["sup_error"] <= semigroup._EXTENSION_TOL
 
 
@@ -713,7 +713,7 @@ def test_extension_profile_is_zero_where_y_overflows(s, z):
     # lam > 0, real or a contour node, and 1 at lam = 0, with no warning
     st_ = _stepper_1d(N=32)
     u = GridFunction.from_callable(st_.grid, np.sin)
-    zeta, _, _ = semigroup._profile_contour(*st_._fit_interval[0])
+    zeta, _, _ = semigroup._profile_contour(*st_._op.fit_interval[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert bessel_extension_profile(4.0, s, z) == 0.0
@@ -818,18 +818,31 @@ def _constant_2d(a11, a12, a22, lam=1e-3, Lam=1e3):
     return CoefficientField.full_2d(const(a11), const(a12), const(a22), lam, Lam)
 
 
-def _assert_monotone(Ax, Bx, shape):
-    """-Ax is an M-matrix with no stored zeros, and Bx reaches only boundary
-    nodes with the weights that make every row sum of [Ax Bx] vanish."""
-    assert (Ax - sp.diags(Ax.diagonal())).min() >= 0.0 and Bx.min() >= 0.0
-    assert np.all(Ax.data != 0.0) and np.all(Bx.data != 0.0)
-    rows = np.asarray(Ax.sum(axis=1)).ravel()
-    tol = 1e-12 * np.max(np.abs(Ax.diagonal()))
-    assert np.all(rows <= tol)
-    assert np.all(np.abs(rows + np.asarray(Bx.sum(axis=1)).ravel()) <= tol)
-    interior = np.zeros(shape, dtype=bool)
-    interior[1:-1, 1:-1] = True
-    assert Bx[:, interior.ravel()].nnz == 0
+def _lateral_block(op, shape):
+    """The record's lateral coupling as the dense block (interior nodes, full
+    grid) of a^{ij} d_ij on the Dirichlet values: zero on the interior
+    columns and on the rows the coupling leaves out."""
+    rows, B = op.lateral
+    edge = np.ones(shape, dtype=bool)
+    edge[(slice(1, -1),) * len(shape)] = False
+    block = np.zeros((op.L.shape[0], edge.size))
+    block[np.ix_(rows, np.flatnonzero(edge))] = B.toarray()
+    return block
+
+
+def _assert_monotone(op, shape):
+    """L is an M-matrix with no stored zeros, and the lateral coupling holds
+    the rows with Dirichlet neighbours alone, each with its boundary weights,
+    which make every row sum of [-L B] vanish."""
+    L, (rows, B) = op.L, op.lateral
+    assert (L - sp.diags(L.diagonal())).max() <= 0.0 and B.min() >= 0.0
+    assert np.all(L.data != 0.0) and np.all(B.data != 0.0)
+    assert B.shape == (len(rows), np.prod(shape) - L.shape[0]) and np.all(np.diff(B.indptr) > 0)
+    sums = -np.asarray(L.sum(axis=1)).ravel()
+    tol = 1e-12 * np.max(np.abs(L.diagonal()))
+    assert np.all(sums <= tol)
+    sums[rows] += np.asarray(B.sum(axis=1)).ravel()
+    assert np.all(np.abs(sums) <= tol)
 
 
 def _upwind_reference(a11, a12, a22, xs, ys):
@@ -856,13 +869,13 @@ def _upwind_reference(a11, a12, a22, xs, ys):
 def test_selling_stencil_keeps_the_plane2d_operators(a12, n):
     # the benchmark's 2-D coefficient sets on (0, pi)^2: identity and a12 = 0.3
     axes = [np.linspace(0.0, np.pi, n)] * 2
-    Ax, Bx = x_operator(_constant_2d(1.0, a12, 1.0), axes)
+    op = x_operator(_constant_2d(1.0, a12, 1.0), axes)
     ref_A, ref_B = _upwind_reference(1.0, a12, 1.0, *axes)
-    assert np.max(np.abs(Ax.toarray() - ref_A)) <= 1e-13 * np.max(np.abs(ref_A))
-    assert np.max(np.abs(Bx.toarray() - ref_B)) <= 1e-13 * np.max(np.abs(ref_B))
-    _assert_monotone(Ax, Bx, (n, n))
+    assert np.max(np.abs(op.L.toarray() + ref_A)) <= 1e-13 * np.max(np.abs(ref_A))
+    assert np.max(np.abs(_lateral_block(op, (n, n)) - ref_B)) <= 1e-13 * np.max(np.abs(ref_B))
+    _assert_monotone(op, (n, n))
     # no stored zeros: the band half-width is m2 without a mixed term
-    coo = Ax.tocoo()
+    coo = op.L.tocoo()
     assert np.max(np.abs(coo.col - coo.row)) == n - 2 + (a12 != 0.0)
 
 
@@ -874,7 +887,8 @@ def test_selling_stencil_keeps_the_plane2d_operators(a12, n):
 def test_2d_x_operator_keeps_the_allclose_uniformity_rule(n, axis, data, log_rel, sign):
     # one interior node moved by rel h: refused iff np.allclose(diff, h,
     # rtol=1e-12, atol=0) refuses the steps; an accepted axis whose first step
-    # is kept gives Ax and Bx bit-identical to the uniform axis's (constant a^{ij})
+    # is kept gives L and the lateral coupling bit-identical to the uniform
+    # axis's (constant a^{ij})
     j = 3 if data is None else data.draw(st.integers(2, n - 3))
     coeff = _constant_2d(1.0, 0.3, 1.0)
     axes = [np.linspace(0.0, np.pi, n)] * 2
@@ -888,9 +902,9 @@ def test_2d_x_operator_keeps_the_allclose_uniformity_rule(n, axis, data, log_rel
         with pytest.raises(ValueError, match="2-D x-operator requires uniform axes"):
             x_operator(coeff, moved)
         return
-    Ax, Bx = x_operator(coeff, axes)
-    Am, Bm = x_operator(coeff, moved)
-    for M, R in ((Am, Ax), (Bm, Bx)):
+    op, mop = x_operator(coeff, axes), x_operator(coeff, moved)
+    assert _same_bits(mop.lateral[0], op.lateral[0])
+    for M, R in ((mop.L, op.L), (mop.lateral[1], op.lateral[1])):
         assert all(_same_bits(getattr(M, a), getattr(R, a)) for a in ("data", "indices", "indptr"))
 
 
@@ -924,7 +938,7 @@ def test_2d_x_operator_refuses_a_zero_or_nonfinite_step_by_axis(bad, axis):
 @example(33, 0.99, 4.0, 0.0, 1.0)   # a12 = 1.98
 @example(33, -0.99, 9.0, 0.6, 3.0)
 def test_point_sources_give_nonnegative_solutions(n, t, a22, amp, freq):
-    # -Ax u = e_i for 25 sources; |a12| <= 0.99 sqrt(a11 a22), constant when amp = 0
+    # L u = e_i for 25 sources; |a12| <= 0.99 sqrt(a11 a22), constant when amp = 0
     def a11(x, y):
         return 1.0 + amp * np.sin(freq * x) + 0.0 * y
 
@@ -935,11 +949,11 @@ def test_point_sources_give_nonnegative_solutions(n, t, a22, amp, freq):
         a11, lambda x, y: t * np.cos(amp * freq * (x + y)) * np.sqrt(a11(x, y) * a22f(x, y)),
         a22f, 1e-3, 1e3)
     axes = [np.linspace(0.0, np.pi, n)] * 2
-    Ax, Bx = x_operator(coeff, axes)
-    _assert_monotone(Ax, Bx, (n, n))
-    E = np.zeros((Ax.shape[0], 25))
-    E[np.linspace(0, Ax.shape[0] - 1, 25).astype(int), np.arange(25)] = 1.0
-    u = spla.splu((-Ax).tocsc()).solve(E)
+    op = x_operator(coeff, axes)
+    _assert_monotone(op, (n, n))
+    E = np.zeros((op.L.shape[0], 25))
+    E[np.linspace(0, op.L.shape[0] - 1, 25).astype(int), np.arange(25)] = 1.0
+    u = spla.splu(op.L.tocsc()).solve(E)
     assert np.all(u.min(axis=0) >= -1e-12 * u.max(axis=0))
 
 
@@ -1013,13 +1027,14 @@ def test_anisotropic_stencil_converges_at_second_order(kappa, theta):
     errs = []
     for n in (17, 33, 65):
         xs = np.linspace(0.0, 1.0, n)
-        Ax, Bx = x_operator(_constant_2d(a11, a12, a22), [xs, xs])
-        coo = Ax.tocoo()
+        op = x_operator(_constant_2d(a11, a12, a22), [xs, xs])
+        coo = op.L.tocoo()
         assert set(np.abs(coo.col - coo.row)) - {0, 1, n - 3, n - 2, n - 1}
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         boundary = exact(X, Y)
         boundary[1:-1, 1:-1] = 0.0
-        u = spla.spsolve(Ax.tocsc(), source(X, Y)[1:-1, 1:-1].ravel() - Bx @ boundary.ravel())
+        u = spla.spsolve(-op.L.tocsc(), source(X, Y)[1:-1, 1:-1].ravel()
+                         - _lateral_block(op, (n, n)) @ boundary.ravel())
         errs.append(np.max(np.abs(u - exact(X, Y)[1:-1, 1:-1].ravel())))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 1.8), (errs, orders)
@@ -1064,7 +1079,7 @@ def test_2d_fractional_powers_match_dense_matrix_power(field, n):
             assert np.max(np.abs(got.values[~st_.grid.interior_mask()])) == 0.0
         for i in (info, inv_info):
             assert i["symmetric"] == (field == "identity")
-            assert i["interval"][0] == st_.lam_floor and i["sup_rel_error"] <= 1e-6
+            assert i["interval"][0] == st_._op.floor and i["sup_rel_error"] <= 1e-6
             assert 1 <= i["poles"] <= 30
         back, _ = fractional_apply(st_, inv, s)
         assert np.max(np.abs(back.values - u.values)) <= 1e-10 * np.max(np.abs(u.values))
@@ -1155,7 +1170,7 @@ def test_shifted_solver_on_1d_operators_takes_the_symmetric_tridiagonal_factoriz
     coeff = CoefficientField(
         1, lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)),
         lam, lam * ratio)
-    L = -x_operator(coeff, [xs])[0]
+    L = x_operator(coeff, [xs]).L
     x, ref, calls = _engine_solves(L, shifts, seed)
     assert calls == ({"pttrf": 1, "gbtrf": 0} if L.shape[0] > 1 else {"pttrf": 0, "gbtrf": 1})
     for xk, rk in zip(x, ref):
@@ -1169,7 +1184,7 @@ def test_shifted_solver_on_2d_operators_takes_the_band_lu(n1, n2, c12, freq, shi
     coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(freq * x) ** 2,
                                      lambda x, y: c12 * np.cos(freq * (x + y)),
                                      lambda x, y: 1.0 + 0.5 * np.cos(freq * y) ** 2, 0.5, 2.0)
-    L = -x_operator(coeff, [np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)])[0]
+    L = x_operator(coeff, [np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)]).L
     x, ref, calls = _engine_solves(L, shifts, seed)
     assert calls == {"pttrf": 0, "gbtrf": 1}
     for xk, rk in zip(x, ref):
@@ -1184,7 +1199,7 @@ def test_band_lu_batches_keep_the_last_for_the_next_call(monkeypatch):
     coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(2.0 * x) ** 2,
                                      lambda x, y: 0.3 * np.cos(2.0 * (x + y)),
                                      lambda x, y: 1.0 + 0.5 * np.cos(2.0 * y) ** 2, 0.5, 2.0)
-    L = -x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)])[0]
+    L = x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)]).L
     coo = L.tocoo()
     k = int(np.max(np.abs(coo.col - coo.row)))
     monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * L.shape[0] * (3 * k + 1))
@@ -1228,7 +1243,7 @@ def test_band_solver_with_every_block_factored_keeps_no_operator_copy(monkeypatc
     coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(2.0 * x) ** 2,
                                      lambda x, y: 0.3 * np.cos(2.0 * (x + y)),
                                      lambda x, y: 1.0 + 0.5 * np.cos(2.0 * y) ** 2, 0.5, 2.0)
-    L = -x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)])[0]
+    L = x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)]).L
     n, shifts = L.shape[0], np.linspace(0.0, 60.0, 7)
     k = int(np.max(np.abs(L.tocoo().col - L.tocoo().row)))
     reach = _closure_reach(semigroup._shifted_solver(L, shifts, "block {k}"))
@@ -1262,7 +1277,7 @@ def test_shifted_solver_takes_complex_shifts_through_the_tridiagonal_lu(
     coeff = CoefficientField(
         1, lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)),
         lam, lam * ratio)
-    L = -x_operator(coeff, [xs])[0]
+    L = x_operator(coeff, [xs]).L
     b = np.random.default_rng(seed).standard_normal((len(shifts), L.shape[0]))
     with mock.patch.object(lapack, "zgttrf", wraps=lapack.zgttrf) as gt, \
             mock.patch.object(lapack, "dpttrf", wraps=lapack.dpttrf) as pt, \
@@ -1322,15 +1337,17 @@ def test_2d_fractional_powers_with_strong_anisotropy(n, base, amp, t, freq, sign
 
 
 def _diags_1d_x_operator(coeff, xs):
-    """The 1-D (Ax, Bx) as sp.diags and a COO matrix build them."""
+    """The 1-D L and lateral weights as sp.diags and a COO matrix build them:
+    -Ax and the rows of Bx that have entries, on the two boundary columns."""
     nx, xi = len(xs), xs[1:-1]
     a = np.broadcast_to(coeff.components(xi), xi.shape).astype(float)
     hm, hp = xi - xs[:-2], xs[2:] - xi
     cW, cE, cC = 2.0 / (hm * (hm + hp)), 2.0 / (hp * (hm + hp)), -2.0 / (hm * hp)
     Ax = sp.diags([(a * cW)[1:], a * cC, (a * cE)[:-1]], [-1, 0, 1], format="csr")
-    Bx = sp.csr_matrix(([a[0] * cW[0], a[-1] * cE[-1]], ([0, nx - 3], [0, nx - 1])),
-                       shape=(nx - 2, nx))
-    return Ax, Bx
+    Bx = sp.csr_matrix(([a[0] * cW[0], a[-1] * cE[-1]], ([0, nx - 3], [0, 1])),
+                       shape=(nx - 2, 2))
+    rows = np.flatnonzero(np.diff(Bx.indptr))
+    return -Ax, rows, Bx[rows]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1341,14 +1358,17 @@ def test_1d_x_operator_writes_the_arrays_of_the_diags_build(steps, start, lam, r
                                                             reverse):
     # nonuniform axes, increasing or decreasing, and a non-identity a(x): the
     # directly written CSR arrays are those of sp.diags and the COO build,
-    # bit for bit, zero weights dropped from Ax and kept in Bx
+    # bit for bit, zero weights dropped from L and kept in the lateral coupling
     xs = start + np.concatenate([[0.0], np.cumsum(steps)])
     if reverse:
         xs = xs[::-1].copy()
     coeff = CoefficientField(
         1, lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)),
         lam, lam * ratio)
-    for got, ref in zip(x_operator(coeff, [xs]), _diags_1d_x_operator(coeff, xs)):
+    op = x_operator(coeff, [xs])
+    L, rows, B = _diags_1d_x_operator(coeff, xs)
+    assert np.array_equal(op.lateral[0], rows)
+    for got, ref in ((op.L, L), (op.lateral[1], B)):
         assert got.format == ref.format == "csr" and got.shape == ref.shape
         for name in ("data", "indices", "indptr"):
             g, r = getattr(got, name), getattr(ref, name)
@@ -1390,26 +1410,29 @@ def test_1d_x_operator_refuses_weights_that_overflow_or_a_diagonal_that_underflo
 def test_1d_x_operator_on_a_decreasing_axis_gives_the_mirrored_m_matrix():
     xs = np.array([0.0, 0.1, 0.35, 0.5, 0.9, 1.0])
     coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
-    Ax, Bx = (M.toarray() for M in x_operator(coeff, [xs]))
-    Rx, Rb = (M.toarray() for M in x_operator(coeff, [xs[::-1].copy()]))
-    assert np.array_equal(Rx, Ax[::-1, ::-1]) and np.array_equal(Rb, Bx[::-1, ::-1])
-    off = Rx - np.diag(np.diag(Rx))
-    assert np.all(off >= 0.0) and np.all(np.diag(Rx) < 0.0) and np.all(Rx.sum(axis=1) <= 0.0)
+    op, rop = x_operator(coeff, [xs]), x_operator(coeff, [xs[::-1].copy()])
+    L, RL = op.L.toarray(), rop.L.toarray()
+    assert np.array_equal(RL, L[::-1, ::-1])
+    assert np.array_equal(_lateral_block(rop, xs.shape), _lateral_block(op, xs.shape)[::-1, ::-1])
+    off = RL - np.diag(np.diag(RL))
+    assert np.all(off <= 0.0) and np.all(np.diag(RL) > 0.0) and np.all(RL.sum(axis=1) >= 0.0)
 
 
 def _sparse_fit_interval(stepper):
-    """The fit interval and symmetry flag from the sparse expressions on L."""
-    L = stepper.L
-    rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in stepper.grid.axes())
-    hi = max(float(np.max(abs(L).sum(axis=1))), 2.0 * stepper.lam_floor)
+    """The fit interval and symmetry flag from the sparse expressions on L,
+    the floor from the grid and the declared lam."""
+    L, grid = stepper.L, stepper.grid
+    floor = stepper.coeff.lam * sum(8.0 / (hi - lo) ** 2 for lo, hi in zip(grid.los, grid.his))
+    rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in grid.axes())
+    hi = max(float(np.max(abs(L).sum(axis=1))), 2.0 * floor)
     symmetric = abs(L - L.T).max() <= 8 * np.finfo(float).eps * rounding * abs(L).max()
-    return (stepper.lam_floor, hi), bool(symmetric)
+    return (floor, hi), bool(symmetric)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 300), st.floats(-3.0, 3.0), st.floats(0.1, 10.0),
        st.sampled_from(["identity", "variable"]), st.floats(1.0, 1e3), st.floats(0.5, 20.0))
-@example(3, 0.0, np.pi, "identity", 1.0, 1.0)  # one interior node: the top is 2 lam_floor
+@example(3, 0.0, np.pi, "identity", 1.0, 1.0)  # one interior node: the top is 2 floor
 @example(65, 0.0, np.pi, "identity", 1.0, 1.0)  # symmetric
 @example(65, 0.0, np.pi, "variable", 10.0, 3.0)  # not symmetric
 def test_1d_stepper_fit_interval_is_the_sparse_expressions_bit_for_bit(m, lo, length, field,
@@ -1418,9 +1441,9 @@ def test_1d_stepper_fit_interval_is_the_sparse_expressions_bit_for_bit(m, lo, le
              CoefficientField(1, lambda x: 1.0 + (ratio - 1.0) * np.sin(freq * x) ** 2,
                               1.0, ratio))
     stepper = SemigroupStepper(coeff, BoxGrid.interval(lo, lo + length, m))
-    got = stepper._fit_interval
+    got = stepper._op.fit_interval
     assert got == _sparse_fit_interval(stepper)
-    assert type(got[1]) is bool and got[0][1] >= 2.0 * stepper.lam_floor
+    assert type(got[1]) is bool and got[0][1] >= 2.0 * stepper._op.floor
 
 
 @pytest.mark.parametrize("field", ["identity", "variable"])
@@ -1428,21 +1451,13 @@ def test_1d_stepper_fit_interval_is_the_sparse_expressions_bit_for_bit(m, lo, le
 def test_2d_stepper_fit_interval_is_the_sparse_expressions(field, n):
     coeff = CoefficientField.identity(2) if field == "identity" else _variable_2d_field()
     stepper = _stepper_2d(coeff, n)
-    assert stepper._fit_interval == _sparse_fit_interval(stepper)
+    assert stepper._op.fit_interval == _sparse_fit_interval(stepper)
 
 
 @pytest.mark.parametrize("dim, field, symmetric", [(1, "identity", True), (1, "variable", False),
                                                    (2, "identity", True), (2, "variable", False)])
 def test_powers_on_one_stepper_derive_the_fit_interval_once(monkeypatch, dim, field, symmetric):
-    derive, derived = SemigroupStepper._fit_interval.func, []
-
-    def spy(self):
-        derived.append(self)
-        return derive(self)
-
-    prop = cached_property(spy)
-    prop.__set_name__(SemigroupStepper, "_fit_interval")
-    monkeypatch.setattr(SemigroupStepper, "_fit_interval", prop)
+    derived = _spy_on_fit_interval(monkeypatch)
     if dim == 1:
         coeff = (CoefficientField.identity(1) if field == "identity" else
                  CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5))
@@ -1455,10 +1470,52 @@ def test_powers_on_one_stepper_derive_the_fit_interval_once(monkeypatch, dim, fi
     _, apply_info = fractional_apply(stepper, u, 0.4)
     inv, inverse_info = fractional_inverse(stepper, u, 0.4)
     _, back_info = fractional_apply(stepper, inv, 0.4)
-    assert derived == [stepper]
+    assert derived == [stepper._op]
     (lo, hi), flag = _sparse_fit_interval(stepper)
     for info in (apply_info, inverse_info, back_info):
         assert info["interval"] == [lo, hi] and info["symmetric"] is flag is symmetric
+
+
+def _spy_on_fit_interval(monkeypatch):
+    """The x-operator records whose fit interval is derived from now on, in
+    the order of derivation; the memo starts empty."""
+    derive, derived = semigroup._XOperator.fit_interval.func, []
+
+    def spy(self):
+        derived.append(self)
+        return derive(self)
+
+    prop = cached_property(spy)
+    prop.__set_name__(semigroup._XOperator, "fit_interval")
+    monkeypatch.setattr(semigroup._XOperator, "fit_interval", prop)
+    semigroup._assembled.cache_clear()
+    return derived
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_second_stepper_on_the_field_and_mesh_derives_no_fit_interval(monkeypatch, dim):
+    # the interval depends on the axes, L and the declared lam, all fixed by
+    # the record's key: a second stepper reads the first one's, and its
+    # powers and contour keep their bits
+    derived = _spy_on_fit_interval(monkeypatch)
+    if dim == 1:
+        coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
+        grid = BoxGrid.interval(0.0, np.pi, 65)
+        u = GridFunction.from_callable(grid, lambda x: np.sin(x) * (1.0 + x))
+    else:
+        coeff, grid = _variable_2d_field(), BoxGrid.rectangle((0.0, 0.0), (1.0, 1.0), (11, 11))
+        u = _random_2d(grid, 5)
+    runs = []
+    for _ in range(2):
+        stepper = SemigroupStepper(coeff, grid)
+        fields = [fractional_apply(stepper, u, 0.3), fractional_inverse(stepper, u, 0.7)]
+        if dim == 1:
+            out, info = extension_via_semigroup_multi(stepper, u, 0.3, [0.5])
+            fields.append((out[0], info))
+        runs.append((stepper, [(f.values.tobytes(), info) for f, info in fields]))
+    (first, got), (second, again) = runs
+    assert second._op is first._op and derived == [first._op]
+    assert got == again
 
 
 def _bounded(coeff, lam, Lam):
@@ -1529,13 +1586,14 @@ def test_x_operator_memo_hit_has_the_bits_of_a_fresh_build(kind, data):
     semigroup._assembled.cache_clear()
     built, made = _built(coeff, axes)
     hit, again = _built(coeff, axes)
-    assert (made, again) == (1, 0) and hit[0] is built[0] and hit[1] is built[1]
-    assert hit.L is built.L
+    assert (made, again) == (1, 0) and hit is built
     semigroup._assembled.cache_clear()
     fresh, remade = _built(coeff, axes)
     assert remade == 1
-    # Ax, Bx and L = -Ax, which is built with them
-    for got, ref in zip((*hit, hit.L), (*fresh, fresh.L)):
+    # L, the lateral rows and weights, and the floor
+    assert fresh.floor == hit.floor and _same_bits(fresh.lateral[0], hit.lateral[0])
+    assert not hit.lateral[0].flags.writeable
+    for got, ref in ((hit.L, fresh.L), (hit.lateral[1], fresh.lateral[1])):
         assert got is not ref and got.shape == ref.shape
         for name in ("data", "indices", "indptr"):
             g, r = getattr(got, name), getattr(ref, name)
@@ -1591,9 +1649,43 @@ def test_an_operator_over_the_node_bound_is_built_afresh_and_not_kept():
         axes = [np.linspace(0.0, 1.0, interior + 2)]
         (first, made_first), (second, made_second) = _built(coeff, axes), _built(coeff, axes)
         assert (made_first, made_second) == made
-        assert first[0].shape == (interior, interior) and first[1].shape == (interior, interior + 2)
-        for got, ref in zip((*first, first.L), (*second, second.L)):
+        assert first.L.shape == (interior, interior) and first.lateral[1].shape == (2, 2)
+        for got, ref in ((first.L, second.L), (first.lateral[1], second.lateral[1])):
             assert got.shape == ref.shape
             assert all(getattr(got, name).tobytes() == getattr(ref, name).tobytes()
                        for name in ("data", "indices", "indptr"))
     assert semigroup._assembled.cache_info().currsize == 1
+
+
+def _record_bytes(op, coeff):
+    """The array bytes of one memo entry: its key (the axes and the
+    coefficient values at the interior nodes), L and the lateral coupling."""
+    rows, B = op.lateral
+    key = sum(ax.nbytes for ax in op.axes) + 8 * op.L.shape[0] * (1 if coeff.n == 1 else 3)
+    return key + rows.nbytes + sum(a.nbytes for M in (op.L, B)
+                                   for a in (M.data, M.indices, M.indptr))
+
+
+@pytest.mark.parametrize("kind", ["1d", "2d-identity", "2d-a12"])
+@pytest.mark.parametrize("shape", [(9, 9), (3, 40), (33, 17)])
+def test_a_record_holds_l_once_within_its_bytes_per_node(kind, shape):
+    # no Ax beside L and no full-grid Bx: L, the lateral rows and weights on
+    # the boundary nodes alone, and scalars; at most 56 bytes per interior
+    # node in 1-D and 112 with a mixed term in 2-D, plus 24 per boundary node
+    if kind == "1d":
+        coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
+        axes, per_node = [np.linspace(0.0, 1.0, shape[0] * shape[1])], 56
+    else:
+        a12 = 0.3 if kind == "2d-a12" else 0.0
+        coeff = _constant_2d(1.0, a12, 1.0, 1.0 - a12, 1.0 + a12)
+        axes, per_node = [np.linspace(0.0, 0.1 * (n - 1), n) for n in shape], 112
+    semigroup._assembled.cache_clear()
+    op = x_operator(coeff, axes)
+    assert set(vars(op)) == {"axes", "L", "lateral", "floor"}
+    interior = op.L.shape[0]
+    boundary = int(np.prod([len(ax) for ax in axes])) - interior
+    rows, B = op.lateral
+    assert B.shape == (len(rows), boundary)
+    assert _record_bytes(op, coeff) <= per_node * interior + 24 * boundary
+    assert op.fit_interval[0][0] == op.floor
+    assert set(vars(op)) == {"axes", "L", "lateral", "floor", "fit_interval"}
