@@ -15,10 +15,13 @@ sweep over s assembles and scans it once.  The fit
 needs numpy and scipy.linalg only: AAA poles from a port of scipy's
 (`_aaa_poles`), weights by least squares that eliminates negative ones, no
 scipy.optimize or scipy.interpolate to load.
-The systems L - p_j I of the poles (23-32 in 1-D for N = 256-4096, about a
-dozen in 2-D) and the extension's y-modes are stacks of shifted x-operator
-systems, which `_shifted_solver` alone factors (no other module imports
-LAPACK).
+The systems L - p_j I of the poles and the extension's y-modes are stacks of
+shifted x-operator systems, which `_shifted_solver` alone factors (no other
+module imports LAPACK).  On intervals wider than hi/lo = 1e3 (every 1-D L
+from about 45 nodes on) every power picks its poles from one geometric
+candidate set (24-35 for a = 1 and N = 64-4096 cells), which the record
+factors once and every s solves through (`_XOperator.pole_set`); in 2-D,
+AAA's dozen or so poles depend on s, and each stepper factors them per power.
 
 The 1-D semigroup extension phi(L, z) u (`bessel_extension_profile`) is a
 trapezoid rule on a contour around that interval (`_profile_contour`):
@@ -188,12 +191,17 @@ def _assembled(axes, comps, bounds):
     double and an int32 each) with its row pointer, 56 bytes; in 2-D the
     key's 3 doubles and 5 (identity) to 7 (mixed term) stored entries of L
     and the coupling, at most 112 bytes.  The axes and the coupling's rows
-    add at most 24 bytes per boundary node.  `x_operator` keeps no operator
-    over _MEMO_NODES interior nodes (it calls the builder unmemoized), so an
-    entry holds at most about 2.6 MB (2-D, 1 x 2^14 interior nodes; 1.8 MB
-    on a square grid) and the 16 entries at most about 42 MB.  Counts obs
-    semigroup.operators per operator built (a hit counts none); a refusal
-    raises and is neither counted nor memoized.
+    add at most 24 bytes per boundary node.  A 1-D entry whose powers ran
+    on an interval wider than _AAA_MAX_RANGE also holds its candidate set
+    (`_XOperator.pole_set`): pttrf's 2 doubles per node and candidate, at
+    most 43 candidates where a fit certifies, and the symmetrizer's 2
+    doubles per node, at most 704 bytes per interior node.  `x_operator`
+    keeps no operator over _MEMO_NODES interior nodes (it calls the builder
+    unmemoized), so an entry holds at most about 12.5 MB (1-D with its
+    candidate set, 2^14 interior nodes; 2.6 MB in 2-D) and the 16 entries
+    at most about 200 MB.  Counts obs semigroup.operators per operator
+    built (a hit counts none); a refusal raises and is neither counted nor
+    memoized.
     """
     axes = [np.frombuffer(ax) for ax in axes]
     comps = [np.frombuffer(c) for c in comps]
@@ -339,7 +347,8 @@ class _XOperator:
     weights on the boundary nodes in raveled edge order (the nodes off the
     interior, C order).  floor: lam sum 8 / (hi - lo)^2, the declared lam
     times the least 3-point Dirichlet eigenvalue on the axes' (lo, hi) for
-    any spacing, a lower bound of L's spectrum.  `fit_interval` on first use.
+    any spacing, a lower bound of L's spectrum.  `fit_interval` and, in 1-D,
+    the factored candidate poles of every power (`pole_set`) on first use.
     """
 
     def __init__(self, axes, lam, L, lateral):
@@ -347,6 +356,23 @@ class _XOperator:
         lateral[0].flags.writeable = False
         self.lateral = lateral[0], _read_only(lateral[1])
         self.floor = lam * sum(8.0 / (float(ax[-1]) - float(ax[0])) ** 2 for ax in axes)
+
+    @cached_property
+    def pole_set(self):
+        """(candidates, solve) on first use: `_geometric_poles` of the fit
+        interval, read-only, which every power's fit on it picks from, and
+        the `_shifted_solver` of every L - p I over them.  Only a 1-D L with
+        more than one interior node and every off-diagonal stored (< 0: the
+        solver's pttrf, 2 numbers per unknown and candidate) on an interval
+        wider than _AAA_MAX_RANGE has one; None elsewhere, where the poles
+        depend on beta or the factors are band LU.
+        """
+        (lo, hi), _ = self.fit_interval
+        poles, m = _geometric_poles(lo, hi), self.L.shape[0]
+        if poles is None or len(self.axes) != 1 or m < 2 or self.L.nnz != 3 * m - 2:
+            return None
+        poles.flags.writeable = False
+        return poles, _shifted_solver(self.L, -poles, "L - ({p:g}) I is singular")
 
     @cached_property
     def fit_interval(self):
@@ -450,6 +476,8 @@ def _shifted_solver(A, shifts, message):
         diag, off, info = dpttrf(diag.ravel(), off.ravel()[:-1], overwrite_d=1, overwrite_e=1)
         check(info)
         scale = 1.0 / d
+        for held in (d, scale, diag, off):  # a record may hold them (`_XOperator.pole_set`)
+            held.flags.writeable = False
 
         def substitute(rows):
             rows *= scale
@@ -515,16 +543,19 @@ class SemigroupStepper:
     What does not depend on s is the memoized x-operator record
     (`_XOperator`): L, read-only and shared by every stepper on the field
     and grid, the spectral floor (resting on the declared lam of `coeff`,
-    which `x_operator` checks) and the fit interval with L's symmetry flag,
-    derived once per record.  The stepper keeps its own: the factored pole
-    systems of every power x^-beta it has applied (`_pole_solver`), the 1-D
-    modes L = D Q diag(lam) Q^T D^{-1} (`_modes`, on first use: one
-    eigh_tridiagonal of the symmetric D^{-1} L D, `_tridiagonal_symmetrizer`),
-    in which e^{-tL} alone is applied, and the decay cut-off.  Fractional powers
-    (info: beta, poles, interval, sup_rel_error, symmetric) take one
-    shifted solve per pole in every dimension, the 1-D semigroup extension
-    (info: nodes, interval, sup_error) one complex solve per node pair; 2-D
-    heat and extension raise ValueError.
+    which `x_operator` checks), the fit interval with L's symmetry flag,
+    derived once per record, and in 1-D the factored candidate poles that
+    every power picks from (`pole_set`).  The stepper keeps its own: the
+    factored pole systems of every power x^-beta it has applied where the
+    record holds no candidate set (2-D and the narrowest 1-D intervals:
+    `_pole_solver`), the 1-D modes L = D Q diag(lam) Q^T D^{-1} (`_modes`,
+    on first use: one eigh_tridiagonal of the symmetric D^{-1} L D,
+    `_tridiagonal_symmetrizer`), in which e^{-tL} alone is applied, and the
+    decay cut-off.  Fractional powers (info: beta, poles, interval,
+    sup_rel_error, symmetric) take one shifted solve per pole (per
+    candidate, where the record holds them) in every dimension, the 1-D
+    semigroup extension (info: nodes, interval, sup_error) one complex solve
+    per node pair; 2-D heat and extension raise ValueError.
 
     Its operator and grid do not change after construction; solves at
     distinct times are independent.
@@ -547,14 +578,17 @@ class SemigroupStepper:
         return (*eigh_tridiagonal(self.L.diagonal(), e), d)  # (lam, Q, d = diag D)
 
     def _pole_solver(self, beta, poles):
-        """The `_shifted_solver` of every L - p I over the poles of the fit
-        of x^-beta, factored on the first call for beta and kept: the poles
-        depend only on beta and the record's `fit_interval`."""
-        solve = self._pole_solvers.get(beta)
-        if solve is None:
-            solve = self._pole_solvers[beta] = _shifted_solver(self.L, -poles,
-                                                               "L - ({p:g}) I is singular")
-        return solve
+        """(candidates, solve): the `_shifted_solver` of every L - p I over
+        candidate poles among which are the poles of the fit of x^-beta.
+        The record's set where it holds one (`_XOperator.pole_set`, shared by
+        every beta and stepper), else the fit's own poles, factored on the
+        first call for beta and kept: they depend only on beta and the
+        record's `fit_interval`."""
+        held = self._op.pole_set or self._pole_solvers.get(beta)
+        if held is None:
+            held = self._pole_solvers[beta] = poles, _shifted_solver(
+                self.L, -poles, "L - ({p:g}) I is singular")
+        return held
 
     def heat_interior(self, v, t):
         """e^{-tL} v for an interior-node vector v: v itself at t = 0, zero
@@ -662,12 +696,22 @@ def _aaa_poles(z, f):
 def _candidate_poles(x, beta):
     """The poles `_power_fit` offers the weight fit of x^{-beta} on the
     increasing samples x: AAA's real negative ones up to x[-1] / x[0] =
-    _AAA_MAX_RANGE (up to rounding: lo * _AAA_MAX_RANGE / lo may exceed it
-    by an ulp), geometric ones and 0 beyond."""
-    lo, hi = x[0], x[-1]
-    if hi / lo <= _AAA_MAX_RANGE * (1.0 + 4.0 * np.finfo(float).eps):
+    _AAA_MAX_RANGE, `_geometric_poles` beyond."""
+    poles = _geometric_poles(x[0], x[-1])
+    if poles is None:
         poles = _aaa_poles(x, x**-beta)
         return poles[(np.abs(poles.imag) <= 1e-12 * np.abs(poles)) & (poles.real < 0.0)].real
+    return poles
+
+
+def _geometric_poles(lo, hi):
+    """The candidate poles of every power on [lo, hi] wider than
+    _AAA_MAX_RANGE (up to rounding: lo * _AAA_MAX_RANGE / lo may exceed it
+    by an ulp): _POLES_PER_DECADE per decade over [lo / _POLE_MARGIN, hi *
+    _POLE_MARGIN], decreasing, and 0; at most 43 where a fit certifies
+    (hi/lo <= ~4e9).  None on narrower intervals, where AAA's depend on beta."""
+    if hi / lo <= _AAA_MAX_RANGE * (1.0 + 4.0 * np.finfo(float).eps):
+        return None
     n = int(np.ceil(_POLES_PER_DECADE * np.log10(hi / lo * _POLE_MARGIN**2))) + 1
     return np.append(-np.geomspace(lo / _POLE_MARGIN, hi * _POLE_MARGIN, n), 0.0)
 
@@ -754,10 +798,12 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     """r(L) v for the fit r of x^{-beta} on [spectral floor, Gershgorin bound of L].
 
     The interval and the symmetry flag are read from the x-operator record,
-    which derives them once (`_XOperator.fit_interval`).  Every pole's
-    L - p I is factored in one `_shifted_solver` call (LinAlgError naming p
-    if one is singular), which the stepper keeps for later calls at the same
-    beta (`SemigroupStepper._pole_solver`).  info gives beta, the pole
+    which derives them once (`_XOperator.fit_interval`).  One substitution
+    solves L - p I for every candidate pole of `SemigroupStepper._pole_solver`
+    (LinAlgError naming p if one is singular) and the sum takes the rows of
+    the poles the fit keeps: the blocks are independent (exact zeros between
+    them), so each row has the bits of a solve over the kept poles alone.
+    info gives beta, the pole
     count, the interval, the fit's certificate and whether L is symmetric up
     to the rounding its node coordinates (errors of eps max|x|, relative to
     the smallest spacing) leave in the stencil weights; then the certificate
@@ -770,9 +816,10 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     c0, poles, w, err = _power_fit(lo, hi, beta)
     out = c0 * v
     if len(poles):  # beta ~ 1e-16 on a narrow interval: the fit is c0 alone, r(L) = c0 I
-        x = stepper._pole_solver(beta, poles)(np.broadcast_to(v, (len(poles), len(v))))
-        for wj, xj in zip(w, x):
-            out += wj * xj
+        candidates, solve = stepper._pole_solver(beta, poles)
+        x = solve(np.broadcast_to(v, (len(candidates), len(v))))
+        for wj, j in zip(w, np.flatnonzero(np.isin(candidates, poles))):
+            out += wj * x[j]
     info = {"beta": beta, "poles": len(poles), "interval": [lo, hi], "sup_rel_error": err,
             "symmetric": symmetric}
     return out, info
@@ -795,15 +842,27 @@ def _interior_on(stepper: SemigroupStepper, u: GridFunction):
     return u.interior()
 
 
+def _order(s):
+    """s as a float, as `MAGeometry` takes it; ValueError naming s unless it
+    is one number in (0, 1)."""
+    try:
+        if 0.0 < float(s) < 1.0:
+            return float(s)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"s must be in (0,1), got s = {s!r}")
+
+
 def fractional_apply(stepper: SemigroupStepper, u: GridFunction, s, quad=QuadratureSpec()):
     """L^s u = r_{1-s}(L)(L u); returns (grid function, info dict).
 
     r_{1-s} is the certified rational fit of x^{s-1} (`_power_fit`); the form
     L r_{1-s}(L) u would multiply the fit's error by the top of the spectrum.
     info as in `_rational_power`.  `quad` is accepted for compatibility; it
-    has no effect.  ValueError unless u lives on the stepper's grid.
+    has no effect.  ValueError unless u lives on the stepper's grid and s is
+    one number in (0, 1) (`_order`).
     """
-    out, info = _rational_power(stepper, stepper.L @ _interior_on(stepper, u), 1.0 - s)
+    out, info = _rational_power(stepper, stepper.L @ _interior_on(stepper, u), 1.0 - _order(s))
     return stepper.wrap_interior(out), info
 
 
@@ -812,9 +871,10 @@ def fractional_inverse(stepper: SemigroupStepper, f: GridFunction, s, quad=Quadr
 
     r_s is the certified rational fit of x^{-s} (`_power_fit`); info as in
     `_rational_power`.  `quad` is accepted for compatibility; it has no
-    effect.  ValueError unless f lives on the stepper's grid.
+    effect.  ValueError unless f lives on the stepper's grid and s is one
+    number in (0, 1) (`_order`).
     """
-    out, info = _rational_power(stepper, _interior_on(stepper, f), s)
+    out, info = _rational_power(stepper, _interior_on(stepper, f), _order(s))
     return stepper.wrap_interior(out), info
 
 
@@ -832,11 +892,12 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     semigroup.extension_nodes), `interval` and `sup_error`, the scalar
     rule's largest sampled error on [lo, hi] over the heights: the field's
     2-norm error is at most cond(V) sup_error |u|, V the eigenvectors of L.
-    ValueError in 2-D, off the stepper's grid, unless 0 < s < 1 and zs holds at least
-    one height, each finite and positive, and for a sup_error above _EXTENSION_TOL
-    (naming s, z).
+    ValueError in 2-D, off the stepper's grid, unless s is one number in
+    (0, 1) (`_order`) and zs holds at least one height, each finite and
+    positive, and for a sup_error above _EXTENSION_TOL (naming s, z).
     `quad` is accepted for compatibility; it has no effect.
     """
+    s = _order(s)
     zs = np.asarray(zs, dtype=float).reshape(-1)
     if not zs.size:
         raise ValueError("the semigroup extension needs at least one height z")
@@ -844,8 +905,6 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
         raise ValueError("extension height z must be finite and positive")
     if stepper.grid.ndim != 1:
         raise ValueError("the semigroup extension is computed on 1-D grids only")
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must be in (0,1)")
     v = _interior_on(stepper, u)
     (lo, hi), _ = stepper._op.fit_interval
     zeta, c, lam = _profile_contour(lo, hi)

@@ -1,8 +1,10 @@
 """Semigroup core: heat semigroup, fractional powers, extension profile."""
 
+import json
 import re
 import types
 import warnings
+from dataclasses import dataclass
 from functools import cached_property
 from unittest import mock
 
@@ -518,18 +520,22 @@ def test_fractional_powers_refuse_a_grid_function_from_another_grid(op):
                                   lambda: _stepper_2d(CoefficientField.identity(2), 9)])
 def test_a_second_power_at_the_same_beta_reuses_the_pole_factors(monkeypatch, make):
     # the round trip L^s L^{-s} applies beta = 1 - s twice: the second apply
-    # factors nothing and gives the bits of a fresh stepper's apply
+    # factors nothing and gives the bits of a fresh stepper's apply.  In 1-D
+    # (N = 64, hi/lo ~ 2e3) the record's candidate set serves both betas: one
+    # factorization; in 2-D the stepper factors each beta's AAA poles
+    semigroup._assembled.cache_clear()
     calls = []
     shifted = semigroup._shifted_solver
     monkeypatch.setattr(semigroup, "_shifted_solver",
                         lambda *args: calls.append(args) or shifted(*args))
     st_, s = make(), 0.3
+    factored = 1 if st_.grid.ndim == 1 else 2
     u = st_.wrap_interior(np.random.default_rng(3).standard_normal(st_.L.shape[0]))
     first, _ = fractional_apply(st_, u, s)
     inv, _ = fractional_inverse(st_, u, s)
-    assert len(calls) == 2
+    assert len(calls) == factored
     again, _ = fractional_apply(st_, inv, s)
-    assert len(calls) == 2
+    assert len(calls) == factored
     fresh, _ = fractional_apply(make(), inv, s)
     assert np.array_equal(again.values, fresh.values)
     assert np.array_equal(first.values, fractional_apply(make(), u, s)[0].values)
@@ -628,6 +634,34 @@ def test_extension_refuses_s_outside_the_unit_interval(s):
             call()
 
 
+@pytest.mark.parametrize("s", [-0.1, 1.1, np.nan, np.array([0.4, 0.5]), [0.4], "half", None])
+def test_public_powers_refuse_a_bad_s_by_name(s):
+    # -0.1 was reported as beta = 1.1, an array leaked numpy's ambiguous truth
+    # value or the fit memo's unhashable type
+    st_ = _stepper_1d(N=16)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    for call in (lambda: fractional_apply(st_, u, s), lambda: fractional_inverse(st_, u, s),
+                 lambda: extension_via_semigroup_multi(st_, u, s, [0.3])):
+        with pytest.raises(ValueError, match=r"s must be in \(0,1\), got s = "):
+            call()
+
+
+def test_public_powers_take_s_as_a_float():
+    # a 0-d array or a float32 is the float it holds, and info stays JSON
+    def extension(st_, u, s):
+        (U,), info = extension_via_semigroup_multi(st_, u, s, [0.3])
+        return U, info
+
+    st_ = _stepper_1d(N=64)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    for s in (np.array(0.4), np.float32(0.3)):
+        for power in (fractional_apply, fractional_inverse, extension):
+            out, info = power(st_, u, s)
+            ref, ref_info = power(st_, u, float(s))
+            assert info == ref_info and json.loads(json.dumps(info)) == info
+            assert np.array_equal(out.values, ref.values)
+
+
 @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
 def test_semigroup_extension_at_4096_nodes_matches_the_bessel_profile(s):
     # the widest 1-D spectrum (hi/lo = 8.4e6): 114 nodes, 57 complex solves
@@ -667,12 +701,19 @@ def test_semigroup_extension_node_count_grows_slowly_and_never_diagonalizes(monk
 
 
 def test_fractional_powers_count_their_shifted_blocks():
+    # the first power on a fresh N = 64 record factors its 24 candidate
+    # poles, of which the fit keeps fewer; a second beta factors none
+    semigroup._assembled.cache_clear()
     st_ = _stepper_1d(N=64)
     u = GridFunction.from_callable(st_.grid, np.sin)
     with obs.recording() as counts:
         _, info = fractional_inverse(st_, u, 0.5)
-    assert counts == {"semigroup.shifted_blocks": info["poles"],
-                      "semigroup.shifted_unknowns": info["poles"] * 63}
+    assert (counts["semigroup.shifted_blocks"], counts["semigroup.shifted_unknowns"]) == (24, 24 * 63)
+    assert 0 < info["poles"] < 24
+    with obs.recording() as counts:
+        _, info = fractional_apply(st_, u, 0.2)
+    assert counts["semigroup.shifted_blocks"] == counts["semigroup.shifted_unknowns"] == 0
+    assert info["poles"] > 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -1689,3 +1730,83 @@ def test_a_record_holds_l_once_within_its_bytes_per_node(kind, shape):
     assert _record_bytes(op, coeff) <= per_node * interior + 24 * boundary
     assert op.fit_interval[0][0] == op.floor
     assert set(vars(op)) == {"axes", "L", "lateral", "floor", "fit_interval"}
+
+
+@dataclass(frozen=True)
+class _GradedInterval(BoxGrid):
+    """(lo, hi) with nodes lo + (hi - lo) (t + 0.4 t (1 - t)), t uniform:
+    steps from 1.4 to 0.6 times the uniform one."""
+
+    def axes(self):
+        t = np.linspace(0.0, 1.0, self.shape[0])
+        return [self.los[0] + (self.his[0] - self.los[0]) * (t + 0.4 * t * (1.0 - t))]
+
+
+def _kept_pole_power(st_, v, info):
+    """r(L) v over the fit's kept poles alone, factored for them: the sum
+    `_rational_power` made before the record held a candidate set."""
+    c0, poles, w, _ = semigroup._power_fit(*info["interval"], info["beta"])
+    x = semigroup._shifted_solver(st_.L, -poles, "L - ({p:g}) I is singular")(
+        np.broadcast_to(v, (len(poles), len(v))))
+    out = c0 * v
+    for wj, xj in zip(w, x):
+        out += wj * xj
+    return out
+
+
+@pytest.mark.parametrize("grid", [BoxGrid.interval(0.0, np.pi, 1026),
+                                  _GradedInterval((0.0,), (np.pi,), (1026,))])
+def test_an_s_sweep_factors_one_candidate_set_with_the_bits_of_the_kept_poles(grid):
+    # s = 0.1, ..., 0.9, a fresh stepper per s: every power picks its poles
+    # from the record's one factored candidate set, and each field has the
+    # bits of a solve factored for the kept poles alone
+    coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, 1.0, 1.5)
+    u = GridFunction.from_callable(grid, lambda x: np.sin(x) * (1.0 + x))
+    semigroup._assembled.cache_clear()
+    fields = []
+    with obs.recording() as counts:
+        for s in [k / 10 for k in range(1, 10)]:
+            st_ = SemigroupStepper(coeff, grid)
+            for power in (fractional_inverse, fractional_apply):
+                fields.append((st_, power, power(st_, u, s)))
+    candidates, _ = st_._op.pole_set
+    assert counts["semigroup.operators"] == 1
+    assert counts["semigroup.shifted_blocks"] == len(candidates)
+    for st_, power, (out, info) in fields:
+        assert info["poles"] < len(candidates)
+        v = st_.L @ u.interior() if power is fractional_apply else u.interior()
+        assert np.array_equal(out.interior(), _kept_pole_power(st_, v, info))
+
+
+def test_a_narrow_1d_interval_factors_each_powers_aaa_poles():
+    # N = 32 (hi/lo ~ 500): AAA's poles depend on beta, so the record holds no
+    # candidate set and each beta's stepper factors its own poles
+    coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, 1.0, 1.5)
+    grid = BoxGrid.interval(0.0, np.pi, 33)
+    u = GridFunction.from_callable(grid, np.sin)
+    for s in (0.2, 0.4, 0.9):
+        st_ = SemigroupStepper(coeff, grid)
+        for power in (fractional_inverse, fractional_apply):
+            with obs.recording() as counts:
+                _, info = power(st_, u, s)
+            assert counts["semigroup.shifted_blocks"] == info["poles"] > 0
+    assert st_._op.pole_set is None
+
+
+@pytest.mark.parametrize("N", [64, 1025, 4097])
+def test_a_candidate_set_holds_16_bytes_per_interior_node_and_candidate(N):
+    # pttrf's factors, 2 doubles per node and candidate, and the
+    # symmetrizer's 2 doubles per node, all read-only; at most 43 candidates
+    # where a fit certifies (hi/lo <= 4.5e9), so at most 704 bytes per node
+    coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, 1.0, 1.5)
+    semigroup._assembled.cache_clear()
+    op = SemigroupStepper(coeff, BoxGrid.interval(0.0, np.pi, N + 1))._op
+    candidates, solve = op.pole_set
+    assert not candidates.flags.writeable
+    arrays = [a for a in _closure_reach(solve) if isinstance(a, np.ndarray)]
+    held = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+    k, m = len(candidates), op.L.shape[0]
+    assert sum(b.nbytes for b in held.values()) == (16 * k + 16) * m + 8 * k
+    assert not any(a.flags.writeable for a in arrays if a.size >= m)
+    widest = semigroup._RATIONAL_TOL / np.finfo(float).eps  # eps hi/lo is in every certificate
+    assert len(semigroup._geometric_poles(1.0, widest)) == 43
