@@ -56,7 +56,7 @@ from numbers import Integral
 import numpy as np
 
 from . import obs
-from .geometry import MAGeometry, transform_to_y, transform_to_z
+from .geometry import MAGeometry, _order, transform_to_y, transform_to_z
 from .gridfn import non_json, write_grid_binary, write_json
 from .semigroup import CoefficientField, _shifted_solver, x_operator
 
@@ -136,8 +136,7 @@ class ExtensionProblem:
     g_top: object = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError("s must be in (0,1)")
+        self.s = _order(self.s)
         if not (np.isfinite(self.Z) and self.Z > 0):
             raise ValueError(f"Z must be positive and finite, got {self.Z}")
         try:

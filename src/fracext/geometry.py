@@ -58,6 +58,19 @@ def _check_radius(R):
         raise ValueError("section center and radius must be finite")
 
 
+def _order(s):
+    """s as a float, the one rule for a valid s: ValueError naming s unless
+    it is one number in (0, 1), not a string, bytes or an array of shape
+    other than ()."""
+    if getattr(s, "ndim", 0) == 0 and not isinstance(s, (str, bytes)):
+        try:
+            if 0.0 < float(s) < 1.0:
+                return float(s)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"s must be in (0,1), got s = {s!r}")
+
+
 def transform_to_y(z, s):
     """y = 2s z^{1/(2s)}; turns h(z) into c_s y^2 / 2.  Identity at s = 1/2."""
     z = np.asarray(z, dtype=float)
@@ -79,15 +92,14 @@ def transform_to_z(y, s):
 class MAGeometry:
     """Closed-form quasi-metric machinery for fixed s and x-dimension n.
 
-    Owns s: ValueError unless 0 < s < 1 and the constants of h, q_s and c_s
-    are finite and nonzero (not so for s below ~1e-154).  Immutable after
-    construction; every method is pure and safe to share between threads.
+    Owns s: ValueError unless s is one number in (0, 1) (`_order`) and the
+    constants of h, q_s and c_s are finite and nonzero (not so for s below
+    ~1e-154).  Immutable after construction; every method is pure and safe
+    to share between threads.
     """
 
     def __init__(self, s, n=1):
-        s = float(s)
-        if not 0.0 < s < 1.0:
-            raise ValueError(f"s must be in (0,1), got {s}")
+        s = _order(s)
         if n not in (1, 2):
             raise ValueError("x-dimension must be 1 or 2")
         self.s = s

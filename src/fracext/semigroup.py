@@ -21,7 +21,9 @@ module imports LAPACK).  On intervals wider than hi/lo = 1e3 (every 1-D L
 from about 45 nodes on) every power picks its poles from one geometric
 candidate set (24-35 for a = 1 and N = 64-4096 cells), which the record
 factors once and every s solves through (`_XOperator.pole_set`); in 2-D,
-AAA's dozen or so poles depend on s, and each stepper factors them per power.
+AAA's dozen or so poles depend on s, and each power factors them for its own
+call.  Only the record and the fits (`_power_fit`) outlive a call, both in
+bounded memos; a stepper holds no factors.
 
 The 1-D semigroup extension phi(L, z) u (`bessel_extension_profile`) is a
 trapezoid rule on a contour around that interval (`_profile_contour`):
@@ -38,7 +40,7 @@ from numbers import Integral
 import numpy as np
 
 from . import obs
-from .geometry import transform_to_y
+from .geometry import _order, transform_to_y
 from .gridfn import BoxGrid, GridFunction
 
 
@@ -57,11 +59,11 @@ def __getattr__(name):
 
 
 def ds_constant(s):
-    """Trace constant d_s = s^{2s} Gamma(1-s) / Gamma(1+s) of the extension problem."""
+    """Trace constant d_s = s^{2s} Gamma(1-s) / Gamma(1+s) of the extension
+    problem; ValueError unless s is one number in (0, 1) (`_order`)."""
     from scipy.special import gamma
 
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must be in (0,1)")
+    s = _order(s)
     return s ** (2.0 * s) * gamma(1.0 - s) / gamma(1.0 + s)
 
 
@@ -432,7 +434,9 @@ def _shifted_solver(A, shifts, message):
     substitutes and releases one batch of blocks at a time, except the last
     batch it walks, which it keeps for the next call; that call walks the
     batches the other way round, so b batches cost b factorizations in the
-    first call and b - 1 in each later one.  The blocks follow one another,
+    first call and b - 1 in each later one.  The factors live as long as
+    solve: a power's for its one call (`_rational_power`), the record's
+    candidate set as long as the record.  The blocks follow one another,
     and the exact zeros between them keep them apart.
 
     solve(b, overwrite_b=False) maps stacked right-hand sides, (len(shifts),
@@ -545,17 +549,15 @@ class SemigroupStepper:
     and grid, the spectral floor (resting on the declared lam of `coeff`,
     which `x_operator` checks), the fit interval with L's symmetry flag,
     derived once per record, and in 1-D the factored candidate poles that
-    every power picks from (`pole_set`).  The stepper keeps its own: the
-    factored pole systems of every power x^-beta it has applied where the
-    record holds no candidate set (2-D and the narrowest 1-D intervals:
-    `_pole_solver`), the 1-D modes L = D Q diag(lam) Q^T D^{-1} (`_modes`,
-    on first use: one eigh_tridiagonal of the symmetric D^{-1} L D,
-    `_tridiagonal_symmetrizer`), in which e^{-tL} alone is applied, and the
-    decay cut-off.  Fractional powers (info: beta, poles, interval,
-    sup_rel_error, symmetric) take one shifted solve per pole (per
-    candidate, where the record holds them) in every dimension, the 1-D
-    semigroup extension (info: nodes, interval, sup_error) one complex solve
-    per node pair; 2-D heat and extension raise ValueError.
+    every power picks from (`pole_set`).  The stepper keeps only the 1-D
+    modes L = D Q diag(lam) Q^T D^{-1} (`_modes`, on first use: one
+    eigh_tridiagonal of the symmetric D^{-1} L D, `_tridiagonal_symmetrizer`),
+    in which e^{-tL} alone is applied, and the decay cut-off; no pole
+    factors.  Fractional powers (info: beta, poles, interval, sup_rel_error,
+    symmetric) take one shifted solve per pole (per candidate, where the
+    record holds them) in every dimension, the 1-D semigroup extension
+    (info: nodes, interval, sup_error) one complex solve per node pair; 2-D
+    heat and extension raise ValueError.
 
     Its operator and grid do not change after construction; solves at
     distinct times are independent.
@@ -568,7 +570,6 @@ class SemigroupStepper:
         self.L = self._op.L  # the record's Dirichlet L = -a^{ij} d_ij, shared: read-only
         # ||e^{-tL}u|| <= e^{-floor t}||u||: past 30 e-folds the heat is 0 to machine precision
         self._t_cutoff = 30.0 / self._op.floor
-        self._pole_solvers = {}
 
     @cached_property
     def _modes(self):
@@ -576,19 +577,6 @@ class SemigroupStepper:
 
         d, e = _tridiagonal_symmetrizer(self.L)
         return (*eigh_tridiagonal(self.L.diagonal(), e), d)  # (lam, Q, d = diag D)
-
-    def _pole_solver(self, beta, poles):
-        """(candidates, solve): the `_shifted_solver` of every L - p I over
-        candidate poles among which are the poles of the fit of x^-beta.
-        The record's set where it holds one (`_XOperator.pole_set`, shared by
-        every beta and stepper), else the fit's own poles, factored on the
-        first call for beta and kept: they depend only on beta and the
-        record's `fit_interval`."""
-        held = self._op.pole_set or self._pole_solvers.get(beta)
-        if held is None:
-            held = self._pole_solvers[beta] = poles, _shifted_solver(
-                self.L, -poles, "L - ({p:g}) I is singular")
-        return held
 
     def heat_interior(self, v, t):
         """e^{-tL} v for an interior-node vector v: v itself at t = 0, zero
@@ -799,8 +787,9 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
 
     The interval and the symmetry flag are read from the x-operator record,
     which derives them once (`_XOperator.fit_interval`).  One substitution
-    solves L - p I for every candidate pole of `SemigroupStepper._pole_solver`
-    (LinAlgError naming p if one is singular) and the sum takes the rows of
+    solves L - p I for every candidate pole of the record's `pole_set`, or
+    where it has none for the fit's own poles, factored for this call alone
+    (LinAlgError naming p if one is singular), and the sum takes the rows of
     the poles the fit keeps: the blocks are independent (exact zeros between
     them), so each row has the bits of a solve over the kept poles alone.
     info gives beta, the pole
@@ -816,7 +805,8 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     c0, poles, w, err = _power_fit(lo, hi, beta)
     out = c0 * v
     if len(poles):  # beta ~ 1e-16 on a narrow interval: the fit is c0 alone, r(L) = c0 I
-        candidates, solve = stepper._pole_solver(beta, poles)
+        candidates, solve = stepper._op.pole_set or (poles, _shifted_solver(
+            stepper.L, -poles, "L - ({p:g}) I is singular"))
         x = solve(np.broadcast_to(v, (len(candidates), len(v))))
         for wj, j in zip(w, np.flatnonzero(np.isin(candidates, poles))):
             out += wj * x[j]
@@ -840,17 +830,6 @@ def _interior_on(stepper: SemigroupStepper, u: GridFunction):
     if u.grid != stepper.grid:
         raise ValueError(f"the grid function is on {u.grid}, the stepper's on {stepper.grid}")
     return u.interior()
-
-
-def _order(s):
-    """s as a float, as `MAGeometry` takes it; ValueError naming s unless it
-    is one number in (0, 1)."""
-    try:
-        if 0.0 < float(s) < 1.0:
-            return float(s)
-    except (TypeError, ValueError):
-        pass
-    raise ValueError(f"s must be in (0,1), got s = {s!r}")
 
 
 def fractional_apply(stepper: SemigroupStepper, u: GridFunction, s, quad=QuadratureSpec()):
@@ -965,13 +944,13 @@ def bessel_extension_profile(lam, s, z):
     """Closed form of the extension profile: 2^{1-s}/Gamma(s) (k y)^s K_s(k y).
 
     Here k = sqrt(lam) and y = `transform_to_y(z, s)`: 1 at z = 0, 0 where y
-    overflows (lam > 0).  ValueError unless 0 < s < 1 and lam, z finite, >= 0.
+    overflows (lam > 0).  ValueError unless s is one number in (0, 1)
+    (`_order`) and lam, z are finite, >= 0.
     A scalar lam takes K_s once per distinct height of an array z, with the
     same bits (a 2-D oracle repeats each height n^2 times); obs counter
     semigroup.profile_points.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must be in (0,1)")
+    s = _order(s)
     z = np.asarray(z, dtype=float)
     if not (np.all(np.isfinite(lam) & (np.asarray(lam) >= 0.0))
             and np.all(np.isfinite(z) & (z >= 0.0))):

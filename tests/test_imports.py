@@ -387,14 +387,30 @@ def test_only_semigroup_imports_lapack():
     assert not found, "LAPACK imported outside semigroup.py: " + ", ".join(found)
 
 
+# per-instance dicts that are not memos: "file:self.attr" -> why its keys are bounded
+HELD_DICTS = {}
+
+
 def _memo_bounds():
     """{"file:function": maxsize} for every function under src/ decorated with
     functools' cache or lru_cache: None for cache and maxsize=None, 128 for
-    a bare lru_cache, the literal otherwise, and "not a literal" else."""
+    a bare lru_cache, the literal otherwise, and "not a literal" else.  Every
+    self.<attr> = {} or dict() under src/ not in HELD_DICTS is a memo on an
+    instance, which keeps every key the instance meets: "file:self.attr" ->
+    "per instance"."""
     found = {}
     for path in sorted((ROOT / "src").rglob("*.py")):
         rel = path.relative_to(ROOT).as_posix()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                    isinstance(node.value, ast.Dict) and not node.value.keys
+                    or isinstance(node.value, ast.Call) and not node.value.args
+                    and getattr(node.value.func, "id", "") == "dict"):
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    if (isinstance(target, ast.Attribute)
+                            and getattr(target.value, "id", "") == "self"
+                            and f"{rel}:self.{target.attr}" not in HELD_DICTS):
+                        found[f"{rel}:self.{target.attr}"] = "per instance"
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for dec in node.decorator_list:
@@ -413,12 +429,26 @@ def _memo_bounds():
 
 
 def test_every_memo_under_src_has_a_finite_bound():
-    # a memo without a bound keeps every distinct key a session meets
+    # a memo without a bound keeps every distinct key a session meets, and
+    # a dict on an instance keeps every key for the instance's life
     found = _memo_bounds()
     assert {name.split(":")[1] for name in found} >= {"_pencil_modes", "_power_fit", "_assembled"}
     unbounded = {name: size for name, size in found.items()
                  if not (type(size) is int and size > 0)}
     assert not unbounded, f"memos without a finite positive maxsize: {unbounded}"
+
+
+def test_the_memo_scan_sees_a_dict_on_an_instance(tmp_path, monkeypatch):
+    # a src/ tree of one file: the two empty dicts on an instance are flagged,
+    # a filled one and a local one are not
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "held.py").write_text("class A:\n    def __init__(self):\n"
+                                 "        self.a = {}\n        self.b: dict = dict()\n"
+                                 "        self.c = {1: 2}\n        d = {}\n")
+    monkeypatch.setattr(sys.modules[__name__], "ROOT", tmp_path)
+    assert _memo_bounds() == {"src/held.py:self.a": "per instance",
+                              "src/held.py:self.b": "per instance"}
 
 
 # scipy subpackages that no common experiment loads: only the tracer's

@@ -285,7 +285,8 @@ def test_sup_fitter_reused_equals_fresh_sup_fits(m, p, seed, shape):
 def _sup_fitter_reference(basis):
     """sup_fitter as scipy.linalg.qr's default mode ran it: the basis scaled
     in its own memory order, both pivoted QRs in mode "r" on copies LAPACK
-    may not overwrite, with finiteness checks, and B = B[:, keep]."""
+    may not overwrite, with finiteness checks, and B = B[:, keep]; the
+    exchange tolerance is the package's, floor included."""
     from scipy.linalg import qr
 
     basis = np.asarray(basis, dtype=float)
@@ -304,7 +305,9 @@ def _sup_fitter_reference(basis):
         coeffs, *_ = np.linalg.lstsq(basis, values, rcond=None)
         r = values - basis @ coeffs
         if np.max(np.abs(r)) > 0.0 and rows is not None:
-            tol = 1e-12 * min(max(1.0, float(np.max(np.abs(values)))), float(np.max(np.abs(r))))
+            top = float(np.max(np.abs(values)))
+            tol = max(1e-12 * min(max(1.0, top), float(np.max(np.abs(r)))),
+                      8 * (basis.shape[1] + 1) * np.finfo(float).eps * top)
             coeffs[keep] += fitting._exchange(B, r, tol, rows)[0] / col[keep]
         return coeffs, float(np.max(np.abs(values - basis @ coeffs)))
 
@@ -327,6 +330,7 @@ def _fit_or_message(fit, values):
 @example(m=33, q=6, seed=25, kind="repeated rows", order="F")  # stalls at a singular reference
 @example(m=60, q=6, seed=12, kind="repeated rows", order="C")  # a C-ordered B moves its bits
 @example(m=40, q=1, seed=0, kind="gaussian", order="C")
+@example(m=6, q=6, seed=14285, kind="repeated rows", order="C")  # stalls under the tol floor
 def test_sup_fitter_equals_the_default_mode_qr_path(m, q, seed, kind, order):
     # the column-major basis work and raw-mode QRs move no bit: coefficients,
     # errors and stall messages equal the default-mode path's, for C- and

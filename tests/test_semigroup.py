@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import types
 import warnings
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from fracext import obs, semigroup
 from fracext.extension import (ExtensionMesh, ExtensionProblem, harmonic_mode_profile,
                                solve_extension)
 from fracext.fitting import sup_fit
+from fracext.geometry import MAGeometry
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                                bessel_extension_profile, ds_constant,
@@ -518,27 +520,49 @@ def test_fractional_powers_refuse_a_grid_function_from_another_grid(op):
 
 @pytest.mark.parametrize("make", [lambda: _stepper_1d(N=64),
                                   lambda: _stepper_2d(CoefficientField.identity(2), 9)])
-def test_a_second_power_at_the_same_beta_reuses_the_pole_factors(monkeypatch, make):
-    # the round trip L^s L^{-s} applies beta = 1 - s twice: the second apply
-    # factors nothing and gives the bits of a fresh stepper's apply.  In 1-D
-    # (N = 64, hi/lo ~ 2e3) the record's candidate set serves both betas: one
-    # factorization; in 2-D the stepper factors each beta's AAA poles
+def test_a_second_power_at_the_same_beta_gives_a_fresh_steppers_bits(monkeypatch, make):
+    # the round trip L^s L^{-s} applies beta = 1 - s twice, and the second
+    # apply gives the bits of a fresh stepper's.  In 1-D (N = 64, hi/lo ~
+    # 2e3) the record's candidate set serves every power: one factorization;
+    # in 2-D each power factors its AAA poles for its own call, and the
+    # stepper keeps none of them
     semigroup._assembled.cache_clear()
     calls = []
     shifted = semigroup._shifted_solver
     monkeypatch.setattr(semigroup, "_shifted_solver",
                         lambda *args: calls.append(args) or shifted(*args))
     st_, s = make(), 0.3
-    factored = 1 if st_.grid.ndim == 1 else 2
+    per_power = 0 if st_.grid.ndim == 1 else 1
     u = st_.wrap_interior(np.random.default_rng(3).standard_normal(st_.L.shape[0]))
     first, _ = fractional_apply(st_, u, s)
     inv, _ = fractional_inverse(st_, u, s)
-    assert len(calls) == factored
+    assert len(calls) == 1 + per_power
     again, _ = fractional_apply(st_, inv, s)
-    assert len(calls) == factored
+    assert len(calls) == 1 + 2 * per_power
     fresh, _ = fractional_apply(make(), inv, s)
     assert np.array_equal(again.values, fresh.values)
     assert np.array_equal(first.values, fractional_apply(make(), u, s)[0].values)
+
+
+def test_a_2d_s_sweep_leaves_no_factors_on_the_stepper():
+    # 2-D powers factor their AAA poles per call: over a sweep of s the
+    # stepper's attributes stay those of construction, and the traced heap
+    # does not grow by the band LU of every beta (18.9 MiB on this grid)
+    st_ = SemigroupStepper(CoefficientField.identity(2),
+                           BoxGrid.rectangle((0.0, 0.0), (np.pi, np.pi), (21, 21)))
+    u = st_.wrap_interior(np.random.default_rng(5).standard_normal(st_.L.shape[0]))
+    fractional_inverse(st_, u, 0.5)  # imports and the record's fit interval
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in (0.15, 0.35, 0.55, 0.75, 0.9):
+            fractional_apply(st_, u, s)
+            fractional_inverse(st_, u, s)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2**20
+    assert set(vars(st_)) == {"coeff", "grid", "_op", "L", "_t_cutoff"}
 
 
 def test_extension_via_semigroup_grid():
@@ -644,6 +668,23 @@ def test_public_powers_refuse_a_bad_s_by_name(s):
                  lambda: extension_via_semigroup_multi(st_, u, s, [0.3])):
         with pytest.raises(ValueError, match=r"s must be in \(0,1\), got s = "):
             call()
+
+
+@pytest.mark.parametrize("s", [np.array([0.4, 0.5]), None, "0.5", np.nan, 1.0])
+@pytest.mark.parametrize("entry", [
+    MAGeometry,
+    lambda s: fractional_apply(_stepper_1d(N=16), GridFunction.from_callable(
+        BoxGrid.interval(0.0, np.pi, 17), np.sin), s),
+    ds_constant,
+    lambda s: bessel_extension_profile(4.0, s, 0.3),
+    lambda s: ExtensionProblem(s=s, coeff=CoefficientField.identity(1), domain=(0.0, 1.0), Z=1.0),
+], ids=["MAGeometry", "fractional_apply", "ds_constant", "bessel_extension_profile",
+        "ExtensionProblem"])
+def test_every_entry_point_refuses_a_bad_s_by_name(entry, s):
+    # one rule (`geometry._order`): a string was taken as its number, an
+    # array or None leaked a TypeError or numpy's ambiguous truth value
+    with pytest.raises(ValueError, match=r"s must be in \(0,1\), got s = "):
+        entry(s)
 
 
 def test_public_powers_take_s_as_a_float():
@@ -1780,7 +1821,7 @@ def test_an_s_sweep_factors_one_candidate_set_with_the_bits_of_the_kept_poles(gr
 
 def test_a_narrow_1d_interval_factors_each_powers_aaa_poles():
     # N = 32 (hi/lo ~ 500): AAA's poles depend on beta, so the record holds no
-    # candidate set and each beta's stepper factors its own poles
+    # candidate set and each power factors its own poles for its call
     coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, 1.0, 1.5)
     grid = BoxGrid.interval(0.0, np.pi, 33)
     u = GridFunction.from_callable(grid, np.sin)
