@@ -27,8 +27,11 @@ bounded memos; a stepper holds no factors.
 
 The 1-D semigroup extension phi(L, z) u (`bessel_extension_profile`) is a
 trapezoid rule on a contour around that interval (`_profile_contour`):
-complex shifted solves of L, shared by every height.  Only e^{-tL} is exact
-in the modes of the 1-D L (`SemigroupStepper._modes`, once per stepper).
+complex shifted solves of L, shared by every height.  Neither s nor z
+enters the contour, so the record holds its nodes and, up to
+_CONTOUR_BYTES of them, the factors of its systems (`_XOperator.contour`);
+a call substitutes, weights and certifies.  Only e^{-tL} is exact in the
+modes of the 1-D L (`SemigroupStepper._modes`, once per stepper).
 """
 
 from __future__ import annotations
@@ -197,13 +200,18 @@ def _assembled(axes, comps, bounds):
     on an interval wider than _AAA_MAX_RANGE also holds its candidate set
     (`_XOperator.pole_set`): pttrf's 2 doubles per node and candidate, at
     most 43 candidates where a fit certifies, and the symmetrizer's 2
-    doubles per node, at most 704 bytes per interior node.  `x_operator`
-    keeps no operator over _MEMO_NODES interior nodes (it calls the builder
-    unmemoized), so an entry holds at most about 12.5 MB (1-D with its
-    candidate set, 2^14 interior nodes; 2.6 MB in 2-D) and the 16 entries
-    at most about 200 MB.  Counts obs semigroup.operators per operator
-    built (a hit counts none); a refusal raises and is neither counted nor
-    memoized.
+    doubles per node, at most 704 bytes per interior node.  A 1-D entry
+    that met the semigroup extension also holds its contour
+    (`_XOperator.contour`): zgttrf's 68 bytes per interior node and contour
+    node (39-57 nodes), held only up to _CONTOUR_BYTES = 4 MiB (1,233
+    interior nodes for a = 1 on a uniform axis), and 64 bytes per contour
+    node for the nodes, weights and certificate samples.  `x_operator` keeps no operator over
+    _MEMO_NODES interior nodes (it calls the builder unmemoized), so an
+    entry holds at most about 16.7 MB (1-D with its candidate set and
+    contour factors, 2^14 interior nodes; 2.6 MB in 2-D) and the 16 entries
+    at most about 270 MB, of it at most 64 MiB of contour factors.  Counts
+    obs semigroup.operators per operator built (a hit counts none); a
+    refusal raises and is neither counted nor memoized.
     """
     axes = [np.frombuffer(ax) for ax in axes]
     comps = [np.frombuffer(c) for c in comps]
@@ -349,8 +357,9 @@ class _XOperator:
     weights on the boundary nodes in raveled edge order (the nodes off the
     interior, C order).  floor: lam sum 8 / (hi - lo)^2, the declared lam
     times the least 3-point Dirichlet eigenvalue on the axes' (lo, hi) for
-    any spacing, a lower bound of L's spectrum.  `fit_interval` and, in 1-D,
-    the factored candidate poles of every power (`pole_set`) on first use.
+    any spacing, a lower bound of L's spectrum.  On first use: `fit_interval`
+    and, in 1-D, the factored candidate poles of every power (`pole_set`) and
+    the semigroup extension's contour (`contour`).
     """
 
     def __init__(self, axes, lam, L, lateral):
@@ -375,6 +384,23 @@ class _XOperator:
             return None
         poles.flags.writeable = False
         return poles, _shifted_solver(self.L, -poles, "L - ({p:g}) I is singular")
+
+    @cached_property
+    def contour(self):
+        """(zeta, c, lam, solve) of the 1-D semigroup extension on first use:
+        `_profile_contour`'s upper nodes, weights and certificate samples
+        around the fit interval, read-only, and the `_shifted_solver` of
+        every L - zeta_k I (zgttrf: 4 complex numbers and an int32 pivot, 68
+        bytes per interior node and contour node).  solve is None where those
+        factors would pass _CONTOUR_BYTES; each call then factors its own.
+        """
+        (lo, hi), _ = self.fit_interval
+        zeta, c, lam = _profile_contour(lo, hi)
+        for arr in (zeta, c, lam):
+            arr.flags.writeable = False
+        if 68 * len(zeta) * self.L.shape[0] > _CONTOUR_BYTES:
+            return zeta, c, lam, None
+        return zeta, c, lam, _shifted_solver(self.L, -zeta, "L - ({p:g}) I is singular")
 
     @cached_property
     def fit_interval(self):
@@ -414,6 +440,7 @@ def _read_only(M):
 
 
 _BAND_BUDGET = 256 * 2**20  # bytes of band LU that `_shifted_solver` holds at once
+_CONTOUR_BYTES = 4 * 2**20  # bytes of contour factors an x-operator record holds
 
 
 def _shifted_solver(A, shifts, message):
@@ -436,8 +463,10 @@ def _shifted_solver(A, shifts, message):
     batches the other way round, so b batches cost b factorizations in the
     first call and b - 1 in each later one.  The factors live as long as
     solve: a power's for its one call (`_rational_power`), the record's
-    candidate set as long as the record.  The blocks follow one another,
-    and the exact zeros between them keep them apart.
+    candidate set and contour (`_XOperator.pole_set`, `.contour`) as long as
+    the record, a contour over _CONTOUR_BYTES for its one extension call.
+    Held pttrf and zgttrf arrays are read-only.  The blocks follow one
+    another, and the exact zeros between them keep them apart.
 
     solve(b, overwrite_b=False) maps stacked right-hand sides, (len(shifts),
     N) or raveled, to solutions of the same shape and the shifts' dtype;
@@ -469,6 +498,8 @@ def _shifted_solver(A, shifts, message):
         lo, diag, up, up2, piv, info = zgttrf(off[0].ravel()[:-1], (diag + shifts[:, None]).ravel(),
                                               off[1].ravel()[:-1], overwrite_d=1)
         check(info)
+        for held in (lo, diag, up, up2, piv):  # a record may hold them (`_XOperator.contour`)
+            held.flags.writeable = False
 
         def substitute(rows):
             zgttrs(lo, diag, up, up2, piv, rows.reshape(-1, 1), overwrite_b=1)
@@ -549,15 +580,16 @@ class SemigroupStepper:
     and grid, the spectral floor (resting on the declared lam of `coeff`,
     which `x_operator` checks), the fit interval with L's symmetry flag,
     derived once per record, and in 1-D the factored candidate poles that
-    every power picks from (`pole_set`).  The stepper keeps only the 1-D
-    modes L = D Q diag(lam) Q^T D^{-1} (`_modes`, on first use: one
-    eigh_tridiagonal of the symmetric D^{-1} L D, `_tridiagonal_symmetrizer`),
-    in which e^{-tL} alone is applied, and the decay cut-off; no pole
-    factors.  Fractional powers (info: beta, poles, interval, sup_rel_error,
+    every power picks from (`pole_set`) and the semigroup extension's
+    contour (`contour`, factored up to _CONTOUR_BYTES).  The stepper keeps
+    only the 1-D modes L = D Q diag(lam) Q^T D^{-1} (`_modes`, on first use:
+    one eigh_tridiagonal of the symmetric D^{-1} L D,
+    `_tridiagonal_symmetrizer`), in which e^{-tL} alone is applied, and the
+    decay cut-off; no factors.  Fractional powers (info: beta, poles, interval, sup_rel_error,
     symmetric) take one shifted solve per pole (per candidate, where the
     record holds them) in every dimension, the 1-D semigroup extension
-    (info: nodes, interval, sup_error) one complex solve per node pair; 2-D
-    heat and extension raise ValueError.
+    (info: nodes, interval, sup_error) one complex substitution per node
+    pair; 2-D heat and extension raise ValueError.
 
     Its operator and grid do not change after construction; solves at
     distinct times are independent.
@@ -866,29 +898,33 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     (s^{2s} z / Gamma(s)) int_0^inf e^{-s^2 z^{1/s}/t} e^{-t lam} dt/t^{1+s} in
     closed form (Stinga & Torrea, Comm. PDE 35 (2010) 2092-2122), by the
     contour rule of `_profile_contour` around [lo, hi], the x-operator
-    record's `fit_interval`: one `_shifted_solver` call, then the
-    weights c_k phi(zeta_k, z) per height.  info: `nodes` (obs counter
+    record's `fit_interval`: one substitution through the record's factored
+    `contour` (factored for this call alone past _CONTOUR_BYTES), then the
+    weights c_k phi(zeta_k, z) per height; the blocks are independent, so a
+    held contour gives the bits of a fresh one.  info: `nodes` (obs counter
     semigroup.extension_nodes), `interval` and `sup_error`, the scalar
     rule's largest sampled error on [lo, hi] over the heights: the field's
     2-norm error is at most cond(V) sup_error |u|, V the eigenvectors of L.
     ValueError in 2-D, off the stepper's grid, unless s is one number in
-    (0, 1) (`_order`) and zs holds at least one height, each finite and
-    positive, and for a sup_error above _EXTENSION_TOL (naming s, z).
-    `quad` is accepted for compatibility; it has no effect.
+    (0, 1) (`_order`) and zs holds at least one height, each a finite and
+    positive real number (no str, bytes, bool, complex or object), and for
+    a sup_error above _EXTENSION_TOL (naming s, z).  `quad` is accepted for
+    compatibility; it has no effect.
     """
     s = _order(s)
-    zs = np.asarray(zs, dtype=float).reshape(-1)
+    zs = np.asarray(zs)
     if not zs.size:
         raise ValueError("the semigroup extension needs at least one height z")
-    if not np.all(np.isfinite(zs) & (zs > 0.0)):
+    if zs.dtype.kind not in "iuf" or not np.all(np.isfinite(zs) & (zs > 0)):
         raise ValueError("extension height z must be finite and positive")
+    zs = zs.astype(float).reshape(-1)
     if stepper.grid.ndim != 1:
         raise ValueError("the semigroup extension is computed on 1-D grids only")
     v = _interior_on(stepper, u)
     (lo, hi), _ = stepper._op.fit_interval
-    zeta, c, lam = _profile_contour(lo, hi)
+    zeta, c, lam, solve = stepper._op.contour
     obs.count("semigroup.extension_nodes", 2 * len(zeta))
-    x = _shifted_solver(stepper.L, -zeta, "L - ({p:g}) I is singular")(
+    x = (solve or _shifted_solver(stepper.L, -zeta, "L - ({p:g}) I is singular"))(
         np.broadcast_to(v, (len(zeta), len(v))))
     weights = c * _bessel_profile(np.sqrt(zeta), s, zs[:, None])
     rows = (weights @ x).real

@@ -723,11 +723,13 @@ def test_semigroup_extension_node_count_grows_slowly_and_never_diagonalizes(monk
     # the elliptic rule's node count grows like log(hi/lo): 1.43 times as
     # many at N = 4096 as at N = 256, hi/lo 256 times wider (a Joukowski
     # ellipse, ~ (hi/lo)^{1/8}, needs 2.04 times as many); one shifted solve
-    # per conjugate pair of nodes, and the modes of L are never computed
+    # per conjugate pair of nodes, and the modes of L are never computed.
+    # Fresh records: one that holds its contour factors counts no blocks
     def no_modes(*args, **kwargs):
         raise AssertionError("eigendecomposition computed by the semigroup extension")
 
     monkeypatch.setattr(SemigroupStepper, "_modes", property(no_modes))
+    semigroup._assembled.cache_clear()
     nodes = {}
     for N in (256, 4096):
         st_ = _stepper_1d(N=N)
@@ -739,6 +741,85 @@ def test_semigroup_extension_node_count_grows_slowly_and_never_diagonalizes(monk
         assert counts["semigroup.shifted_unknowns"] == counts["semigroup.shifted_blocks"] * (N - 1)
         assert "_modes" not in vars(st_)
     assert nodes[4096] <= 2.2 * nodes[256]
+
+
+@pytest.mark.parametrize("graded, variable", [(False, False), (True, False), (False, True)],
+                         ids=["uniform", "graded", "variable-a"])
+def test_a_second_extension_on_a_record_factors_no_contour(graded, variable):
+    # the contour depends on the fit interval alone: a later call on the
+    # record, at another s and other heights, substitutes through the held
+    # factors and has the bits of a call on a fresh record
+    coeff = (CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, 1.0, 1.5)
+             if variable else CoefficientField.identity(1))
+    grid = (_GradedInterval((0.0,), (np.pi,), (386,)) if graded
+            else BoxGrid.interval(0.0, np.pi, 386))
+    u = GridFunction.from_callable(grid, lambda x: np.sin(x) * (1.0 + x))
+    semigroup._assembled.cache_clear()
+    with obs.recording() as counts:
+        extension_via_semigroup_multi(SemigroupStepper(coeff, grid), u, 0.3, [0.2, 0.6])
+    zeta, _, _, solve = SemigroupStepper(coeff, grid)._op.contour
+    assert solve is not None and counts["semigroup.shifted_blocks"] == len(zeta)
+    runs = []
+    for fresh in (False, True):
+        if fresh:
+            semigroup._assembled.cache_clear()
+        with obs.recording() as counts:
+            outs, info = extension_via_semigroup_multi(SemigroupStepper(coeff, grid), u, 0.8,
+                                                       [0.05, 1.5, 3.0])
+        runs.append(([U.values.tobytes() for U in outs], json.dumps(info)))
+        assert counts["semigroup.shifted_blocks"] == (len(zeta) if fresh else 0)
+        assert counts["semigroup.extension_nodes"] == 2 * len(zeta)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("N", [64, 384, 1024])
+def test_a_held_contour_is_read_only_and_holds_68_bytes_per_interior_node_and_node(N):
+    # zgttrf's 4 complex numbers and int32 pivot per unknown (less 64
+    # bytes: the off-diagonals are one and two shorter), the solver's
+    # shifts and the record's nodes, weights and 2k + 1 samples
+    semigroup._assembled.cache_clear()
+    op = _stepper_1d(N=N)._op
+    zeta, c, lam, solve = op.contour
+    assert not any(a.flags.writeable for a in (zeta, c, lam))
+    arrays = [a for a in _closure_reach(solve) if isinstance(a, np.ndarray)]
+    held = {id(b): b for b in (a if a.base is None else a.base for a in arrays + [zeta, c, lam])}
+    k, m = len(zeta), op.L.shape[0]
+    assert sum(b.nbytes for b in held.values()) == 68 * m * k + 64 * k - 56
+    assert 68 * m * k <= semigroup._CONTOUR_BYTES
+    assert not any(a.flags.writeable for a in arrays if a.size >= m)
+
+
+def test_a_record_over_the_contour_bound_factors_on_every_call():
+    # N = 2048: 53 nodes x 2047 unknowns x 68 bytes is 7.0 MiB > 4 MiB, so
+    # the record holds the nodes but no factors, and every call factors
+    semigroup._assembled.cache_clear()
+    st_ = _stepper_1d(N=2048)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    zeta, _, _, solve = st_._op.contour
+    assert solve is None and 68 * len(zeta) * 2047 > semigroup._CONTOUR_BYTES
+    fields = []
+    for s in (0.3, 0.3, 0.7):
+        with obs.recording() as counts:
+            outs, _ = extension_via_semigroup_multi(st_, u, s, [0.4])
+        assert counts["semigroup.shifted_blocks"] == len(zeta)
+        fields.append(outs[0].values)
+    assert np.array_equal(fields[0], fields[1])
+    assert st_._op.contour[3] is None
+
+
+@pytest.mark.parametrize("bad", ["0.5", b"0.5", 0.5 + 1j, [0.3, 0.5 + 0j], object(),
+                                 [object()], [True], np.array([0.3, 0.5], dtype=object)],
+                         ids=["str", "bytes", "complex", "complex-list", "object",
+                              "object-list", "bool", "object-array"])
+def test_extension_refuses_heights_that_are_not_real_numbers(bad):
+    # a string or [True] was read as a number, a complex height lost its
+    # imaginary part with only a ComplexWarning, object() leaked a TypeError
+    st_ = _stepper_1d(N=64)
+    u = GridFunction.from_callable(st_.grid, np.sin)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="extension height z must be finite and positive"):
+            extension_via_semigroup_multi(st_, u, 0.5, bad)
 
 
 def test_fractional_powers_count_their_shifted_blocks():
