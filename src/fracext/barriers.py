@@ -20,8 +20,8 @@ from .geometry import MAGeometry, SectionDescriptor
 # -- annulus sampling shared by the barrier checks --------------------------------------
 
 
-def sample_annulus(geom: MAGeometry, x0, z0, R, rho, samples, seed=0):
-    """Points with rho <= delta_Phi((x0,z0),(x,z)) < R, exact by construction.
+def sample_annulus(geom: MAGeometry, z0, R, rho, samples, seed=0):
+    """Points with rho <= delta_Phi((0,z0),(x,z)) < R, exact by construction.
 
     The budget u is split between the x and z parts; the z-coordinate solves
     delta_h(z0, .) = u_z on a uniformly chosen side of z0 (both lie in the
@@ -35,7 +35,7 @@ def sample_annulus(geom: MAGeometry, x0, z0, R, rho, samples, seed=0):
     side = rng.integers(0, 2, samples)
     direction = rng.normal(size=(samples, n))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    xs = np.atleast_1d(np.asarray(x0, dtype=float)) + direction * np.sqrt(2.0 * u_x)[:, None]
+    xs = direction * np.sqrt(2.0 * u_x)[:, None]
     zs = np.full(samples, float(z0))
     solve = u_z > 0.0
     zs[solve] = geom.section_endpoint(z0, u_z[solve], 1.0 - 2.0 * side[solve])
@@ -112,7 +112,7 @@ class _ExponentialBarrier:
         once alpha is large; their natural logs (None unless positive) and
         the bracket minimum do not."""
         a, slope = self.alpha, self.slope_coefficient
-        xs, zs = sample_annulus(self.geom, 0.0, self.z0, self.R, self.rho, samples, seed)
+        xs, zs = sample_annulus(self.geom, self.z0, self.R, self.rho, samples, seed)
         P, Q = self.bracket_terms(self.geom.delta_phi(0.0, xs), zs)
         with np.errstate(over="ignore"):  # a P = +inf where P is, or overflows
             bracket = a * P - Q

@@ -130,21 +130,21 @@ def vertex_lattice(xs, zs, stride):
     return [(float(x), float(z)) for x in xs[::stride] for z in zs[::stride]]
 
 
-def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
+def x_derivative_scaling(s, order):
     """Fitted exponent of sup |D_x^k H| / osc H over section pairs.
 
-    One oscillatory harmonic mode per scale r = 2/k^2, solved on a
-    similarity-scaled box so the measurement sits at a fixed configuration in
-    the scaling-invariant variables; the interior derivative estimate is
-    saturated by this family and the fitted exponent approaches -order/2.
+    One oscillatory harmonic mode per scale r = 2/k^2, k = 1, 2, 4, 8, solved
+    on a similarity-scaled 321 x 48 box: the measurement sits at a fixed
+    configuration in the scaling-invariant variables, where this family
+    saturates the interior derivative estimate; the exponent nears -order/2.
     """
     ratios, rs = [], []
-    for kmode in kmodes:
+    for kmode in (1.0, 2.0, 4.0, 8.0):
         r = 2.0 / kmode**2
         combo = HarmonicCombo(s, const=0.0, modes=[(1.0, kmode, 0.0)])
         Zk = transform_to_z(3.0 / kmode, s)
         prob = harmonic_combo_problem(combo, domain=(-4.0 / kmode, 4.0 / kmode), Z=Zk)
-        st = solve_extension(prob, ExtensionMesh(nx=nx, my=my))
+        st = solve_extension(prob, ExtensionMesh(nx=321, my=48))
         xs = st.x_axes[0]
         inner, outer = (SectionDescriptor((0.0,), 0.0, R, "cylinder", st.geom.c_s * R).contains(
             st.geom, xs[None, :], st.z_nodes[:, None]) for R in (r / 4.0, r))
@@ -158,14 +158,14 @@ def x_derivative_scaling(s, order, kmodes=(1.0, 2.0, 4.0, 8.0), nx=321, my=48):
     return float(np.polyfit(np.log(rs), np.log(ratios), 1)[0])
 
 
-def z_decay_exponent(s, nx=129, my=128):
+def z_decay_exponent(s):
     """Fitted z-exponent of sup_x |d_z H| for the solved zero-flux harmonic
-    mode cos x.
+    mode cos x on a 129 x 128 mesh.
 
     The y-grading is chosen so the face ladder reaches z ~ 1e-3; the fit runs
     over faces with z in (2e-3, 0.08) and approaches 1/s - 1.
     """
-    Z = 1.0
+    Z, nx, my = 1.0, 129, 128
     y_lo = transform_to_y(1e-3, s)
     Y = transform_to_y(Z, s)
     grading = max(1.0, np.log(y_lo / Y) / np.log(1.0 / my))

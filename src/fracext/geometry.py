@@ -71,9 +71,20 @@ def _order(s):
     raise ValueError(f"s must be in (0,1), got s = {s!r}")
 
 
+def _real(v, name, refusal):
+    """v as a float array (0-d for a scalar), the one rule for a real height
+    or eigenvalue: ValueError `refusal`, naming `name` and v, unless v holds
+    only finite int or float numbers (no str, bytes, bool, complex or object)."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+        raise ValueError(f"{refusal}, got {name} = {v!r}")
+    return a.astype(float, copy=False)
+
+
 def transform_to_y(z, s):
-    """y = 2s z^{1/(2s)}; turns h(z) into c_s y^2 / 2.  Identity at s = 1/2."""
-    z = np.asarray(z, dtype=float)
+    """y = 2s z^{1/(2s)}; turns h(z) into c_s y^2 / 2.  Identity at s = 1/2.
+    ValueError unless z is finite and >= 0 (`_real`)."""
+    z = _real(z, "z", "transform defined for z >= 0")
     if np.any(z < 0):
         raise ValueError("transform defined for z >= 0")
     out = 2.0 * s * z ** (1.0 / (2.0 * s))
@@ -81,8 +92,9 @@ def transform_to_y(z, s):
 
 
 def transform_to_z(y, s):
-    """Inverse transform z = (y / 2s)^{2s}."""
-    y = np.asarray(y, dtype=float)
+    """Inverse transform z = (y / 2s)^{2s}; ValueError unless y is finite and
+    >= 0 (`_real`)."""
+    y = _real(y, "y", "transform defined for y >= 0")
     if np.any(y < 0):
         raise ValueError("transform defined for y >= 0")
     out = (y / (2.0 * s)) ** (2.0 * s)

@@ -332,7 +332,7 @@ class CampanatoReport:
     truncated: bool = False
 
 
-def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> CampanatoReport:
+def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5) -> CampanatoReport:
     """Inductive zoom: sample the zoomed state, fit a unit-scale corrector,
     accumulate.
 
@@ -347,10 +347,10 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> C
         c += rho^{k(alpha+2s)} c_step      b += rho^{k(alpha+2s-1)} b_step
         A += rho^{k(alpha+2s-2)} A_step    d += rho^{k(alpha+2s-2)} d_step.
 
-    The loop stops early (truncated report) once the zoomed fit region falls
-    below a few source-grid cells.  The fit nodes, their basis and the fit's
-    work on that basis alone (`fitting.sup_fitter`) are set up once, before
-    the loop.
+    The zoom takes 8 steps and stops early (truncated report) once the
+    zoomed fit region falls below a few source-grid cells.  The fit nodes,
+    their basis and the fit's work on that basis alone (`fitting.sup_fitter`)
+    are set up once, before the loop.
     """
     _check_ladder(case, rho)
     if state.n != 1:
@@ -372,7 +372,7 @@ def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5, depth=8) -> C
     coefficients, step_errors = [], []
     inc = {"d" + name: [] for name in _DEGREE}
     truncated = False
-    for k in range(depth):
+    for k in range(8):
         if rho**k * xw < 4.0 * dx0 / np.sqrt(2.0):
             truncated = True
             break

@@ -43,7 +43,7 @@ from numbers import Integral
 import numpy as np
 
 from . import obs
-from .geometry import _order, transform_to_y
+from .geometry import _order, _real, transform_to_y
 from .gridfn import BoxGrid, GridFunction
 
 
@@ -907,17 +907,15 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     2-norm error is at most cond(V) sup_error |u|, V the eigenvectors of L.
     ValueError in 2-D, off the stepper's grid, unless s is one number in
     (0, 1) (`_order`) and zs holds at least one height, each a finite and
-    positive real number (no str, bytes, bool, complex or object), and for
-    a sup_error above _EXTENSION_TOL (naming s, z).  `quad` is accepted for
-    compatibility; it has no effect.
+    positive real number (`_real`), and for a sup_error above _EXTENSION_TOL
+    (naming s, z).  `quad` is accepted for compatibility; it has no effect.
     """
     s = _order(s)
-    zs = np.asarray(zs)
+    zs = _real(zs, "z", "extension height z must be finite and positive").reshape(-1)
     if not zs.size:
         raise ValueError("the semigroup extension needs at least one height z")
-    if zs.dtype.kind not in "iuf" or not np.all(np.isfinite(zs) & (zs > 0)):
+    if not np.all(zs > 0):
         raise ValueError("extension height z must be finite and positive")
-    zs = zs.astype(float).reshape(-1)
     if stepper.grid.ndim != 1:
         raise ValueError("the semigroup extension is computed on 1-D grids only")
     v = _interior_on(stepper, u)
@@ -981,16 +979,16 @@ def bessel_extension_profile(lam, s, z):
 
     Here k = sqrt(lam) and y = `transform_to_y(z, s)`: 1 at z = 0, 0 where y
     overflows (lam > 0).  ValueError unless s is one number in (0, 1)
-    (`_order`) and lam, z are finite, >= 0.
+    (`_order`) and lam, z are finite real numbers (`_real`), >= 0.
     A scalar lam takes K_s once per distinct height of an array z, with the
     same bits (a 2-D oracle repeats each height n^2 times); obs counter
     semigroup.profile_points.
     """
     s = _order(s)
-    z = np.asarray(z, dtype=float)
-    if not (np.all(np.isfinite(lam) & (np.asarray(lam) >= 0.0))
-            and np.all(np.isfinite(z) & (z >= 0.0))):
-        raise ValueError("the extension profile needs finite lam >= 0 and z >= 0")
+    refusal = "the extension profile needs finite lam >= 0 and z >= 0"
+    lam, z = _real(lam, "lam", refusal), _real(z, "z", refusal)
+    if np.any(lam < 0.0) or np.any(z < 0.0):
+        raise ValueError(refusal)
     k = np.sqrt(lam)
     if np.ndim(k) or not z.ndim:  # a 0-d z keeps numpy's scalar-power bits
         out, points = _bessel_profile(k, s, z), np.broadcast(k, z).size

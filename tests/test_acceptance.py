@@ -176,7 +176,7 @@ def test_criterion_08_z_derivative_decay():
     worst = 0.0
     details = []
     for s in S_VALUES:
-        p = z_decay_exponent(s, nx=129, my=128)
+        p = z_decay_exponent(s)
         err = abs(p - (1.0 / s - 1.0))
         worst = max(worst, err)
         details.append(f"s={s}: {p:.3f} (target {1 / s - 1:.3f})")

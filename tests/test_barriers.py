@@ -27,10 +27,10 @@ from fracext.semigroup import ds_constant
 @pytest.mark.parametrize("s", [0.25, 0.75])
 def test_sample_annulus_points_in_annulus(s, n):
     g = MAGeometry(s, n=n)
-    x0 = 0.3 if n == 1 else np.array([0.3, -0.2])
     z0, R, rho = 1.0, 0.5, 0.1
-    xs, zs = sample_annulus(g, x0, z0, R, rho, 2000, seed=3)
-    d = g.delta_Phi((x0, z0), (xs, zs))
+    xs, zs = sample_annulus(g, z0, R, rho, 2000, seed=3)
+    assert xs.shape == ((2000,) if n == 1 else (2000, n))
+    d = g.delta_Phi((0.0, z0), (xs, zs))
     assert np.all(d >= rho * (1.0 - 1e-12)) and np.all(d < R * (1.0 + 1e-12))
     assert np.any(zs < z0) and np.any(zs > z0)
     # the per-sample loop it replaced draws from the generator in the same
@@ -41,7 +41,7 @@ def test_sample_annulus_points_in_annulus(s, n):
     side = rng.integers(0, 2, 2000)
     for i in range(200):
         direction = rng.normal(size=n)
-        x = np.atleast_1d(x0) + direction / np.linalg.norm(direction) * np.sqrt(2 * u[i] * frac[i])
+        x = direction / np.linalg.norm(direction) * np.sqrt(2 * u[i] * frac[i])
         z = g.section_endpoint(z0, u[i] * (1.0 - frac[i]), -1.0 if side[i] else 1.0)
         assert np.allclose(np.atleast_1d(xs[i]), x, rtol=0.0, atol=1e-14)
         assert zs[i] == z

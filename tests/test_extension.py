@@ -314,13 +314,13 @@ def test_hopf_maximum_principle_fixtures():
 
 
 def test_z_derivative_decay_exponent():
-    p = z_decay_exponent(0.5, nx=97, my=96)
+    p = z_decay_exponent(0.5)
     assert abs(p - 1.0) < 0.1
 
 
 def test_x_derivative_scaling_exponents():
     for order in (1, 2):
-        p = x_derivative_scaling(0.5, order, kmodes=(1.0, 2.0, 4.0), nx=193, my=32)
+        p = x_derivative_scaling(0.5, order)
         assert abs(p + order / 2.0) < 0.15
 
 

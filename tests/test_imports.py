@@ -139,9 +139,9 @@ API_ONLY = {
 
 
 # defaulted parameter below fracext -> why it stays although no call in a
-# package module or under perfbench/ sets it to anything but its default
-# literal (a default no caller changes is a constant, and a knob only a test
-# turns is kept only for a reason)
+# package module or under perfbench/ but its tests sets it to anything but
+# its default literal (a default no caller changes is a constant, and a knob
+# only a test turns is kept only for a reason)
 DEFAULT_ONLY = {
     "semigroup.fractional_apply.quad":
         "read by name by the benchmark tracer (TRACER_HOOKS); ROADMAP item 3 deletes it",
@@ -154,17 +154,10 @@ DEFAULT_ONLY = {
     "barriers.BarrierCase2.__init__.alpha":
         "tests build a barrier at a given alpha to check the search's smallest one",
     "geometry.quotient_check.samples": "the acceptance test samples twice as many points",
-    "regularity.campanato_iterate.depth": "tests run shorter zooms",
     "regularity.harnack_quotient.kappa":
         "tests vary the shrunken section; ROADMAP item 6 reports the quotient per kappa",
-    "benchmarks.x_derivative_scaling.kmodes":
-        "the Tier-1 test measures fewer scales on a coarser mesh",
-    "benchmarks.x_derivative_scaling.nx":
-        "the Tier-1 test measures fewer scales on a coarser mesh",
-    "benchmarks.x_derivative_scaling.my":
-        "the Tier-1 test measures fewer scales on a coarser mesh",
-    "benchmarks.z_decay_exponent.nx": "tests measure on a coarser mesh",
-    "benchmarks.z_decay_exponent.my": "tests measure on a coarser mesh",
+    "regularity.approximation_distance.mesh":
+        "`perfbench/tests/test_trace.py:90` traces its solve on a coarser mesh",
     "config.default_config.s": "tests pin the config hash of each kind at two orders s",
     "cli.main.argv": "tests call the command line in-process; the console script passes none",
 }
@@ -180,9 +173,6 @@ ONE_LITERAL = {
     "gridfn.BoxGrid.rectangle.los":
         "a benchmark-read constructor: `perfbench/fxbench/cases.py` builds its 2-D grids on "
         "(0, pi)^2 with it, and tests build grids on other boxes",
-    "barriers.sample_annulus.x0":
-        "the barriers sample about their base point x = 0, and tests/test_barriers.py checks "
-        "the sampler about other centers, in 1-D and 2-D",
 }
 
 
@@ -224,14 +214,13 @@ def _package_parameters(defaulted):
             for key, value in _parameters(path, defaulted).items()}
 
 
-def _calls(tests=True):
-    """Every call in a package module or under perfbench/ (its tests too, or
-    not), by the callee's name (a function's, or the attribute's for
-    `obj.name(...)`)."""
+def _calls():
+    """Every call in a package module or under perfbench/ but its tests, by
+    the callee's name (a function's, or the attribute's for `obj.name(...)`)."""
     calls = {}
     for path in sorted((ROOT / "src" / "fracext").glob("*.py")) + sorted(
             path for path in (ROOT / "perfbench").rglob("*.py")
-            if tests or "tests" not in path.relative_to(ROOT).parts):
+            if "tests" not in path.relative_to(ROOT).parts):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -263,9 +252,10 @@ def _literal(node):
 
 def _unset_defaulted_parameters():
     """The defaulted parameters that no call in a package module or under
-    perfbench/ sets, by keyword or position, to anything but the default's
-    literal (a call with *args or **kwargs may set any), matching calls by
-    the callee's name as the public definitions are matched."""
+    perfbench/ but its tests sets, by keyword or position, to anything but
+    the default's literal (a call with *args or **kwargs may set any),
+    matching calls by the callee's name as the public definitions are
+    matched."""
     calls = _calls()
 
     def sets(call, param, position, default):
@@ -296,7 +286,7 @@ def _one_literal_parameters():
     literal, by position or keyword; a call with *args or **kwargs, or that
     passes anything else, clears the parameter.  Calls are matched by the
     callee's name."""
-    calls = _calls(tests=False)
+    calls = _calls()
 
     def passed(call, param, position):
         node = _argument(call, param, position)

@@ -481,7 +481,7 @@ def _campanato_reference(state, case, alpha, rho, depth, fit_mesh):
 @pytest.mark.parametrize("case", [1, 2, 3])
 def test_campanato_equals_a_loop_of_fresh_fits(kinked_state, case):
     mesh = ExtensionMesh(nx=97, my=40, grading=3.0)
-    rep = campanato_iterate(kinked_state, case, alpha=0.5, rho=0.5, depth=8)
+    rep = campanato_iterate(kinked_state, case, alpha=0.5, rho=0.5)
     coefficients, errors = _campanato_reference(kinked_state, case, 0.5, 0.5, 8, mesh)
     assert rep.steps == len(coefficients) >= 2
     assert rep.coefficients == coefficients and rep.step_errors == errors
@@ -491,7 +491,7 @@ def test_kinked_decay_and_campanato_make_no_lp_call(monkeypatch, kinked_state):
     monkeypatch.setattr(fitting, "linprog", _no_linprog)
     for case in (2, 3):
         assert len(schauder_decay(kinked_state, case, rho=0.5, depth=6).scales) >= 4
-        assert campanato_iterate(kinked_state, case, alpha=0.5, rho=0.5, depth=4).steps >= 2
+        assert campanato_iterate(kinked_state, case, alpha=0.5, rho=0.5).steps >= 2
 
 
 def test_holder_seminorm_basics():
@@ -832,12 +832,12 @@ def test_schauder_report_serialization(tmp_path):
 def test_campanato_polynomial_correctors_vanish():
     # case 1 with a constant input: interpolation is exact, correctors vanish
     st1 = _polynomial_state(0.25, 1, mx=80, my=40)
-    rep1 = campanato_iterate(st1, 1, alpha=0.3, rho=0.5, depth=4)
+    rep1 = campanato_iterate(st1, 1, alpha=0.3, rho=0.5)
     assert all(d < 1e-12 for d in rep1.increments["dc"][1:])
     assert rep1.limit["c"] == pytest.approx(0.37, abs=1e-12)
     # case 3: correctors after the first step sit at the interpolation floor
     st = _polynomial_state(0.75, 3, mx=100, my=48)
-    rep = campanato_iterate(st, 3, alpha=0.7, rho=0.5, depth=5)
+    rep = campanato_iterate(st, 3, alpha=0.7, rho=0.5)
     assert all(d < 1e-4 for d in rep.increments["dc"][1:])
     assert rep.limit["c"] == pytest.approx(0.37, abs=1e-4)
     assert rep.limit["d"] == pytest.approx(-0.15, abs=1e-3)
@@ -845,13 +845,13 @@ def test_campanato_polynomial_correctors_vanish():
 
 def test_campanato_stops_when_the_zoom_reaches_the_source_grid():
     # on a coarse state the zoomed fit region falls below a few source cells
-    # before the depth: the report is truncated at that step and its
+    # before its 8 steps: the report is truncated at that step and its
     # accumulated constant is already exact
     st = _polynomial_state(0.25, 1, mx=10, my=24)
     dx0 = float(np.min(np.diff(st.x_axes[0])))
     xw = np.sqrt(2.0) * 0.5 * 1.02
     steps = next(k for k in range(8) if 0.5**k * xw < 4.0 * dx0 / np.sqrt(2.0))
-    rep = campanato_iterate(st, 1, alpha=0.3, rho=0.5, depth=8)
+    rep = campanato_iterate(st, 1, alpha=0.3, rho=0.5)
     assert rep.truncated and rep.steps == steps == 5
     assert len(rep.coefficients) == len(rep.step_errors) == steps
     assert rep.limit["c"] == pytest.approx(0.37, abs=1e-12)
@@ -861,7 +861,7 @@ def test_campanato_matches_direct_fit():
     s, case, alpha = 0.25, 1, 0.3
     combo = HarmonicCombo(s, const=0.3, modes=[(0.5, 1.0, 0.4)])
     st = _synthetic_state(s, combo, mx=160, my=80)
-    rep = campanato_iterate(st, case, alpha=alpha, rho=0.5, depth=6)
+    rep = campanato_iterate(st, case, alpha=alpha, rho=0.5)
     dec = schauder_decay(st, case, rho=0.5, depth=6, noise_floor=1e-13)
     tol = 2.0 * max(row["E"] for row in dec.scales)
     assert abs(rep.limit["c"] - dec.scales[-1]["coeffs"]["c"]) <= tol

@@ -20,7 +20,7 @@ from fracext import obs, semigroup
 from fracext.extension import (ExtensionMesh, ExtensionProblem, harmonic_mode_profile,
                                solve_extension)
 from fracext.fitting import sup_fit
-from fracext.geometry import MAGeometry
+from fracext.geometry import MAGeometry, transform_to_y, transform_to_z
 from fracext.gridfn import BoxGrid, GridFunction
 from fracext.semigroup import (CoefficientField, QuadratureSpec, SemigroupStepper,
                                bessel_extension_profile, ds_constant,
@@ -820,6 +820,44 @@ def test_extension_refuses_heights_that_are_not_real_numbers(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="extension height z must be finite and positive"):
             extension_via_semigroup_multi(st_, u, 0.5, bad)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: bessel_extension_profile(4.0, 0.5, "0.3"), "z"),
+    (lambda: bessel_extension_profile(4.0, 0.5, b"0.3"), "z"),
+    (lambda: bessel_extension_profile(4.0, 0.5, [True]), "z"),
+    (lambda: bessel_extension_profile(4.0, 0.5, 0.3 + 0j), "z"),
+    (lambda: bessel_extension_profile(4.0, 0.5, object()), "z"),
+    (lambda: bessel_extension_profile(True, 0.5, 0.3), "lam"),
+    (lambda: bessel_extension_profile("4.0", 0.5, 0.3), "lam"),
+    (lambda: bessel_extension_profile(4.0 + 0j, 0.5, 0.3), "lam"),
+    (lambda: bessel_extension_profile(object(), 0.5, 0.3), "lam"),
+    (lambda: transform_to_y(np.nan, 0.5), "z"),
+    (lambda: transform_to_y("0.3", 0.5), "z"),
+    (lambda: transform_to_y([0.3, np.inf], 0.5), "z"),
+    (lambda: transform_to_z(np.nan, 0.5), "y"),
+    (lambda: transform_to_z("0.3", 0.5), "y"),
+    (lambda: transform_to_z([True], 0.5), "y"),
+], ids=["z-str", "z-bytes", "z-bool", "z-complex", "z-object", "lam-bool", "lam-str",
+        "lam-complex", "lam-object", "to_y-nan", "to_y-str", "to_y-inf", "to_z-nan", "to_z-str",
+        "to_z-bool"])
+def test_heights_and_eigenvalues_must_be_finite_real_numbers(call, name):
+    # a string, bytes or bool was read as a number, a NaN passed through, and
+    # a complex or object() value leaked a TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"got {name} = "):
+            call()
+
+
+def test_integer_heights_and_eigenvalues_keep_the_bits_of_floats():
+    for s in (0.3, 0.5, 0.75):
+        assert _same_bits(transform_to_y(2, s), transform_to_y(2.0, s))
+        assert _same_bits(transform_to_z([0, 3], s), transform_to_z(np.array([0.0, 3.0]), s))
+        assert _same_bits(bessel_extension_profile(4, s, 1), bessel_extension_profile(4.0, s, 1.0))
+        lams, zs = np.array([1.0, 4.0]), np.array([[0.0], [2.0]])
+        assert _same_bits(bessel_extension_profile([1, 4], s, [[0], [2]]),
+                          bessel_extension_profile(lams, s, zs))
 
 
 def test_fractional_powers_count_their_shifted_blocks():
