@@ -20,7 +20,7 @@ from .geometry import MAGeometry, SectionDescriptor
 # -- annulus sampling shared by the barrier checks --------------------------------------
 
 
-def sample_annulus(geom: MAGeometry, z0, R, rho, samples, seed=0):
+def sample_annulus(geom: MAGeometry, z0, R, rho, samples, seed):
     """Points with rho <= delta_Phi((0,z0),(x,z)) < R, exact by construction.
 
     The budget u is split between the x and z parts; the z-coordinate solves
@@ -106,7 +106,7 @@ class _ExponentialBarrier:
         """h'(z0) + h_eps'(0) = d_z phi(0, 0) / (alpha e^{-alpha R})."""
         return float(self.geom.hp(self.z0) + self.h_eps_prime(0.0))
 
-    def verify(self, samples=10_000, seed=0):
+    def verify(self, samples, seed=0):
         """Passes when the bracket on annulus samples and the trace slope
         coefficient are positive.  The operator and slope values underflow
         once alpha is large; their natural logs (None unless positive) and
@@ -285,7 +285,7 @@ class BarrierCase2(_ExponentialBarrier):
         P, Q = self._scan
         return float(np.min(self.alpha * P - Q))
 
-    def verify(self, samples=10_000, seed=0):
+    def verify(self, samples, seed=0):
         """Passes when the sampled and the scanned bracket are positive and
         profile_failure finds nothing; the inner-boundary bounds c <= phi <= C
         come with their logs."""

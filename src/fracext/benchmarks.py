@@ -13,7 +13,7 @@ from .geometry import MAGeometry, SectionDescriptor, _names_s
 from .semigroup import CoefficientField, bessel_extension_profile, ds_constant
 
 
-def eigen_extension_problem(s, k, Z=1.0):
+def eigen_extension_problem(s, k, Z):
     """Neumann problem whose exact solution is sin(kx) times the Bessel profile.
 
     Domain (0, pi), a = 1, f = -d_s k^{2s} sin(kx); lateral data vanish
@@ -35,7 +35,7 @@ def eigen_extension_problem(s, k, Z=1.0):
     return problem, oracle
 
 
-def kinked_trace_problem(s, alpha, mx=260, my=140):
+def kinked_trace_problem(s, alpha, mx, my):
     """Neumann data f(x) = |x|^alpha on S_1: the Schauder decay benchmark.
 
     f(0) = 0 and a = identity, so the normalization hypotheses hold at the
@@ -43,16 +43,22 @@ def kinked_trace_problem(s, alpha, mx=260, my=140):
     """
     geom = MAGeometry(s)
     coeff = CoefficientField.identity(1)
-    half = np.sqrt(2.0)
+    domain, mesh = kinked_grid(mx, my)
     Z = geom.q_s  # h(Z) = 1
 
     def f(x):
         return np.abs(np.asarray(x, float)) ** alpha
 
-    problem = ExtensionProblem(s=s, coeff=coeff, domain=(-half, half), Z=Z,
+    problem = ExtensionProblem(s=s, coeff=coeff, domain=domain, Z=Z,
                                bottom=("neumann", f), g_lateral=0.0, g_top=0.0)
-    mesh = ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0)
     return problem, mesh
+
+
+def kinked_grid(mx, my):
+    """S_1 = (-sqrt 2, sqrt 2) and the kinked benchmark's mesh on it: 2 mx + 1
+    x-nodes power-graded toward x = 0, my y-cells with grading 3."""
+    half = np.sqrt(2.0)
+    return (-half, half), ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0)
 
 
 def harmonic_combo_problem(combo: HarmonicCombo, domain=(-np.sqrt(2.0), np.sqrt(2.0)),
@@ -74,7 +80,7 @@ def harmonic_family_ycap(s):
     return np.sqrt(2.0 / MAGeometry(s).c_s)
 
 
-def positive_harmonic_family(s, size, seed=0):
+def positive_harmonic_family(s, size, seed):
     """Nonnegative exact harmonic combinations: 1 + small random cosine modes
     with wave numbers 1 to 3.
 
@@ -102,7 +108,7 @@ def positive_harmonic_family(s, size, seed=0):
 
 
 @_names_s
-def sliding_fixture(geom: MAGeometry, kind, nx=61, nz=61, opening=1.0, seed=0):
+def sliding_fixture(geom: MAGeometry, kind, nx, nz, opening, seed):
     """Grid fixtures for the contact-set experiment on a rectangle above z=0.
 
     kind "paraboloid": U is itself a sliding paraboloid (exact touching);

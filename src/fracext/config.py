@@ -22,7 +22,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _num(lo=None, hi=None, integer=False, lo_open=False, hi_open=False):
+def _num(lo, hi=None, integer=False, lo_open=False, hi_open=False):
     def check(v):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             return "must be a number"

@@ -163,8 +163,8 @@ class ExtensionMesh:
     toward x = 0 (power law), which resolves trace-data kinks; it needs an odd
     nx."""
 
-    nx: object = 129
-    my: int = 64
+    nx: object
+    my: int
     grading: float | None = None
     x_grading: float | None = None
 
@@ -183,7 +183,9 @@ class ExtensionMesh:
                              "split evenly between the two sides")
 
     def y_grading(self, s):
-        """The y-grading exponent; unset, it is max(1, 1/(2-2s))."""
+        """The y-grading exponent; unset, it is max(1, 1/(2-2s)).  ValueError
+        unless s is in (0, 1) (`_order`); `y_nodes` reads s through it."""
+        s = _order(s)
         return self.grading if self.grading is not None else max(1.0, 1.0 / (2.0 - 2.0 * s))
 
     def y_nodes(self, Y, s):
@@ -686,8 +688,10 @@ def harmonic_mode_profile(s, k, y):
     cos(k x) phi_k(y) solves the transformed equation with zero weighted flux
     at y = 0 and phi_k(0) = 1; in native coordinates it is harmonic for the
     extension operator with d_z H(x, 0) = 0.  phi_k = 1 wherever k y == 0 (the
-    constant mode, y = 0, underflow); ValueError for a negative or non-finite k.
+    constant mode, y = 0, underflow); ValueError unless s is in (0, 1)
+    (`_order`) and k is finite and >= 0.
     """
+    s = _order(s)
     if not (np.isfinite(k) and k >= 0.0):
         raise ValueError(f"mode wave number must be finite and >= 0, got k = {k}")
     from scipy.special import gamma, iv
@@ -708,7 +712,7 @@ class HarmonicCombo:
     """
 
     def __init__(self, s, const=0.0, modes=()):
-        self.s = s
+        self.s = _order(s)
         self.const = float(const)
         self.modes = [(float(a), float(k), float(p)) for (a, k, p) in modes]
 

@@ -83,7 +83,8 @@ def _real(v, name, refusal):
 
 def transform_to_y(z, s):
     """y = 2s z^{1/(2s)}; turns h(z) into c_s y^2 / 2.  Identity at s = 1/2.
-    ValueError unless z is finite and >= 0 (`_real`)."""
+    ValueError unless s is in (0, 1) (`_order`) and z is finite and >= 0 (`_real`)."""
+    s = _order(s)
     z = _real(z, "z", "transform defined for z >= 0")
     if np.any(z < 0):
         raise ValueError("transform defined for z >= 0")
@@ -92,8 +93,9 @@ def transform_to_y(z, s):
 
 
 def transform_to_z(y, s):
-    """Inverse transform z = (y / 2s)^{2s}; ValueError unless y is finite and
-    >= 0 (`_real`)."""
+    """Inverse transform z = (y / 2s)^{2s}; ValueError unless s is in (0, 1)
+    (`_order`) and y is finite and >= 0 (`_real`)."""
+    s = _order(s)
     y = _real(y, "y", "transform defined for y >= 0")
     if np.any(y < 0):
         raise ValueError("transform defined for y >= 0")
@@ -411,7 +413,7 @@ def _names_s(check):
 
 
 @_names_s
-def quasi_triangle_check(geom: MAGeometry, samples=100_000, seed=0):
+def quasi_triangle_check(geom: MAGeometry, samples, seed):
     """Empirical quasi-triangle constant over triples sampled in [-2, 2]^(n+1).
 
     Returns the largest ratio delta(p1,p2) / (min-sym delta(p1,p3) +
@@ -447,7 +449,7 @@ def quasi_triangle_check(geom: MAGeometry, samples=100_000, seed=0):
 
 
 @_names_s
-def scaling_identity_check(geom: MAGeometry, seed=0):
+def scaling_identity_check(geom: MAGeometry, seed):
     """Max relative error of rho^2 h(z) = h(rho^{2s} z) and the h' analogue
     over 2048 sampled (rho, z)."""
     rng = np.random.default_rng(seed)
@@ -501,7 +503,7 @@ def a_infinity_check(geom: MAGeometry):
 
 
 @_names_s
-def quotient_check(geom: MAGeometry, samples=20_000, seed=0):
+def quotient_check(geom: MAGeometry, samples=20_000, *, seed):
     """Minimum of Q(z) over sampled z0 > 0, z > 0; passes when it is at least
     1 - 1e-10.
 
@@ -520,7 +522,7 @@ def quotient_check(geom: MAGeometry, samples=20_000, seed=0):
 
 
 @_names_s
-def engulfing_check(geom: MAGeometry, samples=10_000, seed=0):
+def engulfing_check(geom: MAGeometry, samples, seed):
     """Monte-Carlo engulfing constants for cubes in x and sections in z.
 
     For sampled (r1 < r2 <= 1, t in [1e-3, 10] log-uniform, z-center in

@@ -51,7 +51,7 @@ def _axes_box(parts, xlabel, ylabel):
                  f'transform="rotate(-90 18 {_H // 2})">{ylabel}</text>')
 
 
-def svg_loglog(path, xs, ys, ref_slope=None, title="decay", meta_comment=""):
+def svg_loglog(path, xs, ys, ref_slope, title, meta_comment):
     """Log-log scatter+line of E against r with an optional dashed
     reference-slope line."""
     xs = [float(v) for v in xs]
@@ -112,7 +112,7 @@ def svg_loglog(path, xs, ys, ref_slope=None, title="decay", meta_comment=""):
     _write(path, parts)
 
 
-def svg_heatmap(path, x_axis, z_axis, values, meta_comment=""):
+def svg_heatmap(path, x_axis, z_axis, values, meta_comment):
     """Cell raster of an extension state over its tensor grid, with colorbar."""
     x_axis = np.asarray(x_axis, dtype=float)
     z_axis = np.asarray(z_axis, dtype=float)

@@ -130,21 +130,19 @@ class _HarnackSections:
 
 
 @_names_s
-def harnack_family_report(s, family, nx=97, my=48, kappa=0.5, R=0.5, refine=1):
+def harnack_family_report(s, family, nx, my, kappa, R):
     """Max quotient over a family of exact nonnegative harmonic combinations.
 
     family: a nonempty list of HarmonicCombo at this s, else a ValueError
     (naming the member; f = F = 0, so the data terms vanish).  Each is
-    sampled, not solved, on a grid of its own: (nx - 1) refine + 1 x-nodes
-    and my refine geometric z-levels plus the trace z = 0, over S_R(0) x
-    S_R(0)^+ widened by 5%; `refine` is what the stability check varies.
+    sampled, not solved, on a grid of its own: nx x-nodes and my geometric
+    z-levels plus the trace z = 0, over S_R(0) x S_R(0)^+ widened by 5%.
     The sections are found once for the family; by the inequality in
     `harnack_quotient` the quotients are also those of the even reflection.
     """
     if not len(family):
         raise ValueError("harnack_family_report: family must hold at least one member")
     geom = MAGeometry(s)
-    nx, my = (nx - 1) * refine + 1, my * refine
     xlim = np.sqrt(2.0 * R) * 1.05
     zcap = geom.section_interval(0.0, R)[1] * 1.05
     xs = np.linspace(-xlim, xlim, nx)
@@ -272,7 +270,7 @@ class DecayReport:
     truncated: bool = False
 
 
-def schauder_decay(state: ExtensionState, case, rho=0.5, depth=9, noise_floor=0.0,
+def schauder_decay(state: ExtensionState, case, rho, depth, noise_floor,
                    fit_window=None) -> DecayReport:
     """Best sup-fit of the case polynomial over S_{r^2} x S_{r^2}^+ ladders.
 
@@ -332,7 +330,7 @@ class CampanatoReport:
     truncated: bool = False
 
 
-def campanato_iterate(state: ExtensionState, case, alpha, rho=0.5) -> CampanatoReport:
+def campanato_iterate(state: ExtensionState, case, alpha, rho) -> CampanatoReport:
     """Inductive zoom: sample the zoomed state, fit a unit-scale corrector,
     accumulate.
 

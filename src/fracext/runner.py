@@ -23,8 +23,9 @@ import numpy as np
 from . import __version__
 from .barriers import (BarrierCase1, BarrierNotFound, blocks, inf_convolution,
                        paraboloid_rows, search_case2_parameters, slide_paraboloids)
-from .benchmarks import (eigen_extension_problem, harmonic_family_ycap, kinked_trace_problem,
-                         positive_harmonic_family, sliding_fixture, vertex_lattice)
+from .benchmarks import (eigen_extension_problem, harmonic_family_ycap, kinked_grid,
+                         kinked_trace_problem, positive_harmonic_family, sliding_fixture,
+                         vertex_lattice)
 from .config import ExperimentConfig
 from .extension import (ExtensionMesh, ExtensionState, HarmonicCombo, solve_extension,
                         transform_to_z)
@@ -280,8 +281,8 @@ def _run_harnack(cfg, outdir):
                "quotients": quotients}
     ok = rep["min_quotient"] >= TOLERANCES["harnack_min_quotient"]
     if prob["check_refinement"]:
-        rep2 = harnack_family_report(s, family, nx, my, kappa=prob["kappa"], R=prob["R"],
-                                     refine=2)
+        rep2 = harnack_family_report(s, family, 2 * nx - 1, 2 * my, kappa=prob["kappa"],
+                                     R=prob["R"])
         drift = abs(rep2["C_H_hat"] - rep["C_H_hat"]) / rep["C_H_hat"]
         details["C_H_hat_refined"] = rep2["C_H_hat"]
         details["C_H_drift"] = drift
@@ -338,8 +339,8 @@ def _run_schauder(cfg, outdir):
 def _synthetic_state(s, fn, mx, my):
     """Exact-valued state on the kinked benchmark's graded grid over S_1 x
     (0, Z), h(Z) = 1 (noise floor ~ machine)."""
-    mesh = ExtensionMesh(nx=2 * mx + 1, my=my, grading=3.0, x_grading=2.0)
-    xs, = mesh.x_axes((-np.sqrt(2.0), np.sqrt(2.0)), 1)
+    domain, mesh = kinked_grid(mx, my)
+    xs, = mesh.x_axes(domain, 1)
     y = mesh.y_nodes(harmonic_family_ycap(s), s)
     vals = fn(xs[None, :], transform_to_z(y, s)[:, None])  # one value per node
     return ExtensionState(s, [xs], y, vals, 0.0, 0.0, meta={"synthetic": True})

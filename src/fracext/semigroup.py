@@ -88,7 +88,7 @@ class CoefficientField:
         self.Lam = float(Lam)
 
     @staticmethod
-    def identity(n=1):
+    def identity(n):
         if n == 1:
             return CoefficientField(1, lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, 1.0)
 

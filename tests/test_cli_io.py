@@ -417,7 +417,8 @@ def test_optional_keys_leave_the_pinned_hashes_alone(monkeypatch):
     # data and the hash; any other value enters both and is checked
     for schema in _PROBLEM_SCHEMAS.values():
         monkeypatch.setitem(schema, "extra", _Optional((0.5, _num(0.0, 1.0))))
-    monkeypatch.setitem(_TOP_SCHEMA, "block", _Optional({"a": (1, _num()), "b": (True, _boolean)}))
+    monkeypatch.setitem(_TOP_SCHEMA, "block",
+                        _Optional({"a": (1, _num(None)), "b": (True, _boolean)}))
     for (kind, s), digest in GOLDEN_CONFIG_HASHES.items():
         assert default_config(kind, s).config_hash() == digest
         raw = default_raw(kind, s)
@@ -593,11 +594,11 @@ def test_config_hash_leaves_out_the_output_dir(tmp_path):
 
 def test_svg_empty_ladder_and_reference_slope(tmp_path):
     p = tmp_path / "empty.svg"
-    svg_loglog(p, [], [], title="decay")
+    svg_loglog(p, [], [], ref_slope=None, title="decay", meta_comment="")
     text = p.read_text()
     assert "no data" in text and "<svg" in text
     p2 = tmp_path / "decay.svg"
-    svg_loglog(p2, [1.0, 0.5, 0.25], [1.0, 0.3, 0.09], ref_slope=1.7,
+    svg_loglog(p2, [1.0, 0.5, 0.25], [1.0, 0.3, 0.09], ref_slope=1.7, title="decay",
                meta_comment="config deadbeef")
     t2 = p2.read_text()
     assert "slope 1.7" in t2 and "config deadbeef" in t2
@@ -608,13 +609,13 @@ def test_svg_heatmap(tmp_path):
     p = tmp_path / "heat.svg"
     xs = np.linspace(0, 1, 8)
     zs = np.geomspace(1e-2, 1.0, 6)
-    svg_heatmap(p, xs, zs, np.outer(zs, xs))
+    svg_heatmap(p, xs, zs, np.outer(zs, xs), meta_comment="")
     text = p.read_text()
     assert ">extension state</text>" in text
     assert text.count("<rect") > 40  # cells plus colorbar
     # determinism of plot bytes
     p2 = tmp_path / "heat2.svg"
-    svg_heatmap(p2, xs, zs, np.outer(zs, xs))
+    svg_heatmap(p2, xs, zs, np.outer(zs, xs), meta_comment="")
     assert p.read_bytes() == p2.read_bytes()
 
 

@@ -279,7 +279,7 @@ def test_rescale_identity_and_oracle():
 def test_rescaled_states_report_the_rescaled_flux():
     # V(x, z) = U(rho x, rho^{2s} z) has d_z V(x, 0) = rho^{2s} d_z U(rho x, 0)
     s, rho, k = 0.4, 0.5, 2
-    problem, _ = eigen_extension_problem(s, k)
+    problem, _ = eigen_extension_problem(s, k, Z=1.0)
     U = solve_extension(problem, ExtensionMesh(nx=65, my=32))
     V = rescale_solution(U, rho)
     assert np.array_equal(V.flux_trace(), rho ** (2 * s) * U.flux_trace())
@@ -843,7 +843,7 @@ def test_a_sweep_over_s_builds_one_x_operator():
     # the x-part of the extension problem does not depend on s: three solves
     # on one mesh build it once, with the bits of solves that build it afresh
     mesh = ExtensionMesh(nx=65, my=24)
-    problems = [eigen_extension_problem(s, 2)[0] for s in (0.2, 0.5, 0.8)]
+    problems = [eigen_extension_problem(s, 2, Z=1.0)[0] for s in (0.2, 0.5, 0.8)]
     semigroup._assembled.cache_clear()
     with obs.recording() as counts:
         swept = [solve_extension(p, mesh) for p in problems]
@@ -862,7 +862,7 @@ def test_solves_factor_the_memoized_operators_own_L(monkeypatch, n):
     # the y-mode solves factor L - mu_k I with the L the x-operator record
     # holds, the same object the steppers factor
     if n == 1:
-        problem, mesh = eigen_extension_problem(0.5, 2)[0], ExtensionMesh(nx=33, my=12)
+        problem, mesh = eigen_extension_problem(0.5, 2, Z=1.0)[0], ExtensionMesh(nx=33, my=12)
     else:
         problem = _variable_2d_problem(0.5, 13, 11, 0.3, 2.0, "neumann")
         mesh = ExtensionMesh(nx=(13, 11), my=8)
@@ -883,7 +883,7 @@ def test_a_pencil_over_the_level_bound_is_factored_afresh_and_not_kept():
     # the pencil memo's entries stay small: past _MEMO_LEVELS levels every
     # solve factors its pencil, nothing is held, and a second solve has the
     # bits of the first on both sides of the bound
-    problem = eigen_extension_problem(0.5, 2)[0]  # Neumann: my levels
+    problem = eigen_extension_problem(0.5, 2, Z=1.0)[0]  # Neumann: my levels
     extension._pencil_modes.cache_clear()
     for my, made in ((extension._MEMO_LEVELS, [1, 0]), (extension._MEMO_LEVELS + 1, [1, 1])):
         mesh = ExtensionMesh(nx=9, my=my)
@@ -1390,7 +1390,7 @@ def test_a_solve_reads_the_lateral_coupling_from_the_record_and_slices_no_matrix
 def _eigen_field_error(s, k, my):
     """The runner's solve-extension field error on the eigen benchmark,
     129 x-nodes and the default grading."""
-    problem, oracle = eigen_extension_problem(s, k)
+    problem, oracle = eigen_extension_problem(s, k, Z=1.0)
     state = solve_extension(problem, ExtensionMesh(nx=129, my=my))
     return float(np.max(np.abs(state.values - oracle(state.x_axes[0][None, :],
                                                      state.z_nodes[:, None]))))
@@ -1401,7 +1401,7 @@ def test_a_y_mesh_that_loses_the_trace_to_rounding_is_refused(s, my, P):
     # item 22's table: the trace error is the discretization's up to P =
     # eps my^(2 s grading) = 2e-3 and leaves the eigen tolerance by P = 7.6e-2
     # (4.8e-3); at P = 4 the trace was 47% wrong with a backward error of 1e-15
-    grading = ExtensionMesh(my=my).y_grading(s)
+    grading = ExtensionMesh(nx=129, my=my).y_grading(s)
     assert np.finfo(float).eps * my ** (2.0 * s * grading) == pytest.approx(P, rel=0.05)
     if P <= extension._TRACE_ROUNDING_MAX:
         assert _eigen_field_error(s, 1, my) <= 2e-4

@@ -3,9 +3,12 @@ used, every private helper of the package is referenced by the package,
 every public function, class or method is used by a package module, listed
 in API_ONLY with its reason or read by the benchmark, every defaulted
 parameter is set to something other than its default by a package or
-benchmark call or listed in DEFAULT_ONLY with its reason, no required
-parameter takes one literal from every package and benchmark call unless
-listed in ONE_LITERAL with its reason, only
+benchmark call or listed in DEFAULT_ONLY with its reason, no defaulted
+parameter is passed a value by every package and benchmark call that
+reaches it unless listed in ALWAYS_SET with its reason (the value then
+lives in the callers and the config schema, not a second time in the
+default), no required parameter takes one literal from every package and
+benchmark call unless listed in ONE_LITERAL with its reason, only
 `semigroup` imports LAPACK, importing the package loads no scipy module
 (each is imported in the function that calls it), and every name the
 benchmark tracer hooks or the benchmark's tests read by name still
@@ -161,6 +164,51 @@ DEFAULT_ONLY = {
     "config.default_config.s": "tests pin the config hash of each kind at two orders s",
     "cli.main.argv": "tests call the command line in-process; the console script passes none",
 }
+
+
+# defaulted parameter below fracext -> why it keeps its default although every
+# call in a package module or under perfbench/ but its tests passes it a value
+# (a default no such call leaves in place is read by tests only: a second copy
+# of a value its callers hold); only a default that means "no value" stays
+ALWAYS_SET = {
+    "extension.ExtensionState.__init__.meta":
+        "None is a state without metadata; tests build states from sampled values",
+    "extension.HarmonicCombo.__init__.const": "0 is a combination without a constant term",
+    "extension.HarmonicCombo.__init__.modes": "() is a combination without modes",
+    "config.default_raw.s":
+        "None leaves s to the schema; the CLI passes None when `--s` is not given",
+}
+
+
+def _always_set_parameters():
+    """The defaulted parameters that at least one call in a package module or
+    under perfbench/ but its tests reaches, and to which every such call
+    passes a value, by keyword or position; a call with *args or **kwargs
+    may pass none, and clears the parameter.  Calls are matched by the
+    callee's name."""
+    calls = _calls()
+
+    def passes(call, param, position):
+        node = _argument(call, param, position)
+        return node is not None and node is not ...
+
+    return {key for key, (callee, position, _) in _package_parameters(True).items()
+            if calls.get(callee) and all(passes(call, key.rsplit(".", 1)[1], position)
+                                         for call in calls[callee])}
+
+
+def test_no_defaulted_parameter_is_passed_a_value_by_every_caller():
+    found = sorted(_always_set_parameters() - ALWAYS_SET.keys())
+    assert not found, ("defaulted parameters every package and benchmark call passes a "
+                       "value (make them required): " + ", ".join(found))
+
+
+def test_always_set_entries_are_defined_and_still_always_set():
+    params = _package_parameters(True).keys()
+    flagged = _always_set_parameters()
+    for entry in ALWAYS_SET:
+        assert entry in params, f"{entry} is not a defaulted parameter; drop it"
+        assert entry in flagged, f"{entry} is left at its default by a caller now; drop it"
 
 
 # required parameter below fracext -> why it stays although every call in a
@@ -553,7 +601,7 @@ def test_common_experiments_run_without_lazy_scipy_packages(tmp_path):
         "semigroup.extension_via_semigroup_multi(st, u, 0.3, [0.1, 0.5])\n"
         "barriers.BarrierCase2(geometry.MAGeometry(0.75), 0.5, 0.125, 0.1)\n"
         "mesh = extension.ExtensionMesh(nx=33, my=16)\n"
-        "state = extension.solve_extension(eigen_extension_problem(0.5, 1)[0], mesh)\n"
+        "state = extension.solve_extension(eigen_extension_problem(0.5, 1, Z=1.0)[0], mesh)\n"
         "assert np.isfinite(state.values_at(np.array([1.0]), np.array([0.2]))).all()\n"
         "x = np.linspace(-1.0, 1.0, 50)\n"
         "fitting.sup_fit(np.column_stack([np.ones_like(x), x]), np.abs(x))\n"

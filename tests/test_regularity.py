@@ -368,10 +368,10 @@ def test_fit_counts_of_a_decay_ladder_and_a_campanato_run(kinked_state):
             measure()
         return {k: v for k, v in counts.items() if k.startswith("fitting.")}
 
-    assert fit_counts(lambda: schauder_decay(kinked_state, 3)) == {
+    assert fit_counts(lambda: schauder_decay(kinked_state, 3, 0.5, 9, 0.0)) == {
         "fitting.bases": 8, "fitting.fits": 8, "fitting.fit_rows": 9748,
         "fitting.exchange_steps": 61}
-    assert fit_counts(lambda: campanato_iterate(kinked_state, 3, alpha=0.5)) == {
+    assert fit_counts(lambda: campanato_iterate(kinked_state, 3, alpha=0.5, rho=0.5)) == {
         "fitting.bases": 1, "fitting.fits": 8, "fitting.fit_rows": 30400,
         "fitting.exchange_steps": 70}
 
@@ -490,7 +490,8 @@ def test_campanato_equals_a_loop_of_fresh_fits(kinked_state, case):
 def test_kinked_decay_and_campanato_make_no_lp_call(monkeypatch, kinked_state):
     monkeypatch.setattr(fitting, "linprog", _no_linprog)
     for case in (2, 3):
-        assert len(schauder_decay(kinked_state, case, rho=0.5, depth=6).scales) >= 4
+        rep = schauder_decay(kinked_state, case, rho=0.5, depth=6, noise_floor=0.0)
+        assert len(rep.scales) >= 4
         assert campanato_iterate(kinked_state, case, alpha=0.5, rho=0.5).steps >= 2
 
 
@@ -610,8 +611,8 @@ def test_harnack_quotient_constants_and_perturbation():
 def test_harnack_family_stability():
     s = 0.75
     family = positive_harmonic_family(s, 6, seed=3)
-    rep1 = harnack_family_report(s, family, 65, 32)
-    rep2 = harnack_family_report(s, family, 65, 32, refine=2)
+    rep1 = harnack_family_report(s, family, 65, 32, kappa=0.5, R=0.5)
+    rep2 = harnack_family_report(s, family, 129, 64, kappa=0.5, R=0.5)
     assert rep1["min_quotient"] >= 1.0 - 1e-9
     assert abs(rep2["C_H_hat"] - rep1["C_H_hat"]) <= 0.2 * rep1["C_H_hat"]
 
@@ -625,7 +626,7 @@ def test_harnack_family_report_takes_the_two_counts_it_samples():
                 (0.75, 2): (1.2739467245118539, 1.1607919199980483)}
     for (s, refine), values in expected.items():
         family = positive_harmonic_family(s, 6, seed=3)
-        rep = harnack_family_report(s, family, 65, 32, refine=refine)
+        rep = harnack_family_report(s, family, 64 * refine + 1, 32 * refine, kappa=0.5, R=0.5)
         assert (rep["C_H_hat"], rep["min_quotient"]) == values
 
 
@@ -636,8 +637,8 @@ def test_harnack_family_report_refuses_a_member_at_another_s():
     family[2] = positive_harmonic_family(0.7, 1, seed=1)[0]
     with pytest.raises(ValueError, match=re.escape(
             "family member 2 has s = 0.7, not the report's 0.3")):
-        harnack_family_report(0.3, family, 33, 16)
-    harnack_family_report(0.3, family[:2], 33, 16)
+        harnack_family_report(0.3, family, 33, 16, kappa=0.5, R=0.5)
+    harnack_family_report(0.3, family[:2], 33, 16, kappa=0.5, R=0.5)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7])
@@ -700,7 +701,7 @@ def test_harmonic_family_profiles_once_per_wave_number(s, size, seed):
     reference = _family_profile_per_mode(s, size, seed)
     assert [(c.const, c.modes) for c in family] == [(c.const, c.modes) for c in reference]
     if size == 1:  # the sliding fixture's one member
-        xs, zs, U = sliding_fixture(MAGeometry(s), "harmonic", 21, 17, seed=seed)
+        xs, zs, U = sliding_fixture(MAGeometry(s), "harmonic", 21, 17, 1.0, seed=seed)
         assert np.array_equal(U, reference[0](xs[:, None], zs[None, :]))
 
 
@@ -719,9 +720,9 @@ def test_harnack_family_half_grid_equals_the_reflected_grid(s, R, kappa, refine)
     # each member's report is the quotient over the reflected grid, levels
     # -z and z, which the family report reduces on z >= 0 only
     family = positive_harmonic_family(s, 8, seed=5)
-    rep = harnack_family_report(s, family, 33, 16, kappa=kappa, R=R, refine=refine)
-    geom = MAGeometry(s)
     nx, my = 32 * refine + 1, 16 * refine
+    rep = harnack_family_report(s, family, nx, my, kappa=kappa, R=R)
+    geom = MAGeometry(s)
     xs = np.linspace(-np.sqrt(2.0 * R) * 1.05, np.sqrt(2.0 * R) * 1.05, nx)
     zcap = geom.section_interval(0.0, R)[1] * 1.05
     ys = transform_to_y(np.concatenate([[0.0], np.geomspace(zcap * 1e-3, zcap, my)]), s)
@@ -1079,7 +1080,7 @@ def test_harnack_family_report_equals_full_grid_evaluation(refine, s, R, kappa, 
     # the family's shared sections give the quotients, bit for bit, of
     # harnack_quotient on one state per member
     family = positive_harmonic_family(s, 4, seed=seed)
-    rep = harnack_family_report(s, family, 33, 16, kappa=kappa, R=R, refine=refine)
+    rep = harnack_family_report(s, family, 32 * refine + 1, 16 * refine, kappa=kappa, R=R)
     geom = MAGeometry(s)
     xlim = np.sqrt(2.0 * R) * 1.05
     zcap = geom.section_interval(0.0, R)[1] * 1.05
@@ -1130,10 +1131,10 @@ _PTS = (np.linspace(-1.0, 1.0, 8), np.linspace(0.0, 1.0, 8))
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call, match", [
-    (lambda st: schauder_decay(st, 2, rho=2.0), r"rho must lie in \(0, 1\), got 2.0"),
-    (lambda st: schauder_decay(st, 2, rho=1.0), r"rho must lie in \(0, 1\), got 1.0"),
-    (lambda st: schauder_decay(st, 5), "case must be 1, 2 or 3, got 5"),
-    (lambda st: campanato_iterate(st, 5, 0.5), "case must be 1, 2 or 3, got 5"),
+    (lambda st: schauder_decay(st, 2, 2.0, 9, 0.0), r"rho must lie in \(0, 1\), got 2.0"),
+    (lambda st: schauder_decay(st, 2, 1.0, 9, 0.0), r"rho must lie in \(0, 1\), got 1.0"),
+    (lambda st: schauder_decay(st, 5, 0.5, 9, 0.0), "case must be 1, 2 or 3, got 5"),
+    (lambda st: campanato_iterate(st, 5, 0.5, 0.5), "case must be 1, 2 or 3, got 5"),
     (lambda st: campanato_iterate(st, 2, 0.5, rho=1.5), r"rho must lie in \(0, 1\), got 1.5"),
     (lambda st: campanato_iterate(st, 2, 0.5, rho=0.0), r"rho must lie in \(0, 1\), got 0.0"),
     (lambda st: rescale_solution(st, np.nan), "rho must be finite and positive, got nan"),
@@ -1156,7 +1157,7 @@ _PTS = (np.linspace(-1.0, 1.0, 8), np.linspace(0.0, 1.0, 8))
      "holder_seminorm: x_pts, z_pts and vals must hold one entry per point"),
     (lambda st: holder_seminorm(st.geom, _PTS[0], _PTS[1][:-1], np.ones(8), 0.5),
      "holder_seminorm: x_pts, z_pts and vals must hold one entry per point"),
-    (lambda st: harnack_family_report(st.s, []),
+    (lambda st: harnack_family_report(st.s, [], 97, 48, 0.5, 0.5),
      "harnack_family_report: family must hold at least one member"),
 ], ids=["decay-rho-2", "decay-rho-1", "decay-case-5", "campanato-case-5", "campanato-rho-1.5",
         "campanato-rho-0", "rescale-nan", "rescale-inf", "trace-center-negative",

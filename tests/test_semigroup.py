@@ -17,8 +17,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eig, expm, fractional_matrix_power, lapack
 
 from fracext import obs, semigroup
-from fracext.extension import (ExtensionMesh, ExtensionProblem, harmonic_mode_profile,
-                               solve_extension)
+from fracext.extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo,
+                               harmonic_mode_profile, solve_extension)
 from fracext.fitting import sup_fit
 from fracext.geometry import MAGeometry, transform_to_y, transform_to_z
 from fracext.gridfn import BoxGrid, GridFunction
@@ -670,7 +670,8 @@ def test_public_powers_refuse_a_bad_s_by_name(s):
             call()
 
 
-@pytest.mark.parametrize("s", [np.array([0.4, 0.5]), None, "0.5", np.nan, 1.0])
+@pytest.mark.parametrize("s", [np.array([0.4, 0.5]), None, "0.5", np.nan, 1.0,
+                               0.0, -0.5, 1.5, 1.7])
 @pytest.mark.parametrize("entry", [
     MAGeometry,
     lambda s: fractional_apply(_stepper_1d(N=16), GridFunction.from_callable(
@@ -678,11 +679,20 @@ def test_public_powers_refuse_a_bad_s_by_name(s):
     ds_constant,
     lambda s: bessel_extension_profile(4.0, s, 0.3),
     lambda s: ExtensionProblem(s=s, coeff=CoefficientField.identity(1), domain=(0.0, 1.0), Z=1.0),
+    lambda s: transform_to_y(0.3, s),
+    lambda s: transform_to_z(0.3, s),
+    lambda s: harmonic_mode_profile(s, 1.0, 0.3),
+    lambda s: HarmonicCombo(s, 1.0, [(1, 1, 0)])(0.1, 0.2),
+    lambda s: ExtensionMesh(nx=9, my=8).y_grading(s),
+    lambda s: ExtensionMesh(nx=9, my=8).y_nodes(1.0, s),
 ], ids=["MAGeometry", "fractional_apply", "ds_constant", "bessel_extension_profile",
-        "ExtensionProblem"])
+        "ExtensionProblem", "transform_to_y", "transform_to_z", "harmonic_mode_profile",
+        "HarmonicCombo", "y_grading", "y_nodes"])
 def test_every_entry_point_refuses_a_bad_s_by_name(entry, s):
     # one rule (`geometry._order`): a string was taken as its number, an
-    # array or None leaked a TypeError or numpy's ambiguous truth value
+    # array or None leaked a TypeError or numpy's ambiguous truth value; the
+    # transforms, the mode profile, HarmonicCombo and the y-mesh gave a
+    # number or NaN at s = 0, below 0 or above 1, or divided by zero at 1
     with pytest.raises(ValueError, match=r"s must be in \(0,1\), got s = "):
         entry(s)
 
