@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MAGeometry, SectionDescriptor
+from . import obs
+from .geometry import MAGeometry, SectionDescriptor, _count, blocks
 
 
 # -- annulus sampling shared by the barrier checks --------------------------------------
@@ -25,8 +26,11 @@ def sample_annulus(geom: MAGeometry, z0, R, rho, samples, seed):
 
     The budget u is split between the x and z parts; the z-coordinate solves
     delta_h(z0, .) = u_z on a uniformly chosen side of z0 (both lie in the
-    section when u_z < R, hence z > 0 when R = delta_h(z0, 0)).
+    section when u_z < R, hence z > 0 when R = delta_h(z0, 0)).  ValueError
+    naming samples or seed unless samples is an integer >= 1 and seed one
+    >= 0 (`geometry._count`).
     """
+    samples, seed = _count(samples, "samples", 1), _count(seed, "seed", 0)
     n = geom.n
     rng = np.random.default_rng(seed)
     u = rng.uniform(rho, R, samples)
@@ -330,25 +334,14 @@ def search_case2_parameters(geom: MAGeometry, R, rho):
 
 # -- blocked min-plus products ------------------------------------------------------------
 
-# Elements in one temporary of a blocked minimization (2 MiB of float64):
-# inf-convolution passes, the paraboloid envelope, the exact shifted columns
-# of a slide and the runner's touch check all stay within it, or within one
-# row of the reduced axis when that row alone is longer.
-BLOCK_ELEMENTS = 1 << 18
-
-
-def blocks(n, width):
-    """Consecutive slices of range(n), max(1, BLOCK_ELEMENTS // width) items each."""
-    step = max(1, BLOCK_ELEMENTS // max(1, width))
-    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
-
 
 def _min_plus(X, Y):
     """out[a, b] = min_k X[a, k] + Y[b, k].
 
     The reduced axis is laid last and (a, b) is covered in blocks, so no
-    temporary exceeds BLOCK_ELEMENTS elements or one row of k.  The minimum
-    is read at the argmin, which is faster than np.min over the last axis.
+    temporary exceeds geometry.BLOCK_ELEMENTS elements or one row of k.  The
+    minimum is read at the argmin, which is faster than np.min over the last
+    axis.
     """
     X, Y = np.ascontiguousarray(X), np.ascontiguousarray(Y)
     (na, nk), nb = X.shape, Y.shape[0]
@@ -494,9 +487,11 @@ def slide_paraboloids(geom: MAGeometry, xs, zs, U, vertices, opening):
 
     Candidate filter: column j can hold a contact only if col[v, j] <= m +
     CONTACT_TOL max(1, |m| + slack) + 2 slack.  The exact expression is
-    evaluated on those columns alone (in blocks of BLOCK_ELEMENTS), so the
-    touching values and contact sets are those of a full per-vertex scan,
-    bit for bit.
+    evaluated on those columns alone (in blocks of geometry.BLOCK_ELEMENTS),
+    so the touching values and contact sets are those of a full per-vertex
+    scan, bit for bit.  Counts obs barriers.columns (vertices x z-nodes, the
+    columns the envelope prices) and barriers.candidate_columns (those
+    evaluated exactly).
     """
     xs = np.asarray(xs, dtype=float)
     zs = np.asarray(zs, dtype=float)
@@ -522,6 +517,8 @@ def slide_paraboloids(geom: MAGeometry, xs, zs, U, vertices, opening):
         vk.append(v + vb.start)
         jk.append(j)
     vk, jk = np.concatenate(vk), np.concatenate(jk)
+    obs.count("barriers.columns", len(verts) * nz)
+    obs.count("barriers.candidate_columns", len(jk))
 
     def exact(k):  # rows: U + a (delta_phi + delta_h) down the candidate columns k
         return U.T[jk[k]] + a * (dphi[pv[vk[k]]] + dh[qv[vk[k]], jk[k]][:, None])

@@ -36,6 +36,21 @@ _BRACKET_DOUBLINGS = 200
 _NEWTON_STEPS = 200
 _ENDPOINT_TOL = 4.0 * np.finfo(float).eps
 
+# Elements in one temporary of a blocked computation: 256 KiB of float64, so
+# a block's few temporaries fit in a 1-2 MiB L2 cache and a call faults in
+# fresh pages for a few blocks, not for its whole problem (a fresh 4 KiB page
+# costs about 3 us on a 2-core Xeon VM, some 15 times writing a mapped one).
+# The samplers of this module, the min-plus passes of barriers, the exact
+# shifted columns of a slide and the runner's touch check stay within it, or
+# within one row of the reduced axis when that row alone is longer.
+BLOCK_ELEMENTS = 1 << 15
+
+
+def blocks(n, width):
+    """Consecutive slices of range(n), max(1, BLOCK_ELEMENTS // width) items each."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    return [slice(k, min(k + step, n)) for k in range(0, n, step)]
+
 
 def __getattr__(name):
     # the benchmark tracer looks `brentq` up here by name; it is resolved on
@@ -69,6 +84,18 @@ def _order(s):
         except (TypeError, ValueError):
             pass
     raise ValueError(f"s must be in (0,1), got s = {s!r}")
+
+
+def _count(v, name, lo):
+    """v as an int, the one rule for a sample count (lo = 1 or 2) and a seed
+    (lo = 0): ValueError naming `name` unless v is an int or numpy integer,
+    not a bool, of at least lo.  A seed of None would draw fresh entropy and
+    leave the report irreproducible."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {name} = {v!r}")
+    if v < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {v!r}")
+    return int(v)
 
 
 def _real(v, name, refusal):
@@ -419,31 +446,42 @@ def quasi_triangle_check(geom: MAGeometry, samples, seed):
     Returns the largest ratio delta(p1,p2) / (min-sym delta(p1,p3) +
     min-sym delta(p2,p3)) over denominators above 1e-12; the constant is
     existential so only finiteness and K >= 1 are asserted downstream.
+    The triples are drawn as whole arrays, then h, h', the five deltas and
+    the ratios are evaluated one block of BLOCK_ELEMENTS // (3 (n + 1))
+    triples at a time (a block reads at most BLOCK_ELEMENTS draws); the
+    maximum and median over the blocks' ratios in order are those of a
+    whole-array evaluation, bit for bit.  ValueError naming samples or
+    seed unless samples is an integer >= 1 and seed one >= 0 (`_count`).
     """
+    samples, seed = _count(samples, "samples", 1), _count(seed, "seed", 0)
     n = geom.n
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-2.0, 2.0, size=(3, samples, n))
     zs = rng.uniform(-2.0, 2.0, size=(3, samples))
-    hz, hpz = geom.h(zs), geom.hp(zs)  # once per sample set, for the 5 deltas
-    # delta_phi is symmetric: once per unordered pair, summed coordinate by
-    # coordinate (the bits of np.sum over the length-n axis)
-    dphi = {}
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        dx = xs[j] - xs[i]
-        sq = dx[:, 0] ** 2
-        for k in range(1, n):
-            sq = sq + dx[:, k] ** 2
-        dphi[i, j] = dphi[j, i] = 0.5 * sq
+    ratios = []
+    for b in blocks(samples, 3 * (n + 1)):
+        x, z = xs[:, b], zs[:, b]
+        hz, hpz = geom.h(z), geom.hp(z)  # once per block, for the 5 deltas
+        # delta_phi is symmetric: once per unordered pair, summed coordinate by
+        # coordinate (the bits of np.sum over the length-n axis)
+        dphi = {}
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            dx = x[j] - x[i]
+            sq = dx[:, 0] ** 2
+            for k in range(1, n):
+                sq = sq + dx[:, k] ** 2
+            dphi[i, j] = dphi[j, i] = 0.5 * sq
 
-    def d(i, j):
-        return dphi[i, j] + (hz[j] - hz[i] - hpz[i] * (zs[j] - zs[i]))  # delta_h(zs[i], zs[j])
+        def d(i, j):
+            return dphi[i, j] + (hz[j] - hz[i] - hpz[i] * (z[j] - z[i]))  # delta_h(z[i], z[j])
 
-    num = d(0, 1)
-    den = np.minimum(d(0, 2), d(2, 0)) + np.minimum(d(1, 2), d(2, 1))
-    ok = den > 1e-12
-    ratios = num[ok] / den[ok]
+        num = d(0, 1)
+        den = np.minimum(d(0, 2), d(2, 0)) + np.minimum(d(1, 2), d(2, 1))
+        ok = den > 1e-12
+        ratios.append(num[ok] / den[ok])
+    ratios = np.concatenate(ratios)
     return {"kind": "quasi-triangle", "s": geom.s,
-            "samples": int(ok.sum()),
+            "samples": len(ratios),
             "K_hat": float(np.max(ratios)),
             "median_ratio": float(np.median(ratios))}
 
@@ -451,8 +489,9 @@ def quasi_triangle_check(geom: MAGeometry, samples, seed):
 @_names_s
 def scaling_identity_check(geom: MAGeometry, seed):
     """Max relative error of rho^2 h(z) = h(rho^{2s} z) and the h' analogue
-    over 2048 sampled (rho, z)."""
-    rng = np.random.default_rng(seed)
+    over 2048 sampled (rho, z).  ValueError naming seed unless it is an
+    integer >= 0 (`_count`)."""
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     rho = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 2048))
     z = rng.uniform(-5.0, 5.0, 2048)
     z[z == 0.0] = 0.5
@@ -469,8 +508,13 @@ def scaling_identity_check(geom: MAGeometry, seed):
 
 @_names_s
 def doubling_check(geom: MAGeometry, sections):
-    """Ratios |S_R(z0)| mu_h(S_R(z0)) / R over a list of (z0, R) pairs."""
-    z0, R = np.asarray(sections, dtype=float).T
+    """Ratios |S_R(z0)| mu_h(S_R(z0)) / R over a list of (z0, R) pairs.
+    ValueError naming sections unless it holds at least one pair."""
+    sections = np.asarray(sections, dtype=float)
+    if sections.ndim != 2 or sections.shape[1] != 2 or not len(sections):
+        raise ValueError(f"sections must be a non-empty list of (z0, R) pairs, "
+                         f"got shape {sections.shape}")
+    z0, R = sections.T
     zlo, zhi = geom.section_interval(z0, R)
     ratios = (zhi - zlo) * geom.mu_h_interval(zlo, zhi) / R
     return {"kind": "doubling", "s": geom.s,
@@ -509,16 +553,26 @@ def quotient_check(geom: MAGeometry, samples=20_000, *, seed):
 
     The lower bound Q >= 1 is a property of the s <= 1/2 regime (the
     quotient vanishes at z = 0 when s > 1/2); callers should gate on s.
+    The pairs are drawn as whole arrays and Q is evaluated one block of
+    BLOCK_ELEMENTS // 2 pairs at a time (a block reads at most
+    BLOCK_ELEMENTS draws); the minimum over the blocks is that of a
+    whole-array evaluation.  ValueError naming samples or seed unless
+    samples is an integer >= 1 and seed one >= 0 (`_count`).
     """
+    samples, seed = _count(samples, "samples", 1), _count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     z0 = np.exp(rng.uniform(np.log(1e-2), np.log(1e1), samples))
     z = np.exp(rng.uniform(np.log(1e-4), np.log(1e1), samples))
-    keep = np.abs(z - z0) > 1e-12
-    q = geom.quotient(z0[keep], z[keep])
+    kept, min_Q = 0, np.inf
+    for b in blocks(samples, 2):
+        keep = np.abs(z[b] - z0[b]) > 1e-12
+        kept += int(keep.sum())
+        q = geom.quotient(z0[b][keep], z[b][keep])
+        min_Q = min(min_Q, float(np.min(q, initial=np.inf)))
     return {"kind": "quotient", "s": geom.s,
-            "samples": int(keep.sum()),
-            "min_Q": float(q.min()),
-            "passes": bool(q.min() >= 1.0 - 1e-10)}
+            "samples": kept,
+            "min_Q": min_Q,
+            "passes": min_Q >= 1.0 - 1e-10}
 
 
 @_names_s
@@ -531,10 +585,10 @@ def engulfing_check(geom: MAGeometry, samples, seed):
     is computed exactly; the report gives the lower-envelope constants
     (C, p) with C (r2-r1)^p t <= tau over every sample, so violations at the
     reported constants are zero by construction.  ValueError naming samples
-    below 2: the exponent line needs two points.
+    or seed unless samples is an integer >= 2 (the exponent line needs two
+    points) and seed one >= 0 (`_count`).
     """
-    if not samples >= 2:
-        raise ValueError(f"engulfing_check fits a line: samples must be >= 2, got {samples!r}")
+    samples, seed = _count(samples, "samples", 2), _count(seed, "seed", 0)
     n = geom.n
     rng = np.random.default_rng(seed)
     r2 = rng.uniform(0.05, 1.0, samples)

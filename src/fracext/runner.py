@@ -21,15 +21,15 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .barriers import (BarrierCase1, BarrierNotFound, blocks, inf_convolution,
-                       paraboloid_rows, search_case2_parameters, slide_paraboloids)
+from .barriers import (BarrierCase1, BarrierNotFound, inf_convolution, paraboloid_rows,
+                       search_case2_parameters, slide_paraboloids)
 from .benchmarks import (eigen_extension_problem, harmonic_family_ycap, kinked_grid,
                          kinked_trace_problem, positive_harmonic_family, sliding_fixture,
                          vertex_lattice)
 from .config import ExperimentConfig
 from .extension import (ExtensionMesh, ExtensionState, HarmonicCombo, solve_extension,
                         transform_to_z)
-from .geometry import (MAGeometry, a_infinity_check, doubling_check, engulfing_check,
+from .geometry import (MAGeometry, a_infinity_check, blocks, doubling_check, engulfing_check,
                        quasi_triangle_check, quotient_check, scaling_identity_check)
 from .gridfn import BoxGrid, GridFunction, write_csv, write_json
 from .plots import svg_heatmap, svg_loglog
@@ -109,13 +109,13 @@ def _run_geometry(cfg, outdir):
     prob = cfg.problem
     geom = MAGeometry(s, n=prob["dimension"])
     seed = cfg.seed
-    qt = quasi_triangle_check(geom, prob["samples"], seed=seed)
+    qt = quasi_triangle_check(geom, int(prob["samples"]), seed=seed)
     sc = scaling_identity_check(geom, seed=seed)
     radii = [10.0**e for e in (-3, -2, -1, 0, 1)]
     sections = [(z0, R) for z0 in (0.0, 0.5, 2.0) for R in radii]
     db = doubling_check(geom, sections)
     ai = a_infinity_check(geom)
-    en = engulfing_check(geom, prob["engulfing_samples"], seed=seed)
+    en = engulfing_check(geom, int(prob["engulfing_samples"]), seed=seed)
     details = {"quasi_triangle": qt, "exact_scaling": sc, "doubling": db,
                "a_infinity": ai, "engulfing": en}
     ok = (np.isfinite(qt["K_hat"]) and qt["K_hat"] >= 1.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracext import barriers
+from fracext import geometry, obs
 from fracext.barriers import (EPS_LADDER, SCAN_MARGIN, BarrierCase1, BarrierCase2,
                               BarrierNotFound, ContactReport, TouchReport, cell_measures,
                               inf_convolution, sample_annulus, search_case2_parameters,
@@ -412,25 +412,62 @@ def test_slide_and_infconv_blocks_do_not_change_results(monkeypatch, block):
     M1 = np.take_along_axis(stage1, arg_w[:, None, :], axis=1)[:, 0, :]
     stage2 = M1[:, None, :] + ((xs[:, None] - xs[None, :]) ** 2 / 0.1)[:, :, None]
     arg_i = np.argmin(stage2, axis=0)
-    monkeypatch.setattr(barriers, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", block)  # the budget blocks() reads
     _assert_same_slide(slide_paraboloids(g, xs, zs, U, verts, 0.8), ref)
     assert np.array_equal(inf_convolution(xs, zs, U, 0.1),
                           np.take_along_axis(stage2, arg_i[None], axis=0)[0])
+
+
+def _traced_peak(fn):
+    """fn()'s result and the most bytes it had allocated at once (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_infconv_and_refined_slide_memory_is_bounded():
     g = MAGeometry(0.6)
     xs, zs, U = sliding_fixture(g, "harmonic", nx=241, nz=241, opening=1.0, seed=1)
     verts = vertex_lattice(xs, zs, 24)
+    # inf-convolution holds at most 7 arrays of the grid's size (its two
+    # penalty matrices, their contiguous transposes, the first pass, its
+    # transpose and the result) and, in each pass, one block of sums and its
+    # argmins, at most BLOCK_ELEMENTS elements each; the slide holds less
+    grid, block = U.nbytes, 8 * geometry.BLOCK_ELEMENTS
     for fn in (lambda: inf_convolution(xs, zs, U, 0.05),
                lambda: slide_paraboloids(g, xs, zs, U, verts, 1.0)):
-        tracemalloc.start()
-        try:
-            fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert _traced_peak(fn)[1] < 7 * grid + 2 * block
+
+
+def test_sliding_stage_traced_peak_is_pinned(tmp_path):
+    # 61 x 61 and its refinement 121 x 121 (stride 12), the inf-convolution
+    # and the touch check: 1.0 MiB at the peak; with 2 MiB blocks it was 3.7
+    cfg = validate({"experiment": "slide-paraboloids", "setup": {"s": 0.5},
+                    "problem": {"fixture": "harmonic", "nx": 61, "nz": 61,
+                                "check_refinement": True}})
+    run(cfg, str(tmp_path))  # imports and first-use set-up are not the stage's
+    m, peak = _traced_peak(lambda: run(cfg, str(tmp_path)))
+    assert m.stages[0]["status"] == "pass"
+    assert peak <= 1.25 * 2**20
+
+
+def test_slide_counts_the_columns_it_prices_and_evaluates():
+    g = MAGeometry(0.5)
+    xs, zs, U = sliding_fixture(g, "convex", nx=21, nz=17, opening=1.0, seed=0)
+    verts = vertex_lattice(xs, zs, 5)
+    with obs.recording() as counts:
+        rep = slide_paraboloids(g, xs, zs, U, verts, 1.0)
+    # every vertex prices all 17 z-columns by its envelope; the exact values
+    # are evaluated down the candidate columns only, at least one per vertex
+    # and every column that holds a contact
+    contact_columns = {(k, j) for k, (_, nodes, _) in enumerate(rep.contact_map)
+                       for _, j in nodes}
+    assert counts["barriers.columns"] == len(verts) * 17
+    assert len(contact_columns) <= counts["barriers.candidate_columns"] < len(verts) * 17
+    assert counts["barriers.candidate_columns"] >= len(verts)
 
 
 @pytest.mark.parametrize("change, match", [

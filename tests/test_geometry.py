@@ -1,5 +1,6 @@
 """Geometry module: closed-form identities, section machinery, empirical checks."""
 
+import tracemalloc
 import warnings
 
 import mpmath
@@ -9,11 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fracext import obs
+from fracext import geometry, obs
+from fracext.barriers import sample_annulus
+from fracext.config import validate
 from fracext.geometry import (MAGeometry, SectionDescriptor,
                               a_infinity_check, doubling_check, engulfing_check,
                               quasi_triangle_check, quotient_check,
                               scaling_identity_check)
+from fracext.runner import run
 
 
 def test_setup_validation():
@@ -377,6 +381,84 @@ def test_engulfing_check_refuses_fewer_than_two_samples(samples):
         with pytest.raises(ValueError, match=f"samples must be >= 2, got {samples}"):
             engulfing_check(MAGeometry(0.3), samples=samples, seed=0)
     assert engulfing_check(MAGeometry(0.3), samples=2, seed=0)["samples"] == 2
+
+
+def _quotient_whole_array(g, samples, seed):
+    """quotient_check's report with Q evaluated on all the draws at once."""
+    rng = np.random.default_rng(seed)
+    z0 = np.exp(rng.uniform(np.log(1e-2), np.log(1e1), samples))
+    z = np.exp(rng.uniform(np.log(1e-4), np.log(1e1), samples))
+    keep = np.abs(z - z0) > 1e-12
+    q = g.quotient(z0[keep], z[keep])
+    return {"kind": "quotient", "s": g.s, "samples": int(keep.sum()),
+            "min_Q": float(q.min()), "passes": bool(q.min() >= 1.0 - 1e-10)}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_blocked_samplers_equal_the_whole_array_reference(n):
+    # quasi_triangle_check takes BLOCK_ELEMENTS // (3 (n + 1)) triples a
+    # block and quotient_check BLOCK_ELEMENTS // 2 pairs: on either side of
+    # one block, at one sample and at the benchmark's 20,000 the reports
+    # keep every bit of a whole-array evaluation of the same draws
+    g = MAGeometry(0.3, n=n)
+    for block, check, reference in (
+            (geometry.BLOCK_ELEMENTS // (3 * (n + 1)), quasi_triangle_check,
+             _quasi_triangle_five_deltas),
+            (geometry.BLOCK_ELEMENTS // 2, lambda g, m, seed: quotient_check(g, m, seed=seed),
+             _quotient_whole_array)):
+        for samples in (1, block - 1, block, block + 1, 20_000):
+            assert check(g, samples, 6061) == reference(g, samples, 6061), (check, samples)
+
+
+def test_samplers_refuse_a_bad_count_or_seed_by_name():
+    g = MAGeometry(0.4)
+    calls = {"quasi_triangle_check": lambda m, seed: quasi_triangle_check(g, m, seed),
+             "quotient_check": lambda m, seed: quotient_check(g, m, seed=seed),
+             "engulfing_check": lambda m, seed: engulfing_check(g, m, seed),
+             "sample_annulus": lambda m, seed: sample_annulus(g, 1.0, 0.5, 0.1, m, seed)}
+    for name, call in calls.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for samples in (0, -3, 2.5, True, None, "10", np.float64(10.0)):
+                with pytest.raises(ValueError, match=r"^samples must be"):
+                    call(samples, 0)
+            for seed in (None, -1, 2.5, True, "0"):
+                with pytest.raises(ValueError, match=r"^seed must be"):
+                    call(10, seed)
+        # a numpy integer is a count and a seed, with the bits of the int
+        assert str(call(np.int64(10), np.int64(3))) == str(call(10, 3)), name
+    for seed in (None, -1, 2.5, True):
+        with pytest.raises(ValueError, match=r"^seed must be"):
+            scaling_identity_check(g, seed)
+    for sections in ([], [[]], [(0.5, 1.0, 2.0)], 0.5):
+        with pytest.raises(ValueError, match=r"^sections must be a non-empty list"):
+            doubling_check(g, sections)
+
+
+def test_geometry_stage_hands_the_samplers_integer_counts(tmp_path):
+    # the schema accepts an integral float as a count; the samplers take ints
+    cfg = validate({"experiment": "geometry-check", "setup": {"s": 0.4},
+                    "problem": {"samples": 200.0, "engulfing_samples": 20.0}})
+    stage = run(cfg, str(tmp_path)).stages[0]
+    assert stage["status"] == "pass", stage["details"]
+    assert stage["details"]["engulfing"]["samples"] == 20
+
+
+def test_geometry_stage_traced_peak_is_pinned(tmp_path):
+    # the benchmark's geometry-check cases (20,000 triples, 400 engulfing
+    # samples) at n = 2: the 2.2 MiB peak is quasi_triangle_check's
+    # whole-array draws (1.4 MiB) and one block's temporaries; evaluated
+    # whole-array it was 4.1
+    cfg = validate({"experiment": "geometry-check", "setup": {"s": 0.4},
+                    "problem": {"dimension": 2, "samples": 20_000, "engulfing_samples": 400}})
+    run(cfg, str(tmp_path))  # imports and first-use set-up are not the stage's
+    tracemalloc.start()
+    try:
+        assert run(cfg, str(tmp_path)).stages[0]["status"] == "pass"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
 
 
 def test_engulfing_quadratic_exact_constants():
