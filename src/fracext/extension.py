@@ -28,9 +28,10 @@ degenerate direction: the symmetric tridiagonal A_y and the cell weights V
 (mu_k < 0) per y-mode.  L need not separate, so a mixed a12 term in 2-D is
 no obstacle.  The
 mode systems are factored by `semigroup._shifted_solver`, as the poles of
-the fractional powers are: symmetric tridiagonal LDL^T in 1-D, band LU in
-2-D, at most a fixed byte budget of bands at once (beyond it, batch by
-batch in each solve call).
+the fractional powers are: symmetric tridiagonal LDL^T in 1-D; in 2-D band
+Cholesky where L is exactly symmetric (constant a^{ij}), else band LU; at
+most a fixed byte budget of band factors at once (beyond it, batch by batch
+in each solve call).
 
 One refinement step with A follows, through the same factors (re-factored
 batch by batch when they did not fit), and is kept only if it lowers the

@@ -17,13 +17,17 @@ needs numpy and scipy.linalg only: AAA poles from a port of scipy's
 scipy.optimize or scipy.interpolate to load.
 The systems L - p_j I of the poles and the extension's y-modes are stacks of
 shifted x-operator systems, which `_shifted_solver` alone factors (no other
-module imports LAPACK).  On intervals wider than hi/lo = 1e3 (every 1-D L
-from about 45 nodes on) every power picks its poles from one geometric
-candidate set (24-35 for a = 1 and N = 64-4096 cells), which the record
-factors once and every s solves through (`_XOperator.pole_set`); in 2-D,
-AAA's dozen or so poles depend on s, and each power factors them for its own
-call.  Only the record and the fits (`_power_fit`) outlive a call, both in
-bounded memos; a stepper holds no factors.
+module imports LAPACK): every 1-D L is similar to a symmetric tridiagonal
+matrix (positive definite LDL^T); a 2-D L that is exactly symmetric
+(constant a^{ij}: one Selling stencil at every node) takes the band
+Cholesky, any other 2-D L the pivoted band LU.  On intervals wider than
+hi/lo = 1e3 (every 1-D L from about 45 nodes on) every power picks its poles
+from one geometric candidate set (24-35 for a = 1 and N = 64-4096 cells),
+which the record factors once and every s solves through
+(`_XOperator.pole_set`); in 2-D, AAA's dozen or so poles depend on s, and
+each power factors them for its own call.  Only the record and the fits
+(`_power_fit`) outlive a call, both in bounded memos; a stepper holds no
+factors.
 
 The 1-D semigroup extension phi(L, z) u (`bessel_extension_profile`) is a
 trapezoid rule on a contour around that interval (`_profile_contour`):
@@ -376,7 +380,7 @@ class _XOperator:
         more than one interior node and every off-diagonal stored (< 0: the
         solver's pttrf, 2 numbers per unknown and candidate) on an interval
         wider than _AAA_MAX_RANGE has one; None elsewhere, where the poles
-        depend on beta or the factors are band LU.
+        depend on beta or the factors are banded.
         """
         (lo, hi), _ = self.fit_interval
         poles, m = _geometric_poles(lo, hi), self.L.shape[0]
@@ -439,7 +443,7 @@ def _read_only(M):
     return M
 
 
-_BAND_BUDGET = 256 * 2**20  # bytes of band LU that `_shifted_solver` holds at once
+_BAND_BUDGET = 256 * 2**20  # bytes of band factors `_shifted_solver` holds at once
 _CONTOUR_BYTES = 4 * 2**20  # bytes of contour factors an x-operator record holds
 
 
@@ -447,35 +451,50 @@ def _shifted_solver(A, shifts, message):
     """Solve function for the block-diagonal diag(A + shifts[k] I): the
     poles of the powers, the extension's y-modes, the contour's nodes.
 
-    A tridiagonal A, N >= 2, whose off-diagonals are all < 0 (every 1-D L)
-    is D S D^{-1} with S symmetric (`_tridiagonal_symmetrizer`): LAPACK's
-    positive definite LDL^T (pttrf) factors every S + shifts[k] I, 2
-    numbers per unknown; complex shifts need such an A and N len(shifts) >=
-    3 (else ValueError), and the pivoted LU zgttrf factors A + shifts[k] I,
-    4 complex numbers per unknown.  Any other A takes the band LU with partial
-    pivoting (gbtrf), N (3k + 1) numbers per block for the half-bandwidth k
-    = max |col - row| (2-D `x_operator`: max |e1 m2 + e2| over the stencil
-    offsets e, m2 nodes per x2-line; m2 for identity coefficients, m2 + 1
-    with a mixed term).  At most _BAND_BUDGET bytes of bands are held: if
-    every block fits, all are factored here, once, else each call factors,
-    substitutes and releases one batch of blocks at a time, except the last
-    batch it walks, which it keeps for the next call; that call walks the
-    batches the other way round, so b batches cost b factorizations in the
-    first call and b - 1 in each later one.  The factors live as long as
-    solve: a power's for its one call (`_rational_power`), the record's
-    candidate set and contour (`_XOperator.pole_set`, `.contour`) as long as
-    the record, a contour over _CONTOUR_BYTES for its one extension call.
+    Three factorizations, by what A is.  A tridiagonal A, N >= 2, whose
+    off-diagonals are all < 0 (every 1-D L) is D S D^{-1} with S symmetric
+    (`_tridiagonal_symmetrizer`): LAPACK's positive definite LDL^T (pttrf)
+    factors every S + shifts[k] I, 2 numbers per unknown; complex shifts
+    need such an A and N len(shifts) >= 3 (else ValueError), and the pivoted
+    LU zgttrf factors A + shifts[k] I, 4 complex numbers per unknown.  Any
+    other A is factored in band form, half-bandwidth k = max |col - row|
+    (2-D `x_operator`: max |e1 m2 + e2| over the stencil offsets e, m2 nodes
+    per x2-line; m2 for identity coefficients, m2 + 1 with a mixed term).
+    An exactly symmetric A (CSR arrays equal to those of A^T) whose
+    off-diagonals are <= 0 takes the band Cholesky (pbtrf), N (k + 1)
+    numbers per block: a 2-D L with constant a^{ij} (the same Selling
+    stencil at every node) or of one unknown, an M-matrix, so positive
+    definite for every shift >= 0 (the poles', the y-modes').  The test
+    reads A, not the record's symmetry flag (`_XOperator.fit_interval`),
+    which tolerates a defect of 8 eps rounding max|L|: a Cholesky of one
+    triangle of a nearly symmetric A solves another system.  pbtrf reads
+    the lower band, which OpenBLAS with threads on factored 4-10x faster
+    than the upper one (27^2 to 63^2 unknowns).  Every other A (variable
+    2-D a^{ij}) takes the band LU with partial pivoting (gbtrf), N (3k + 1)
+    numbers per block.  At most _BAND_BUDGET bytes of band factors are
+    held: if every block fits, all are factored here, once, else each call
+    factors, substitutes and releases one batch of blocks at a time, except
+    the last batch it walks, which it keeps for the next call; that call
+    walks the batches the other way round, so b batches cost b
+    factorizations in the first call and b - 1 in each later one.  The
+    factors live as long as solve: a power's for its one call
+    (`_rational_power`), the record's candidate set and contour
+    (`_XOperator.pole_set`, `.contour`) as long as the record, a contour
+    over _CONTOUR_BYTES for its one extension call.
     Held pttrf and zgttrf arrays are read-only.  The blocks follow one
     another, and the exact zeros between them keep them apart.
 
     solve(b, overwrite_b=False) maps stacked right-hand sides, (len(shifts),
     N) or raveled, to solutions of the same shape and the shifts' dtype;
     with overwrite_b a C-contiguous b receives the solution.  The first
-    block k that is singular (LU) or not positive definite (pttrf) raises
-    LinAlgError(message.format(k=k, p=-shifts[k])), the block being A - p I.
-    Counts obs semigroup.shifted_blocks and semigroup.shifted_unknowns.
+    block k that is singular (LU) or not positive definite (pttrf, pbtrf)
+    raises LinAlgError(message.format(k=k, p=-shifts[k])), the block being
+    A - p I.  Counts obs semigroup.shifted_blocks and
+    semigroup.shifted_unknowns, and semigroup.cholesky_blocks for a stack
+    that takes the band Cholesky.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs, dpttrf, dpttrs, zgttrf, zgttrs
+    from scipy.linalg.lapack import (dgbtrf, dgbtrs, dpbtrf, dpbtrs, dpttrf, dpttrs, zgttrf,
+                                     zgttrs)
 
     shifts = np.asarray(shifts, dtype=complex if np.iscomplexobj(shifts) else float)
     n, m = A.shape[0], len(shifts)
@@ -522,17 +541,29 @@ def _shifted_solver(A, shifts, message):
         coo = A.tocoo()
         coo.sum_duplicates()
         k = int(np.max(np.abs(coo.col - coo.row), initial=0))
-        per_batch = max(1, _BAND_BUDGET // (8 * n * (3 * k + 1)))
+        # exactly symmetric: A's CSR arrays equal A^T's, which are A's CSC arrays
+        csr, csc = ((M.indptr, M.indices, M.data) for M in (A.tocsr(), A.tocsc()))
+        cholesky = (np.all(coo.data[coo.row != coo.col] <= 0.0)
+                    and all(map(np.array_equal, csr, csc)))
+        if cholesky:
+            obs.count("semigroup.cholesky_blocks", m)
+        top, width = (0, k + 1) if cholesky else (2 * k, 3 * k + 1)  # the diagonal's band row
+        per_batch = max(1, _BAND_BUDGET // (8 * n * width))
 
         def factor(start, stop):
-            # C-order (block, column, band row) is gbtrf's Fortran (band row,
-            # column) layout; A[i, j] sits in band row 2k + i - j
-            bands = np.zeros((stop - start, n, 3 * k + 1))
-            bands[:, coo.col, 2 * k + coo.row - coo.col] = coo.data
-            bands[:, :, 2 * k] += shifts[start:stop, None]
-            lu, piv, info = dgbtrf(bands.reshape(-1, 3 * k + 1).T, k, k, overwrite_ab=1)
+            # C-order (block, column, band row) is the Fortran (band row,
+            # column) layout of pbtrf and gbtrf
+            bands = np.zeros((stop - start, n, width))
+            if cholesky:  # the lower band: A[i, j] = A[j, i] at column min(i, j), band row |i - j|
+                bands[:, np.minimum(coo.row, coo.col), np.abs(coo.row - coo.col)] = coo.data
+            else:  # A[i, j] at column j, band row 2k + i - j
+                bands[:, coo.col, top + coo.row - coo.col] = coo.data
+            bands[:, :, top] += shifts[start:stop, None]
+            ab = bands.reshape(-1, width).T
+            *lu, info = (dpbtrf(ab, lower=1, overwrite_ab=1) if cholesky
+                         else dgbtrf(ab, k, k, overwrite_ab=1))
             check(info, start)
-            return lu, piv
+            return lu
 
         starts = range(0, m, per_batch)
         # the factors of one batch stay between calls: all of them when every
@@ -545,11 +576,15 @@ def _shifted_solver(A, shifts, message):
         def substitute(rows):
             order = starts[::-1] if starts[-1] in kept else starts
             for i in order:
-                lu, piv = kept.pop(i, None) or factor(i, min(i + per_batch, m))
-                dgbtrs(lu, k, k, rows[i:i + per_batch].reshape(-1, 1), piv, overwrite_b=1)
+                lu = kept.pop(i, None) or factor(i, min(i + per_batch, m))
+                batch = rows[i:i + per_batch].reshape(-1, 1)
+                if cholesky:
+                    dpbtrs(*lu, batch, lower=1, overwrite_b=1)
+                else:
+                    dgbtrs(lu[0], k, k, batch, lu[1], overwrite_b=1)
                 if i == order[-1]:
-                    kept[i] = lu, piv
-                del lu, piv  # a batch factored here is released before the next
+                    kept[i] = lu
+                del lu  # a batch factored here is released before the next
 
     def solve(b, overwrite_b=False):
         x = (np.ascontiguousarray(b, dtype=shifts.dtype) if overwrite_b

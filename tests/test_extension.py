@@ -948,15 +948,31 @@ def test_2d_solve_peak_grows_by_at_most_five_solution_arrays_beside_its_factors(
     # x-operators and numpy's fixed buffers, as large as a few levels here,
     # cancel in the difference
     prob = _variable_2d_problem(0.4, 25, 25, 0.3, 2.0, "neumann")
+    factors = _per_mode_band_bytes(prob, ExtensionMesh(nx=25, my=20)) + 23 * 23 * 4
+    gained = _peak_gain_per_added_level(prob, factors)
+    assert gained <= 5.0, gained
+
+
+def test_2d_symmetric_solve_peak_grows_by_at_most_five_solution_arrays_beside_its_factors():
+    # the same with the constant field a11 = a22 = 1, a12 = 0.3: L is
+    # symmetric with off-diagonals <= 0, so each added level's factors are
+    # its band Cholesky, N (k + 1) doubles and no pivots
+    prob = dataclasses.replace(_variable_2d_problem(0.4, 25, 25, 0.3, 2.0, "neumann"),
+                               coeff=_constant_field(2, (1.0, 0.3, 1.0), 0.7, 1.3))
+    factors = _per_mode_band_bytes(prob, ExtensionMesh(nx=25, my=20), cholesky=True)
+    gained = _peak_gain_per_added_level(prob, factors)
+    assert gained <= 5.0, gained
+
+
+def _peak_gain_per_added_level(prob, factors):
+    """What the traced peak of a 25^2 x 40 solve gains over 25^2 x 20 beyond
+    the 20 added levels' `factors` bytes each, in arrays of one level."""
     peaks = []
     for my in (20, 40):
         mesh = ExtensionMesh(nx=25, my=my)
         solve_extension(prob, mesh)
         peaks.append(_traced_peak(lambda: solve_extension(prob, mesh))[1])
-    level = 23 * 23 * 8
-    factors = _per_mode_band_bytes(prob, ExtensionMesh(nx=25, my=20)) + 23 * 23 * 4
-    gained = (peaks[1] - peaks[0] - 20 * factors) / (20 * level)
-    assert gained <= 5.0, gained
+    return (peaks[1] - peaks[0] - 20 * factors) / (20 * 23 * 23 * 8)
 
 
 def test_backward_error_pass_allocates_a_few_blocks_beyond_its_inputs():
@@ -978,11 +994,27 @@ def test_backward_error_pass_allocates_a_few_blocks_beyond_its_inputs():
         (peak - rhs.nbytes - abs_bytes) / extension._BLOCK_BYTES
 
 
-def _per_mode_band_bytes(prob, mesh):
-    """Bytes of one y-mode's band LU: N (3k + 1) doubles."""
+def _per_mode_band_bytes(prob, mesh, cholesky=False):
+    """Bytes of one y-mode's band LU, N (3k + 1) doubles, or of its band
+    Cholesky, N (k + 1) doubles."""
     L = semigroup.x_operator(prob.coeff, mesh.x_axes(prob.domain, 2)).L
     coo = L.tocoo()
-    return 8 * L.shape[0] * (3 * int(np.max(np.abs(coo.col - coo.row))) + 1)
+    k = int(np.max(np.abs(coo.col - coo.row)))
+    return 8 * L.shape[0] * (k + 1 if cholesky else 3 * k + 1)
+
+
+@pytest.mark.parametrize("bottom", ["neumann", "dirichlet"])
+def test_2d_solves_count_their_band_cholesky_blocks(bottom):
+    # the constant mixed-term field gives a symmetric L with off-diagonals
+    # <= 0: every y-mode system takes the band Cholesky; the variable
+    # field's nonsymmetric L takes the band LU for all of them
+    for prob, symmetric in ((_array_power_problem(2, bottom), True),
+                            (_variable_2d_problem(0.4, 13, 13, 0.3, 2.0, bottom), False)):
+        with obs.recording() as counts:
+            solve_extension(prob, ExtensionMesh(nx=13, my=9))
+        modes = counts["extension.y_modes"]
+        assert counts["semigroup.shifted_blocks"] == modes == (9 if bottom == "neumann" else 8)
+        assert counts["semigroup.cholesky_blocks"] == (modes if symmetric else 0)
 
 
 @pytest.mark.parametrize("modes", [1, 2])

@@ -1361,17 +1361,19 @@ def _engine_solves(A, shifts, seed):
     solutions of every block, and the LAPACK factorizations it called."""
     b = np.random.default_rng(seed).standard_normal((len(shifts), A.shape[0]))
     with mock.patch.object(lapack, "dpttrf", wraps=lapack.dpttrf) as pt, \
+            mock.patch.object(lapack, "dpbtrf", wraps=lapack.dpbtrf) as pb, \
             mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as gb:
         x = semigroup._shifted_solver(A, shifts, "block {k}")(b)
     ref = [np.linalg.solve(A.toarray() + sh * np.eye(A.shape[0]), bk) for sh, bk in zip(shifts, b)]
-    return x, np.array(ref), {"pttrf": pt.call_count, "gbtrf": gb.call_count}
+    return x, np.array(ref), {"pttrf": pt.call_count, "pbtrf": pb.call_count,
+                              "gbtrf": gb.call_count}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(0.25, 1.0), min_size=2, max_size=40), st.floats(0.05, 1.0),
        st.floats(1.0, 1e3), st.floats(0.5, 20.0),
        st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6), st.integers(0, 2**16))
-@example([1.0, 1.0], 1.0, 1.0, 1.0, [0.0], 0)  # one unknown: the band LU's 1 x 1
+@example([1.0, 1.0], 1.0, 1.0, 1.0, [0.0], 0)  # one unknown: a symmetric 1 x 1, band Cholesky
 def test_shifted_solver_on_1d_operators_takes_the_symmetric_tridiagonal_factorization(
         steps, lam, ratio, freq, shifts, seed):
     # a random nonuniform grid and a(x) in [lam, lam ratio]: L = -Ax is
@@ -1383,7 +1385,8 @@ def test_shifted_solver_on_1d_operators_takes_the_symmetric_tridiagonal_factoriz
         lam, lam * ratio)
     L = x_operator(coeff, [xs]).L
     x, ref, calls = _engine_solves(L, shifts, seed)
-    assert calls == ({"pttrf": 1, "gbtrf": 0} if L.shape[0] > 1 else {"pttrf": 0, "gbtrf": 1})
+    assert calls == ({"pttrf": 1, "pbtrf": 0, "gbtrf": 0} if L.shape[0] > 1
+                     else {"pttrf": 0, "pbtrf": 1, "gbtrf": 0})
     for xk, rk in zip(x, ref):
         assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
 
@@ -1397,31 +1400,72 @@ def test_shifted_solver_on_2d_operators_takes_the_band_lu(n1, n2, c12, freq, shi
                                      lambda x, y: 1.0 + 0.5 * np.cos(freq * y) ** 2, 0.5, 2.0)
     L = x_operator(coeff, [np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)]).L
     x, ref, calls = _engine_solves(L, shifts, seed)
-    assert calls == {"pttrf": 0, "gbtrf": 1}
+    assert calls == {"pttrf": 0, "pbtrf": 0, "gbtrf": 1}
     for xk, rk in zip(x, ref):
         assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
 
 
-def test_band_lu_batches_keep_the_last_for_the_next_call(monkeypatch):
-    # beyond the byte budget each call factors its batches in turn and keeps
-    # the last, which the next call, walking the other way, solves with
-    # first: 4 batches cost 4 factorizations, then 3 per call, and kept
-    # factors solve bit for bit as fresh ones
-    coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(2.0 * x) ** 2,
-                                     lambda x, y: 0.3 * np.cos(2.0 * (x + y)),
-                                     lambda x, y: 1.0 + 0.5 * np.cos(2.0 * y) ** 2, 0.5, 2.0)
+def _constant_2d_field(a11, a12, a22):
+    """Constant SPD a^{ij}: its L is exactly symmetric where Selling's
+    offsets stay between nearest neighbours (|a12| hx hy <= min(a11 hy^2,
+    a22 hx^2))."""
+    mid, rad = 0.5 * (a11 + a22), np.hypot(0.5 * (a11 - a22), a12)
+    return CoefficientField.full_2d(*(lambda x, y, v=v: np.full(np.broadcast(x, y).shape, v)
+                                      for v in (a11, a12, a22)), mid - rad, mid + rad)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 10), st.integers(4, 10), st.floats(0.5, 3.0), st.floats(0.5, 3.0),
+       st.floats(1.0, 3.0), st.floats(1.0, 3.0), st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+       st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4), st.integers(0, 2**16))
+def test_shifted_solver_on_symmetric_2d_operators_takes_the_band_cholesky(
+        n1, n2, w1, w2, a11, a22, t, shifts, seed):
+    # constant a^{ij} on a random uniform grid, a12 a fraction t of the
+    # 7-point bound (so a12^2 <= t^2 a11 a22): L is symmetric with
+    # off-diagonals <= 0, and every L + shift I with shift >= 0 is SPD
+    hx, hy = w1 / (n1 - 1), w2 / (n2 - 1)
+    a12 = t * min(a11 * hy / hx, a22 * hx / hy)
+    L = x_operator(_constant_2d_field(a11, a12, a22),
+                   [np.linspace(0.0, w1, n1), np.linspace(1.0, 1.0 + w2, n2)]).L
+    x, ref, calls = _engine_solves(L, shifts, seed)
+    assert calls == {"pttrf": 0, "pbtrf": 1, "gbtrf": 0}
+    for xk, rk in zip(x, ref):
+        assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
+
+
+def _band_field(kind):
+    """The 9 x 8 grid operator of the batch tests and the band rows of its
+    factors: a variable field's band LU or a constant field's band Cholesky."""
+    if kind == "variable":
+        coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(2.0 * x) ** 2,
+                                         lambda x, y: 0.3 * np.cos(2.0 * (x + y)),
+                                         lambda x, y: 1.0 + 0.5 * np.cos(2.0 * y) ** 2, 0.5, 2.0)
+    else:
+        coeff = _constant_2d_field(1.0, 0.3, 1.5)
     L = x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)]).L
     coo = L.tocoo()
     k = int(np.max(np.abs(coo.col - coo.row)))
-    monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * L.shape[0] * (3 * k + 1))
+    return L, 3 * k + 1 if kind == "variable" else k + 1
+
+
+@pytest.mark.parametrize("kind, factorization", [("variable", "dgbtrf"),
+                                                 ("symmetric", "dpbtrf")])
+def test_band_lu_batches_keep_the_last_for_the_next_call(monkeypatch, kind, factorization):
+    # beyond the byte budget each call factors its batches in turn and keeps
+    # the last, which the next call, walking the other way, solves with
+    # first: 4 batches cost 4 factorizations, then 3 per call, and kept
+    # factors solve bit for bit as fresh ones; the budget is counted in the
+    # band rows of the factorization taken
+    L, rows = _band_field(kind)
+    monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * L.shape[0] * rows)
     shifts = np.linspace(0.0, 60.0, 7)
     b = np.random.default_rng(3).standard_normal((len(shifts), L.shape[0]))
-    with mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as gb:
+    with mock.patch.object(lapack, factorization, wraps=getattr(lapack, factorization)) as fac:
         solve = semigroup._shifted_solver(L, shifts, "block {k}")
         runs = []
         for _ in range(3):
-            before = gb.call_count
-            runs.append((solve(b), gb.call_count - before))
+            before = fac.call_count
+            runs.append((solve(b), fac.call_count - before))
     assert [count for _, count in runs] == [4, 3, 3]
     for x, _ in runs[1:]:
         assert np.array_equal(x, runs[0][0])
@@ -1447,23 +1491,35 @@ def _closure_reach(func):
     return list(seen.values())
 
 
-def test_band_solver_with_every_block_factored_keeps_no_operator_copy(monkeypatch):
-    # when every block fits the budget the solve keeps the band LU and its
-    # pivots, not the COO copy of the operator that factoring read; past
-    # the budget the solve refactors batches, so it must keep that copy
-    coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(2.0 * x) ** 2,
-                                     lambda x, y: 0.3 * np.cos(2.0 * (x + y)),
-                                     lambda x, y: 1.0 + 0.5 * np.cos(2.0 * y) ** 2, 0.5, 2.0)
-    L = x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)]).L
+@pytest.mark.parametrize("kind", ["variable", "symmetric"])
+def test_band_solver_with_every_block_factored_keeps_no_operator_copy(monkeypatch, kind):
+    # when every block fits the budget the solve keeps the band factors (LU
+    # and its pivots, or the Cholesky alone), not the COO copy of the
+    # operator that factoring read; past the budget the solve refactors
+    # batches, so it must keep that copy
+    L, rows = _band_field(kind)
     n, shifts = L.shape[0], np.linspace(0.0, 60.0, 7)
-    k = int(np.max(np.abs(L.tocoo().col - L.tocoo().row)))
     reach = _closure_reach(semigroup._shifted_solver(L, shifts, "block {k}"))
     assert not any(sp.issparse(obj) for obj in reach)
+    held = [(rows, len(shifts) * n)] + ([(len(shifts) * n,)] if kind == "variable" else [])
     assert sorted(obj.shape for obj in reach if isinstance(obj, np.ndarray) and obj.size >= n) \
-        == sorted([(3 * k + 1, len(shifts) * n), (len(shifts) * n,)])
-    monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * n * (3 * k + 1))
+        == sorted(held)
+    monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * n * rows)
     reach = _closure_reach(semigroup._shifted_solver(L, shifts, "block {k}"))
     assert any(sp.issparse(obj) and obj.format == "coo" for obj in reach)
+
+
+def test_2d_powers_count_their_band_cholesky_blocks():
+    # identity coefficients give a symmetric L with off-diagonals <= 0: each
+    # of the fit's poles is one band Cholesky block; a variable mixed term
+    # makes L nonsymmetric, and its poles take the band LU
+    for coeff, n, symmetric in ((CoefficientField.identity(2), 13, True),
+                                (_variable_2d_field(), 9, False)):
+        st_ = _stepper_2d(coeff, n)
+        with obs.recording() as counts:
+            _, info = fractional_apply(st_, _random_2d(st_.grid, 1), 0.4)
+        assert counts["semigroup.shifted_blocks"] == info["poles"] > 0
+        assert counts["semigroup.cholesky_blocks"] == (info["poles"] if symmetric else 0)
 
 
 def test_shifted_solver_names_an_indefinite_1d_block():
@@ -1520,7 +1576,7 @@ def test_shifted_solver_takes_the_band_lu_off_negative_off_diagonals(entry):
     L = _stepper_1d(N=16).L.tolil()
     L[3, 4] = entry
     x, ref, calls = _engine_solves(L.tocsr(), [0.0, 2.0], 5)
-    assert calls == {"pttrf": 0, "gbtrf": 1}
+    assert calls == {"pttrf": 0, "pbtrf": 0, "gbtrf": 1}
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
