@@ -28,10 +28,10 @@ degenerate direction: the symmetric tridiagonal A_y and the cell weights V
 (mu_k < 0) per y-mode.  L need not separate, so a mixed a12 term in 2-D is
 no obstacle.  The
 mode systems are factored by `semigroup._shifted_solver`, as the poles of
-the fractional powers are: symmetric tridiagonal LDL^T in 1-D; in 2-D band
-Cholesky where L is exactly symmetric (constant a^{ij}), else band LU; at
-most a fixed byte budget of band factors at once (beyond it, batch by batch
-in each solve call).
+the fractional powers are, the way the record decided once for its L:
+symmetric tridiagonal LDL^T in 1-D; in 2-D band Cholesky where L is exactly
+symmetric (constant a^{ij}), else band LU; at most a fixed byte budget of
+band factors at once (beyond it, batch by batch in each solve call).
 
 One refinement step with A follows, through the same factors (re-factored
 batch by batch when they did not fit), and is kept only if it lowers the
@@ -421,7 +421,7 @@ def solve_extension(problem: ExtensionProblem, mesh: ExtensionMesh) -> Extension
         rhs[0] -= K[0] * u_bottom.ravel()
     rhs[-1] -= K[my - 1] * g_top.ravel()
 
-    sol, err, refined = _checked_solve(A, rhs.ravel(), _y_mode_solver(Ay, Vw[levels], op.L))
+    sol, err, refined = _checked_solve(A, rhs.ravel(), _y_mode_solver(Ay, Vw[levels], op))
     del rhs
     if kind == "neumann":
         res_bottom = float(err[0])
@@ -504,7 +504,7 @@ def _require_trace_digits(s, mesh):
                          f"> {_TRACE_ROUNDING_MAX:g}; choose a grading nearer 1 or a smaller my")
 
 
-def _y_mode_solver(Ay, V, L):
+def _y_mode_solver(Ay, V, op):
     """Solve function for (Ay (x) I - diag(V) (x) L) u = r by fast
     diagonalization in the degenerate direction (Lynch, Rice & Thomas,
     Numer. Math. 6 (1964) 185-199).
@@ -519,14 +519,14 @@ def _y_mode_solver(Ay, V, L):
     datum enters the pencil, so `_pencil_modes` factors each one (up to
     _MEMO_LEVELS levels) once per process.  Vectors are raveled level-major.
 
-    `semigroup._shifted_solver` factors the stacked L - mu_k I, L the
-    memoized x-operator record's own; a shift mu_k >= 0, left by rounding in
-    a pencil graded beyond double precision, raises LinAlgError.
+    `semigroup._shifted_solver` factors the stacked L - mu_k I as the
+    memoized x-operator record op decided, L its own; a shift mu_k >= 0, left
+    by rounding in a pencil graded beyond double precision, raises LinAlgError.
     """
     rs = 1.0 / np.sqrt(V)
     pencil = _pencil_modes if len(V) <= _MEMO_LEVELS else _pencil_modes.__wrapped__
     mu, P = pencil((Ay[1] * rs * rs).tobytes(), (Ay[2] * rs[:-1] * rs[1:]).tobytes())
-    mode_solve = _shifted_solver(L, -mu, "y-mode system {k} is singular or indefinite: its "
+    mode_solve = _shifted_solver(op, -mu, "y-mode system {k} is singular or indefinite: its "
                                  "shift mu = {p:g} lost its sign to rounding")
 
     def solve(r, overwrite=False):

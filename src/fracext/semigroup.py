@@ -17,13 +17,13 @@ needs numpy and scipy.linalg only: AAA poles from a port of scipy's
 scipy.optimize or scipy.interpolate to load.
 The systems L - p_j I of the poles and the extension's y-modes are stacks of
 shifted x-operator systems, which `_shifted_solver` alone factors (no other
-module imports LAPACK): every 1-D L is similar to a symmetric tridiagonal
-matrix (positive definite LDL^T); a 2-D L that is exactly symmetric
-(constant a^{ij}: one Selling stencil at every node) takes the band
-Cholesky, any other 2-D L the pivoted band LU.  On intervals wider than
-hi/lo = 1e3 (every 1-D L from about 45 nodes on) every power picks its poles
-from one geometric candidate set (24-35 for a = 1 and N = 64-4096 cells),
-which the record factors once and every s solves through
+module imports LAPACK), as the record decided once (`_XOperator.stacks`): a
+1-D L is similar to a symmetric tridiagonal matrix (positive definite
+LDL^T); an exactly symmetric 2-D L (constant a^{ij}: one Selling stencil at
+every node) takes the band Cholesky, any other the pivoted band LU.  On
+intervals wider than hi/lo = 1e3 (every 1-D L from about 45 nodes on) every
+power picks its poles from one geometric candidate set (24-35 for a = 1 and
+N = 64-4096 cells), which the record factors once and every s solves through
 (`_XOperator.pole_set`); in 2-D, AAA's dozen or so poles depend on s, and
 each power factors them for its own call.  Only the record and the fits
 (`_power_fit`) outlive a call, both in bounded memos; a stepper holds no
@@ -200,22 +200,23 @@ def _assembled(axes, comps, bounds):
     double and an int32 each) with its row pointer, 56 bytes; in 2-D the
     key's 3 doubles and 5 (identity) to 7 (mixed term) stored entries of L
     and the coupling, at most 112 bytes.  The axes and the coupling's rows
-    add at most 24 bytes per boundary node.  A 1-D entry whose powers ran
-    on an interval wider than _AAA_MAX_RANGE also holds its candidate set
-    (`_XOperator.pole_set`): pttrf's 2 doubles per node and candidate, at
-    most 43 candidates where a fit certifies, and the symmetrizer's 2
-    doubles per node, at most 704 bytes per interior node.  A 1-D entry
-    that met the semigroup extension also holds its contour
-    (`_XOperator.contour`): zgttrf's 68 bytes per interior node and contour
-    node (39-57 nodes), held only up to _CONTOUR_BYTES = 4 MiB (1,233
-    interior nodes for a = 1 on a uniform axis), and 64 bytes per contour
-    node for the nodes, weights and certificate samples.  `x_operator` keeps no operator over
-    _MEMO_NODES interior nodes (it calls the builder unmemoized), so an
-    entry holds at most about 16.7 MB (1-D with its candidate set and
-    contour factors, 2^14 interior nodes; 2.6 MB in 2-D) and the 16 entries
-    at most about 270 MB, of it at most 64 MiB of contour factors.  Counts
-    obs semigroup.operators per operator built (a hit counts none); a
-    refusal raises and is neither counted nor memoized.
+    add at most 24 bytes per boundary node.  A tridiagonal entry (1-D, or
+    2-D on one row) that factored holds its symmetrizer (d, e)
+    (`_XOperator.stacks`), 16 bytes per interior node, and if its powers ran
+    wider than _AAA_MAX_RANGE its candidate set (`pole_set`): pttrf's 2
+    doubles per node and candidate, at most 43 where a fit certifies, and
+    1/d, at most 696 bytes per interior node.  A 1-D entry that met the
+    semigroup extension also holds its contour (`_XOperator.contour`):
+    zgttrf's 68 bytes per interior node and contour node (39-57 nodes), held
+    only up to _CONTOUR_BYTES = 4 MiB (1,233 interior nodes for a = 1 on a
+    uniform axis), and 64 bytes per contour node for the nodes, weights and
+    certificate samples.  `x_operator` keeps no operator over _MEMO_NODES
+    interior nodes (it calls the builder unmemoized), so an entry holds at
+    most about 16.8 MB (1-D with its candidate set and contour factors, 2^14
+    interior nodes; 2.6 MB in 2-D, 11.4 MB more on one row with a candidate
+    set) and the 16 entries at most about 270 MB, of it at most 64 MiB of
+    contour factors.  Counts obs semigroup.operators per operator built (a
+    hit counts none); a refusal raises and is neither counted nor memoized.
     """
     axes = [np.frombuffer(ax) for ax in axes]
     comps = [np.frombuffer(c) for c in comps]
@@ -361,9 +362,9 @@ class _XOperator:
     weights on the boundary nodes in raveled edge order (the nodes off the
     interior, C order).  floor: lam sum 8 / (hi - lo)^2, the declared lam
     times the least 3-point Dirichlet eigenvalue on the axes' (lo, hi) for
-    any spacing, a lower bound of L's spectrum.  On first use: `fit_interval`
-    and, in 1-D, the factored candidate poles of every power (`pole_set`) and
-    the semigroup extension's contour (`contour`).
+    any spacing, a lower bound of L's spectrum.  On first use: `fit_interval`,
+    how stacks of L - p I are factored (`stacks`) and, in 1-D, the factored
+    candidate poles of every power (`pole_set`) and the contour (`contour`).
     """
 
     def __init__(self, axes, lam, L, lateral):
@@ -376,18 +377,16 @@ class _XOperator:
     def pole_set(self):
         """(candidates, solve) on first use: `_geometric_poles` of the fit
         interval, read-only, which every power's fit on it picks from, and
-        the `_shifted_solver` of every L - p I over them.  Only a 1-D L with
-        more than one interior node and every off-diagonal stored (< 0: the
-        solver's pttrf, 2 numbers per unknown and candidate) on an interval
-        wider than _AAA_MAX_RANGE has one; None elsewhere, where the poles
-        depend on beta or the factors are banded.
+        the `_shifted_solver` of every L - p I over them.  Only an L whose
+        `stacks` take pttrf (2 numbers per unknown and candidate: every 1-D
+        L) on an interval wider than _AAA_MAX_RANGE has one; None elsewhere,
+        where the poles depend on beta or the factors are banded.
         """
-        (lo, hi), _ = self.fit_interval
-        poles, m = _geometric_poles(lo, hi), self.L.shape[0]
-        if poles is None or len(self.axes) != 1 or m < 2 or self.L.nnz != 3 * m - 2:
+        poles = _geometric_poles(*self.fit_interval[0])
+        if poles is None or self.stacks[0] is None:
             return None
         poles.flags.writeable = False
-        return poles, _shifted_solver(self.L, -poles, "L - ({p:g}) I is singular")
+        return poles, _shifted_solver(self, -poles)
 
     @cached_property
     def contour(self):
@@ -404,7 +403,32 @@ class _XOperator:
             arr.flags.writeable = False
         if 68 * len(zeta) * self.L.shape[0] > _CONTOUR_BYTES:
             return zeta, c, lam, None
-        return zeta, c, lam, _shifted_solver(self.L, -zeta, "L - ({p:g}) I is singular")
+        return zeta, c, lam, _shifted_solver(self, -zeta)
+
+    @cached_property
+    def stacks(self):
+        """(symmetrizer, k, cholesky), read-only and independent of s: how
+        `_shifted_solver` factors every stack of L - p I, derived on first
+        use.  symmetrizer: where L is tridiagonal with every off-diagonal < 0
+        (every 1-D L), (d, e) with D^{-1} L D symmetric, D = diag(d), of
+        off-diagonal e = -sqrt(up lo); else None.  k: max |col - row|.
+        cholesky: L exactly symmetric (max |L - L^T| = 0, not the tolerant
+        flag of `fit_interval`: a Cholesky of one triangle of a nearly
+        symmetric L solves another system), off-diagonals <= 0."""
+        L, n = self.L, self.L.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(L.indptr))
+        k = int(np.max(np.abs(L.indices - rows), initial=0))
+        cholesky = bool(self._defect == 0.0 and np.all(L.data[L.indices != rows] <= 0.0))
+        lo, up = L.diagonal(-1), L.diagonal(1)
+        if not (k <= 1 and np.all(lo < 0.0) and np.all(up < 0.0)):
+            return None, k, cholesky
+        d, e = np.concatenate([[1.0], np.cumprod(np.sqrt(lo / up))]), -np.sqrt(lo * up)
+        d.flags.writeable = e.flags.writeable = False
+        return (d, e), k, cholesky
+
+    @cached_property
+    def _defect(self):  # max |L - L^T|, read by `fit_interval` and `stacks`
+        return abs(self.L - self.L.T).max()
 
     @cached_property
     def fit_interval(self):
@@ -414,26 +438,12 @@ class _XOperator:
         below it (a single interior node puts the bound on the floor
         itself).  symmetric: max |L - L^T| <= 8 eps rounding max |L|, where
         rounding = max|x| / min spacing over the axes bounds the relative
-        error that node coordinates leave in the stencil weights.  The 1-D L
-        is tridiagonal: the row sums |lo| + (|d| + |up|), in the order of
-        scipy's CSR row sum, and the defect max |up - lo| of its diagonals
-        give the bits of the sparse expressions, which 2-D evaluates.
+        error that node coordinates leave in the stencil weights.
         """
-        L = self.L
-        if len(self.axes) == 1:
-            lo, d, up = L.diagonal(-1), L.diagonal(), L.diagonal(1)
-            rows = np.abs(d)
-            rows[:-1] += np.abs(up)
-            rows[1:] += np.abs(lo)
-            top = np.max(rows)
-            defect = np.max(np.abs(up - lo), initial=0.0)
-            scale = np.max(np.abs(L.data), initial=0.0)
-        else:
-            top = np.max(abs(L).sum(axis=1))
-            defect, scale = abs(L - L.T).max(), abs(L).max()
+        A = abs(self.L)
         rounding = max(np.max(np.abs(ax)) / np.min(np.diff(ax)) for ax in self.axes)
-        symmetric = bool(defect <= 8 * np.finfo(float).eps * rounding * scale)
-        return (self.floor, max(float(top), 2.0 * self.floor)), symmetric
+        symmetric = bool(self._defect <= 8 * np.finfo(float).eps * rounding * A.max())
+        return (self.floor, max(float(np.max(A.sum(axis=1))), 2.0 * self.floor)), symmetric
 
 
 def _read_only(M):
@@ -447,40 +457,35 @@ _BAND_BUDGET = 256 * 2**20  # bytes of band factors `_shifted_solver` holds at o
 _CONTOUR_BYTES = 4 * 2**20  # bytes of contour factors an x-operator record holds
 
 
-def _shifted_solver(A, shifts, message):
-    """Solve function for the block-diagonal diag(A + shifts[k] I): the
-    poles of the powers, the extension's y-modes, the contour's nodes.
+def _shifted_solver(op, shifts, message="L - ({p:g}) I is singular"):
+    """Solve function for the block-diagonal diag(L + shifts[k] I), L the
+    record op's: the poles of the powers, the extension's y-modes, the
+    contour's nodes.
 
-    Three factorizations, by what A is.  A tridiagonal A, N >= 2, whose
-    off-diagonals are all < 0 (every 1-D L) is D S D^{-1} with S symmetric
-    (`_tridiagonal_symmetrizer`): LAPACK's positive definite LDL^T (pttrf)
-    factors every S + shifts[k] I, 2 numbers per unknown; complex shifts
-    need such an A and N len(shifts) >= 3 (else ValueError), and the pivoted
-    LU zgttrf factors A + shifts[k] I, 4 complex numbers per unknown.  Any
-    other A is factored in band form, half-bandwidth k = max |col - row|
-    (2-D `x_operator`: max |e1 m2 + e2| over the stencil offsets e, m2 nodes
-    per x2-line; m2 for identity coefficients, m2 + 1 with a mixed term).
-    An exactly symmetric A (CSR arrays equal to those of A^T) whose
-    off-diagonals are <= 0 takes the band Cholesky (pbtrf), N (k + 1)
-    numbers per block: a 2-D L with constant a^{ij} (the same Selling
-    stencil at every node) or of one unknown, an M-matrix, so positive
-    definite for every shift >= 0 (the poles', the y-modes').  The test
-    reads A, not the record's symmetry flag (`_XOperator.fit_interval`),
-    which tolerates a defect of 8 eps rounding max|L|: a Cholesky of one
-    triangle of a nearly symmetric A solves another system.  pbtrf reads
-    the lower band, which OpenBLAS with threads on factored 4-10x faster
-    than the upper one (27^2 to 63^2 unknowns).  Every other A (variable
-    2-D a^{ij}) takes the band LU with partial pivoting (gbtrf), N (3k + 1)
-    numbers per block.  At most _BAND_BUDGET bytes of band factors are
-    held: if every block fits, all are factored here, once, else each call
-    factors, substitutes and releases one batch of blocks at a time, except
-    the last batch it walks, which it keeps for the next call; that call
-    walks the batches the other way round, so b batches cost b
-    factorizations in the first call and b - 1 in each later one.  The
-    factors live as long as solve: a power's for its one call
-    (`_rational_power`), the record's candidate set and contour
-    (`_XOperator.pole_set`, `.contour`) as long as the record, a contour
-    over _CONTOUR_BYTES for its one extension call.
+    Three factorizations, as the record decided once (`_XOperator.stacks`).
+    Where it holds a symmetrizer D (every 1-D L), S = D^{-1} L D: LAPACK's
+    positive definite LDL^T (pttrf) factors every S + shifts[k] I, N >= 2, 2
+    numbers per unknown; complex shifts need a symmetrizer and N len(shifts)
+    >= 3 (else ValueError), and the pivoted LU zgttrf factors L + shifts[k]
+    I, 4 complex numbers per unknown.  Any other L is factored in band form,
+    filled from the record's own CSR arrays, half-bandwidth k (2-D: max |e1
+    m2 + e2| over the stencil offsets e, m2 nodes per x2-line; m2 for
+    identity coefficients, m2 + 1 with a mixed term).  An exactly symmetric
+    L with off-diagonals <= 0 (constant 2-D a^{ij}, or one unknown: an
+    M-matrix, positive definite for every shift >= 0, the poles' and the
+    y-modes') takes the band Cholesky (pbtrf), N (k + 1) numbers per block,
+    on the lower band, which OpenBLAS with threads on factored 4-10x faster
+    than the upper one (27^2 to 63^2 unknowns); any other (variable 2-D
+    a^{ij}) the band LU with partial pivoting (gbtrf), N (3k + 1) numbers per
+    block.  At most _BAND_BUDGET bytes of band factors are held: if every
+    block fits, all are factored here, once, else each call factors,
+    substitutes and releases one batch of blocks at a time, except the last
+    batch it walks, which it keeps for the next call; that call walks the
+    batches the other way round, so b batches cost b factorizations in the
+    first call and b - 1 in each later one.  The factors live as long as
+    solve: a power's for its one call (`_rational_power`), the record's
+    candidate set and contour (`_XOperator.pole_set`, `.contour`) as long as
+    the record, a contour over _CONTOUR_BYTES for its one extension call.
     Held pttrf and zgttrf arrays are read-only.  The blocks follow one
     another, and the exact zeros between them keep them apart.
 
@@ -489,7 +494,7 @@ def _shifted_solver(A, shifts, message):
     with overwrite_b a C-contiguous b receives the solution.  The first
     block k that is singular (LU) or not positive definite (pttrf, pbtrf)
     raises LinAlgError(message.format(k=k, p=-shifts[k])), the block being
-    A - p I.  Counts obs semigroup.shifted_blocks and
+    L - p I.  Counts obs semigroup.shifted_blocks and
     semigroup.shifted_unknowns, and semigroup.cholesky_blocks for a stack
     that takes the band Cholesky.
     """
@@ -497,7 +502,7 @@ def _shifted_solver(A, shifts, message):
                                      zgttrs)
 
     shifts = np.asarray(shifts, dtype=complex if np.iscomplexobj(shifts) else float)
-    n, m = A.shape[0], len(shifts)
+    (symmetrizer, k, cholesky), n, m = op.stacks, op.L.shape[0], len(shifts)
     obs.count("semigroup.shifted_blocks", m)
     obs.count("semigroup.shifted_unknowns", m * n)
 
@@ -506,14 +511,12 @@ def _shifted_solver(A, shifts, message):
             j = start + (info - 1) // n
             raise np.linalg.LinAlgError(message.format(k=j, p=-shifts[j]))
 
-    diag = A.diagonal()
-    tridiagonal = (np.all(A.diagonal(-1) < 0.0) and np.all(A.diagonal(1) < 0.0)
-                   and A.count_nonzero() == np.count_nonzero(diag) + 2 * (n - 1))
+    diag = op.L.diagonal()
     if shifts.dtype.kind == "c":
-        if not (tridiagonal and m * n >= 3):  # scipy's zgttrf wrapper takes 3 unknowns or more
+        if not (symmetrizer and m * n >= 3):  # scipy's zgttrf wrapper takes 3 unknowns or more
             raise ValueError("complex shifts need a tridiagonal A, off-diagonals < 0, N m >= 3")
         off = np.zeros((2, m, n), dtype=complex)  # sub- and superdiagonal, 0 between blocks
-        off[0, :, :-1], off[1, :, :-1] = A.diagonal(-1), A.diagonal(1)
+        off[0, :, :-1], off[1, :, :-1] = op.L.diagonal(-1), op.L.diagonal(1)
         lo, diag, up, up2, piv, info = zgttrf(off[0].ravel()[:-1], (diag + shifts[:, None]).ravel(),
                                               off[1].ravel()[:-1], overwrite_d=1)
         check(info)
@@ -522,15 +525,15 @@ def _shifted_solver(A, shifts, message):
 
         def substitute(rows):
             zgttrs(lo, diag, up, up2, piv, rows.reshape(-1, 1), overwrite_b=1)
-    elif n > 1 and tridiagonal:
-        d, e = _tridiagonal_symmetrizer(A)
+    elif n > 1 and symmetrizer:
+        d, e = symmetrizer
         diag = diag[None, :] + shifts[:, None]
         off = np.zeros_like(diag)
         off[:, :-1] = e
         diag, off, info = dpttrf(diag.ravel(), off.ravel()[:-1], overwrite_d=1, overwrite_e=1)
         check(info)
         scale = 1.0 / d
-        for held in (d, scale, diag, off):  # a record may hold them (`_XOperator.pole_set`)
+        for held in (scale, diag, off):  # a record may hold them (`_XOperator.pole_set`)
             held.flags.writeable = False
 
         def substitute(rows):
@@ -538,13 +541,6 @@ def _shifted_solver(A, shifts, message):
             dpttrs(diag, off, rows.reshape(-1, 1), overwrite_b=1)
             rows *= d
     else:
-        coo = A.tocoo()
-        coo.sum_duplicates()
-        k = int(np.max(np.abs(coo.col - coo.row), initial=0))
-        # exactly symmetric: A's CSR arrays equal A^T's, which are A's CSC arrays
-        csr, csc = ((M.indptr, M.indices, M.data) for M in (A.tocsr(), A.tocsc()))
-        cholesky = (np.all(coo.data[coo.row != coo.col] <= 0.0)
-                    and all(map(np.array_equal, csr, csc)))
         if cholesky:
             obs.count("semigroup.cholesky_blocks", m)
         top, width = (0, k + 1) if cholesky else (2 * k, 3 * k + 1)  # the diagonal's band row
@@ -553,11 +549,12 @@ def _shifted_solver(A, shifts, message):
         def factor(start, stop):
             # C-order (block, column, band row) is the Fortran (band row,
             # column) layout of pbtrf and gbtrf
+            row, col = np.repeat(np.arange(n), np.diff(op.L.indptr)), op.L.indices
             bands = np.zeros((stop - start, n, width))
-            if cholesky:  # the lower band: A[i, j] = A[j, i] at column min(i, j), band row |i - j|
-                bands[:, np.minimum(coo.row, coo.col), np.abs(coo.row - coo.col)] = coo.data
-            else:  # A[i, j] at column j, band row 2k + i - j
-                bands[:, coo.col, top + coo.row - coo.col] = coo.data
+            if cholesky:  # the lower band: L[i, j] = L[j, i] at column min(i, j), band row |i - j|
+                bands[:, np.minimum(row, col), np.abs(row - col)] = op.L.data
+            else:  # L[i, j] at column j, band row 2k + i - j
+                bands[:, col, top + row - col] = op.L.data
             bands[:, :, top] += shifts[start:stop, None]
             ab = bands.reshape(-1, width).T
             *lu, info = (dpbtrf(ab, lower=1, overwrite_ab=1) if cholesky
@@ -570,8 +567,6 @@ def _shifted_solver(A, shifts, message):
         # block fits, else the last batch a call walked, which the next call
         # walks first (the calls alternate direction)
         kept = {0: factor(0, m)} if m <= per_batch else {}
-        if kept:  # every block's factors stay: factor never runs again, so its coo goes
-            coo = None
 
         def substitute(rows):
             order = starts[::-1] if starts[-1] in kept else starts
@@ -595,14 +590,6 @@ def _shifted_solver(A, shifts, message):
     return solve
 
 
-def _tridiagonal_symmetrizer(A):
-    """(d, e) for a tridiagonal A whose off-diagonal pairs have positive
-    products: with D = diag(d), taken from the off-diagonals, S = D^{-1} A D
-    is symmetric with A's diagonal and off-diagonal e = sign(up) sqrt(up lo)."""
-    lo, up = A.diagonal(-1), A.diagonal(1)
-    return np.concatenate([[1.0], np.cumprod(np.sqrt(lo / up))]), np.sign(up) * np.sqrt(lo * up)
-
-
 # -- semigroup stepper ----------------------------------------------------------------
 
 
@@ -614,17 +601,18 @@ class SemigroupStepper:
     (`_XOperator`): L, read-only and shared by every stepper on the field
     and grid, the spectral floor (resting on the declared lam of `coeff`,
     which `x_operator` checks), the fit interval with L's symmetry flag,
-    derived once per record, and in 1-D the factored candidate poles that
-    every power picks from (`pole_set`) and the semigroup extension's
-    contour (`contour`, factored up to _CONTOUR_BYTES).  The stepper keeps
-    only the 1-D modes L = D Q diag(lam) Q^T D^{-1} (`_modes`, on first use:
-    one eigh_tridiagonal of the symmetric D^{-1} L D,
-    `_tridiagonal_symmetrizer`), in which e^{-tL} alone is applied, and the
-    decay cut-off; no factors.  Fractional powers (info: beta, poles, interval, sup_rel_error,
-    symmetric) take one shifted solve per pole (per candidate, where the
-    record holds them) in every dimension, the 1-D semigroup extension
-    (info: nodes, interval, sup_error) one complex substitution per node
-    pair; 2-D heat and extension raise ValueError.
+    derived once per record, as is how its stacks are factored (`stacks`),
+    and in 1-D the factored candidate poles that every power picks from
+    (`pole_set`) and the semigroup extension's contour (`contour`, factored
+    up to _CONTOUR_BYTES).  The stepper keeps only the 1-D modes L = D Q
+    diag(lam) Q^T D^{-1} (`_modes`, on first use: one eigh_tridiagonal of
+    D^{-1} L D, the record's symmetrizer), in which e^{-tL} alone is
+    applied, and the decay cut-off; no factors.  Fractional powers (info:
+    beta, poles, interval, sup_rel_error, symmetric) take one shifted solve
+    per pole (per candidate, where the record holds them) in every
+    dimension, the 1-D semigroup extension (info: nodes, interval,
+    sup_error) one complex substitution per node pair; 2-D heat and
+    extension raise ValueError.
 
     Its operator and grid do not change after construction; solves at
     distinct times are independent.
@@ -642,7 +630,7 @@ class SemigroupStepper:
     def _modes(self):
         from scipy.linalg import eigh_tridiagonal
 
-        d, e = _tridiagonal_symmetrizer(self.L)
+        d, e = self._op.stacks[0]
         return (*eigh_tridiagonal(self.L.diagonal(), e), d)  # (lam, Q, d = diag D)
 
     def heat_interior(self, v, t):
@@ -864,7 +852,7 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     to the rounding its node coordinates (errors of eps max|x|, relative to
     the smallest spacing) leave in the stencil weights; then the certificate
     bounds the relative matrix error in the 2-norm.  The 1-D L = -a(x) d_xx is D S D^{-1} with S
-    symmetric (`_tridiagonal_symmetrizer`): cond(D) times the bound, <= sqrt(Lambda
+    symmetric (`_XOperator.stacks`): cond(D) times the bound, <= sqrt(Lambda
     / lambda) times on a uniform grid.  A nonsymmetric 2-D L is not normal
     and the scalar error bounds nothing.
     """
@@ -872,8 +860,7 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     c0, poles, w, err = _power_fit(lo, hi, beta)
     out = c0 * v
     if len(poles):  # beta ~ 1e-16 on a narrow interval: the fit is c0 alone, r(L) = c0 I
-        candidates, solve = stepper._op.pole_set or (poles, _shifted_solver(
-            stepper.L, -poles, "L - ({p:g}) I is singular"))
+        candidates, solve = stepper._op.pole_set or (poles, _shifted_solver(stepper._op, -poles))
         x = solve(np.broadcast_to(v, (len(candidates), len(v))))
         for wj, j in zip(w, np.flatnonzero(np.isin(candidates, poles))):
             out += wj * x[j]
@@ -957,8 +944,7 @@ def extension_via_semigroup_multi(stepper: SemigroupStepper, u: GridFunction, s,
     (lo, hi), _ = stepper._op.fit_interval
     zeta, c, lam, solve = stepper._op.contour
     obs.count("semigroup.extension_nodes", 2 * len(zeta))
-    x = (solve or _shifted_solver(stepper.L, -zeta, "L - ({p:g}) I is singular"))(
-        np.broadcast_to(v, (len(zeta), len(v))))
+    x = (solve or _shifted_solver(stepper._op, -zeta))(np.broadcast_to(v, (len(zeta), len(v))))
     weights = c * _bessel_profile(np.sqrt(zeta), s, zs[:, None])
     rows = (weights @ x).real
     d, im = lam - zeta.real[:, None], zeta.imag[:, None]  # Re sum_k weights_k / (lam - zeta_k)

@@ -653,7 +653,7 @@ def _per_level_solve(problem, mesh):
     diags = (off, -(K[j0:my] + np.concatenate([[0.0], K])[j0:my]), off)
     sol, err, _ = extension._checked_solve(extension._LevelOperator(diags, Vw[j0:my], op.L),
                                            rhs.ravel(),
-                                           extension._y_mode_solver(diags, Vw[j0:my], op.L))
+                                           extension._y_mode_solver(diags, Vw[j0:my], op))
     W = np.empty((my + 1,) + edge.shape)
     W[:, edge] = lateral
     W[(my,) + inner] = g_top
@@ -859,8 +859,8 @@ def test_a_sweep_over_s_builds_one_x_operator():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_solves_factor_the_memoized_operators_own_L(monkeypatch, n):
-    # the y-mode solves factor L - mu_k I with the L the x-operator record
-    # holds, the same object the steppers factor
+    # the y-mode solves factor L - mu_k I as the x-operator record decided,
+    # handed the record itself, the same object the steppers factor
     if n == 1:
         problem, mesh = eigen_extension_problem(0.5, 2, Z=1.0)[0], ExtensionMesh(nx=33, my=12)
     else:
@@ -869,14 +869,14 @@ def test_solves_factor_the_memoized_operators_own_L(monkeypatch, n):
     handed = []
     shifted = extension._shifted_solver
 
-    def spy(A, shifts, message):
-        handed.append(A)
-        return shifted(A, shifts, message)
+    def spy(op, shifts, message):
+        handed.append(op)
+        return shifted(op, shifts, message)
 
     monkeypatch.setattr(extension, "_shifted_solver", spy)
     solve_extension(problem, mesh)
     op = semigroup.x_operator(problem.coeff, mesh.x_axes(problem.domain, n))
-    assert len(handed) == 1 and handed[0] is op.L
+    assert len(handed) == 1 and handed[0] is op
 
 
 def test_a_pencil_over_the_level_bound_is_factored_afresh_and_not_kept():

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eig, expm, fractional_matrix_power, lapack
 
-from fracext import obs, semigroup
+from fracext import extension, obs, semigroup
 from fracext.extension import (ExtensionMesh, ExtensionProblem, HarmonicCombo,
                                harmonic_mode_profile, solve_extension)
 from fracext.fitting import sup_fit
@@ -901,7 +901,7 @@ def test_semigroup_extension_certificate_bounds_its_error(N, lam, ratio, freq, l
     v = np.random.default_rng(seed).uniform(-1.0, 1.0, N - 1)
     outs, info = extension_via_semigroup_multi(stepper, stepper.wrap_interior(v), s, heights)
     assert 0.0 <= info["sup_error"] <= semigroup._EXTENSION_TOL
-    d = semigroup._tridiagonal_symmetrizer(stepper.L)[0]
+    d = stepper._op.stacks[0][0]
     ev, V = eig(stepper.L.toarray())
     coef = np.linalg.solve(V, v)
     bound = (d.max() / d.min() * info["sup_error"] + 1e-12) * np.linalg.norm(v)
@@ -1338,32 +1338,40 @@ def test_2d_solves_never_factorize_with_splu(monkeypatch):
     assert state.residual_interior <= 1e-14
 
 
+def _record(M):
+    """An x-operator record holding the matrix M as its L (on a toy axis, no
+    lateral coupling): how `_shifted_solver` is handed a matrix built by hand."""
+    return semigroup._XOperator([np.arange(M.shape[0] + 2.0)], 1.0, sp.csr_matrix(M),
+                                (np.zeros(0, int), sp.csr_matrix((0, 2))))
+
+
 def test_shifted_band_solver_raises_on_a_zero_pivot():
     # the 1 x 1 interior of a 3 x 3 grid: L - L[0, 0] I is the zero matrix
-    L = _stepper_2d(CoefficientField.identity(2), 3).L
-    c = L[0, 0]
+    op = _stepper_2d(CoefficientField.identity(2), 3)._op
+    c = op.L[0, 0]
     with pytest.raises(np.linalg.LinAlgError, match=rf"L - \({c:g}\) I is singular"):
-        semigroup._shifted_solver(L, [-c], f"L - ({c:g}) I is singular")
+        semigroup._shifted_solver(op, [-c], f"L - ({c:g}) I is singular")
     # a zero pivot that elimination makes, in the second of two stacked blocks
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    A = _record(np.array([[2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(np.linalg.LinAlgError, match="singular y-mode system"):
         semigroup._shifted_solver(A, [0.0, -1.0], "singular y-mode system")
     b = np.array([[1.0, -2.0], [3.0, 0.5]])
     # the second matrix needs a row swap in its unshifted block
-    for A in (A, sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))):
+    for A in (A, _record(np.array([[0.0, 1.0], [1.0, 0.0]]))):
         x = semigroup._shifted_solver(A, [0.0, 3.0], "singular")(b)
-        assert np.allclose(x, [np.linalg.solve(A.toarray() + sh * np.eye(2), bk)
+        assert np.allclose(x, [np.linalg.solve(A.L.toarray() + sh * np.eye(2), bk)
                                for sh, bk in zip((0.0, 3.0), b)], rtol=1e-15, atol=1e-15)
 
 
-def _engine_solves(A, shifts, seed):
-    """`_shifted_solver` on random stacked right-hand sides, the dense
-    solutions of every block, and the LAPACK factorizations it called."""
+def _engine_solves(op, shifts, seed):
+    """`_shifted_solver` on the record op and random stacked right-hand sides,
+    the dense solutions of every block, and the LAPACK factorizations it called."""
+    A = op.L
     b = np.random.default_rng(seed).standard_normal((len(shifts), A.shape[0]))
     with mock.patch.object(lapack, "dpttrf", wraps=lapack.dpttrf) as pt, \
             mock.patch.object(lapack, "dpbtrf", wraps=lapack.dpbtrf) as pb, \
             mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as gb:
-        x = semigroup._shifted_solver(A, shifts, "block {k}")(b)
+        x = semigroup._shifted_solver(op, shifts, "block {k}")(b)
     ref = [np.linalg.solve(A.toarray() + sh * np.eye(A.shape[0]), bk) for sh, bk in zip(shifts, b)]
     return x, np.array(ref), {"pttrf": pt.call_count, "pbtrf": pb.call_count,
                               "gbtrf": gb.call_count}
@@ -1383,9 +1391,9 @@ def test_shifted_solver_on_1d_operators_takes_the_symmetric_tridiagonal_factoriz
     coeff = CoefficientField(
         1, lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)),
         lam, lam * ratio)
-    L = x_operator(coeff, [xs]).L
-    x, ref, calls = _engine_solves(L, shifts, seed)
-    assert calls == ({"pttrf": 1, "pbtrf": 0, "gbtrf": 0} if L.shape[0] > 1
+    op = x_operator(coeff, [xs])
+    x, ref, calls = _engine_solves(op, shifts, seed)
+    assert calls == ({"pttrf": 1, "pbtrf": 0, "gbtrf": 0} if op.L.shape[0] > 1
                      else {"pttrf": 0, "pbtrf": 1, "gbtrf": 0})
     for xk, rk in zip(x, ref):
         assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
@@ -1398,8 +1406,8 @@ def test_shifted_solver_on_2d_operators_takes_the_band_lu(n1, n2, c12, freq, shi
     coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(freq * x) ** 2,
                                      lambda x, y: c12 * np.cos(freq * (x + y)),
                                      lambda x, y: 1.0 + 0.5 * np.cos(freq * y) ** 2, 0.5, 2.0)
-    L = x_operator(coeff, [np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)]).L
-    x, ref, calls = _engine_solves(L, shifts, seed)
+    op = x_operator(coeff, [np.linspace(0.0, 1.0, n1), np.linspace(0.0, 1.0, n2)])
+    x, ref, calls = _engine_solves(op, shifts, seed)
     assert calls == {"pttrf": 0, "pbtrf": 0, "gbtrf": 1}
     for xk, rk in zip(x, ref):
         assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
@@ -1425,27 +1433,28 @@ def test_shifted_solver_on_symmetric_2d_operators_takes_the_band_cholesky(
     # off-diagonals <= 0, and every L + shift I with shift >= 0 is SPD
     hx, hy = w1 / (n1 - 1), w2 / (n2 - 1)
     a12 = t * min(a11 * hy / hx, a22 * hx / hy)
-    L = x_operator(_constant_2d_field(a11, a12, a22),
-                   [np.linspace(0.0, w1, n1), np.linspace(1.0, 1.0 + w2, n2)]).L
-    x, ref, calls = _engine_solves(L, shifts, seed)
+    op = x_operator(_constant_2d_field(a11, a12, a22),
+                    [np.linspace(0.0, w1, n1), np.linspace(1.0, 1.0 + w2, n2)])
+    x, ref, calls = _engine_solves(op, shifts, seed)
     assert calls == {"pttrf": 0, "pbtrf": 1, "gbtrf": 0}
     for xk, rk in zip(x, ref):
         assert np.max(np.abs(xk - rk)) <= 1e-12 * np.max(np.abs(rk))
 
 
 def _band_field(kind):
-    """The 9 x 8 grid operator of the batch tests and the band rows of its
-    factors: a variable field's band LU or a constant field's band Cholesky."""
+    """The 9 x 8 grid operator's record of the batch tests and the band rows
+    of its factors: a variable field's band LU or a constant field's band
+    Cholesky."""
     if kind == "variable":
         coeff = CoefficientField.full_2d(lambda x, y: 1.0 + 0.5 * np.sin(2.0 * x) ** 2,
                                          lambda x, y: 0.3 * np.cos(2.0 * (x + y)),
                                          lambda x, y: 1.0 + 0.5 * np.cos(2.0 * y) ** 2, 0.5, 2.0)
     else:
         coeff = _constant_2d_field(1.0, 0.3, 1.5)
-    L = x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)]).L
-    coo = L.tocoo()
+    op = x_operator(coeff, [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 8)])
+    coo = op.L.tocoo()
     k = int(np.max(np.abs(coo.col - coo.row)))
-    return L, 3 * k + 1 if kind == "variable" else k + 1
+    return op, 3 * k + 1 if kind == "variable" else k + 1
 
 
 @pytest.mark.parametrize("kind, factorization", [("variable", "dgbtrf"),
@@ -1456,12 +1465,13 @@ def test_band_lu_batches_keep_the_last_for_the_next_call(monkeypatch, kind, fact
     # first: 4 batches cost 4 factorizations, then 3 per call, and kept
     # factors solve bit for bit as fresh ones; the budget is counted in the
     # band rows of the factorization taken
-    L, rows = _band_field(kind)
+    op, rows = _band_field(kind)
+    L = op.L
     monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * L.shape[0] * rows)
     shifts = np.linspace(0.0, 60.0, 7)
     b = np.random.default_rng(3).standard_normal((len(shifts), L.shape[0]))
     with mock.patch.object(lapack, factorization, wraps=getattr(lapack, factorization)) as fac:
-        solve = semigroup._shifted_solver(L, shifts, "block {k}")
+        solve = semigroup._shifted_solver(op, shifts, "block {k}")
         runs = []
         for _ in range(3):
             before = fac.call_count
@@ -1494,19 +1504,20 @@ def _closure_reach(func):
 @pytest.mark.parametrize("kind", ["variable", "symmetric"])
 def test_band_solver_with_every_block_factored_keeps_no_operator_copy(monkeypatch, kind):
     # when every block fits the budget the solve keeps the band factors (LU
-    # and its pivots, or the Cholesky alone), not the COO copy of the
-    # operator that factoring read; past the budget the solve refactors
-    # batches, so it must keep that copy
-    L, rows = _band_field(kind)
-    n, shifts = L.shape[0], np.linspace(0.0, 60.0, 7)
-    reach = _closure_reach(semigroup._shifted_solver(L, shifts, "block {k}"))
+    # and its pivots, or the Cholesky alone) and no copy of the operator;
+    # past the budget the solve refactors batches from the record's own L,
+    # which it refers to, still with no copy
+    op, rows = _band_field(kind)
+    n, shifts = op.L.shape[0], np.linspace(0.0, 60.0, 7)
+    reach = _closure_reach(semigroup._shifted_solver(op, shifts, "block {k}"))
     assert not any(sp.issparse(obj) for obj in reach)
     held = [(rows, len(shifts) * n)] + ([(len(shifts) * n,)] if kind == "variable" else [])
     assert sorted(obj.shape for obj in reach if isinstance(obj, np.ndarray) and obj.size >= n) \
         == sorted(held)
     monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * n * rows)
-    reach = _closure_reach(semigroup._shifted_solver(L, shifts, "block {k}"))
-    assert any(sp.issparse(obj) and obj.format == "coo" for obj in reach)
+    reach = _closure_reach(semigroup._shifted_solver(op, shifts, "block {k}"))
+    assert any(obj is op for obj in reach) and not any(sp.issparse(obj) for obj in reach)
+    assert not any(isinstance(obj, np.ndarray) and obj.size >= n for obj in reach)
 
 
 def test_2d_powers_count_their_band_cholesky_blocks():
@@ -1523,11 +1534,11 @@ def test_2d_powers_count_their_band_cholesky_blocks():
 
 
 def test_shifted_solver_names_an_indefinite_1d_block():
-    L = _stepper_1d(N=32).L
-    lam = np.linalg.eigvals(L.toarray()).real
+    op = _stepper_1d(N=32)._op
+    lam = np.linalg.eigvals(op.L.toarray()).real
     middle = -0.5 * (lam.min() + lam.max())  # L + middle I has both signs of eigenvalue
     with pytest.raises(np.linalg.LinAlgError, match=r"^block 2 of A - \(\S+\) I$"):
-        semigroup._shifted_solver(L, [0.0, 1.0, middle, 2.0], "block {k} of A - ({p:g}) I")
+        semigroup._shifted_solver(op, [0.0, 1.0, middle, 2.0], "block {k} of A - ({p:g}) I")
 
 
 @settings(max_examples=40, deadline=None)
@@ -1544,12 +1555,13 @@ def test_shifted_solver_takes_complex_shifts_through_the_tridiagonal_lu(
     coeff = CoefficientField(
         1, lambda x: lam + lam * (ratio - 1.0) * (0.5 + 0.5 * np.sin(freq * x)),
         lam, lam * ratio)
-    L = x_operator(coeff, [xs]).L
+    op = x_operator(coeff, [xs])
+    L = op.L
     b = np.random.default_rng(seed).standard_normal((len(shifts), L.shape[0]))
     with mock.patch.object(lapack, "zgttrf", wraps=lapack.zgttrf) as gt, \
             mock.patch.object(lapack, "dpttrf", wraps=lapack.dpttrf) as pt, \
             mock.patch.object(lapack, "dgbtrf", wraps=lapack.dgbtrf) as gb:
-        x = semigroup._shifted_solver(L, np.array(shifts), "block {k}")(b)
+        x = semigroup._shifted_solver(op, np.array(shifts), "block {k}")(b)
     assert (gt.call_count, pt.call_count, gb.call_count) == (1, 0, 0)
     A = L.toarray()
     for xk, sh, bk in zip(x, shifts, b):
@@ -1560,10 +1572,10 @@ def test_shifted_solver_takes_complex_shifts_through_the_tridiagonal_lu(
 
 
 def test_shifted_solver_refuses_complex_shifts_off_a_tridiagonal_operator():
-    L = _stepper_1d(N=3).L[:1, :1]
+    op = _record(_stepper_1d(N=3).L[:1, :1])
     with pytest.raises(np.linalg.LinAlgError, match=r"^block 1 of A - \(\S+\) I$"):
-        semigroup._shifted_solver(L, [1j, -L[0, 0] + 0j, 2j], "block {k} of A - ({p:g}) I")
-    for A, shifts in ((_stepper_2d(CoefficientField.identity(2), 5).L, [1j]), (L, [1j, 2j])):
+        semigroup._shifted_solver(op, [1j, -op.L[0, 0] + 0j, 2j], "block {k} of A - ({p:g}) I")
+    for A, shifts in ((_stepper_2d(CoefficientField.identity(2), 5)._op, [1j]), (op, [1j, 2j])):
         with pytest.raises(ValueError, match=r"tridiagonal A, off-diagonals < 0, N m >= 3"):
             semigroup._shifted_solver(A, shifts, "")
 
@@ -1575,7 +1587,7 @@ def test_shifted_solver_takes_the_band_lu_off_negative_off_diagonals(entry):
     # symmetrizing similarity exists, so the band LU solves, with no warning
     L = _stepper_1d(N=16).L.tolil()
     L[3, 4] = entry
-    x, ref, calls = _engine_solves(L.tocsr(), [0.0, 2.0], 5)
+    x, ref, calls = _engine_solves(_record(L.tocsr()), [0.0, 2.0], 5)
     assert calls == {"pttrf": 0, "pbtrf": 0, "gbtrf": 1}
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
@@ -1724,7 +1736,7 @@ def test_2d_stepper_fit_interval_is_the_sparse_expressions(field, n):
 @pytest.mark.parametrize("dim, field, symmetric", [(1, "identity", True), (1, "variable", False),
                                                    (2, "identity", True), (2, "variable", False)])
 def test_powers_on_one_stepper_derive_the_fit_interval_once(monkeypatch, dim, field, symmetric):
-    derived = _spy_on_fit_interval(monkeypatch)
+    derived = _spy_on_record(monkeypatch)
     if dim == 1:
         coeff = (CoefficientField.identity(1) if field == "identity" else
                  CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5))
@@ -1743,20 +1755,51 @@ def test_powers_on_one_stepper_derive_the_fit_interval_once(monkeypatch, dim, fi
         assert info["interval"] == [lo, hi] and info["symmetric"] is flag is symmetric
 
 
-def _spy_on_fit_interval(monkeypatch):
-    """The x-operator records whose fit interval is derived from now on, in
-    the order of derivation; the memo starts empty."""
-    derive, derived = semigroup._XOperator.fit_interval.func, []
+def _spy_on_record(monkeypatch, name="fit_interval"):
+    """The x-operator records whose cached property `name` is derived from
+    now on, in the order of derivation; the memo starts empty."""
+    derive, derived = getattr(semigroup._XOperator, name).func, []
 
     def spy(self):
         derived.append(self)
         return derive(self)
 
     prop = cached_property(spy)
-    prop.__set_name__(semigroup._XOperator, "fit_interval")
-    monkeypatch.setattr(semigroup._XOperator, "fit_interval", prop)
+    prop.__set_name__(semigroup._XOperator, name)
+    monkeypatch.setattr(semigroup._XOperator, name, prop)
     semigroup._assembled.cache_clear()
     return derived
+
+
+def test_one_record_derives_how_its_stacks_are_factored_once(monkeypatch):
+    # two powers, two semigroup extensions and two y-mode solves on one 1-D
+    # record, each factoring a stack of its own (AAA poles on N = 32, the
+    # contour past a zero byte bound): L's structure is scanned once, by the
+    # record, and every stack reads the decision it holds
+    derived = _spy_on_record(monkeypatch, "stacks")
+    monkeypatch.setattr(semigroup, "_CONTOUR_BYTES", 0)
+    handed, shifted = [], semigroup._shifted_solver
+
+    def spy(op, *args):
+        handed.append(op)
+        return shifted(op, *args)
+
+    monkeypatch.setattr(semigroup, "_shifted_solver", spy)
+    monkeypatch.setattr(extension, "_shifted_solver", spy)
+    problem = ExtensionProblem(s=0.5, coeff=CoefficientField.identity(1), domain=(0.0, np.pi),
+                               Z=1.0, bottom=("neumann", np.sin), g_lateral=0.0, g_top=0.0)
+    mesh = ExtensionMesh(nx=33, my=8)
+    stepper = SemigroupStepper(problem.coeff, BoxGrid.interval(0.0, np.pi, 33))
+    u = GridFunction.from_callable(stepper.grid, np.sin)
+    for _ in range(2):
+        fractional_apply(stepper, u, 0.4)
+        extension_via_semigroup_multi(stepper, u, 0.4, [0.5])
+        solve_extension(problem, mesh)
+    op = stepper._op
+    assert x_operator(problem.coeff, mesh.x_axes(problem.domain, 1)) is op
+    assert op.pole_set is None and op.contour[3] is None
+    assert len(handed) == 6 and all(h is op for h in handed)
+    assert derived == [op]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1764,7 +1807,7 @@ def test_a_second_stepper_on_the_field_and_mesh_derives_no_fit_interval(monkeypa
     # the interval depends on the axes, L and the declared lam, all fixed by
     # the record's key: a second stepper reads the first one's, and its
     # powers and contour keep their bits
-    derived = _spy_on_fit_interval(monkeypatch)
+    derived = _spy_on_record(monkeypatch)
     if dim == 1:
         coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x), 0.5, 1.5)
         grid = BoxGrid.interval(0.0, np.pi, 65)
@@ -1955,7 +1998,8 @@ def test_a_record_holds_l_once_within_its_bytes_per_node(kind, shape):
     assert B.shape == (len(rows), boundary)
     assert _record_bytes(op, coeff) <= per_node * interior + 24 * boundary
     assert op.fit_interval[0][0] == op.floor
-    assert set(vars(op)) == {"axes", "L", "lateral", "floor", "fit_interval"}
+    # the interval caches max |L - L^T| beside it, which `stacks` reads too
+    assert set(vars(op)) == {"axes", "L", "lateral", "floor", "fit_interval", "_defect"}
 
 
 @dataclass(frozen=True)
@@ -1972,7 +2016,7 @@ def _kept_pole_power(st_, v, info):
     """r(L) v over the fit's kept poles alone, factored for them: the sum
     `_rational_power` made before the record held a candidate set."""
     c0, poles, w, _ = semigroup._power_fit(*info["interval"], info["beta"])
-    x = semigroup._shifted_solver(st_.L, -poles, "L - ({p:g}) I is singular")(
+    x = semigroup._shifted_solver(st_._op, -poles)(
         np.broadcast_to(v, (len(poles), len(v))))
     out = c0 * v
     for wj, xj in zip(w, x):
@@ -2036,3 +2080,62 @@ def test_a_candidate_set_holds_16_bytes_per_interior_node_and_candidate(N):
     assert not any(a.flags.writeable for a in arrays if a.size >= m)
     widest = semigroup._RATIONAL_TOL / np.finfo(float).eps  # eps hi/lo is in every certificate
     assert len(semigroup._geometric_poles(1.0, widest)) == 43
+
+
+def _decision_record(kind, m, ratio, freq):
+    """An x-operator record for the decision test: 1-D on a uniform, graded
+    or decreasing axis of m nodes, a(x) in [1, ratio]; 2-D constant or
+    variable a^{ij} on a square grid, or identity on one row of m nodes."""
+    t = np.linspace(0.0, 1.0, m)
+    if kind in ("uniform", "graded", "decreasing"):
+        axis = {"uniform": t, "graded": t + 0.4 * t * (1.0 - t), "decreasing": t[::-1]}[kind]
+        coeff = CoefficientField(1, lambda x: 1.0 + (ratio - 1.0) * np.sin(freq * x) ** 2,
+                                 1.0, ratio)
+        return x_operator(coeff, [np.pi * axis])
+    if kind == "one-row":
+        return x_operator(CoefficientField.identity(2), [np.linspace(0.0, 1.0, 3), t])
+    coeff = _constant_2d_field(1.0, 0.3, 1.5) if kind == "constant" else _variable_2d_field()
+    return x_operator(coeff, [np.linspace(0.0, 1.0, min(m, 12))] * 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["uniform", "graded", "decreasing", "constant", "variable", "one-row"]),
+       st.integers(3, 160), st.floats(1.0, 1e3), st.floats(0.5, 20.0))
+@example("uniform", 3, 1.0, 1.0)  # one interior node: band Cholesky, symmetrizer d = [1]
+@example("one-row", 160, 1.0, 1.0)  # a tridiagonal 2-D L on a wide interval
+@example("decreasing", 160, 30.0, 3.0)
+def test_a_record_holds_a_candidate_set_exactly_where_its_stacks_take_pttrf(kind, m, ratio,
+                                                                            freq):
+    # the decision read against the dense L: the half-bandwidth, the
+    # symmetrizer where L is tridiagonal with off-diagonals < 0, the band
+    # Cholesky where L is exactly symmetric with off-diagonals <= 0; the
+    # record holds a candidate set exactly where it holds a symmetrizer on
+    # an interval wider than _AAA_MAX_RANGE, and its solves are L's
+    semigroup._assembled.cache_clear()
+    op = _decision_record(kind, m, ratio, freq)
+    A = op.L.toarray()
+    n, (i, j) = A.shape[0], np.nonzero(A)
+    tridiagonal = np.all(np.abs(i - j) <= 1) and np.all(np.diag(A, 1) < 0.0) \
+        and np.all(np.diag(A, -1) < 0.0)
+    symmetrizer, k, cholesky = op.stacks
+    assert k == np.max(np.abs(i - j)) and (symmetrizer is not None) == tridiagonal
+    assert cholesky == (np.array_equal(A, A.T) and np.all(A[i, j][i != j] <= 0.0))
+    if tridiagonal:
+        d, e = symmetrizer
+        S = A * d[None, :] / d[:, None]  # D^{-1} A D
+        np.testing.assert_allclose(np.diag(S, 1), e, rtol=1e-12)
+        np.testing.assert_allclose(np.diag(S, -1), e, rtol=1e-12)
+    (lo, hi), _ = op.fit_interval
+    assert (op.pole_set is not None) == (tridiagonal and hi / lo > semigroup._AAA_MAX_RANGE)
+    if op.pole_set is not None:
+        candidates, solve = op.pole_set
+        b = np.random.default_rng(m).standard_normal((len(candidates), n))
+        x = solve(b)
+        for q in (0, len(candidates) // 2, len(candidates) - 1):
+            ref = np.linalg.solve(A - candidates[q] * np.eye(n), b[q])
+            assert np.max(np.abs(x[q] - ref)) <= 1e-10 * np.max(np.abs(ref))
+    if n == 1:  # the heat semigroup reads d = [1] and e = [] from the record
+        assert cholesky and [len(a) for a in symmetrizer] == [1, 0]
+        stepper = SemigroupStepper(CoefficientField.identity(1), BoxGrid.interval(0.0, np.pi, 3))
+        heat = stepper.heat_interior(np.array([2.0]), 0.5)
+        assert heat == pytest.approx(2.0 * np.exp(-0.5 * stepper.L[0, 0]), rel=1e-15)
