@@ -21,13 +21,14 @@ module imports LAPACK), as the record decided once (`_XOperator.stacks`): a
 1-D L is similar to a symmetric tridiagonal matrix (positive definite
 LDL^T); an exactly symmetric 2-D L (constant a^{ij}: one Selling stencil at
 every node) takes the band Cholesky, any other the pivoted band LU.  On
-intervals wider than hi/lo = 1e3 (every 1-D L from about 45 nodes on) every
-power picks its poles from one geometric candidate set (24-35 for a = 1 and
-N = 64-4096 cells), which the record factors once and every s solves through
-(`_XOperator.pole_set`); in 2-D, AAA's dozen or so poles depend on s, and
-each power factors them for its own call.  Only the record and the fits
-(`_power_fit`) outlive a call, both in bounded memos; a stepper holds no
-factors.
+intervals wider than hi/lo = 1e2 (a = 1 from 15 cells a side on, in 1-D
+and on a square) every power picks its poles from one geometric candidate
+set (22 on `plane2d`'s grids, 24-35 for 1-D a = 1 and N = 64-4096 cells),
+which the record factors once, up to _POLE_SET_BYTES, and every s solves
+through (`_XOperator.pole_set`); on narrower intervals AAA's few poles
+depend on s, and each power factors them for its own call.  Only the
+record and the fits (`_power_fit`) outlive a call, both in bounded memos;
+a stepper holds no factors.
 
 The 1-D semigroup extension phi(L, z) u (`bessel_extension_profile`) is a
 trapezoid rule on a contour around that interval (`_profile_contour`):
@@ -202,21 +203,25 @@ def _assembled(axes, comps, bounds):
     and the coupling, at most 112 bytes.  The axes and the coupling's rows
     add at most 24 bytes per boundary node.  A tridiagonal entry (1-D, or
     2-D on one row) that factored holds its symmetrizer (d, e)
-    (`_XOperator.stacks`), 16 bytes per interior node, and if its powers ran
-    wider than _AAA_MAX_RANGE its candidate set (`pole_set`): pttrf's 2
-    doubles per node and candidate, at most 43 where a fit certifies, and
-    1/d, at most 696 bytes per interior node.  A 1-D entry that met the
-    semigroup extension also holds its contour (`_XOperator.contour`):
-    zgttrf's 68 bytes per interior node and contour node (39-57 nodes), held
-    only up to _CONTOUR_BYTES = 4 MiB (1,233 interior nodes for a = 1 on a
-    uniform axis), and 64 bytes per contour node for the nodes, weights and
-    certificate samples.  `x_operator` keeps no operator over _MEMO_NODES
-    interior nodes (it calls the builder unmemoized), so an entry holds at
-    most about 16.8 MB (1-D with its candidate set and contour factors, 2^14
-    interior nodes; 2.6 MB in 2-D, 11.4 MB more on one row with a candidate
-    set) and the 16 entries at most about 270 MB, of it at most 64 MiB of
-    contour factors.  Counts obs semigroup.operators per operator built (a
-    hit counts none); a refusal raises and is neither counted nor memoized.
+    (`_XOperator.stacks`), 16 bytes per interior node.  An entry whose
+    powers ran wider than _AAA_MAX_RANGE holds its candidate set
+    (`pole_set`) up to _POLE_SET_BYTES = 12 MiB: pttrf's 2 doubles per node
+    and candidate, at most 43 where a fit certifies, and 1/d, at most 696
+    bytes per interior node (11.4 MB at 2^14, so every tridiagonal entry);
+    else the band Cholesky's or LU's factors (4.0 MB for a = I on 28^2
+    interior nodes).  A 1-D entry that met the semigroup extension also
+    holds its contour (`_XOperator.contour`): zgttrf's 68 bytes per interior
+    node and contour node (39-57 nodes), held only up to _CONTOUR_BYTES = 4
+    MiB (1,233 interior nodes for a = 1 on a uniform axis), and 64 bytes per
+    contour node for the nodes, weights and certificate samples.
+    `x_operator` keeps no operator over _MEMO_NODES interior nodes (it calls
+    the builder unmemoized), so an entry holds at most about 16.8 MB (1-D
+    with its candidate set and contour factors, 2^14 interior nodes; 2.6 MB
+    in 2-D and up to 12.6 MB more with a candidate set) and the 16 entries
+    at most about 270 MB, of it at most 192 MiB of candidate sets and 64 MiB
+    of contour factors.  Counts obs semigroup.operators per operator built
+    (a hit counts none); a refusal raises and is neither counted nor
+    memoized.
     """
     axes = [np.frombuffer(ax) for ax in axes]
     comps = [np.frombuffer(c) for c in comps]
@@ -363,8 +368,8 @@ class _XOperator:
     interior, C order).  floor: lam sum 8 / (hi - lo)^2, the declared lam
     times the least 3-point Dirichlet eigenvalue on the axes' (lo, hi) for
     any spacing, a lower bound of L's spectrum.  On first use: `fit_interval`,
-    how stacks of L - p I are factored (`stacks`) and, in 1-D, the factored
-    candidate poles of every power (`pole_set`) and the contour (`contour`).
+    how stacks of L - p I are factored (`stacks`), the factored candidate
+    poles of every power (`pole_set`) and, in 1-D, the contour (`contour`).
     """
 
     def __init__(self, axes, lam, L, lateral):
@@ -377,13 +382,17 @@ class _XOperator:
     def pole_set(self):
         """(candidates, solve) on first use: `_geometric_poles` of the fit
         interval, read-only, which every power's fit on it picks from, and
-        the `_shifted_solver` of every L - p I over them.  Only an L whose
-        `stacks` take pttrf (2 numbers per unknown and candidate: every 1-D
-        L) on an interval wider than _AAA_MAX_RANGE has one; None elsewhere,
-        where the poles depend on beta or the factors are banded.
+        the `_shifted_solver` of every L - p I over them, its factors
+        read-only.  Bytes per interior node and candidate, as `stacks`
+        decided: pttrf's 16, the band Cholesky's 8 (k + 1) or the band LU's
+        8 (3k + 1) and a 4-byte pivot.  None on intervals up to
+        _AAA_MAX_RANGE, where the poles depend on beta, and where the
+        factors would pass _POLE_SET_BYTES; each power then factors its own.
         """
         poles = _geometric_poles(*self.fit_interval[0])
-        if poles is None or self.stacks[0] is None:
+        symmetrizer, k, cholesky = self.stacks
+        per_node = 16 if symmetrizer else 8 * (k + 1) if cholesky else 8 * (3 * k + 1) + 4
+        if poles is None or per_node * len(poles) * self.L.shape[0] > _POLE_SET_BYTES:
             return None
         poles.flags.writeable = False
         return poles, _shifted_solver(self, -poles)
@@ -455,6 +464,7 @@ def _read_only(M):
 
 _BAND_BUDGET = 256 * 2**20  # bytes of band factors `_shifted_solver` holds at once
 _CONTOUR_BYTES = 4 * 2**20  # bytes of contour factors an x-operator record holds
+_POLE_SET_BYTES = 12 * 2**20  # bytes of factored candidate poles an x-operator record holds
 
 
 def _shifted_solver(op, shifts, message="L - ({p:g}) I is singular"):
@@ -478,16 +488,18 @@ def _shifted_solver(op, shifts, message="L - ({p:g}) I is singular"):
     than the upper one (27^2 to 63^2 unknowns); any other (variable 2-D
     a^{ij}) the band LU with partial pivoting (gbtrf), N (3k + 1) numbers per
     block.  At most _BAND_BUDGET bytes of band factors are held: if every
-    block fits, all are factored here, once, else each call factors,
-    substitutes and releases one batch of blocks at a time, except the last
-    batch it walks, which it keeps for the next call; that call walks the
-    batches the other way round, so b batches cost b factorizations in the
-    first call and b - 1 in each later one.  The factors live as long as
-    solve: a power's for its one call (`_rational_power`), the record's
-    candidate set and contour (`_XOperator.pole_set`, `.contour`) as long as
-    the record, a contour over _CONTOUR_BYTES for its one extension call.
-    Held pttrf and zgttrf arrays are read-only.  The blocks follow one
-    another, and the exact zeros between them keep them apart.
+    block fits, all are factored here, once, and every call reads them, else
+    each call factors, substitutes and releases one batch of blocks at a
+    time, except the last batch it walks, which it keeps for the next call;
+    that call walks the batches the other way round, so b batches cost b
+    factorizations in the first call and b - 1 in each later one.  The
+    factors live as long as solve: a power's for its one call
+    (`_rational_power`, where the record holds no candidate set), the
+    record's candidate set and contour (`_XOperator.pole_set`, `.contour`)
+    as long as the record, a contour over _CONTOUR_BYTES for its one
+    extension call.  Factors held across calls (pttrf, zgttrf, and band ones
+    where every block fits) are read-only.  The blocks follow one another,
+    and the exact zeros between them keep them apart.
 
     solve(b, overwrite_b=False) maps stacked right-hand sides, (len(shifts),
     N) or raveled, to solutions of the same shape and the shifts' dtype;
@@ -562,24 +574,32 @@ def _shifted_solver(op, shifts, message="L - ({p:g}) I is singular"):
             check(info, start)
             return lu
 
-        starts = range(0, m, per_batch)
-        # the factors of one batch stay between calls: all of them when every
-        # block fits, else the last batch a call walked, which the next call
-        # walks first (the calls alternate direction)
-        kept = {0: factor(0, m)} if m <= per_batch else {}
+        def back(lu, rows):
+            if cholesky:
+                dpbtrs(*lu, rows.reshape(-1, 1), lower=1, overwrite_b=1)
+            else:
+                dgbtrs(lu[0], k, k, rows.reshape(-1, 1), lu[1], overwrite_b=1)
 
-        def substitute(rows):
-            order = starts[::-1] if starts[-1] in kept else starts
-            for i in order:
-                lu = kept.pop(i, None) or factor(i, min(i + per_batch, m))
-                batch = rows[i:i + per_batch].reshape(-1, 1)
-                if cholesky:
-                    dpbtrs(*lu, batch, lower=1, overwrite_b=1)
-                else:
-                    dgbtrs(lu[0], k, k, batch, lu[1], overwrite_b=1)
-                if i == order[-1]:
-                    kept[i] = lu
-                del lu  # a batch factored here is released before the next
+        if m <= per_batch:  # every block fits: factored here, once
+            held = factor(0, m)
+            for arr in held:  # a record may hold them (`_XOperator.pole_set`)
+                arr.flags.writeable = False
+
+            def substitute(rows):
+                back(held, rows)
+        else:
+            # the last batch a call walked keeps its factors, and the next
+            # call walks it first (the calls alternate direction)
+            starts, kept = range(0, m, per_batch), {}
+
+            def substitute(rows):
+                order = starts[::-1] if starts[-1] in kept else starts
+                for i in order:
+                    lu = kept.pop(i, None) or factor(i, min(i + per_batch, m))
+                    back(lu, rows[i:i + per_batch])
+                    if i == order[-1]:
+                        kept[i] = lu
+                    del lu  # a batch factored here is released before the next
 
     def solve(b, overwrite_b=False):
         x = (np.ascontiguousarray(b, dtype=shifts.dtype) if overwrite_b
@@ -602,9 +622,10 @@ class SemigroupStepper:
     and grid, the spectral floor (resting on the declared lam of `coeff`,
     which `x_operator` checks), the fit interval with L's symmetry flag,
     derived once per record, as is how its stacks are factored (`stacks`),
-    and in 1-D the factored candidate poles that every power picks from
-    (`pole_set`) and the semigroup extension's contour (`contour`, factored
-    up to _CONTOUR_BYTES).  The stepper keeps only the 1-D modes L = D Q
+    the factored candidate poles that every power on an interval wider than
+    _AAA_MAX_RANGE picks from (`pole_set`, up to _POLE_SET_BYTES) and in 1-D
+    the semigroup extension's contour (`contour`, factored up to
+    _CONTOUR_BYTES).  The stepper keeps only the 1-D modes L = D Q
     diag(lam) Q^T D^{-1} (`_modes`, on first use: one eigh_tridiagonal of
     D^{-1} L D, the record's symmetrizer), in which e^{-tL} alone is
     applied, and the decay cut-off; no factors.  Fractional powers (info:
@@ -682,7 +703,7 @@ _RATIONAL_TOL = 1e-6   # sup relative error of a fit, acceptance criterion 2's t
 _FIT_SAMPLES = 256
 _CERT_SAMPLES = 10_000
 _CERT_BLOCK = 1024     # certificate rows evaluated at once
-_AAA_MAX_RANGE = 1e3   # widest hi/lo whose poles AAA proposes
+_AAA_MAX_RANGE = 1e2   # widest hi/lo whose poles AAA proposes
 _POLES_PER_DECADE = 3  # geometric poles on wider intervals ...
 _POLE_MARGIN = 1e2     # ... over [lo / margin, hi * margin]
 _AAA_MAX_TERMS = 100   # at most _FIT_SAMPLES / 2: the Loewner matrix stays tall
@@ -772,20 +793,22 @@ def _power_fit(lo, hi, beta):
     every refit solves the columns of its small R against the last column
     (Q^T 1) with the truncation np.linalg.lstsq gives the full matrix (rcond
     = eps _FIT_SAMPLES; R has its singular values).  Up to hi/lo =
-    _AAA_MAX_RANGE (every 2-D mesh of the tests and benchmark) the poles are
-    the real negative ones of AAA (`_aaa_poles`), the fewest; AAA's tolerance is
-    relative to max x^{-beta}, so wider intervals lose the far end (3.8e-6
-    at hi/lo = 8.4e6, beta = 0.99).  Wider intervals take _POLES_PER_DECADE
-    geometric poles per decade over [lo / _POLE_MARGIN, hi * _POLE_MARGIN]
-    and one at 0, whose error (<= 3e-11 for beta in [0.001, 0.999] up to
-    hi/lo = 1e14) does not grow with the width: 32 poles for 1-D N = 4096,
-    hi/lo = 8.4e6.  Geometric poles would certify on the narrow intervals
-    too, but AAA's are fewer, and each pole is one shifted solve per call:
-    on `plane2d`'s intervals (hi/lo 72 to 392) AAA keeps 10 to 13 poles
-    where geometric ones keep 14 to 19 (certified <= 6.4e-11); with them
-    everywhere `plane2d` (seed 6061) ran 7 to 9% slower, wall_s 0.130 ->
-    0.139 and 0.142 s, slower in each of two sets of 6 alternating pairs,
-    so both families stay.  The certificate adds to the error sampled on a dense log
+    _AAA_MAX_RANGE = 1e2 (a = 1 up to 14 cells a side) the poles are the
+    real negative ones of AAA (`_aaa_poles`); AAA's tolerance is relative to
+    max x^{-beta}, so wide intervals lose the far end (3.8e-6 at hi/lo =
+    8.4e6, beta = 0.99).  Wider intervals take _POLES_PER_DECADE geometric
+    poles per decade over [lo / _POLE_MARGIN, hi * _POLE_MARGIN] and one at
+    0, whose error (<= 3e-11 for beta in [0.001, 0.999] up to hi/lo = 1e14)
+    does not grow with the width: 32 poles for 1-D N = 4096, hi/lo = 8.4e6.
+    They are the same for every beta, so a record factors them once for all
+    its powers (`_XOperator.pole_set`): on `plane2d`'s intervals (hi/lo 220
+    to 420) 22 candidates, of which a fit keeps 17 to 20 (AAA's 10 to 13
+    each needed a factorization per call), certified <= 4.7e-11 for beta in
+    [0.02, 0.98] (AAA: 1.4e-10).  AAA stays on the narrow intervals for
+    accuracy: there the elimination on geometric candidates can end over 4
+    times above the error of nnls on them (493 of 100,000 seeded draws with
+    hi/lo in (40, 1e3], the widest at hi/lo = 63.4; none of 200,000 in
+    (1e2, 1e3]).  The certificate adds to the error sampled on a dense log
     grid eps * hi / lo, the forward-error bound of the worst-conditioned
     solve (cond(L - p I) <= hi / lo for p <= 0 and a symmetric L), so fits
     pass up to hi/lo ~ 4e9.  The samples are evaluated _CERT_BLOCK rows at a
@@ -843,7 +866,8 @@ def _rational_power(stepper: SemigroupStepper, v, beta):
     The interval and the symmetry flag are read from the x-operator record,
     which derives them once (`_XOperator.fit_interval`).  One substitution
     solves L - p I for every candidate pole of the record's `pole_set`, or
-    where it has none for the fit's own poles, factored for this call alone
+    where it has none (hi/lo <= _AAA_MAX_RANGE, or factors past
+    _POLE_SET_BYTES) for the fit's own poles, factored for this call alone
     (LinAlgError naming p if one is singular), and the sum takes the rows of
     the poles the fit keeps: the blocks are independent (exact zeros between
     them), so each row has the bits of a solve over the kept poles alone.

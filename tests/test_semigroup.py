@@ -321,9 +321,9 @@ def _sampled_error(lo, hi, beta, c0, poles, w):
 
 
 @settings(max_examples=40, deadline=None)
-@given(lo=st.floats(0.1, 10.0), ratio=st.floats(2.0, 1e3), beta=st.floats(0.001, 0.999))
-@example(lo=1.0, ratio=1e3, beta=0.7)
-@example(lo=8.785926927902384, ratio=1e3, beta=0.5)  # lo * 1e3 / lo rounds above 1e3
+@given(lo=st.floats(0.1, 10.0), ratio=st.floats(2.0, 1e2), beta=st.floats(0.001, 0.999))
+@example(lo=1.0, ratio=1e2, beta=0.7)
+@example(lo=6.405920704482398, ratio=1e2, beta=0.5)  # lo * 1e2 / lo rounds above 1e2
 def test_aaa_port_and_weight_elimination_match_scipy(lo, ratio, beta):
     # the AAA port proposes as many real negative poles as scipy's AAA, and
     # the elimination keeps the poles that nnls keeps on them
@@ -342,6 +342,10 @@ def test_aaa_port_and_weight_elimination_match_scipy(lo, ratio, beta):
 @settings(max_examples=30, deadline=None)
 @given(lo=st.floats(0.1, 10.0), ratio=st.floats(2.0, 4e9), beta=st.floats(0.001, 0.999))
 @example(lo=1.0, ratio=4e9, beta=0.5)
+@example(lo=1.0, ratio=1.01e2, beta=0.5)  # 1.01 _AAA_MAX_RANGE: the narrowest geometric set
+@example(lo=1.6211389382774044, ratio=220.49999999999997, beta=0.6)  # plane2d's n = 21, 25, 29
+@example(lo=1.6211389382774044, ratio=312.49999999999994, beta=0.6)
+@example(lo=1.6211389382774044, ratio=420.49999999999994, beta=0.6)
 def test_weight_elimination_is_as_accurate_as_nnls(lo, ratio, beta):
     hi = lo * ratio
     c0, poles, w, _ = semigroup._power_fit(lo, hi, beta)
@@ -432,8 +436,8 @@ def test_power_fit_refuses_degenerate_intervals(lo, hi):
 @pytest.mark.parametrize("op, s", [(fractional_apply, 1.0 - 1e-16),
                                    (fractional_inverse, 1.1e-16)])
 def test_a_fit_without_poles_is_c0_times_the_identity(op, s):
-    # beta = 1.1e-16 on N = 16: the fit keeps c0 alone, and no system is solved
-    st_ = _stepper_1d(N=16)
+    # beta = 1.1e-16 on N = 12: the fit keeps c0 alone, and no system is solved
+    st_ = _stepper_1d(N=12)
     u = GridFunction.from_callable(st_.grid, lambda x: np.sin(2 * x))
     out, info = op(st_, u, s)
     c0 = semigroup._power_fit(*info["interval"], info["beta"])[0]
@@ -1514,6 +1518,9 @@ def test_band_solver_with_every_block_factored_keeps_no_operator_copy(monkeypatc
     held = [(rows, len(shifts) * n)] + ([(len(shifts) * n,)] if kind == "variable" else [])
     assert sorted(obj.shape for obj in reach if isinstance(obj, np.ndarray) and obj.size >= n) \
         == sorted(held)
+    # a record may hold them (`_XOperator.pole_set`): read-only
+    assert not any(obj.flags.writeable for obj in reach
+                   if isinstance(obj, np.ndarray) and obj.size >= n)
     monkeypatch.setattr(semigroup, "_BAND_BUDGET", 2 * 8 * n * rows)
     reach = _closure_reach(semigroup._shifted_solver(op, shifts, "block {k}"))
     assert any(obj is op for obj in reach) and not any(sp.issparse(obj) for obj in reach)
@@ -1773,7 +1780,7 @@ def _spy_on_record(monkeypatch, name="fit_interval"):
 
 def test_one_record_derives_how_its_stacks_are_factored_once(monkeypatch):
     # two powers, two semigroup extensions and two y-mode solves on one 1-D
-    # record, each factoring a stack of its own (AAA poles on N = 32, the
+    # record, each factoring a stack of its own (AAA poles on N = 12, the
     # contour past a zero byte bound): L's structure is scanned once, by the
     # record, and every stack reads the decision it holds
     derived = _spy_on_record(monkeypatch, "stacks")
@@ -1788,8 +1795,8 @@ def test_one_record_derives_how_its_stacks_are_factored_once(monkeypatch):
     monkeypatch.setattr(extension, "_shifted_solver", spy)
     problem = ExtensionProblem(s=0.5, coeff=CoefficientField.identity(1), domain=(0.0, np.pi),
                                Z=1.0, bottom=("neumann", np.sin), g_lateral=0.0, g_top=0.0)
-    mesh = ExtensionMesh(nx=33, my=8)
-    stepper = SemigroupStepper(problem.coeff, BoxGrid.interval(0.0, np.pi, 33))
+    mesh = ExtensionMesh(nx=13, my=8)
+    stepper = SemigroupStepper(problem.coeff, BoxGrid.interval(0.0, np.pi, 13))
     u = GridFunction.from_callable(stepper.grid, np.sin)
     for _ in range(2):
         fractional_apply(stepper, u, 0.4)
@@ -2049,10 +2056,10 @@ def test_an_s_sweep_factors_one_candidate_set_with_the_bits_of_the_kept_poles(gr
 
 
 def test_a_narrow_1d_interval_factors_each_powers_aaa_poles():
-    # N = 32 (hi/lo ~ 500): AAA's poles depend on beta, so the record holds no
+    # N = 10 (hi/lo = 75): AAA's poles depend on beta, so the record holds no
     # candidate set and each power factors its own poles for its call
     coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, 1.0, 1.5)
-    grid = BoxGrid.interval(0.0, np.pi, 33)
+    grid = BoxGrid.interval(0.0, np.pi, 11)
     u = GridFunction.from_callable(grid, np.sin)
     for s in (0.2, 0.4, 0.9):
         st_ = SemigroupStepper(coeff, grid)
@@ -2063,20 +2070,83 @@ def test_a_narrow_1d_interval_factors_each_powers_aaa_poles():
     assert st_._op.pole_set is None
 
 
-@pytest.mark.parametrize("N", [64, 1025, 4097])
-def test_a_candidate_set_holds_16_bytes_per_interior_node_and_candidate(N):
-    # pttrf's factors, 2 doubles per node and candidate, and the
-    # symmetrizer's 2 doubles per node, all read-only; at most 43 candidates
-    # where a fit certifies (hi/lo <= 4.5e9), so at most 704 bytes per node
-    coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, 1.0, 1.5)
+def _wide_2d(field):
+    """(coeff, grid, data) on an interval wider than _AAA_MAX_RANGE, on
+    `plane2d`'s grids of (0, pi)^2: identity coefficients on 21 cells a side
+    (hi/lo = 220, band Cholesky) or the variable field on 13 (237, band LU)."""
+    n = 21 if field == "identity" else 13
+    grid = BoxGrid.rectangle((0.0, 0.0), (np.pi, np.pi), (n + 1, n + 1))
+    coeff = CoefficientField.identity(2) if field == "identity" else _variable_2d_field()
+    return coeff, grid, _random_2d(grid, n)
+
+
+@pytest.mark.parametrize("field", ["identity", "variable"])
+def test_a_2d_record_on_a_wide_interval_holds_its_candidate_set(field):
+    # the first power factors the record's geometric candidates, a second
+    # one at another beta factors nothing, and its field has the bits of the
+    # one on a fresh record
+    coeff, grid, u = _wide_2d(field)
     semigroup._assembled.cache_clear()
-    op = SemigroupStepper(coeff, BoxGrid.interval(0.0, np.pi, N + 1))._op
+    st_ = SemigroupStepper(coeff, grid)
+    (lo, hi), _ = st_._op.fit_interval
+    assert hi / lo > semigroup._AAA_MAX_RANGE
+    with obs.recording() as counts:
+        fractional_inverse(st_, u, 0.3)
+    candidates, _ = st_._op.pole_set
+    assert counts["semigroup.shifted_blocks"] == len(candidates)
+    assert counts["semigroup.cholesky_blocks"] == (len(candidates) if field == "identity" else 0)
+    with obs.recording() as counts:
+        out, info = fractional_apply(st_, u, 0.7)
+    assert counts["semigroup.shifted_blocks"] == counts["semigroup.cholesky_blocks"] == 0
+    assert 0 < info["poles"] < len(candidates)
+    semigroup._assembled.cache_clear()
+    fresh, _ = fractional_apply(SemigroupStepper(coeff, grid), u, 0.7)
+    assert np.array_equal(out.values, fresh.values)
+
+
+@pytest.mark.parametrize("field", ["identity", "variable"])
+def test_past_the_byte_bound_each_2d_power_factors_its_kept_poles(monkeypatch, field):
+    # with _POLE_SET_BYTES = 0 the record holds no set, and each power
+    # factors the poles its fit keeps for its own call: the fields have the
+    # bits of the ones that substitute the held set
+    coeff, grid, u = _wide_2d(field)
+    semigroup._assembled.cache_clear()
+    st_ = SemigroupStepper(coeff, grid)
+    held = [power(st_, u, s)[0] for power, s in ((fractional_inverse, 0.3), (fractional_apply, 0.7))]
+    monkeypatch.setattr(semigroup, "_POLE_SET_BYTES", 0)
+    semigroup._assembled.cache_clear()
+    st_ = SemigroupStepper(coeff, grid)
+    for power, s, ref in zip((fractional_inverse, fractional_apply), (0.3, 0.7), held):
+        with obs.recording() as counts:
+            out, info = power(st_, u, s)
+        assert counts["semigroup.shifted_blocks"] == info["poles"] > 0
+        assert counts["semigroup.cholesky_blocks"] == (info["poles"] if field == "identity" else 0)
+        assert np.array_equal(out.values, ref.values)
+    assert st_._op.pole_set is None
+
+
+@pytest.mark.parametrize("N", [64, 1025, 4097, "identity", "variable"])
+def test_a_candidate_set_holds_16_bytes_per_interior_node_and_candidate(N):
+    # 1-D: pttrf's factors, 2 doubles per node and candidate, and the
+    # symmetrizer's 2 doubles per node; at most 43 candidates where a fit
+    # certifies (hi/lo <= 4.5e9), so at most 704 bytes per node.  2-D, of
+    # half-bandwidth b: the band Cholesky's b + 1 doubles per node and
+    # candidate (identity coefficients), or the band LU's 3b + 1 and an
+    # int32 pivot (the variable field).  All read-only
+    semigroup._assembled.cache_clear()
+    if isinstance(N, str):
+        op = SemigroupStepper(*_wide_2d(N)[:2])._op
+    else:
+        coeff = CoefficientField(1, lambda x: 1.0 + 0.5 * np.sin(3.0 * x) ** 2, 1.0, 1.5)
+        op = SemigroupStepper(coeff, BoxGrid.interval(0.0, np.pi, N + 1))._op
     candidates, solve = op.pole_set
     assert not candidates.flags.writeable
     arrays = [a for a in _closure_reach(solve) if isinstance(a, np.ndarray)]
     held = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
-    k, m = len(candidates), op.L.shape[0]
-    assert sum(b.nbytes for b in held.values()) == (16 * k + 16) * m + 8 * k
+    k, m, b = len(candidates), op.L.shape[0], op.stacks[1]
+    per_node = {"identity": 8 * (b + 1) * k, "variable": (8 * (3 * b + 1) + 4) * k}.get(
+        N, 16 * k + 16)
+    assert sum(a.nbytes for a in held.values()) == per_node * m + 8 * k
     assert not any(a.flags.writeable for a in arrays if a.size >= m)
     widest = semigroup._RATIONAL_TOL / np.finfo(float).eps  # eps hi/lo is in every certificate
     assert len(semigroup._geometric_poles(1.0, widest)) == 43
@@ -2104,13 +2174,14 @@ def _decision_record(kind, m, ratio, freq):
 @example("uniform", 3, 1.0, 1.0)  # one interior node: band Cholesky, symmetrizer d = [1]
 @example("one-row", 160, 1.0, 1.0)  # a tridiagonal 2-D L on a wide interval
 @example("decreasing", 160, 30.0, 3.0)
-def test_a_record_holds_a_candidate_set_exactly_where_its_stacks_take_pttrf(kind, m, ratio,
-                                                                            freq):
+def test_a_record_holds_a_candidate_set_exactly_on_intervals_wider_than_aaas(kind, m, ratio,
+                                                                             freq):
     # the decision read against the dense L: the half-bandwidth, the
     # symmetrizer where L is tridiagonal with off-diagonals < 0, the band
     # Cholesky where L is exactly symmetric with off-diagonals <= 0; the
-    # record holds a candidate set exactly where it holds a symmetrizer on
-    # an interval wider than _AAA_MAX_RANGE, and its solves are L's
+    # record holds a candidate set exactly on an interval wider than
+    # _AAA_MAX_RANGE (every set here is far below _POLE_SET_BYTES), whatever
+    # factors its stacks take, and its solves are L's
     semigroup._assembled.cache_clear()
     op = _decision_record(kind, m, ratio, freq)
     A = op.L.toarray()
@@ -2126,7 +2197,7 @@ def test_a_record_holds_a_candidate_set_exactly_where_its_stacks_take_pttrf(kind
         np.testing.assert_allclose(np.diag(S, 1), e, rtol=1e-12)
         np.testing.assert_allclose(np.diag(S, -1), e, rtol=1e-12)
     (lo, hi), _ = op.fit_interval
-    assert (op.pole_set is not None) == (tridiagonal and hi / lo > semigroup._AAA_MAX_RANGE)
+    assert (op.pole_set is not None) == (hi / lo > semigroup._AAA_MAX_RANGE)
     if op.pole_set is not None:
         candidates, solve = op.pole_set
         b = np.random.default_rng(m).standard_normal((len(candidates), n))
